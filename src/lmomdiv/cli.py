@@ -130,7 +130,12 @@ def _attach_asymptotics(report, model, sample):
     report.cov_theta = cov.cov_theta / n
     report.cov_xi = cov.cov_xi / n
     if report.xi is not None:
-        stat = confidence_stat(report.xi, cov.p, cov.sigma, n)
+        try:
+            stat = confidence_stat(report.xi, cov.p, cov.sigma, n)
+        except EstimationError as exc:
+            # the covariances stand; only the membership statistic is undefined
+            report.diagnostics["confidence_error"] = str(exc)
+            return report
         report.s_n = stat.s_n
         report.df = stat.df
         report.p_value = stat.p_value
@@ -167,6 +172,8 @@ def cmd_test(args) -> int:
     if report.xi is None:
         raise UsageError("the confidence statistic needs a divergence fit")
     report = _attach_asymptotics(report, model, sample)
+    if report.s_n is None:
+        raise EstimationError(report.diagnostics["confidence_error"])
     payload = {
         "s_n": report.s_n,
         "df": report.df,

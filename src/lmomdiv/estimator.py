@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtrc
 
 from .divergence import DivergenceSpec
 from .dualsolve import (
@@ -351,6 +351,11 @@ def confidence_stat(xi_hat, p_mat, sigma_mat, n: int,
         raise EstimationError("degenerate multiplier covariance")
     keep = evals > rank_tol * top
     rank = int(np.count_nonzero(keep))
+    if rank == 0:
+        extreme = float(evals[np.argmax(np.abs(evals))])
+        raise EstimationError(
+            "multiplier covariance has no positive eigenvalue "
+            f"(largest in magnitude: {extreme!r})")
     full = rank == middle.shape[0]
     if full:
         s_n = float(n * xi_hat @ np.linalg.solve(middle, xi_hat))
@@ -360,7 +365,7 @@ def confidence_stat(xi_hat, p_mat, sigma_mat, n: int,
         s_n = float(n * xi_hat @ inv @ xi_hat)
         df = rank
     return ConfidenceStat(
-        s_n=s_n, df=df, p_value=float(chi2_dist.sf(s_n, df)),
+        s_n=s_n, df=df, p_value=float(chdtrc(df, s_n)),
         rank=rank, rank_adjusted=not full,
     )
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.integrate as spi
 
 from .poly import (
     MAX_ORDER,
@@ -180,6 +179,9 @@ def population_lmoments(
             return quantile(t) * _horner(_c, t)
 
         if quad.method == "adaptive":
+            # imported on first use, to keep it out of the package import time
+            import scipy.integrate as spi
+
             est, err = spi.quad(
                 integrand, 0.0, 1.0, epsabs=quad.tol, epsrel=quad.tol,
                 limit=quad.limit,

@@ -178,10 +178,6 @@ class ParametricFamily:
         return weibull_lmoment_map(self.sigma, self.nu)
 
 
-def family_ops(family: str, sigma: float, nu: float) -> ParametricFamily:
-    return ParametricFamily(family, float(sigma), float(nu))
-
-
 # ---------------------------------------------------------------------------
 # SPLQ model objects
 
@@ -339,7 +335,7 @@ def order_stat_model_3(theta: float = 0.0, nu: float = 1.0) -> SplqModel:
         lmoment_jacobian=lambda th: np.array([[1.0], [1.0]]),
         orders=None,
         rows=_orderstat3_rows,
-        metadata={"location": float(theta), "nu_init": float(nu)},
+        metadata={"location": float(theta)},
     )
 
 

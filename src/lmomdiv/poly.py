@@ -135,8 +135,3 @@ class PolyBasis:
         if np.isscalar(t) or np.ndim(t) == 0:
             return np.array([float(c) for c in cols])
         return np.stack(cols, axis=-1)
-
-
-def constraint_vector(basis: PolyBasis, t):
-    """Functional alias for :meth:`PolyBasis.constraint_vector`."""
-    return basis.constraint_vector(t)

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +91,23 @@ def test_test_command(data_file, capsys):
     assert 0.0 <= out["p_value"] <= 1.0
 
 
+def test_multiplier_covariance_without_rank(tmp_path, capsys):
+    # for this GPD(3, 0.4) sample the plug-in multiplier covariance has no
+    # positive eigenvalue, so S_n and its p-value do not exist: `test` fails,
+    # while `fit --asymptotics` still reports theta's covariance and says why
+    # the statistic is missing
+    x = ParametricFamily("gpd", 3.0, 0.4).sample(1000, np.random.default_rng([11, 3]))
+    p = tmp_path / "rank0.csv"
+    p.write_text("\n".join(map(repr, x.tolist())) + "\n")
+    assert main(["test", str(p), "--json"]) == 3
+    assert "no positive eigenvalue" in capsys.readouterr().err
+    assert main(["fit", str(p), "--asymptotics", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert "confidence" not in out
+    assert "no positive eigenvalue" in out["diagnostics"]["confidence_error"]
+    assert np.all(np.diag(out["cov_theta"]) > 0)
+
+
 def test_shift_invariant_fit(tmp_path, capsys):
     rng = np.random.default_rng(5)
     x = ParametricFamily("gpd", 3.0, 0.3).sample(100, rng)
@@ -120,6 +139,10 @@ def test_dist_command(capsys):
     assert main(["dist", "gpd:3:0.7", "weibull:3:0.4", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert 0.0 < out["l1_distance"] <= 2.0
+    # heavy-tail pair, whose far tail carries half the distance
+    assert main(["dist", "gpd:17.18:0.693", "gpd:3:0.1", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["l1_distance"] == pytest.approx(1.1516216, abs=1e-7)
 
 
 def test_dist_bad_spec(capsys):
@@ -167,3 +190,13 @@ def test_json_full_precision(data_file, capsys):
     table = capsys.readouterr().out
     numbers = re.findall(r"\d+\.\d+", table)
     assert all(len(tok.replace(".", "").lstrip("0")) <= 6 for tok in numbers)
+
+
+def test_cli_import_skips_scipy_stats_and_integrate():
+    # both are slow to import and the CLI needs neither until an adaptive
+    # population L-moment quadrature runs
+    code = ("import sys, lmomdiv.cli; "
+            "print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

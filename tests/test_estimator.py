@@ -137,6 +137,14 @@ def test_confidence_stat_rank_adjustment(gpd_cov):
     assert stat.rank_adjusted
 
 
+def test_confidence_stat_no_positive_eigenvalue_raises():
+    # P Sigma P^T = diag(-1, 1e-12): nothing survives the rank cut, so no
+    # statistic exists; the error names the offending eigenvalue
+    with pytest.raises(EstimationError, match="-1.0"):
+        confidence_stat(np.array([0.3, -0.1]), np.eye(2),
+                        np.diag([-1.0, 1e-12]), 50)
+
+
 def test_confidence_stat_full_rank_path():
     stat = confidence_stat(np.array([0.3, -0.1]), np.eye(2), np.eye(2), 50)
     assert not stat.rank_adjusted

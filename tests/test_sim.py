@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.optimize
 
 from lmomdiv.models import ParametricFamily
 from lmomdiv.sim import (
@@ -150,3 +152,50 @@ def test_l1_scale_families():
     b2 = ParametricFamily("gpd", 15.0, 0.3)
     assert l1_density_distance(a, b) == pytest.approx(
         l1_density_distance(a2, b2), abs=1e-6)
+
+
+def l1_log_space_oracle(f1, f2, lo=1e-100, hi=1e300):
+    """Quadrature of |f1 - f2| in u = log x, split at every sign crossing.
+
+    Crossings come from a fine log-grid scan refined by brentq; each panel
+    is further cut every two units of u so that QUADPACK sees a smooth,
+    localized integrand.  Finite support ends are breakpoints too.  The mass
+    outside [lo, hi] is below 1e-30 for the families used here.
+    """
+    def diff_u(u):
+        x = np.exp(u)
+        return f1.density(x) - f2.density(x)
+
+    u = np.linspace(np.log(lo), np.log(hi), 200_001)
+    sign = np.sign(diff_u(u))
+    u, sign = u[sign != 0], sign[sign != 0]
+    cuts = [scipy.optimize.brentq(diff_u, u[i], u[i + 1], xtol=1e-14)
+            for i in np.nonzero(sign[:-1] != sign[1:])[0]]
+    ends = [np.log(f.support[1]) for f in (f1, f2) if np.isfinite(f.support[1])]
+    edges = np.unique(np.concatenate([
+        [np.log(lo), np.log(hi)], cuts, ends,
+        np.arange(np.log(lo), np.log(hi), 2.0),
+    ]))
+    return sum(
+        scipy.integrate.quad(lambda v: abs(diff_u(v)) * np.exp(v), a, b,
+                             epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+@pytest.mark.parametrize("f1, f2, approx", [
+    # heavy tail: half the distance lies in the panel running to infinity
+    (ParametricFamily("gpd", 17.18, 0.693), ParametricFamily("gpd", 3.0, 0.1),
+     1.1516216),
+    # finite support [0, 32.4] against an unbounded tail
+    (ParametricFamily("gpd", 9.7274, -0.30024), ParametricFamily("gpd", 3.0, 0.1),
+     0.7227347),
+    # density pole at 0 against a finite one, three crossings
+    (ParametricFamily("weibull", 3.0, 0.4), ParametricFamily("gpd", 3.0, 0.7),
+     0.5518185),
+])
+def test_l1_matches_log_space_oracle(f1, f2, approx):
+    d = l1_density_distance(f1, f2)
+    assert d == pytest.approx(l1_log_space_oracle(f1, f2), abs=1e-9)
+    assert d == pytest.approx(approx, abs=1e-7)
+    assert l1_density_distance(f2, f1) == d
