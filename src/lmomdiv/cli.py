@@ -16,6 +16,7 @@ import numpy as np
 from .divergence import divergence_by_name
 from .estimator import (
     EstimationError,
+    FitReport,
     asymptotic_covariance,
     confidence_stat,
     fit_divergence,
@@ -111,8 +112,6 @@ def _fit_sample(sample: SortedSample, args):
             "mle": fit_mle_gpd,
         }[args.method]
         sigma, nu = fitter(sample)
-        from .estimator import FitReport
-
         return FitReport(
             theta=np.array([sigma, nu]), xi=None, criterion=float("nan"),
             method=args.method, param_names=("sigma", "nu"),

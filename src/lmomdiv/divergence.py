@@ -1,8 +1,11 @@
 """Power-divergence family: the convex integrand, its conjugate and derivatives.
 
+Each family is one row of ``_FORMS`` (the generic power form is the
+``"power"`` row); one wrapper evaluates any entry on scalars or arrays.
 ``phi`` uses an extended-real contract (+inf outside its domain) so it can
 serve as a penalized primal objective.  ``psi`` and its derivatives raise on
-domain violations instead, because the dual solver relies on that signal.
+domain violations instead, because the dual solver relies on that signal;
+it is the only domain check of a dual evaluation.
 """
 
 from __future__ import annotations
@@ -18,6 +21,63 @@ _GAMMA_EPS = 1e-6
 
 class ConjugateDomainError(ValueError):
     """Argument outside the domain of the conjugate function."""
+
+
+def _extended(phi, at_zero):
+    """phi on x > 0, its limit from the right at 0 and +inf left of 0."""
+    def extended(x, g):
+        out = np.full_like(x, np.inf)
+        pos = x > 0.0
+        out[pos] = phi(x[pos], g)
+        out[x == 0.0] = at_zero(g)
+        return out
+
+    return extended
+
+
+#: entries of a ``_FORMS`` row: functions of (argument, gamma), except the
+#: conjugate's open domain, a function of gamma alone
+_ENTRIES = ("psi_domain", "phi", "phi_prime", "phi_second",
+            "psi", "psi_prime", "psi_second")
+_FORMS = {family: dict(zip(_ENTRIES, row)) for family, row in {
+    "chi2": (
+        lambda g: (-np.inf, np.inf),
+        lambda x, g: 0.5 * (x - 1.0) ** 2,
+        lambda x, g: x - 1.0,
+        lambda x, g: np.ones_like(x),
+        lambda t, g: 0.5 * t * t + t,
+        lambda t, g: t + 1.0,
+        lambda t, g: np.ones_like(t),
+    ),
+    "kl": (
+        lambda g: (-np.inf, np.inf),
+        _extended(lambda x, g: x * np.log(x) - x + 1.0, lambda g: 1.0),
+        lambda x, g: np.log(x),
+        lambda x, g: 1.0 / x,
+        lambda t, g: np.expm1(t),
+        lambda t, g: np.exp(t),
+        lambda t, g: np.exp(t),
+    ),
+    "klm": (
+        lambda g: (-np.inf, 1.0),
+        _extended(lambda x, g: -np.log(x) + x - 1.0, lambda g: np.inf),
+        lambda x, g: 1.0 - 1.0 / x,
+        lambda x, g: 1.0 / (x * x),
+        lambda t, g: -np.log1p(-t),
+        lambda t, g: 1.0 / (1.0 - t),
+        lambda t, g: 1.0 / (1.0 - t) ** 2,
+    ),
+    "power": (
+        lambda g: (-1.0 / (g - 1.0), np.inf) if g > 1.0 else (-np.inf, 1.0 / (1.0 - g)),
+        _extended(lambda x, g: (x ** g - g * x + g - 1.0) / (g * (g - 1.0)),
+                  lambda g: 1.0 / g if g > 0.0 else np.inf),
+        lambda x, g: (x ** (g - 1.0) - 1.0) / (g - 1.0),
+        lambda x, g: x ** (g - 2.0),
+        lambda t, g: ((1.0 + (g - 1.0) * t) ** (g / (g - 1.0)) - 1.0) / g,
+        lambda t, g: (1.0 + (g - 1.0) * t) ** (1.0 / (g - 1.0)),
+        lambda t, g: (1.0 + (g - 1.0) * t) ** ((2.0 - g) / (g - 1.0)),
+    ),
+}.items()}
 
 
 @dataclass(frozen=True)
@@ -38,131 +98,42 @@ class DivergenceSpec:
         return -np.inf if self.family == "chi2" else 0.0
 
     @property
-    def b_phi(self) -> float:
-        return np.inf
-
-    @property
     def psi_domain(self) -> tuple[float, float]:
         """Open interval on which the conjugate is finite and smooth."""
-        if self.family == "chi2" or self.family == "kl":
-            return (-np.inf, np.inf)
-        if self.family == "klm":
-            return (-np.inf, 1.0)
-        g = self.gamma
-        if g > 1.0:
-            return (-1.0 / (g - 1.0), np.inf)
-        return (-np.inf, 1.0 / (1.0 - g))
+        return _FORMS[self.family]["psi_domain"](self.gamma)
 
-    # -- phi ------------------------------------------------------------
-
-    def phi(self, x) -> np.ndarray | float:
+    def _apply(self, entry: str, x):
+        """One entry at x: a float for a scalar, an array of x's shape otherwise."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        out = np.full_like(x, np.inf)
-        if self.family == "chi2":
-            out = 0.5 * (x - 1.0) ** 2
-        elif self.family == "kl":
-            pos = x > 0.0
-            out[pos] = x[pos] * np.log(x[pos]) - x[pos] + 1.0
-            out[x == 0.0] = 1.0
-        elif self.family == "klm":
-            pos = x > 0.0
-            out[pos] = -np.log(x[pos]) + x[pos] - 1.0
-        else:
-            g = self.gamma
-            pos = x > 0.0
-            out[pos] = (x[pos] ** g - g * x[pos] + g - 1.0) / (g * (g - 1.0))
-            if g > 0.0:
-                out[x == 0.0] = 1.0 / g
+        if entry.startswith("psi"):
+            lo, hi = self.psi_domain
+            if np.any(x <= lo) or np.any(x >= hi):
+                raise ConjugateDomainError(
+                    f"conjugate argument outside open domain ({lo}, {hi})"
+                )
+        out = _FORMS[self.family][entry](x, self.gamma)
         return float(out[0]) if scalar else out
+
+    def phi(self, x) -> np.ndarray | float:
+        return self._apply("phi", x)
 
     def phi_prime(self, x) -> np.ndarray | float:
         """Derivative of phi, finite only strictly inside its domain."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        if self.family == "chi2":
-            out = x - 1.0
-        elif self.family == "kl":
-            out = np.log(x)
-        elif self.family == "klm":
-            out = 1.0 - 1.0 / x
-        else:
-            g = self.gamma
-            out = (x ** (g - 1.0) - 1.0) / (g - 1.0)
-        return float(out[0]) if scalar else out
+        return self._apply("phi_prime", x)
 
     def phi_second(self, x) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        if self.family == "chi2":
-            out = np.ones_like(x)
-        elif self.family == "kl":
-            out = 1.0 / x
-        elif self.family == "klm":
-            out = 1.0 / (x * x)
-        else:
-            out = x ** (self.gamma - 2.0)
-        return float(out[0]) if scalar else out
-
-    # -- conjugate ------------------------------------------------------
-
-    def _check_psi_domain(self, t: np.ndarray) -> None:
-        lo, hi = self.psi_domain
-        if np.any(t <= lo) or np.any(t >= hi):
-            raise ConjugateDomainError(
-                f"conjugate argument outside open domain ({lo}, {hi})"
-            )
+        return self._apply("phi_second", x)
 
     def psi(self, t) -> np.ndarray | float:
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        self._check_psi_domain(t)
-        if self.family == "chi2":
-            out = 0.5 * t * t + t
-        elif self.family == "kl":
-            out = np.expm1(t)
-        elif self.family == "klm":
-            out = -np.log1p(-t)
-        else:
-            g = self.gamma
-            out = ((1.0 + (g - 1.0) * t) ** (g / (g - 1.0)) - 1.0) / g
-        return float(out[0]) if scalar else out
+        return self._apply("psi", t)
 
     def psi_prime(self, t) -> np.ndarray | float:
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        self._check_psi_domain(t)
-        if self.family == "chi2":
-            out = t + 1.0
-        elif self.family == "kl":
-            out = np.exp(t)
-        elif self.family == "klm":
-            out = 1.0 / (1.0 - t)
-        else:
-            g = self.gamma
-            out = (1.0 + (g - 1.0) * t) ** (1.0 / (g - 1.0))
-        return float(out[0]) if scalar else out
+        return self._apply("psi_prime", t)
 
     def psi_second(self, t) -> np.ndarray | float:
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        self._check_psi_domain(t)
-        if self.family == "chi2":
-            out = np.ones_like(t)
-        elif self.family == "kl":
-            out = np.exp(t)
-        elif self.family == "klm":
-            out = 1.0 / (1.0 - t) ** 2
-        else:
-            g = self.gamma
-            out = (1.0 + (g - 1.0) * t) ** ((2.0 - g) / (g - 1.0))
-        return float(out[0]) if scalar else out
+        return self._apply("psi_second", t)
 
 
 CHI2 = DivergenceSpec("chi2", 2.0)

@@ -1,23 +1,25 @@
 """Inner convex solve: the concave dual over multipliers for a fixed target.
 
-The production path is always the finite-dimensional dual; the primal over
-spacings and the transport variant exist for cross-checks and diagnostics.
-Zero spacings carry no mass, so they are excluded from all sums and impose
-no domain constraint at their nodes.
+``make_dual_problem`` is the one builder of the constraint rows at the nodes
+i/n and of m_n; the Newton solve and the chi-square dual (Omega factored
+once) both read its ``DualProblem``.  Zero spacings carry no mass, so they
+are excluded from all sums and impose no domain constraint at their nodes.
+The primal over spacings and the transport variant exist for cross-checks
+and diagnostics.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from .divergence import DivergenceSpec, ConjugateDomainError
+from .divergence import CHI2, DivergenceSpec, ConjugateDomainError
 from .lmoments import SortedSample
 
-_DOMAIN_MARGIN = 1e-12
 _UNBOUNDED_VALUE = 1e12
 
 
@@ -39,36 +41,24 @@ class DualProblem:
     target: np.ndarray         # f(theta), length c
     divergence: DivergenceSpec
     m_n: np.ndarray            # empirical constraint moments, length c
-    n: int
 
     def with_target(self, target) -> "DualProblem":
-        return DualProblem(
-            self.kmat, self.delta, np.asarray(target, dtype=float),
-            self.divergence, self.m_n, self.n,
-        )
+        return dataclasses.replace(self, target=np.asarray(target, dtype=float))
 
     # -- objective, gradient, Hessian ----------------------------------
-
-    def _nodes(self, xi: np.ndarray) -> np.ndarray:
-        z = self.kmat @ xi
-        lo, hi = self.divergence.psi_domain
-        if np.any(z <= lo + _DOMAIN_MARGIN) or np.any(z >= hi - _DOMAIN_MARGIN):
-            raise ConjugateDomainError("a node left the conjugate domain")
-        return z
+    # the conjugate checks its own domain at the nodes kmat @ xi
 
     def objective(self, xi) -> float:
         xi = np.asarray(xi, dtype=float)
-        z = self._nodes(xi)
+        z = self.kmat @ xi
         return float(xi @ self.target - self.divergence.psi(z) @ self.delta)
 
     def gradient(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        z = self._nodes(xi)
+        z = self.kmat @ np.asarray(xi, dtype=float)
         return self.target - self.kmat.T @ (self.divergence.psi_prime(z) * self.delta)
 
     def hessian(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        z = self._nodes(xi)
+        z = self.kmat @ np.asarray(xi, dtype=float)
         w = self.divergence.psi_second(z) * self.delta
         return -(self.kmat.T * w) @ self.kmat
 
@@ -86,14 +76,31 @@ class DualSolution:
         return self.status == "converged"
 
 
-def _node_matrix(sample: SortedSample, constraint_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constraint rows at i/n and spacings, plus the positive-spacing mask."""
+def make_dual_problem(
+    sample: SortedSample,
+    constraint_values,
+    divergence: DivergenceSpec,
+    target,
+) -> DualProblem:
+    """The rows ``constraint_values(t)`` at the positive-spacing nodes i/n, and m_n.
+
+    Raises ``SingularConstraintError`` when those rows are rank deficient.
+    """
     n = sample.n
-    t = np.arange(1, n) / n
-    kmat = np.atleast_2d(constraint_values(t))
+    kmat = np.atleast_2d(constraint_values(np.arange(1, n) / n))
     delta = sample.spacings
     mask = delta > 0.0
-    return kmat, delta, mask
+    kmat, delta = kmat[mask], delta[mask]
+    rank = np.linalg.matrix_rank(kmat)
+    if rank < kmat.shape[1]:
+        raise SingularConstraintError(
+            f"constraint rows are rank deficient: rank {rank} < {kmat.shape[1]} "
+            f"on {delta.size} positive-spacing nodes"
+        )
+    return DualProblem(
+        kmat, delta, np.asarray(target, dtype=float), divergence,
+        kmat.T @ delta,
+    )
 
 
 def empirical_constraint_moments(sample: SortedSample, constraint_values) -> np.ndarray:
@@ -101,36 +108,13 @@ def empirical_constraint_moments(sample: SortedSample, constraint_values) -> np.
 
     Equals minus the plug-in sample L-moments of the configured orders.
     """
-    kmat, delta, _ = _node_matrix(sample, _as_fn(constraint_values))
-    return kmat.T @ delta
+    # the target plays no part in m_n
+    return make_dual_problem(sample, constraint_values, CHI2, 0.0).m_n
 
 
-def omega_empirical(sample: SortedSample, constraint_values) -> np.ndarray:
+def omega_empirical(problem: DualProblem) -> np.ndarray:
     """Second-moment matrix of the constraint rows under the quantile measure."""
-    kmat, delta, _ = _node_matrix(sample, _as_fn(constraint_values))
-    return (kmat.T * delta) @ kmat
-
-
-def _as_fn(constraint_values):
-    # accept a PolyBasis, an SplqModel or a bare callable
-    if callable(constraint_values):
-        return constraint_values
-    return constraint_values.constraint_vector
-
-
-def make_dual_problem(
-    sample: SortedSample,
-    constraint_values,
-    divergence: DivergenceSpec,
-    target,
-) -> DualProblem:
-    fn = _as_fn(constraint_values)
-    kmat, delta, mask = _node_matrix(sample, fn)
-    m_n = kmat.T @ delta
-    return DualProblem(
-        kmat[mask], delta[mask], np.asarray(target, dtype=float),
-        divergence, m_n, sample.n,
-    )
+    return (problem.kmat.T * problem.delta) @ problem.kmat
 
 
 def solve_dual(
@@ -182,23 +166,30 @@ def solve_dual(
     return DualSolution(xi, value, gnorm, max_iter, status)
 
 
+def chi2_solver(omega: np.ndarray, m_n: np.ndarray):
+    """target -> (value, xi) of the chi-square dual, with Omega factored once.
+
+    The conjugate is quadratic, so the maximizer solves Omega xi = target - m_n.
+    """
+    try:
+        chol = scipy.linalg.cho_factor(omega)
+    except scipy.linalg.LinAlgError:
+        raise SingularConstraintError("empirical second-moment matrix is singular")
+
+    def solve(target) -> tuple[float, np.ndarray]:
+        resid = np.asarray(target, dtype=float) - m_n
+        xi = scipy.linalg.cho_solve(chol, resid)
+        return 0.5 * float(resid @ xi), xi
+
+    return solve
+
+
 def chi2_value_closed_form(
     sample: SortedSample, constraint_values, target
 ) -> tuple[float, np.ndarray]:
-    """Exact chi-square dual optimum: a single linear solve.
-
-    The chi-square conjugate is quadratic, so the dual is a concave
-    quadratic whose maximizer solves one symmetric system.
-    """
-    target = np.asarray(target, dtype=float)
-    omega = omega_empirical(sample, constraint_values)
-    m_n = empirical_constraint_moments(sample, constraint_values)
-    try:
-        xi = scipy.linalg.solve(omega, target - m_n, assume_a="pos")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        raise SingularConstraintError("empirical second-moment matrix is singular")
-    value = 0.5 * float((target - m_n) @ xi)
-    return value, xi
+    """Exact chi-square dual optimum at one target (see ``chi2_solver``)."""
+    problem = make_dual_problem(sample, constraint_values, CHI2, target)
+    return chi2_solver(omega_empirical(problem), problem.m_n)(problem.target)
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +240,8 @@ def primal_bruteforce(
     """
     if sample.n > 50:
         raise ValueError("the primal oracle is restricted to n <= 50")
-    target = np.asarray(target, dtype=float)
-    fn = _as_fn(constraint_values)
-    kmat, delta, mask = _node_matrix(sample, fn)
-    a = kmat[mask]                 # (m, c)
-    d = delta[mask]
-    if np.linalg.matrix_rank(a.T) < target.size:
-        raise SingularConstraintError(
-            "constraint rows are rank deficient on the positive-spacing nodes"
-        )
+    problem = make_dual_problem(sample, constraint_values, divergence, target)
+    a, d, target = problem.kmat, problem.delta, problem.target    # a: (m, c)
     positive = divergence.a_phi >= 0.0
     s = _feasible_start(a, d, target, positive)
 
@@ -291,8 +275,8 @@ def primal_bruteforce(
         else:
             break
         s, val = cand, cand_val
-    out = np.zeros(delta.size)
-    out[mask] = s
+    out = np.zeros(sample.n - 1)
+    out[sample.spacings > 0.0] = s
     return val, out
 
 
@@ -308,11 +292,10 @@ def wasserstein_fit_inner(
     not enforced; the returned flag is True when the solution is monotone.
     """
     target = np.asarray(target, dtype=float)
-    fn = _as_fn(constraint_values)
     n = sample.n
     x = sample.values
     grid = np.arange(n + 1) / n
-    kfull = np.atleast_2d(fn(np.clip(grid, 0.0, 1.0)))   # (n+1, c)
+    kfull = np.atleast_2d(constraint_values(np.clip(grid, 0.0, 1.0)))  # (n+1, c)
     # sum_i K(i/n)(y_{i+1}-y_i) = sum_j y_j [K((j-1)/n) - K(j/n)]
     b = kfull[:-1] - kfull[1:]                           # (n, c)
     gram = b.T @ b                                       # (c, c)

@@ -2,13 +2,14 @@
 
 The outer search is derivative free (Nelder-Mead clamped to the parameter
 box): the criterion is smooth in theta, but its gradient is available only
-at converged inner solves, so coupling the two tolerances is avoided.  The
-envelope gradient is exposed for diagnostics only.
+at converged inner solves, so coupling the two tolerances is avoided.  Each
+fit builds one ``DualProblem``; its chi-square criterion is the closed-form
+dual.  The envelope gradient is exposed for diagnostics only.  The plug-in
+Sigma uses the triangle rule of ``lmoments.triangle_covariance``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,14 +21,25 @@ from .divergence import DivergenceSpec
 from .dualsolve import (
     DualProblem,
     SingularConstraintError,
-    chi2_value_closed_form,
+    chi2_solver,
     make_dual_problem,
     omega_empirical,
     solve_dual,
 )
-from .lmoments import SortedSample, sample_lmoments_v
+from .lmoments import (
+    Quad2DConfig,
+    SortedSample,
+    gauss_legendre,
+    legendre_rows,
+    sample_lmoments_v,
+    triangle_covariance,
+)
 from .models import SplqModel, ParametricFamily, model_jacobian
-from .poly import shifted_legendre_eval
+
+#: the plug-in support is cut where 1 - F falls below this
+_TAIL_EPS = 1e-10
+#: Gauss points of the 1-D rule for the plug-in Omega
+_N_OMEGA = 2000
 
 
 class EstimationError(RuntimeError):
@@ -83,20 +95,19 @@ class FitReport:
         return out
 
 
-def _criterion_factory(skeleton: DualProblem, model: SplqModel,
-                       divergence: DivergenceSpec, sample: SortedSample,
-                       inner_tol: float):
+def _criterion_factory(skeleton: DualProblem, model: SplqModel, inner_tol: float):
     """Build theta -> (criterion, xi | None); +inf outside the model domain."""
-    chi2_fast = divergence.family == "chi2"
     failures = {"count": 0}
-    if chi2_fast:
-        # the quadratic form depends only on the sample; factor it once
-        omega = omega_empirical(sample, model.constraint_values)
-        m_n = skeleton.m_n
-        try:
-            omega_chol = scipy.linalg.cho_factor(omega)
-        except scipy.linalg.LinAlgError:
-            raise EstimationError("singular empirical second-moment matrix")
+    if skeleton.divergence.family == "chi2":
+        inner = chi2_solver(omega_empirical(skeleton), skeleton.m_n)
+    else:
+        def inner(target):
+            sol = solve_dual(skeleton.with_target(target), tol=inner_tol)
+            if sol.status == "infeasibleDirection":
+                return np.inf, None
+            if sol.status == "maxIter":
+                failures["count"] += 1
+            return sol.value, sol.xi
 
     def evaluate(theta):
         theta = model.clip_to_box(theta)
@@ -106,16 +117,7 @@ def _criterion_factory(skeleton: DualProblem, model: SplqModel,
             return np.inf, None
         if not np.all(np.isfinite(target)):
             return np.inf, None
-        if chi2_fast:
-            resid = target - m_n
-            xi = scipy.linalg.cho_solve(omega_chol, resid)
-            return 0.5 * float(resid @ xi), xi
-        sol = solve_dual(skeleton.with_target(target), tol=inner_tol)
-        if sol.status == "infeasibleDirection":
-            return np.inf, None
-        if sol.status == "maxIter":
-            failures["count"] += 1
-        return sol.value, sol.xi
+        return inner(target)
 
     evaluate.failures = failures
     return evaluate
@@ -129,8 +131,7 @@ def lmoment_method_start(sample: SortedSample, model: SplqModel) -> np.ndarray |
         theta = np.array(fit_lmoment_method_gpd(sample))
     except EstimationError:
         return None
-    theta = model.clip_to_box(theta)
-    return theta
+    return model.clip_to_box(theta)
 
 
 def fit_divergence(
@@ -141,14 +142,14 @@ def fit_divergence(
 ) -> FitReport:
     """Minimum-divergence fit: outer box search over the dual criterion."""
     config = config or OuterConfig()
-    if sample.n < model.n_constraints + 1:
-        raise EstimationError("sample too small for the configured constraints")
-    skeleton = make_dual_problem(
-        sample, model.constraint_values, divergence,
-        np.zeros(model.n_constraints),
-    )
-    evaluate = _criterion_factory(skeleton, model, divergence, sample,
-                                  config.inner_tol)
+    try:
+        skeleton = make_dual_problem(
+            sample, model.constraint_values, divergence,
+            np.zeros(model.n_constraints),
+        )
+        evaluate = _criterion_factory(skeleton, model, config.inner_tol)
+    except SingularConstraintError as exc:
+        raise EstimationError(str(exc)) from exc
 
     if config.starts is not None:
         starts = [np.asarray(s, dtype=float) for s in config.starts]
@@ -195,6 +196,7 @@ def fit_divergence(
             "inner_failures": int(evaluate.failures["count"]),
             "boundary": at_boundary,
             "n_starts": len(starts),
+            "outer_converged": bool(best.success),
         },
     )
 
@@ -228,52 +230,43 @@ class CovarianceReport:
         return 0.5 * (c + c.T)
 
 
-@functools.lru_cache(maxsize=16)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _rows_deriv(model: SplqModel, u: np.ndarray) -> np.ndarray:
-    """Derivative of the integrated constraint rows at quantile levels u."""
+def _rows_deriv(model: SplqModel):
+    """u -> derivative of the integrated constraint rows at quantile levels u."""
     if model.orders is not None:
-        return np.stack(
-            [shifted_legendre_eval(r - 1, u) for r in model.orders], axis=-1
-        )
-    # generic rows: central finite differences on (0, 1)
-    h = 1e-6
-    up = np.clip(u + h, 0.0, 1.0)
-    dn = np.clip(u - h, 0.0, 1.0)
-    return (model.constraint_values(up) - model.constraint_values(dn)) / (up - dn)[..., None]
+        return legendre_rows(model.orders)
+
+    def finite_difference(u):
+        # generic rows: central finite differences on (0, 1)
+        h = 1e-6
+        up = np.clip(u + h, 0.0, 1.0)
+        dn = np.clip(u - h, 0.0, 1.0)
+        return (model.constraint_values(up) - model.constraint_values(dn)) / (up - dn)[..., None]
+
+    return finite_difference
 
 
 def asymptotic_covariance(
     theta_hat,
     model: SplqModel,
     plugin: ParametricFamily,
-    n_outer: int = 200,
-    n_inner: int = 200,
-    n_omega: int = 2000,
-    tail_eps: float = 1e-10,
 ) -> CovarianceReport:
     """Plug-in asymptotic covariance blocks at ``theta_hat``.
 
     Both integrals run against the plug-in cdf over a support truncated
     where ``F(1-F)`` is negligible.  The second-moment matrix uses a 1-D
-    Gauss rule; the long-run covariance a tensor Gauss grid on the triangle
-    x < y.
+    Gauss rule; the long-run covariance the triangle rule of
+    ``lmoments.triangle_covariance`` on its default grid.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     lo = plugin.support[0]
-    hi = min(plugin.support[1], plugin.quantile(1.0 - tail_eps))
+    hi = min(plugin.support[1], plugin.quantile(1.0 - _TAIL_EPS))
     cdf = plugin.cdf
 
-    gx, wx = _leggauss(n_omega)
-    x = 0.5 * (hi - lo) * (gx + 1.0) + lo
-    w = 0.5 * (hi - lo) * wx
+    x, w = gauss_legendre(_N_OMEGA, lo, hi)
     rows = np.atleast_2d(model.constraint_values(np.clip(cdf(x), 0.0, 1.0)))
     omega = (rows.T * w) @ rows
 
-    sigma = _sigma_quadrature(cdf, model, (lo, hi), n_outer, n_inner)
+    sigma = triangle_covariance(cdf, _rows_deriv(model), (lo, hi), Quad2DConfig())
 
     j0 = model_jacobian(model, theta_hat)
     try:
@@ -293,36 +286,6 @@ def asymptotic_covariance(
     p = omega_inv - omega_inv @ j0 @ m @ j0.T @ omega_inv
     return CovarianceReport(sigma=sigma, omega=omega, j0=j0, m=m, h=h,
                             p=0.5 * (p + p.T))
-
-
-def _sigma_quadrature(cdf, model: SplqModel, support, n_outer, n_inner) -> np.ndarray:
-    """Triangle quadrature of the long-run covariance of constraint moments."""
-    a, b = support
-    gx, wx = _leggauss(n_outer)
-    gy, wy = _leggauss(n_inner)
-    x = 0.5 * (b - a) * (gx + 1.0) + a
-    wxs = 0.5 * (b - a) * wx
-    half = 0.5 * (b - x)
-    y = x[:, None] + half[:, None] * (gy[None, :] + 1.0)
-    wys = half[:, None] * wy[None, :]
-
-    fx = np.clip(np.asarray(cdf(x), dtype=float), 0.0, 1.0)
-    fy = np.clip(np.asarray(cdf(y), dtype=float), 0.0, 1.0)
-    dx_rows = _rows_deriv(model, fx)                    # (nx, c)
-    dy_rows = _rows_deriv(model, fy)                    # (nx, ny, c)
-    base = fx[:, None] * (1.0 - fy) * wys
-    c = dx_rows.shape[-1]
-    sig = np.empty((c, c))
-    for r in range(c):
-        for s in range(r, c):
-            integrand = (
-                dx_rows[:, None, r] * dy_rows[:, :, s]
-                + dy_rows[:, :, r] * dx_rows[:, None, s]
-            ) * base
-            val = wxs @ integrand.sum(axis=1)
-            sig[r, s] = val
-            sig[s, r] = val
-    return 0.5 * (sig + sig.T)
 
 
 @dataclass(frozen=True)
@@ -347,8 +310,6 @@ def confidence_stat(xi_hat, p_mat, sigma_mat, n: int,
     middle = 0.5 * (middle + middle.T)
     evals, evecs = np.linalg.eigh(middle)
     top = float(np.max(np.abs(evals)))
-    if top <= 0.0:
-        raise EstimationError("degenerate multiplier covariance")
     keep = evals > rank_tol * top
     rank = int(np.count_nonzero(keep))
     if rank == 0:

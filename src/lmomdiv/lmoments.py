@@ -7,6 +7,7 @@ observed data.  Quadrature appears only for population quantities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -89,6 +90,12 @@ class LmomentVector:
         return self.values.size
 
 
+def _check_max_order(max_order: int) -> None:
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    _check_order(max_order)
+
+
 def vstat_weights(n: int, orders) -> np.ndarray:
     """Exact plug-in weights: column ``j`` holds the per-observation weights
     for the order ``orders[j]`` L-moment of a size-``n`` sample.
@@ -113,9 +120,7 @@ def sample_lmoments_v(sample: SortedSample, max_order: int) -> LmomentVector:
     Orders two and up are accumulated from the spacings, so they are exactly
     invariant under any translation that leaves the spacings unchanged.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    _check_order(max_order)
+    _check_max_order(max_order)
     vals = np.empty(max_order)
     vals[0] = float(np.mean(sample.values))
     if max_order >= 2:
@@ -142,9 +147,7 @@ def sample_lmoments_u(sample: SortedSample, max_order: int) -> LmomentVector:
     Equal to the average of the order-r kernel over all size-r subsamples,
     computed in O(n * max_order).
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    _check_order(max_order)
+    _check_max_order(max_order)
     if sample.n < max_order:
         raise ValueError(
             f"the order-{max_order} U-statistic is undefined for n={sample.n}"
@@ -167,9 +170,7 @@ def population_lmoments(
     (default) handles the integrable endpoint blow-up of heavy-tailed
     quantile functions; a fixed Gauss rule is available for smooth cases.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    _check_order(max_order)
+    _check_max_order(max_order)
     quad = quad or QuadConfig()
     vals = np.empty(max_order)
     for r in range(1, max_order + 1):
@@ -192,9 +193,8 @@ def population_lmoments(
                     est, err,
                 )
         elif quad.method == "gauss":
-            nodes, weights = np.polynomial.legendre.leggauss(quad.gauss_points)
-            t = 0.5 * (nodes + 1.0)
-            est = 0.5 * float(weights @ integrand(t))
+            t, weights = gauss_legendre(quad.gauss_points, 0.0, 1.0)
+            est = float(weights @ integrand(t))
         else:
             raise ValueError(f"unknown quadrature method {quad.method!r}")
         vals[r - 1] = est
@@ -240,12 +240,58 @@ def discrete_lmoments(support, weights) -> LmomentVector:
     return LmomentVector(vals, "population")
 
 
+_leggauss = functools.lru_cache(maxsize=16)(np.polynomial.legendre.leggauss)
+
+
+def gauss_legendre(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [a, b]; a (k, 1) array ``a`` gives k rules."""
+    nodes, weights = _leggauss(n)
+    half = 0.5 * (b - a)
+    return half * (nodes + 1.0) + a, half * weights
+
+
 @dataclass(frozen=True)
 class Quad2DConfig:
     """Tensor Gauss grid for the double integral of the covariance matrix."""
 
     nx: int = 200
     ny: int = 200
+
+
+def legendre_rows(orders):
+    """u -> L_{r-1}(u), the derivatives of the order-r rows, on a last axis."""
+    def rows(u):
+        return np.stack([shifted_legendre_eval(r - 1, u) for r in orders], axis=-1)
+
+    return rows
+
+
+def triangle_covariance(
+    cdf,
+    row_deriv,
+    support: tuple[float, float],
+    quad: Quad2DConfig,
+) -> np.ndarray:
+    """Long-run covariance of integrated constraint rows, by a triangle rule.
+
+    Entry (r, s) integrates
+    ``[D_r(F(x)) D_s(F(y)) + D_r(F(y)) D_s(F(x))] F(x)(1 - F(y))``
+    over the triangle x < y inside ``support``, where ``row_deriv`` maps
+    levels u to the row derivatives D(u), of shape ``u.shape + (c,)``.  The
+    caller truncates the support where ``F(x)(1-F(x))`` is negligible.
+    """
+    a, b = support
+    if not b > a:
+        raise ValueError("empty support interval")
+    x, wxs = gauss_legendre(quad.nx, a, b)              # (nx,)
+    y, wys = gauss_legendre(quad.ny, x[:, None], b)     # (nx, ny), y on [x, b]
+    fx = np.clip(np.asarray(cdf(x), dtype=float), 0.0, 1.0)
+    fy = np.clip(np.asarray(cdf(y), dtype=float), 0.0, 1.0)
+    base = fx[:, None] * (1.0 - fy) * wys
+    # the integrand is A + A^T, A_rs = D_r(F(x)) D_s(F(y)) F(x)(1 - F(y))
+    inner = np.einsum("ijs,ij->is", row_deriv(fy), base)   # (nx, c)
+    a_mat = (row_deriv(fx).T * wxs) @ inner
+    return a_mat + a_mat.T
 
 
 def lambda_covariance(
@@ -256,45 +302,8 @@ def lambda_covariance(
 ) -> np.ndarray:
     """Asymptotic covariance of the first ``max_order`` sample L-moments.
 
-    Entry (r, s) integrates
-    ``[L_{r-1}(F(x)) L_{s-1}(F(y)) + L_{r-1}(F(y)) L_{s-1}(F(x))] F(x)(1 - F(y))``
-    over the triangle x < y inside ``support``.  The caller truncates the
-    support where ``F(x)(1-F(x))`` is negligible; the output is symmetrized.
+    The triangle rule of ``triangle_covariance`` with D_r = L_{r-1}.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    _check_order(max_order)
-    quad = quad or Quad2DConfig()
-    a, b = support
-    if not b > a:
-        raise ValueError("empty support interval")
-
-    gx, wx = np.polynomial.legendre.leggauss(quad.nx)
-    gy, wy = np.polynomial.legendre.leggauss(quad.ny)
-    x = 0.5 * (b - a) * (gx + 1.0) + a            # (nx,)
-    wxs = 0.5 * (b - a) * wx
-    # inner nodes on [x_i, b] for each outer node
-    half = 0.5 * (b - x)                          # (nx,)
-    y = x[:, None] + half[:, None] * (gy[None, :] + 1.0)   # (nx, ny)
-    wys = half[:, None] * wy[None, :]
-
-    fx = np.asarray(cdf(x), dtype=float)          # (nx,)
-    fy = np.asarray(cdf(y), dtype=float)          # (nx, ny)
-    lx = np.stack(
-        [shifted_legendre_eval(r, np.clip(fx, 0.0, 1.0)) for r in range(max_order)]
-    )                                             # (m, nx)
-    ly = np.stack(
-        [shifted_legendre_eval(r, np.clip(fy, 0.0, 1.0)) for r in range(max_order)]
-    )                                             # (m, nx, ny)
-
-    base = fx[:, None] * (1.0 - fy) * wys         # (nx, ny)
-    lam = np.empty((max_order, max_order))
-    for r in range(max_order):
-        for s in range(r, max_order):
-            integrand = (
-                lx[r][:, None] * ly[s] + ly[r] * lx[s][:, None]
-            ) * base
-            val = wxs @ integrand.sum(axis=1)
-            lam[r, s] = val
-            lam[s, r] = val
-    return 0.5 * (lam + lam.T)
+    _check_max_order(max_order)
+    return triangle_covariance(cdf, legendre_rows(range(1, max_order + 1)),
+                               support, quad or Quad2DConfig())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import factorial
 from typing import Callable
 
 import numpy as np
@@ -266,32 +266,29 @@ def model_jacobian(model: SplqModel, theta) -> np.ndarray:
     return jac
 
 
-def gpd_model(orders=(2, 3, 4)) -> SplqModel:
-    """Distributions sharing their L-moments with a GPD."""
+def _l234_model(name, label, box, lmoment_map, lmoment_jacobian, orders) -> SplqModel:
     if tuple(orders) != (2, 3, 4):
-        raise ValueError("the GPD map covers orders (2, 3, 4)")
+        raise ValueError(f"the {label} map covers orders (2, 3, 4)")
     return SplqModel(
-        name="gpd-l234",
+        name=name,
         param_names=("sigma", "nu"),
-        box=np.array([[1e-3, 1e3], [-5.0, 0.99]]),
-        lmoment_map=lambda th: gpd_lmoment_map(th[0], th[1]),
-        lmoment_jacobian=lambda th: gpd_lmoment_jacobian(th[0], th[1]),
+        box=np.array(box),
+        lmoment_map=lambda th: lmoment_map(th[0], th[1]),
+        lmoment_jacobian=lambda th: lmoment_jacobian(th[0], th[1]),
         orders=(2, 3, 4),
     )
+
+
+def gpd_model(orders=(2, 3, 4)) -> SplqModel:
+    """Distributions sharing their L-moments with a GPD."""
+    return _l234_model("gpd-l234", "GPD", [[1e-3, 1e3], [-5.0, 0.99]],
+                       gpd_lmoment_map, gpd_lmoment_jacobian, orders)
 
 
 def weibull_model(orders=(2, 3, 4)) -> SplqModel:
     """Distributions sharing their L-moments with a Weibull distribution."""
-    if tuple(orders) != (2, 3, 4):
-        raise ValueError("the Weibull map covers orders (2, 3, 4)")
-    return SplqModel(
-        name="weibull-l234",
-        param_names=("sigma", "nu"),
-        box=np.array([[1e-3, 1e3], [0.05, 20.0]]),
-        lmoment_map=lambda th: weibull_lmoment_map(th[0], th[1]),
-        lmoment_jacobian=lambda th: weibull_lmoment_jacobian(th[0], th[1]),
-        orders=(2, 3, 4),
-    )
+    return _l234_model("weibull-l234", "Weibull", [[1e-3, 1e3], [0.05, 20.0]],
+                       weibull_lmoment_map, weibull_lmoment_jacobian, orders)
 
 
 def order_stat_polynomial(j: int, r: int, u):

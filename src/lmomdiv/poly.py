@@ -75,15 +75,16 @@ def _horner(coeffs: np.ndarray, t):
     return acc
 
 
-def shifted_legendre_eval(r: int, t):
-    """Value of the shifted Legendre polynomial of order ``r`` at ``t``.
-
-    ``t`` may be a scalar or an array with entries in [0, 1].
-    """
+def _eval(coeffs: np.ndarray, t):
+    """Polynomial at t in [0, 1]: a float for a scalar, an array otherwise."""
     _check_unit_interval(t)
-    c = legendre_coefficients(r)
-    out = _horner(c, t)
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+    out = _horner(coeffs, t)
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def shifted_legendre_eval(r: int, t):
+    """Value of the shifted Legendre polynomial of order ``r`` at ``t``."""
+    return _eval(legendre_coefficients(r), t)
 
 
 def integrated_legendre_eval(r: int, t):
@@ -91,10 +92,7 @@ def integrated_legendre_eval(r: int, t):
 
     Vanishes at both endpoints for every ``r >= 2``.
     """
-    _check_unit_interval(t)
-    c = integrated_coefficients(r)
-    out = _horner(c, t)
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+    return _eval(integrated_coefficients(r), t)
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,8 @@ class PolyBasis:
         ``(m,)`` returns shape ``(m, dim)``.
         """
         _check_unit_interval(t)
-        cols = [_horner(tab, t) for tab in self._tables]
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return np.array([float(c) for c in cols])
-        return np.stack(cols, axis=-1)
+        return np.stack([_horner(tab, t) for tab in self._tables], axis=-1)
+
+    def __call__(self, t):
+        """The basis as the row map t -> K(t) that the dual problem takes."""
+        return self.constraint_vector(t)

@@ -108,6 +108,16 @@ def test_multiplier_covariance_without_rank(tmp_path, capsys):
     assert np.all(np.diag(out["cov_theta"]) > 0)
 
 
+@pytest.mark.parametrize("div", ["chi2", "klm"])
+def test_rank_deficient_rows_are_numeric_error(tmp_path, capsys, div):
+    # 50 ties then 1 and 2: two positive spacings cannot pin three
+    # constraints, so the fit fails instead of returning a boundary theta
+    p = tmp_path / "ties.csv"
+    p.write_text("0\n" * 50 + "1\n2\n")
+    assert main(["fit", str(p), "--div", div, "--json"]) == 3
+    assert "rank deficient" in capsys.readouterr().err
+
+
 def test_shift_invariant_fit(tmp_path, capsys):
     rng = np.random.default_rng(5)
     x = ParametricFamily("gpd", 3.0, 0.3).sample(100, rng)

@@ -46,15 +46,13 @@ def test_extended_real_outside_domain():
     assert power_divergence(0.5).phi(-2.0) == np.inf
 
 
-def test_psi_domain_errors():
-    with pytest.raises(ConjugateDomainError):
-        KLM.psi(1.0)
-    with pytest.raises(ConjugateDomainError):
-        KLM.psi(np.array([0.5, 1.2]))
-    with pytest.raises(ConjugateDomainError):
-        power_divergence(0.5).psi(3.0)   # needs 1 + (gamma-1) t > 0
-    with pytest.raises(ConjugateDomainError):
-        power_divergence(3.0).psi(-1.0)
+@pytest.mark.parametrize("name", ["psi", "psi_prime", "psi_second"])
+def test_psi_domain_errors(name):
+    for div, t in [(KLM, 1.0), (KLM, np.array([0.5, 1.2])),
+                   (power_divergence(0.5), 3.0),   # needs 1 + (gamma-1) t > 0
+                   (power_divergence(3.0), -1.0)]:
+        with pytest.raises(ConjugateDomainError):
+            getattr(div, name)(t)
 
 
 def test_limit_branch_dispatch():
@@ -122,8 +120,16 @@ def test_divergence_by_name():
         divergence_by_name("hellinger")
 
 
-def test_psi_array_vectorized():
-    t = np.array([-0.5, 0.0, 0.4])
-    out = CHI2.psi(t)
-    assert out.shape == (3,)
-    assert np.allclose(out, t**2 / 2 + t)
+@pytest.mark.parametrize("div", ALL)
+@pytest.mark.parametrize(
+    "name", ["phi", "phi_prime", "phi_second", "psi", "psi_prime", "psi_second"])
+def test_psi_array_vectorized(div, name):
+    # a scalar gives a Python float, an array an array of the same shape,
+    # and the array entries are the scalar values
+    fn = getattr(div, name)
+    pts = np.array([[0.5, 0.9], [1.5, 2.0]]) if name.startswith("phi") else \
+        np.array([[-0.3, 0.0], [0.1, 0.2]])
+    assert type(fn(pts[0, 0])) is float
+    out = fn(pts)
+    assert out.shape == pts.shape
+    assert np.array_equal(out, [[fn(v) for v in row] for row in pts])

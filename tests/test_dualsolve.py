@@ -179,8 +179,16 @@ def test_tied_observations_are_excluded():
 def test_omega_empirical_quadratic_form():
     # [DERIVED] two-point sample, order 2: K_2(1/2) = -1/4, spacing weight 1
     s = SortedSample(np.array([0.0, 1.0]))
-    omega = omega_empirical(s, PolyBasis((2,)))
+    omega = omega_empirical(make_dual_problem(s, PolyBasis((2,)), CHI2, [0.0]))
     assert omega[0, 0] == pytest.approx(0.0625)
+    # [DERIVED] tied sample {0, 1, 1, 3}, order 2: spacings 1, 0, 2 at the
+    # nodes 1/4, 1/2, 3/4; K_2(1/4) = K_2(3/4) = -3/16 and the tied node
+    # carries no weight, so Omega = (9/256)(1 + 2) and m_n = (-3/16)(1 + 2)
+    s = SortedSample(np.array([0.0, 1.0, 1.0, 3.0]))
+    prob = make_dual_problem(s, PolyBasis((2,)), CHI2, [0.0])
+    assert prob.delta.tolist() == [1.0, 2.0]
+    assert omega_empirical(prob)[0, 0] == pytest.approx(27.0 / 256.0, abs=1e-15)
+    assert prob.m_n[0] == pytest.approx(-9.0 / 16.0, abs=1e-15)
 
 
 def test_wasserstein_identity_at_empirical_target():

@@ -13,7 +13,7 @@ from lmomdiv.estimator import (
     fit_mle_gpd,
     fit_moment_method_gpd,
 )
-from lmomdiv.lmoments import SortedSample
+from lmomdiv.lmoments import SortedSample, lambda_covariance
 from lmomdiv.models import ParametricFamily, gpd_model, model_by_name
 
 
@@ -71,6 +71,13 @@ def test_fit_with_explicit_starts():
     assert np.isfinite(report.criterion)
 
 
+def test_outer_convergence_is_reported():
+    s = mc_sample(ParametricFamily("gpd", 3.0, 0.3), 100, seed=2)
+    assert fit_divergence(s, gpd_model(), CHI2).diagnostics["outer_converged"]
+    short = fit_divergence(s, gpd_model(), CHI2, OuterConfig(max_iter=5))
+    assert short.diagnostics["outer_converged"] is False
+
+
 def test_fit_small_sample_raises():
     s = SortedSample(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(EstimationError):
@@ -103,6 +110,15 @@ def gpd_cov():
     model = gpd_model()
     theta = np.array([3.0, 0.1])
     return asymptotic_covariance(theta, model, ParametricFamily("gpd", 3.0, 0.1))
+
+
+def test_sigma_is_lmoment_covariance_block(gpd_cov):
+    # [DERIVED] the gpd-l234 rows are K_2..K_4, whose derivatives are
+    # L_1..L_3: Sigma is the order 2-4 block of the L-moment covariance on
+    # the same grid and the same truncated support
+    fam = ParametricFamily("gpd", 3.0, 0.1)
+    lam = lambda_covariance(fam.cdf, 4, (0.0, fam.quantile(1.0 - 1e-10)))
+    assert np.allclose(gpd_cov.sigma, lam[1:, 1:], rtol=1e-13, atol=0.0)
 
 
 def test_projection_identities(gpd_cov):

@@ -11,11 +11,14 @@ from lmomdiv.lmoments import (
     QuadConfig,
     SortedSample,
     discrete_lmoments,
+    gauss_legendre,
     lambda_covariance,
+    legendre_rows,
     lmoment_ratios,
     population_lmoments,
     sample_lmoments_u,
     sample_lmoments_v,
+    triangle_covariance,
     vstat_weights,
 )
 from lmomdiv.models import ParametricFamily
@@ -195,6 +198,28 @@ def test_lambda_covariance_grid_config():
                               support=(0.0, 1.0),
                               quad=Quad2DConfig(nx=400, ny=400))
     assert np.allclose(cov_a, cov_b, atol=1e-8)
+
+
+def test_triangle_rule_matches_entrywise_sum():
+    # the A + A^T evaluation against the defining integrand, summed entry by
+    # entry over the same nodes; only the summation order differs
+    fam = ParametricFamily("gpd", 3.0, 0.3)
+    a, b = 0.0, fam.quantile(1.0 - 1e-10)
+    quad = Quad2DConfig(nx=40, ny=30)
+    rows = legendre_rows((1, 2, 3, 4))
+    ref = np.zeros((4, 4))
+    x, wx = gauss_legendre(quad.nx, a, b)
+    for xi, wxi in zip(x, wx):
+        y, wy = gauss_legendre(quad.ny, xi, b)
+        fx, fy = fam.cdf(xi), fam.cdf(y)
+        dx, dy = rows(fx), rows(fy)
+        for r in range(4):
+            for s in range(4):
+                integrand = (dx[r] * dy[:, s] + dy[:, r] * dx[s]) * fx * (1.0 - fy)
+                ref[r, s] += wxi * (wy @ integrand)
+    got = triangle_covariance(fam.cdf, rows, (a, b), quad)
+    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    assert np.array_equal(got, got.T)
 
 
 def test_shifted_sample():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -95,6 +97,20 @@ def test_run_scenario_contents():
     d = out.to_dict()
     assert d["config"]["scenario"] == 3
     assert "chi2" in d["stats"]
+
+
+def test_run_scenario_records_rank_deficient_fit():
+    # 19 of 20 observations tied at the outlier: one positive spacing, too
+    # few for three constraints; the replicate records the error
+    cfg = dataclasses.replace(
+        ScenarioConfig.preset(1, n=20, replicates=1, estimators=("chi2", "klm")),
+        contamination=0.95, outlier=1.0)
+    out = run_scenario(cfg)
+    assert [r["estimator"] for r in out.records] == ["chi2", "klm"]
+    for rec in out.records:
+        assert "rank deficient" in rec["error"]
+        assert np.isnan(rec["sigma"])
+    assert out.failures == {"chi2": 1, "klm": 1}
 
 
 def test_scenario_validation():
