@@ -27,7 +27,7 @@ from .estimator import (
 from .lmoments import SortedSample, lmoment_ratios, sample_lmoments_u, sample_lmoments_v
 from .models import ParametricFamily, model_by_name
 from .poly import OrderLimitError
-from .sim import ScenarioConfig, run_scenario
+from .sim import DEFAULT_ESTIMATORS, ScenarioConfig, run_scenario
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -121,33 +121,47 @@ def _fit_sample(sample: SortedSample, args):
     return fit_divergence(sample, model, divergence), model
 
 
-def _attach_asymptotics(report, model, sample):
-    plugin = ParametricFamily("gpd", float(report.theta[0]),
-                              min(float(report.theta[1]), 0.999999))
+#: the law whose fitted member is the plug-in of each model's asymptotics
+_PLUGIN_FAMILIES = {"gpd-l234": "gpd", "weibull-l234": "weibull"}
+
+
+def _plugin_family(args) -> str:
+    """The plug-in family of the asymptotics of this fit, or a usage error."""
+    if args.method != "divergence":
+        raise UsageError(f"asymptotics need a divergence fit, not --method {args.method}")
+    model = model_by_name(args.model).name
+    if model not in _PLUGIN_FAMILIES:
+        raise UsageError(f"no plug-in law for model {model!r}; asymptotics cover "
+                         f"{', '.join(_PLUGIN_FAMILIES)}")
+    return _PLUGIN_FAMILIES[model]
+
+
+def _attach_asymptotics(report, model, sample, family):
+    plugin = ParametricFamily(family, *map(float, report.theta))
     cov = asymptotic_covariance(report.theta, model, plugin)
     n = sample.n
     report.cov_theta = cov.cov_theta / n
     report.cov_xi = cov.cov_xi / n
-    if report.xi is not None:
-        try:
-            stat = confidence_stat(report.xi, cov.p, cov.sigma, n)
-        except EstimationError as exc:
-            # the covariances stand; only the membership statistic is undefined
-            report.diagnostics["confidence_error"] = str(exc)
-            return report
-        report.s_n = stat.s_n
-        report.df = stat.df
-        report.p_value = stat.p_value
-        report.diagnostics["rank_adjusted_df"] = stat.rank_adjusted
+    try:
+        stat = confidence_stat(report.xi, cov.p, cov.sigma, n)
+    except EstimationError as exc:
+        # the covariances stand; only the membership statistic is undefined
+        report.diagnostics["confidence_error"] = str(exc)
+        return report
+    report.s_n = stat.s_n
+    report.df = stat.df
+    report.p_value = stat.p_value
+    report.diagnostics["rank_adjusted_df"] = stat.rank_adjusted
     return report
 
 
 def cmd_fit(args) -> int:
+    family = _plugin_family(args) if args.asymptotics else None
     data = read_column(args.input, args.col)
     sample = SortedSample(data)
     report, model = _fit_sample(sample, args)
-    if args.asymptotics and model.name == "gpd-l234":
-        report = _attach_asymptotics(report, model, sample)
+    if family is not None:
+        report = _attach_asymptotics(report, model, sample, family)
     payload = report.to_dict()
     if args.json:
         json.dump(payload, sys.stdout, indent=2)
@@ -165,12 +179,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_test(args) -> int:
+    family = _plugin_family(args)
     data = read_column(args.input, args.col)
     sample = SortedSample(data)
     report, model = _fit_sample(sample, args)
-    if report.xi is None:
-        raise UsageError("the confidence statistic needs a divergence fit")
-    report = _attach_asymptotics(report, model, sample)
+    report = _attach_asymptotics(report, model, sample, family)
     if report.s_n is None:
         raise EstimationError(report.diagnostics["confidence_error"])
     payload = {
@@ -210,7 +223,7 @@ def cmd_simulate(args) -> int:
         n=int(raw.get("n", 100)),
         replicates=int(raw.get("replicates", 500)),
         seed=int(raw.get("seed", 0)),
-        estimators=tuple(raw.get("estimators", ["chi2", "klm", "lmom", "moment", "mle"])),
+        estimators=tuple(raw.get("estimators", DEFAULT_ESTIMATORS)),
     )
     for key in ("family", "sigma", "nu", "contamination", "outlier"):
         if key in raw:

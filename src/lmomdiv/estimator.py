@@ -1,11 +1,14 @@
 """Outer parameter estimation, asymptotic covariance and the model test.
 
-The outer search is derivative free (Nelder-Mead clamped to the parameter
-box): the criterion is smooth in theta, but its gradient is available only
-at converged inner solves, so coupling the two tolerances is avoided.  Each
-fit builds one ``DualProblem``; its chi-square criterion is the closed-form
-dual.  The envelope gradient is exposed for diagnostics only.  The plug-in
-Sigma uses the triangle rule of ``lmoments.triangle_covariance``.
+The outer search is one derivative-free Nelder-Mead run, clamped to the
+parameter box: the criterion is smooth in theta, but its gradient is
+available only at converged inner solves, so coupling the two tolerances is
+avoided.  The run starts from the L-moment-method estimate where that is
+defined (the models share their first L-moments with the family, so the
+estimate nearly solves the constraints) and from the box centre otherwise.
+Each fit builds one ``DualProblem``; its chi-square criterion is the
+closed-form dual.  The envelope gradient is exposed for diagnostics only.
+The plug-in Sigma uses the triangle rule of ``lmoments.triangle_covariance``.
 """
 
 from __future__ import annotations
@@ -40,21 +43,12 @@ from .models import SplqModel, ParametricFamily, model_jacobian
 _TAIL_EPS = 1e-10
 #: Gauss points of the 1-D rule for the plug-in Omega
 _N_OMEGA = 2000
+#: iteration cap of the outer Nelder-Mead search
+MAX_OUTER_ITER = 2000
 
 
 class EstimationError(RuntimeError):
     """Estimation failed; the message carries the offending statistic."""
-
-
-@dataclass
-class OuterConfig:
-    """Settings for the outer Nelder-Mead search."""
-
-    xatol: float = 1e-8
-    fatol: float = 1e-10
-    max_iter: int = 2000
-    inner_tol: float = 1e-9
-    starts: list | None = None
 
 
 @dataclass
@@ -95,14 +89,14 @@ class FitReport:
         return out
 
 
-def _criterion_factory(skeleton: DualProblem, model: SplqModel, inner_tol: float):
+def _criterion_factory(skeleton: DualProblem, model: SplqModel):
     """Build theta -> (criterion, xi | None); +inf outside the model domain."""
     failures = {"count": 0}
     if skeleton.divergence.family == "chi2":
         inner = chi2_solver(omega_empirical(skeleton), skeleton.m_n)
     else:
         def inner(target):
-            sol = solve_dual(skeleton.with_target(target), tol=inner_tol)
+            sol = solve_dual(skeleton.with_target(target))
             if sol.status == "infeasibleDirection":
                 return np.inf, None
             if sol.status == "maxIter":
@@ -138,48 +132,37 @@ def fit_divergence(
     sample: SortedSample,
     model: SplqModel,
     divergence: DivergenceSpec,
-    config: OuterConfig | None = None,
+    *,
+    xatol: float = 1e-8,
+    fatol: float = 1e-10,
 ) -> FitReport:
-    """Minimum-divergence fit: outer box search over the dual criterion."""
-    config = config or OuterConfig()
+    """Minimum-divergence fit: one box-clamped Nelder-Mead over the dual criterion.
+
+    ``xatol`` and ``fatol`` are Nelder-Mead's absolute tolerances on theta
+    and on the criterion; ``diagnostics["start"]`` names the start used.
+    """
     try:
         skeleton = make_dual_problem(
             sample, model.constraint_values, divergence,
             np.zeros(model.n_constraints),
         )
-        evaluate = _criterion_factory(skeleton, model, config.inner_tol)
+        evaluate = _criterion_factory(skeleton, model)
     except SingularConstraintError as exc:
         raise EstimationError(str(exc)) from exc
 
-    if config.starts is not None:
-        starts = [np.asarray(s, dtype=float) for s in config.starts]
-    else:
-        starts = []
-        lm_start = lmoment_method_start(sample, model)
-        if lm_start is not None:
-            starts.append(lm_start)
-        starts.append(model.box.mean(axis=1))
+    start, start_name = lmoment_method_start(sample, model), "lmoment"
+    if start is None:
+        start, start_name = model.box.mean(axis=1), "box_centre"
+    res = scipy.optimize.minimize(
+        lambda th: evaluate(th)[0],
+        start,
+        method="Nelder-Mead",
+        options={"xatol": xatol, "fatol": fatol, "maxiter": MAX_OUTER_ITER},
+    )
+    if not np.isfinite(res.fun):
+        raise EstimationError("the inner solve failed at every point of the outer search")
 
-    best = None
-    total_iters = 0
-    for start in starts:
-        res = scipy.optimize.minimize(
-            lambda th: evaluate(th)[0],
-            start,
-            method="Nelder-Mead",
-            options={
-                "xatol": config.xatol,
-                "fatol": config.fatol,
-                "maxiter": config.max_iter,
-            },
-        )
-        total_iters += res.nit
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or not np.isfinite(best.fun):
-        raise EstimationError("all starts failed the inner solve")
-
-    theta_hat = model.clip_to_box(best.x)
+    theta_hat = model.clip_to_box(res.x)
     criterion, xi_hat = evaluate(theta_hat)
     at_boundary = bool(
         np.any(np.abs(theta_hat - model.box[:, 0]) < 1e-6)
@@ -192,11 +175,11 @@ def fit_divergence(
         method=f"divergence:{divergence.family}",
         param_names=model.param_names,
         diagnostics={
-            "outer_iterations": int(total_iters),
+            "outer_iterations": int(res.nit),
             "inner_failures": int(evaluate.failures["count"]),
             "boundary": at_boundary,
-            "n_starts": len(starts),
-            "outer_converged": bool(best.success),
+            "start": start_name,
+            "outer_converged": bool(res.success),
         },
     )
 
@@ -232,17 +215,10 @@ class CovarianceReport:
 
 def _rows_deriv(model: SplqModel):
     """u -> derivative of the integrated constraint rows at quantile levels u."""
-    if model.orders is not None:
-        return legendre_rows(model.orders)
-
-    def finite_difference(u):
-        # generic rows: central finite differences on (0, 1)
-        h = 1e-6
-        up = np.clip(u + h, 0.0, 1.0)
-        dn = np.clip(u - h, 0.0, 1.0)
-        return (model.constraint_values(up) - model.constraint_values(dn)) / (up - dn)[..., None]
-
-    return finite_difference
+    if model.orders is None:
+        raise ValueError(
+            f"asymptotics need L-moment constraint orders; model {model.name!r} has none")
+    return legendre_rows(model.orders)
 
 
 def asymptotic_covariance(

@@ -10,8 +10,7 @@ quantile measure with minus the L-moment.  User-facing reports always show
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from typing import Callable
 
@@ -187,28 +186,26 @@ class SplqModel:
     """Parameter box plus the constraint map handed to the dual machinery.
 
     ``lmoment_map`` returns the constraint values lambda(theta) in report
-    convention; ``target_map`` returns -lambda(theta), which is what the
-    dual consumes.  ``constraint_values(t)`` evaluates the integrated
-    constraint rows at quantile levels ``t``; by default these are the
-    integrated shifted Legendre polynomials of the configured orders.
+    convention and ``lmoment_jacobian`` its Jacobian; ``target_map`` returns
+    -lambda(theta), which is what the dual consumes.  ``rows(t)`` evaluates
+    the integrated constraint rows at quantile levels ``t``; by default these
+    are the integrated shifted Legendre polynomials of the configured orders.
     """
 
     name: str
     param_names: tuple[str, ...]
     box: np.ndarray                           # (d, 2) bounds
     lmoment_map: Callable[[np.ndarray], np.ndarray]
-    lmoment_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+    lmoment_jacobian: Callable[[np.ndarray], np.ndarray]
     orders: tuple[int, ...] | None = (2, 3, 4)
     rows: Callable[[np.ndarray], np.ndarray] | None = None
-    basis: PolyBasis | None = field(default=None)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "box", np.asarray(self.box, dtype=float))
         if self.box.shape != (len(self.param_names), 2):
             raise ValueError("box must have one (lo, hi) row per parameter")
-        if self.orders is not None and self.basis is None:
-            object.__setattr__(self, "basis", PolyBasis(self.orders))
+        if self.rows is None:
+            object.__setattr__(self, "rows", PolyBasis(self.orders))
 
     @property
     def dim(self) -> int:
@@ -216,15 +213,10 @@ class SplqModel:
 
     @property
     def n_constraints(self) -> int:
-        if self.orders is not None:
-            return len(self.orders)
-        probe = np.atleast_1d(self.rows(0.5))
-        return probe.shape[-1]
+        return np.shape(self.rows(0.5))[-1]
 
     def constraint_values(self, t):
-        if self.rows is not None:
-            return self.rows(t)
-        return self.basis.constraint_vector(t)
+        return self.rows(t)
 
     def target_map(self, theta) -> np.ndarray:
         return -np.asarray(self.lmoment_map(np.asarray(theta, dtype=float)))
@@ -232,63 +224,32 @@ class SplqModel:
     def clip_to_box(self, theta) -> np.ndarray:
         return np.clip(np.asarray(theta, dtype=float), self.box[:, 0], self.box[:, 1])
 
-    def in_box(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        return bool(np.all(theta >= self.box[:, 0]) and np.all(theta <= self.box[:, 1]))
-
 
 def model_jacobian(model: SplqModel, theta) -> np.ndarray:
-    """Jacobian of the target map -lambda(theta), shape (l-1, d).
-
-    Analytic when the model carries one; otherwise central finite
-    differences, degrading to one-sided at the parameter box boundary.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if model.lmoment_jacobian is not None:
-        return -np.asarray(model.lmoment_jacobian(theta))
-    lo, hi = model.box[:, 0], model.box[:, 1]
-    m = model.n_constraints
-    jac = np.empty((m, theta.size))
-    for j in range(theta.size):
-        h = 1e-6 * (1.0 + abs(theta[j]))
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        if up[j] > hi[j] or dn[j] < lo[j]:
-            warnings.warn(
-                f"parameter {model.param_names[j]} at the box boundary; "
-                "using a one-sided difference",
-                stacklevel=2,
-            )
-            up[j] = min(up[j], hi[j])
-            dn[j] = max(dn[j], lo[j])
-        jac[:, j] = (model.target_map(up) - model.target_map(dn)) / (up[j] - dn[j])
-    return jac
+    """Jacobian of the target map -lambda(theta), shape (l-1, d)."""
+    return -np.asarray(model.lmoment_jacobian(np.asarray(theta, dtype=float)))
 
 
-def _l234_model(name, label, box, lmoment_map, lmoment_jacobian, orders) -> SplqModel:
-    if tuple(orders) != (2, 3, 4):
-        raise ValueError(f"the {label} map covers orders (2, 3, 4)")
+def _l234_model(name, box, lmoment_map, lmoment_jacobian) -> SplqModel:
     return SplqModel(
         name=name,
         param_names=("sigma", "nu"),
         box=np.array(box),
         lmoment_map=lambda th: lmoment_map(th[0], th[1]),
         lmoment_jacobian=lambda th: lmoment_jacobian(th[0], th[1]),
-        orders=(2, 3, 4),
     )
 
 
-def gpd_model(orders=(2, 3, 4)) -> SplqModel:
-    """Distributions sharing their L-moments with a GPD."""
-    return _l234_model("gpd-l234", "GPD", [[1e-3, 1e3], [-5.0, 0.99]],
-                       gpd_lmoment_map, gpd_lmoment_jacobian, orders)
+def gpd_model() -> SplqModel:
+    """Distributions sharing their L-moments of orders 2-4 with a GPD."""
+    return _l234_model("gpd-l234", [[1e-3, 1e3], [-5.0, 0.99]],
+                       gpd_lmoment_map, gpd_lmoment_jacobian)
 
 
-def weibull_model(orders=(2, 3, 4)) -> SplqModel:
-    """Distributions sharing their L-moments with a Weibull distribution."""
-    return _l234_model("weibull-l234", "Weibull", [[1e-3, 1e3], [0.05, 20.0]],
-                       weibull_lmoment_map, weibull_lmoment_jacobian, orders)
+def weibull_model() -> SplqModel:
+    """Distributions sharing their L-moments of orders 2-4 with a Weibull law."""
+    return _l234_model("weibull-l234", [[1e-3, 1e3], [0.05, 20.0]],
+                       weibull_lmoment_map, weibull_lmoment_jacobian)
 
 
 def order_stat_polynomial(j: int, r: int, u):
@@ -314,16 +275,14 @@ def _orderstat3_rows(t):
     return out
 
 
-def order_stat_model_3(theta: float = 0.0, nu: float = 1.0) -> SplqModel:
+def order_stat_model_3() -> SplqModel:
     """Loose-symmetry model: adjacent 3-sample order-stat means differ by nu.
 
-    The raw location constraint (the middle order-stat mean equals theta)
-    is not expressible through the quantile measure, so the model is built
-    in differenced, shift-invariant form; the location is carried as
-    metadata and reported via the sample mean plug-in.
+    The raw location constraint (the middle order-stat mean equals a
+    location) is not expressible through the quantile measure, so the model
+    is built in differenced, shift-invariant form and leaves the location
+    free.
     """
-    if nu <= 0:
-        raise ValueError("spread must be positive")
     return SplqModel(
         name="orderstat3",
         param_names=("nu",),
@@ -332,7 +291,6 @@ def order_stat_model_3(theta: float = 0.0, nu: float = 1.0) -> SplqModel:
         lmoment_jacobian=lambda th: np.array([[1.0], [1.0]]),
         orders=None,
         rows=_orderstat3_rows,
-        metadata={"location": float(theta)},
     )
 
 

@@ -18,7 +18,6 @@ import scipy.optimize
 from .divergence import divergence_by_name
 from .estimator import (
     EstimationError,
-    OuterConfig,
     fit_divergence,
     fit_lmoment_method_gpd,
     fit_mle_gpd,
@@ -131,11 +130,9 @@ def draw_sample(config: ScenarioConfig, replicate: int) -> SortedSample:
 
 
 def _fit_one(sample: SortedSample, estimator: str) -> tuple[float, float]:
-    if estimator in ("chi2", "klm", "kl") or estimator.startswith("power:"):
-        report = fit_divergence(
-            sample, gpd_model(), divergence_by_name(estimator),
-            OuterConfig(xatol=1e-6, fatol=1e-9),
-        )
+    if estimator in ("chi2", "klm"):
+        report = fit_divergence(sample, gpd_model(), divergence_by_name(estimator),
+                                xatol=1e-6, fatol=1e-9)
         return float(report.theta[0]), float(report.theta[1])
     if estimator == "lmom":
         return fit_lmoment_method_gpd(sample)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from lmomdiv.cli import main, read_column
+from lmomdiv.divergence import CHI2
+from lmomdiv.estimator import asymptotic_covariance, confidence_stat, fit_divergence
 from lmomdiv.lmoments import SortedSample, sample_lmoments_v
-from lmomdiv.models import ParametricFamily
+from lmomdiv.models import ParametricFamily, weibull_model
 
 
 @pytest.fixture
@@ -89,6 +91,47 @@ def test_test_command(data_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["s_n"] >= 0.0
     assert 0.0 <= out["p_value"] <= 1.0
+
+
+@pytest.fixture(scope="module")
+def weibull_file(tmp_path_factory):
+    x = ParametricFamily("weibull", 3.0, 0.5).sample(500, np.random.default_rng(4))
+    path = tmp_path_factory.mktemp("weibull") / "weibull.csv"
+    path.write_text("\n".join(map(repr, x.tolist())) + "\n")
+    sample = SortedSample(x)
+    model = weibull_model()
+    report = fit_divergence(sample, model, CHI2)
+    cov = asymptotic_covariance(
+        report.theta, model, ParametricFamily("weibull", *report.theta))
+    s_n = confidence_stat(report.xi, cov.p, cov.sigma, sample.n).s_n
+    return str(path), cov.cov_theta / sample.n, s_n
+
+
+def test_weibull_test_uses_weibull_plugin(weibull_file, capsys):
+    path, _, s_n = weibull_file
+    assert main(["test", path, "--model", "weibull-l234", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["s_n"] == pytest.approx(s_n, rel=1e-9)
+
+
+def test_weibull_fit_reports_asymptotics(weibull_file, capsys):
+    path, cov_theta, _ = weibull_file
+    assert main(["fit", path, "--model", "weibull-l234", "--asymptotics", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert np.allclose(out["cov_theta"], cov_theta, rtol=1e-9, atol=0.0)
+
+
+def test_classical_fit_asymptotics_is_usage_error(data_file, capsys):
+    # the plug-in sandwich belongs to the divergence estimator, not the MLE
+    path, _ = data_file
+    assert main(["fit", path, "--method", "mle", "--asymptotics", "--json"]) == 2
+    assert "divergence fit" in capsys.readouterr().err
+
+
+def test_orderstat_test_is_usage_error(data_file, capsys):
+    path, _ = data_file
+    assert main(["test", path, "--model", "orderstat3", "--json"]) == 2
+    assert "no plug-in law" in capsys.readouterr().err
 
 
 def test_multiplier_covariance_without_rank(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import scipy.optimize
+
+from lmomdiv import estimator
 from lmomdiv.divergence import CHI2, KL, KLM
+from lmomdiv.dualsolve import chi2_value_closed_form
 from lmomdiv.estimator import (
     EstimationError,
-    OuterConfig,
     asymptotic_covariance,
     confidence_stat,
     envelope_gradient,
@@ -14,7 +17,8 @@ from lmomdiv.estimator import (
     fit_moment_method_gpd,
 )
 from lmomdiv.lmoments import SortedSample, lambda_covariance
-from lmomdiv.models import ParametricFamily, gpd_model, model_by_name
+from lmomdiv.models import ParametricFamily, gpd_model, model_by_name, order_stat_model_3
+from lmomdiv.sim import ScenarioConfig, draw_sample
 
 
 def grid_sample(fam, n):
@@ -63,19 +67,50 @@ def test_fit_shift_invariance():
     assert np.allclose(a.theta, b.theta, atol=1e-6)
 
 
-def test_fit_with_explicit_starts():
+def test_fit_starts_from_lmoment_method():
     s = mc_sample(ParametricFamily("gpd", 3.0, 0.3), 100, seed=2)
-    cfg = OuterConfig(starts=[np.array([2.0, 0.2])])
-    report = fit_divergence(s, gpd_model(), KL, cfg)
-    assert report.diagnostics["n_starts"] == 1
+    report = fit_divergence(s, gpd_model(), KL)
+    assert report.diagnostics["start"] == "lmoment"
     assert np.isfinite(report.criterion)
+    weibull = fit_divergence(s, model_by_name("weibull-l234"), CHI2)
+    assert weibull.diagnostics["start"] == "box_centre"
 
 
-def test_outer_convergence_is_reported():
+def test_outer_convergence_is_reported(monkeypatch):
     s = mc_sample(ParametricFamily("gpd", 3.0, 0.3), 100, seed=2)
     assert fit_divergence(s, gpd_model(), CHI2).diagnostics["outer_converged"]
-    short = fit_divergence(s, gpd_model(), CHI2, OuterConfig(max_iter=5))
+    monkeypatch.setattr(estimator, "MAX_OUTER_ITER", 5)
+    short = fit_divergence(s, gpd_model(), CHI2)
     assert short.diagnostics["outer_converged"] is False
+
+
+def test_tied_sample_klm_fit_converges_quickly():
+    # 50 ties plus 10 draws: from the box centre the KLM criterion is +inf
+    # over the whole simplex; from the L-moment start the search converges
+    draws = ParametricFamily("gpd", 3.0, 0.3).sample(10, np.random.default_rng(0))
+    s = SortedSample(np.concatenate([np.ones(50), draws]))
+    report = fit_divergence(s, gpd_model(), KLM)
+    assert report.diagnostics["outer_iterations"] < 200
+    assert report.diagnostics["outer_converged"] is True
+    assert np.allclose(report.theta, [0.17967014, 0.76425852], rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3, 4])
+def test_box_centre_start_does_not_beat_the_fit(scenario):
+    # the reference is the second start the fit once ran: a Nelder-Mead from
+    # the box centre on the closed-form chi-square criterion
+    model = gpd_model()
+    config = ScenarioConfig.preset(scenario, n=100)
+    for stream in (0, 1):
+        sample = draw_sample(config, stream)
+        report = fit_divergence(sample, model, CHI2, xatol=1e-6, fatol=1e-9)
+        ref = scipy.optimize.minimize(
+            lambda th: chi2_value_closed_form(
+                sample, model.constraint_values, model.target_map(model.clip_to_box(th)))[0],
+            model.box.mean(axis=1),
+            method="Nelder-Mead", options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 2000},
+        )
+        assert ref.fun >= report.criterion * (1.0 - 1e-9)
 
 
 def test_fit_small_sample_raises():
@@ -135,6 +170,13 @@ def test_covariance_matrices_psd(gpd_cov):
 
 def test_omega_positive_definite(gpd_cov):
     assert np.all(np.linalg.eigvalsh(gpd_cov.omega) > 0)
+
+
+def test_asymptotics_need_lmoment_orders():
+    # the order-statistic rows carry no L-moment orders to differentiate
+    with pytest.raises(ValueError, match="orders"):
+        asymptotic_covariance(np.array([1.0]), order_stat_model_3(),
+                              ParametricFamily("gpd", 3.0, 0.3))
 
 
 def test_confidence_stat_zero_multiplier(gpd_cov):

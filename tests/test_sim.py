@@ -125,6 +125,13 @@ def test_scenario_validation():
         ScenarioConfig(**{**cfg.__dict__, "estimators": ("nope",)})
 
 
+def test_only_default_estimators_are_simulated():
+    # KL and power fits have no simulation path
+    for name in ("kl", "power:0.5"):
+        with pytest.raises(ValueError, match="unknown estimators"):
+            ScenarioConfig.preset(1, estimators=(name,))
+
+
 # ---------------------------------------------------------------------------
 # L1 density distance
 
