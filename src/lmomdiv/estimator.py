@@ -9,6 +9,12 @@ estimate nearly solves the constraints) and from the box centre otherwise.
 Each fit builds one ``DualProblem``; its chi-square criterion is the
 closed-form dual.  The envelope gradient is exposed for diagnostics only.
 The plug-in Sigma uses the triangle rule of ``lmoments.triangle_covariance``.
+
+The GPD maximum likelihood comparison estimator is a one-dimensional profile
+search (Grimshaw, Technometrics 35, 1993): for ``theta = nu / sigma`` the
+best shape is ``mean(log1p(theta * x))``, so ``-log L`` is a function of
+``theta`` alone.  One vectorized scan locates its local minima and a bounded
+Brent search refines each; the box edge ``nu = 5`` is part of the profile.
 """
 
 from __future__ import annotations
@@ -45,6 +51,12 @@ _TAIL_EPS = 1e-10
 _N_OMEGA = 2000
 #: iteration cap of the outer Nelder-Mead search
 MAX_OUTER_ITER = 2000
+#: upper edge of the GPD MLE's shape box [-5, 5]
+_MLE_NU_MAX = 5.0
+#: grid of log1p(theta * x_max) scanned by the GPD MLE, geometric on both sides of 0
+_MLE_W = np.concatenate([-np.geomspace(700.0, 1e-6, 100), np.geomspace(1e-6, 700.0, 100)])
+#: most grid points x observations the MLE's profile scan holds at once
+_MLE_BLOCK = 1 << 20
 
 
 class EstimationError(RuntimeError):
@@ -354,43 +366,80 @@ def fit_moment_method_gpd(sample: SortedSample) -> tuple[float, float]:
     return sigma, float(nu)
 
 
+def _log_terms(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``log(1 + theta * y)`` for ``theta = expm1(w)``: one row per ``w``."""
+    far = w < -1.0
+    out = np.empty((w.size, y.size))
+    # as theta -> -1, (1 - y) + y * exp(w) keeps the digits 1 + theta*y loses
+    out[far] = np.log(np.multiply.outer(np.exp(w[far]), y) + (1.0 - y))
+    out[~far] = np.log1p(np.multiply.outer(np.expm1(w[~far]), y))
+    return out
+
+
+def _gpd_profile(w: np.ndarray, y: np.ndarray):
+    """Profiled GPD ``-log L / n`` at ``w = log1p(theta)`` for data ``y`` in [0, 1].
+
+    Returns ``(value, slope, sigma, nu)`` arrays shaped like ``w``; ``slope``
+    has the sign of the value's derivative and ``sigma`` is in units of
+    ``y``.  For ``theta = nu / sigma`` the likelihood is maximized over the
+    shape by ``nu = mean(log1p(theta * y))``, clipped to the box edge
+    ``nu <= 5``.  Where that mean is below -1 both terms of the slope are
+    positive, so no local minimum has ``nu < -1`` and the edge ``nu = -5``
+    never binds at one.
+    """
+    k, dk = np.empty(w.size), np.empty(w.size)
+    rows = max(1, _MLE_BLOCK // y.size)
+    for i in range(0, w.size, rows):
+        logs = _log_terms(w[i:i + rows], y)
+        k[i:i + rows] = logs.mean(axis=1)
+        dk[i:i + rows] = (y * np.exp(-logs)).mean(axis=1)
+    t = np.expm1(w)
+    nu = np.minimum(k, _MLE_NU_MAX)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = np.where(t == 0.0, y.mean(), nu / t)
+        # (1 + 1/nu) * k is k + 1 inside the box and k + k/5 on its edge
+        value = np.log(sigma) + k + np.maximum(k / _MLE_NU_MAX, 1.0)
+        slope = dk * (1.0 + 1.0 / nu) - 1.0 / t
+    return value, slope, sigma, nu
+
+
 def fit_mle_gpd(sample: SortedSample) -> tuple[float, float]:
-    """Maximum likelihood in the GPD family with location fixed at zero."""
+    """Maximum likelihood in the GPD family (location 0, sigma > 0, nu in [-5, 5]).
+
+    A one-dimensional profile search in ``theta = nu / sigma``: the profiled
+    likelihood is scanned on the fixed grid ``_MLE_W`` of ``log1p(theta *
+    x_max)`` and each local maximum found there is refined by bounded Brent
+    search; the best one is the estimate.  Where the likelihood has no local
+    maximum it grows without bound toward the support end (nu < -1), and the
+    fit raises.  More than one zero in six makes the likelihood unbounded
+    toward sigma -> 0 at nu = 5, and the fit raises as well.
+    """
     x = sample.values
-    if np.any(x < 0):
+    if x[0] < 0:
         raise EstimationError("GPD MLE requires nonnegative observations")
     n = sample.n
-    xmax = float(x.max())
+    zeros = int(np.searchsorted(x, 0.0, side="right"))
+    if 5 * zeros > n - zeros:
+        raise EstimationError(
+            f"GPD likelihood is unbounded: {zeros} of {n} observations are zero "
+            "(more than one in six)")
+    xmax = float(x[-1])
+    y = x / xmax
 
-    def nll(theta):
-        sigma, nu = theta
-        if sigma <= 0 or not -5.0 <= nu <= 5.0:
-            return np.inf
-        if abs(nu) < 1e-10:
-            return n * np.log(sigma) + x.sum() / sigma
-        z = 1.0 + nu * x / sigma
-        if np.any(z <= 0):
-            return np.inf
-        return n * np.log(sigma) + (1.0 + 1.0 / nu) * float(np.log(z).sum())
-
-    starts = [np.array([x.mean(), 0.5])]
-    for fitter in (fit_lmoment_method_gpd, fit_moment_method_gpd):
-        try:
-            starts.append(np.array(fitter(sample)))
-        except EstimationError:
-            pass
-
+    # a local minimum lies where the slope turns from negative to nonnegative
+    slope = _gpd_profile(_MLE_W, y)[1]
     best = None
-    for start in starts:
-        res = scipy.optimize.minimize(
-            nll, start, method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000},
-        )
+    for i in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0)):
+        res = scipy.optimize.minimize_scalar(
+            lambda w: _gpd_profile(np.array([w]), y)[0][0],
+            bounds=(_MLE_W[i], _MLE_W[i + 1]), method="bounded",
+            options={"xatol": 1e-12})
         if best is None or res.fun < best.fun:
             best = res
-    sigma, nu = best.x
-    if not np.isfinite(best.fun):
-        raise EstimationError("GPD likelihood could not be maximized")
+    if best is None:
+        raise EstimationError("MLE degenerated to the support boundary")
+    _, _, sigma, nu = _gpd_profile(np.array([best.x]), y)
+    sigma, nu = float(sigma[0]) * xmax, float(nu[0])
     if nu < 0 and -sigma / nu <= xmax * (1.0 + 1e-9):
         raise EstimationError("MLE degenerated to the support boundary")
-    return float(sigma), float(nu)
+    return sigma, nu

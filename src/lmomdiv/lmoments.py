@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from .poly import (
     MAX_ORDER,
@@ -240,7 +241,7 @@ def discrete_lmoments(support, weights) -> LmomentVector:
     return LmomentVector(vals, "population")
 
 
-_leggauss = functools.lru_cache(maxsize=16)(np.polynomial.legendre.leggauss)
+_leggauss = functools.lru_cache(maxsize=16)(roots_legendre)
 
 
 def gauss_legendre(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:

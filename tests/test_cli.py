@@ -161,6 +161,14 @@ def test_rank_deficient_rows_are_numeric_error(tmp_path, capsys, div):
     assert "rank deficient" in capsys.readouterr().err
 
 
+def test_mle_with_many_zeros_is_numeric_error(tmp_path, capsys):
+    x = np.concatenate([np.zeros(15), np.random.default_rng(0).exponential(size=5)])
+    p = tmp_path / "zeros.csv"
+    p.write_text("\n".join(map(repr, x.tolist())) + "\n")
+    assert main(["fit", str(p), "--method", "mle", "--json"]) == 3
+    assert "15 of 20 observations are zero" in capsys.readouterr().err
+
+
 def test_shift_invariant_fit(tmp_path, capsys):
     rng = np.random.default_rng(5)
     x = ParametricFamily("gpd", 3.0, 0.3).sample(100, rng)

@@ -274,3 +274,104 @@ def test_mle_exponential_scale():
 def test_mle_rejects_negative_data():
     with pytest.raises(EstimationError):
         fit_mle_gpd(SortedSample(np.array([-1.0, 2.0, 3.0])))
+
+
+def gpd_nll(x, sigma, nu):
+    """Negative GPD log-likelihood, location 0; +inf outside the support."""
+    if nu == 0.0:
+        return x.size * np.log(sigma) + x.sum() / sigma
+    z = 1.0 + nu * x / sigma
+    if np.any(z <= 0):
+        return np.inf
+    return x.size * np.log(sigma) + (1.0 + 1.0 / nu) * np.log(z).sum()
+
+
+def reference_mle_nelder_mead(sample):
+    """The GPD MLE as three box-clamped 2-D Nelder-Mead runs, best one kept.
+
+    Starts: (mean, 0.5), the L-moment-method and the moment-method
+    estimates.  This is the search ``fit_mle_gpd`` replaced.
+    """
+    x = sample.values
+    n = sample.n
+
+    def nll(theta):
+        sigma, nu = theta
+        if sigma <= 0 or not -5.0 <= nu <= 5.0:
+            return np.inf
+        if abs(nu) < 1e-10:
+            return n * np.log(sigma) + x.sum() / sigma
+        z = 1.0 + nu * x / sigma
+        if np.any(z <= 0):
+            return np.inf
+        return n * np.log(sigma) + (1.0 + 1.0 / nu) * float(np.log(z).sum())
+
+    starts = [np.array([x.mean(), 0.5])]
+    for fitter in (fit_lmoment_method_gpd, fit_moment_method_gpd):
+        try:
+            starts.append(np.array(fitter(sample)))
+        except EstimationError:
+            pass
+    best = min((scipy.optimize.minimize(
+        nll, start, method="Nelder-Mead",
+        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000}) for start in starts),
+        key=lambda res: res.fun)
+    sigma, nu = best.x
+    if not np.isfinite(best.fun):
+        raise EstimationError("GPD likelihood could not be maximized")
+    if nu < 0 and -sigma / nu <= x[-1] * (1.0 + 1e-9):
+        raise EstimationError("MLE degenerated to the support boundary")
+    return float(sigma), float(nu)
+
+
+@pytest.mark.parametrize("n", [30, 100])
+@pytest.mark.parametrize("scenario", [1, 2, 3, 4])
+def test_mle_not_worse_than_nelder_mead_reference(scenario, n):
+    config = ScenarioConfig.preset(scenario, n=n, replicates=10, seed=20260826)
+    for replicate in range(config.replicates):
+        sample = draw_sample(config, replicate)
+        try:
+            reference = reference_mle_nelder_mead(sample)
+        except EstimationError:
+            continue
+        attained = gpd_nll(sample.values, *fit_mle_gpd(sample))
+        bound = gpd_nll(sample.values, *reference)
+        assert attained <= bound + 1e-9 * abs(bound), replicate
+
+
+def test_mle_on_the_shape_edge():
+    # this Weibull sample's likelihood peaks on the box edge nu = 5
+    config = ScenarioConfig.preset(4, n=30, replicates=500, seed=20260826)
+    sigma, nu = fit_mle_gpd(draw_sample(config, 155))
+    assert nu == 5.0
+    assert sigma == pytest.approx(0.0202955, rel=1e-5)
+
+
+@pytest.mark.parametrize("k", [-20, 3, 20])
+def test_mle_scale_equivariant(k):
+    s = mc_sample(ParametricFamily("gpd", 3.0, 0.4), 200, seed=8)
+    sigma, nu = fit_mle_gpd(s)
+    sigma_k, nu_k = fit_mle_gpd(SortedSample(s.values * 2.0 ** k))
+    assert sigma_k == pytest.approx(2.0 ** k * sigma, rel=1e-9)
+    assert nu_k == pytest.approx(nu, rel=1e-9, abs=1e-12)
+
+
+def test_mle_scan_in_blocks_matches_one_block(monkeypatch):
+    s = mc_sample(ParametricFamily("gpd", 3.0, 0.4), 300, seed=9)
+    whole = fit_mle_gpd(s)
+    monkeypatch.setattr(estimator, "_MLE_BLOCK", 7 * s.n)
+    assert fit_mle_gpd(s) == whole
+
+
+def test_mle_uniform_sample_degenerates():
+    # Uniform(0, 1) is GPD(1, -1): the likelihood grows toward the support end
+    s = SortedSample(np.random.default_rng(0).uniform(size=50))
+    with pytest.raises(EstimationError, match="support boundary"):
+        fit_mle_gpd(s)
+
+
+def test_mle_many_zeros_is_unbounded():
+    # with nu = 5 and sigma -> 0 the 5 positive draws cannot offset 15 zeros
+    x = np.concatenate([np.zeros(15), np.random.default_rng(0).exponential(size=5)])
+    with pytest.raises(EstimationError, match="15 of 20 observations are zero"):
+        fit_mle_gpd(SortedSample(x))

@@ -222,6 +222,13 @@ def test_triangle_rule_matches_entrywise_sum():
     assert np.array_equal(got, got.T)
 
 
+@pytest.mark.parametrize("n", [200, 2000])
+def test_gauss_legendre_integrates_even_powers(n):
+    x, w = gauss_legendre(n, -1.0, 1.0)
+    for k in range(11):
+        assert w @ x ** (2 * k) == pytest.approx(2.0 / (2 * k + 1), rel=0.0, abs=1e-12)
+
+
 def test_shifted_sample():
     s = SortedSample(np.array([1.0, 2.0, 4.0]))
     t = s.shifted(-1.0)
