@@ -43,7 +43,6 @@ from .dualsolve import (
     make_dual_problem,
     solve_dual,
     chi2_value_closed_form,
-    primal_bruteforce,
     wasserstein_fit_inner,
 )
 from .estimator import (
@@ -89,7 +88,6 @@ __all__ = [
     "DualSolution",
     "solve_dual",
     "chi2_value_closed_form",
-    "primal_bruteforce",
     "wasserstein_fit_inner",
     "FitReport",
     "fit_divergence",

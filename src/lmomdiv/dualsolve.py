@@ -4,8 +4,18 @@
 i/n and of m_n; the Newton solve and the chi-square dual (Omega factored
 once) both read its ``DualProblem``.  Zero spacings carry no mass, so they
 are excluded from all sums and impose no domain constraint at their nodes.
-The primal over spacings and the transport variant exist for cross-checks
-and diagnostics.
+
+``solve_dual`` is damped Newton ascent.  Its line search starts at the
+largest step that keeps the nodes ``kmat @ xi`` inside the conjugate's
+domain (a ratio test against the domain edge, Boyd & Vandenberghe, Convex
+Optimization, 9.5-9.6), so a barrier-type conjugate such as the modified
+KL's ``-log(1 - z)`` costs a few evaluations per solve, not a cascade of
+halvings.  A caller solving a sequence of nearby targets passes the last
+solution as ``xi0``.  A solve that stops short of optimality is checked by
+``cone_witness``: a target that no positive spacing vector reaches makes the
+dual unbounded and is reported as ``infeasibleDirection``; anything else is
+a failure of the solve.  The transport variant is the optimal-transport
+counterpart of the inner problem.
 """
 
 from __future__ import annotations
@@ -21,6 +31,11 @@ from .divergence import CHI2, DivergenceSpec, ConjugateDomainError
 from .lmoments import SortedSample
 
 _UNBOUNDED_VALUE = 1e12
+#: fraction of the way to the conjugate's domain edge a line search may go
+_EDGE_FRACTION = 0.99
+#: "stalled" is a line search that found no ascent, or an unbounded value
+#: at a target ``cone_witness`` reaches
+SOLVE_STATUSES = ("converged", "infeasibleDirection", "maxIter", "stalled")
 
 
 class SingularConstraintError(np.linalg.LinAlgError):
@@ -46,19 +61,20 @@ class DualProblem:
         return dataclasses.replace(self, target=np.asarray(target, dtype=float))
 
     # -- objective, gradient, Hessian ----------------------------------
-    # the conjugate checks its own domain at the nodes kmat @ xi
+    # the conjugate checks its own domain at the nodes z = kmat @ xi; a
+    # caller that already holds z passes it
 
-    def objective(self, xi) -> float:
+    def objective(self, xi, z=None) -> float:
         xi = np.asarray(xi, dtype=float)
-        z = self.kmat @ xi
+        z = self.kmat @ xi if z is None else z
         return float(xi @ self.target - self.divergence.psi(z) @ self.delta)
 
-    def gradient(self, xi) -> np.ndarray:
-        z = self.kmat @ np.asarray(xi, dtype=float)
+    def gradient(self, xi, z=None) -> np.ndarray:
+        z = self.kmat @ np.asarray(xi, dtype=float) if z is None else z
         return self.target - self.kmat.T @ (self.divergence.psi_prime(z) * self.delta)
 
-    def hessian(self, xi) -> np.ndarray:
-        z = self.kmat @ np.asarray(xi, dtype=float)
+    def hessian(self, xi, z=None) -> np.ndarray:
+        z = self.kmat @ np.asarray(xi, dtype=float) if z is None else z
         w = self.divergence.psi_second(z) * self.delta
         return -(self.kmat.T * w) @ self.kmat
 
@@ -68,8 +84,9 @@ class DualSolution:
     xi: np.ndarray
     value: float
     grad_norm: float
-    iterations: int
-    status: str                # "converged" | "maxIter" | "infeasibleDirection"
+    iterations: int            # Newton steps taken
+    evaluations: int           # objective evaluations, the start's included
+    status: str                # one of SOLVE_STATUSES
 
     @property
     def converged(self) -> bool:
@@ -117,25 +134,53 @@ def omega_empirical(problem: DualProblem) -> np.ndarray:
     return (problem.kmat.T * problem.delta) @ problem.kmat
 
 
+def _ratio_test(z, dz, domain) -> float:
+    """min(1, 0.99 * the step at which z + t * dz first reaches a domain edge)."""
+    lo, hi = domain
+    t = 1.0
+    for edge, heading in ((hi, dz > 0.0), (lo, dz < 0.0)):
+        if np.isfinite(edge) and heading.any():
+            t = min(t, _EDGE_FRACTION * float(np.min((edge - z[heading]) / dz[heading])))
+    return t
+
+
 def solve_dual(
     problem: DualProblem,
     tol: float = 1e-9,
     max_iter: int = 200,
     armijo: float = 1e-4,
+    xi0=None,
 ) -> DualSolution:
-    """Damped Newton ascent from zero with a domain-respecting line search."""
+    """Damped Newton ascent with a ratio-test line search.
+
+    Starts from ``xi0`` when its nodes ``kmat @ xi0`` lie inside the
+    conjugate's domain, from zero otherwise.  Converged means a gradient
+    below ``tol * (1 + |target|)`` in the max norm.  A solve that stops
+    short of that runs ``cone_witness``: without a witness the status is
+    ``infeasibleDirection``, with one the solve failed (``maxIter`` or
+    ``stalled``) and its value is only a lower bound.
+    """
     c = problem.target.size
-    xi = np.zeros(c)
-    value = problem.objective(xi)
+    domain = problem.divergence.psi_domain
+    xi = np.zeros(c) if xi0 is None else np.array(xi0, dtype=float)
+    z = problem.kmat @ xi
+    if not np.all((z > domain[0]) & (z < domain[1])):
+        xi, z = np.zeros(c), np.zeros_like(z)
+    value = problem.objective(xi, z)
+    evaluations = 1
     scale = 1.0 + np.linalg.norm(problem.target)
-    grad = problem.gradient(xi)
-    for it in range(1, max_iter + 1):
+    failure = "maxIter"
+    for it in range(max_iter + 1):
+        grad = problem.gradient(xi, z)
         gnorm = float(np.max(np.abs(grad)))
         if gnorm <= tol * scale:
-            return DualSolution(xi, value, gnorm, it - 1, "converged")
+            return DualSolution(xi, value, gnorm, it, evaluations, "converged")
+        if it == max_iter:
+            break
         if value > _UNBOUNDED_VALUE:
-            return DualSolution(xi, value, gnorm, it - 1, "infeasibleDirection")
-        neg_h = -problem.hessian(xi)
+            failure = "stalled"
+            break
+        neg_h = -problem.hessian(xi, z)
         reg = 0.0
         while True:
             try:
@@ -144,26 +189,53 @@ def solve_dual(
             except np.linalg.LinAlgError:
                 reg = max(2.0 * reg, 1e-12)
         step = scipy.linalg.cho_solve(chol, grad)
+        dz = problem.kmat @ step
         slope = float(grad @ step)
-        t = 1.0
+        t = _ratio_test(z, dz, domain)
         while t > 1e-16:
+            evaluations += 1
             try:
-                cand = xi + t * step
-                cand_value = problem.objective(cand)
+                cand_value = problem.objective(xi + t * step, z + t * dz)
             except ConjugateDomainError:
-                t *= 0.5
-                continue
+                # only a node within rounding of the edge gets here
+                cand_value = -np.inf
             if cand_value >= value + armijo * t * slope:
                 break
             t *= 0.5
         else:
-            # no admissible step: the gradient points out of the reachable cone
-            return DualSolution(xi, value, gnorm, it, "infeasibleDirection")
-        xi, value = cand, cand_value
-        grad = problem.gradient(xi)
-    gnorm = float(np.max(np.abs(grad)))
-    status = "converged" if gnorm <= tol * scale else "maxIter"
-    return DualSolution(xi, value, gnorm, max_iter, status)
+            failure = "stalled"
+            break
+        xi, z, value = xi + t * step, z + t * dz, cand_value
+    status = failure if cone_witness(problem) is not None else "infeasibleDirection"
+    return DualSolution(xi, value, gnorm, it, evaluations, status)
+
+
+def cone_witness(problem: DualProblem) -> np.ndarray | None:
+    """Spacings ``s`` with ``kmat.T @ s = target``, or None when there are none.
+
+    A witness certifies that the dual is bounded above.  For a divergence
+    that admits negative spacings (chi-square) it is the least-norm
+    correction of the empirical spacings.  Otherwise it must be strictly
+    positive; the margin LP (maximize ``m`` with ``s >= m * delta``) runs
+    when that correction is not, and None means the target lies outside the
+    open cone of the rows, so that the dual is unbounded.
+    """
+    a, delta, target = problem.kmat, problem.delta, problem.target
+    s0 = delta + a @ np.linalg.solve(a.T @ a, target - problem.m_n)
+    if problem.divergence.a_phi < 0.0 or np.all(s0 > 1e-12 * delta):
+        return s0
+    # s = delta * (v + m) with v >= 0 and m <= 1; kmat.T @ s is then
+    # (a * delta).T @ v + m * m_n
+    m = delta.size
+    cost = np.zeros(m + 1)
+    cost[-1] = -1.0
+    res = linprog(
+        cost, A_eq=np.hstack([(a * delta[:, None]).T, problem.m_n[:, None]]),
+        b_eq=target, bounds=[(0.0, None)] * m + [(None, 1.0)], method="highs",
+    )
+    if not res.success or res.x[-1] <= 0.0:
+        return None
+    return delta * (res.x[:-1] + res.x[-1])
 
 
 def chi2_solver(omega: np.ndarray, m_n: np.ndarray):
@@ -190,94 +262,6 @@ def chi2_value_closed_form(
     """Exact chi-square dual optimum at one target (see ``chi2_solver``)."""
     problem = make_dual_problem(sample, constraint_values, CHI2, target)
     return chi2_solver(omega_empirical(problem), problem.m_n)(problem.target)
-
-
-# ---------------------------------------------------------------------------
-# test-time oracles
-
-
-def _feasible_start(a: np.ndarray, delta: np.ndarray, target: np.ndarray,
-                    positive: bool) -> np.ndarray:
-    """A strictly feasible spacing vector for the primal program."""
-    # least-norm correction of the identity deformation
-    corr = a @ np.linalg.solve(a.T @ a, target - a.T @ delta)
-    s0 = delta + corr
-    if not positive:
-        return s0
-    if np.all(s0 > 1e-12 * delta):
-        return s0
-    # maximize the margin m subject to A s = target, s >= m * delta
-    m = delta.size
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    a_eq = np.hstack([a.T, np.zeros((a.shape[1], 1))])
-    a_ub = np.hstack([-np.eye(m), delta[:, None]])
-    res = linprog(
-        c, A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq, b_eq=target,
-        bounds=[(None, None)] * m + [(None, 1.0)],
-        method="highs",
-    )
-    if not res.success or res.x[-1] <= 0:
-        raise SingularConstraintError(
-            "no strictly positive spacing vector satisfies the constraints"
-        )
-    return res.x[:-1]
-
-
-def primal_bruteforce(
-    sample: SortedSample,
-    constraint_values,
-    target,
-    divergence: DivergenceSpec,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> tuple[float, np.ndarray]:
-    """Direct solve of the constrained primal over candidate spacings.
-
-    Equality-constrained Newton on the convex program; oracle scale only
-    (n <= 50).  Returns the optimal value and the full spacing vector, with
-    zeros at tied nodes.
-    """
-    if sample.n > 50:
-        raise ValueError("the primal oracle is restricted to n <= 50")
-    problem = make_dual_problem(sample, constraint_values, divergence, target)
-    a, d, target = problem.kmat, problem.delta, problem.target    # a: (m, c)
-    positive = divergence.a_phi >= 0.0
-    s = _feasible_start(a, d, target, positive)
-
-    def value_of(sv):
-        return float(divergence.phi(sv / d) @ d)
-
-    val = value_of(s)
-    for _ in range(max_iter):
-        r = s / d
-        g = np.asarray(divergence.phi_prime(r))
-        h = np.asarray(divergence.phi_second(r)) / d
-        h = np.maximum(h, 1e-12)
-        # KKT step: minimize the local quadratic subject to A^T p = 0
-        hinv_g = g / h
-        hinv_at = a / h[:, None]
-        mu = np.linalg.solve(a.T @ hinv_at, -a.T @ hinv_g)
-        p = -(hinv_g + hinv_at @ mu)
-        lam_dec = float(-g @ p)
-        if lam_dec <= tol * (1.0 + abs(val)):
-            break
-        t = 1.0
-        while t > 1e-16:
-            cand = s + t * p
-            if positive and np.any(cand <= 0.0):
-                t *= 0.5
-                continue
-            cand_val = value_of(cand)
-            if np.isfinite(cand_val) and cand_val <= val - 1e-4 * t * lam_dec:
-                break
-            t *= 0.5
-        else:
-            break
-        s, val = cand, cand_val
-    out = np.zeros(sample.n - 1)
-    out[sample.spacings > 0.0] = s
-    return val, out
 
 
 def wasserstein_fit_inner(

@@ -7,7 +7,11 @@ avoided.  The run starts from the L-moment-method estimate where that is
 defined (the models share their first L-moments with the family, so the
 estimate nearly solves the constraints) and from the box centre otherwise.
 Each fit builds one ``DualProblem``; its chi-square criterion is the
-closed-form dual.  The envelope gradient is exposed for diagnostics only.
+closed-form dual.  For any other divergence each criterion evaluation is one
+Newton solve of the dual, warm-started from the last converged one
+(``_Criterion``).  A failed inner solve is never the criterion: it counts
++inf during the search and makes the fit raise ``EstimationError`` at the
+estimate.  The envelope gradient is exposed for diagnostics only.
 The plug-in Sigma uses the triangle rule of ``lmoments.triangle_covariance``.
 
 The GPD maximum likelihood comparison estimator is a one-dimensional profile
@@ -28,6 +32,7 @@ from scipy.special import chdtrc
 
 from .divergence import DivergenceSpec
 from .dualsolve import (
+    SOLVE_STATUSES,
     DualProblem,
     SingularConstraintError,
     chi2_solver,
@@ -101,32 +106,57 @@ class FitReport:
         return out
 
 
-def _criterion_factory(skeleton: DualProblem, model: SplqModel):
-    """Build theta -> (criterion, xi | None); +inf outside the model domain."""
-    failures = {"count": 0}
-    if skeleton.divergence.family == "chi2":
-        inner = chi2_solver(omega_empirical(skeleton), skeleton.m_n)
-    else:
-        def inner(target):
-            sol = solve_dual(skeleton.with_target(target))
-            if sol.status == "infeasibleDirection":
-                return np.inf, None
-            if sol.status == "maxIter":
-                failures["count"] += 1
-            return sol.value, sol.xi
+class _Criterion:
+    """theta -> (criterion, xi | None); +inf outside the model domain.
 
-    def evaluate(theta):
-        theta = model.clip_to_box(theta)
+    The chi-square criterion is the closed-form dual.  Any other divergence
+    runs ``solve_dual``, warm-started from the multipliers of the last
+    converged solve.  A target outside the cone of the rows
+    (``infeasibleDirection``) and an uncertified failure both count +inf,
+    so that no lower bound becomes the criterion.  ``last`` is the inner
+    solution of the latest call (None for chi-square or when no solve ran);
+    ``diagnostics`` counts the Newton solves.
+    """
+
+    def __init__(self, skeleton: DualProblem, model: SplqModel):
+        self.skeleton, self.model = skeleton, model
+        self.chi2 = None
+        if skeleton.divergence.family == "chi2":
+            self.chi2 = chi2_solver(omega_empirical(skeleton), skeleton.m_n)
+        self.xi0 = None
+        self.last = None
+        self.iterations = self.evaluations = 0
+        self.status = dict.fromkeys(SOLVE_STATUSES, 0)
+
+    def __call__(self, theta):
+        self.last = None
+        theta = self.model.clip_to_box(theta)
         try:
-            target = model.target_map(theta)
+            target = self.model.target_map(theta)
         except (ValueError, FloatingPointError):
             return np.inf, None
         if not np.all(np.isfinite(target)):
             return np.inf, None
-        return inner(target)
+        if self.chi2 is not None:
+            return self.chi2(target)
+        sol = solve_dual(self.skeleton.with_target(target), xi0=self.xi0)
+        self.last = sol
+        self.iterations += sol.iterations
+        self.evaluations += sol.evaluations
+        self.status[sol.status] += 1
+        if not sol.converged:
+            return np.inf, None
+        self.xi0 = sol.xi
+        return sol.value, sol.xi
 
-    evaluate.failures = failures
-    return evaluate
+    @property
+    def diagnostics(self) -> dict:
+        return {
+            "inner_iterations": self.iterations,
+            "inner_evaluations": self.evaluations,
+            "inner_status": dict(self.status),
+            "inner_failures": self.status["maxIter"] + self.status["stalled"],
+        }
 
 
 def lmoment_method_start(sample: SortedSample, model: SplqModel) -> np.ndarray | None:
@@ -158,7 +188,7 @@ def fit_divergence(
             sample, model.constraint_values, divergence,
             np.zeros(model.n_constraints),
         )
-        evaluate = _criterion_factory(skeleton, model)
+        evaluate = _Criterion(skeleton, model)
     except SingularConstraintError as exc:
         raise EstimationError(str(exc)) from exc
 
@@ -176,6 +206,11 @@ def fit_divergence(
 
     theta_hat = model.clip_to_box(res.x)
     criterion, xi_hat = evaluate(theta_hat)
+    final = evaluate.last
+    if final is not None and not final.converged:
+        raise EstimationError(
+            f"inner dual solve at the estimate ended in {final.status} after "
+            f"{final.iterations} Newton iterations")
     at_boundary = bool(
         np.any(np.abs(theta_hat - model.box[:, 0]) < 1e-6)
         or np.any(np.abs(theta_hat - model.box[:, 1]) < 1e-6)
@@ -188,7 +223,7 @@ def fit_divergence(
         param_names=model.param_names,
         diagnostics={
             "outer_iterations": int(res.nit),
-            "inner_failures": int(evaluate.failures["count"]),
+            **evaluate.diagnostics,
             "boundary": at_boundary,
             "start": start_name,
             "outer_converged": bool(res.success),

@@ -12,7 +12,6 @@ from lmomdiv.dualsolve import (
     chi2_value_closed_form,
     empirical_constraint_moments,
     make_dual_problem,
-    primal_bruteforce,
     solve_dual,
 )
 from lmomdiv.estimator import (
@@ -29,6 +28,8 @@ from lmomdiv.lmoments import (
 from lmomdiv.models import ParametricFamily, gpd_model
 from lmomdiv.poly import PolyBasis, integrated_legendre_eval, shifted_legendre_eval
 from lmomdiv.sim import ScenarioConfig, run_scenario
+
+from oracles import primal_bruteforce
 
 
 def report(name: str, ok: bool, detail: str) -> None:

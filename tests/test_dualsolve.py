@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from lmomdiv.divergence import CHI2, KL, KLM, power_divergence
+from lmomdiv.divergence import CHI2, KL, KLM, DivergenceSpec, power_divergence
 from lmomdiv.dualsolve import (
     chi2_value_closed_form,
+    cone_witness,
     empirical_constraint_moments,
     make_dual_problem,
     omega_empirical,
-    primal_bruteforce,
     solve_dual,
     wasserstein_fit_inner,
 )
 from lmomdiv.lmoments import SortedSample, sample_lmoments_v
 from lmomdiv.poly import PolyBasis
+
+from oracles import primal_bruteforce
 
 DIVS = [CHI2, KL, KLM, power_divergence(0.5), power_divergence(3.0)]
 
@@ -162,6 +164,70 @@ def test_infeasible_direction_detected():
     s = SortedSample(np.array([0.0, 1.0]))
     sol = solve_dual(make_dual_problem(s, basis, KL, np.array([5.0])))
     assert sol.status == "infeasibleDirection"
+
+
+def test_klm_step_past_the_domain_edge_needs_no_domain_error(monkeypatch):
+    # the full Newton step from zero takes a node to z = 3.9, past the edge
+    # z < 1; the ratio test shortens it before the conjugate is evaluated
+    s = random_sample(0)
+    basis = PolyBasis((2, 3))
+    prob = make_dual_problem(s, basis, KLM, perturbed_target(s, (2, 3), (3.0, 1.0)))
+    zero = np.zeros(2)
+    full = np.linalg.solve(-prob.hessian(zero), prob.gradient(zero))
+    assert np.max(prob.kmat @ full) > 1.0
+    raised = []
+    psi = DivergenceSpec.psi
+
+    def recording_psi(self, t):
+        try:
+            return psi(self, t)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(DivergenceSpec, "psi", recording_psi)
+    sol = solve_dual(prob)
+    assert sol.converged
+    assert raised == []
+    assert sol.evaluations <= sol.iterations + 2
+
+
+def test_klm_target_outside_the_cone_is_infeasible_every_time():
+    # every order-2 row K_2(u) = -u(1 - u) is negative, so no positive
+    # spacing vector reaches a positive first target component
+    s = random_sample(1)
+    basis = PolyBasis((2, 3))
+    prob = make_dual_problem(s, basis, KLM, np.array([0.5, 0.0]))
+    assert cone_witness(prob) is None
+    statuses = {solve_dual(prob).status for _ in range(3)}
+    assert statuses == {"infeasibleDirection"}
+
+
+def test_cone_witness_reaches_the_target():
+    s = random_sample(2)
+    basis = PolyBasis((2, 3))
+    target = perturbed_target(s, (2, 3), (1.3, 0.6))
+    prob = make_dual_problem(s, basis, KLM, target)
+    witness = cone_witness(prob)
+    assert np.all(witness > 0.0)
+    assert np.allclose(prob.kmat.T @ witness, target, rtol=1e-9, atol=1e-12)
+
+
+def test_warm_start():
+    s = random_sample(3)
+    basis = PolyBasis((2, 3))
+    prob = make_dual_problem(s, basis, KLM, perturbed_target(s, (2, 3), (1.2, 0.8)))
+    cold = solve_dual(prob)
+    again = solve_dual(prob, xi0=cold.xi)
+    assert again.converged and again.iterations == 0 and again.evaluations == 1
+    near = solve_dual(prob.with_target(prob.target * 1.01), xi0=cold.xi)
+    assert near.converged and near.iterations < cold.iterations
+    # a start whose nodes lie past the edge z < 1 falls back to zero
+    outside = np.linalg.lstsq(prob.kmat, np.full(prob.delta.size, 2.0), rcond=None)[0]
+    assert np.max(prob.kmat @ outside) >= 1.0
+    fallback = solve_dual(prob, xi0=outside)
+    assert fallback.iterations == cold.iterations
+    assert np.array_equal(fallback.xi, cold.xi)
 
 
 def test_tied_observations_are_excluded():

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import scipy.optimize
 
 from lmomdiv import estimator
+from lmomdiv.cli import main
 from lmomdiv.divergence import CHI2, KL, KLM
-from lmomdiv.dualsolve import chi2_value_closed_form
+from lmomdiv.dualsolve import chi2_value_closed_form, make_dual_problem
 from lmomdiv.estimator import (
     EstimationError,
     asymptotic_covariance,
@@ -18,7 +21,7 @@ from lmomdiv.estimator import (
 )
 from lmomdiv.lmoments import SortedSample, lambda_covariance
 from lmomdiv.models import ParametricFamily, gpd_model, model_by_name, order_stat_model_3
-from lmomdiv.sim import ScenarioConfig, draw_sample
+from lmomdiv.sim import ScenarioConfig, draw_sample, run_scenario
 
 
 def grid_sample(fam, n):
@@ -111,6 +114,92 @@ def test_box_centre_start_does_not_beat_the_fit(scenario):
             method="Nelder-Mead", options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 2000},
         )
         assert ref.fun >= report.criterion * (1.0 - 1e-9)
+
+
+def sim_klm_fit(scenario, stream):
+    sample = draw_sample(ScenarioConfig.preset(scenario, n=100, seed=stream), 0)
+    return fit_divergence(sample, gpd_model(), KLM, xatol=1e-6, fatol=1e-9)
+
+
+def test_klm_scenario_fits_converge_in_few_evaluations():
+    solves = evaluations = 0
+    for scenario in (1, 2, 3, 4):
+        for stream in range(8):
+            diag = sim_klm_fit(scenario, stream).diagnostics
+            status = diag["inner_status"]
+            assert set(status) >= {"converged", "infeasibleDirection", "maxIter"}
+            assert status["converged"] == sum(status.values()), (scenario, stream, status)
+            assert diag["inner_failures"] == 0
+            assert diag["inner_iterations"] > 0
+            solves += status["converged"]
+            evaluations += diag["inner_evaluations"]
+    assert evaluations <= 15 * solves
+
+
+def test_warm_started_fit_matches_cold_starts(monkeypatch):
+    warm = [sim_klm_fit(scenario, 0).theta for scenario in (1, 2, 3, 4)]
+    solve = estimator.solve_dual
+    monkeypatch.setattr(estimator, "solve_dual", lambda problem, xi0=None: solve(problem))
+    cold = [sim_klm_fit(scenario, 0).theta for scenario in (1, 2, 3, 4)]
+    assert np.allclose(warm, cold, rtol=1e-6, atol=0.0)
+
+
+def test_unconverged_solve_during_the_search_counts_as_inf(monkeypatch):
+    s = mc_sample(ParametricFamily("gpd", 3.0, 0.3), 100, seed=2)
+    model = gpd_model()
+    criterion = estimator._Criterion(
+        make_dual_problem(s, model.constraint_values, KLM, np.zeros(3)), model)
+    theta = np.array([3.0, 0.3])
+    value, xi = criterion(theta)
+    assert np.isfinite(value)
+    solve = estimator.solve_dual
+    monkeypatch.setattr(estimator, "solve_dual", lambda problem, xi0=None: dataclasses.replace(
+        solve(problem, xi0=xi0), status="maxIter"))
+    assert criterion(theta) == (np.inf, None)
+    assert criterion.diagnostics["inner_failures"] == 1
+    assert criterion.diagnostics["inner_status"]["maxIter"] == 1
+    # the failed solve is not a warm start for the next one
+    assert criterion.xi0 is xi
+
+
+@pytest.fixture
+def fail_at_the_estimate(monkeypatch):
+    """Every inner solve after the outer search ends in maxIter."""
+    searched = []
+    minimize = scipy.optimize.minimize
+    solve = estimator.solve_dual
+
+    def search(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        searched.append(True)
+        return res
+
+    def solve_dual(problem, xi0=None):
+        sol = solve(problem, xi0=xi0)
+        return dataclasses.replace(sol, status="maxIter", iterations=200) if searched else sol
+
+    monkeypatch.setattr(scipy.optimize, "minimize", search)
+    monkeypatch.setattr(estimator, "solve_dual", solve_dual)
+
+
+def test_unconverged_solve_at_the_estimate_raises(fail_at_the_estimate):
+    s = draw_sample(ScenarioConfig.preset(1, n=100), 0)
+    with pytest.raises(EstimationError, match="maxIter after 200 Newton iterations"):
+        fit_divergence(s, gpd_model(), KLM, xatol=1e-6, fatol=1e-9)
+
+
+def test_unconverged_solve_at_the_estimate_is_a_recorded_error(fail_at_the_estimate):
+    out = run_scenario(ScenarioConfig.preset(1, n=100, replicates=1, estimators=("klm",)))
+    assert "maxIter" in out.records[0]["error"]
+    assert out.failures == {"klm": 1}
+
+
+def test_unconverged_solve_at_the_estimate_exits_3(fail_at_the_estimate, tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    x = draw_sample(ScenarioConfig.preset(1, n=100), 0).values
+    path.write_text("\n".join(map(repr, x.tolist())) + "\n")
+    assert main(["fit", str(path), "--div", "klm", "--json"]) == 3
+    assert "maxIter" in capsys.readouterr().err
 
 
 def test_fit_small_sample_raises():
