@@ -1,17 +1,24 @@
 """Outer parameter estimation, asymptotic covariance and the model test.
 
-The outer search is one derivative-free Nelder-Mead run, clamped to the
-parameter box: the criterion is smooth in theta, but its gradient is
-available only at converged inner solves, so coupling the two tolerances is
-avoided.  The run starts from the L-moment-method estimate where that is
-defined (the models share their first L-moments with the family, so the
-estimate nearly solves the constraints) and from the box centre otherwise.
-Each fit builds one ``DualProblem``; its chi-square criterion is the
-closed-form dual.  For any other divergence each criterion evaluation is one
-Newton solve of the dual, warm-started from the last converged one
-(``_Criterion``).  A failed inner solve is never the criterion: it counts
-+inf during the search and makes the fit raise ``EstimationError`` at the
-estimate.  The envelope gradient is exposed for diagnostics only.
+The outer search is one projected Levenberg-Marquardt run on the parameter
+box (Nocedal & Wright, Numerical Optimization, 10.3).  At a converged inner
+solve the criterion has the exact envelope gradient ``J(theta)^T xi``, and
+``J^T (-H)^-1 J``, with ``-H`` the dual's negative Hessian at ``xi``, is its
+Gauss-Newton curvature (for chi-square, ``-H`` is Omega and this is the
+Gauss-Newton matrix of the whitened residual).  A coordinate on its bound
+whose gradient points out of the box is held fixed and the step is solved in
+the others, then clipped (projected Newton, Bertsekas, SIAM J. Control
+Optim. 20, 1982).  The search stops when a step moves no coordinate by more
+than ``1e-10 * (1 + |theta_j|)``.  It starts from the L-moment-method
+estimate where that is defined (the models share their first L-moments with
+the family, so the estimate nearly solves the constraints) and from the box
+centre otherwise; a non-chi-square fit whose criterion is +inf there starts
+again from the chi-square estimate.  Each fit builds one ``DualProblem``;
+its chi-square criterion is the closed-form dual.  For any other divergence
+each criterion evaluation is one Newton solve of the dual, warm-started from
+the last converged one (``_Criterion``).  A failed inner solve is never the
+criterion: it counts +inf during the search, which rejects the step, and
+makes the fit raise ``EstimationError`` at the estimate.
 The plug-in Sigma uses the triangle rule of ``lmoments.triangle_covariance``.
 
 The GPD maximum likelihood comparison estimator is a one-dimensional profile
@@ -23,6 +30,7 @@ Brent search refines each; the box edge ``nu = 5`` is part of the profile.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +38,7 @@ import scipy.linalg
 import scipy.optimize
 from scipy.special import chdtrc
 
-from .divergence import DivergenceSpec
+from .divergence import CHI2, DivergenceSpec
 from .dualsolve import (
     SOLVE_STATUSES,
     DualProblem,
@@ -54,8 +62,10 @@ from .models import SplqModel, ParametricFamily, model_jacobian
 _TAIL_EPS = 1e-10
 #: Gauss points of the 1-D rule for the plug-in Omega
 _N_OMEGA = 2000
-#: iteration cap of the outer Nelder-Mead search
+#: iteration cap of the outer search
 MAX_OUTER_ITER = 2000
+#: the outer search stops on a step below this times 1 + |theta_j| in every coordinate
+_OUTER_STEP_TOL = 1e-10
 #: upper edge of the GPD MLE's shape box [-5, 5]
 _MLE_NU_MAX = 5.0
 #: grid of log1p(theta * x_max) scanned by the GPD MLE, geometric on both sides of 0
@@ -115,20 +125,22 @@ class _Criterion:
     (``infeasibleDirection``) and an uncertified failure both count +inf,
     so that no lower bound becomes the criterion.  ``last`` is the inner
     solution of the latest call (None for chi-square or when no solve ran);
-    ``diagnostics`` counts the Newton solves.
+    ``diagnostics`` counts the calls and the Newton solves.
     """
 
     def __init__(self, skeleton: DualProblem, model: SplqModel):
         self.skeleton, self.model = skeleton, model
-        self.chi2 = None
+        self.omega = self.chi2 = None
         if skeleton.divergence.family == "chi2":
-            self.chi2 = chi2_solver(omega_empirical(skeleton), skeleton.m_n)
+            self.omega = omega_empirical(skeleton)
+            self.chi2 = chi2_solver(self.omega, skeleton.m_n)
         self.xi0 = None
         self.last = None
-        self.iterations = self.evaluations = 0
+        self.calls = self.iterations = self.evaluations = 0
         self.status = dict.fromkeys(SOLVE_STATUSES, 0)
 
     def __call__(self, theta):
+        self.calls += 1
         self.last = None
         theta = self.model.clip_to_box(theta)
         try:
@@ -149,9 +161,14 @@ class _Criterion:
         self.xi0 = sol.xi
         return sol.value, sol.xi
 
+    def neg_hessian(self, xi) -> np.ndarray:
+        """The dual's negative Hessian at a converged ``xi`` (Omega for chi-square)."""
+        return self.omega if self.omega is not None else -self.skeleton.hessian(xi)
+
     @property
     def diagnostics(self) -> dict:
         return {
+            "criterion_evaluations": self.calls,
             "inner_iterations": self.iterations,
             "inner_evaluations": self.evaluations,
             "inner_status": dict(self.status),
@@ -170,18 +187,64 @@ def lmoment_method_start(sample: SortedSample, model: SplqModel) -> np.ndarray |
     return model.clip_to_box(theta)
 
 
+@dataclass(frozen=True)
+class _SearchResult:
+    theta: np.ndarray
+    value: float
+    iterations: int
+    converged: bool
+
+
+def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
+    """Projected Levenberg-Marquardt on the box, from ``start``.
+
+    Each iteration tries one step: the Gauss-Newton system
+    ``(A + lam diag A) p = -g`` solved in the free coordinates and clipped
+    to the box.  A step that lowers the criterion is taken and ``lam``
+    shrinks threefold; any other step, one to a +inf point included, is
+    rejected and ``lam`` grows threefold, to at least 1, which about halves
+    the step.  Converged means a step below ``_OUTER_STEP_TOL`` within
+    ``MAX_OUTER_ITER`` iterations; a +inf start returns at once, unconverged.
+    """
+    model = evaluate.model
+    lo, hi = model.box[:, 0], model.box[:, 1]
+    theta = model.clip_to_box(start)
+    value, xi = evaluate(theta)
+    if not np.isfinite(value):
+        return _SearchResult(theta, value, 0, False)
+    lam, moved = 0.0, True
+    for it in range(MAX_OUTER_ITER):
+        if moved:
+            jac = model_jacobian(model, theta)
+            grad = jac.T @ xi                    # envelope_gradient
+            curv = jac.T @ np.linalg.solve(evaluate.neg_hessian(xi), jac)
+            free = ~(((theta <= lo) & (grad > 0.0)) | ((theta >= hi) & (grad < 0.0)))
+            a_free = curv[np.ix_(free, free)]
+        step = np.zeros_like(theta)
+        step[free] = np.linalg.solve(a_free + lam * np.diag(np.diag(a_free)), -grad[free])
+        cand = np.clip(theta + step, lo, hi)
+        if np.all(np.abs(cand - theta) <= _OUTER_STEP_TOL * (1.0 + np.abs(theta))):
+            return _SearchResult(theta, value, it, True)
+        cand_value, cand_xi = evaluate(cand)
+        moved = cand_value < value
+        if moved:
+            theta, value, xi = cand, cand_value, cand_xi
+            lam /= 3.0
+        else:
+            lam = max(3.0 * lam, 1.0)
+    return _SearchResult(theta, value, MAX_OUTER_ITER, False)
+
+
 def fit_divergence(
     sample: SortedSample,
     model: SplqModel,
     divergence: DivergenceSpec,
-    *,
-    xatol: float = 1e-8,
-    fatol: float = 1e-10,
 ) -> FitReport:
-    """Minimum-divergence fit: one box-clamped Nelder-Mead over the dual criterion.
+    """Minimum-divergence fit: one projected Gauss-Newton search over the dual criterion.
 
-    ``xatol`` and ``fatol`` are Nelder-Mead's absolute tolerances on theta
-    and on the criterion; ``diagnostics["start"]`` names the start used.
+    ``diagnostics["start"]`` names the start used; ``outer_iterations``
+    counts the steps tried and ``criterion_evaluations`` the criterion
+    calls, the re-solve at the estimate included.
     """
     try:
         skeleton = make_dual_problem(
@@ -195,16 +258,18 @@ def fit_divergence(
     start, start_name = lmoment_method_start(sample, model), "lmoment"
     if start is None:
         start, start_name = model.box.mean(axis=1), "box_centre"
-    res = scipy.optimize.minimize(
-        lambda th: evaluate(th)[0],
-        start,
-        method="Nelder-Mead",
-        options={"xatol": xatol, "fatol": fatol, "maxiter": MAX_OUTER_ITER},
-    )
-    if not np.isfinite(res.fun):
+    res = _outer_search(evaluate, start)
+    if not np.isfinite(res.value) and evaluate.chi2 is None:
+        # the chi-square criterion is finite wherever the target map is, and
+        # its estimate puts the target near m_n, which is inside the cone of
+        # the rows; from there the inner solve can start
+        chi2 = _Criterion(dataclasses.replace(skeleton, divergence=CHI2), model)
+        start, start_name = _outer_search(chi2, start).theta, "chi2"
+        res = _outer_search(evaluate, start)
+    if not np.isfinite(res.value):
         raise EstimationError("the inner solve failed at every point of the outer search")
 
-    theta_hat = model.clip_to_box(res.x)
+    theta_hat = res.theta
     criterion, xi_hat = evaluate(theta_hat)
     final = evaluate.last
     if final is not None and not final.converged:
@@ -222,11 +287,11 @@ def fit_divergence(
         method=f"divergence:{divergence.family}",
         param_names=model.param_names,
         diagnostics={
-            "outer_iterations": int(res.nit),
+            "outer_iterations": res.iterations,
             **evaluate.diagnostics,
             "boundary": at_boundary,
             "start": start_name,
-            "outer_converged": bool(res.success),
+            "outer_converged": res.converged,
         },
     )
 

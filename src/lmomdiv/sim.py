@@ -131,8 +131,7 @@ def draw_sample(config: ScenarioConfig, replicate: int) -> SortedSample:
 
 def _fit_one(sample: SortedSample, estimator: str) -> tuple[float, float]:
     if estimator in ("chi2", "klm"):
-        report = fit_divergence(sample, gpd_model(), divergence_by_name(estimator),
-                                xatol=1e-6, fatol=1e-9)
+        report = fit_divergence(sample, gpd_model(), divergence_by_name(estimator))
         return float(report.theta[0]), float(report.theta[1])
     if estimator == "lmom":
         return fit_lmoment_method_gpd(sample)

@@ -22,6 +22,7 @@ from lmomdiv.estimator import (
 from lmomdiv.lmoments import SortedSample, lambda_covariance
 from lmomdiv.models import ParametricFamily, gpd_model, model_by_name, order_stat_model_3
 from lmomdiv.sim import ScenarioConfig, draw_sample, run_scenario
+from oracles import primal_bruteforce
 
 
 def grid_sample(fam, n):
@@ -55,7 +56,8 @@ def test_fit_report_contents():
     assert report.method == "divergence:chi2"
     assert report.param_names == ("sigma", "nu")
     assert report.xi.shape == (3,)
-    assert {"outer_iterations", "inner_failures", "boundary"} <= set(report.diagnostics)
+    assert {"outer_iterations", "criterion_evaluations", "inner_failures",
+            "boundary"} <= set(report.diagnostics)
     d = report.to_dict()
     assert set(d["theta"]) == {"sigma", "nu"}
 
@@ -98,19 +100,36 @@ def test_tied_sample_klm_fit_converges_quickly():
     assert np.allclose(report.theta, [0.17967014, 0.76425852], rtol=0.0, atol=1e-6)
 
 
-@pytest.mark.parametrize("scenario", [1, 2, 3, 4])
+def _nelder_mead_case(case):
+    """(model, samples, start) of one case of the Nelder-Mead reference test."""
+    if case == "many-zeros":
+        # from the box centre Nelder-Mead ends in another local minimum on
+        # the sigma edge (0.5031 at nu = -2.28); the reference is the search
+        # the fit itself ran before, from the L-moment start
+        model = gpd_model()
+        sample = SortedSample(np.concatenate(
+            [np.zeros(15), np.random.default_rng(0).exponential(size=5)]))
+        return model, [sample], estimator.lmoment_method_start(sample, model)
+    if case == "weibull":
+        model = model_by_name("weibull-l234")
+        sample = mc_sample(ParametricFamily("weibull", 2.0, 0.8), 100, seed=4)
+        return model, [sample], model.box.mean(axis=1)
+    model, config = gpd_model(), ScenarioConfig.preset(case, n=100)
+    return model, [draw_sample(config, stream) for stream in (0, 1)], model.box.mean(axis=1)
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3, 4, "many-zeros", "weibull"])
 def test_box_centre_start_does_not_beat_the_fit(scenario):
-    # the reference is the second start the fit once ran: a Nelder-Mead from
-    # the box centre on the closed-form chi-square criterion
-    model = gpd_model()
-    config = ScenarioConfig.preset(scenario, n=100)
-    for stream in (0, 1):
-        sample = draw_sample(config, stream)
-        report = fit_divergence(sample, model, CHI2, xatol=1e-6, fatol=1e-9)
+    # the reference is a Nelder-Mead on the closed-form chi-square criterion,
+    # from the box centre (the second start the fit once ran) or, on the
+    # many-zeros sample, from the fit's own start
+    model, samples, start = _nelder_mead_case(scenario)
+    for sample in samples:
+        report = fit_divergence(sample, model, CHI2)
         ref = scipy.optimize.minimize(
             lambda th: chi2_value_closed_form(
                 sample, model.constraint_values, model.target_map(model.clip_to_box(th)))[0],
-            model.box.mean(axis=1),
+            start,
             method="Nelder-Mead", options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 2000},
         )
         assert ref.fun >= report.criterion * (1.0 - 1e-9)
@@ -118,7 +137,7 @@ def test_box_centre_start_does_not_beat_the_fit(scenario):
 
 def sim_klm_fit(scenario, stream):
     sample = draw_sample(ScenarioConfig.preset(scenario, n=100, seed=stream), 0)
-    return fit_divergence(sample, gpd_model(), KLM, xatol=1e-6, fatol=1e-9)
+    return fit_divergence(sample, gpd_model(), KLM)
 
 
 def test_klm_scenario_fits_converge_in_few_evaluations():
@@ -166,11 +185,11 @@ def test_unconverged_solve_during_the_search_counts_as_inf(monkeypatch):
 def fail_at_the_estimate(monkeypatch):
     """Every inner solve after the outer search ends in maxIter."""
     searched = []
-    minimize = scipy.optimize.minimize
+    outer_search = estimator._outer_search
     solve = estimator.solve_dual
 
     def search(*args, **kwargs):
-        res = minimize(*args, **kwargs)
+        res = outer_search(*args, **kwargs)
         searched.append(True)
         return res
 
@@ -178,14 +197,14 @@ def fail_at_the_estimate(monkeypatch):
         sol = solve(problem, xi0=xi0)
         return dataclasses.replace(sol, status="maxIter", iterations=200) if searched else sol
 
-    monkeypatch.setattr(scipy.optimize, "minimize", search)
+    monkeypatch.setattr(estimator, "_outer_search", search)
     monkeypatch.setattr(estimator, "solve_dual", solve_dual)
 
 
 def test_unconverged_solve_at_the_estimate_raises(fail_at_the_estimate):
     s = draw_sample(ScenarioConfig.preset(1, n=100), 0)
     with pytest.raises(EstimationError, match="maxIter after 200 Newton iterations"):
-        fit_divergence(s, gpd_model(), KLM, xatol=1e-6, fatol=1e-9)
+        fit_divergence(s, gpd_model(), KLM)
 
 
 def test_unconverged_solve_at_the_estimate_is_a_recorded_error(fail_at_the_estimate):
@@ -211,11 +230,56 @@ def test_fit_small_sample_raises():
 def test_envelope_gradient_vanishes_at_optimum():
     s = mc_sample(ParametricFamily("gpd", 3.0, 0.2), 400, seed=3)
     model = gpd_model()
-    report = fit_divergence(s, model, CHI2)
+    for div in (CHI2, KL, KLM):
+        report = fit_divergence(s, model, div)
+        assert not report.diagnostics["boundary"]
+        g = envelope_gradient(model, report.theta, report.xi)
+        # scale-free comparison against the multiplier magnitude
+        assert np.linalg.norm(g) < 1e-7 * (1.0 + np.linalg.norm(report.xi)), div.family
+
+
+@pytest.mark.parametrize("div", [CHI2, KL, KLM], ids=lambda d: d.family)
+def test_envelope_gradient_matches_finite_difference(div):
+    s = mc_sample(ParametricFamily("gpd", 3.0, 0.2), 200, seed=5)
+    model = gpd_model()
+    criterion = estimator._Criterion(
+        make_dual_problem(s, model.constraint_values, div, np.zeros(3)), model)
+    theta = np.array([3.5, 0.15])
+    _, xi = criterion(theta)
+    g = envelope_gradient(model, theta, xi)
+    fd = np.empty(2)
+    for j, h in enumerate(1e-5 * theta):
+        e = np.eye(2)[j] * h
+        fd[j] = (criterion(theta + e)[0] - criterion(theta - e)[0]) / (2.0 * h)
+    assert np.allclose(g, fd, rtol=1e-6, atol=0.0)
+
+
+def test_kl_fit_on_four_points_leaves_the_box_edge():
+    # this fit once stopped on the sigma = 1e-3 edge at Nelder-Mead's iteration cap
+    s = SortedSample(np.array([0.5, 1.2, 3.1, 7.9]))
+    model = gpd_model()
+    report = fit_divergence(s, model, KL)
+    assert report.diagnostics["boundary"] is False
+    assert report.diagnostics["outer_converged"] is True
+    primal, _ = primal_bruteforce(s, model.constraint_values, model.target_map(report.theta), KL)
+    assert report.criterion == pytest.approx(primal, rel=1e-9, abs=0.0)
+
+
+def test_infeasible_start_falls_back_to_the_chi2_estimate():
+    # the cold inner solve at the Weibull box centre fails; the chi-square
+    # estimate is a start the inner solve reaches
+    s = draw_sample(ScenarioConfig.preset(3, n=30, seed=555), 0)
+    report = fit_divergence(s, model_by_name("weibull-l234"), KL)
+    assert report.diagnostics["start"] == "chi2"
+    assert report.diagnostics["outer_converged"] is True
     assert not report.diagnostics["boundary"]
-    g = envelope_gradient(model, report.theta, report.xi)
-    # scale-free comparison against the multiplier magnitude
-    assert np.linalg.norm(g) < 1e-4 * (1.0 + np.linalg.norm(report.xi))
+
+
+def test_criterion_evaluations_cover_the_inner_solves():
+    report = sim_klm_fit(2, 0)
+    diag = report.diagnostics
+    assert diag["criterion_evaluations"] >= sum(diag["inner_status"].values()) > 0
+    assert diag["outer_iterations"] > 0
 
 
 def test_weibull_model_fit():
