@@ -31,6 +31,12 @@ from .divergence import CHI2, DivergenceSpec, ConjugateDomainError
 from .lmoments import SortedSample
 
 _UNBOUNDED_VALUE = 1e12
+#: a solve converges at a gradient below this times 1 + |target|
+_GRAD_TOL = 1e-9
+#: Newton steps a solve may take
+_MAX_NEWTON_ITER = 200
+#: sufficient-increase fraction of the line search
+_ARMIJO = 1e-4
 #: fraction of the way to the conjugate's domain edge a line search may go
 _EDGE_FRACTION = 0.99
 #: "stalled" is a line search that found no ascent, or an unbounded value
@@ -144,18 +150,13 @@ def _ratio_test(z, dz, domain) -> float:
     return t
 
 
-def solve_dual(
-    problem: DualProblem,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-    armijo: float = 1e-4,
-    xi0=None,
-) -> DualSolution:
+def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     """Damped Newton ascent with a ratio-test line search.
 
     Starts from ``xi0`` when its nodes ``kmat @ xi0`` lie inside the
     conjugate's domain, from zero otherwise.  Converged means a gradient
-    below ``tol * (1 + |target|)`` in the max norm.  A solve that stops
+    below ``_GRAD_TOL * (1 + |target|)`` in the max norm, within
+    ``_MAX_NEWTON_ITER`` steps.  A solve that stops
     short of that runs ``cone_witness``: without a witness the status is
     ``infeasibleDirection``, with one the solve failed (``maxIter`` or
     ``stalled``) and its value is only a lower bound.
@@ -170,12 +171,12 @@ def solve_dual(
     evaluations = 1
     scale = 1.0 + np.linalg.norm(problem.target)
     failure = "maxIter"
-    for it in range(max_iter + 1):
+    for it in range(_MAX_NEWTON_ITER + 1):
         grad = problem.gradient(xi, z)
         gnorm = float(np.max(np.abs(grad)))
-        if gnorm <= tol * scale:
+        if gnorm <= _GRAD_TOL * scale:
             return DualSolution(xi, value, gnorm, it, evaluations, "converged")
-        if it == max_iter:
+        if it == _MAX_NEWTON_ITER:
             break
         if value > _UNBOUNDED_VALUE:
             failure = "stalled"
@@ -199,7 +200,7 @@ def solve_dual(
             except ConjugateDomainError:
                 # only a node within rounding of the edge gets here
                 cand_value = -np.inf
-            if cand_value >= value + armijo * t * slope:
+            if cand_value >= value + _ARMIJO * t * slope:
                 break
             t *= 0.5
         else:

@@ -19,7 +19,7 @@ each criterion evaluation is one Newton solve of the dual, warm-started from
 the last converged one (``_Criterion``).  A failed inner solve is never the
 criterion: it counts +inf during the search, which rejects the step, and
 makes the fit raise ``EstimationError`` at the estimate.
-The plug-in Sigma uses the triangle rule of ``lmoments.triangle_covariance``.
+The plug-in Omega and Sigma run in quantile space (``asymptotic_covariance``).
 
 The GPD maximum likelihood comparison estimator is a one-dimensional profile
 search (Grimshaw, Technometrics 35, 1993): for ``theta = nu / sigma`` the
@@ -49,23 +49,20 @@ from .dualsolve import (
     solve_dual,
 )
 from .lmoments import (
-    Quad2DConfig,
     SortedSample,
-    gauss_legendre,
     legendre_rows,
+    plugin_second_moments,
     sample_lmoments_v,
     triangle_covariance,
 )
 from .models import SplqModel, ParametricFamily, model_jacobian
 
-#: the plug-in support is cut where 1 - F falls below this
-_TAIL_EPS = 1e-10
-#: Gauss points of the 1-D rule for the plug-in Omega
-_N_OMEGA = 2000
 #: iteration cap of the outer search
 MAX_OUTER_ITER = 2000
 #: the outer search stops on a step below this times 1 + |theta_j| in every coordinate
 _OUTER_STEP_TOL = 1e-10
+#: eigenvalues of the multiplier covariance below this times the largest are rank lost
+_RANK_TOL = 1e-10
 #: upper edge of the GPD MLE's shape box [-5, 5]
 _MLE_NU_MAX = 5.0
 #: grid of log1p(theta * x_max) scanned by the GPD MLE, geometric on both sides of 0
@@ -340,21 +337,15 @@ def asymptotic_covariance(
 ) -> CovarianceReport:
     """Plug-in asymptotic covariance blocks at ``theta_hat``.
 
-    Both integrals run against the plug-in cdf over a support truncated
-    where ``F(1-F)`` is negligible.  The second-moment matrix uses a 1-D
-    Gauss rule; the long-run covariance the triangle rule of
-    ``lmoments.triangle_covariance`` on its default grid.
+    Omega (second moments of the constraint rows) and Sigma (long-run
+    covariance of the constraint moments; Hosking, JRSS-B 52, 1990) are
+    integrals under the plug-in law over ``F(x) <= 1 - 1e-10``, on one Gauss
+    rule in ``s = -log(1 - F)`` with ``dx = plugin.quantile_slope(s) ds``.
+    The cut keeps both finite where Sigma does not exist (GPD ``nu >= 1/2``).
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
-    lo = plugin.support[0]
-    hi = min(plugin.support[1], plugin.quantile(1.0 - _TAIL_EPS))
-    cdf = plugin.cdf
-
-    x, w = gauss_legendre(_N_OMEGA, lo, hi)
-    rows = np.atleast_2d(model.constraint_values(np.clip(cdf(x), 0.0, 1.0)))
-    omega = (rows.T * w) @ rows
-
-    sigma = triangle_covariance(cdf, _rows_deriv(model), (lo, hi), Quad2DConfig())
+    omega = plugin_second_moments(plugin, model.constraint_values)
+    sigma = triangle_covariance(plugin, _rows_deriv(model))
 
     j0 = model_jacobian(model, theta_hat)
     try:
@@ -385,8 +376,7 @@ class ConfidenceStat:
     rank_adjusted: bool
 
 
-def confidence_stat(xi_hat, p_mat, sigma_mat, n: int,
-                    rank_tol: float = 1e-10) -> ConfidenceStat:
+def confidence_stat(xi_hat, p_mat, sigma_mat, n: int) -> ConfidenceStat:
     """Model-membership statistic from the scaled multiplier estimate.
 
     When the middle matrix is numerically singular (the generic case, its
@@ -398,7 +388,7 @@ def confidence_stat(xi_hat, p_mat, sigma_mat, n: int,
     middle = 0.5 * (middle + middle.T)
     evals, evecs = np.linalg.eigh(middle)
     top = float(np.max(np.abs(evals)))
-    keep = evals > rank_tol * top
+    keep = evals > _RANK_TOL * top
     rank = int(np.count_nonzero(keep))
     if rank == 0:
         extreme = float(evals[np.argmax(np.abs(evals))])

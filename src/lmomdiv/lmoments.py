@@ -2,7 +2,8 @@
 
 Sample statistics integrate the piecewise-constant empirical quantile
 function exactly against the polynomial basis; no quadrature ever touches
-observed data.  Quadrature appears only for population quantities.
+observed data.  Quadrature appears only for population quantities; the
+plug-in blocks of the asymptotics share one Gauss rule in ``-log(1 - u)``.
 """
 
 from __future__ import annotations
@@ -31,16 +32,6 @@ class QuadratureError(RuntimeError):
         super().__init__(f"{message} (estimate={estimate!r}, error={error!r})")
         self.estimate = estimate
         self.error = error
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """1-D quadrature settings for population L-moments."""
-
-    method: str = "adaptive"   # "adaptive" | "gauss"
-    tol: float = 1e-9
-    gauss_points: int = 256
-    limit: int = 200
 
 
 @dataclass(frozen=True)
@@ -160,19 +151,23 @@ def sample_lmoments_u(sample: SortedSample, max_order: int) -> LmomentVector:
     return LmomentVector(vals, "u-statistic")
 
 
-def population_lmoments(
-    quantile,
-    max_order: int,
-    quad: QuadConfig | None = None,
-) -> LmomentVector:
+#: absolute and relative tolerance of ``population_lmoments``
+_POP_TOL = 1e-9
+#: subinterval limit of ``population_lmoments``
+_POP_LIMIT = 200
+
+
+def population_lmoments(quantile, max_order: int) -> LmomentVector:
     """Population L-moments of a distribution given by its quantile function.
 
-    Integrates ``quantile(t) * L_{r-1}(t)`` over (0, 1).  The adaptive rule
-    (default) handles the integrable endpoint blow-up of heavy-tailed
-    quantile functions; a fixed Gauss rule is available for smooth cases.
+    Integrates ``quantile(t) * L_{r-1}(t)`` over (0, 1) by adaptive
+    quadrature, which handles the integrable endpoint blow-up of
+    heavy-tailed quantile functions.
     """
+    # imported on first use, to keep it out of the package import time
+    import scipy.integrate as spi
+
     _check_max_order(max_order)
-    quad = quad or QuadConfig()
     vals = np.empty(max_order)
     for r in range(1, max_order + 1):
         coeffs = legendre_coefficients(r - 1)
@@ -180,24 +175,11 @@ def population_lmoments(
         def integrand(t, _c=coeffs):
             return quantile(t) * _horner(_c, t)
 
-        if quad.method == "adaptive":
-            # imported on first use, to keep it out of the package import time
-            import scipy.integrate as spi
-
-            est, err = spi.quad(
-                integrand, 0.0, 1.0, epsabs=quad.tol, epsrel=quad.tol,
-                limit=quad.limit,
-            )
-            if not np.isfinite(est) or err > max(quad.tol, 1e-6 * (1 + abs(est))):
-                raise QuadratureError(
-                    f"population L-moment of order {r} did not converge",
-                    est, err,
-                )
-        elif quad.method == "gauss":
-            t, weights = gauss_legendre(quad.gauss_points, 0.0, 1.0)
-            est = float(weights @ integrand(t))
-        else:
-            raise ValueError(f"unknown quadrature method {quad.method!r}")
+        est, err = spi.quad(integrand, 0.0, 1.0, epsabs=_POP_TOL, epsrel=_POP_TOL,
+                            limit=_POP_LIMIT)
+        if not np.isfinite(est) or err > max(_POP_TOL, 1e-6 * (1 + abs(est))):
+            raise QuadratureError(
+                f"population L-moment of order {r} did not converge", est, err)
         vals[r - 1] = est
     return LmomentVector(vals, "population")
 
@@ -241,22 +223,42 @@ def discrete_lmoments(support, weights) -> LmomentVector:
     return LmomentVector(vals, "population")
 
 
-_leggauss = functools.lru_cache(maxsize=16)(roots_legendre)
-
-
-def gauss_legendre(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule on [a, b]; a (k, 1) array ``a`` gives k rules."""
-    nodes, weights = _leggauss(n)
+def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [a, b]."""
+    nodes, weights = roots_legendre(n)
     half = 0.5 * (b - a)
     return half * (nodes + 1.0) + a, half * weights
 
 
-@dataclass(frozen=True)
-class Quad2DConfig:
-    """Tensor Gauss grid for the double integral of the covariance matrix."""
+# ---------------------------------------------------------------------------
+# plug-in integrals under a fitted law, in s = -log(1 - u) for u = F(x): there
+# dx = (dQ/ds) ds in closed form, and 1 - u = exp(-s) is exact in the tail
 
-    nx: int = 200
-    ny: int = 200
+#: the plug-in integrals stop where 1 - F falls to this
+_TAIL_EPS = 1e-10
+#: Gauss-Legendre points per axis of the plug-in rule
+_RULE_POINTS = 200
+
+
+@functools.lru_cache(maxsize=1)
+def _graded_rule():
+    """``(s, ws, t, wt)``: the plug-in rule on ``0 <= s <= t <= T = -log(_TAIL_EPS)``.
+
+    One Gauss-Legendre rule in r on [0, 1] gives the outer nodes
+    ``s = T r^3`` (shape ``(n,)``) and, for each, the inner nodes
+    ``t = s + (T - s) r^3`` on [s, T] (shape ``(n, n)``).  The cube grades
+    the nodes toward ``s = 0`` and ``t = s``, where a Weibull
+    ``dQ/ds = (sigma/nu) s^(1/nu - 1)`` is steep or singular.
+    """
+    top = -np.log(_TAIL_EPS)
+    r, w = gauss_legendre(_RULE_POINTS, 0.0, 1.0)
+    cube, dcube = r ** 3, 3.0 * r ** 2 * w
+    s = top * cube
+    gap = (top - s)[:, None]
+    rule = s, top * dcube, s[:, None] + gap * cube, gap * dcube
+    for arr in rule:                 # cached: every caller shares these arrays
+        arr.setflags(write=False)
+    return rule
 
 
 def legendre_rows(orders):
@@ -267,44 +269,39 @@ def legendre_rows(orders):
     return rows
 
 
-def triangle_covariance(
-    cdf,
-    row_deriv,
-    support: tuple[float, float],
-    quad: Quad2DConfig,
-) -> np.ndarray:
-    """Long-run covariance of integrated constraint rows, by a triangle rule.
+def plugin_second_moments(family, rows) -> np.ndarray:
+    """Integral of ``rows(F(x))^T rows(F(x))`` dx under the plug-in ``family``.
 
-    Entry (r, s) integrates
-    ``[D_r(F(x)) D_s(F(y)) + D_r(F(y)) D_s(F(x))] F(x)(1 - F(y))``
-    over the triangle x < y inside ``support``, where ``row_deriv`` maps
-    levels u to the row derivatives D(u), of shape ``u.shape + (c,)``.  The
-    caller truncates the support where ``F(x)(1-F(x))`` is negligible.
+    Summed on the outer nodes of the plug-in rule; ``rows`` maps levels u to
+    the constraint rows K(u), of shape ``u.shape + (c,)``.
     """
-    a, b = support
-    if not b > a:
-        raise ValueError("empty support interval")
-    x, wxs = gauss_legendre(quad.nx, a, b)              # (nx,)
-    y, wys = gauss_legendre(quad.ny, x[:, None], b)     # (nx, ny), y on [x, b]
-    fx = np.clip(np.asarray(cdf(x), dtype=float), 0.0, 1.0)
-    fy = np.clip(np.asarray(cdf(y), dtype=float), 0.0, 1.0)
-    base = fx[:, None] * (1.0 - fy) * wys
-    # the integrand is A + A^T, A_rs = D_r(F(x)) D_s(F(y)) F(x)(1 - F(y))
-    inner = np.einsum("ijs,ij->is", row_deriv(fy), base)   # (nx, c)
-    a_mat = (row_deriv(fx).T * wxs) @ inner
+    s, ws, _, _ = _graded_rule()
+    k = rows(-np.expm1(-s))
+    return (k.T * (ws * family.quantile_slope(s))) @ k
+
+
+def triangle_covariance(family, row_deriv) -> np.ndarray:
+    """Long-run covariance of integrated constraint rows under the plug-in ``family``.
+
+    Entry (a, b) integrates
+    ``[D_a(F(x)) D_b(F(y)) + D_a(F(y)) D_b(F(x))] F(x)(1 - F(y))``
+    over ``x < y`` on the plug-in support, where ``row_deriv`` maps levels u
+    to the row derivatives D(u), of shape ``u.shape + (c,)``.
+    """
+    s, ws, t, wt = _graded_rule()
+    u = -np.expm1(-s)
+    # F(x)(1 - F(y)) dy on the inner nodes
+    base = u[:, None] * np.exp(-t) * (wt * family.quantile_slope(t))
+    # the integrand is A + A^T, A_ab = D_a(F(x)) D_b(F(y)) F(x)(1 - F(y))
+    inner = np.einsum("ijs,ij->is", row_deriv(-np.expm1(-t)), base)   # (n, c)
+    a_mat = (row_deriv(u).T * (ws * family.quantile_slope(s))) @ inner
     return a_mat + a_mat.T
 
 
-def lambda_covariance(
-    cdf,
-    max_order: int,
-    support: tuple[float, float],
-    quad: Quad2DConfig | None = None,
-) -> np.ndarray:
-    """Asymptotic covariance of the first ``max_order`` sample L-moments.
+def lambda_covariance(family, max_order: int) -> np.ndarray:
+    """Asymptotic covariance of the first ``max_order`` sample L-moments under ``family``.
 
-    The triangle rule of ``triangle_covariance`` with D_r = L_{r-1}.
+    ``triangle_covariance`` with D_r = L_{r-1}.
     """
     _check_max_order(max_order)
-    return triangle_covariance(cdf, legendre_rows(range(1, max_order + 1)),
-                               support, quad or Quad2DConfig())
+    return triangle_covariance(family, legendre_rows(range(1, max_order + 1)))

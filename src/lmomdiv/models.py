@@ -167,6 +167,17 @@ class ParametricFamily:
             out = s * (-np.log1p(-u)) ** (1.0 / v)
         return out if out.ndim else float(out)
 
+    def quantile_slope(self, s):
+        """dQ/ds at ``s = -log(1 - u)``, in closed form.
+
+        The plug-in integrals run in ``s``, where ``dx = (dQ/ds) ds``; the
+        equivalent ``(1 - u) / density(Q(u))`` is 0/0 at the support ends.
+        """
+        s = np.asarray(s, dtype=float)
+        if self.name == "gpd":
+            return self.sigma * np.exp(self.nu * s)
+        return (self.sigma / self.nu) * s ** (1.0 / self.nu - 1.0)
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-cdf sampling from an externally supplied RNG stream."""
         return self.quantile(rng.random(n))

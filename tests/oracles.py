@@ -1,6 +1,9 @@
 """Test oracles: independent computations the library is checked against."""
 
 import numpy as np
+from numpy.polynomial import Legendre, Polynomial
+from scipy.integrate import quad
+from scipy.special import gamma, gammainc
 
 from lmomdiv.divergence import DivergenceSpec
 from lmomdiv.dualsolve import cone_witness, make_dual_problem
@@ -63,3 +66,112 @@ def primal_bruteforce(
     out = np.zeros(sample.n - 1)
     out[sample.spacings > 0.0] = s
     return val, out
+
+
+# ---------------------------------------------------------------------------
+# plug-in blocks of the asymptotics over u <= 1 - eps, in closed form
+#
+# With z = 1 - u = exp(-s), s in [0, T], T = -log(eps), every row and row
+# derivative is a polynomial in z, and dx = (dQ/ds) ds.  For the GPD,
+# dQ/ds = sigma exp(nu s), so each block is a finite sum of integrals
+# of exp(-m s): (1 - exp(-m T)) / m.
+
+
+def _legendre_in_z(r: int, integrated: bool) -> np.ndarray:
+    """Coefficients in z = 1 - u of L_{r-1}(u), or of its integral from 0 to u."""
+    p = Legendre.basis(r - 1, domain=[0.0, 1.0]).convert(kind=Polynomial)
+    if integrated:
+        p = p.integ(lbnd=0.0)
+    return p(Polynomial([1.0, -1.0])).coef
+
+
+def _exp_integral(m, top):
+    """Integral of exp(-m s) over [0, top]."""
+    return top if m == 0.0 else -np.expm1(-m * top) / m
+
+
+def gpd_plugin_omega(sigma: float, nu: float, orders, eps: float = 1e-10) -> np.ndarray:
+    """Integral of K_a(F) K_b(F) dx under GPD(sigma, nu), orders a, b >= 2."""
+    top = -np.log(eps)
+    k = [_legendre_in_z(r, integrated=True) for r in orders]
+    out = np.empty((len(orders), len(orders)))
+    for a, ka in enumerate(k):
+        for b, kb in enumerate(k):
+            c = np.polynomial.polynomial.polymul(ka, kb)
+            out[a, b] = sigma * sum(ci * _exp_integral(i - nu, top)
+                                    for i, ci in enumerate(c))
+    return out
+
+
+def gpd_plugin_sigma(sigma: float, nu: float, orders, eps: float = 1e-10) -> np.ndarray:
+    """Long-run covariance of the rows with derivatives L_{r-1}, under GPD(sigma, nu < 1).
+
+    Entry (a, b) is A_ab + A_ba with
+    A_ab = int_{x<y} L_{a-1}(F(x)) L_{b-1}(F(y)) F(x)(1 - F(y)) dx dy.
+    """
+    if not nu < 1.0:
+        raise ValueError("the closed form needs nu < 1")
+    top = -np.log(eps)
+    d = [_legendre_in_z(r, integrated=False) for r in orders]
+    # L(u) u as a polynomial in z
+    du = [np.polynomial.polynomial.polymul(di, [1.0, -1.0]) for di in d]
+    a_mat = np.empty((len(orders), len(orders)))
+    for a in range(len(orders)):
+        for b in range(len(orders)):
+            total = 0.0
+            for j, dj in enumerate(d[b]):
+                # inner: int_s^T z^(j+1) e^(nu t) dt = (e^(-m s) - e^(-m T)) / m
+                m = j + 1.0 - nu
+                for i, ai in enumerate(du[a]):
+                    total += ai * dj / m * (_exp_integral(i - nu + m, top)
+                                            - np.exp(-m * top) * _exp_integral(i - nu, top))
+            a_mat[a, b] = sigma * sigma * total
+    return a_mat + a_mat.T
+
+
+def weibull_plugin_omega(sigma: float, nu: float, orders, eps: float = 1e-10) -> np.ndarray:
+    """Integral of K_a(F) K_b(F) dx under Weibull(sigma, nu), orders a, b >= 2.
+
+    dQ/ds = (sigma / nu) s^(1/nu - 1), and the integral of z^k = exp(-k s)
+    against it over [0, T] is sigma Gamma(1 + 1/nu) P(1/nu, k T) / k^(1/nu).
+    """
+    top = -np.log(eps)
+    k = [_legendre_in_z(r, integrated=True) for r in orders]
+    shape = 1.0 / nu
+    out = np.empty((len(orders), len(orders)))
+    for a, ka in enumerate(k):
+        for b, kb in enumerate(k):
+            c = np.polynomial.polynomial.polymul(ka, kb)
+            # K vanishes at u = 1, so c_0 = c_1 = 0
+            out[a, b] = sum(ci * sigma * gamma(1.0 + shape) * gammainc(shape, i * top)
+                            / i ** shape for i, ci in enumerate(c) if i >= 2)
+    return out
+
+
+def weibull_plugin_sigma(sigma: float, nu: float, orders, eps: float = 1e-10) -> np.ndarray:
+    """``gpd_plugin_sigma`` for Weibull(sigma, nu), by one adaptive quadrature per entry.
+
+    The inner integral over [s, T] is a sum of incomplete gamma functions,
+    as in ``weibull_plugin_omega``; the outer one runs in s against the
+    weight s^(1/nu - 1) (``quad(weight="alg")``).
+    """
+    top = -np.log(eps)
+    shape = 1.0 / nu
+    d = [_legendre_in_z(r, integrated=False) for r in orders]
+    scale = sigma * gamma(1.0 + shape)
+
+    def inner(s, db):
+        return sum(dj * scale * (gammainc(shape, (j + 1) * top) - gammainc(shape, (j + 1) * s))
+                   / (j + 1) ** shape for j, dj in enumerate(db))
+
+    a_mat = np.empty((len(orders), len(orders)))
+    for a, da in enumerate(d):
+        for b, db in enumerate(d):
+            def outer(s):
+                z = np.exp(-s)
+                return np.polynomial.polynomial.polyval(z, da) * -np.expm1(-s) * inner(s, db)
+
+            val, _ = quad(outer, 0.0, top, weight="alg", wvar=(shape - 1.0, 0.0),
+                          epsabs=1e-14 * sigma * sigma, epsrel=1e-12, limit=200)
+            a_mat[a, b] = sigma / nu * val
+    return a_mat + a_mat.T

@@ -8,7 +8,12 @@ import pytest
 
 from lmomdiv.cli import main, read_column
 from lmomdiv.divergence import CHI2
-from lmomdiv.estimator import asymptotic_covariance, confidence_stat, fit_divergence
+from lmomdiv.estimator import (
+    EstimationError,
+    asymptotic_covariance,
+    confidence_stat,
+    fit_divergence,
+)
 from lmomdiv.lmoments import SortedSample, sample_lmoments_v
 from lmomdiv.models import ParametricFamily, weibull_model
 
@@ -134,17 +139,35 @@ def test_orderstat_test_is_usage_error(data_file, capsys):
     assert "no plug-in law" in capsys.readouterr().err
 
 
-def test_multiplier_covariance_without_rank(tmp_path, capsys):
-    # for this GPD(3, 0.4) sample the plug-in multiplier covariance has no
-    # positive eigenvalue, so S_n and its p-value do not exist: `test` fails,
-    # while `fit --asymptotics` still reports theta's covariance and says why
-    # the statistic is missing
+def test_cli_fit_law_sample_has_a_statistic(tmp_path, capsys):
+    # a GPD(3, 0.4) sample of 1000 whose plug-in multiplier covariance had no
+    # positive eigenvalue when Sigma came from a quadrature in x; in quantile
+    # space it is positive semi-definite and S_n exists
     x = ParametricFamily("gpd", 3.0, 0.4).sample(1000, np.random.default_rng([11, 3]))
-    p = tmp_path / "rank0.csv"
+    p = tmp_path / "cli-fit.csv"
     p.write_text("\n".join(map(repr, x.tolist())) + "\n")
-    assert main(["test", str(p), "--json"]) == 3
-    assert "no positive eigenvalue" in capsys.readouterr().err
+    assert main(["test", str(p), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 0.0 <= out["p_value"] <= 1.0
     assert main(["fit", str(p), "--asymptotics", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 0.0 <= out["confidence"]["p_value"] <= 1.0
+    assert "confidence_error" not in out["diagnostics"]
+
+
+def test_multiplier_covariance_without_rank(data_file, capsys, monkeypatch):
+    # when the plug-in multiplier covariance has no positive eigenvalue, S_n
+    # and its p-value do not exist: `test` fails, while `fit --asymptotics`
+    # still reports theta's covariance and says why the statistic is missing
+    def no_rank(*args):
+        raise EstimationError("multiplier covariance has no positive eigenvalue "
+                              "(largest in magnitude: -1.0)")
+
+    monkeypatch.setattr("lmomdiv.cli.confidence_stat", no_rank)
+    path, _ = data_file
+    assert main(["test", path, "--json"]) == 3
+    assert "no positive eigenvalue" in capsys.readouterr().err
+    assert main(["fit", path, "--asymptotics", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert "confidence" not in out
     assert "no positive eigenvalue" in out["diagnostics"]["confidence_error"]

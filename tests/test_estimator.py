@@ -22,7 +22,7 @@ from lmomdiv.estimator import (
 from lmomdiv.lmoments import SortedSample, lambda_covariance
 from lmomdiv.models import ParametricFamily, gpd_model, model_by_name, order_stat_model_3
 from lmomdiv.sim import ScenarioConfig, draw_sample, run_scenario
-from oracles import primal_bruteforce
+from oracles import gpd_plugin_omega, gpd_plugin_sigma, primal_bruteforce
 
 
 def grid_sample(fam, n):
@@ -303,10 +303,20 @@ def gpd_cov():
 def test_sigma_is_lmoment_covariance_block(gpd_cov):
     # [DERIVED] the gpd-l234 rows are K_2..K_4, whose derivatives are
     # L_1..L_3: Sigma is the order 2-4 block of the L-moment covariance on
-    # the same grid and the same truncated support
-    fam = ParametricFamily("gpd", 3.0, 0.1)
-    lam = lambda_covariance(fam.cdf, 4, (0.0, fam.quantile(1.0 - 1e-10)))
+    # the same rule
+    lam = lambda_covariance(ParametricFamily("gpd", 3.0, 0.1), 4)
     assert np.allclose(gpd_cov.sigma, lam[1:, 1:], rtol=1e-13, atol=0.0)
+
+
+def test_plugin_blocks_at_the_cli_fit_law():
+    # [DERIVED] GPD(3, 0.4): Omega and Sigma against their closed forms over
+    # u <= 1 - 1e-10 (tests/oracles.py), entrywise in units of the diagonal
+    cov = asymptotic_covariance(np.array([3.0, 0.4]), gpd_model(),
+                                ParametricFamily("gpd", 3.0, 0.4))
+    for got, ref in ((cov.omega, gpd_plugin_omega(3.0, 0.4, (2, 3, 4))),
+                     (cov.sigma, gpd_plugin_sigma(3.0, 0.4, (2, 3, 4)))):
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.all(np.abs(got - ref) <= 1e-9 * scale)
 
 
 def test_projection_identities(gpd_cov):

@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from lmomdiv.lmoments import (
     LmomentVector,
-    Quad2DConfig,
-    QuadConfig,
     SortedSample,
     discrete_lmoments,
     gauss_legendre,
     lambda_covariance,
     legendre_rows,
     lmoment_ratios,
+    plugin_second_moments,
     population_lmoments,
     sample_lmoments_u,
     sample_lmoments_v,
@@ -22,7 +21,16 @@ from lmomdiv.lmoments import (
     vstat_weights,
 )
 from lmomdiv.models import ParametricFamily
-from lmomdiv.poly import integrated_legendre_eval, shifted_legendre_eval
+from lmomdiv.poly import PolyBasis, integrated_legendre_eval, shifted_legendre_eval
+from oracles import (
+    gpd_plugin_omega,
+    gpd_plugin_sigma,
+    weibull_plugin_omega,
+    weibull_plugin_sigma,
+)
+
+#: the uniform law on [0, 1]: Q(u) = u
+UNIFORM = ParametricFamily("gpd", 1.0, -1.0)
 
 
 def test_sorted_sample_basics():
@@ -131,17 +139,10 @@ def test_population_uniform():
 
 
 def test_population_matches_closed_form_gpd():
-    fam = ParametricFamily("gpd", 3.0, 0.7)
-    lam = population_lmoments(fam.quantile, 4)
-    assert np.allclose(lam.values[1:], fam.lmoments(), rtol=1e-6)
-
-
-def test_population_gauss_rule_agrees():
-    fam = ParametricFamily("gpd", 1.0, -0.5)
-    adaptive = population_lmoments(fam.quantile, 3)
-    gauss = population_lmoments(fam.quantile, 3,
-                                quad=QuadConfig(method="gauss", gauss_points=512))
-    assert np.allclose(adaptive.values, gauss.values, atol=1e-8)
+    # a heavy tail and a bounded support
+    for fam in (ParametricFamily("gpd", 3.0, 0.7), ParametricFamily("gpd", 1.0, -0.5)):
+        lam = population_lmoments(fam.quantile, 4)
+        assert np.allclose(lam.values[1:], fam.lmoments(), rtol=1e-6)
 
 
 def test_population_step_function_matches_v():
@@ -168,8 +169,7 @@ def test_ratios():
 def test_lambda_covariance_uniform():
     # [DERIVED] uniform on [0,1]: Lambda_{11} = 1/12, and by orthogonality
     # Lambda_{rr} = 1 / ((2r-1)(2r+1)(2r+3)) has been cross-checked at r=1
-    cov = lambda_covariance(lambda x: np.clip(x, 0.0, 1.0), 4,
-                            support=(0.0, 1.0))
+    cov = lambda_covariance(UNIFORM, 4)
     assert cov.shape == (4, 4)
     assert cov[0, 0] == pytest.approx(1.0 / 12.0, abs=1e-8)
     assert np.allclose(cov, cov.T)
@@ -186,38 +186,70 @@ def test_lambda_covariance_monte_carlo_uniform():
     w = vstat_weights(n, (1, 2, 3, 4))
     stats = u @ w
     mc = np.cov(stats.T) * n
-    cov = lambda_covariance(lambda x: np.clip(x, 0.0, 1.0), 4,
-                            support=(0.0, 1.0))
+    cov = lambda_covariance(UNIFORM, 4)
     assert np.linalg.norm(mc - cov) < 0.15 * np.linalg.norm(cov) + 5e-4
 
 
-def test_lambda_covariance_grid_config():
-    cov_a = lambda_covariance(lambda x: np.clip(x, 0.0, 1.0), 2,
-                              support=(0.0, 1.0))
-    cov_b = lambda_covariance(lambda x: np.clip(x, 0.0, 1.0), 2,
-                              support=(0.0, 1.0),
-                              quad=Quad2DConfig(nx=400, ny=400))
-    assert np.allclose(cov_a, cov_b, atol=1e-8)
+def _block_error(got, ref):
+    """Largest |got - ref| entry in units of sqrt(ref_aa ref_bb)."""
+    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+    return float(np.max(np.abs(got - ref) / scale))
+
+
+@pytest.mark.parametrize("nu", [-5.0, -1.0, -0.3, 0.1, 0.4, 0.45, 0.6, 0.9])
+def test_plugin_blocks_match_gpd_closed_form(nu):
+    # [DERIVED] over u <= 1 - 1e-10 the GPD blocks are finite sums of
+    # exponential integrals (tests/oracles.py); above nu = 1/2 only the cut
+    # keeps Sigma finite, and the rule must still match it
+    fam = ParametricFamily("gpd", 3.0, nu)
+    assert _block_error(lambda_covariance(fam, 4),
+                        gpd_plugin_sigma(3.0, nu, (1, 2, 3, 4))) <= 1e-9
+    assert _block_error(plugin_second_moments(fam, PolyBasis((2, 3, 4))),
+                        gpd_plugin_omega(3.0, nu, (2, 3, 4))) <= 1e-9
+
+
+def test_weibull_unit_shape_is_the_exponential_gpd():
+    # [DERIVED] Weibull(sigma, 1) = GPD(sigma, 0), through a different dQ/ds
+    fam = ParametricFamily("weibull", 2.5, 1.0)
+    assert _block_error(lambda_covariance(fam, 4),
+                        gpd_plugin_sigma(2.5, 0.0, (1, 2, 3, 4))) <= 1e-9
+    assert _block_error(plugin_second_moments(fam, PolyBasis((2, 3, 4))),
+                        gpd_plugin_omega(2.5, 0.0, (2, 3, 4))) <= 1e-9
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.5, 2.0, 5.0, 20.0])
+def test_plugin_blocks_match_weibull_incomplete_gamma_forms(nu):
+    # [DERIVED] Omega is sum_k c_k sigma Gamma(1 + 1/nu) P(1/nu, k T) / k^(1/nu);
+    # Sigma has the inner integral in incomplete gamma functions and the outer
+    # one by adaptive quadrature against s^(1/nu - 1), singular at 0 for nu > 1
+    fam = ParametricFamily("weibull", 3.0, nu)
+    assert _block_error(lambda_covariance(fam, 4),
+                        weibull_plugin_sigma(3.0, nu, (1, 2, 3, 4))) <= 1e-9
+    assert _block_error(plugin_second_moments(fam, PolyBasis((2, 3, 4))),
+                        weibull_plugin_omega(3.0, nu, (2, 3, 4))) <= 1e-9
 
 
 def test_triangle_rule_matches_entrywise_sum():
     # the A + A^T evaluation against the defining integrand, summed entry by
-    # entry over the same nodes; only the summation order differs
+    # entry over the same nodes: s = T r^3 outside, t = s + (T - s) r^3 inside,
+    # with dx = (dQ/ds) ds; only the summation order differs
     fam = ParametricFamily("gpd", 3.0, 0.3)
-    a, b = 0.0, fam.quantile(1.0 - 1e-10)
-    quad = Quad2DConfig(nx=40, ny=30)
     rows = legendre_rows((1, 2, 3, 4))
+    top = -math.log(1e-10)
+    r, w = gauss_legendre(200, 0.0, 1.0)
     ref = np.zeros((4, 4))
-    x, wx = gauss_legendre(quad.nx, a, b)
-    for xi, wxi in zip(x, wx):
-        y, wy = gauss_legendre(quad.ny, xi, b)
-        fx, fy = fam.cdf(xi), fam.cdf(y)
+    for si, wsi in zip(top * r ** 3, 3.0 * top * r ** 2 * w):
+        t = si + (top - si) * r ** 3
+        wt = 3.0 * (top - si) * r ** 2 * w
+        fx, fy = -math.expm1(-si), -np.expm1(-t)
         dx, dy = rows(fx), rows(fy)
-        for r in range(4):
-            for s in range(4):
-                integrand = (dx[r] * dy[:, s] + dy[:, r] * dx[s]) * fx * (1.0 - fy)
-                ref[r, s] += wxi * (wy @ integrand)
-    got = triangle_covariance(fam.cdf, rows, (a, b), quad)
+        wx = wsi * fam.quantile_slope(si)
+        wy = wt * fam.quantile_slope(t)
+        for a in range(4):
+            for b in range(4):
+                integrand = (dx[a] * dy[:, b] + dy[:, a] * dx[b]) * fx * np.exp(-t)
+                ref[a, b] += wx * (wy @ integrand)
+    got = triangle_covariance(fam, rows)
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     assert np.array_equal(got, got.T)
 

@@ -92,6 +92,25 @@ def test_quantile_inverts_cdf(fam):
 
 
 @pytest.mark.parametrize("fam", [
+    ParametricFamily("gpd", 3.0, 0.7),
+    ParametricFamily("gpd", 2.0, -0.5),
+    ParametricFamily("gpd", 1.0, 0.0),
+    ParametricFamily("weibull", 3.0, 0.4),
+    ParametricFamily("weibull", 1.0, 2.0),
+])
+def test_quantile_slope_is_the_derivative_in_log_tail(fam):
+    # dQ/ds for s = -log(1 - u), against a central difference of Q, and
+    # against (1 - u) / f(Q(u)) away from the support ends
+    s = np.linspace(0.1, 10.0, 25)
+    h = 1e-6
+    fd = (fam.quantile(-np.expm1(-(s + h))) - fam.quantile(-np.expm1(-(s - h)))) / (2 * h)
+    assert np.allclose(fam.quantile_slope(s), fd, rtol=1e-6)
+    u = -np.expm1(-s)
+    assert np.allclose(fam.quantile_slope(s), np.exp(-s) / fam.density(fam.quantile(u)),
+                       rtol=1e-9)
+
+
+@pytest.mark.parametrize("fam", [
     ParametricFamily("gpd", 3.0, 0.5),
     ParametricFamily("gpd", 2.0, -0.5),
     ParametricFamily("weibull", 3.0, 0.4),
