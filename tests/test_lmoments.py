@@ -145,6 +145,15 @@ def test_population_matches_closed_form_gpd():
         assert np.allclose(lam.values[1:], fam.lmoments(), rtol=1e-6)
 
 
+def test_population_gauss_rule_agrees():
+    # the adaptive rule against a fixed Gauss-Legendre sum on a bounded law
+    fam = ParametricFamily("gpd", 1.0, -0.5)
+    adaptive = population_lmoments(fam.quantile, 3)
+    u, w = gauss_legendre(512, 0.0, 1.0)
+    gauss = [w @ (fam.quantile(u) * shifted_legendre_eval(r - 1, u)) for r in (1, 2, 3)]
+    assert np.allclose(adaptive.values, gauss, atol=1e-8)
+
+
 def test_population_step_function_matches_v():
     # a quantile function stepping on {1, 2, 4} is the empirical quantile
     def quantile(u):
