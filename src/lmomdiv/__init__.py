@@ -5,6 +5,12 @@ finite set of linear constraints on the quantile function (L-moments or,
 more generally, expectations of order statistics).  Estimation minimizes a
 convex divergence between the empirical quantile measure and the constrained
 set, computed through its finite-dimensional concave dual.
+
+Importing the package loads numpy and no scipy module, and so do the
+divergence fits, their asymptotics and the model test.  scipy is imported
+inside the few functions that use it: the classical GPD moment and maximum
+likelihood fits, the L1 density distance, the Weibull Jacobian, the cone LP
+after a failed inner solve and the adaptive population L-moments.
 """
 
 from .poly import PolyBasis, shifted_legendre_eval, integrated_legendre_eval

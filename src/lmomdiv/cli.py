@@ -38,39 +38,38 @@ class UsageError(Exception):
 
 
 def read_column(path: str, col: int = 0) -> np.ndarray:
-    """Numeric column from a CSV file; a non-numeric first row is a header."""
-    rows = []
-    bad_lines = []
+    """Numeric column from a CSV file; a non-numeric first row is a header.
+
+    Blank rows are skipped.  A short row, a non-numeric cell after line 1
+    and a non-finite value are bad lines, all reported in one error.  A
+    UTF-8 byte-order mark is not part of the first cell.
+    """
+    values, lines, bad_lines = [], [], []
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, start=1):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if col >= len(row):
-                    bad_lines.append(lineno)
-                    continue
-                cell = row[col].strip()
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
                 try:
-                    value = float(cell)
-                except ValueError:
-                    if lineno == 1 and not rows:
-                        continue   # header
-                    bad_lines.append(lineno)
+                    value = float(row[col])   # float strips whitespace itself
+                except (ValueError, IndexError) as exc:
+                    # a blank row is skipped and a non-numeric line 1 is a header
+                    if any(c.strip() for c in row) and (
+                            isinstance(exc, IndexError) or lineno > 1):
+                        bad_lines.append(lineno)
                     continue
-                if not np.isfinite(value):
-                    bad_lines.append(lineno)
-                    continue
-                rows.append(value)
-    except OSError as exc:
+                values.append(value)
+                lines.append(lineno)
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
-    if bad_lines:
+    data = np.array(values)
+    finite = np.isfinite(data)
+    if bad_lines or not finite.all():
+        bad_lines = sorted(bad_lines + [lines[i] for i in np.flatnonzero(~finite)])
         raise UsageError(
             f"non-numeric or non-finite entries on lines {bad_lines} of {path}"
         )
-    if len(rows) < 2:
+    if data.size < 2:
         raise UsageError(f"{path} holds fewer than two usable values")
-    return np.array(rows)
+    return data
 
 
 def _fmt(x: float) -> str:

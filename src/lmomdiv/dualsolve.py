@@ -24,8 +24,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import linprog
 
 from .divergence import CHI2, DivergenceSpec, ConjugateDomainError
 from .lmoments import SortedSample
@@ -46,6 +44,21 @@ SOLVE_STATUSES = ("converged", "infeasibleDirection", "maxIter", "stalled")
 
 class SingularConstraintError(np.linalg.LinAlgError):
     """Constraint system is rank deficient for this sample."""
+
+
+def require_finite(*arrays) -> None:
+    """Raise ``ValueError`` on a NaN or inf entry.
+
+    ``np.linalg`` carries such entries into NaN factors and solutions without
+    raising; every linear system of the package is checked here first.
+    """
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("linear system contains infs or NaNs")
+
+
+def _cho_solve(low: np.ndarray, b) -> np.ndarray:
+    """``a^-1 b`` from the lower Cholesky factor ``low`` of ``a``."""
+    return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
 @dataclass(frozen=True)
@@ -182,14 +195,14 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             failure = "stalled"
             break
         neg_h = -problem.hessian(xi, z)
+        require_finite(neg_h, grad)
         reg = 0.0
         while True:
             try:
-                chol = scipy.linalg.cho_factor(neg_h + reg * np.eye(c))
+                step = _cho_solve(np.linalg.cholesky(neg_h + reg * np.eye(c)), grad)
                 break
             except np.linalg.LinAlgError:
                 reg = max(2.0 * reg, 1e-12)
-        step = scipy.linalg.cho_solve(chol, grad)
         dz = problem.kmat @ step
         slope = float(grad @ step)
         t = _ratio_test(z, dz, domain)
@@ -227,6 +240,8 @@ def cone_witness(problem: DualProblem) -> np.ndarray | None:
         return s0
     # s = delta * (v + m) with v >= 0 and m <= 1; kmat.T @ s is then
     # (a * delta).T @ v + m * m_n
+    from scipy.optimize import linprog   # runs only after a failed solve
+
     m = delta.size
     cost = np.zeros(m + 1)
     cost[-1] = -1.0
@@ -244,14 +259,16 @@ def chi2_solver(omega: np.ndarray, m_n: np.ndarray):
 
     The conjugate is quadratic, so the maximizer solves Omega xi = target - m_n.
     """
+    require_finite(omega)
     try:
-        chol = scipy.linalg.cho_factor(omega)
-    except scipy.linalg.LinAlgError:
+        low = np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
         raise SingularConstraintError("empirical second-moment matrix is singular")
 
     def solve(target) -> tuple[float, np.ndarray]:
         resid = np.asarray(target, dtype=float) - m_n
-        xi = scipy.linalg.cho_solve(chol, resid)
+        require_finite(resid)
+        xi = _cho_solve(low, resid)
         return 0.5 * float(resid @ xi), xi
 
     return solve
@@ -284,9 +301,11 @@ def wasserstein_fit_inner(
     # sum_i K(i/n)(y_{i+1}-y_i) = sum_j y_j [K((j-1)/n) - K(j/n)]
     b = kfull[:-1] - kfull[1:]                           # (n, c)
     gram = b.T @ b                                       # (c, c)
+    rhs = b.T @ x - target
+    require_finite(gram, rhs)
     try:
-        mu = scipy.linalg.solve(gram, b.T @ x - target, assume_a="pos")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        mu = _cho_solve(np.linalg.cholesky(gram), rhs)
+    except np.linalg.LinAlgError:
         raise SingularConstraintError("constraint rows are rank deficient")
     y = x - b @ mu
     cost = float(np.mean((x - y) ** 2))

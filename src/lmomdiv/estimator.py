@@ -31,12 +31,10 @@ Brent search refines each; the box edge ``nu = 5`` is part of the profile.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
-from scipy.special import chdtrc
 
 from .divergence import CHI2, DivergenceSpec
 from .dualsolve import (
@@ -46,6 +44,7 @@ from .dualsolve import (
     chi2_solver,
     make_dual_problem,
     omega_empirical,
+    require_finite,
     solve_dual,
 )
 from .lmoments import (
@@ -348,9 +347,10 @@ def asymptotic_covariance(
     sigma = triangle_covariance(plugin, _rows_deriv(model))
 
     j0 = model_jacobian(model, theta_hat)
+    require_finite(omega, j0)
     try:
-        omega_inv = scipy.linalg.inv(omega)
-    except scipy.linalg.LinAlgError:
+        omega_inv = np.linalg.inv(omega)
+    except np.linalg.LinAlgError:
         raise EstimationError(
             f"singular second-moment matrix (cond={np.linalg.cond(omega):.3e})"
         )
@@ -359,12 +359,39 @@ def asymptotic_covariance(
         raise EstimationError(
             f"rank-deficient Jacobian (cond={np.linalg.cond(j0):.3e})"
         )
-    m = scipy.linalg.inv(m_inner)
+    require_finite(m_inner)
+    m = np.linalg.inv(m_inner)
     m = 0.5 * (m + m.T)
     h = m @ j0.T @ omega_inv
     p = omega_inv - omega_inv @ j0 @ m @ j0.T @ omega_inv
     return CovarianceReport(sigma=sigma, omega=omega, j0=j0, m=m, h=h,
                             p=0.5 * (p + p.T))
+
+
+def _chi2_sf(df: int, x: float) -> float:
+    """P(X > x) for X chi-square with integer ``df >= 1``, in closed form.
+
+    Abramowitz & Stegun 26.4.4-26.4.5: ``exp(-x/2) sum_{j<df/2} (x/2)^j / j!``
+    for even ``df``; for odd ``df``, ``erfc(sqrt(x/2))`` plus
+    ``sqrt(2/pi) exp(-x/2) sum_{r=1}^{(df-1)/2} x^(r-1/2) / (1*3*...*(2r-1))``.
+    The exponential rides in the first term, so large ``x`` underflows to 0.
+    """
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    if df % 2 == 0:
+        term = total = math.exp(-0.5 * x)
+        for j in range(1, df // 2):
+            term *= 0.5 * x / j
+            total += term
+        return total
+    total = math.erfc(math.sqrt(0.5 * x))
+    term = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x) * math.sqrt(x)
+    for r in range(1, (df + 1) // 2):
+        total += term
+        term *= x / (2 * r + 1)
+    return total
 
 
 @dataclass(frozen=True)
@@ -404,7 +431,7 @@ def confidence_stat(xi_hat, p_mat, sigma_mat, n: int) -> ConfidenceStat:
         s_n = float(n * xi_hat @ inv @ xi_hat)
         df = rank
     return ConfidenceStat(
-        s_n=s_n, df=df, p_value=float(chdtrc(df, s_n)),
+        s_n=s_n, df=df, p_value=_chi2_sf(df, s_n),
         rank=rank, rank_adjusted=not full,
     )
 
@@ -451,7 +478,9 @@ def fit_moment_method_gpd(sample: SortedSample) -> tuple[float, float]:
     lo, hi = -5.0, 1.0 / 3.0 - 1e-6
     if not _gpd_skewness(lo) < t3 < _gpd_skewness(hi):
         raise EstimationError(f"sample skewness {t3!r} outside the GPD range")
-    nu = scipy.optimize.brentq(lambda v: _gpd_skewness(v) - t3, lo, hi, xtol=1e-12)
+    from scipy.optimize import brentq
+
+    nu = brentq(lambda v: _gpd_skewness(v) - t3, lo, hi, xtol=1e-12)
     sigma = float(np.sqrt(var * (1.0 - nu) ** 2 * (1.0 - 2.0 * nu)))
     return sigma, float(nu)
 
@@ -516,11 +545,13 @@ def fit_mle_gpd(sample: SortedSample) -> tuple[float, float]:
     xmax = float(x[-1])
     y = x / xmax
 
+    from scipy.optimize import minimize_scalar
+
     # a local minimum lies where the slope turns from negative to nonnegative
     slope = _gpd_profile(_MLE_W, y)[1]
     best = None
     for i in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0)):
-        res = scipy.optimize.minimize_scalar(
+        res = minimize_scalar(
             lambda w: _gpd_profile(np.array([w]), y)[0][0],
             bounds=(_MLE_W[i], _MLE_W[i + 1]), method="bounded",
             options={"xatol": 1e-12})

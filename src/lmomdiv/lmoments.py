@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .poly import (
     MAX_ORDER,
@@ -225,7 +225,7 @@ def discrete_lmoments(support, weights) -> LmomentVector:
 
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule on [a, b]."""
-    nodes, weights = roots_legendre(n)
+    nodes, weights = leggauss(n)
     half = 0.5 * (b - a)
     return half * (nodes + 1.0) + a, half * weights
 

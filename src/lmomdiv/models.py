@@ -11,11 +11,10 @@ quantile measure with minus the L-moment.  User-facing reports always show
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, gamma
 from typing import Callable
 
 import numpy as np
-from scipy.special import digamma, gamma as gamma_fn
 
 from .poly import PolyBasis
 
@@ -64,7 +63,7 @@ def weibull_lmoment_map(sigma: float, nu: float) -> np.ndarray:
     c2 = 1.0 - 2.0 ** (-1.0 / nu)
     c3 = 1.0 - 3.0 ** (-1.0 / nu)
     c4 = 1.0 - 4.0 ** (-1.0 / nu)
-    lam2 = sigma * c2 * gamma_fn(1.0 + 1.0 / nu)
+    lam2 = sigma * c2 * gamma(1.0 + 1.0 / nu)
     lam3 = lam2 * (3.0 - 2.0 * c3 / c2)
     lam4 = lam2 * (6.0 + (5.0 * c4 - 10.0 * c3) / c2)
     return np.array([lam2, lam3, lam4])
@@ -72,13 +71,15 @@ def weibull_lmoment_map(sigma: float, nu: float) -> np.ndarray:
 
 def weibull_lmoment_jacobian(sigma: float, nu: float) -> np.ndarray:
     """Analytic Jacobian of :func:`weibull_lmoment_map` w.r.t. (sigma, nu)."""
+    from scipy.special import digamma
+
     lam = weibull_lmoment_map(sigma, nu)
     d_sigma = lam / sigma
 
     c = {k: 1.0 - k ** (-1.0 / nu) for k in (2, 3, 4)}
     # d/dnu of 1 - k**(-1/nu)
     dc = {k: -(k ** (-1.0 / nu)) * np.log(k) / nu ** 2 for k in (2, 3, 4)}
-    gam = gamma_fn(1.0 + 1.0 / nu)
+    gam = gamma(1.0 + 1.0 / nu)
     dgam = -gam * digamma(1.0 + 1.0 / nu) / nu ** 2
     lam2 = lam[0]
     dlam2 = sigma * (dc[2] * gam + c[2] * dgam)

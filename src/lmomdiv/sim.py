@@ -13,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import scipy.optimize
 
 from .divergence import divergence_by_name
 from .estimator import (
@@ -228,6 +227,8 @@ def l1_density_distance(f1: ParametricFamily, f2: ParametricFamily) -> float:
     root error moves the sum only to second order, since f1 = f2 at a
     crossing.  Always lies in [0, 2] and is symmetric in its arguments.
     """
+    from scipy.optimize import brentq
+
     hi = _density_upper_bound(f1, f2)
 
     def diff(x):
@@ -245,7 +246,7 @@ def l1_density_distance(f1: ParametricFamily, f2: ParametricFamily) -> float:
     sign = sign[sign != 0]
     (change,) = np.nonzero(sign[:-1] != sign[1:])
     crossings = [
-        scipy.optimize.brentq(diff, grid[i], grid[i + 1], xtol=1e-12)
+        brentq(diff, grid[i], grid[i + 1], xtol=1e-12)
         for i in change
     ]
     edges = np.array([0.0, *crossings, np.inf])

@@ -1,10 +1,13 @@
 """Test oracles: independent computations the library is checked against."""
 
+import csv
+
 import numpy as np
 from numpy.polynomial import Legendre, Polynomial
 from scipy.integrate import quad
 from scipy.special import gamma, gammainc
 
+from lmomdiv.cli import UsageError
 from lmomdiv.divergence import DivergenceSpec
 from lmomdiv.dualsolve import cone_witness, make_dual_problem
 from lmomdiv.lmoments import SortedSample
@@ -175,3 +178,45 @@ def weibull_plugin_sigma(sigma: float, nu: float, orders, eps: float = 1e-10) ->
                           epsabs=1e-14 * sigma * sigma, epsrel=1e-12, limit=200)
             a_mat[a, b] = sigma / nu * val
     return a_mat + a_mat.T
+
+
+def read_column_rowwise(path: str, col: int = 0) -> np.ndarray:
+    """Row-by-row CSV column reader, one finiteness test per value.
+
+    The reference for ``lmomdiv.cli.read_column``: the same rules (only line
+    1 can be a header, blank rows are skipped, short rows and non-finite
+    values are bad lines) checked cell by cell.  It does not strip a UTF-8
+    byte-order mark.
+    """
+    rows = []
+    bad_lines = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for lineno, row in enumerate(reader, start=1):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if col >= len(row):
+                    bad_lines.append(lineno)
+                    continue
+                cell = row[col].strip()
+                try:
+                    value = float(cell)
+                except ValueError:
+                    if lineno == 1 and not rows:
+                        continue   # header
+                    bad_lines.append(lineno)
+                    continue
+                if not np.isfinite(value):
+                    bad_lines.append(lineno)
+                    continue
+                rows.append(value)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
+    if bad_lines:
+        raise UsageError(
+            f"non-numeric or non-finite entries on lines {bad_lines} of {path}"
+        )
+    if len(rows) < 2:
+        raise UsageError(f"{path} holds fewer than two usable values")
+    return np.array(rows)

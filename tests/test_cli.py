@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -5,8 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lmomdiv.cli import main, read_column
+from lmomdiv.cli import UsageError, main, read_column
 from lmomdiv.divergence import CHI2
 from lmomdiv.estimator import (
     EstimationError,
@@ -16,6 +18,7 @@ from lmomdiv.estimator import (
 )
 from lmomdiv.lmoments import SortedSample, sample_lmoments_v
 from lmomdiv.models import ParametricFamily, weibull_model
+from oracles import read_column_rowwise
 
 
 @pytest.fixture
@@ -46,6 +49,58 @@ def test_read_column_rejects_bad_rows(tmp_path):
     p.write_text("1.0\noops\n3.0\n")
     with pytest.raises(UsageError):
         read_column(str(p))
+
+
+# cells of generated CSV files: numbers, padded numbers, blanks, words and
+# non-finite values
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["", " ", "\t", " 1.5 ", "\t-2e3", "x", "value", "1e400",
+                     "nan", "inf", "-Infinity", "1,5"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_CELLS, max_size=3), max_size=8),
+       col=st.integers(0, 2))
+def test_read_column_matches_rowwise_reader(tmp_path_factory, rows, col):
+    # one pass with one vectorized finiteness test reads what the row-wise
+    # reader reads, and names the same bad lines in the same order
+    path = str(tmp_path_factory.mktemp("csv") / "gen.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(",".join(row) for row in rows) + "\n")
+    outcomes = []
+    for reader in (read_column, read_column_rowwise):
+        try:
+            outcomes.append(reader(path, col))
+        except UsageError as exc:
+            outcomes.append(str(exc))
+    new, ref = outcomes
+    if isinstance(ref, str):
+        assert new == ref
+    else:
+        assert np.array_equal(new, ref)
+
+
+def test_read_column_skips_a_byte_order_mark(tmp_path, capsys):
+    # the mark once made line 1 non-numeric, so its value was dropped as a header
+    p = tmp_path / "bom.csv"
+    p.write_text("\ufeff1.5\n2.5\n3.5\n", encoding="utf-8")
+    assert main(["lmoments", str(p), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
+
+
+def test_read_column_bom_header_is_still_a_header(tmp_path):
+    p = tmp_path / "bom-header.csv"
+    p.write_text("\ufeffx\n1.5\n2.5\n", encoding="utf-8")
+    assert read_column(str(p)).tolist() == [1.5, 2.5]
+
+
+def test_read_column_rejects_undecodable_bytes(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("x\n1.5\n2,5 \u00e9\n".encode("latin-1"))
+    assert main(["lmoments", str(p)]) == 2
 
 
 def test_lmoments_command(data_file, capsys):
@@ -284,3 +339,66 @@ def test_cli_import_skips_scipy_stats_and_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_loads_no_scipy():
+    code = f"import sys, lmomdiv.cli; print({_SCIPY_LOADED})"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_benchmark_commands_load_no_scipy(tmp_path):
+    # the four commands of a cli-fit cycle and `lmoments` run on numpy alone;
+    # each prints its result and leaves no scipy module behind
+    x = ParametricFamily("gpd", 3.0, 0.4).sample(1000, np.random.default_rng([0, 0]))
+    path = tmp_path / "gpd.csv"
+    path.write_text("x\n" + "\n".join(map(repr, x.tolist())) + "\n")
+    commands = [
+        ["fit", str(path), "--asymptotics", "--json"],
+        ["fit", str(path), "--div", "klm", "--json"],
+        ["fit", str(path), "--div", "kl", "--json"],
+        ["test", str(path), "--json"],
+        ["lmoments", str(path), "--json"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from lmomdiv.cli import main\n"
+        "out = []\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        f"    out.append([code, {_SCIPY_LOADED}])\n"
+        "print(json.dumps(out))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == [[0, []]] * len(commands)
+
+
+@pytest.mark.parametrize("poison", ["omega", "jacobian"])
+def test_non_finite_covariance_exits_3(data_file, monkeypatch, capsys, poison):
+    # a NaN in Omega or in the Jacobian given to asymptotic_covariance is a
+    # numeric failure with a message, never a NaN covariance in the output
+    from lmomdiv import cli, estimator
+
+    if poison == "omega":
+        monkeypatch.setattr(estimator, "plugin_second_moments",
+                            lambda *a: np.full((3, 3), np.nan))
+    else:
+        real = estimator.asymptotic_covariance
+
+        def nan_jacobian(theta, model, plugin):
+            model = dataclasses.replace(
+                model, lmoment_jacobian=lambda th: np.full((3, 2), np.nan))
+            return real(theta, model, plugin)
+
+        monkeypatch.setattr(cli, "asymptotic_covariance", nan_jacobian)
+    path, _ = data_file
+    assert main(["fit", path, "--asymptotics", "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "infs or NaNs" in err

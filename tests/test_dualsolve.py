@@ -3,6 +3,7 @@ import pytest
 
 from lmomdiv.divergence import CHI2, KL, KLM, DivergenceSpec, power_divergence
 from lmomdiv.dualsolve import (
+    DualProblem,
     chi2_value_closed_form,
     cone_witness,
     empirical_constraint_moments,
@@ -164,6 +165,25 @@ def test_infeasible_direction_detected():
     s = SortedSample(np.array([0.0, 1.0]))
     sol = solve_dual(make_dual_problem(s, basis, KL, np.array([5.0])))
     assert sol.status == "infeasibleDirection"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_newton_system_raises(monkeypatch, bad):
+    # np.linalg.cholesky returns NaNs or infs here without raising; the
+    # solve must fail instead of taking a non-finite step
+    s = random_sample(0)
+    target = perturbed_target(s, (2, 3, 4), (1.1, 0.9, 1.0))
+    problem = make_dual_problem(s, PolyBasis((2, 3, 4)), KL, target)
+    hessian = DualProblem.hessian
+
+    def poisoned(self, xi, z=None):
+        h = hessian(self, xi, z)
+        h[0, 0] = bad
+        return h
+
+    monkeypatch.setattr(DualProblem, "hessian", poisoned)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_dual(problem)
 
 
 def test_klm_step_past_the_domain_edge_needs_no_domain_error(monkeypatch):

@@ -8,7 +8,7 @@ import scipy.optimize
 from lmomdiv import estimator
 from lmomdiv.cli import main
 from lmomdiv.divergence import CHI2, KL, KLM
-from lmomdiv.dualsolve import chi2_value_closed_form, make_dual_problem
+from lmomdiv.dualsolve import chi2_value_closed_form, make_dual_problem, solve_dual
 from lmomdiv.estimator import (
     EstimationError,
     asymptotic_covariance,
@@ -265,14 +265,35 @@ def test_kl_fit_on_four_points_leaves_the_box_edge():
     assert report.criterion == pytest.approx(primal, rel=1e-9, abs=0.0)
 
 
-def test_infeasible_start_falls_back_to_the_chi2_estimate():
-    # the cold inner solve at the Weibull box centre fails; the chi-square
-    # estimate is a start the inner solve reaches
+def test_infeasible_start_falls_back_to_the_chi2_estimate(monkeypatch):
+    # the first inner solve, at the Weibull box centre, reports a target
+    # outside the cone, so the start's criterion is +inf by construction; the
+    # chi-square estimate is a start the inner solve reaches
+    calls = []
+
+    def first_solve_infeasible(problem, xi0=None):
+        sol = solve_dual(problem, xi0=xi0)
+        calls.append(sol)
+        if len(calls) == 1:
+            return dataclasses.replace(sol, status="infeasibleDirection")
+        return sol
+
+    monkeypatch.setattr(estimator, "solve_dual", first_solve_infeasible)
     s = draw_sample(ScenarioConfig.preset(3, n=30, seed=555), 0)
     report = fit_divergence(s, model_by_name("weibull-l234"), KL)
     assert report.diagnostics["start"] == "chi2"
     assert report.diagnostics["outer_converged"] is True
     assert not report.diagnostics["boundary"]
+
+
+def test_weibull_kl_box_centre_fit_needs_no_restart():
+    # [REGRESSION] the cold solve at the box centre of this sample once ended
+    # in maxIter after 4,912 objective evaluations, and the fit reached
+    # criterion 0.17450296284881214 only through the chi-square restart
+    s = draw_sample(ScenarioConfig.preset(3, n=30, seed=555), 0)
+    report = fit_divergence(s, model_by_name("weibull-l234"), KL)
+    assert report.criterion <= 0.17450296284881214 * (1.0 + 1e-12)
+    assert report.diagnostics["inner_evaluations"] <= 1000
 
 
 def test_criterion_evaluations_cover_the_inner_solves():
@@ -298,6 +319,29 @@ def gpd_cov():
     model = gpd_model()
     theta = np.array([3.0, 0.1])
     return asymptotic_covariance(theta, model, ParametricFamily("gpd", 3.0, 0.1))
+
+
+def _poisoned_jacobian(model, scale):
+    """``model`` with every Jacobian entry multiplied by ``scale``."""
+    return dataclasses.replace(
+        model, lmoment_jacobian=lambda th: scale * model.lmoment_jacobian(th))
+
+
+@pytest.mark.parametrize("poison", ["omega", "jacobian", "m"])
+def test_non_finite_covariance_blocks_raise(monkeypatch, poison):
+    # np.linalg.inv returns NaNs here without raising; a non-finite Omega,
+    # Jacobian or M must end the covariance, never give a NaN one
+    model, plugin = gpd_model(), ParametricFamily("gpd", 3.0, 0.1)
+    if poison == "omega":
+        monkeypatch.setattr(estimator, "plugin_second_moments",
+                            lambda *a: np.full((3, 3), np.nan))
+    elif poison == "jacobian":
+        model = _poisoned_jacobian(model, np.nan)
+    else:
+        # finite entries whose M = J^T Omega^-1 J overflows
+        model = _poisoned_jacobian(model, 1e300)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        asymptotic_covariance([3.0, 0.1], model, plugin)
 
 
 def test_sigma_is_lmoment_covariance_block(gpd_cov):
@@ -371,6 +415,20 @@ def test_confidence_stat_full_rank_path():
     assert not stat.rank_adjusted
     assert stat.df == 2
     assert stat.s_n == pytest.approx(50 * 0.1)
+
+
+@pytest.mark.parametrize("df", range(1, 11))
+def test_chi2_survival_matches_scipy(df):
+    from scipy.special import chdtrc
+
+    for x in [0.0, *np.geomspace(1e-8, 1e3, 200)]:
+        assert estimator._chi2_sf(df, x) == pytest.approx(chdtrc(df, x), rel=1e-12, abs=0.0)
+
+
+def test_chi2_survival_ends():
+    assert estimator._chi2_sf(3, -1.0) == 1.0
+    assert estimator._chi2_sf(3, np.inf) == 0.0
+    assert estimator._chi2_sf(4, 1e4) == 0.0
 
 
 # ---------------------------------------------------------------------------
