@@ -7,9 +7,9 @@ convex divergence between the empirical quantile measure and the constrained
 set, computed through its finite-dimensional concave dual.
 
 Importing the package loads numpy and no scipy module, and so do the
-divergence fits, their asymptotics and the model test.  scipy is imported
-inside the few functions that use it: the classical GPD moment and maximum
-likelihood fits, the L1 density distance, the Weibull Jacobian, the cone LP
+divergence fits, their asymptotics, the model test, the classical GPD fits,
+the L1 density distance and the Monte Carlo replicates.  scipy is imported
+inside the few functions that use it: the Weibull Jacobian, the cone LP
 after a failed inner solve and the adaptive population L-moments.
 """
 

@@ -24,8 +24,9 @@ The plug-in Omega and Sigma run in quantile space (``asymptotic_covariance``).
 The GPD maximum likelihood comparison estimator is a one-dimensional profile
 search (Grimshaw, Technometrics 35, 1993): for ``theta = nu / sigma`` the
 best shape is ``mean(log1p(theta * x))``, so ``-log L`` is a function of
-``theta`` alone.  One vectorized scan locates its local minima and a bounded
-Brent search refines each; the box edge ``nu = 5`` is part of the profile.
+``theta`` alone.  One vectorized scan locates its local minima and a root
+search on the profile's slope refines each; the box edge ``nu = 5`` is part
+of the profile.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .lmoments import (
     triangle_covariance,
 )
 from .models import SplqModel, ParametricFamily, model_jacobian
+from .roots import bracketed_root
 
 #: iteration cap of the outer search
 MAX_OUTER_ITER = 2000
@@ -212,7 +214,7 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
     for it in range(MAX_OUTER_ITER):
         if moved:
             jac = model_jacobian(model, theta)
-            grad = jac.T @ xi                    # envelope_gradient
+            grad = envelope_gradient(model, theta, xi, jac)
             curv = jac.T @ np.linalg.solve(evaluate.neg_hessian(xi), jac)
             free = ~(((theta <= lo) & (grad > 0.0)) | ((theta >= hi) & (grad < 0.0)))
             a_free = curv[np.ix_(free, free)]
@@ -292,9 +294,14 @@ def fit_divergence(
     )
 
 
-def envelope_gradient(model: SplqModel, theta, xi) -> np.ndarray:
-    """Gradient of the outer criterion at a converged inner solve."""
-    return model_jacobian(model, theta).T @ np.asarray(xi, dtype=float)
+def envelope_gradient(model: SplqModel, theta, xi, jac=None) -> np.ndarray:
+    """Gradient ``J(theta)^T xi`` of the outer criterion at a converged inner solve.
+
+    ``jac`` is ``model_jacobian(model, theta)`` when the caller has it already.
+    """
+    if jac is None:
+        jac = model_jacobian(model, theta)
+    return jac.T @ np.asarray(xi, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +467,14 @@ def fit_lmoment_method_gpd(sample: SortedSample) -> tuple[float, float]:
 
 
 def _gpd_skewness(nu: float) -> float:
-    return 2.0 * (1.0 + nu) * np.sqrt(1.0 - 2.0 * nu) / (1.0 - 3.0 * nu)
+    return 2.0 * (1.0 + nu) * math.sqrt(1.0 - 2.0 * nu) / (1.0 - 3.0 * nu)
 
 
 def fit_moment_method_gpd(sample: SortedSample) -> tuple[float, float]:
     """Invert the (variance, skewness) map of the GPD numerically.
 
-    The forward formulas require shape < 1/3; the inversion brackets the
-    root on (-5, 1/3).
+    The forward formulas require shape < 1/3; the skewness increases on
+    (-5, 1/3), and ``bracketed_root`` inverts it there.
     """
     x = sample.values
     var = float(np.var(x, ddof=1))
@@ -478,9 +485,8 @@ def fit_moment_method_gpd(sample: SortedSample) -> tuple[float, float]:
     lo, hi = -5.0, 1.0 / 3.0 - 1e-6
     if not _gpd_skewness(lo) < t3 < _gpd_skewness(hi):
         raise EstimationError(f"sample skewness {t3!r} outside the GPD range")
-    from scipy.optimize import brentq
-
-    nu = brentq(lambda v: _gpd_skewness(v) - t3, lo, hi, xtol=1e-12)
+    nu = bracketed_root(lambda v: _gpd_skewness(v) - t3, lo, hi,
+                        _gpd_skewness(lo) - t3, _gpd_skewness(hi) - t3)
     sigma = float(np.sqrt(var * (1.0 - nu) ** 2 * (1.0 - 2.0 * nu)))
     return sigma, float(nu)
 
@@ -527,10 +533,10 @@ def fit_mle_gpd(sample: SortedSample) -> tuple[float, float]:
 
     A one-dimensional profile search in ``theta = nu / sigma``: the profiled
     likelihood is scanned on the fixed grid ``_MLE_W`` of ``log1p(theta *
-    x_max)`` and each local maximum found there is refined by bounded Brent
-    search; the best one is the estimate.  Where the likelihood has no local
-    maximum it grows without bound toward the support end (nu < -1), and the
-    fit raises.  More than one zero in six makes the likelihood unbounded
+    x_max)``, each local maximum found there is refined by ``bracketed_root``
+    on the profile's slope, and the best one is the estimate.  Where the
+    likelihood has no local maximum it grows without bound toward the support
+    end (nu < -1), and the fit raises.  More than one zero in six makes the likelihood unbounded
     toward sigma -> 0 at nu = 5, and the fit raises as well.
     """
     x = sample.values
@@ -545,22 +551,21 @@ def fit_mle_gpd(sample: SortedSample) -> tuple[float, float]:
     xmax = float(x[-1])
     y = x / xmax
 
-    from scipy.optimize import minimize_scalar
+    def profile_at(w):
+        return [float(a[0]) for a in _gpd_profile(np.array([w]), y)]
 
     # a local minimum lies where the slope turns from negative to nonnegative
     slope = _gpd_profile(_MLE_W, y)[1]
     best = None
     for i in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0)):
-        res = minimize_scalar(
-            lambda w: _gpd_profile(np.array([w]), y)[0][0],
-            bounds=(_MLE_W[i], _MLE_W[i + 1]), method="bounded",
-            options={"xatol": 1e-12})
-        if best is None or res.fun < best.fun:
-            best = res
+        w = bracketed_root(lambda w: profile_at(w)[1], float(_MLE_W[i]),
+                           float(_MLE_W[i + 1]), float(slope[i]), float(slope[i + 1]))
+        cand = profile_at(w)
+        if best is None or cand[0] < best[0]:
+            best = cand
     if best is None:
         raise EstimationError("MLE degenerated to the support boundary")
-    _, _, sigma, nu = _gpd_profile(np.array([best.x]), y)
-    sigma, nu = float(sigma[0]) * xmax, float(nu[0])
+    sigma, nu = best[2] * xmax, best[3]
     if nu < 0 and -sigma / nu <= xmax * (1.0 + 1e-9):
         raise EstimationError("MLE degenerated to the support boundary")
     return sigma, nu

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -123,12 +122,19 @@ def sample_lmoments_v(sample: SortedSample, max_order: int) -> LmomentVector:
 
 
 def _pwm_unbiased(sample: SortedSample, max_k: int) -> np.ndarray:
-    """Unbiased probability-weighted moments b_0 .. b_{max_k}."""
+    """Unbiased probability-weighted moments b_0 .. b_{max_k}.
+
+    ``b_k`` weights the ``j``-th order statistic (from 0) by
+    ``w_k(j) = C(j, k) / C(n - 1, k)``, built by the recurrence
+    ``w_k(j) = w_{k-1}(j) (j - k + 1) / (n - k)`` from ``w_0 = 1``.
+    """
     n = sample.n
-    j = np.arange(n)
+    j = np.arange(n, dtype=float)
+    w = np.ones(n)
     out = np.empty(max_k + 1)
     for k in range(max_k + 1):
-        w = np.array([comb(jj, k) for jj in j], dtype=float) / comb(n - 1, k)
+        if k:
+            w = w * (j - (k - 1)) / (n - k)
         out[k] = (w @ sample.values) / n
     return out
 

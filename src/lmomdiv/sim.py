@@ -24,6 +24,7 @@ from .estimator import (
 )
 from .lmoments import SortedSample
 from .models import ParametricFamily, gpd_model
+from .roots import bracketed_root
 
 _SCENARIO_DEFAULTS = {
     1: {"family": "gpd", "sigma": 3.0, "nu": 0.7, "contamination": 0.0, "outlier": 0.0},
@@ -203,52 +204,140 @@ def run_scenario(config: ScenarioConfig, n_jobs: int = 1) -> SimSummary:
 # ---------------------------------------------------------------------------
 # density distance
 
+#: quantile levels of the sign scan of a pair other than two GPDs: u from
+#: 1e-12 to 1 - 1.7e-15, geometric in -log(1 - u)
+_SCAN_U = -np.expm1(-np.geomspace(1e-12, 34.0, 200))
+#: the gallop to the last crossing of two GPD tails stops at this many times
+#: the smaller scale; past it the mass of a GPD with nu <= 5 is below 1e-60
+_FAR = 1e300
 
-def _density_upper_bound(f1: ParametricFamily, f2: ParametricFamily,
-                         floor: float = 1e-12) -> float:
-    hi = 1.0
-    for fam in (f1, f2):
-        if np.isfinite(fam.support[1]):
-            hi = max(hi, fam.support[1])
-        else:
-            hi = max(hi, fam.quantile(1.0 - 1e-9))
-    while (f1.density(hi) > floor or f2.density(hi) > floor) and hi < 1e15:
-        hi *= 2.0
-    return hi
+
+def _log_density(fam: ParametricFamily):
+    """``x -> log f(x)`` in ``math`` inside the support, and its limit at a finite end.
+
+    A GPD's is also defined at ``x = 0``.
+    """
+    s, v = fam.sigma, fam.nu
+    log_s = math.log(s)
+    if fam.name == "weibull":
+        log_scale = math.log(v / s)
+
+        def log_f(x):
+            log_z = math.log(x / s)
+            # past exp(709) the term overflows a float; its sign is all that counts
+            tail = math.exp(v * log_z) if v * log_z < 709.0 else math.inf
+            return log_scale + (v - 1.0) * log_z - tail
+    elif v == 0.0:
+        def log_f(x):
+            return -log_s - x / s
+    elif v == -1.0:                       # uniform on [0, s]
+        def log_f(x):
+            return -log_s
+    else:
+        slope, power = v / s, (v + 1.0) / v
+
+        def log_f(x):
+            z = slope * x
+            return -log_s - power * (math.log1p(z) if z > -1.0 else -math.inf)
+    return log_f
+
+
+def _end_limit(f1: ParametricFamily, f2: ParametricFamily, end: float, h) -> float:
+    """The limit of ``h = log f1 - log f2`` at ``end``, the end of the common support.
+
+    Only its sign is used, except for a uniform law ending first, where it is
+    the finite ``h(end)``.  Past the last scan level of a pair with a Weibull
+    law and no finite end nothing is known, and the limit is 0.
+    """
+    e1, e2 = f1.support[1], f2.support[1]
+    if end == math.inf:
+        if f1.name == f2.name == "gpd":
+            # the heavier tail wins; of two equal shapes, the larger scale
+            return math.copysign(math.inf, f1.nu - f2.nu or f1.sigma - f2.sigma)
+        return 0.0
+    if e1 == e2:
+        # two GPDs near their common end: h ~ (1/nu_2 - 1/nu_1) log(end - x)
+        return math.copysign(math.inf, f2.nu - f1.nu)
+    fam, sign = (f1, 1.0) if e1 < e2 else (f2, -1.0)
+    if fam.nu == -1.0:
+        return h(end)
+    # the density of the law that ends first falls to 0 (nu > -1) or has a pole
+    return sign * math.copysign(math.inf, -1.0 - fam.nu)
+
+
+def _gpd_knots(f1: ParametricFamily, f2: ParametricFamily, end: float, h,
+               limit: float) -> list[float]:
+    """Points of [0, end) with one sign of ``h`` between consecutive crossings.
+
+    For two GPDs, ``h'(x) = (nu_2 + 1)/(sigma_2 + nu_2 x) - (nu_1 + 1)/(sigma_1
+    + nu_1 x)`` vanishes at most once, at ``turn``, so ``h`` is monotone on
+    ``[0, turn]`` and on ``[turn, end)``.  An infinite end is replaced by a
+    gallop in factors of 4 out to a point where ``h`` has its limit's sign.
+    """
+    (s1, v1), (s2, v2) = (f1.sigma, f1.nu), (f2.sigma, f2.nu)
+    knots = [0.0]
+    if v1 != v2:
+        turn = ((v1 + 1.0) * s2 - (v2 + 1.0) * s1) / (v1 - v2)
+        if 0.0 < turn < end:
+            knots.append(turn)
+    if end == math.inf:
+        x = max(2.0 * knots[-1], s1, s2)
+        while x < _FAR * min(s1, s2):
+            knots.append(x)
+            if h(x) * limit > 0.0:
+                break
+            x *= 4.0
+    return knots
 
 
 def l1_density_distance(f1: ParametricFamily, f2: ParametricFamily) -> float:
     """Integral of the absolute density difference over the positive axis.
 
-    Exact up to root refinement: between consecutive sign crossings of
-    f1 - f2 (found by a grid scan plus root refinement) the difference keeps
-    its sign, so its absolute integral there is |dF1 - dF2| over the panel.
-    The sum over panels [0, c_1], ..., [c_m, inf) needs no quadrature.  A
-    root error moves the sum only to second order, since f1 = f2 at a
-    crossing.  Always lies in [0, 2] and is symmetric in its arguments.
+    Between consecutive sign crossings of ``f1 - f2`` the difference keeps
+    its sign, so its absolute integral there is ``|dF1 - dF2|`` over the
+    panel; the sum over the panels ``[0, c_1], ..., [c_m, inf)``, with the
+    finite support ends as edges too, needs no quadrature.  The crossings are
+    the zeros of ``h = log f1 - log f2``, each found by ``bracketed_root`` on
+    a bracket where ``h`` changes sign:
+
+    * two GPDs: ``h`` is monotone on the two pieces of ``_gpd_knots``, split
+      at the zero of ``h'``, which is known in closed form; so there are at
+      most two crossings and their brackets are exact;
+    * any other pair (``lmomdiv dist`` only): a sign scan of ``h`` at both
+      laws' quantiles of the levels ``_SCAN_U``, which ignores a crossing
+      where both laws have less than 2e-15 of their mass left.
+
+    The pair is put in a fixed order first, so the result is symmetric in its
+    arguments bit for bit, and ``d(f, f)`` is 0.  Always lies in [0, 2].
     """
-    from scipy.optimize import brentq
+    if (f2.name, f2.sigma, f2.nu) < (f1.name, f1.sigma, f1.nu):
+        f1, f2 = f2, f1
+    ends = sorted({f.support[1] for f in (f1, f2)} - {math.inf})
+    end = ends[0] if ends else math.inf
 
-    hi = _density_upper_bound(f1, f2)
+    log_f1, log_f2 = _log_density(f1), _log_density(f2)
 
-    def diff(x):
-        return f1.density(np.asarray(x, dtype=float)) - f2.density(np.asarray(x, dtype=float))
+    def h(x):
+        return log_f1(x) - log_f2(x)
 
-    # sign-change scan on a mixed linear/log grid; points where the
-    # difference is exactly zero are skipped so a crossing on the grid
-    # still shows as a change between its nonzero neighbours
-    grid = np.unique(np.concatenate([
-        np.linspace(1e-12, min(hi, 50.0), 400),
-        np.geomspace(1e-6, hi, 400),
-    ]))
-    sign = np.sign(diff(grid))
-    grid = grid[sign != 0]
-    sign = sign[sign != 0]
-    (change,) = np.nonzero(sign[:-1] != sign[1:])
+    limit = _end_limit(f1, f2, end, h)
+    if f1.name == f2.name == "gpd":
+        knots = _gpd_knots(f1, f2, end, h, limit)
+    else:
+        knots = np.concatenate([f1.quantile(_SCAN_U), f2.quantile(_SCAN_U)])
+        knots = np.unique(knots[(knots > 0.0) & (knots < end)]).tolist()
+    # an exact zero at a knot is passed over, so the crossing shows as a sign
+    # change between its nonzero neighbours
+    xs, hs = [], []
+    for x, hx in [*((x, h(x)) for x in knots), (end, limit)]:
+        if hx != 0.0 and x < math.inf:
+            xs.append(x)
+            hs.append(hx)
     crossings = [
-        brentq(diff, grid[i], grid[i + 1], xtol=1e-12)
-        for i in change
+        bracketed_root(h, a, b, ha, hb)
+        for a, b, ha, hb in zip(xs, xs[1:], hs, hs[1:])
+        if (ha < 0.0) != (hb < 0.0)
     ]
-    edges = np.array([0.0, *crossings, np.inf])
+    edges = np.array([0.0, *crossings, *ends, math.inf])
     mass = np.diff(f1.cdf(edges)) - np.diff(f2.cdf(edges))
     return float(min(np.abs(mass).sum(), 2.0))

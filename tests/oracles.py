@@ -1,6 +1,7 @@
 """Test oracles: independent computations the library is checked against."""
 
 import csv
+import math
 
 import numpy as np
 from numpy.polynomial import Legendre, Polynomial
@@ -178,6 +179,19 @@ def weibull_plugin_sigma(sigma: float, nu: float, orders, eps: float = 1e-10) ->
                           epsabs=1e-14 * sigma * sigma, epsrel=1e-12, limit=200)
             a_mat[a, b] = sigma / nu * val
     return a_mat + a_mat.T
+
+
+def pwm_unbiased_comb(values, max_k: int) -> np.ndarray:
+    """Unbiased probability-weighted moments b_0 .. b_{max_k} of sorted ``values``.
+
+    The textbook weights: ``b_k = n^-1 sum_j C(j, k) / C(n - 1, k) x_(j)``,
+    with ``j`` counted from 0 and every binomial taken by ``math.comb``.
+    """
+    n = len(values)
+    return np.array([
+        sum(math.comb(j, k) * x for j, x in enumerate(values)) / math.comb(n - 1, k) / n
+        for k in range(max_k + 1)
+    ])
 
 
 def read_column_rowwise(path: str, col: int = 0) -> np.ndarray:

@@ -379,6 +379,25 @@ def test_benchmark_commands_load_no_scipy(tmp_path):
     assert json.loads(out) == [[0, []]] * len(commands)
 
 
+def test_simulation_and_dist_load_no_scipy():
+    # a classical replicate of each scenario, then `dist` on a Weibull pair,
+    # run on numpy alone
+    code = (
+        "import contextlib, io, sys\n"
+        "from lmomdiv.cli import main\n"
+        "from lmomdiv.sim import ScenarioConfig, run_scenario\n"
+        "for scenario in (1, 2, 3, 4):\n"
+        "    run_scenario(ScenarioConfig.preset(scenario, replicates=1,\n"
+        "                 estimators=('chi2', 'lmom', 'moment', 'mle')))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['dist', 'weibull:3:0.4', 'gpd:3:0.7'])\n"
+        f"print(code, {_SCIPY_LOADED})\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0 []"
+
+
 @pytest.mark.parametrize("poison", ["omega", "jacobian"])
 def test_non_finite_covariance_exits_3(data_file, monkeypatch, capsys, poison):
     # a NaN in Omega or in the Jacobian given to asymptotic_covariance is a

@@ -560,6 +560,19 @@ def test_mle_not_worse_than_nelder_mead_reference(scenario, n):
         assert attained <= bound + 1e-9 * abs(bound), replicate
 
 
+@pytest.mark.parametrize("scenario", [1, 2, 3, 4])
+def test_mle_profile_slope_vanishes_at_the_estimate(scenario):
+    # the estimate is the root of the profile's slope in w = log1p(theta *
+    # x_max) to rounding: the slope changes sign 1e-12 on either side of it
+    sample = draw_sample(ScenarioConfig.preset(scenario, n=100, replicates=1, seed=3), 0)
+    sigma, nu = fit_mle_gpd(sample)
+    xmax = sample.values[-1]
+    w = np.log1p(nu / sigma * xmax)
+    around = np.sort(w * np.array([1.0 - 1e-12, 1.0 + 1e-12]))
+    slope = estimator._gpd_profile(around, sample.values / xmax)[1]
+    assert slope[0] < 0.0 < slope[1]
+
+
 def test_mle_on_the_shape_edge():
     # this Weibull sample's likelihood peaks on the box edge nu = 5
     config = ScenarioConfig.preset(4, n=30, replicates=500, seed=20260826)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lmomdiv.lmoments import (
     LmomentVector,
     SortedSample,
+    _pwm_unbiased,
     discrete_lmoments,
     gauss_legendre,
     lambda_covariance,
@@ -25,6 +26,7 @@ from lmomdiv.poly import PolyBasis, integrated_legendre_eval, shifted_legendre_e
 from oracles import (
     gpd_plugin_omega,
     gpd_plugin_sigma,
+    pwm_unbiased_comb,
     weibull_plugin_omega,
     weibull_plugin_sigma,
 )
@@ -87,6 +89,14 @@ def test_u_statistic_matches_enumeration(seed, r):
     x = rng.standard_gamma(2.0, size=8)
     lm = sample_lmoments_u(SortedSample(x), 4)
     assert lm[r] == pytest.approx(u_stat_bruteforce(x, r), rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [7, 20, 60])
+def test_pwm_weights_match_binomials(n):
+    # the recurrence w_k(j) = w_{k-1}(j) (j - k + 1) / (n - k) against math.comb
+    x = np.sort(np.random.default_rng(n).exponential(size=n))
+    b = _pwm_unbiased(SortedSample(x), 6)
+    assert b == pytest.approx(pwm_unbiased_comb(x, 6), rel=1e-13, abs=0.0)
 
 
 def test_vstat_weights_reproduce_statistic():

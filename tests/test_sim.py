@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from lmomdiv.models import ParametricFamily
 from lmomdiv.sim import (
@@ -137,8 +139,11 @@ def test_only_default_estimators_are_simulated():
 
 
 def test_l1_identity_is_zero():
-    fam = ParametricFamily("gpd", 3.0, 0.4)
-    assert l1_density_distance(fam, fam) == pytest.approx(0.0, abs=1e-8)
+    # no crossing, and each panel's two masses are the same number
+    for fam in (ParametricFamily("gpd", 3.0, 0.4), ParametricFamily("gpd", 2.0, 0.0),
+                ParametricFamily("gpd", 2.0, -1.0), ParametricFamily("gpd", 2.0, -2.5),
+                ParametricFamily("weibull", 3.0, 0.4)):
+        assert l1_density_distance(fam, fam) == 0.0
 
 
 def test_l1_symmetry_and_bound():
@@ -155,6 +160,20 @@ def test_l1_disjoint_supports_near_two():
     a = ParametricFamily("gpd", 0.01, -1.0)     # support [0, 0.01]
     b = ParametricFamily("gpd", 100.0, -1.0)    # mass spread over [0, 100]
     assert l1_density_distance(a, b) > 1.9
+
+
+_SIGMA = st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)).map(math.exp)
+_NU = st.one_of(st.just(0.0), st.just(-1.0), st.floats(min_value=-5.0, max_value=5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(s1=_SIGMA, v1=_NU, s2=_SIGMA, v2=_NU, same_nu=st.booleans())
+def test_l1_gpd_pairs_symmetric_and_bounded(s1, v1, s2, v2, same_nu):
+    a = ParametricFamily("gpd", s1, v1)
+    b = ParametricFamily("gpd", s2, v1 if same_nu else v2)
+    d = l1_density_distance(a, b)
+    assert l1_density_distance(b, a) == d
+    assert 0.0 <= d <= 2.0
 
 
 def test_l1_matches_riemann_sum():
@@ -216,6 +235,18 @@ def l1_log_space_oracle(f1, f2, lo=1e-100, hi=1e300):
     # density pole at 0 against a finite one, three crossings
     (ParametricFamily("weibull", 3.0, 0.4), ParametricFamily("gpd", 3.0, 0.7),
      0.5518185),
+    # density pole at the finite end 1 (nu < -1), one crossing before it
+    (ParametricFamily("gpd", 2.0, -2.0), ParametricFamily("gpd", 0.5, 0.7),
+     1.0627982),
+    # the uniform law on [0, 4] (nu = -1)
+    (ParametricFamily("gpd", 4.0, -1.0), ParametricFamily("gpd", 3.0, 0.1),
+     0.6348601),
+    # two finite supports, [0, 32.4] and [0, 10]
+    (ParametricFamily("gpd", 9.7274, -0.30024), ParametricFamily("gpd", 5.0, -0.5),
+     0.7092469),
+    # a scenario-2 MLE fit (nu > 1: no mean) against the nominal law
+    (ParametricFamily("gpd", 3.229, 1.484), ParametricFamily("gpd", 3.0, 0.7),
+     0.2691121),
 ])
 def test_l1_matches_log_space_oracle(f1, f2, approx):
     d = l1_density_distance(f1, f2)
