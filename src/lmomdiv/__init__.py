@@ -8,9 +8,10 @@ set, computed through its finite-dimensional concave dual.
 
 Importing the package loads numpy and no scipy module, and so do the
 divergence fits, their asymptotics, the model test, the classical GPD fits,
-the L1 density distance and the Monte Carlo replicates.  scipy is imported
-inside the few functions that use it: the Weibull Jacobian, the cone LP
-after a failed inner solve and the adaptive population L-moments.
+the L1 density distance and the Monte Carlo replicates, for the GPD and
+the Weibull models alike.  scipy is imported inside the two functions that
+use it: the cone LP after a failed inner solve and the adaptive population
+L-moments.
 """
 
 from .poly import PolyBasis, shifted_legendre_eval, integrated_legendre_eval

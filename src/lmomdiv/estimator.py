@@ -2,17 +2,23 @@
 
 The outer search is one projected Levenberg-Marquardt run on the parameter
 box (Nocedal & Wright, Numerical Optimization, 10.3).  At a converged inner
-solve the criterion has the exact envelope gradient ``J(theta)^T xi``, and
-``J^T (-H)^-1 J``, with ``-H`` the dual's negative Hessian at ``xi``, is its
-Gauss-Newton curvature (for chi-square, ``-H`` is Omega and this is the
-Gauss-Newton matrix of the whitened residual).  A coordinate on its bound
+solve the criterion has the exact envelope gradient ``J(theta)^T xi`` and,
+since ``dxi/dtheta = (-H)^-1 J`` with ``-H`` the dual's negative Hessian at
+``xi``, the exact Hessian ``J^T (-H)^-1 J - sum_k xi_k d2 lambda_k(theta)``
+(``SplqModel.lmoment_hessian`` gives the second derivatives in closed form).
+The step is a Newton step on that Hessian where its free block is positive
+definite, and on the Gauss-Newton part ``J^T (-H)^-1 J`` otherwise (for
+chi-square, ``-H`` is Omega and this is the Gauss-Newton matrix of the
+whitened residual); the second term is what a large residual adds (Dennis,
+Gay & Welsch, ACM TOMS 7, 1981).  A coordinate on its bound
 whose gradient points out of the box is held fixed and the step is solved in
 the others, then clipped (projected Newton, Bertsekas, SIAM J. Control
 Optim. 20, 1982).  The search stops when a step moves no coordinate by more
 than ``1e-10 * (1 + |theta_j|)``.  It starts from the L-moment-method
-estimate where that is defined (the models share their first L-moments with
-the family, so the estimate nearly solves the constraints) and from the box
-centre otherwise; a non-chi-square fit whose criterion is +inf there starts
+estimate where that is defined (the GPD's tau_4 inversion and the Weibull's
+tau_3 inversion; the models share their first L-moments with the family, so
+the estimate nearly solves the constraints) and from the box centre
+otherwise; a non-chi-square fit whose criterion is +inf there starts
 again from the chi-square estimate.  Each fit builds one ``DualProblem``;
 its chi-square criterion is the closed-form dual.  For any other divergence
 each criterion evaluation is one Newton solve of the dual, warm-started from
@@ -55,7 +61,13 @@ from .lmoments import (
     sample_lmoments_v,
     triangle_covariance,
 )
-from .models import SplqModel, ParametricFamily, model_jacobian
+from .models import (
+    WEIBULL_SHAPE_BOX,
+    ParametricFamily,
+    SplqModel,
+    model_jacobian,
+    weibull_lmoment_map,
+)
 from .roots import bracketed_root
 
 #: iteration cap of the outer search
@@ -163,6 +175,18 @@ class _Criterion:
         """The dual's negative Hessian at a converged ``xi`` (Omega for chi-square)."""
         return self.omega if self.omega is not None else -self.skeleton.hessian(xi)
 
+    def hessians(self, theta, xi, jac) -> tuple[np.ndarray, np.ndarray]:
+        """(Gauss-Newton, exact) Hessians of the criterion at a converged solve ``xi``.
+
+        ``jac`` is ``model_jacobian(model, theta)``.  The multipliers move as
+        ``dxi/dtheta = (-H)^-1 J``, so the envelope gradient ``J^T xi`` has
+        the derivative ``J^T (-H)^-1 J + sum_k xi_k d2 t_k``, and the target
+        is ``t = -lambda``.
+        """
+        gauss_newton = jac.T @ np.linalg.solve(self.neg_hessian(xi), jac)
+        second = xi @ self.model.lmoment_hessian(theta).reshape(xi.size, -1)
+        return gauss_newton, gauss_newton - second.reshape(gauss_newton.shape)
+
     @property
     def diagnostics(self) -> dict:
         return {
@@ -175,11 +199,13 @@ class _Criterion:
 
 
 def lmoment_method_start(sample: SortedSample, model: SplqModel) -> np.ndarray | None:
-    """Classical L-moment start for the GPD model, if defined."""
-    if model.name != "gpd-l234":
+    """Classical L-moment estimate of the GPD or Weibull model, if defined."""
+    fit = {"gpd-l234": fit_lmoment_method_gpd,
+           "weibull-l234": fit_lmoment_method_weibull}.get(model.name)
+    if fit is None:
         return None
     try:
-        theta = np.array(fit_lmoment_method_gpd(sample))
+        theta = np.array(fit(sample))
     except EstimationError:
         return None
     return model.clip_to_box(theta)
@@ -191,38 +217,55 @@ class _SearchResult:
     value: float
     iterations: int
     converged: bool
+    gauss_newton_steps: int
+
+
+def _positive_definite(a: np.ndarray) -> bool:
+    # numpy's Cholesky of a matrix with a NaN returns NaNs instead of raising
+    try:
+        return bool(np.all(np.isfinite(np.linalg.cholesky(a))))
+    except np.linalg.LinAlgError:
+        return False
 
 
 def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
     """Projected Levenberg-Marquardt on the box, from ``start``.
 
-    Each iteration tries one step: the Gauss-Newton system
+    Each iteration tries one step: the Newton system
     ``(A + lam diag A) p = -g`` solved in the free coordinates and clipped
-    to the box.  A step that lowers the criterion is taken and ``lam``
-    shrinks threefold; any other step, one to a +inf point included, is
-    rejected and ``lam`` grows threefold, to at least 1, which about halves
-    the step.  Converged means a step below ``_OUTER_STEP_TOL`` within
-    ``MAX_OUTER_ITER`` iterations; a +inf start returns at once, unconverged.
+    to the box.  ``A`` is the free block of the criterion's exact Hessian
+    where that block is positive definite (its Cholesky factorization
+    succeeds), and of the Gauss-Newton matrix otherwise; such steps are
+    counted in ``gauss_newton_steps``.  A step that lowers the criterion is
+    taken and ``lam`` shrinks threefold; any other step, one to a +inf point
+    included, is rejected and ``lam`` grows threefold, to at least 1, which
+    about halves the step.  Converged means a step below ``_OUTER_STEP_TOL``
+    within ``MAX_OUTER_ITER`` iterations; a +inf start returns at once,
+    unconverged.
     """
     model = evaluate.model
     lo, hi = model.box[:, 0], model.box[:, 1]
     theta = model.clip_to_box(start)
     value, xi = evaluate(theta)
     if not np.isfinite(value):
-        return _SearchResult(theta, value, 0, False)
-    lam, moved = 0.0, True
+        return _SearchResult(theta, value, 0, False, 0)
+    lam, moved, gauss_newton_steps = 0.0, True, 0
     for it in range(MAX_OUTER_ITER):
         if moved:
             jac = model_jacobian(model, theta)
             grad = envelope_gradient(model, theta, xi, jac)
-            curv = jac.T @ np.linalg.solve(evaluate.neg_hessian(xi), jac)
             free = ~(((theta <= lo) & (grad > 0.0)) | ((theta >= hi) & (grad < 0.0)))
-            a_free = curv[np.ix_(free, free)]
+            gauss_newton, exact = evaluate.hessians(theta, xi, jac)
+            a_free = exact[np.ix_(free, free)]
+            newton = _positive_definite(a_free)
+            if not newton:
+                a_free = gauss_newton[np.ix_(free, free)]
         step = np.zeros_like(theta)
         step[free] = np.linalg.solve(a_free + lam * np.diag(np.diag(a_free)), -grad[free])
         cand = np.clip(theta + step, lo, hi)
         if np.all(np.abs(cand - theta) <= _OUTER_STEP_TOL * (1.0 + np.abs(theta))):
-            return _SearchResult(theta, value, it, True)
+            return _SearchResult(theta, value, it, True, gauss_newton_steps)
+        gauss_newton_steps += not newton
         cand_value, cand_xi = evaluate(cand)
         moved = cand_value < value
         if moved:
@@ -230,7 +273,7 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
             lam /= 3.0
         else:
             lam = max(3.0 * lam, 1.0)
-    return _SearchResult(theta, value, MAX_OUTER_ITER, False)
+    return _SearchResult(theta, value, MAX_OUTER_ITER, False, gauss_newton_steps)
 
 
 def fit_divergence(
@@ -238,11 +281,12 @@ def fit_divergence(
     model: SplqModel,
     divergence: DivergenceSpec,
 ) -> FitReport:
-    """Minimum-divergence fit: one projected Gauss-Newton search over the dual criterion.
+    """Minimum-divergence fit: one projected Newton search over the dual criterion.
 
     ``diagnostics["start"]`` names the start used; ``outer_iterations``
-    counts the steps tried and ``criterion_evaluations`` the criterion
-    calls, the re-solve at the estimate included.
+    counts the steps tried, ``gauss_newton_steps`` those of them that fell
+    back to the Gauss-Newton curvature, and ``criterion_evaluations`` the
+    criterion calls, the re-solve at the estimate included.
     """
     try:
         skeleton = make_dual_problem(
@@ -290,6 +334,7 @@ def fit_divergence(
             "boundary": at_boundary,
             "start": start_name,
             "outer_converged": res.converged,
+            "gauss_newton_steps": res.gauss_newton_steps,
         },
     )
 
@@ -444,7 +489,33 @@ def confidence_stat(xi_hat, p_mat, sigma_mat, n: int) -> ConfidenceStat:
 
 
 # ---------------------------------------------------------------------------
-# classical comparison estimators (GPD)
+# classical comparison estimators
+
+
+def _weibull_tau3(log_nu: float) -> float:
+    lam = weibull_lmoment_map(1.0, math.exp(log_nu))
+    return float(lam[1] / lam[0])
+
+
+def fit_lmoment_method_weibull(sample: SortedSample) -> tuple[float, float]:
+    """Invert the (lambda_2, tau_3) map of the Weibull law from plug-in L-moments.
+
+    tau_3 decreases strictly in the shape over the model box [0.05, 20], from
+    1.0 to -0.138; ``bracketed_root`` inverts it in log nu, and the scale
+    follows from ``lambda_2 = sigma (1 - 2^(-1/nu)) Gamma(1 + 1/nu)``, which
+    is linear in sigma.
+    """
+    lm = sample_lmoments_v(sample, 3)
+    lam2 = lm[2]
+    if lam2 <= 0:
+        raise EstimationError(f"nonpositive sample L-scale {lam2!r}")
+    tau3 = lm[3] / lam2
+    lo, hi = map(math.log, WEIBULL_SHAPE_BOX)
+    f_lo, f_hi = _weibull_tau3(lo) - tau3, _weibull_tau3(hi) - tau3
+    if not f_lo > 0.0 > f_hi:
+        raise EstimationError(f"tau_3={tau3!r} outside the Weibull range on the shape box")
+    nu = math.exp(bracketed_root(lambda w: _weibull_tau3(w) - tau3, lo, hi, f_lo, f_hi))
+    return float(lam2 / weibull_lmoment_map(1.0, nu)[0]), nu
 
 
 def fit_lmoment_method_gpd(sample: SortedSample) -> tuple[float, float]:

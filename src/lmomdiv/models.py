@@ -11,7 +11,7 @@ quantile measure with minus the L-moment.  User-facing reports always show
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gamma
+from math import factorial, gamma, log
 from typing import Callable
 
 import numpy as np
@@ -21,6 +21,16 @@ from .poly import PolyBasis
 
 # ---------------------------------------------------------------------------
 # closed-form L-moment maps
+
+#: poles a = 1..4 and residues: lambda_k / sigma = sum_a r_ka / (a - nu) for the GPD
+_GPD_POLES = np.arange(1.0, 5.0)
+_GPD_RESIDUES = np.array([[1.0, -1.0, 0.0, 0.0], [1.0, -3.0, 2.0, 0.0], [1.0, -6.0, 10.0, -5.0]])
+#: lambda_k / sigma = Gamma(1 + 1/nu) * (W @ c)_k, c_j = 1 - j^(-1/nu), for the Weibull
+_WEIBULL_K = np.array([2.0, 3.0, 4.0])
+_WEIBULL_LOG_K = np.log(_WEIBULL_K)
+_WEIBULL_W = np.array([[1.0, 0.0, 0.0], [3.0, -2.0, 0.0], [6.0, -10.0, 5.0]])
+#: shape range of the Weibull model's box
+WEIBULL_SHAPE_BOX = (0.05, 20.0)
 
 
 def gpd_lmoment_map(sigma: float, nu: float) -> np.ndarray:
@@ -56,6 +66,27 @@ def gpd_lmoment_jacobian(sigma: float, nu: float) -> np.ndarray:
     return np.stack([d_sigma, d_nu], axis=-1)
 
 
+def gpd_lmoment_hessian(sigma: float, nu: float) -> np.ndarray:
+    """Second derivatives of :func:`gpd_lmoment_map`, shape (3, 2, 2).
+
+    In partial fractions ``lambda_k = sigma * sum_a r_ka / (a - nu)`` over the
+    poles a = 1..4 (``_GPD_RESIDUES``), so each derivative in nu is one more
+    power of ``1 / (a - nu)``.
+    """
+    inv = 1.0 / (_GPD_POLES - nu)
+    return _scale_shape_hessian(sigma, _GPD_RESIDUES @ inv ** 2,
+                                2.0 * _GPD_RESIDUES @ inv ** 3)
+
+
+def _scale_shape_hessian(sigma: float, d_nu: np.ndarray, d_nu2: np.ndarray) -> np.ndarray:
+    """Hessian in (sigma, nu) of ``lambda = sigma * f(nu)``, from ``f'`` and ``f''``."""
+    out = np.empty((d_nu.size, 2, 2))
+    out[:, 0, 0] = 0.0
+    out[:, 0, 1] = out[:, 1, 0] = d_nu
+    out[:, 1, 1] = sigma * d_nu2
+    return out
+
+
 def weibull_lmoment_map(sigma: float, nu: float) -> np.ndarray:
     """(lambda_2, lambda_3, lambda_4) of the Weibull distribution."""
     if sigma <= 0 or nu <= 0:
@@ -69,29 +100,55 @@ def weibull_lmoment_map(sigma: float, nu: float) -> np.ndarray:
     return np.array([lam2, lam3, lam4])
 
 
+def _digamma_trigamma(x: float) -> tuple[float, float]:
+    """(psi(x), psi'(x)) for ``x > 0``.
+
+    The recurrences ``psi(x) = psi(x + 1) - 1/x`` and ``psi'(x) = psi'(x + 1)
+    + 1/x^2`` carry ``x`` to at least 10, where the asymptotic series
+    (Abramowitz & Stegun 6.3.18, 6.4.12), cut after the ``B_14`` term, is
+    below 1e-16 relative; at 6 the first omitted trigamma term is 4e-13.
+    """
+    psi_shift = tri_shift = 0.0
+    while x < 10.0:
+        psi_shift += 1.0 / x
+        tri_shift += 1.0 / (x * x)
+        x += 1.0
+    r = 1.0 / (x * x)
+    psi = log(x) - 0.5 / x - r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (
+        1 / 240 - r * (1 / 132 - r * (691 / 32760 - r / 12))))))
+    tri = 1.0 / x + 0.5 * r + r / x * (1 / 6 - r * (1 / 30 - r * (1 / 42 - r * (
+        1 / 30 - r * (5 / 66 - r * (691 / 2730 - r * 7 / 6))))))
+    return psi - psi_shift, tri + tri_shift
+
+
+def _weibull_shape_derivatives(nu: float):
+    """``f``, ``f'`` and ``f''`` of the Weibull map ``lambda = sigma * f(nu)``.
+
+    ``f = G * (W @ c)`` with ``G = Gamma(1 + 1/nu)``, ``c_j = 1 - j^(-1/nu)``
+    for j = 2, 3, 4 and the rows of ``_WEIBULL_W``; this is
+    :func:`weibull_lmoment_map` with the ratios to ``c_2`` multiplied out.
+    """
+    p = _WEIBULL_K ** (-1.0 / nu)
+    dc = -p * _WEIBULL_LOG_K / nu ** 2
+    d2c = dc * (_WEIBULL_LOG_K / nu - 2.0) / nu
+    psi, tri = _digamma_trigamma(1.0 + 1.0 / nu)
+    g = gamma(1.0 + 1.0 / nu)
+    dg = -g * psi / nu ** 2
+    d2g = g * (psi * psi + tri + 2.0 * nu * psi) / nu ** 4
+    a, da, d2a = _WEIBULL_W @ (1.0 - p), _WEIBULL_W @ dc, _WEIBULL_W @ d2c
+    return g * a, dg * a + g * da, d2g * a + 2.0 * dg * da + g * d2a
+
+
 def weibull_lmoment_jacobian(sigma: float, nu: float) -> np.ndarray:
     """Analytic Jacobian of :func:`weibull_lmoment_map` w.r.t. (sigma, nu)."""
-    from scipy.special import digamma
+    f, df, _ = _weibull_shape_derivatives(nu)
+    return np.stack([f, sigma * df], axis=-1)
 
-    lam = weibull_lmoment_map(sigma, nu)
-    d_sigma = lam / sigma
 
-    c = {k: 1.0 - k ** (-1.0 / nu) for k in (2, 3, 4)}
-    # d/dnu of 1 - k**(-1/nu)
-    dc = {k: -(k ** (-1.0 / nu)) * np.log(k) / nu ** 2 for k in (2, 3, 4)}
-    gam = gamma(1.0 + 1.0 / nu)
-    dgam = -gam * digamma(1.0 + 1.0 / nu) / nu ** 2
-    lam2 = lam[0]
-    dlam2 = sigma * (dc[2] * gam + c[2] * dgam)
-    r3 = 3.0 - 2.0 * c[3] / c[2]
-    dr3 = -2.0 * (dc[3] * c[2] - c[3] * dc[2]) / c[2] ** 2
-    r4 = 6.0 + (5.0 * c[4] - 10.0 * c[3]) / c[2]
-    dr4 = (
-        (5.0 * dc[4] - 10.0 * dc[3]) * c[2]
-        - (5.0 * c[4] - 10.0 * c[3]) * dc[2]
-    ) / c[2] ** 2
-    d_nu = np.array([dlam2, dlam2 * r3 + lam2 * dr3, dlam2 * r4 + lam2 * dr4])
-    return np.stack([d_sigma, d_nu], axis=-1)
+def weibull_lmoment_hessian(sigma: float, nu: float) -> np.ndarray:
+    """Second derivatives of :func:`weibull_lmoment_map`, shape (3, 2, 2)."""
+    _, df, d2f = _weibull_shape_derivatives(nu)
+    return _scale_shape_hessian(sigma, df, d2f)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +255,8 @@ class SplqModel:
     """Parameter box plus the constraint map handed to the dual machinery.
 
     ``lmoment_map`` returns the constraint values lambda(theta) in report
-    convention and ``lmoment_jacobian`` its Jacobian; ``target_map`` returns
+    convention, ``lmoment_jacobian`` its Jacobian, shape (c, d), and
+    ``lmoment_hessian`` its second derivatives, shape (c, d, d); ``target_map`` returns
     -lambda(theta), which is what the dual consumes.  ``rows(t)`` evaluates
     the integrated constraint rows at quantile levels ``t``; by default these
     are the integrated shifted Legendre polynomials of the configured orders.
@@ -209,6 +267,7 @@ class SplqModel:
     box: np.ndarray                           # (d, 2) bounds
     lmoment_map: Callable[[np.ndarray], np.ndarray]
     lmoment_jacobian: Callable[[np.ndarray], np.ndarray]
+    lmoment_hessian: Callable[[np.ndarray], np.ndarray]
     orders: tuple[int, ...] | None = (2, 3, 4)
     rows: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -242,26 +301,28 @@ def model_jacobian(model: SplqModel, theta) -> np.ndarray:
     return -np.asarray(model.lmoment_jacobian(np.asarray(theta, dtype=float)))
 
 
-def _l234_model(name, box, lmoment_map, lmoment_jacobian) -> SplqModel:
+def _l234_model(name, box, lmoment_map, lmoment_jacobian, lmoment_hessian) -> SplqModel:
     return SplqModel(
         name=name,
         param_names=("sigma", "nu"),
         box=np.array(box),
         lmoment_map=lambda th: lmoment_map(th[0], th[1]),
         lmoment_jacobian=lambda th: lmoment_jacobian(th[0], th[1]),
+        lmoment_hessian=lambda th: lmoment_hessian(th[0], th[1]),
     )
 
 
 def gpd_model() -> SplqModel:
     """Distributions sharing their L-moments of orders 2-4 with a GPD."""
     return _l234_model("gpd-l234", [[1e-3, 1e3], [-5.0, 0.99]],
-                       gpd_lmoment_map, gpd_lmoment_jacobian)
+                       gpd_lmoment_map, gpd_lmoment_jacobian, gpd_lmoment_hessian)
 
 
 def weibull_model() -> SplqModel:
     """Distributions sharing their L-moments of orders 2-4 with a Weibull law."""
-    return _l234_model("weibull-l234", [[1e-3, 1e3], [0.05, 20.0]],
-                       weibull_lmoment_map, weibull_lmoment_jacobian)
+    return _l234_model("weibull-l234", [[1e-3, 1e3], WEIBULL_SHAPE_BOX],
+                       weibull_lmoment_map, weibull_lmoment_jacobian,
+                       weibull_lmoment_hessian)
 
 
 def order_stat_polynomial(j: int, r: int, u):
@@ -301,6 +362,7 @@ def order_stat_model_3() -> SplqModel:
         box=np.array([[1e-9, 1e6]]),
         lmoment_map=lambda th: np.array([th[0], th[0]]),
         lmoment_jacobian=lambda th: np.array([[1.0], [1.0]]),
+        lmoment_hessian=lambda th: np.zeros((2, 1, 1)),
         orders=None,
         rows=_orderstat3_rows,
     )

@@ -379,6 +379,29 @@ def test_benchmark_commands_load_no_scipy(tmp_path):
     assert json.loads(out) == [[0, []]] * len(commands)
 
 
+def test_weibull_fit_loads_no_scipy(tmp_path):
+    # the Weibull L-moment start and derivatives use no scipy.special; the
+    # JSON report counts the Gauss-Newton fallback steps
+    x = ParametricFamily("weibull", 3.0, 0.5).sample(1000, np.random.default_rng([0, 0]))
+    path = tmp_path / "weibull.csv"
+    path.write_text("x\n" + "\n".join(map(repr, x.tolist())) + "\n")
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from lmomdiv.cli import main\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        f"    code = main(['fit', {str(path)!r}, '--model', 'weibull-l234', '--div', 'klm', '--json'])\n"
+        f"print(json.dumps([code, {_SCIPY_LOADED}, json.loads(buf.getvalue())]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    code, loaded, report = json.loads(out)
+    assert (code, loaded) == (0, [])
+    diag = report["diagnostics"]
+    assert diag["start"] == "lmoment" and diag["outer_converged"] is True
+    assert 0 <= diag["gauss_newton_steps"] <= diag["outer_iterations"]
+
+
 def test_simulation_and_dist_load_no_scipy():
     # a classical replicate of each scenario, then `dist` on a Weibull pair,
     # run on numpy alone

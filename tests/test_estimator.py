@@ -16,11 +16,19 @@ from lmomdiv.estimator import (
     envelope_gradient,
     fit_divergence,
     fit_lmoment_method_gpd,
+    fit_lmoment_method_weibull,
     fit_mle_gpd,
     fit_moment_method_gpd,
 )
-from lmomdiv.lmoments import SortedSample, lambda_covariance
-from lmomdiv.models import ParametricFamily, gpd_model, model_by_name, order_stat_model_3
+from lmomdiv.lmoments import SortedSample, lambda_covariance, sample_lmoments_v
+from lmomdiv.models import (
+    ParametricFamily,
+    gpd_model,
+    model_by_name,
+    model_jacobian,
+    order_stat_model_3,
+    weibull_model,
+)
 from lmomdiv.sim import ScenarioConfig, draw_sample, run_scenario
 from oracles import gpd_plugin_omega, gpd_plugin_sigma, primal_bruteforce
 
@@ -78,13 +86,13 @@ def test_fit_starts_from_lmoment_method():
     assert report.diagnostics["start"] == "lmoment"
     assert np.isfinite(report.criterion)
     weibull = fit_divergence(s, model_by_name("weibull-l234"), CHI2)
-    assert weibull.diagnostics["start"] == "box_centre"
+    assert weibull.diagnostics["start"] == "lmoment"
 
 
 def test_outer_convergence_is_reported(monkeypatch):
     s = mc_sample(ParametricFamily("gpd", 3.0, 0.3), 100, seed=2)
     assert fit_divergence(s, gpd_model(), CHI2).diagnostics["outer_converged"]
-    monkeypatch.setattr(estimator, "MAX_OUTER_ITER", 5)
+    monkeypatch.setattr(estimator, "MAX_OUTER_ITER", 1)
     short = fit_divergence(s, gpd_model(), CHI2)
     assert short.diagnostics["outer_converged"] is False
 
@@ -252,6 +260,69 @@ def test_envelope_gradient_matches_finite_difference(div):
         e = np.eye(2)[j] * h
         fd[j] = (criterion(theta + e)[0] - criterion(theta - e)[0]) / (2.0 * h)
     assert np.allclose(g, fd, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("div", [CHI2, KL, KLM], ids=lambda d: d.family)
+@pytest.mark.parametrize("model,family", [
+    (gpd_model(), ParametricFamily("gpd", 3.0, 0.2)),
+    (weibull_model(), ParametricFamily("weibull", 2.0, 0.8)),
+], ids=["gpd", "weibull"])
+def test_criterion_hessian_matches_gradient_differences(model, family, div):
+    # J^T (-H)^-1 J - sum_k xi_k d2 lambda_k is the derivative of the envelope
+    # gradient, at the estimate and away from it; Gauss-Newton alone is not
+    s = SortedSample(family.sample(200, np.random.default_rng(5)))
+
+    def solved(theta):
+        criterion = estimator._Criterion(
+            make_dual_problem(s, model.constraint_values, div, np.zeros(3)), model)
+        return criterion, criterion(theta)[1]
+
+    fit = fit_divergence(s, model, div)
+    for theta in (fit.theta, fit.theta * np.array([1.1, 0.9])):
+        criterion, xi = solved(theta)
+        gauss_newton, exact = criterion.hessians(theta, xi, model_jacobian(model, theta))
+        fd = np.empty((2, 2))
+        for j, h in enumerate(1e-4 * theta):
+            e = np.eye(2)[j] * h
+            fd[:, j] = (envelope_gradient(model, theta + e, solved(theta + e)[1])
+                        - envelope_gradient(model, theta - e, solved(theta - e)[1])) / (2.0 * h)
+        scale = np.abs(exact).max()
+        assert np.abs(exact - fd).max() <= 1e-6 * scale
+        assert np.abs(gauss_newton - fd).max() > 1e-3 * scale
+
+
+def _step_count_samples(model):
+    """40 samples, n = 100: scenarios 1-4 x seeds 0-9 (GPD) or x streams 0-9 of seed 555."""
+    if model.name == "gpd-l234":
+        return [draw_sample(ScenarioConfig.preset(scenario, n=100, seed=seed), 0)
+                for scenario in (1, 2, 3, 4) for seed in range(10)]
+    return [draw_sample(ScenarioConfig.preset(scenario, n=100, seed=555), stream)
+            for scenario in (1, 2, 3, 4) for stream in range(10)]
+
+
+@pytest.mark.parametrize("model,div,bound", [
+    (gpd_model(), KLM, 6.0),
+    (weibull_model(), CHI2, 15.0),
+    (weibull_model(), KL, 15.0),
+    (weibull_model(), KLM, 15.0),
+], ids=["gpd-klm", "weibull-chi2", "weibull-kl", "weibull-klm"])
+def test_mean_outer_steps_stay_few(model, div, bound):
+    # [REGRESSION] Gauss-Newton steps from the box centre took 27-50 steps on
+    # the Weibull samples and 8.7 on the GPD KLM ones
+    steps = [fit_divergence(s, model, div).diagnostics["outer_iterations"]
+             for s in _step_count_samples(model)]
+    assert np.mean(steps) <= bound
+
+
+def test_gauss_newton_fallback_is_counted():
+    # far from its estimate this scenario-2 sample's chi-square criterion is
+    # not convex, and those steps fall back to Gauss-Newton
+    s = draw_sample(ScenarioConfig.preset(2, n=100, seed=15), 0)
+    diag = fit_divergence(s, gpd_model(), CHI2).diagnostics
+    assert 0 < diag["gauss_newton_steps"] <= diag["outer_iterations"]
+    assert diag["outer_converged"] is True
+    klm = fit_divergence(s, gpd_model(), KLM).to_dict()["diagnostics"]
+    assert 0 <= klm["gauss_newton_steps"] <= klm["outer_iterations"]
 
 
 def test_kl_fit_on_four_points_leaves_the_box_edge():
@@ -442,6 +513,25 @@ def test_lmoment_method_roundtrip():
     # the mid-point grid clips the heavy upper tail, biasing both a little
     assert sigma == pytest.approx(3.0, abs=0.25)
     assert nu == pytest.approx(0.7, abs=0.05)
+
+
+def test_weibull_lmoment_method_roundtrip():
+    for sigma, nu in ((3.0, 0.5), (1.0, 2.0), (0.2, 8.0)):
+        s = grid_sample(ParametricFamily("weibull", sigma, nu), 4000)
+        assert np.allclose(fit_lmoment_method_weibull(s), (sigma, nu), rtol=0.02)
+
+
+def test_weibull_lmoment_start_outside_the_tau3_range():
+    # tau_3 = -0.6 is below the Weibull tau_3 at nu = 20 (-0.138): no L-moment
+    # start, and the fit starts at the box centre
+    s = SortedSample(np.array([0.0, 9.0, 9.5, 9.8, 10.0]))
+    lm = sample_lmoments_v(s, 3)
+    assert lm[3] / lm[2] < -0.138
+    with pytest.raises(EstimationError, match="tau_3"):
+        fit_lmoment_method_weibull(s)
+    assert estimator.lmoment_method_start(s, weibull_model()) is None
+    report = fit_divergence(s, weibull_model(), CHI2)
+    assert report.diagnostics["start"] == "box_centre"
 
 
 def test_lmoment_method_known_ratio():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import digamma, polygamma
 
 from lmomdiv.models import (
     ParametricFamily,
+    _digamma_trigamma,
     gpd_lmoment_jacobian,
     gpd_lmoment_map,
     gpd_model,
@@ -182,6 +184,42 @@ def test_weibull_model_target():
     model = weibull_model()
     theta = np.array([3.0, 0.4])
     assert np.allclose(model.target_map(theta), -np.array(weibull_lmoment_map(3.0, 0.4)))
+
+
+@pytest.mark.parametrize("model,nus", [
+    (gpd_model(), np.linspace(-5.0, 0.99, 9)),
+    (weibull_model(), np.geomspace(0.05, 20.0, 9)),
+], ids=lambda v: getattr(v, "name", ""))
+def test_lmoment_hessian_matches_jacobian_differences(model, nus):
+    # central differences of the analytic Jacobian, over the model's box
+    for sigma in (1e-3, 1.0, 1e3):
+        for nu in nus:
+            theta = np.array([sigma, nu])
+            hess = model.lmoment_hessian(theta)
+            fd = np.empty_like(hess)
+            for j, h in enumerate(1e-6 * theta):
+                e = np.eye(2)[j] * h
+                fd[:, :, j] = (model.lmoment_jacobian(theta + e)
+                               - model.lmoment_jacobian(theta - e)) / (2.0 * h)
+            scale = np.abs(hess).max(axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(hess - fd) <= 1e-5 * scale), (sigma, nu)
+            assert np.all(hess[:, 0, 0] == 0.0)
+            assert np.array_equal(hess, hess.transpose(0, 2, 1))
+
+
+def test_orderstat3_lmoment_hessian_is_zero():
+    model = order_stat_model_3()
+    assert np.array_equal(model.lmoment_hessian(np.array([2.5])), np.zeros((2, 1, 1)))
+
+
+def test_digamma_trigamma_match_scipy():
+    # the Weibull derivatives call them at 1 + 1/nu, nu in [0.05, 20]; psi has
+    # a zero at 1.4616, where the bound is absolute: the recurrence sums
+    # terms of size 1 to a value near 0
+    for x in np.concatenate([np.linspace(1.05, 21.0, 2001), [1.4616321449683623]]):
+        psi, tri = _digamma_trigamma(float(x))
+        assert abs(psi - digamma(x)) <= 1e-13 * abs(digamma(x)) + 1e-15, x
+        assert abs(tri - polygamma(1, x)) <= 1e-13 * polygamma(1, x), x
 
 
 def test_model_jacobian_analytic_vs_fd():
