@@ -77,8 +77,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_lmoments(args) -> int:
-    data = read_column(args.input, args.col)
-    sample = SortedSample(data)
+    sample = SortedSample(read_column(args.input, args.col))
     if args.max_order < 1:
         raise UsageError("--max-order must be >= 1")
     lv = sample_lmoments_v(sample, args.max_order)
@@ -103,6 +102,14 @@ def cmd_lmoments(args) -> int:
     return 0
 
 
+def _by_name(lookup, name: str):
+    """``lookup(name)``; an unknown or malformed name is a usage error."""
+    try:
+        return lookup(name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _fit_sample(sample: SortedSample, args):
     if args.method != "divergence":
         fitter = {
@@ -115,8 +122,8 @@ def _fit_sample(sample: SortedSample, args):
             theta=np.array([sigma, nu]), xi=None, criterion=float("nan"),
             method=args.method, param_names=("sigma", "nu"),
         ), model_by_name("gpd-l234")
-    model = model_by_name(args.model)
-    divergence = divergence_by_name(args.div)
+    model = _by_name(model_by_name, args.model)
+    divergence = _by_name(divergence_by_name, args.div)
     return fit_divergence(sample, model, divergence), model
 
 
@@ -128,7 +135,7 @@ def _plugin_family(args) -> str:
     """The plug-in family of the asymptotics of this fit, or a usage error."""
     if args.method != "divergence":
         raise UsageError(f"asymptotics need a divergence fit, not --method {args.method}")
-    model = model_by_name(args.model).name
+    model = _by_name(model_by_name, args.model).name
     if model not in _PLUGIN_FAMILIES:
         raise UsageError(f"no plug-in law for model {model!r}; asymptotics cover "
                          f"{', '.join(_PLUGIN_FAMILIES)}")
@@ -156,8 +163,7 @@ def _attach_asymptotics(report, model, sample, family):
 
 def cmd_fit(args) -> int:
     family = _plugin_family(args) if args.asymptotics else None
-    data = read_column(args.input, args.col)
-    sample = SortedSample(data)
+    sample = SortedSample(read_column(args.input, args.col))
     report, model = _fit_sample(sample, args)
     if family is not None:
         report = _attach_asymptotics(report, model, sample, family)
@@ -179,8 +185,7 @@ def cmd_fit(args) -> int:
 
 def cmd_test(args) -> int:
     family = _plugin_family(args)
-    data = read_column(args.input, args.col)
-    sample = SortedSample(data)
+    sample = SortedSample(read_column(args.input, args.col))
     report, model = _fit_sample(sample, args)
     report = _attach_asymptotics(report, model, sample, family)
     if report.s_n is None:
@@ -212,24 +217,30 @@ def cmd_simulate(args) -> int:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot parse config {args.config}: {exc}")
+    if not isinstance(raw, dict):
+        raise UsageError(f"config {args.config} must be a JSON object")
     unknown = set(raw) - _SIM_KEYS
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     if "scenario" not in raw:
         raise UsageError("config must name a scenario (1..4)")
-    config = ScenarioConfig.preset(
-        int(raw["scenario"]),
-        n=int(raw.get("n", 100)),
-        replicates=int(raw.get("replicates", 500)),
-        seed=int(raw.get("seed", 0)),
-        estimators=tuple(raw.get("estimators", DEFAULT_ESTIMATORS)),
-    )
-    for key in ("family", "sigma", "nu", "contamination", "outlier"):
-        if key in raw:
-            config = ScenarioConfig(**{**config.__dict__, key: raw[key]})
-    out_dir = raw.get("output_dir", args.output or ".")
-    os.makedirs(out_dir, exist_ok=True)
-    summary = run_scenario(config, n_jobs=int(raw.get("jobs", args.jobs)))
+    try:
+        config = ScenarioConfig.preset(
+            int(raw["scenario"]),
+            n=int(raw.get("n", 100)),
+            replicates=int(raw.get("replicates", 500)),
+            seed=int(raw.get("seed", 0)),
+            estimators=tuple(raw.get("estimators", DEFAULT_ESTIMATORS)),
+        )
+        for key in ("family", "sigma", "nu", "contamination", "outlier"):
+            if key in raw:
+                config = ScenarioConfig(**{**config.__dict__, key: raw[key]})
+        jobs = int(raw.get("jobs", args.jobs))
+        out_dir = raw.get("output_dir", args.output or ".")
+        os.makedirs(out_dir, exist_ok=True)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"bad config {args.config}: {exc}") from None
+    summary = run_scenario(config, n_jobs=jobs)
 
     csv_path = os.path.join(out_dir, "replicates.csv")
     with open(csv_path, "w", newline="") as fh:
@@ -337,10 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OrderLimitError as exc:
+    except (UsageError, OrderLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (EstimationError, ValueError, np.linalg.LinAlgError) as exc:

@@ -23,8 +23,8 @@ again from the chi-square estimate.  Each fit builds one ``DualProblem``;
 its chi-square criterion is the closed-form dual.  For any other divergence
 each criterion evaluation is one Newton solve of the dual, warm-started from
 the last converged one (``_Criterion``).  A failed inner solve is never the
-criterion: it counts +inf during the search, which rejects the step, and
-makes the fit raise ``EstimationError`` at the estimate.
+criterion: it counts +inf, which rejects the step, and a fit whose search
+finds no finite point raises ``EstimationError``.
 The plug-in Omega and Sigma run in quantile space (``asymptotic_covariance``).
 
 The GPD maximum likelihood comparison estimator is a one-dimensional profile
@@ -133,9 +133,8 @@ class _Criterion:
     runs ``solve_dual``, warm-started from the multipliers of the last
     converged solve.  A target outside the cone of the rows
     (``infeasibleDirection``) and an uncertified failure both count +inf,
-    so that no lower bound becomes the criterion.  ``last`` is the inner
-    solution of the latest call (None for chi-square or when no solve ran);
-    ``diagnostics`` counts the calls and the Newton solves.
+    so that no lower bound becomes the criterion.  ``diagnostics`` counts
+    the calls and the Newton solves.
     """
 
     def __init__(self, skeleton: DualProblem, model: SplqModel):
@@ -145,13 +144,11 @@ class _Criterion:
             self.omega = omega_empirical(skeleton)
             self.chi2 = chi2_solver(self.omega, skeleton.m_n)
         self.xi0 = None
-        self.last = None
         self.calls = self.iterations = self.evaluations = 0
         self.status = dict.fromkeys(SOLVE_STATUSES, 0)
 
     def __call__(self, theta):
         self.calls += 1
-        self.last = None
         theta = self.model.clip_to_box(theta)
         try:
             target = self.model.target_map(theta)
@@ -162,7 +159,6 @@ class _Criterion:
         if self.chi2 is not None:
             return self.chi2(target)
         sol = solve_dual(self.skeleton.with_target(target), xi0=self.xi0)
-        self.last = sol
         self.iterations += sol.iterations
         self.evaluations += sol.evaluations
         self.status[sol.status] += 1
@@ -215,6 +211,7 @@ def lmoment_method_start(sample: SortedSample, model: SplqModel) -> np.ndarray |
 class _SearchResult:
     theta: np.ndarray
     value: float
+    xi: np.ndarray | None
     iterations: int
     converged: bool
     gauss_newton_steps: int
@@ -241,14 +238,14 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
     included, is rejected and ``lam`` grows threefold, to at least 1, which
     about halves the step.  Converged means a step below ``_OUTER_STEP_TOL``
     within ``MAX_OUTER_ITER`` iterations; a +inf start returns at once,
-    unconverged.
+    unconverged.  The result holds the value and ``xi`` where the search stops.
     """
     model = evaluate.model
     lo, hi = model.box[:, 0], model.box[:, 1]
     theta = model.clip_to_box(start)
     value, xi = evaluate(theta)
     if not np.isfinite(value):
-        return _SearchResult(theta, value, 0, False, 0)
+        return _SearchResult(theta, value, xi, 0, False, 0)
     lam, moved, gauss_newton_steps = 0.0, True, 0
     for it in range(MAX_OUTER_ITER):
         if moved:
@@ -264,7 +261,7 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
         step[free] = np.linalg.solve(a_free + lam * np.diag(np.diag(a_free)), -grad[free])
         cand = np.clip(theta + step, lo, hi)
         if np.all(np.abs(cand - theta) <= _OUTER_STEP_TOL * (1.0 + np.abs(theta))):
-            return _SearchResult(theta, value, it, True, gauss_newton_steps)
+            return _SearchResult(theta, value, xi, it, True, gauss_newton_steps)
         gauss_newton_steps += not newton
         cand_value, cand_xi = evaluate(cand)
         moved = cand_value < value
@@ -273,7 +270,7 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
             lam /= 3.0
         else:
             lam = max(3.0 * lam, 1.0)
-    return _SearchResult(theta, value, MAX_OUTER_ITER, False, gauss_newton_steps)
+    return _SearchResult(theta, value, xi, MAX_OUTER_ITER, False, gauss_newton_steps)
 
 
 def fit_divergence(
@@ -286,7 +283,7 @@ def fit_divergence(
     ``diagnostics["start"]`` names the start used; ``outer_iterations``
     counts the steps tried, ``gauss_newton_steps`` those of them that fell
     back to the Gauss-Newton curvature, and ``criterion_evaluations`` the
-    criterion calls, the re-solve at the estimate included.
+    criterion calls.  The criterion and ``xi`` are the search's own at the estimate.
     """
     try:
         skeleton = make_dual_problem(
@@ -309,23 +306,14 @@ def fit_divergence(
         start, start_name = _outer_search(chi2, start).theta, "chi2"
         res = _outer_search(evaluate, start)
     if not np.isfinite(res.value):
-        raise EstimationError("the inner solve failed at every point of the outer search")
+        raise EstimationError("the inner solve failed at every point of the outer search: "
+                              f"inner_status {evaluate.status}")
 
-    theta_hat = res.theta
-    criterion, xi_hat = evaluate(theta_hat)
-    final = evaluate.last
-    if final is not None and not final.converged:
-        raise EstimationError(
-            f"inner dual solve at the estimate ended in {final.status} after "
-            f"{final.iterations} Newton iterations")
-    at_boundary = bool(
-        np.any(np.abs(theta_hat - model.box[:, 0]) < 1e-6)
-        or np.any(np.abs(theta_hat - model.box[:, 1]) < 1e-6)
-    )
+    at_boundary = bool(np.any(np.abs(res.theta[:, None] - model.box) < 1e-6))
     return FitReport(
-        theta=theta_hat,
-        xi=xi_hat,
-        criterion=float(criterion),
+        theta=res.theta,
+        xi=res.xi,
+        criterion=float(res.value),
         method=f"divergence:{divergence.family}",
         param_names=model.param_names,
         diagnostics={

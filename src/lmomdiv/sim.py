@@ -61,6 +61,9 @@ class ScenarioConfig:
         unknown = set(self.estimators) - set(DEFAULT_ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        if not all(isinstance(v, (int, float)) for v in (self.sigma, self.nu, self.outlier)):
+            raise TypeError("sigma, nu and outlier must be numbers")
+        self.true_family  # checks the family and its parameters
 
     @classmethod
     def preset(cls, scenario: int, n: int = 100, replicates: int = 500,

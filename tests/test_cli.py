@@ -194,6 +194,18 @@ def test_orderstat_test_is_usage_error(data_file, capsys):
     assert "no plug-in law" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["fit", "--div", "foo"], "unknown divergence 'foo'"),
+    (["fit", "--model", "foo"], "unknown model 'foo'"),
+    (["test", "--model", "foo"], "unknown model 'foo'"),
+    (["fit", "--div", "power:abc"], "could not convert string to float"),
+], ids=["fit-div", "fit-model", "test-model", "fit-power"])
+def test_unknown_name_is_usage_error(data_file, capsys, argv, message):
+    path, _ = data_file
+    assert main([argv[0], path, *argv[1:]]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_fit_law_sample_has_a_statistic(tmp_path, capsys):
     # a GPD(3, 0.4) sample of 1000 whose plug-in multiplier covariance had no
     # positive eigenvalue when Sigma came from a quadrature in x; in quantile
@@ -316,6 +328,30 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": 1, "bogus": True}))
     assert main(["simulate", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("cfg,message", [
+    ({"scenario": 5}, "scenario must be 1..4"),
+    ({"scenario": "x"}, "invalid literal for int()"),
+    ({"scenario": 1, "replicates": 0}, "at least one replicate"),
+    ({"scenario": 1, "n": 3}, "at least 5"),
+    ({"scenario": 1, "contamination": 1.5}, "contamination fraction"),
+    ({"scenario": 1, "estimators": ["kl"]}, "unknown estimators: ['kl']"),
+    ({"scenario": 1, "family": "cauchy"}, "unknown family 'cauchy'"),
+    ({"scenario": 1, "sigma": "3"}, "sigma, nu and outlier must be numbers"),
+    ({"scenario": 1, "nu": "x"}, "sigma, nu and outlier must be numbers"),
+    ({"scenario": 2, "outlier": "x"}, "sigma, nu and outlier must be numbers"),
+    ({"scenario": 4, "nu": -1.0}, "Weibull shape must be positive"),
+    ({"scenario": 1, "jobs": "two"}, "invalid literal for int()"),
+    ({"scenario": 1, "output_dir": 5}, "expected str, bytes or os.PathLike object"),
+    ([1, 2], "must be a JSON object"),
+])
+def test_simulate_rejects_bad_config_values(tmp_path, capsys, cfg, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", str(cfg_path), "--output", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_json_full_precision(data_file, capsys):

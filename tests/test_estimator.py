@@ -190,43 +190,37 @@ def test_unconverged_solve_during_the_search_counts_as_inf(monkeypatch):
 
 
 @pytest.fixture
-def fail_at_the_estimate(monkeypatch):
-    """Every inner solve after the outer search ends in maxIter."""
-    searched = []
-    outer_search = estimator._outer_search
+def fail_every_inner_solve(monkeypatch):
+    """Every inner solve ends in maxIter: at the start and at the chi-square restart."""
     solve = estimator.solve_dual
-
-    def search(*args, **kwargs):
-        res = outer_search(*args, **kwargs)
-        searched.append(True)
-        return res
-
-    def solve_dual(problem, xi0=None):
-        sol = solve(problem, xi0=xi0)
-        return dataclasses.replace(sol, status="maxIter", iterations=200) if searched else sol
-
-    monkeypatch.setattr(estimator, "_outer_search", search)
-    monkeypatch.setattr(estimator, "solve_dual", solve_dual)
+    monkeypatch.setattr(estimator, "solve_dual", lambda problem, xi0=None: dataclasses.replace(
+        solve(problem, xi0=xi0), status="maxIter"))
 
 
-def test_unconverged_solve_at_the_estimate_raises(fail_at_the_estimate):
+#: the error of a fit whose two inner solves, at its start and at the chi-square restart, failed
+_FAILED_EVERYWHERE = ("the inner solve failed at every point of the outer search: inner_status "
+                      "{'converged': 0, 'infeasibleDirection': 0, 'maxIter': 2, 'stalled': 0}")
+
+
+def test_inner_failure_everywhere_raises(fail_every_inner_solve):
     s = draw_sample(ScenarioConfig.preset(1, n=100), 0)
-    with pytest.raises(EstimationError, match="maxIter after 200 Newton iterations"):
+    with pytest.raises(EstimationError) as exc:
         fit_divergence(s, gpd_model(), KLM)
+    assert str(exc.value) == _FAILED_EVERYWHERE
 
 
-def test_unconverged_solve_at_the_estimate_is_a_recorded_error(fail_at_the_estimate):
+def test_inner_failure_everywhere_is_a_recorded_error(fail_every_inner_solve):
     out = run_scenario(ScenarioConfig.preset(1, n=100, replicates=1, estimators=("klm",)))
-    assert "maxIter" in out.records[0]["error"]
+    assert out.records[0]["error"] == _FAILED_EVERYWHERE
     assert out.failures == {"klm": 1}
 
 
-def test_unconverged_solve_at_the_estimate_exits_3(fail_at_the_estimate, tmp_path, capsys):
+def test_inner_failure_everywhere_exits_3(fail_every_inner_solve, tmp_path, capsys):
     path = tmp_path / "x.csv"
     x = draw_sample(ScenarioConfig.preset(1, n=100), 0).values
     path.write_text("\n".join(map(repr, x.tolist())) + "\n")
     assert main(["fit", str(path), "--div", "klm", "--json"]) == 3
-    assert "maxIter" in capsys.readouterr().err
+    assert _FAILED_EVERYWHERE in capsys.readouterr().err
 
 
 def test_fit_small_sample_raises():
@@ -337,9 +331,10 @@ def test_kl_fit_on_four_points_leaves_the_box_edge():
 
 
 def test_infeasible_start_falls_back_to_the_chi2_estimate(monkeypatch):
-    # the first inner solve, at the Weibull box centre, reports a target
-    # outside the cone, so the start's criterion is +inf by construction; the
-    # chi-square estimate is a start the inner solve reaches
+    # the first inner solve, at this sample's Weibull L-moment start
+    # (4.094, 0.648), is made to report a target outside the cone, so the
+    # start's criterion is +inf; the chi-square estimate is a start the inner
+    # solve reaches
     calls = []
 
     def first_solve_infeasible(problem, xi0=None):
@@ -358,13 +353,33 @@ def test_infeasible_start_falls_back_to_the_chi2_estimate(monkeypatch):
 
 
 def test_weibull_kl_box_centre_fit_needs_no_restart():
-    # [REGRESSION] the cold solve at the box centre of this sample once ended
-    # in maxIter after 4,912 objective evaluations, and the fit reached
-    # criterion 0.17450296284881214 only through the chi-square restart
+    # [REGRESSION] the cold solve at the box centre (500, 10.025) of this
+    # sample once ended in maxIter after 4,912 objective evaluations, and the
+    # fit, which then started there, reached criterion 0.17450296284881214
+    # only through the chi-square restart; the fit now starts at the
+    # L-moment estimate, so the cold solve is checked on its own
     s = draw_sample(ScenarioConfig.preset(3, n=30, seed=555), 0)
-    report = fit_divergence(s, model_by_name("weibull-l234"), KL)
+    model = model_by_name("weibull-l234")
+    report = fit_divergence(s, model, KL)
     assert report.criterion <= 0.17450296284881214 * (1.0 + 1e-12)
     assert report.diagnostics["inner_evaluations"] <= 1000
+    skeleton = make_dual_problem(s, model.constraint_values, KL, np.zeros(3))
+    cold = solve_dual(skeleton.with_target(model.target_map(model.box.mean(axis=1))))
+    assert cold.converged
+    assert cold.evaluations <= 1000
+
+
+@pytest.mark.parametrize("model", [gpd_model(), weibull_model()], ids=lambda m: m.name)
+def test_criterion_evaluations_are_the_start_and_the_steps(model):
+    # one criterion call at the start and one per step tried: the estimate's
+    # criterion and multipliers are the search's own, with no re-solve
+    for scenario in (1, 2, 3, 4):
+        for seed in range(5):
+            s = draw_sample(ScenarioConfig.preset(scenario, n=100, seed=seed), 0)
+            diag = fit_divergence(s, model, KLM).diagnostics
+            assert diag["start"] == "lmoment"
+            assert (diag["criterion_evaluations"] == diag["outer_iterations"] + 1
+                    == sum(diag["inner_status"].values()))
 
 
 def test_criterion_evaluations_cover_the_inner_solves():
