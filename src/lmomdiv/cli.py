@@ -127,23 +127,18 @@ def _fit_sample(sample: SortedSample, args):
     return fit_divergence(sample, model, divergence), model
 
 
-#: the law whose fitted member is the plug-in of each model's asymptotics
-_PLUGIN_FAMILIES = {"gpd-l234": "gpd", "weibull-l234": "weibull"}
-
-
-def _plugin_family(args) -> str:
-    """The plug-in family of the asymptotics of this fit, or a usage error."""
+def _check_asymptotics(args) -> None:
+    """A usage error unless the fit is a divergence fit of a model with a plug-in law."""
     if args.method != "divergence":
         raise UsageError(f"asymptotics need a divergence fit, not --method {args.method}")
-    model = _by_name(model_by_name, args.model).name
-    if model not in _PLUGIN_FAMILIES:
-        raise UsageError(f"no plug-in law for model {model!r}; asymptotics cover "
-                         f"{', '.join(_PLUGIN_FAMILIES)}")
-    return _PLUGIN_FAMILIES[model]
+    model = _by_name(model_by_name, args.model)
+    if model.family is None:
+        raise UsageError(f"no plug-in law for model {model.name!r}: asymptotics "
+                         "need a model of a parametric law")
 
 
-def _attach_asymptotics(report, model, sample, family):
-    plugin = ParametricFamily(family, *map(float, report.theta))
+def _attach_asymptotics(report, model, sample):
+    plugin = ParametricFamily(model.family, *map(float, report.theta))
     cov = asymptotic_covariance(report.theta, model, plugin)
     n = sample.n
     report.cov_theta = cov.cov_theta / n
@@ -162,11 +157,12 @@ def _attach_asymptotics(report, model, sample, family):
 
 
 def cmd_fit(args) -> int:
-    family = _plugin_family(args) if args.asymptotics else None
+    if args.asymptotics:
+        _check_asymptotics(args)
     sample = SortedSample(read_column(args.input, args.col))
     report, model = _fit_sample(sample, args)
-    if family is not None:
-        report = _attach_asymptotics(report, model, sample, family)
+    if args.asymptotics:
+        report = _attach_asymptotics(report, model, sample)
     payload = report.to_dict()
     if args.json:
         json.dump(payload, sys.stdout, indent=2)
@@ -184,10 +180,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_test(args) -> int:
-    family = _plugin_family(args)
+    _check_asymptotics(args)
     sample = SortedSample(read_column(args.input, args.col))
     report, model = _fit_sample(sample, args)
-    report = _attach_asymptotics(report, model, sample, family)
+    report = _attach_asymptotics(report, model, sample)
     if report.s_n is None:
         raise EstimationError(report.diagnostics["confidence_error"])
     payload = {

@@ -139,15 +139,6 @@ def make_dual_problem(
     )
 
 
-def empirical_constraint_moments(sample: SortedSample, constraint_values) -> np.ndarray:
-    """Integral of the constraint rows against the empirical quantile measure.
-
-    Equals minus the plug-in sample L-moments of the configured orders.
-    """
-    # the target plays no part in m_n
-    return make_dual_problem(sample, constraint_values, CHI2, 0.0).m_n
-
-
 def omega_empirical(problem: DualProblem) -> np.ndarray:
     """Second-moment matrix of the constraint rows under the quantile measure."""
     return (problem.kmat.T * problem.delta) @ problem.kmat

@@ -195,9 +195,9 @@ class _Criterion:
 
 
 def lmoment_method_start(sample: SortedSample, model: SplqModel) -> np.ndarray | None:
-    """Classical L-moment estimate of the GPD or Weibull model, if defined."""
-    fit = {"gpd-l234": fit_lmoment_method_gpd,
-           "weibull-l234": fit_lmoment_method_weibull}.get(model.name)
+    """Classical L-moment estimate of the model's law (GPD or Weibull), if defined."""
+    fit = {"gpd": fit_lmoment_method_gpd,
+           "weibull": fit_lmoment_method_weibull}.get(model.family)
     if fit is None:
         return None
     try:
@@ -446,9 +446,10 @@ class ConfidenceStat:
 def confidence_stat(xi_hat, p_mat, sigma_mat, n: int) -> ConfidenceStat:
     """Model-membership statistic from the scaled multiplier estimate.
 
-    When the middle matrix is numerically singular (the generic case, its
-    rank being limited by the parameter count) a pseudo-inverse path with
-    rank-adjusted degrees of freedom fires and is flagged.
+    The middle matrix is inverted on the span of its eigenvalues above
+    ``_RANK_TOL`` times the largest, and ``df`` is that rank.  It is
+    generically singular, its rank limited by the parameter count; a rank
+    below full is flagged as ``rank_adjusted``.
     """
     xi_hat = np.asarray(xi_hat, dtype=float)
     middle = p_mat @ sigma_mat @ p_mat.T
@@ -462,17 +463,11 @@ def confidence_stat(xi_hat, p_mat, sigma_mat, n: int) -> ConfidenceStat:
         raise EstimationError(
             "multiplier covariance has no positive eigenvalue "
             f"(largest in magnitude: {extreme!r})")
-    full = rank == middle.shape[0]
-    if full:
-        s_n = float(n * xi_hat @ np.linalg.solve(middle, xi_hat))
-        df = middle.shape[0]
-    else:
-        inv = (evecs[:, keep] / evals[keep]) @ evecs[:, keep].T
-        s_n = float(n * xi_hat @ inv @ xi_hat)
-        df = rank
+    inv = (evecs[:, keep] / evals[keep]) @ evecs[:, keep].T
+    s_n = float(n * xi_hat @ inv @ xi_hat)
     return ConfidenceStat(
-        s_n=s_n, df=df, p_value=_chi2_sf(df, s_n),
-        rank=rank, rank_adjusted=not full,
+        s_n=s_n, df=rank, p_value=_chi2_sf(rank, s_n),
+        rank=rank, rank_adjusted=rank < middle.shape[0],
     )
 
 

@@ -87,24 +87,6 @@ def _check_max_order(max_order: int) -> None:
     _check_order(max_order)
 
 
-def vstat_weights(n: int, orders) -> np.ndarray:
-    """Exact plug-in weights: column ``j`` holds the per-observation weights
-    for the order ``orders[j]`` L-moment of a size-``n`` sample.
-
-    Order 1 gets uniform weights 1/n; order r >= 2 gets the differences of
-    the integrated polynomial at consecutive plotting positions.
-    """
-    grid = np.arange(n + 1) / n
-    cols = []
-    for r in orders:
-        if r == 1:
-            cols.append(np.full(n, 1.0 / n))
-        else:
-            k = integrated_legendre_eval(r, grid)
-            cols.append(np.diff(k))
-    return np.stack(cols, axis=-1)
-
-
 def sample_lmoments_v(sample: SortedSample, max_order: int) -> LmomentVector:
     """Plug-in (V-statistic) sample L-moments up to ``max_order``.
 

@@ -11,7 +11,7 @@ quantile measure with minus the L-moment.  User-facing reports always show
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gamma, log
+from math import gamma, log
 from typing import Callable
 
 import numpy as np
@@ -20,12 +20,12 @@ from .poly import PolyBasis
 
 
 # ---------------------------------------------------------------------------
-# closed-form L-moment maps
+# closed-form L-moment maps: lambda(sigma, nu) = sigma * f(nu) for each law
 
-#: poles a = 1..4 and residues: lambda_k / sigma = sum_a r_ka / (a - nu) for the GPD
+#: poles a = 1..4 and residues: f_k = sum_a r_ka / (a - nu) for the GPD
 _GPD_POLES = np.arange(1.0, 5.0)
 _GPD_RESIDUES = np.array([[1.0, -1.0, 0.0, 0.0], [1.0, -3.0, 2.0, 0.0], [1.0, -6.0, 10.0, -5.0]])
-#: lambda_k / sigma = Gamma(1 + 1/nu) * (W @ c)_k, c_j = 1 - j^(-1/nu), for the Weibull
+#: f = Gamma(1 + 1/nu) * (W @ c), c_j = 1 - j^(-1/nu) for j = 2, 3, 4, for the Weibull
 _WEIBULL_K = np.array([2.0, 3.0, 4.0])
 _WEIBULL_LOG_K = np.log(_WEIBULL_K)
 _WEIBULL_W = np.array([[1.0, 0.0, 0.0], [3.0, -2.0, 0.0], [6.0, -10.0, 5.0]])
@@ -33,71 +33,30 @@ _WEIBULL_W = np.array([[1.0, 0.0, 0.0], [3.0, -2.0, 0.0], [6.0, -10.0, 5.0]])
 WEIBULL_SHAPE_BOX = (0.05, 20.0)
 
 
-def gpd_lmoment_map(sigma: float, nu: float) -> np.ndarray:
-    """(lambda_2, lambda_3, lambda_4) of the generalized Pareto distribution.
-
-    Heavy tail for nu > 0; the L-moments exist only for nu < 1.
+def _gpd_shape(nu: float) -> np.ndarray:
+    """``f`` of the GPD, in product form: lambda_3 is exactly 0 at nu = -1 and
+    lambda_4 at nu = -1, -2.  Heavy tail for nu > 0; no L-moments for nu >= 1.
     """
-    if sigma <= 0:
-        raise ValueError("scale must be positive")
     if nu >= 1.0:
         raise ValueError("GPD L-moments do not exist for shape >= 1")
-    lam2 = sigma / ((1.0 - nu) * (2.0 - nu))
+    lam2 = 1.0 / ((1.0 - nu) * (2.0 - nu))
     lam3 = lam2 * (1.0 + nu) / (3.0 - nu)
     lam4 = lam2 * (1.0 + nu) * (2.0 + nu) / ((3.0 - nu) * (4.0 - nu))
     return np.array([lam2, lam3, lam4])
 
 
-def gpd_lmoment_jacobian(sigma: float, nu: float) -> np.ndarray:
-    """Analytic Jacobian of :func:`gpd_lmoment_map` w.r.t. (sigma, nu)."""
-    lam = gpd_lmoment_map(sigma, nu)
-    d_sigma = lam / sigma
-    lam2 = lam[0]
-    dlam2 = sigma * (3.0 - 2.0 * nu) / ((1.0 - nu) ** 2 * (2.0 - nu) ** 2)
-    g = (1.0 + nu) / (3.0 - nu)
-    dg = 4.0 / (3.0 - nu) ** 2
-    num = (1.0 + nu) * (2.0 + nu)
-    den = (3.0 - nu) * (4.0 - nu)
-    dnum = 2.0 * nu + 3.0
-    dden = 2.0 * nu - 7.0
-    h = num / den
-    dh = (dnum * den - num * dden) / den ** 2
-    d_nu = np.array([dlam2, dlam2 * g + lam2 * dg, dlam2 * h + lam2 * dh])
-    return np.stack([d_sigma, d_nu], axis=-1)
-
-
-def gpd_lmoment_hessian(sigma: float, nu: float) -> np.ndarray:
-    """Second derivatives of :func:`gpd_lmoment_map`, shape (3, 2, 2).
-
-    In partial fractions ``lambda_k = sigma * sum_a r_ka / (a - nu)`` over the
-    poles a = 1..4 (``_GPD_RESIDUES``), so each derivative in nu is one more
-    power of ``1 / (a - nu)``.
-    """
+def _gpd_slopes(nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(f', f'')`` of the GPD: each is one more power of ``1 / (a - nu)``."""
     inv = 1.0 / (_GPD_POLES - nu)
-    return _scale_shape_hessian(sigma, _GPD_RESIDUES @ inv ** 2,
-                                2.0 * _GPD_RESIDUES @ inv ** 3)
+    inv2 = inv * inv
+    return _GPD_RESIDUES @ inv2, 2.0 * (_GPD_RESIDUES @ (inv2 * inv))
 
 
-def _scale_shape_hessian(sigma: float, d_nu: np.ndarray, d_nu2: np.ndarray) -> np.ndarray:
-    """Hessian in (sigma, nu) of ``lambda = sigma * f(nu)``, from ``f'`` and ``f''``."""
-    out = np.empty((d_nu.size, 2, 2))
-    out[:, 0, 0] = 0.0
-    out[:, 0, 1] = out[:, 1, 0] = d_nu
-    out[:, 1, 1] = sigma * d_nu2
-    return out
-
-
-def weibull_lmoment_map(sigma: float, nu: float) -> np.ndarray:
-    """(lambda_2, lambda_3, lambda_4) of the Weibull distribution."""
-    if sigma <= 0 or nu <= 0:
-        raise ValueError("Weibull parameters must be positive")
-    c2 = 1.0 - 2.0 ** (-1.0 / nu)
-    c3 = 1.0 - 3.0 ** (-1.0 / nu)
-    c4 = 1.0 - 4.0 ** (-1.0 / nu)
-    lam2 = sigma * c2 * gamma(1.0 + 1.0 / nu)
-    lam3 = lam2 * (3.0 - 2.0 * c3 / c2)
-    lam4 = lam2 * (6.0 + (5.0 * c4 - 10.0 * c3) / c2)
-    return np.array([lam2, lam3, lam4])
+def _weibull_shape(nu: float) -> np.ndarray:
+    """``f`` of the Weibull law; ``expm1`` keeps the digits of ``c`` at large nu."""
+    if nu <= 0:
+        raise ValueError("Weibull shape must be positive")
+    return -gamma(1.0 + 1.0 / nu) * (_WEIBULL_W @ np.expm1(_WEIBULL_LOG_K / -nu))
 
 
 def _digamma_trigamma(x: float) -> tuple[float, float]:
@@ -121,13 +80,8 @@ def _digamma_trigamma(x: float) -> tuple[float, float]:
     return psi - psi_shift, tri + tri_shift
 
 
-def _weibull_shape_derivatives(nu: float):
-    """``f``, ``f'`` and ``f''`` of the Weibull map ``lambda = sigma * f(nu)``.
-
-    ``f = G * (W @ c)`` with ``G = Gamma(1 + 1/nu)``, ``c_j = 1 - j^(-1/nu)``
-    for j = 2, 3, 4 and the rows of ``_WEIBULL_W``; this is
-    :func:`weibull_lmoment_map` with the ratios to ``c_2`` multiplied out.
-    """
+def _weibull_slopes(nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(f', f'')`` of the Weibull law: the product rule on ``Gamma(1 + 1/nu) * (W @ c)``."""
     p = _WEIBULL_K ** (-1.0 / nu)
     dc = -p * _WEIBULL_LOG_K / nu ** 2
     d2c = dc * (_WEIBULL_LOG_K / nu - 2.0) / nu
@@ -136,19 +90,21 @@ def _weibull_shape_derivatives(nu: float):
     dg = -g * psi / nu ** 2
     d2g = g * (psi * psi + tri + 2.0 * nu * psi) / nu ** 4
     a, da, d2a = _WEIBULL_W @ (1.0 - p), _WEIBULL_W @ dc, _WEIBULL_W @ d2c
-    return g * a, dg * a + g * da, d2g * a + 2.0 * dg * da + g * d2a
+    return dg * a + g * da, d2g * a + 2.0 * dg * da + g * d2a
 
 
-def weibull_lmoment_jacobian(sigma: float, nu: float) -> np.ndarray:
-    """Analytic Jacobian of :func:`weibull_lmoment_map` w.r.t. (sigma, nu)."""
-    f, df, _ = _weibull_shape_derivatives(nu)
-    return np.stack([f, sigma * df], axis=-1)
+#: each law's ``(f, (f', f''))``, both functions of the shape nu
+_LAWS = {"gpd": (_gpd_shape, _gpd_slopes), "weibull": (_weibull_shape, _weibull_slopes)}
 
 
-def weibull_lmoment_hessian(sigma: float, nu: float) -> np.ndarray:
-    """Second derivatives of :func:`weibull_lmoment_map`, shape (3, 2, 2)."""
-    _, df, d2f = _weibull_shape_derivatives(nu)
-    return _scale_shape_hessian(sigma, df, d2f)
+def gpd_lmoment_map(sigma: float, nu: float) -> np.ndarray:
+    """(lambda_2, lambda_3, lambda_4) of the generalized Pareto distribution."""
+    return ParametricFamily("gpd", sigma, nu).lmoments()
+
+
+def weibull_lmoment_map(sigma: float, nu: float) -> np.ndarray:
+    """(lambda_2, lambda_3, lambda_4) of the Weibull distribution."""
+    return ParametricFamily("weibull", sigma, nu).lmoments()
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +124,7 @@ class ParametricFamily:
             raise ValueError("scale must be positive")
         if self.name == "weibull" and self.nu <= 0:
             raise ValueError("Weibull shape must be positive")
-        if self.name not in ("gpd", "weibull"):
+        if self.name not in _LAWS:
             raise ValueError(f"unknown family {self.name!r}")
 
     @property
@@ -241,9 +197,7 @@ class ParametricFamily:
         return self.quantile(rng.random(n))
 
     def lmoments(self) -> np.ndarray:
-        if self.name == "gpd":
-            return gpd_lmoment_map(self.sigma, self.nu)
-        return weibull_lmoment_map(self.sigma, self.nu)
+        return self.sigma * _LAWS[self.name][0](self.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +214,9 @@ class SplqModel:
     -lambda(theta), which is what the dual consumes.  ``rows(t)`` evaluates
     the integrated constraint rows at quantile levels ``t``; by default these
     are the integrated shifted Legendre polynomials of the configured orders.
+    ``family`` names the law (a ``ParametricFamily`` name) whose L-moments
+    the model shares, the plug-in law of the asymptotics; ``None`` when the
+    model has no such law.
     """
 
     name: str
@@ -268,6 +225,7 @@ class SplqModel:
     lmoment_map: Callable[[np.ndarray], np.ndarray]
     lmoment_jacobian: Callable[[np.ndarray], np.ndarray]
     lmoment_hessian: Callable[[np.ndarray], np.ndarray]
+    family: str | None = None
     orders: tuple[int, ...] | None = (2, 3, 4)
     rows: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -301,38 +259,42 @@ def model_jacobian(model: SplqModel, theta) -> np.ndarray:
     return -np.asarray(model.lmoment_jacobian(np.asarray(theta, dtype=float)))
 
 
-def _l234_model(name, box, lmoment_map, lmoment_jacobian, lmoment_hessian) -> SplqModel:
+def _l234_model(family: str, box) -> SplqModel:
+    """Laws sharing lambda_2..4 with a member of ``family``, ``lambda = sigma * f(nu)``."""
+    shape, slopes = _LAWS[family]
+
+    def jacobian(th):
+        out = np.empty((3, 2))
+        out[:, 0] = shape(th[1])
+        out[:, 1] = th[0] * slopes(th[1])[0]
+        return out
+
+    def hessian(th):
+        d_nu, d_nu2 = slopes(th[1])
+        out = np.zeros((3, 2, 2))
+        out[:, 0, 1] = out[:, 1, 0] = d_nu
+        out[:, 1, 1] = th[0] * d_nu2
+        return out
+
     return SplqModel(
-        name=name,
+        name=f"{family}-l234",
         param_names=("sigma", "nu"),
         box=np.array(box),
-        lmoment_map=lambda th: lmoment_map(th[0], th[1]),
-        lmoment_jacobian=lambda th: lmoment_jacobian(th[0], th[1]),
-        lmoment_hessian=lambda th: lmoment_hessian(th[0], th[1]),
+        lmoment_map=lambda th: th[0] * shape(th[1]),
+        lmoment_jacobian=jacobian,
+        lmoment_hessian=hessian,
+        family=family,
     )
 
 
 def gpd_model() -> SplqModel:
     """Distributions sharing their L-moments of orders 2-4 with a GPD."""
-    return _l234_model("gpd-l234", [[1e-3, 1e3], [-5.0, 0.99]],
-                       gpd_lmoment_map, gpd_lmoment_jacobian, gpd_lmoment_hessian)
+    return _l234_model("gpd", [[1e-3, 1e3], [-5.0, 0.99]])
 
 
 def weibull_model() -> SplqModel:
     """Distributions sharing their L-moments of orders 2-4 with a Weibull law."""
-    return _l234_model("weibull-l234", [[1e-3, 1e3], WEIBULL_SHAPE_BOX],
-                       weibull_lmoment_map, weibull_lmoment_jacobian,
-                       weibull_lmoment_hessian)
-
-
-def order_stat_polynomial(j: int, r: int, u):
-    """Density kernel of the j-th order statistic mean in an r-sample."""
-    if not 1 <= j <= r:
-        raise ValueError("need 1 <= j <= r")
-    u = np.asarray(u, dtype=float)
-    c = factorial(r) / (factorial(j - 1) * factorial(r - j))
-    out = c * u ** (j - 1) * (1.0 - u) ** (r - j)
-    return out if out.ndim else float(out)
+    return _l234_model("weibull", [[1e-3, 1e3], WEIBULL_SHAPE_BOX])
 
 
 def _orderstat3_rows(t):

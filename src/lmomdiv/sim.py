@@ -58,6 +58,8 @@ class ScenarioConfig:
             raise ValueError("need at least one replicate")
         if self.n < 5:
             raise ValueError("per-replicate sample size must be at least 5")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         unknown = set(self.estimators) - set(DEFAULT_ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")

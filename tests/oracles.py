@@ -12,6 +12,7 @@ from lmomdiv.cli import UsageError
 from lmomdiv.divergence import DivergenceSpec
 from lmomdiv.dualsolve import cone_witness, make_dual_problem
 from lmomdiv.lmoments import SortedSample
+from lmomdiv.poly import integrated_legendre_eval
 
 
 def primal_bruteforce(
@@ -234,3 +235,31 @@ def read_column_rowwise(path: str, col: int = 0) -> np.ndarray:
     if len(rows) < 2:
         raise UsageError(f"{path} holds fewer than two usable values")
     return np.array(rows)
+
+
+def vstat_weights(n: int, orders) -> np.ndarray:
+    """Exact plug-in weights: column ``j`` holds the per-observation weights
+    for the order ``orders[j]`` L-moment of a size-``n`` sample.
+
+    Order 1 gets uniform weights 1/n; order r >= 2 gets the differences of
+    the integrated polynomial at consecutive plotting positions.
+    """
+    grid = np.arange(n + 1) / n
+    cols = []
+    for r in orders:
+        if r == 1:
+            cols.append(np.full(n, 1.0 / n))
+        else:
+            k = integrated_legendre_eval(r, grid)
+            cols.append(np.diff(k))
+    return np.stack(cols, axis=-1)
+
+
+def order_stat_polynomial(j: int, r: int, u):
+    """Density kernel of the j-th order statistic mean in an r-sample."""
+    if not 1 <= j <= r:
+        raise ValueError("need 1 <= j <= r")
+    u = np.asarray(u, dtype=float)
+    c = math.factorial(r) / (math.factorial(j - 1) * math.factorial(r - j))
+    out = c * u ** (j - 1) * (1.0 - u) ** (r - j)
+    return out if out.ndim else float(out)

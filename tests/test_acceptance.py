@@ -10,7 +10,6 @@ import pytest
 from lmomdiv.divergence import CHI2, KL, KLM
 from lmomdiv.dualsolve import (
     chi2_value_closed_form,
-    empirical_constraint_moments,
     make_dual_problem,
     solve_dual,
 )
@@ -23,13 +22,12 @@ from lmomdiv.lmoments import (
     SortedSample,
     lambda_covariance,
     sample_lmoments_v,
-    vstat_weights,
 )
 from lmomdiv.models import ParametricFamily, gpd_model
 from lmomdiv.poly import PolyBasis, integrated_legendre_eval, shifted_legendre_eval
 from lmomdiv.sim import ScenarioConfig, run_scenario
 
-from oracles import primal_bruteforce
+from oracles import primal_bruteforce, vstat_weights
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -122,7 +120,7 @@ def test_criterion_5_chi2_closed_form():
     for _ in range(100):
         n = int(rng.integers(15, 60))
         s = SortedSample(np.sort(rng.standard_gamma(2.0, size=n)))
-        m_n = empirical_constraint_moments(s, basis)
+        m_n = make_dual_problem(s, basis, CHI2, 0.0).m_n
         target = m_n * rng.uniform(0.7, 1.3, size=3)
         sol = solve_dual(make_dual_problem(s, basis, CHI2, target))
         value, xi = chi2_value_closed_form(s, basis, target)

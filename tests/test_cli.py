@@ -345,6 +345,7 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
     ({"scenario": 1, "jobs": "two"}, "invalid literal for int()"),
     ({"scenario": 1, "output_dir": 5}, "expected str, bytes or os.PathLike object"),
     ([1, 2], "must be a JSON object"),
+    ({"scenario": 1, "seed": -1}, "seed must be a non-negative integer"),
 ])
 def test_simulate_rejects_bad_config_values(tmp_path, capsys, cfg, message):
     cfg_path = tmp_path / "cfg.json"

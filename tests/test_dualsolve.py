@@ -6,7 +6,6 @@ from lmomdiv.dualsolve import (
     DualProblem,
     chi2_value_closed_form,
     cone_witness,
-    empirical_constraint_moments,
     make_dual_problem,
     omega_empirical,
     solve_dual,
@@ -35,7 +34,7 @@ def test_empirical_moments_match_lmoments():
     # L-moments of orders >= 2
     s = random_sample(0)
     basis = PolyBasis((2, 3, 4))
-    m_n = empirical_constraint_moments(s, basis)
+    m_n = make_dual_problem(s, basis, CHI2, 0.0).m_n
     lm = sample_lmoments_v(s, 4)
     assert np.allclose(m_n, [-lm[2], -lm[3], -lm[4]], atol=1e-12)
 
@@ -58,7 +57,7 @@ def test_value_zero_at_empirical_target():
     # at target m_n the empirical measure itself is optimal
     s = random_sample(1)
     basis = PolyBasis((2, 3))
-    m_n = empirical_constraint_moments(s, basis)
+    m_n = make_dual_problem(s, basis, CHI2, 0.0).m_n
     for div in DIVS:
         sol = solve_dual(make_dual_problem(s, basis, div, m_n))
         assert sol.converged
@@ -280,7 +279,7 @@ def test_omega_empirical_quadratic_form():
 def test_wasserstein_identity_at_empirical_target():
     s = random_sample(8, n=15)
     basis = PolyBasis((2, 3))
-    m_n = empirical_constraint_moments(s, basis)
+    m_n = make_dual_problem(s, basis, CHI2, 0.0).m_n
     cost, y, monotone = wasserstein_fit_inner(s, basis, m_n)
     assert cost == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(y, s.values, atol=1e-7)
@@ -305,7 +304,7 @@ def test_wasserstein_can_break_monotonicity():
     # the flag reports it rather than silently projecting
     s = SortedSample(np.linspace(0.0, 1.0, 6))
     basis = PolyBasis((2, 3))
-    m_n = empirical_constraint_moments(s, basis)
+    m_n = make_dual_problem(s, basis, CHI2, 0.0).m_n
     target = m_n + np.array([0.0, 5.0])
     _, y, monotone = wasserstein_fit_inner(s, basis, target)
     assert not monotone

@@ -19,7 +19,6 @@ from lmomdiv.lmoments import (
     sample_lmoments_u,
     sample_lmoments_v,
     triangle_covariance,
-    vstat_weights,
 )
 from lmomdiv.models import ParametricFamily
 from lmomdiv.poly import PolyBasis, integrated_legendre_eval, shifted_legendre_eval
@@ -27,6 +26,7 @@ from oracles import (
     gpd_plugin_omega,
     gpd_plugin_sigma,
     pwm_unbiased_comb,
+    vstat_weights,
     weibull_plugin_omega,
     weibull_plugin_sigma,
 )

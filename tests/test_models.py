@@ -7,17 +7,16 @@ from scipy.special import digamma, polygamma
 from lmomdiv.models import (
     ParametricFamily,
     _digamma_trigamma,
-    gpd_lmoment_jacobian,
     gpd_lmoment_map,
     gpd_model,
     model_by_name,
     model_jacobian,
     order_stat_model_3,
-    order_stat_polynomial,
-    weibull_lmoment_jacobian,
     weibull_lmoment_map,
     weibull_model,
 )
+
+from oracles import order_stat_polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -48,23 +47,45 @@ def test_weibull_exponential_case():
     assert l4 / l2 == pytest.approx(1.0 / 6.0)
 
 
-@pytest.mark.parametrize(
-    "fn,jac,theta",
-    [
-        (gpd_lmoment_map, gpd_lmoment_jacobian, (3.0, 0.7)),
-        (gpd_lmoment_map, gpd_lmoment_jacobian, (1.0, -0.4)),
-        (weibull_lmoment_map, weibull_lmoment_jacobian, (3.0, 0.4)),
-        (weibull_lmoment_map, weibull_lmoment_jacobian, (2.0, 2.5)),
-    ],
-)
-def test_analytic_jacobians(fn, jac, theta):
-    J = jac(*theta)
+def test_gpd_lmoment_exact_zeros():
+    # [DERIVED] the product form carries the factors 1 + nu and 2 + nu
+    assert gpd_lmoment_map(1.0, -1.0)[1] == 0.0
+    assert gpd_lmoment_map(1.0, -1.0)[2] == 0.0
+    assert gpd_lmoment_map(1.0, -2.0)[2] == 0.0
+
+
+@pytest.mark.parametrize("name,sigma,nu", [
+    ("gpd-l234", 3.0, 0.7),
+    ("gpd-l234", 1.0, -0.4),
+    ("gpd-l234", 3.0, -5.0),
+    ("gpd-l234", 3.0, -1.0),
+    ("gpd-l234", 3.0, 0.99),
+    ("weibull-l234", 3.0, 0.4),
+    ("weibull-l234", 2.0, 2.5),
+    ("weibull-l234", 3.0, 0.05),
+    ("weibull-l234", 3.0, 20.0),
+])
+def test_analytic_jacobians(name, sigma, nu):
+    # central differences of the model's map, out to the edges of its shape box
+    model = model_by_name(name)
+    theta = np.array([sigma, nu])
     h = 1e-6
     fd = np.column_stack([
-        (np.array(fn(theta[0] + h, theta[1])) - np.array(fn(theta[0] - h, theta[1]))) / (2 * h),
-        (np.array(fn(theta[0], theta[1] + h)) - np.array(fn(theta[0], theta[1] - h))) / (2 * h),
+        (model.lmoment_map(theta + h * e) - model.lmoment_map(theta - h * e)) / (2 * h)
+        for e in np.eye(2)
     ])
-    assert np.allclose(J, fd, rtol=1e-5, atol=1e-5)
+    assert np.allclose(model.lmoment_jacobian(theta), fd, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("name", ["gpd-l234", "weibull-l234"])
+def test_model_map_is_its_family_lmoments(name):
+    # the model's constraint values are the L-moments of its plug-in law, bit for bit
+    model = model_by_name(name)
+    for sigma in (1e-3, 3.0, 1e3):
+        for nu in np.linspace(*model.box[1], 7):
+            theta = np.array([sigma, nu])
+            assert np.array_equal(ParametricFamily(model.family, sigma, nu).lmoments(),
+                                  model.lmoment_map(theta))
 
 
 def test_lmoment_maps_match_quadrature():
@@ -245,6 +266,9 @@ def test_model_by_name():
     assert model_by_name("gpd-l234").name == "gpd-l234"
     assert model_by_name("weibull-l234").name == "weibull-l234"
     assert model_by_name("orderstat3").dim == 1
+    assert model_by_name("gpd-l234").family == "gpd"
+    assert model_by_name("weibull-l234").family == "weibull"
+    assert model_by_name("orderstat3").family is None
     with pytest.raises(ValueError):
         model_by_name("gpd-l23456")
 
