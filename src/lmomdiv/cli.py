@@ -1,5 +1,8 @@
 """Command-line surface: data ingestion, estimation, testing and simulation.
 
+``fit`` and ``test`` share one fit path, ``_fit``, and differ only in what
+they print; every command prints through ``_emit``, as JSON under ``--json``.
+
 Exit codes: 0 success, 2 usage or input error, 3 numeric failure.
 """
 
@@ -76,6 +79,16 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _emit(args, payload: dict, lines) -> int:
+    """``payload`` as JSON under ``--json``, the text ``lines`` otherwise."""
+    if args.json:
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    else:
+        print("\n".join(lines))
+    return 0
+
+
 def cmd_lmoments(args) -> int:
     sample = SortedSample(read_column(args.input, args.col))
     if args.max_order < 1:
@@ -89,116 +102,84 @@ def cmd_lmoments(args) -> int:
     }
     if args.max_order >= 3 and lv[2] != 0:
         payload["ratios"] = lmoment_ratios(lv)
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        print("order  l_r(V)      l_r(U)")
-        for r in range(1, args.max_order + 1):
-            u = _fmt(lu.values[r - 1]) if r <= lu.max_order else "-"
-            print(f"{r:>5}  {_fmt(lv.values[r - 1]):>10}  {u:>10}")
-        for key, val in payload.get("ratios", {}).items():
-            print(f"{key} = {_fmt(val)}")
-    return 0
+    lines = ["order  l_r(V)      l_r(U)"]
+    for r in range(1, args.max_order + 1):
+        u = _fmt(lu.values[r - 1]) if r <= lu.max_order else "-"
+        lines.append(f"{r:>5}  {_fmt(lv.values[r - 1]):>10}  {u:>10}")
+    lines += [f"{key} = {_fmt(val)}" for key, val in payload.get("ratios", {}).items()]
+    return _emit(args, payload, lines)
 
 
-def _by_name(lookup, name: str):
-    """``lookup(name)``; an unknown or malformed name is a usage error."""
+def _by_name(flag: str, lookup, name: str):
+    """``lookup(name)``; an unknown or malformed name is a usage error naming ``flag``."""
     try:
         return lookup(name)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"{flag}: {exc}") from None
 
 
-def _fit_sample(sample: SortedSample, args):
+def _fit(args) -> FitReport:
+    """The fit, with the plug-in blocks under ``args.asymptotics``.
+
+    Flags are resolved and checked before the CSV is read.  A classical method
+    fits the GPD alone: it takes ``--model gpd-l234`` only, and no ``--div``.
+    """
+    model = _by_name("--model", model_by_name, args.model)
+    divergence = _by_name("--div", divergence_by_name, "chi2" if args.div is None else args.div)
     if args.method != "divergence":
-        fitter = {
-            "lmom": fit_lmoment_method_gpd,
-            "moment": fit_moment_method_gpd,
-            "mle": fit_mle_gpd,
-        }[args.method]
-        sigma, nu = fitter(sample)
-        return FitReport(
-            theta=np.array([sigma, nu]), xi=None, criterion=float("nan"),
-            method=args.method, param_names=("sigma", "nu"),
-        ), model_by_name("gpd-l234")
-    model = _by_name(model_by_name, args.model)
-    divergence = _by_name(divergence_by_name, args.div)
-    return fit_divergence(sample, model, divergence), model
-
-
-def _check_asymptotics(args) -> None:
-    """A usage error unless the fit is a divergence fit of a model with a plug-in law."""
-    if args.method != "divergence":
-        raise UsageError(f"asymptotics need a divergence fit, not --method {args.method}")
-    model = _by_name(model_by_name, args.model)
-    if model.family is None:
+        if model.name != "gpd-l234":
+            raise UsageError(f"--model {args.model}: --method {args.method} fits gpd-l234 only")
+        if args.div is not None:
+            raise UsageError(f"--div {args.div}: --method {args.method} is not a divergence fit")
+        if args.asymptotics:
+            raise UsageError(f"asymptotics need a divergence fit, not --method {args.method}")
+    elif args.asymptotics and model.family is None:
         raise UsageError(f"no plug-in law for model {model.name!r}: asymptotics "
                          "need a model of a parametric law")
-
-
-def _attach_asymptotics(report, model, sample):
+    sample = SortedSample(read_column(args.input, args.col))
+    if args.method == "divergence":
+        report = fit_divergence(sample, model, divergence)
+    else:
+        fitter = {"lmom": fit_lmoment_method_gpd, "moment": fit_moment_method_gpd,
+                  "mle": fit_mle_gpd}[args.method]
+        report = FitReport(theta=np.array(fitter(sample)), xi=None, criterion=float("nan"),
+                           method=args.method, param_names=model.param_names)
+    if not args.asymptotics:
+        return report
     plugin = ParametricFamily(model.family, *map(float, report.theta))
     cov = asymptotic_covariance(report.theta, model, plugin)
-    n = sample.n
-    report.cov_theta = cov.cov_theta / n
-    report.cov_xi = cov.cov_xi / n
+    report.cov_theta, report.cov_xi = cov.cov_theta / sample.n, cov.cov_xi / sample.n
     try:
-        stat = confidence_stat(report.xi, cov.p, cov.sigma, n)
+        stat = confidence_stat(report.xi, cov.p, cov.sigma, sample.n)
     except EstimationError as exc:
         # the covariances stand; only the membership statistic is undefined
         report.diagnostics["confidence_error"] = str(exc)
         return report
-    report.s_n = stat.s_n
-    report.df = stat.df
-    report.p_value = stat.p_value
+    report.s_n, report.df, report.p_value = stat.s_n, stat.df, stat.p_value
     report.diagnostics["rank_adjusted_df"] = stat.rank_adjusted
     return report
 
 
 def cmd_fit(args) -> int:
-    if args.asymptotics:
-        _check_asymptotics(args)
-    sample = SortedSample(read_column(args.input, args.col))
-    report, model = _fit_sample(sample, args)
-    if args.asymptotics:
-        report = _attach_asymptotics(report, model, sample)
-    payload = report.to_dict()
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        print(f"method    {report.method}")
-        for name, value in zip(report.param_names, report.theta):
-            print(f"{name:<9} {_fmt(value)}")
-        if np.isfinite(report.criterion):
-            print(f"criterion {_fmt(report.criterion)}")
-        if report.s_n is not None:
-            print(f"S_n       {_fmt(report.s_n)}  (df={report.df}, "
-                  f"p={_fmt(report.p_value)})")
-    return 0
+    report = _fit(args)
+    lines = [f"method    {report.method}",
+             *(f"{name:<9} {_fmt(v)}" for name, v in zip(report.param_names, report.theta))]
+    if np.isfinite(report.criterion):
+        lines.append(f"criterion {_fmt(report.criterion)}")
+    if report.s_n is not None:
+        lines.append(f"S_n       {_fmt(report.s_n)}  (df={report.df}, "
+                     f"p={_fmt(report.p_value)})")
+    return _emit(args, report.to_dict(), lines)
 
 
 def cmd_test(args) -> int:
-    _check_asymptotics(args)
-    sample = SortedSample(read_column(args.input, args.col))
-    report, model = _fit_sample(sample, args)
-    report = _attach_asymptotics(report, model, sample)
+    report = _fit(args)
     if report.s_n is None:
         raise EstimationError(report.diagnostics["confidence_error"])
-    payload = {
-        "s_n": report.s_n,
-        "df": report.df,
-        "p_value": report.p_value,
-        "rank_adjusted_df": report.diagnostics.get("rank_adjusted_df", False),
-    }
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        print(f"S_n = {_fmt(report.s_n)}  df = {report.df}  "
-              f"p = {_fmt(report.p_value)}")
-    return 0
+    payload = {"s_n": report.s_n, "df": report.df, "p_value": report.p_value,
+               "rank_adjusted_df": report.diagnostics["rank_adjusted_df"]}
+    return _emit(args, payload, [f"S_n = {_fmt(report.s_n)}  df = {report.df}  "
+                                 f"p = {_fmt(report.p_value)}"])
 
 
 _SIM_KEYS = {
@@ -290,12 +271,7 @@ def cmd_dist(args) -> int:
     f1 = _parse_family(args.first)
     f2 = _parse_family(args.second)
     value = l1_density_distance(f1, f2)
-    if args.json:
-        json.dump({"l1_distance": value}, sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        print(_fmt(value))
-    return 0
+    return _emit(args, {"l1_distance": value}, [_fmt(value)])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("input")
         p.add_argument("--model", default="gpd-l234")
-        p.add_argument("--div", default="chi2")
+        p.add_argument("--div", help="chi2 (the default), kl, klm or power:<gamma>")
         p.add_argument("--method", default="divergence",
                        choices=["divergence", "lmom", "moment", "mle"])
         p.add_argument("--col", type=int, default=0)
         p.add_argument("--json", action="store_true")
+        p.set_defaults(func=fn, asymptotics=name == "test")
         if name == "fit":
             p.add_argument("--asymptotics", action="store_true")
-        p.set_defaults(func=fn)
 
     p = sub.add_parser("simulate", help="run a Monte Carlo scenario")
     p.add_argument("config")

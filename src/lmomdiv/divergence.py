@@ -1,11 +1,11 @@
-"""Power-divergence family: the convex integrand, its conjugate and derivatives.
+"""Power-divergence family: the conjugate psi of the convex integrand and its derivatives.
 
 Each family is one row of ``_FORMS`` (the generic power form is the
 ``"power"`` row); one wrapper evaluates any entry on scalars or arrays.
-``phi`` uses an extended-real contract (+inf outside its domain) so it can
-serve as a penalized primal objective.  ``psi`` and its derivatives raise on
-domain violations instead, because the dual solver relies on that signal;
-it is the only domain check of a dual evaluation.
+``psi``, ``psi_prime`` and ``psi_second`` raise ``ConjugateDomainError``
+outside the conjugate's open domain.  A dual evaluation checks once per
+point, through ``psi``; ``admitted`` then gives the derivatives at the same
+nodes without checking again.
 """
 
 from __future__ import annotations
@@ -23,56 +23,30 @@ class ConjugateDomainError(ValueError):
     """Argument outside the domain of the conjugate function."""
 
 
-def _extended(phi, at_zero):
-    """phi on x > 0, its limit from the right at 0 and +inf left of 0."""
-    def extended(x, g):
-        out = np.full_like(x, np.inf)
-        pos = x > 0.0
-        out[pos] = phi(x[pos], g)
-        out[x == 0.0] = at_zero(g)
-        return out
-
-    return extended
-
-
 #: entries of a ``_FORMS`` row: functions of (argument, gamma), except the
 #: conjugate's open domain, a function of gamma alone
-_ENTRIES = ("psi_domain", "phi", "phi_prime", "phi_second",
-            "psi", "psi_prime", "psi_second")
+_ENTRIES = ("psi_domain", "psi", "psi_prime", "psi_second")
 _FORMS = {family: dict(zip(_ENTRIES, row)) for family, row in {
     "chi2": (
         lambda g: (-np.inf, np.inf),
-        lambda x, g: 0.5 * (x - 1.0) ** 2,
-        lambda x, g: x - 1.0,
-        lambda x, g: np.ones_like(x),
         lambda t, g: 0.5 * t * t + t,
         lambda t, g: t + 1.0,
         lambda t, g: np.ones_like(t),
     ),
     "kl": (
         lambda g: (-np.inf, np.inf),
-        _extended(lambda x, g: x * np.log(x) - x + 1.0, lambda g: 1.0),
-        lambda x, g: np.log(x),
-        lambda x, g: 1.0 / x,
         lambda t, g: np.expm1(t),
         lambda t, g: np.exp(t),
         lambda t, g: np.exp(t),
     ),
     "klm": (
         lambda g: (-np.inf, 1.0),
-        _extended(lambda x, g: -np.log(x) + x - 1.0, lambda g: np.inf),
-        lambda x, g: 1.0 - 1.0 / x,
-        lambda x, g: 1.0 / (x * x),
         lambda t, g: -np.log1p(-t),
         lambda t, g: 1.0 / (1.0 - t),
         lambda t, g: 1.0 / (1.0 - t) ** 2,
     ),
     "power": (
         lambda g: (-1.0 / (g - 1.0), np.inf) if g > 1.0 else (-np.inf, 1.0 / (1.0 - g)),
-        _extended(lambda x, g: (x ** g - g * x + g - 1.0) / (g * (g - 1.0)),
-                  lambda g: 1.0 / g if g > 0.0 else np.inf),
-        lambda x, g: (x ** (g - 1.0) - 1.0) / (g - 1.0),
-        lambda x, g: x ** (g - 2.0),
         lambda t, g: ((1.0 + (g - 1.0) * t) ** (g / (g - 1.0)) - 1.0) / g,
         lambda t, g: (1.0 + (g - 1.0) * t) ** (1.0 / (g - 1.0)),
         lambda t, g: (1.0 + (g - 1.0) * t) ** ((2.0 - g) / (g - 1.0)),
@@ -107,24 +81,17 @@ class DivergenceSpec:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        if entry.startswith("psi"):
-            lo, hi = self.psi_domain
-            if np.any(x <= lo) or np.any(x >= hi):
-                raise ConjugateDomainError(
-                    f"conjugate argument outside open domain ({lo}, {hi})"
-                )
+        lo, hi = self.psi_domain
+        if np.any(x <= lo) or np.any(x >= hi):
+            raise ConjugateDomainError(
+                f"conjugate argument outside open domain ({lo}, {hi})"
+            )
         out = _FORMS[self.family][entry](x, self.gamma)
         return float(out[0]) if scalar else out
 
-    def phi(self, x) -> np.ndarray | float:
-        return self._apply("phi", x)
-
-    def phi_prime(self, x) -> np.ndarray | float:
-        """Derivative of phi, finite only strictly inside its domain."""
-        return self._apply("phi_prime", x)
-
-    def phi_second(self, x) -> np.ndarray | float:
-        return self._apply("phi_second", x)
+    def admitted(self, entry: str, z: np.ndarray) -> np.ndarray:
+        """``"psi_prime"`` or ``"psi_second"`` at nodes ``psi`` admitted, unchecked."""
+        return _FORMS[self.family][entry](z, self.gamma)
 
     def psi(self, t) -> np.ndarray | float:
         return self._apply("psi", t)

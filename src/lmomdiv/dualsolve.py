@@ -10,8 +10,9 @@ largest step that keeps the nodes ``kmat @ xi`` inside the conjugate's
 domain (a ratio test against the domain edge, Boyd & Vandenberghe, Convex
 Optimization, 9.5-9.6), so a barrier-type conjugate such as the modified
 KL's ``-log(1 - z)`` costs a few evaluations per solve, not a cascade of
-halvings.  A caller solving a sequence of nearby targets passes the last
-solution as ``xi0``.  A solve that stops short of optimality is checked by
+halvings.  The objective's ``psi`` is the one domain check of a point.  A
+caller solving a sequence of nearby targets passes the last solution as
+``xi0``.  A solve that stops short of optimality is checked by
 ``cone_witness``: a target that no positive spacing vector reaches makes the
 dual unbounded and is reported as ``infeasibleDirection``; anything else is
 a failure of the solve.  The transport variant is the optimal-transport
@@ -80,8 +81,8 @@ class DualProblem:
         return dataclasses.replace(self, target=np.asarray(target, dtype=float))
 
     # -- objective, gradient, Hessian ----------------------------------
-    # the conjugate checks its own domain at the nodes z = kmat @ xi; a
-    # caller that already holds z passes it
+    # the objective's psi checks the nodes z = kmat @ xi; the gradient and
+    # Hessian take nodes it admitted.  A caller that already holds z passes it
 
     def objective(self, xi, z=None) -> float:
         xi = np.asarray(xi, dtype=float)
@@ -90,11 +91,11 @@ class DualProblem:
 
     def gradient(self, xi, z=None) -> np.ndarray:
         z = self.kmat @ np.asarray(xi, dtype=float) if z is None else z
-        return self.target - self.kmat.T @ (self.divergence.psi_prime(z) * self.delta)
+        return self.target - self.kmat.T @ (self.divergence.admitted("psi_prime", z) * self.delta)
 
     def hessian(self, xi, z=None) -> np.ndarray:
         z = self.kmat @ np.asarray(xi, dtype=float) if z is None else z
-        w = self.divergence.psi_second(z) * self.delta
+        w = self.divergence.admitted("psi_second", z) * self.delta
         return -(self.kmat.T * w) @ self.kmat
 
 
@@ -157,11 +158,11 @@ def _ratio_test(z, dz, domain) -> float:
 def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     """Damped Newton ascent with a ratio-test line search.
 
-    Starts from ``xi0`` when its nodes ``kmat @ xi0`` lie inside the
-    conjugate's domain, from zero otherwise.  Converged means a gradient
-    below ``_GRAD_TOL * (1 + |target|)`` in the max norm, within
-    ``_MAX_NEWTON_ITER`` steps.  A solve that stops
-    short of that runs ``cone_witness``: without a witness the status is
+    Starts from ``xi0`` when its objective is defined (its nodes inside the
+    conjugate's domain), from zero otherwise, in one evaluation either way.
+    Converged means a gradient below ``_GRAD_TOL * (1 + |target|)`` in the max norm, within
+    ``_MAX_NEWTON_ITER`` steps.  A solve that stops short of that runs
+    ``cone_witness``: without a witness the status is
     ``infeasibleDirection``, with one the solve failed (``maxIter`` or
     ``stalled``) and its value is only a lower bound.
     """
@@ -169,9 +170,12 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     domain = problem.divergence.psi_domain
     xi = np.zeros(c) if xi0 is None else np.array(xi0, dtype=float)
     z = problem.kmat @ xi
-    if not np.all((z > domain[0]) & (z < domain[1])):
+    try:
+        value = problem.objective(xi, z)
+    except ConjugateDomainError:
+        # zero lies inside every conjugate's domain
         xi, z = np.zeros(c), np.zeros_like(z)
-    value = problem.objective(xi, z)
+        value = problem.objective(xi, z)
     evaluations = 1
     scale = 1.0 + np.linalg.norm(problem.target)
     failure = "maxIter"

@@ -105,12 +105,11 @@ class FitReport:
     p_value: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "theta": dict(zip(self.param_names, map(float, self.theta))),
-            "criterion": float(self.criterion),
-            "diagnostics": self.diagnostics,
-        }
+        out = {"method": self.method,
+               "theta": dict(zip(self.param_names, map(float, self.theta)))}
+        if math.isfinite(self.criterion):   # a classical fit has none; NaN is not JSON
+            out["criterion"] = float(self.criterion)
+        out["diagnostics"] = self.diagnostics
         if self.xi is not None:
             out["xi"] = [float(v) for v in self.xi]
         if self.cov_theta is not None:
@@ -148,8 +147,8 @@ class _Criterion:
         self.status = dict.fromkeys(SOLVE_STATUSES, 0)
 
     def __call__(self, theta):
+        """The criterion at ``theta``, a point of the box."""
         self.calls += 1
-        theta = self.model.clip_to_box(theta)
         try:
             target = self.model.target_map(theta)
         except (ValueError, FloatingPointError):
@@ -201,10 +200,9 @@ def lmoment_method_start(sample: SortedSample, model: SplqModel) -> np.ndarray |
     if fit is None:
         return None
     try:
-        theta = np.array(fit(sample))
+        return np.array(fit(sample))
     except EstimationError:
         return None
-    return model.clip_to_box(theta)
 
 
 @dataclass(frozen=True)
@@ -215,6 +213,7 @@ class _SearchResult:
     iterations: int
     converged: bool
     gauss_newton_steps: int
+    rejected_failed: int
 
 
 def _positive_definite(a: np.ndarray) -> bool:
@@ -236,17 +235,19 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
     counted in ``gauss_newton_steps``.  A step that lowers the criterion is
     taken and ``lam`` shrinks threefold; any other step, one to a +inf point
     included, is rejected and ``lam`` grows threefold, to at least 1, which
-    about halves the step.  Converged means a step below ``_OUTER_STEP_TOL``
-    within ``MAX_OUTER_ITER`` iterations; a +inf start returns at once,
-    unconverged.  The result holds the value and ``xi`` where the search stops.
+    about halves the step; ``rejected_failed`` counts the +inf rejections.
+    Converged means a step below ``_OUTER_STEP_TOL`` within
+    ``MAX_OUTER_ITER`` iterations; a +inf start returns at once, unconverged.
+    Each point is clipped to the box here, and only here.  The result holds
+    the value and ``xi`` where the search stops.
     """
     model = evaluate.model
     lo, hi = model.box[:, 0], model.box[:, 1]
     theta = model.clip_to_box(start)
     value, xi = evaluate(theta)
     if not np.isfinite(value):
-        return _SearchResult(theta, value, xi, 0, False, 0)
-    lam, moved, gauss_newton_steps = 0.0, True, 0
+        return _SearchResult(theta, value, xi, 0, False, 0, 0)
+    lam, moved, gauss_newton_steps, rejected_failed = 0.0, True, 0, 0
     for it in range(MAX_OUTER_ITER):
         if moved:
             jac = model_jacobian(model, theta)
@@ -261,7 +262,8 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
         step[free] = np.linalg.solve(a_free + lam * np.diag(np.diag(a_free)), -grad[free])
         cand = np.clip(theta + step, lo, hi)
         if np.all(np.abs(cand - theta) <= _OUTER_STEP_TOL * (1.0 + np.abs(theta))):
-            return _SearchResult(theta, value, xi, it, True, gauss_newton_steps)
+            return _SearchResult(theta, value, xi, it, True, gauss_newton_steps,
+                                 rejected_failed)
         gauss_newton_steps += not newton
         cand_value, cand_xi = evaluate(cand)
         moved = cand_value < value
@@ -270,7 +272,9 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
             lam /= 3.0
         else:
             lam = max(3.0 * lam, 1.0)
-    return _SearchResult(theta, value, xi, MAX_OUTER_ITER, False, gauss_newton_steps)
+            rejected_failed += cand_value == np.inf
+    return _SearchResult(theta, value, xi, MAX_OUTER_ITER, False, gauss_newton_steps,
+                         rejected_failed)
 
 
 def fit_divergence(
@@ -282,8 +286,10 @@ def fit_divergence(
 
     ``diagnostics["start"]`` names the start used; ``outer_iterations``
     counts the steps tried, ``gauss_newton_steps`` those of them that fell
-    back to the Gauss-Newton curvature, and ``criterion_evaluations`` the
-    criterion calls.  The criterion and ``xi`` are the search's own at the estimate.
+    back to the Gauss-Newton curvature, ``outer_rejected_failed`` those
+    rejected because the candidate's inner solve failed, and
+    ``criterion_evaluations`` the criterion calls.  The criterion and ``xi``
+    are the search's own at the estimate.
     """
     try:
         skeleton = make_dual_problem(
@@ -323,6 +329,7 @@ def fit_divergence(
             "start": start_name,
             "outer_converged": res.converged,
             "gauss_newton_steps": res.gauss_newton_steps,
+            "outer_rejected_failed": res.rejected_failed,
         },
     )
 

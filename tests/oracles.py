@@ -15,6 +15,64 @@ from lmomdiv.lmoments import SortedSample
 from lmomdiv.poly import integrated_legendre_eval
 
 
+# ---------------------------------------------------------------------------
+# the primal integrand phi of each divergence, whose convex conjugate is the
+# library's psi; extended-real: +inf outside its domain
+
+
+def _extended(phi, at_zero):
+    """phi on x > 0, its limit from the right at 0 and +inf left of 0."""
+    def extended(x, g):
+        out = np.full_like(x, np.inf)
+        pos = x > 0.0
+        out[pos] = phi(x[pos], g)
+        out[x == 0.0] = at_zero(g)
+        return out
+
+    return extended
+
+
+#: family -> (phi, phi', phi''), functions of (argument, gamma)
+_PHI_FORMS = {
+    "chi2": (
+        lambda x, g: 0.5 * (x - 1.0) ** 2,
+        lambda x, g: x - 1.0,
+        lambda x, g: np.ones_like(x),
+    ),
+    "kl": (
+        _extended(lambda x, g: x * np.log(x) - x + 1.0, lambda g: 1.0),
+        lambda x, g: np.log(x),
+        lambda x, g: 1.0 / x,
+    ),
+    "klm": (
+        _extended(lambda x, g: -np.log(x) + x - 1.0, lambda g: np.inf),
+        lambda x, g: 1.0 - 1.0 / x,
+        lambda x, g: 1.0 / (x * x),
+    ),
+    "power": (
+        _extended(lambda x, g: (x ** g - g * x + g - 1.0) / (g * (g - 1.0)),
+                  lambda g: 1.0 / g if g > 0.0 else np.inf),
+        lambda x, g: (x ** (g - 1.0) - 1.0) / (g - 1.0),
+        lambda x, g: x ** (g - 2.0),
+    ),
+}
+
+
+def _primal(order: int):
+    def entry(divergence: DivergenceSpec, x):
+        """A float for a scalar x, an array of x's shape otherwise."""
+        x = np.asarray(x, dtype=float)
+        out = _PHI_FORMS[divergence.family][order](np.atleast_1d(x), divergence.gamma)
+        return float(out[0]) if x.ndim == 0 else out
+
+    return entry
+
+
+#: phi(divergence, x) and its first two derivatives; phi_prime is finite
+#: only strictly inside phi's domain
+phi, phi_prime, phi_second = map(_primal, range(3))
+
+
 def primal_bruteforce(
     sample: SortedSample,
     constraint_values,
@@ -39,13 +97,13 @@ def primal_bruteforce(
         raise ValueError("no strictly positive spacing vector satisfies the constraints")
 
     def value_of(sv):
-        return float(divergence.phi(sv / d) @ d)
+        return float(phi(divergence, sv / d) @ d)
 
     val = value_of(s)
     for _ in range(max_iter):
         r = s / d
-        g = np.asarray(divergence.phi_prime(r))
-        h = np.asarray(divergence.phi_second(r)) / d
+        g = np.asarray(phi_prime(divergence, r))
+        h = np.asarray(phi_second(divergence, r)) / d
         h = np.maximum(h, 1e-12)
         # KKT step: minimize the local quadratic subject to A^T p = 0
         hinv_g = g / h

@@ -199,11 +199,29 @@ def test_orderstat_test_is_usage_error(data_file, capsys):
     (["fit", "--model", "foo"], "unknown model 'foo'"),
     (["test", "--model", "foo"], "unknown model 'foo'"),
     (["fit", "--div", "power:abc"], "could not convert string to float"),
-], ids=["fit-div", "fit-model", "test-model", "fit-power"])
+    # a classical method fits the GPD alone and is no divergence fit
+    (["fit", "--method", "mle", "--model", "weibull-l234"], "--model weibull-l234"),
+    (["fit", "--method", "lmom", "--model", "nosuch"], "--model: unknown model 'nosuch'"),
+    (["fit", "--method", "mle", "--div", "klm"], "--div klm"),
+    (["test", "--method", "mle"], "--method mle"),
+], ids=["fit-div", "fit-model", "test-model", "fit-power", "mle-model", "lmom-unknown-model",
+        "mle-div", "test-mle"])
 def test_unknown_name_is_usage_error(data_file, capsys, argv, message):
     path, _ = data_file
     assert main([argv[0], path, *argv[1:]]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["lmom", "moment", "mle"])
+def test_classical_fit_json_is_valid(data_file, capsys, method):
+    # a classical fit has no criterion, and NaN is not JSON (RFC 8259)
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    path, _ = data_file
+    assert main(["fit", path, "--method", method, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert out["method"] == method and "criterion" not in out
 
 
 def test_cli_fit_law_sample_has_a_statistic(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,8 @@ from lmomdiv.divergence import (
     divergence_by_name,
     power_divergence,
 )
+import oracles
+from oracles import phi, phi_prime
 
 ALL = [CHI2, KL, KLM, power_divergence(0.5), power_divergence(3.0),
        power_divergence(-1.0)]
@@ -18,32 +22,32 @@ ALL = [CHI2, KL, KLM, power_divergence(0.5), power_divergence(3.0),
 def test_phi_anchors():
     # [TRIVIAL] phi(1) = 0, phi'(1) = 0 for every member
     for div in ALL:
-        assert div.phi(1.0) == pytest.approx(0.0, abs=1e-12)
-        assert div.phi_prime(1.0) == pytest.approx(0.0, abs=1e-12)
+        assert phi(div, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert phi_prime(div, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_chi2_values():
     # [DERIVED] phi_2(x) = (x-1)^2 / 2
     x = np.array([0.0, 0.5, 2.0, 3.0])
-    assert np.allclose(CHI2.phi(x), (x - 1) ** 2 / 2)
+    assert np.allclose(phi(CHI2, x), (x - 1) ** 2 / 2)
     assert CHI2.psi(0.3) == pytest.approx(0.3**2 / 2 + 0.3)
 
 
 def test_kl_klm_values():
     # [DERIVED] gamma -> 1: x log x - x + 1;  gamma -> 0: -log x + x - 1
     x = 2.0
-    assert KL.phi(x) == pytest.approx(2 * np.log(2) - 1)
-    assert KLM.phi(x) == pytest.approx(-np.log(2) + 1)
+    assert phi(KL, x) == pytest.approx(2 * np.log(2) - 1)
+    assert phi(KLM, x) == pytest.approx(-np.log(2) + 1)
     assert KL.psi(0.5) == pytest.approx(np.exp(0.5) - 1)
     assert KLM.psi(0.5) == pytest.approx(-np.log(0.5))
 
 
 def test_extended_real_outside_domain():
     # chi-square is the one finite-everywhere member
-    assert np.isfinite(CHI2.phi(-1.0))
-    assert KL.phi(-0.5) == np.inf
-    assert KLM.phi(0.0) == np.inf
-    assert power_divergence(0.5).phi(-2.0) == np.inf
+    assert np.isfinite(phi(CHI2, -1.0))
+    assert phi(KL, -0.5) == np.inf
+    assert phi(KLM, 0.0) == np.inf
+    assert phi(power_divergence(0.5), -2.0) == np.inf
 
 
 @pytest.mark.parametrize("name", ["psi", "psi_prime", "psi_second"])
@@ -60,7 +64,7 @@ def test_limit_branch_dispatch():
     for g, ref in [(1.0 + 1e-9, KL), (1e-9, KLM)]:
         div = power_divergence(g)
         for x in (0.5, 1.5, 3.0):
-            assert div.phi(x) == pytest.approx(ref.phi(x))
+            assert phi(div, x) == pytest.approx(phi(ref, x))
         for t in (-0.5, 0.2):
             assert div.psi(t) == pytest.approx(ref.psi(t))
 
@@ -72,10 +76,10 @@ def test_conjugacy_roundtrip(div):
         if div.family == "klm" and t >= 1.0:
             continue
         x_star = div.psi_prime(t)
-        assert div.psi(t) == pytest.approx(t * x_star - div.phi(x_star), abs=1e-6)
+        assert div.psi(t) == pytest.approx(t * x_star - phi(div, x_star), abs=1e-6)
         # sup property against a grid
         xs = np.linspace(1e-6, 6.0, 500)
-        vals = t * xs - div.phi(xs)
+        vals = t * xs - phi(div, xs)
         assert div.psi(t) >= np.max(vals) - 1e-6
 
 
@@ -83,8 +87,8 @@ def test_conjugacy_roundtrip(div):
 def test_derivatives_match_finite_differences(div):
     h = 1e-6
     for x in (0.5, 1.0, 2.5):
-        fd = (div.phi(x + h) - div.phi(x - h)) / (2 * h)
-        assert div.phi_prime(x) == pytest.approx(fd, abs=1e-6)
+        fd = (phi(div, x + h) - phi(div, x - h)) / (2 * h)
+        assert phi_prime(div, x) == pytest.approx(fd, abs=1e-6)
     for t in (-0.3, 0.1):
         fd = (div.psi(t + h) - div.psi(t - h)) / (2 * h)
         assert div.psi_prime(t) == pytest.approx(fd, abs=1e-6)
@@ -95,7 +99,7 @@ def test_derivatives_match_finite_differences(div):
 @pytest.mark.parametrize("div", ALL)
 def test_convexity(div):
     xs = np.linspace(0.05, 5.0, 200)
-    vals = div.phi(xs)
+    vals = phi(div, xs)
     # discrete second differences of a convex function are nonnegative
     assert np.all(np.diff(vals, 2) > -1e-10)
     assert np.all(vals >= -1e-12)
@@ -108,7 +112,7 @@ def test_young_fenchel(x, t):
     for div in (CHI2, KL, KLM):
         if div.family == "klm" and t >= 1.0:
             continue
-        assert div.phi(x) + div.psi(t) >= t * x - 1e-9
+        assert phi(div, x) + div.psi(t) >= t * x - 1e-9
 
 
 def test_divergence_by_name():
@@ -126,7 +130,8 @@ def test_divergence_by_name():
 def test_psi_array_vectorized(div, name):
     # a scalar gives a Python float, an array an array of the same shape,
     # and the array entries are the scalar values
-    fn = getattr(div, name)
+    fn = functools.partial(getattr(oracles, name), div) if name.startswith("phi") else \
+        getattr(div, name)
     pts = np.array([[0.5, 0.9], [1.5, 2.0]]) if name.startswith("phi") else \
         np.array([[-0.3, 0.0], [0.1, 0.2]])
     assert type(fn(pts[0, 0])) is float

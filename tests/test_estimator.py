@@ -189,6 +189,24 @@ def test_unconverged_solve_during_the_search_counts_as_inf(monkeypatch):
     assert criterion.xi0 is xi
 
 
+def test_outer_steps_rejected_for_a_failed_solve_are_counted(monkeypatch):
+    # the start solves; every later solve ends in maxIter, so each candidate
+    # of the search is +inf, rejected, and counted apart from rejected rises
+    s = draw_sample(ScenarioConfig.preset(1, n=100), 0)
+    solve, solves = estimator.solve_dual, []
+
+    def fail_after_the_start(problem, xi0=None):
+        solves.append(solve(problem, xi0=xi0))
+        return solves[-1] if len(solves) == 1 else dataclasses.replace(
+            solves[-1], status="maxIter")
+
+    monkeypatch.setattr(estimator, "solve_dual", fail_after_the_start)
+    diag = fit_divergence(s, gpd_model(), KLM).diagnostics
+    assert diag["inner_status"]["maxIter"] == len(solves) - 1 > 0
+    assert diag["outer_rejected_failed"] == len(solves) - 1
+    assert diag["outer_iterations"] == len(solves) - 1
+
+
 @pytest.fixture
 def fail_every_inner_solve(monkeypatch):
     """Every inner solve ends in maxIter: at the start and at the chi-square restart."""
