@@ -122,20 +122,22 @@ def _fit(args) -> FitReport:
     """The fit, with the plug-in blocks under ``args.asymptotics``.
 
     Flags are resolved and checked before the CSV is read.  A classical method
-    fits the GPD alone: it takes ``--model gpd-l234`` only, and no ``--div``.
+    fits the GPD alone: it takes only a model of that law (``gpd-l234``), and
+    no ``--div``.
     """
     model = _by_name("--model", model_by_name, args.model)
-    divergence = _by_name("--div", divergence_by_name, "chi2" if args.div is None else args.div)
-    if args.method != "divergence":
-        if model.name != "gpd-l234":
-            raise UsageError(f"--model {args.model}: --method {args.method} fits gpd-l234 only")
-        if args.div is not None:
-            raise UsageError(f"--div {args.div}: --method {args.method} is not a divergence fit")
-        if args.asymptotics:
-            raise UsageError(f"asymptotics need a divergence fit, not --method {args.method}")
-    elif args.asymptotics and model.family is None:
-        raise UsageError(f"no plug-in law for model {model.name!r}: asymptotics "
-                         "need a model of a parametric law")
+    if args.method == "divergence":
+        divergence = _by_name("--div", divergence_by_name,
+                              "chi2" if args.div is None else args.div)
+        if args.asymptotics and model.family is None:
+            raise UsageError(f"no plug-in law for model {model.name!r}: asymptotics "
+                             "need a model of a parametric law")
+    elif model.family != "gpd":
+        raise UsageError(f"--model {args.model}: --method {args.method} fits the GPD only")
+    elif args.div is not None:
+        raise UsageError(f"--div {args.div}: --method {args.method} is not a divergence fit")
+    elif args.asymptotics:
+        raise UsageError(f"asymptotics need a divergence fit, not --method {args.method}")
     sample = SortedSample(read_column(args.input, args.col))
     if args.method == "divergence":
         report = fit_divergence(sample, model, divergence)

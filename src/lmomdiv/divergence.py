@@ -3,9 +3,8 @@
 Each family is one row of ``_FORMS`` (the generic power form is the
 ``"power"`` row); one wrapper evaluates any entry on scalars or arrays.
 ``psi``, ``psi_prime`` and ``psi_second`` raise ``ConjugateDomainError``
-outside the conjugate's open domain.  A dual evaluation checks once per
-point, through ``psi``; ``admitted`` then gives the derivatives at the same
-nodes without checking again.
+outside the conjugate's open domain.  The dual solver relies on that signal
+and makes no domain check of its own.
 """
 
 from __future__ import annotations
@@ -88,10 +87,6 @@ class DivergenceSpec:
             )
         out = _FORMS[self.family][entry](x, self.gamma)
         return float(out[0]) if scalar else out
-
-    def admitted(self, entry: str, z: np.ndarray) -> np.ndarray:
-        """``"psi_prime"`` or ``"psi_second"`` at nodes ``psi`` admitted, unchecked."""
-        return _FORMS[self.family][entry](z, self.gamma)
 
     def psi(self, t) -> np.ndarray | float:
         return self._apply("psi", t)

@@ -10,13 +10,14 @@ largest step that keeps the nodes ``kmat @ xi`` inside the conjugate's
 domain (a ratio test against the domain edge, Boyd & Vandenberghe, Convex
 Optimization, 9.5-9.6), so a barrier-type conjugate such as the modified
 KL's ``-log(1 - z)`` costs a few evaluations per solve, not a cascade of
-halvings.  The objective's ``psi`` is the one domain check of a point.  A
-caller solving a sequence of nearby targets passes the last solution as
-``xi0``.  A solve that stops short of optimality is checked by
-``cone_witness``: a target that no positive spacing vector reaches makes the
-dual unbounded and is reported as ``infeasibleDirection``; anything else is
-a failure of the solve.  The transport variant is the optimal-transport
-counterpart of the inner problem.
+halvings.  The conjugate checks its own domain; the solver makes no domain
+test of its own.  A caller solving a sequence of nearby targets passes the
+last solution as ``xi0``; a start the conjugate rejects falls back to zero.
+A solve that stops short of optimality is checked by ``cone_witness``: a
+target that no positive spacing vector reaches makes the dual unbounded and
+is reported as ``infeasibleDirection``; anything else is a failure of the
+solve.  The transport variant is the optimal-transport counterpart of the
+inner problem.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class DualProblem:
         return dataclasses.replace(self, target=np.asarray(target, dtype=float))
 
     # -- objective, gradient, Hessian ----------------------------------
-    # the objective's psi checks the nodes z = kmat @ xi; the gradient and
-    # Hessian take nodes it admitted.  A caller that already holds z passes it
+    # the conjugate checks its own domain at the nodes z = kmat @ xi; a
+    # caller that already holds z passes it
 
     def objective(self, xi, z=None) -> float:
         xi = np.asarray(xi, dtype=float)
@@ -91,11 +92,11 @@ class DualProblem:
 
     def gradient(self, xi, z=None) -> np.ndarray:
         z = self.kmat @ np.asarray(xi, dtype=float) if z is None else z
-        return self.target - self.kmat.T @ (self.divergence.admitted("psi_prime", z) * self.delta)
+        return self.target - self.kmat.T @ (self.divergence.psi_prime(z) * self.delta)
 
     def hessian(self, xi, z=None) -> np.ndarray:
         z = self.kmat @ np.asarray(xi, dtype=float) if z is None else z
-        w = self.divergence.admitted("psi_second", z) * self.delta
+        w = self.divergence.psi_second(z) * self.delta
         return -(self.kmat.T * w) @ self.kmat
 
 
@@ -160,9 +161,9 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
 
     Starts from ``xi0`` when its objective is defined (its nodes inside the
     conjugate's domain), from zero otherwise, in one evaluation either way.
-    Converged means a gradient below ``_GRAD_TOL * (1 + |target|)`` in the max norm, within
-    ``_MAX_NEWTON_ITER`` steps.  A solve that stops short of that runs
-    ``cone_witness``: without a witness the status is
+    Converged means a gradient below ``_GRAD_TOL * (1 + |target|)`` in the
+    max norm, within ``_MAX_NEWTON_ITER`` steps.  A solve that stops short of
+    that runs ``cone_witness``: without a witness the status is
     ``infeasibleDirection``, with one the solve failed (``maxIter`` or
     ``stalled``) and its value is only a lower bound.
     """

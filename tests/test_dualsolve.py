@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from lmomdiv.divergence import CHI2, KL, KLM, DivergenceSpec, power_divergence
+from lmomdiv.divergence import (
+    CHI2,
+    KL,
+    KLM,
+    ConjugateDomainError,
+    DivergenceSpec,
+    power_divergence,
+)
 from lmomdiv.dualsolve import (
     DualProblem,
     chi2_value_closed_form,
@@ -248,6 +255,20 @@ def test_warm_start():
     assert fallback.iterations == cold.iterations
     assert np.array_equal(fallback.xi, cold.xi)
 
+
+@pytest.mark.parametrize("div", [KLM, power_divergence(0.5)], ids=["klm", "power0.5"])
+def test_dual_evaluations_raise_outside_the_domain(div):
+    # the objective, gradient and Hessian each check their nodes, also when
+    # only xi is given: past the edge KLM's psi' is finite and the power
+    # form's base is negative, so neither would signal the fault itself
+    s = random_sample(3)
+    basis = PolyBasis((2, 3))
+    prob = make_dual_problem(s, basis, div, perturbed_target(s, (2, 3), (1.2, 0.8)))
+    outside = np.linalg.lstsq(prob.kmat, np.full(prob.delta.size, 3.0), rcond=None)[0]
+    assert np.max(prob.kmat @ outside) >= div.psi_domain[1]
+    for evaluate in (prob.objective, prob.gradient, prob.hessian):
+        with pytest.raises(ConjugateDomainError):
+            evaluate(outside)
 
 def test_tied_observations_are_excluded():
     # zero spacings contribute nothing and impose no domain constraint
