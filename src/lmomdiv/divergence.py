@@ -33,7 +33,8 @@ _FORMS = {family: dict(zip(_ENTRIES, row)) for family, row in {
         lambda t, g: np.ones_like(t),
     ),
     "kl": (
-        lambda g: (-np.inf, np.inf),
+        # expm1 overflows past log(DBL_MAX): the edge in floating point
+        lambda g: (-np.inf, np.log(np.finfo(float).max)),
         lambda t, g: np.expm1(t),
         lambda t, g: np.exp(t),
         lambda t, g: np.exp(t),

@@ -13,6 +13,8 @@ KL's ``-log(1 - z)`` costs a few evaluations per solve, not a cascade of
 halvings.  The conjugate checks its own domain; the solver makes no domain
 test of its own.  A caller solving a sequence of nearby targets passes the
 last solution as ``xi0``; a start the conjugate rejects falls back to zero.
+The solve stops when its Newton decrement (B&V 9.5.1) reaches ``rounding_level``,
+below which no step can show an ascent; the outer search stops on that level too.
 A solve that stops short of optimality is checked by ``cone_witness``: a
 target that no positive spacing vector reaches makes the dual unbounded and
 is reported as ``infeasibleDirection``; anything else is a failure of the
@@ -31,16 +33,14 @@ from .divergence import CHI2, DivergenceSpec, ConjugateDomainError
 from .lmoments import SortedSample
 
 _UNBOUNDED_VALUE = 1e12
-#: a solve converges at a gradient below this times 1 + |target|
-_GRAD_TOL = 1e-9
 #: Newton steps a solve may take
 _MAX_NEWTON_ITER = 200
 #: sufficient-increase fraction of the line search
 _ARMIJO = 1e-4
 #: fraction of the way to the conjugate's domain edge a line search may go
 _EDGE_FRACTION = 0.99
-#: "stalled" is a line search that found no ascent, or an unbounded value
-#: at a target ``cone_witness`` reaches
+#: "converged" is a Newton decrement at the rounding level; "stalled" is no ascent
+#: found above it, or an unbounded value at a target ``cone_witness`` reaches
 SOLVE_STATUSES = ("converged", "infeasibleDirection", "maxIter", "stalled")
 
 
@@ -146,6 +146,16 @@ def omega_empirical(problem: DualProblem) -> np.ndarray:
     return (problem.kmat.T * problem.delta) @ problem.kmat
 
 
+def rounding_level(xi, target, value: float, m: int) -> float:
+    """Rounding level of the dual objective ``value = xi @ target - sum_i psi(z_i) delta_i``.
+
+    ``16 eps sqrt(m)`` (eps = 2^-52) times its sums ``|xi| @ |target|`` and
+    ``|xi @ target - value|`` over ``m`` positive spacings; it scales with the data.
+    """
+    sums = float(np.abs(xi) @ np.abs(target)) + abs(float(xi @ target) - value)
+    return 16.0 * 2.0 ** -52 * m ** 0.5 * sums
+
+
 def _ratio_test(z, dz, domain) -> float:
     """min(1, 0.99 * the step at which z + t * dz first reaches a domain edge)."""
     lo, hi = domain
@@ -161,11 +171,11 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
 
     Starts from ``xi0`` when its objective is defined (its nodes inside the
     conjugate's domain), from zero otherwise, in one evaluation either way.
-    Converged means a gradient below ``_GRAD_TOL * (1 + |target|)`` in the
-    max norm, within ``_MAX_NEWTON_ITER`` steps.  A solve that stops short of
-    that runs ``cone_witness``: without a witness the status is
-    ``infeasibleDirection``, with one the solve failed (``maxIter`` or
-    ``stalled``) and its value is only a lower bound.
+    Converged means a Newton decrement ``g (-H)^-1 g`` at most ``rounding_level`` within
+    ``_MAX_NEWTON_ITER`` steps; the full step is then taken, unevaluated, if the ratio
+    test allows all of it.  A solve that stops short of that runs ``cone_witness``:
+    without a witness the status is ``infeasibleDirection``, with one the solve failed
+    (``maxIter`` or ``stalled``) and its value is only a lower bound.
     """
     c = problem.target.size
     domain = problem.divergence.psi_domain
@@ -178,15 +188,10 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
         xi, z = np.zeros(c), np.zeros_like(z)
         value = problem.objective(xi, z)
     evaluations = 1
-    scale = 1.0 + np.linalg.norm(problem.target)
     failure = "maxIter"
     for it in range(_MAX_NEWTON_ITER + 1):
         grad = problem.gradient(xi, z)
         gnorm = float(np.max(np.abs(grad)))
-        if gnorm <= _GRAD_TOL * scale:
-            return DualSolution(xi, value, gnorm, it, evaluations, "converged")
-        if it == _MAX_NEWTON_ITER:
-            break
         if value > _UNBOUNDED_VALUE:
             failure = "stalled"
             break
@@ -200,8 +205,13 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             except np.linalg.LinAlgError:
                 reg = max(2.0 * reg, 1e-12)
         dz = problem.kmat @ step
-        slope = float(grad @ step)
+        decrement = float(grad @ step)
         t = _ratio_test(z, dz, domain)
+        if decrement <= rounding_level(xi, problem.target, value, problem.delta.size):
+            xi = xi + step if t == 1.0 else xi
+            return DualSolution(xi, value, gnorm, it, evaluations, "converged")
+        if it == _MAX_NEWTON_ITER:
+            break
         while t > 1e-16:
             evaluations += 1
             try:
@@ -209,7 +219,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             except ConjugateDomainError:
                 # only a node within rounding of the edge gets here
                 cand_value = -np.inf
-            if cand_value >= value + _ARMIJO * t * slope:
+            if cand_value >= value + _ARMIJO * t * decrement:
                 break
             t *= 0.5
         else:

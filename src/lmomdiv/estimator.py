@@ -13,8 +13,9 @@ whitened residual); the second term is what a large residual adds (Dennis,
 Gay & Welsch, ACM TOMS 7, 1981).  A coordinate on its bound
 whose gradient points out of the box is held fixed and the step is solved in
 the others, then clipped (projected Newton, Bertsekas, SIAM J. Control
-Optim. 20, 1982).  The search stops when a step moves no coordinate by more
-than ``1e-10 * (1 + |theta_j|)``.  It starts from the L-moment-method
+Optim. 20, 1982).  The search stops, after one last full step, when the
+Newton decrement on the free block reaches ``dualsolve.rounding_level``,
+the inner solve's stopping level.  It starts from the L-moment-method
 estimate where that is defined (the GPD's tau_4 inversion and the Weibull's
 tau_3 inversion; the models share their first L-moments with the family, so
 the estimate nearly solves the constraints) and from the box centre
@@ -52,6 +53,7 @@ from .dualsolve import (
     make_dual_problem,
     omega_empirical,
     require_finite,
+    rounding_level,
     solve_dual,
 )
 from .lmoments import (
@@ -72,8 +74,6 @@ from .roots import bracketed_root
 
 #: iteration cap of the outer search
 MAX_OUTER_ITER = 2000
-#: the outer search stops on a step below this times 1 + |theta_j| in every coordinate
-_OUTER_STEP_TOL = 1e-10
 #: eigenvalues of the multiplier covariance below this times the largest are rank lost
 _RANK_TOL = 1e-10
 #: upper edge of the GPD MLE's shape box [-5, 5]
@@ -236,8 +236,10 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
     taken and ``lam`` shrinks threefold; any other step, one to a +inf point
     included, is rejected and ``lam`` grows threefold, to at least 1, which
     about halves the step; ``rejected_failed`` counts the +inf rejections.
-    Converged means a step below ``_OUTER_STEP_TOL`` within
-    ``MAX_OUTER_ITER`` iterations; a +inf start returns at once, unconverged.
+    Converged means a Newton decrement ``g^T A^-1 g`` on the free block at
+    most ``rounding_level``; the undamped step is then tried once and kept
+    unless the criterion rises.  A damped step that leaves theta unchanged,
+    ``MAX_OUTER_ITER`` steps and a +inf start end the search unconverged.
     Each point is clipped to the box here, and only here.  The result holds
     the value and ``xi`` where the search stops.
     """
@@ -258,21 +260,27 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
             newton = _positive_definite(a_free)
             if not newton:
                 a_free = gauss_newton[np.ix_(free, free)]
+            newton_step = np.linalg.solve(a_free, -grad[free])
+            final = float(-grad[free] @ newton_step) <= rounding_level(
+                xi, model.target_map(theta), value, evaluate.skeleton.delta.size)
         step = np.zeros_like(theta)
-        step[free] = np.linalg.solve(a_free + lam * np.diag(np.diag(a_free)), -grad[free])
+        step[free] = newton_step if final else np.linalg.solve(
+            a_free + lam * np.diag(np.diag(a_free)), -grad[free])
         cand = np.clip(theta + step, lo, hi)
-        if np.all(np.abs(cand - theta) <= _OUTER_STEP_TOL * (1.0 + np.abs(theta))):
-            return _SearchResult(theta, value, xi, it, True, gauss_newton_steps,
-                                 rejected_failed)
+        if np.array_equal(cand, theta):
+            return _SearchResult(theta, value, xi, it, final, gauss_newton_steps, rejected_failed)
         gauss_newton_steps += not newton
         cand_value, cand_xi = evaluate(cand)
-        moved = cand_value < value
+        moved = cand_value <= value if final else cand_value < value
         if moved:
             theta, value, xi = cand, cand_value, cand_xi
             lam /= 3.0
         else:
             lam = max(3.0 * lam, 1.0)
             rejected_failed += cand_value == np.inf
+        if final:
+            return _SearchResult(theta, value, xi, it + 1, True, gauss_newton_steps,
+                                 rejected_failed)
     return _SearchResult(theta, value, xi, MAX_OUTER_ITER, False, gauss_newton_steps,
                          rejected_failed)
 

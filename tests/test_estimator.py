@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.optimize
 
 from lmomdiv import estimator
 from lmomdiv.cli import main
-from lmomdiv.divergence import CHI2, KL, KLM
+from lmomdiv.divergence import CHI2, KL, KLM, power_divergence
 from lmomdiv.dualsolve import chi2_value_closed_form, make_dual_problem, solve_dual
 from lmomdiv.estimator import (
     EstimationError,
@@ -205,6 +206,7 @@ def test_outer_steps_rejected_for_a_failed_solve_are_counted(monkeypatch):
     assert diag["inner_status"]["maxIter"] == len(solves) - 1 > 0
     assert diag["outer_rejected_failed"] == len(solves) - 1
     assert diag["outer_iterations"] == len(solves) - 1
+    assert diag["outer_converged"] is False
 
 
 @pytest.fixture
@@ -346,6 +348,43 @@ def test_kl_fit_on_four_points_leaves_the_box_edge():
     assert report.diagnostics["outer_converged"] is True
     primal, _ = primal_bruteforce(s, model.constraint_values, model.target_map(report.theta), KL)
     assert report.criterion == pytest.approx(primal, rel=1e-9, abs=0.0)
+
+
+def test_kl_fit_on_four_points_overflows_nothing():
+    # KL's domain ends where expm1 overflows, so the ratio test keeps every
+    # line-search candidate finite; this fit once overflowed expm1
+    s = SortedSample(np.array([0.5, 1.2, 3.1, 7.9]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit_divergence(s, gpd_model(), KL)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("n_exp,stream,gamma", [(4, 1, 1.5), (4, 1, 2.5), (5, 0, 0.5)])
+def test_large_file_power_fits_converge(n_exp, stream, gamma):
+    # [REGRESSION] near the optimum the Newton increase fell below the
+    # rounding of the dual objective and Armijo halved until maxIter; the
+    # n = 10^4 fits raised "the inner solve failed at every point"
+    x = ParametricFamily("gpd", 3.0, 0.4).sample(10 ** n_exp, np.random.default_rng([5, stream]))
+    diag = fit_divergence(SortedSample(x), gpd_model(), power_divergence(gamma)).diagnostics
+    assert diag["inner_status"]["maxIter"] == diag["inner_status"]["stalled"] == 0
+    assert diag["outer_converged"] is True
+
+
+@pytest.mark.parametrize("model,law", [
+    (gpd_model(), ParametricFamily("gpd", 3.0, 0.4)),
+    (weibull_model(), ParametricFamily("weibull", 3.0, 0.5)),
+], ids=["gpd", "weibull"])
+@pytest.mark.parametrize("div", [CHI2, KL, KLM], ids=lambda d: d.family)
+def test_fit_is_scale_equivariant(model, law, div):
+    # both solve layers stop at a rounding level that scales with the data,
+    # so fitting 2^k x gives (2^k sigma, nu) up to a few ulp
+    x = law.sample(200, np.random.default_rng(0))
+    sigma, nu = fit_divergence(SortedSample(x), model, div).theta
+    for k in (-12, -8, -4, 4):
+        sigma_k, nu_k = fit_divergence(SortedSample(x * 2.0 ** k), model, div).theta
+        assert abs(sigma_k / 2.0 ** k - sigma) <= 4 * np.spacing(sigma), k
+        assert abs(nu_k - nu) <= 4 * np.spacing(nu), k
 
 
 def test_infeasible_start_falls_back_to_the_chi2_estimate(monkeypatch):
