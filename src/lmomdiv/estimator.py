@@ -1,31 +1,49 @@
 """Outer parameter estimation, asymptotic covariance and the model test.
 
-The outer search is one projected Levenberg-Marquardt run on the parameter
-box (Nocedal & Wright, Numerical Optimization, 10.3).  At a converged inner
-solve the criterion has the exact envelope gradient ``J(theta)^T xi`` and,
-since ``dxi/dtheta = (-H)^-1 J`` with ``-H`` the dual's negative Hessian at
-``xi``, the exact Hessian ``J^T (-H)^-1 J - sum_k xi_k d2 lambda_k(theta)``
-(``SplqModel.lmoment_hessian`` gives the second derivatives in closed form).
-The step is a Newton step on that Hessian where its free block is positive
-definite, and on the Gauss-Newton part ``J^T (-H)^-1 J`` otherwise (for
-chi-square, ``-H`` is Omega and this is the Gauss-Newton matrix of the
-whitened residual); the second term is what a large residual adds (Dennis,
-Gay & Welsch, ACM TOMS 7, 1981).  A coordinate on its bound
-whose gradient points out of the box is held fixed and the step is solved in
-the others, then clipped (projected Newton, Bertsekas, SIAM J. Control
-Optim. 20, 1982).  The search stops, after one last full step, when the
-Newton decrement on the free block reaches ``dualsolve.rounding_level``,
+Each fit builds one ``DualProblem``.  Every model of the package has the form
+``lambda(theta) = sigma * f(nu)`` (no ``nu`` for a scale-only model), and the
+chi-square criterion ``(sigma f - lam)^T Omega^-1 (sigma f - lam) / 2`` of the
+sample L-moments ``lam = -m_n`` is quadratic in sigma.  So the chi-square fit
+is a variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973;
+``_chi2_fit``): Omega is formed and inverted once, and at each shape the
+scale is ``lam^T Omega^-1 f / f^T Omega^-1 f`` clipped to its box, which is
+exact for a convex quadratic in one variable.  A scale-only model
+(``orderstat3``) is then fitted.  Otherwise the slope of the profile P(nu) is
+scanned on a fixed grid per law (``_CHI2_NU``; f and f' are tabulated at the
+law's first fit), and each sign change from - to + is refined by
+``bracketed_root``: on the slope at the unclipped scale where that brackets a
+root whose scale lies in the box, and on P' itself otherwise.  The lowest of
+P at those roots and at the two shape edges is the estimate; its value and
+``xi`` are the closed-form dual's.  The unclipped scale and its slope are
+made of numbers that scale exactly, so for 2^k x a refine on them repeats
+bit for bit, times 2^k; the box may clip the scale at scan points without
+changing it, as long as the scan finds the same bracket.  ``diagnostics``
+has ``scan_minima``, the sign changes the scan found, and
+``refine_evaluations``, the profile evaluations of the refines.
+
+Any other divergence runs the outer search, one projected
+Levenberg-Marquardt run on the parameter box (Nocedal & Wright, Numerical
+Optimization, 10.3).  At a converged inner solve the criterion has the exact
+envelope gradient ``J(theta)^T xi`` and, since ``dxi/dtheta = (-H)^-1 J``
+with ``-H`` the dual's negative Hessian at ``xi``, the exact Hessian
+``J^T (-H)^-1 J - sum_k xi_k d2 lambda_k(theta)`` (``SplqModel.lmoment_hessian``
+gives the second derivatives in closed form).  The step is a Newton step on
+that Hessian where its free block is positive definite, and on the
+Gauss-Newton part ``J^T (-H)^-1 J`` otherwise; the second term is what a
+large residual adds (Dennis, Gay & Welsch, ACM TOMS 7, 1981).  A coordinate
+on its bound whose gradient points out of the box is held fixed and the step
+is solved in the others, then clipped (projected Newton, Bertsekas, SIAM J.
+Control Optim. 20, 1982).  The search stops, after one last full step, when
+the Newton decrement on the free block reaches ``dualsolve.rounding_level``,
 the inner solve's stopping level.  It starts from the L-moment-method
 estimate where that is defined (the GPD's tau_4 inversion and the Weibull's
 tau_3 inversion; the models share their first L-moments with the family, so
 the estimate nearly solves the constraints) and from the box centre
-otherwise; a non-chi-square fit whose criterion is +inf there starts
-again from the chi-square estimate.  Each fit builds one ``DualProblem``;
-its chi-square criterion is the closed-form dual.  For any other divergence
-each criterion evaluation is one Newton solve of the dual, warm-started from
-the last converged one (``_Criterion``).  A failed inner solve is never the
-criterion: it counts +inf, which rejects the step, and a fit whose search
-finds no finite point raises ``EstimationError``.
+otherwise; a fit whose criterion is +inf there starts again from the
+chi-square estimate.  Each criterion evaluation is one Newton solve of the
+dual, warm-started from the last converged one (``_Criterion``).  A failed
+inner solve is never the criterion: it counts +inf, which rejects the step,
+and a fit whose search finds no finite point raises ``EstimationError``.
 The plug-in Omega and Sigma run in quantile space (``asymptotic_covariance``).
 
 The GPD maximum likelihood comparison estimator is a one-dimensional profile
@@ -38,13 +56,12 @@ of the profile.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import CHI2, DivergenceSpec
+from .divergence import DivergenceSpec
 from .dualsolve import (
     SOLVE_STATUSES,
     DualProblem,
@@ -82,6 +99,10 @@ _MLE_NU_MAX = 5.0
 _MLE_W = np.concatenate([-np.geomspace(700.0, 1e-6, 100), np.geomspace(1e-6, 700.0, 100)])
 #: most grid points x observations the MLE's profile scan holds at once
 _MLE_BLOCK = 1 << 20
+#: shape grid of the chi-square fit's profile scan, per law, over the model's shape box
+_CHI2_NU = {"gpd": np.linspace(-5.0, 0.99, 61), "weibull": np.geomspace(*WEIBULL_SHAPE_BOX, 61)}
+#: law -> (grid, unit-scale Jacobians on it), filled by the law's first chi-square fit
+_CHI2_TABLES: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
 
 class EstimationError(RuntimeError):
@@ -128,9 +149,8 @@ class FitReport:
 class _Criterion:
     """theta -> (criterion, xi | None); +inf outside the model domain.
 
-    The chi-square criterion is the closed-form dual.  Any other divergence
-    runs ``solve_dual``, warm-started from the multipliers of the last
-    converged solve.  A target outside the cone of the rows
+    Each call runs ``solve_dual``, warm-started from the multipliers of the
+    last converged solve.  A target outside the cone of the rows
     (``infeasibleDirection``) and an uncertified failure both count +inf,
     so that no lower bound becomes the criterion.  ``diagnostics`` counts
     the calls and the Newton solves.
@@ -138,10 +158,6 @@ class _Criterion:
 
     def __init__(self, skeleton: DualProblem, model: SplqModel):
         self.skeleton, self.model = skeleton, model
-        self.omega = self.chi2 = None
-        if skeleton.divergence.family == "chi2":
-            self.omega = omega_empirical(skeleton)
-            self.chi2 = chi2_solver(self.omega, skeleton.m_n)
         self.xi0 = None
         self.calls = self.iterations = self.evaluations = 0
         self.status = dict.fromkeys(SOLVE_STATUSES, 0)
@@ -155,8 +171,6 @@ class _Criterion:
             return np.inf, None
         if not np.all(np.isfinite(target)):
             return np.inf, None
-        if self.chi2 is not None:
-            return self.chi2(target)
         sol = solve_dual(self.skeleton.with_target(target), xi0=self.xi0)
         self.iterations += sol.iterations
         self.evaluations += sol.evaluations
@@ -166,19 +180,15 @@ class _Criterion:
         self.xi0 = sol.xi
         return sol.value, sol.xi
 
-    def neg_hessian(self, xi) -> np.ndarray:
-        """The dual's negative Hessian at a converged ``xi`` (Omega for chi-square)."""
-        return self.omega if self.omega is not None else -self.skeleton.hessian(xi)
-
     def hessians(self, theta, xi, jac) -> tuple[np.ndarray, np.ndarray]:
         """(Gauss-Newton, exact) Hessians of the criterion at a converged solve ``xi``.
 
         ``jac`` is ``model_jacobian(model, theta)``.  The multipliers move as
-        ``dxi/dtheta = (-H)^-1 J``, so the envelope gradient ``J^T xi`` has
-        the derivative ``J^T (-H)^-1 J + sum_k xi_k d2 t_k``, and the target
-        is ``t = -lambda``.
+        ``dxi/dtheta = (-H)^-1 J``, with ``-H`` the dual's negative Hessian at
+        ``xi``, so the envelope gradient ``J^T xi`` has the derivative
+        ``J^T (-H)^-1 J + sum_k xi_k d2 t_k``, and the target is ``t = -lambda``.
         """
-        gauss_newton = jac.T @ np.linalg.solve(self.neg_hessian(xi), jac)
+        gauss_newton = jac.T @ np.linalg.solve(-self.skeleton.hessian(xi), jac)
         second = xi @ self.model.lmoment_hessian(theta).reshape(xi.size, -1)
         return gauss_newton, gauss_newton - second.reshape(gauss_newton.shape)
 
@@ -214,6 +224,7 @@ class _SearchResult:
     converged: bool
     gauss_newton_steps: int
     rejected_failed: int
+    decrement: float | None     # g^T A^-1 g on the free block, last formed; None at a +inf start
 
 
 def _positive_definite(a: np.ndarray) -> bool:
@@ -241,14 +252,16 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
     unless the criterion rises.  A damped step that leaves theta unchanged,
     ``MAX_OUTER_ITER`` steps and a +inf start end the search unconverged.
     Each point is clipped to the box here, and only here.  The result holds
-    the value and ``xi`` where the search stops.
+    the value and ``xi`` where the search stops, and the decrement last
+    formed: at that point, or, after the final full step, at the point the
+    step started from.
     """
     model = evaluate.model
     lo, hi = model.box[:, 0], model.box[:, 1]
     theta = model.clip_to_box(start)
     value, xi = evaluate(theta)
     if not np.isfinite(value):
-        return _SearchResult(theta, value, xi, 0, False, 0, 0)
+        return _SearchResult(theta, value, xi, 0, False, 0, 0, None)
     lam, moved, gauss_newton_steps, rejected_failed = 0.0, True, 0, 0
     for it in range(MAX_OUTER_ITER):
         if moved:
@@ -261,14 +274,16 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
             if not newton:
                 a_free = gauss_newton[np.ix_(free, free)]
             newton_step = np.linalg.solve(a_free, -grad[free])
-            final = float(-grad[free] @ newton_step) <= rounding_level(
+            decrement = float(-grad[free] @ newton_step)
+            final = decrement <= rounding_level(
                 xi, model.target_map(theta), value, evaluate.skeleton.delta.size)
         step = np.zeros_like(theta)
         step[free] = newton_step if final else np.linalg.solve(
             a_free + lam * np.diag(np.diag(a_free)), -grad[free])
         cand = np.clip(theta + step, lo, hi)
         if np.array_equal(cand, theta):
-            return _SearchResult(theta, value, xi, it, final, gauss_newton_steps, rejected_failed)
+            return _SearchResult(theta, value, xi, it, final, gauss_newton_steps,
+                                 rejected_failed, decrement)
         gauss_newton_steps += not newton
         cand_value, cand_xi = evaluate(cand)
         moved = cand_value <= value if final else cand_value < value
@@ -280,9 +295,79 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
             rejected_failed += cand_value == np.inf
         if final:
             return _SearchResult(theta, value, xi, it + 1, True, gauss_newton_steps,
-                                 rejected_failed)
+                                 rejected_failed, decrement)
     return _SearchResult(theta, value, xi, MAX_OUTER_ITER, False, gauss_newton_steps,
-                         rejected_failed)
+                         rejected_failed, decrement)
+
+
+def _chi2_table(model: SplqModel) -> tuple[np.ndarray, np.ndarray]:
+    """(shape grid, unit-scale Jacobians (c, 2, k)) of the model's law, built on first use."""
+    table = _CHI2_TABLES.get(model.family)
+    if table is None:
+        grid = _CHI2_NU[model.family]
+        jac = np.stack([model.lmoment_jacobian(np.array([1.0, nu])) for nu in grid], axis=-1)
+        jac.setflags(write=False)       # cached: every fit of the law shares it
+        table = _CHI2_TABLES[model.family] = (grid, jac)
+    return table
+
+
+def _chi2_profile(a, lam, sigma_box, jac):
+    """(value, slope, sigma) of the chi-square criterion at the free and the clipped scale.
+
+    ``jac`` (c, d, k) holds k Jacobians of ``lambda = sigma * f(nu)`` at
+    sigma = 1, with the columns ``f`` and ``f'`` (``f`` alone for a
+    scale-only model); ``a`` is Omega^-1 and ``lam`` is ``-m_n``.  Each
+    result is (2, k): row 0 at the minimizer ``lam^T a f / f^T a f`` of the
+    criterion, row 1 at it clipped to ``sigma_box``, the profile.  The slope
+    ``sigma f'^T a (sigma f - lam)`` is the derivative in nu of the value on
+    each row: by the envelope theorem where sigma is free, and as sigma is
+    constant where it is clipped.
+    """
+    f = jac[:, 0]
+    af = a @ f
+    sigma = np.empty((2, f.shape[1]))
+    sigma[0] = (lam @ af) / np.einsum("ik,ik->k", f, af)
+    sigma[1] = np.minimum(np.maximum(sigma[0], sigma_box[0]), sigma_box[1])
+    resid = sigma[:, None] * f - lam[:, None]
+    a_resid = a @ resid
+    return (0.5 * np.einsum("bik,bik->bk", resid, a_resid),
+            sigma * np.einsum("idk,bik->bk", jac[:, 1:], a_resid), sigma)
+
+
+def _chi2_fit(skeleton: DualProblem, model: SplqModel):
+    """(theta, value, xi, diagnostics) of the chi-square fit (module docstring)."""
+    omega = omega_empirical(skeleton)
+    chi2 = chi2_solver(omega, skeleton.m_n)
+    a, lam, sigma_box = np.linalg.inv(omega), -skeleton.m_n, model.box[0]
+    refined, minima = {}, ()
+    if model.dim == 1:
+        jac = model.lmoment_jacobian(np.ones(1))[..., None]
+        theta = _chi2_profile(a, lam, sigma_box, jac)[2][1]    # the clipped scale
+    else:
+        def at(nu):
+            """(value, slope, sigma) at one shape, each evaluated once."""
+            if nu not in refined:
+                refined[nu] = _chi2_profile(
+                    a, lam, sigma_box, model.lmoment_jacobian(np.array([1.0, nu]))[..., None])
+            return refined[nu]
+
+        grid, table = _chi2_table(model)
+        value, slope, sigma = _chi2_profile(a, lam, sigma_box, table)
+        best = min((value[1, j], sigma[1, j], grid[j]) for j in (0, -1))
+        minima = np.flatnonzero((slope[1, :-1] < 0.0) & (slope[1, 1:] >= 0.0))
+        for i in minima:
+            for row in (0, 1):
+                g = slope[row]
+                if g[i] < 0.0 <= g[i + 1]:
+                    nu = bracketed_root(lambda v: float(at(v)[1][row, 0]), float(grid[i]),
+                                        float(grid[i + 1]), float(g[i]), float(g[i + 1]))
+                    value_nu, _, sigma_nu = at(nu)
+                    if sigma_nu[0, 0] == sigma_nu[1, 0]:      # the free scale is in the box
+                        break
+            best = min(best, (value_nu[1, 0], sigma_nu[1, 0], nu))
+        theta = np.array(best[1:], dtype=float)
+    value, xi = chi2(model.target_map(theta))
+    return theta, value, xi, {"scan_minima": len(minima), "refine_evaluations": len(refined)}
 
 
 def fit_divergence(
@@ -290,56 +375,69 @@ def fit_divergence(
     model: SplqModel,
     divergence: DivergenceSpec,
 ) -> FitReport:
-    """Minimum-divergence fit: one projected Newton search over the dual criterion.
+    """Minimum-divergence fit: variable projection for chi-square, a projected Newton search else.
 
-    ``diagnostics["start"]`` names the start used; ``outer_iterations``
-    counts the steps tried, ``gauss_newton_steps`` those of them that fell
-    back to the Gauss-Newton curvature, ``outer_rejected_failed`` those
-    rejected because the candidate's inner solve failed, and
-    ``criterion_evaluations`` the criterion calls.  The criterion and ``xi``
-    are the search's own at the estimate.
+    The chi-square fit is ``_chi2_fit``.  Any other divergence runs
+    ``_outer_search``; ``diagnostics["start"]`` names the start used,
+    ``outer_iterations`` counts the steps tried, ``gauss_newton_steps``
+    those of them that fell back to the Gauss-Newton curvature,
+    ``outer_rejected_failed`` those rejected because the candidate's inner
+    solve failed, ``criterion_evaluations`` the criterion calls and
+    ``outer_decrement`` the search's last Newton decrement.  The criterion
+    and ``xi`` are the search's own at the estimate.
     """
     try:
         skeleton = make_dual_problem(
             sample, model.constraint_values, divergence,
             np.zeros(model.n_constraints),
         )
-        evaluate = _Criterion(skeleton, model)
+        if divergence.family == "chi2":
+            theta, value, xi, diagnostics = _chi2_fit(skeleton, model)
+        else:
+            theta, value, xi, diagnostics = _search_fit(
+                skeleton, model, lmoment_method_start(sample, model))
     except SingularConstraintError as exc:
         raise EstimationError(str(exc)) from exc
+    at_boundary = bool(np.any(np.abs(theta[:, None] - model.box) < 1e-6))
+    return FitReport(
+        theta=theta,
+        xi=xi,
+        criterion=float(value),
+        method=f"divergence:{divergence.family}",
+        param_names=model.param_names,
+        diagnostics={**diagnostics, "boundary": at_boundary},
+    )
 
-    start, start_name = lmoment_method_start(sample, model), "lmoment"
+
+def _search_fit(skeleton: DualProblem, model: SplqModel, start):
+    """(theta, value, xi, diagnostics) of the outer search from ``start``.
+
+    The search starts from the box centre when ``start`` is None.  Where its
+    criterion is +inf it starts again from the chi-square estimate: the
+    chi-square criterion is finite wherever the target map is, and its
+    estimate puts the target near m_n, inside the cone of the rows, where
+    the inner solve can start.
+    """
+    evaluate = _Criterion(skeleton, model)
+    start_name = "lmoment"
     if start is None:
         start, start_name = model.box.mean(axis=1), "box_centre"
     res = _outer_search(evaluate, start)
-    if not np.isfinite(res.value) and evaluate.chi2 is None:
-        # the chi-square criterion is finite wherever the target map is, and
-        # its estimate puts the target near m_n, which is inside the cone of
-        # the rows; from there the inner solve can start
-        chi2 = _Criterion(dataclasses.replace(skeleton, divergence=CHI2), model)
-        start, start_name = _outer_search(chi2, start).theta, "chi2"
+    if not np.isfinite(res.value):
+        start, start_name = _chi2_fit(skeleton, model)[0], "chi2"
         res = _outer_search(evaluate, start)
     if not np.isfinite(res.value):
         raise EstimationError("the inner solve failed at every point of the outer search: "
                               f"inner_status {evaluate.status}")
-
-    at_boundary = bool(np.any(np.abs(res.theta[:, None] - model.box) < 1e-6))
-    return FitReport(
-        theta=res.theta,
-        xi=res.xi,
-        criterion=float(res.value),
-        method=f"divergence:{divergence.family}",
-        param_names=model.param_names,
-        diagnostics={
-            "outer_iterations": res.iterations,
-            **evaluate.diagnostics,
-            "boundary": at_boundary,
-            "start": start_name,
-            "outer_converged": res.converged,
-            "gauss_newton_steps": res.gauss_newton_steps,
-            "outer_rejected_failed": res.rejected_failed,
-        },
-    )
+    return res.theta, res.value, res.xi, {
+        "outer_iterations": res.iterations,
+        **evaluate.diagnostics,
+        "start": start_name,
+        "outer_converged": res.converged,
+        "outer_decrement": res.decrement,
+        "gauss_newton_steps": res.gauss_newton_steps,
+        "outer_rejected_failed": res.rejected_failed,
+    }
 
 
 def envelope_gradient(model: SplqModel, theta, xi, jac=None) -> np.ndarray:
@@ -561,17 +659,17 @@ def fit_moment_method_gpd(sample: SortedSample) -> tuple[float, float]:
 
 
 def _log_terms(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``log(1 + theta * y)`` for ``theta = expm1(w)``: one row per ``w``."""
-    far = w < -1.0
-    out = np.empty((w.size, y.size))
+    """``log(1 + theta * y)`` for ``theta = expm1(w)``: one row per ``w``, ``w`` ascending."""
+    far = int(np.searchsorted(w, -1.0))   # the rows w < -1
+    near = np.log1p(np.multiply.outer(np.expm1(w[far:]), y))
+    if not far:
+        return near
     # as theta -> -1, (1 - y) + y * exp(w) keeps the digits 1 + theta*y loses
-    out[far] = np.log(np.multiply.outer(np.exp(w[far]), y) + (1.0 - y))
-    out[~far] = np.log1p(np.multiply.outer(np.expm1(w[~far]), y))
-    return out
+    return np.concatenate([np.log(np.multiply.outer(np.exp(w[:far]), y) + (1.0 - y)), near])
 
 
 def _gpd_profile(w: np.ndarray, y: np.ndarray):
-    """Profiled GPD ``-log L / n`` at ``w = log1p(theta)`` for data ``y`` in [0, 1].
+    """Profiled GPD ``-log L / n`` at ascending ``w = log1p(theta)`` for data ``y`` in [0, 1].
 
     Returns ``(value, slope, sigma, nu)`` arrays shaped like ``w``; ``slope``
     has the sign of the value's derivative and ``sigma`` is in units of
@@ -579,18 +677,21 @@ def _gpd_profile(w: np.ndarray, y: np.ndarray):
     shape by ``nu = mean(log1p(theta * y))``, clipped to the box edge
     ``nu <= 5``.  Where that mean is below -1 both terms of the slope are
     positive, so no local minimum has ``nu < -1`` and the edge ``nu = -5``
-    never binds at one.
+    never binds at one.  At ``theta = 0`` the terms are 0, and ``dk`` is
+    ``mean(y)``, the limit of ``sigma``.
     """
     k, dk = np.empty(w.size), np.empty(w.size)
     rows = max(1, _MLE_BLOCK // y.size)
     for i in range(0, w.size, rows):
         logs = _log_terms(w[i:i + rows], y)
-        k[i:i + rows] = logs.mean(axis=1)
-        dk[i:i + rows] = (y * np.exp(-logs)).mean(axis=1)
+        k[i:i + rows] = logs.sum(axis=1)
+        dk[i:i + rows] = (y * np.exp(-logs)).sum(axis=1)
+    k /= y.size
+    dk /= y.size
     t = np.expm1(w)
     nu = np.minimum(k, _MLE_NU_MAX)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = np.where(t == 0.0, y.mean(), nu / t)
+        sigma = np.where(t == 0.0, dk, nu / t)
         # (1 + 1/nu) * k is k + 1 inside the box and k + k/5 on its edge
         value = np.log(sigma) + k + np.maximum(k / _MLE_NU_MAX, 1.0)
         slope = dk * (1.0 + 1.0 / nu) - 1.0 / t
@@ -620,8 +721,13 @@ def fit_mle_gpd(sample: SortedSample) -> tuple[float, float]:
     xmax = float(x[-1])
     y = x / xmax
 
+    profiled = {}
+
     def profile_at(w):
-        return [float(a[0]) for a in _gpd_profile(np.array([w]), y)]
+        """(value, slope, sigma, nu) at one w, each evaluated once."""
+        if w not in profiled:
+            profiled[w] = [float(a[0]) for a in _gpd_profile(np.array([w]), y)]
+        return profiled[w]
 
     # a local minimum lies where the slope turns from negative to nonnegative
     slope = _gpd_profile(_MLE_W, y)[1]

@@ -1,4 +1,6 @@
 import dataclasses
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,7 +11,13 @@ import scipy.optimize
 from lmomdiv import estimator
 from lmomdiv.cli import main
 from lmomdiv.divergence import CHI2, KL, KLM, power_divergence
-from lmomdiv.dualsolve import chi2_value_closed_form, make_dual_problem, solve_dual
+from lmomdiv.dualsolve import (
+    chi2_value_closed_form,
+    make_dual_problem,
+    omega_empirical,
+    rounding_level,
+    solve_dual,
+)
 from lmomdiv.estimator import (
     EstimationError,
     asymptotic_covariance,
@@ -65,10 +73,13 @@ def test_fit_report_contents():
     assert report.method == "divergence:chi2"
     assert report.param_names == ("sigma", "nu")
     assert report.xi.shape == (3,)
-    assert {"outer_iterations", "criterion_evaluations", "inner_failures",
-            "boundary"} <= set(report.diagnostics)
+    assert set(report.diagnostics) == {"scan_minima", "refine_evaluations", "boundary"}
     d = report.to_dict()
     assert set(d["theta"]) == {"sigma", "nu"}
+    # the outer search's fields are those of a fit that runs it
+    klm = fit_divergence(s, gpd_model(), KLM)
+    assert {"outer_iterations", "criterion_evaluations", "inner_failures", "outer_decrement",
+            "boundary"} <= set(klm.diagnostics)
 
 
 def test_fit_shift_invariance():
@@ -86,15 +97,15 @@ def test_fit_starts_from_lmoment_method():
     report = fit_divergence(s, gpd_model(), KL)
     assert report.diagnostics["start"] == "lmoment"
     assert np.isfinite(report.criterion)
-    weibull = fit_divergence(s, model_by_name("weibull-l234"), CHI2)
+    weibull = fit_divergence(s, model_by_name("weibull-l234"), KL)
     assert weibull.diagnostics["start"] == "lmoment"
 
 
 def test_outer_convergence_is_reported(monkeypatch):
     s = mc_sample(ParametricFamily("gpd", 3.0, 0.3), 100, seed=2)
-    assert fit_divergence(s, gpd_model(), CHI2).diagnostics["outer_converged"]
+    assert fit_divergence(s, gpd_model(), KL).diagnostics["outer_converged"]
     monkeypatch.setattr(estimator, "MAX_OUTER_ITER", 1)
-    short = fit_divergence(s, gpd_model(), CHI2)
+    short = fit_divergence(s, gpd_model(), KL)
     assert short.diagnostics["outer_converged"] is False
 
 
@@ -322,17 +333,19 @@ def _step_count_samples(model):
 ], ids=["gpd-klm", "weibull-chi2", "weibull-kl", "weibull-klm"])
 def test_mean_outer_steps_stay_few(model, div, bound):
     # [REGRESSION] Gauss-Newton steps from the box centre took 27-50 steps on
-    # the Weibull samples and 8.7 on the GPD KLM ones
-    steps = [fit_divergence(s, model, div).diagnostics["outer_iterations"]
-             for s in _step_count_samples(model)]
+    # the Weibull samples and 8.7 on the GPD KLM ones; the chi-square fit
+    # takes no outer step, and its count is the profile evaluations of its
+    # refinement
+    key = "refine_evaluations" if div is CHI2 else "outer_iterations"
+    steps = [fit_divergence(s, model, div).diagnostics[key] for s in _step_count_samples(model)]
     assert np.mean(steps) <= bound
 
 
 def test_gauss_newton_fallback_is_counted():
-    # far from its estimate this scenario-2 sample's chi-square criterion is
-    # not convex, and those steps fall back to Gauss-Newton
+    # far from its estimate this scenario-2 sample's weibull-l234 KLM
+    # criterion is not convex, and those steps fall back to Gauss-Newton
     s = draw_sample(ScenarioConfig.preset(2, n=100, seed=15), 0)
-    diag = fit_divergence(s, gpd_model(), CHI2).diagnostics
+    diag = fit_divergence(s, weibull_model(), KLM).diagnostics
     assert 0 < diag["gauss_newton_steps"] <= diag["outer_iterations"]
     assert diag["outer_converged"] is True
     klm = fit_divergence(s, gpd_model(), KLM).to_dict()["diagnostics"]
@@ -378,13 +391,113 @@ def test_large_file_power_fits_converge(n_exp, stream, gamma):
 @pytest.mark.parametrize("div", [CHI2, KL, KLM], ids=lambda d: d.family)
 def test_fit_is_scale_equivariant(model, law, div):
     # both solve layers stop at a rounding level that scales with the data,
-    # so fitting 2^k x gives (2^k sigma, nu) up to a few ulp
+    # so fitting 2^k x gives (2^k sigma, nu) up to a few ulp; every number
+    # of the chi-square fit scales by 2^k exactly, so it is bit for bit,
+    # also at 2^-12, where the GPD fit's free scale 1.06e-3 is within 6 %
+    # of the box edge 1e-3, past which the profile is clipped
+    ulps = 0 if div is CHI2 else 4
     x = law.sample(200, np.random.default_rng(0))
     sigma, nu = fit_divergence(SortedSample(x), model, div).theta
     for k in (-12, -8, -4, 4):
         sigma_k, nu_k = fit_divergence(SortedSample(x * 2.0 ** k), model, div).theta
-        assert abs(sigma_k / 2.0 ** k - sigma) <= 4 * np.spacing(sigma), k
-        assert abs(nu_k - nu) <= 4 * np.spacing(nu), k
+        assert abs(sigma_k / 2.0 ** k - sigma) <= ulps * np.spacing(sigma), k
+        assert abs(nu_k - nu) <= ulps * np.spacing(nu), k
+
+
+def _chi2_inputs(sample, model):
+    """(Omega^-1, the sample L-moments -m_n) of a chi-square fit of ``sample``."""
+    skeleton = make_dual_problem(sample, model.constraint_values, CHI2,
+                                 np.zeros(model.n_constraints))
+    return np.linalg.inv(omega_empirical(skeleton)), -skeleton.m_n
+
+
+@pytest.mark.parametrize("model,law,shapes,clipped_at", [
+    (gpd_model(), ParametricFamily("gpd", 3.0, 0.4), (-2.0, 0.0, 0.6), 0.6),
+    (weibull_model(), ParametricFamily("weibull", 3.0, 0.5), (0.3, 1.0, 4.0), 0.3),
+], ids=["gpd", "weibull"])
+def test_chi2_profile_slope_matches_central_differences(model, law, shapes, clipped_at):
+    # P(nu), the criterion minimized over the sigma box, and its slope; on
+    # 2^-12 x the free scale falls below the box edge 1e-3 at ``clipped_at``,
+    # where P is clipped
+    a, lam = _chi2_inputs(SortedSample(law.sample(200, np.random.default_rng(0)) * 2.0 ** -12),
+                          model)
+
+    def profile(nu):
+        jac = model.lmoment_jacobian(np.array([1.0, nu]))[..., None]
+        value, slope, sigma = estimator._chi2_profile(a, lam, model.box[0], jac)
+        return value[1, 0], slope[1, 0], sigma[0, 0] < model.box[0, 0]
+
+    clipped = []
+    for nu in shapes:
+        h = 1e-5 * max(abs(nu), 1.0)
+        _, slope, below = profile(nu)
+        fd = (profile(nu + h)[0] - profile(nu - h)[0]) / (2.0 * h)
+        assert slope == pytest.approx(fd, rel=1e-6, abs=0.0), nu
+        clipped.append(below)
+    assert clipped == [nu == clipped_at for nu in shapes]
+
+
+def test_orderstat3_chi2_fit_is_the_closed_form():
+    # a scale-only model, lambda = nu (1, 1): the fit is
+    # lam^T Omega^-1 f / f^T Omega^-1 f with f = (1, 1), with no scan
+    x = ParametricFamily("gpd", 3.0, 0.4).sample(1000, np.random.default_rng([0, 0]))
+    sample, model = SortedSample(x), order_stat_model_3()
+    a, lam = _chi2_inputs(sample, model)
+    f = np.ones(2)
+    closed = (lam @ a @ f) / (f @ a @ f)
+    report = fit_divergence(sample, model, CHI2)
+    assert report.theta[0] == pytest.approx(closed, rel=1e-14, abs=0.0)
+    assert report.theta[0] == pytest.approx(1.88059195799228, rel=1e-14, abs=0.0)
+    assert report.diagnostics == {"scan_minima": 0, "refine_evaluations": 0, "boundary": False}
+
+
+@pytest.mark.parametrize("model", [gpd_model(), weibull_model(), order_stat_model_3()],
+                         ids=lambda m: m.name)
+def test_chi2_fit_runs_no_outer_search(monkeypatch, model):
+    def no_search(evaluate, start):
+        raise AssertionError("the chi-square fit ran the outer search")
+
+    monkeypatch.setattr(estimator, "_outer_search", no_search)
+    report = fit_divergence(mc_sample(ParametricFamily("gpd", 3.0, 0.3), 100, seed=2), model, CHI2)
+    assert np.isfinite(report.criterion)
+
+
+def test_chi2_table_is_built_once_per_law_on_first_use():
+    code = (
+        "import numpy as np\n"
+        "from lmomdiv import estimator\n"
+        "from lmomdiv.divergence import CHI2\n"
+        "from lmomdiv.lmoments import SortedSample\n"
+        "from lmomdiv.models import gpd_model\n"
+        "assert estimator._CHI2_TABLES == {}\n"
+        "s = SortedSample(np.random.default_rng(0).exponential(size=50))\n"
+        "estimator.fit_divergence(s, gpd_model(), CHI2)\n"
+        "table = estimator._CHI2_TABLES['gpd']\n"
+        "estimator.fit_divergence(s, gpd_model(), CHI2)\n"
+        "assert list(estimator._CHI2_TABLES) == ['gpd']\n"
+        "assert estimator._CHI2_TABLES['gpd'] is table\n"
+        "assert table[1].shape == (3, 2, 61) and not table[1].flags.writeable\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_outer_decrement_is_reported_at_the_rounding_level():
+    # the 28 KLM fits of an mc-klm run: scenarios 1-4 x seeds 0-6; the
+    # decrement is the one the search's stop compared with the level
+    model = gpd_model()
+    converged = 0
+    for seed in range(7):
+        for scenario in (1, 2, 3, 4):
+            sample = draw_sample(ScenarioConfig.preset(scenario, n=100, seed=seed), 0)
+            report = fit_divergence(sample, model, KLM)
+            diag = report.diagnostics
+            assert diag["outer_decrement"] >= 0.0
+            if diag["outer_converged"]:
+                converged += 1
+                level = rounding_level(report.xi, model.target_map(report.theta),
+                                       report.criterion, int(np.count_nonzero(sample.spacings)))
+                assert diag["outer_decrement"] <= level, (scenario, seed)
+    assert converged > 0
 
 
 def test_infeasible_start_falls_back_to_the_chi2_estimate(monkeypatch):
@@ -602,7 +715,7 @@ def test_weibull_lmoment_start_outside_the_tau3_range():
     with pytest.raises(EstimationError, match="tau_3"):
         fit_lmoment_method_weibull(s)
     assert estimator.lmoment_method_start(s, weibull_model()) is None
-    report = fit_divergence(s, weibull_model(), CHI2)
+    report = fit_divergence(s, weibull_model(), KLM)
     assert report.diagnostics["start"] == "box_centre"
 
 
