@@ -1,6 +1,9 @@
 """Outer parameter estimation, asymptotic covariance and the model test.
 
-Each fit builds one ``DualProblem``.  Every model of the package has the form
+Each fit builds one ``DualProblem`` of the sample in units of ``2^e``, the
+power of two at its L-scale (``fit_divergence``), so the parameter box's
+scale row is in those units and the fit of ``2^k x`` is that of ``x``, bit
+for bit.  Every model of the package has the form
 ``lambda(theta) = sigma * f(nu)`` (no ``nu`` for a scale-only model), and the
 chi-square criterion ``(sigma f - lam)^T Omega^-1 (sigma f - lam) / 2`` of the
 sample L-moments ``lam = -m_n`` is quadratic in sigma.  So the chi-square fit
@@ -10,15 +13,11 @@ scale is ``lam^T Omega^-1 f / f^T Omega^-1 f`` clipped to its box, which is
 exact for a convex quadratic in one variable.  A scale-only model
 (``orderstat3``) is then fitted.  Otherwise the slope of the profile P(nu) is
 scanned on a fixed grid per law (``_CHI2_NU``; f and f' are tabulated at the
-law's first fit), and each sign change from - to + is refined by
-``bracketed_root``: on the slope at the unclipped scale where that brackets a
-root whose scale lies in the box, and on P' itself otherwise.  The lowest of
-P at those roots and at the two shape edges is the estimate; its value and
-``xi`` are the closed-form dual's.  The unclipped scale and its slope are
-made of numbers that scale exactly, so for 2^k x a refine on them repeats
-bit for bit, times 2^k; the box may clip the scale at scan points without
-changing it, as long as the scan finds the same bracket.  ``diagnostics``
-has ``scan_minima``, the sign changes the scan found, and
+law's first fit), and each sign change from - to + is refined on it by
+``bracketed_root`` (``_profile_minimum``, shared with the MLE).  The lowest
+of P at those roots and at the two shape edges is the estimate; its value
+and ``xi`` are the closed-form dual's.  ``diagnostics`` has
+``scan_minima``, the sign changes the scan found, and
 ``refine_evaluations``, the profile evaluations of the refines.
 
 Any other divergence runs the outer search, one projected
@@ -49,9 +48,8 @@ The plug-in Omega and Sigma run in quantile space (``asymptotic_covariance``).
 The GPD maximum likelihood comparison estimator is a one-dimensional profile
 search (Grimshaw, Technometrics 35, 1993): for ``theta = nu / sigma`` the
 best shape is ``mean(log1p(theta * x))``, so ``-log L`` is a function of
-``theta`` alone.  One vectorized scan locates its local minima and a root
-search on the profile's slope refines each; the box edge ``nu = 5`` is part
-of the profile.
+``theta`` alone, scanned and refined by the same ``_profile_minimum``; the
+box edge ``nu = 5`` is part of the profile.
 """
 
 from __future__ import annotations
@@ -312,26 +310,52 @@ def _chi2_table(model: SplqModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chi2_profile(a, lam, sigma_box, jac):
-    """(value, slope, sigma) of the chi-square criterion at the free and the clipped scale.
+    """(value, slope, sigma) of the chi-square profile P(nu) at k shapes.
 
     ``jac`` (c, d, k) holds k Jacobians of ``lambda = sigma * f(nu)`` at
     sigma = 1, with the columns ``f`` and ``f'`` (``f`` alone for a
-    scale-only model); ``a`` is Omega^-1 and ``lam`` is ``-m_n``.  Each
-    result is (2, k): row 0 at the minimizer ``lam^T a f / f^T a f`` of the
-    criterion, row 1 at it clipped to ``sigma_box``, the profile.  The slope
-    ``sigma f'^T a (sigma f - lam)`` is the derivative in nu of the value on
-    each row: by the envelope theorem where sigma is free, and as sigma is
-    constant where it is clipped.
+    scale-only model); ``a`` is Omega^-1 and ``lam`` is ``-m_n``.  The scale
+    is the criterion's minimizer ``lam^T a f / f^T a f`` clipped to
+    ``sigma_box``, and the slope ``sigma f'^T a (sigma f - lam)`` is the
+    derivative of P: by the envelope theorem where sigma is free, and as
+    sigma is constant where it is clipped.
     """
     f = jac[:, 0]
     af = a @ f
-    sigma = np.empty((2, f.shape[1]))
-    sigma[0] = (lam @ af) / np.einsum("ik,ik->k", f, af)
-    sigma[1] = np.minimum(np.maximum(sigma[0], sigma_box[0]), sigma_box[1])
-    resid = sigma[:, None] * f - lam[:, None]
+    sigma = np.minimum(np.maximum((lam @ af) / np.einsum("ik,ik->k", f, af), sigma_box[0]),
+                       sigma_box[1])
+    resid = sigma * f - lam[:, None]
     a_resid = a @ resid
-    return (0.5 * np.einsum("bik,bik->bk", resid, a_resid),
-            sigma * np.einsum("idk,bik->bk", jac[:, 1:], a_resid), sigma)
+    return (0.5 * np.einsum("ik,ik->k", resid, a_resid),
+            sigma * np.einsum("idk,ik->k", jac[:, 1:], a_resid), sigma)
+
+
+def _profile_minimum(point, grid, scan, edges=()):
+    """(best, sign changes, refine evaluations) of a one-dimensional profile.
+
+    ``scan`` is (value, slope, ...) of the profile on the ascending ``grid``
+    and ``point(x)`` the same arrays at the one point ``x``.  A local
+    minimum lies where the slope turns from negative to nonnegative; each
+    such sign change of the scan is refined by ``bracketed_root`` on the
+    slope, with every point evaluated once.  ``best`` is ``x`` and its
+    numbers, as floats, with the lowest value among the refined roots and
+    the grid points at the indices ``edges`` (the first on a tie), or None.
+    """
+    slope, evaluated = scan[1], {}
+
+    def at(x):
+        if x not in evaluated:
+            evaluated[x] = [float(v[0]) for v in point(x)]
+        return evaluated[x]
+
+    candidates = [(float(grid[j]), [float(v[j]) for v in scan]) for j in edges]
+    minima = np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0))
+    for i in minima:
+        x = bracketed_root(lambda v: at(v)[1], float(grid[i]), float(grid[i + 1]),
+                           float(slope[i]), float(slope[i + 1]))
+        candidates.append((x, at(x)))
+    best = min(candidates, key=lambda c: c[1][0], default=None)
+    return best, len(minima), len(evaluated)
 
 
 def _chi2_fit(skeleton: DualProblem, model: SplqModel):
@@ -339,35 +363,18 @@ def _chi2_fit(skeleton: DualProblem, model: SplqModel):
     omega = omega_empirical(skeleton)
     chi2 = chi2_solver(omega, skeleton.m_n)
     a, lam, sigma_box = np.linalg.inv(omega), -skeleton.m_n, model.box[0]
-    refined, minima = {}, ()
+    minima = evaluations = 0
     if model.dim == 1:
-        jac = model.lmoment_jacobian(np.ones(1))[..., None]
-        theta = _chi2_profile(a, lam, sigma_box, jac)[2][1]    # the clipped scale
+        theta = _chi2_profile(a, lam, sigma_box, model.lmoment_jacobian(np.ones(1))[..., None])[2]
     else:
-        def at(nu):
-            """(value, slope, sigma) at one shape, each evaluated once."""
-            if nu not in refined:
-                refined[nu] = _chi2_profile(
-                    a, lam, sigma_box, model.lmoment_jacobian(np.array([1.0, nu]))[..., None])
-            return refined[nu]
-
         grid, table = _chi2_table(model)
-        value, slope, sigma = _chi2_profile(a, lam, sigma_box, table)
-        best = min((value[1, j], sigma[1, j], grid[j]) for j in (0, -1))
-        minima = np.flatnonzero((slope[1, :-1] < 0.0) & (slope[1, 1:] >= 0.0))
-        for i in minima:
-            for row in (0, 1):
-                g = slope[row]
-                if g[i] < 0.0 <= g[i + 1]:
-                    nu = bracketed_root(lambda v: float(at(v)[1][row, 0]), float(grid[i]),
-                                        float(grid[i + 1]), float(g[i]), float(g[i + 1]))
-                    value_nu, _, sigma_nu = at(nu)
-                    if sigma_nu[0, 0] == sigma_nu[1, 0]:      # the free scale is in the box
-                        break
-            best = min(best, (value_nu[1, 0], sigma_nu[1, 0], nu))
-        theta = np.array(best[1:], dtype=float)
+        (nu, (_, _, sigma)), minima, evaluations = _profile_minimum(
+            lambda nu: _chi2_profile(
+                a, lam, sigma_box, model.lmoment_jacobian(np.array([1.0, nu]))[..., None]),
+            grid, _chi2_profile(a, lam, sigma_box, table), edges=(0, -1))
+        theta = np.array([sigma, nu])
     value, xi = chi2(model.target_map(theta))
-    return theta, value, xi, {"scan_minima": len(minima), "refine_evaluations": len(refined)}
+    return theta, value, xi, {"scan_minima": minima, "refine_evaluations": evaluations}
 
 
 def fit_divergence(
@@ -377,15 +384,21 @@ def fit_divergence(
 ) -> FitReport:
     """Minimum-divergence fit: variable projection for chi-square, a projected Newton search else.
 
-    The chi-square fit is ``_chi2_fit``.  Any other divergence runs
-    ``_outer_search``; ``diagnostics["start"]`` names the start used,
-    ``outer_iterations`` counts the steps tried, ``gauss_newton_steps``
-    those of them that fell back to the Gauss-Newton curvature,
-    ``outer_rejected_failed`` those rejected because the candidate's inner
-    solve failed, ``criterion_evaluations`` the criterion calls and
-    ``outer_decrement`` the search's last Newton decrement.  The criterion
-    and ``xi`` are the search's own at the estimate.
+    The fit runs in units of ``s = 2^e``, ``e`` the binary exponent of the
+    plug-in lambda_2: the sample is divided by ``s``, which is exact, and
+    the scale ``theta[0]`` (every model is linear in it), the criterion and
+    ``outer_decrement`` are multiplied back.  The chi-square fit is
+    ``_chi2_fit``.  Any other divergence runs ``_outer_search``;
+    ``diagnostics["start"]`` names the start used, ``outer_iterations``
+    counts the steps tried, ``gauss_newton_steps`` those of them that fell
+    back to the Gauss-Newton curvature, ``outer_rejected_failed`` those
+    rejected because the candidate's inner solve failed,
+    ``criterion_evaluations`` the criterion calls and ``outer_decrement`` the
+    search's last Newton decrement.  The criterion and ``xi`` are the
+    search's own at the estimate.
     """
+    scale = math.ldexp(1.0, math.frexp(sample_lmoments_v(sample, 2)[2])[1])
+    sample = SortedSample(sample.values / scale)
     try:
         skeleton = make_dual_problem(
             sample, model.constraint_values, divergence,
@@ -396,13 +409,14 @@ def fit_divergence(
         else:
             theta, value, xi, diagnostics = _search_fit(
                 skeleton, model, lmoment_method_start(sample, model))
+            diagnostics["outer_decrement"] *= scale
     except SingularConstraintError as exc:
         raise EstimationError(str(exc)) from exc
     at_boundary = bool(np.any(np.abs(theta[:, None] - model.box) < 1e-6))
     return FitReport(
-        theta=theta,
+        theta=np.concatenate([theta[:1] * scale, theta[1:]]),
         xi=xi,
-        criterion=float(value),
+        criterion=float(value) * scale,
         method=f"divergence:{divergence.family}",
         param_names=model.param_names,
         diagnostics={**diagnostics, "boundary": at_boundary},
@@ -701,13 +715,12 @@ def _gpd_profile(w: np.ndarray, y: np.ndarray):
 def fit_mle_gpd(sample: SortedSample) -> tuple[float, float]:
     """Maximum likelihood in the GPD family (location 0, sigma > 0, nu in [-5, 5]).
 
-    A one-dimensional profile search in ``theta = nu / sigma``: the profiled
-    likelihood is scanned on the fixed grid ``_MLE_W`` of ``log1p(theta *
-    x_max)``, each local maximum found there is refined by ``bracketed_root``
-    on the profile's slope, and the best one is the estimate.  Where the
-    likelihood has no local maximum it grows without bound toward the support
-    end (nu < -1), and the fit raises.  More than one zero in six makes the likelihood unbounded
-    toward sigma -> 0 at nu = 5, and the fit raises as well.
+    A one-dimensional profile search in ``theta = nu / sigma``, on the fixed
+    grid ``_MLE_W`` of ``log1p(theta * x_max)`` (``_profile_minimum``).
+    Where the likelihood has no local maximum it grows without bound toward
+    the support end (nu < -1), and the fit raises.  More than one zero in six
+    makes the likelihood unbounded toward sigma -> 0 at nu = 5, and the fit
+    raises as well.
     """
     x = sample.values
     if x[0] < 0:
@@ -721,26 +734,11 @@ def fit_mle_gpd(sample: SortedSample) -> tuple[float, float]:
     xmax = float(x[-1])
     y = x / xmax
 
-    profiled = {}
-
-    def profile_at(w):
-        """(value, slope, sigma, nu) at one w, each evaluated once."""
-        if w not in profiled:
-            profiled[w] = [float(a[0]) for a in _gpd_profile(np.array([w]), y)]
-        return profiled[w]
-
-    # a local minimum lies where the slope turns from negative to nonnegative
-    slope = _gpd_profile(_MLE_W, y)[1]
-    best = None
-    for i in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0)):
-        w = bracketed_root(lambda w: profile_at(w)[1], float(_MLE_W[i]),
-                           float(_MLE_W[i + 1]), float(slope[i]), float(slope[i + 1]))
-        cand = profile_at(w)
-        if best is None or cand[0] < best[0]:
-            best = cand
+    best = _profile_minimum(lambda w: _gpd_profile(np.array([w]), y), _MLE_W,
+                            _gpd_profile(_MLE_W, y))[0]
     if best is None:
         raise EstimationError("MLE degenerated to the support boundary")
-    sigma, nu = best[2] * xmax, best[3]
+    sigma, nu = best[1][2] * xmax, best[1][3]
     if nu < 0 and -sigma / nu <= xmax * (1.0 + 1e-9):
         raise EstimationError("MLE degenerated to the support boundary")
     return sigma, nu

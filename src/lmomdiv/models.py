@@ -216,7 +216,8 @@ class SplqModel:
     are the integrated shifted Legendre polynomials of the configured orders.
     ``family`` names the law (a ``ParametricFamily`` name) whose L-moments
     the model shares, the plug-in law of the asymptotics; ``None`` when the
-    model has no such law.
+    model has no such law.  Every model is linear in ``theta[0]``, a scale,
+    so ``fit_divergence`` fits in units of the sample's L-scale.
     """
 
     name: str

@@ -1,8 +1,9 @@
 """One bracketed scalar root finder, in plain Python arithmetic.
 
-Three callers share it: the crossings of two densities in the L1 distance,
-the skewness inversion of the GPD moment fit and the slope of the GPD
-profile likelihood.
+Its callers: the crossings of two densities in the L1 distance, the
+skewness inversion of the GPD moment fit, the tau_3 inversion of the Weibull
+L-moment fit and the shared profile scan of the chi-square fit and the GPD
+maximum likelihood (``estimator._profile_minimum``).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ def bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
     sign alone (the limit of ``f`` at an end it cannot be evaluated at).  A
     zero end is returned as it is.  Each step is a false-position step with
     the Anderson-Bjorck weight (BIT 13, 1973): the value of an end kept twice
-    in a row is scaled down by ``_shrink``.  A secant point not strictly
-    inside the bracket, or one after three steps that together did not halve
+    in a row is scaled down by ``_shrink``.  A secant point outside the
+    bracket (or NaN), or one after three steps that together did not halve
     it, gives way to bisection, so the bracket halves at least every four
     steps.  A point is kept ``tol = 2 eps max(|a|, |b|)`` from
     both ends, so the bracket closes in one step around a converged end.
@@ -49,7 +50,7 @@ def bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
         if width <= 2.0 * tol:
             break
         x = a - ga * width / (gb - ga)
-        if not a < x < b or width > 0.5 * w3:
+        if not a <= x <= b or width > 0.5 * w3:
             x = a + 0.5 * width
         # a point within tol of an end is moved to tol from it, so that a
         # converged end is met by the other one in one step

@@ -82,14 +82,19 @@ def test_fit_report_contents():
             "boundary"} <= set(klm.diagnostics)
 
 
-def test_fit_shift_invariance():
-    # the criterion sees only spacings, and the search starts from
-    # shift-invariant statistics, so a translated sample gives the same fit
-    s = mc_sample(ParametricFamily("gpd", 3.0, 0.3), 120, seed=1)
+@pytest.mark.parametrize("div", [CHI2, KL, KLM], ids=lambda d: d.family)
+def test_fit_shift_invariance(div):
+    # the criterion, the L-scale the fit runs in and the start see only
+    # spacings; on a dyadic grid the shift keeps every spacing's bits, so a
+    # translated sample gives the same fit bit for bit
+    x = mc_sample(ParametricFamily("gpd", 3.0, 0.3), 120, seed=1).values
+    s = SortedSample(np.round(x * 2.0 ** 20) * 2.0 ** -20)
     t = s.shifted(250.0)
-    a = fit_divergence(s, gpd_model(), CHI2)
-    b = fit_divergence(t, gpd_model(), CHI2)
-    assert np.allclose(a.theta, b.theta, atol=1e-6)
+    assert np.array_equal(np.diff(t.values), s.spacings)
+    a = fit_divergence(s, gpd_model(), div)
+    b = fit_divergence(t, gpd_model(), div)
+    assert np.array_equal(a.theta, b.theta)
+    assert a.criterion == b.criterion
 
 
 def test_fit_starts_from_lmoment_method():
@@ -390,18 +395,16 @@ def test_large_file_power_fits_converge(n_exp, stream, gamma):
 ], ids=["gpd", "weibull"])
 @pytest.mark.parametrize("div", [CHI2, KL, KLM], ids=lambda d: d.family)
 def test_fit_is_scale_equivariant(model, law, div):
-    # both solve layers stop at a rounding level that scales with the data,
-    # so fitting 2^k x gives (2^k sigma, nu) up to a few ulp; every number
-    # of the chi-square fit scales by 2^k exactly, so it is bit for bit,
-    # also at 2^-12, where the GPD fit's free scale 1.06e-3 is within 6 %
-    # of the box edge 1e-3, past which the profile is clipped
-    ulps = 0 if div is CHI2 else 4
+    # the fit runs in units of the power of two at the sample's L-scale, so
+    # 2^k x is fitted from the same numbers as x and gives (2^k sigma, nu)
+    # bit for bit, also where the fixed box [1e-3, 1e3] would cut the scale
     x = law.sample(200, np.random.default_rng(0))
-    sigma, nu = fit_divergence(SortedSample(x), model, div).theta
-    for k in (-12, -8, -4, 4):
-        sigma_k, nu_k = fit_divergence(SortedSample(x * 2.0 ** k), model, div).theta
-        assert abs(sigma_k / 2.0 ** k - sigma) <= ulps * np.spacing(sigma), k
-        assert abs(nu_k - nu) <= ulps * np.spacing(nu), k
+    fit = fit_divergence(SortedSample(x), model, div)
+    for k in (-40, -12, -8, -4, 4, 12, 40):
+        fit_k = fit_divergence(SortedSample(x * 2.0 ** k), model, div)
+        assert np.array_equal(fit_k.theta, [2.0 ** k * fit.theta[0], fit.theta[1]]), k
+        assert fit_k.criterion == 2.0 ** k * fit.criterion, k
+        assert fit_k.diagnostics["boundary"] is False, k
 
 
 def _chi2_inputs(sample, model):
@@ -417,15 +420,15 @@ def _chi2_inputs(sample, model):
 ], ids=["gpd", "weibull"])
 def test_chi2_profile_slope_matches_central_differences(model, law, shapes, clipped_at):
     # P(nu), the criterion minimized over the sigma box, and its slope; on
-    # 2^-12 x the free scale falls below the box edge 1e-3 at ``clipped_at``,
-    # where P is clipped
+    # 2^-12 x, taken here without the fit's standardization, the free scale
+    # falls below the box edge 1e-3 at ``clipped_at``, where P is clipped
     a, lam = _chi2_inputs(SortedSample(law.sample(200, np.random.default_rng(0)) * 2.0 ** -12),
                           model)
 
     def profile(nu):
         jac = model.lmoment_jacobian(np.array([1.0, nu]))[..., None]
         value, slope, sigma = estimator._chi2_profile(a, lam, model.box[0], jac)
-        return value[1, 0], slope[1, 0], sigma[0, 0] < model.box[0, 0]
+        return value[0], slope[0], sigma[0] == model.box[0, 0]
 
     clipped = []
     for nu in shapes:
@@ -460,6 +463,16 @@ def test_chi2_fit_runs_no_outer_search(monkeypatch, model):
     monkeypatch.setattr(estimator, "_outer_search", no_search)
     report = fit_divergence(mc_sample(ParametricFamily("gpd", 3.0, 0.3), 100, seed=2), model, CHI2)
     assert np.isfinite(report.criterion)
+
+
+def test_chi2_refine_closes_on_a_converged_end():
+    # [REGRESSION] a secant point that rounded onto the converged end of the
+    # bracket bisected instead of stepping tol inside it: this refine reached
+    # |P'| = 1.3e-14 at its 5th evaluation, then halved the bracket 17 times
+    # (23 evaluations; 8 once the point takes the tol clamp)
+    report = fit_divergence(draw_sample(ScenarioConfig.preset(1, n=100, seed=5), 0),
+                            gpd_model(), CHI2)
+    assert report.diagnostics["refine_evaluations"] <= 10
 
 
 def test_chi2_table_is_built_once_per_law_on_first_use():
