@@ -180,16 +180,16 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     c = problem.target.size
     domain = problem.divergence.psi_domain
     xi = np.zeros(c) if xi0 is None else np.array(xi0, dtype=float)
-    z = problem.kmat @ xi
     try:
-        value = problem.objective(xi, z)
+        value = problem.objective(xi)
     except ConjugateDomainError:
         # zero lies inside every conjugate's domain
-        xi, z = np.zeros(c), np.zeros_like(z)
-        value = problem.objective(xi, z)
+        xi = np.zeros(c)
+        value = problem.objective(xi)
     evaluations = 1
     failure = "maxIter"
     for it in range(_MAX_NEWTON_ITER + 1):
+        z = problem.kmat @ xi       # the nodes of xi: z + t dz drifts from them by rounding
         grad = problem.gradient(xi, z)
         gnorm = float(np.max(np.abs(grad)))
         if value > _UNBOUNDED_VALUE:
@@ -215,7 +215,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
         while t > 1e-16:
             evaluations += 1
             try:
-                cand_value = problem.objective(xi + t * step, z + t * dz)
+                cand_value = problem.objective(xi + t * step)
             except ConjugateDomainError:
                 # only a node within rounding of the edge gets here
                 cand_value = -np.inf
@@ -225,7 +225,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
         else:
             failure = "stalled"
             break
-        xi, z, value = xi + t * step, z + t * dz, cand_value
+        xi, value = xi + t * step, cand_value
     status = failure if cone_witness(problem) is not None else "infeasibleDirection"
     return DualSolution(xi, value, gnorm, it, evaluations, status)
 

@@ -37,10 +37,10 @@ the Newton decrement on the free block reaches ``dualsolve.rounding_level``,
 the inner solve's stopping level.  It starts from the L-moment-method
 estimate where that is defined (the GPD's tau_4 inversion and the Weibull's
 tau_3 inversion; the models share their first L-moments with the family, so
-the estimate nearly solves the constraints) and from the box centre
-otherwise; a fit whose criterion is +inf there starts again from the
-chi-square estimate.  Each criterion evaluation is one Newton solve of the
-dual, warm-started from the last converged one (``_Criterion``).  A failed
+the estimate nearly solves the constraints), and from the chi-square
+estimate where it is not or where its criterion is +inf.  Each criterion
+evaluation is one Newton solve of the dual, warm-started from the search's
+current point (``_Criterion``).  A failed
 inner solve is never the criterion: it counts +inf, which rejects the step,
 and a fit whose search finds no finite point raises ``EstimationError``.
 The plug-in Omega and Sigma run in quantile space (``asymptotic_covariance``).
@@ -148,15 +148,15 @@ class _Criterion:
     """theta -> (criterion, xi | None); +inf outside the model domain.
 
     Each call runs ``solve_dual``, warm-started from the multipliers of the
-    last converged solve.  A target outside the cone of the rows
-    (``infeasibleDirection``) and an uncertified failure both count +inf,
-    so that no lower bound becomes the criterion.  ``diagnostics`` counts
-    the calls and the Newton solves.
+    lowest converged solve (a rejected one's can be far off).  A target
+    outside the cone of the rows (``infeasibleDirection``) and an
+    uncertified failure both count +inf, so that no lower bound becomes the
+    criterion.  ``diagnostics`` counts the calls and the Newton solves.
     """
 
     def __init__(self, skeleton: DualProblem, model: SplqModel):
         self.skeleton, self.model = skeleton, model
-        self.xi0 = None
+        self.xi0, self.lowest = None, np.inf
         self.calls = self.iterations = self.evaluations = 0
         self.status = dict.fromkeys(SOLVE_STATUSES, 0)
 
@@ -175,7 +175,8 @@ class _Criterion:
         self.status[sol.status] += 1
         if not sol.converged:
             return np.inf, None
-        self.xi0 = sol.xi
+        if sol.value <= self.lowest:
+            self.xi0, self.lowest = sol.xi, sol.value
         return sol.value, sol.xi
 
     def hessians(self, theta, xi, jac) -> tuple[np.ndarray, np.ndarray]:
@@ -412,7 +413,7 @@ def fit_divergence(
             diagnostics["outer_decrement"] *= scale
     except SingularConstraintError as exc:
         raise EstimationError(str(exc)) from exc
-    at_boundary = bool(np.any(np.abs(theta[:, None] - model.box) < 1e-6))
+    at_boundary = bool(np.any(np.isclose(theta[:, None], model.box, rtol=1e-6, atol=0.0)))
     return FitReport(
         theta=np.concatenate([theta[:1] * scale, theta[1:]]),
         xi=xi,
@@ -426,20 +427,15 @@ def fit_divergence(
 def _search_fit(skeleton: DualProblem, model: SplqModel, start):
     """(theta, value, xi, diagnostics) of the outer search from ``start``.
 
-    The search starts from the box centre when ``start`` is None.  Where its
-    criterion is +inf it starts again from the chi-square estimate: the
-    chi-square criterion is finite wherever the target map is, and its
-    estimate puts the target near m_n, inside the cone of the rows, where
-    the inner solve can start.
+    Where ``start`` is None or its criterion is +inf the search starts from
+    the chi-square estimate: the chi-square criterion is finite wherever the
+    target map is, and its estimate puts the target near m_n, inside the
+    cone of the rows, where the inner solve can start.
     """
-    evaluate = _Criterion(skeleton, model)
-    start_name = "lmoment"
-    if start is None:
-        start, start_name = model.box.mean(axis=1), "box_centre"
-    res = _outer_search(evaluate, start)
-    if not np.isfinite(res.value):
-        start, start_name = _chi2_fit(skeleton, model)[0], "chi2"
-        res = _outer_search(evaluate, start)
+    evaluate, start_name = _Criterion(skeleton, model), "lmoment"
+    res = None if start is None else _outer_search(evaluate, start)
+    if res is None or not np.isfinite(res.value):
+        res, start_name = _outer_search(evaluate, _chi2_fit(skeleton, model)[0]), "chi2"
     if not np.isfinite(res.value):
         raise EstimationError("the inner solve failed at every point of the outer search: "
                               f"inner_status {evaluate.status}")

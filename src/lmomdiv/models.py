@@ -290,12 +290,15 @@ def _l234_model(family: str, box) -> SplqModel:
 
 def gpd_model() -> SplqModel:
     """Distributions sharing their L-moments of orders 2-4 with a GPD."""
+    # the sigma row is in units of s, lambda_2 / s in [1, 2), so it must hold [1, 2) / f_2(nu);
+    # here 1 / f_2 = (1 - nu)(2 - nu) lies in [0.0101, 42] over the shape box
     return _l234_model("gpd", [[1e-3, 1e3], [-5.0, 0.99]])
 
 
 def weibull_model() -> SplqModel:
     """Distributions sharing their L-moments of orders 2-4 with a Weibull law."""
-    return _l234_model("weibull", [[1e-3, 1e3], WEIBULL_SHAPE_BOX])
+    # as for the GPD; here 1 / f_2(nu) falls to 2.8e-7 at nu = 0.1 and 4.1e-19 at 0.05
+    return _l234_model("weibull", [[1e-21, 1e3], WEIBULL_SHAPE_BOX])
 
 
 def _orderstat3_rows(t):

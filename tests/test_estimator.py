@@ -407,6 +407,42 @@ def test_fit_is_scale_equivariant(model, law, div):
         assert fit_k.diagnostics["boundary"] is False, k
 
 
+@pytest.mark.parametrize("nu,div", [(0.1, CHI2), (0.1, KL), (0.1, KLM), (0.05, CHI2), (0.05, KL)],
+                         ids=["0.1-chi2", "0.1-kl", "0.1-klm", "0.05-chi2", "0.05-kl"])
+def test_weibull_fit_at_small_shapes_is_inside_the_scale_box(nu, div):
+    # sigma / lambda_2 = 1 / f_2(nu) is 2.8e-7 at nu = 0.1 and 4.1e-19 at
+    # 0.05, far below 1e-3 in units of the sample's L-scale; a fit cut at
+    # such an edge has a distorted shape and misses the sample's lambda_2.
+    # The sample L-moments of these tails put the shape up to twice too high
+    # at n = 1000, and sigma, a factor of E^(1/nu), orders of magnitude off
+    x = ParametricFamily("weibull", 3.0, nu).sample(1000, np.random.default_rng(0))
+    report = fit_divergence(SortedSample(x), weibull_model(), div)
+    sigma, shape = map(float, report.theta)
+    assert report.diagnostics["boundary"] is False
+    assert 0.5 * nu < shape < 3.0 * nu
+    lam2 = ParametricFamily("weibull", sigma, shape).lmoments()[0]
+    assert 0.5 < lam2 / sample_lmoments_v(SortedSample(x), 2)[2] < 2.0
+
+
+def test_rejected_candidate_does_not_warm_start_the_next_solve():
+    # the first damped step of this KLM fit is clipped to the sigma edge,
+    # 1e-21, and rejected; its multipliers (~1e21) used to seed every later
+    # solve, which then stalled, and the search ended unconverged
+    s = draw_sample(ScenarioConfig.preset(1, n=100, seed=0), 6)
+    diag = fit_divergence(s, weibull_model(), KLM).diagnostics
+    assert diag["outer_converged"] is True
+    assert diag["inner_failures"] == 0
+
+
+def test_dual_line_search_evaluates_the_nodes_of_its_multipliers():
+    # Weibull(3, 0.08) spacings span tens of decades; a line search that
+    # carried z + t dz instead of kmat xi drifted past the KLM domain edge
+    # over ~180 steps and ended the fit in ConjugateDomainError
+    x = 3.0 * np.random.default_rng(1).weibull(0.08, 200)
+    with pytest.raises(EstimationError, match="inner solve failed"):
+        fit_divergence(SortedSample(np.sort(x)), weibull_model(), KLM)
+
+
 def _chi2_inputs(sample, model):
     """(Omega^-1, the sample L-moments -m_n) of a chi-square fit of ``sample``."""
     skeleton = make_dual_problem(sample, model.constraint_values, CHI2,
@@ -419,16 +455,17 @@ def _chi2_inputs(sample, model):
     (weibull_model(), ParametricFamily("weibull", 3.0, 0.5), (0.3, 1.0, 4.0), 0.3),
 ], ids=["gpd", "weibull"])
 def test_chi2_profile_slope_matches_central_differences(model, law, shapes, clipped_at):
-    # P(nu), the criterion minimized over the sigma box, and its slope; on
-    # 2^-12 x, taken here without the fit's standardization, the free scale
-    # falls below the box edge 1e-3 at ``clipped_at``, where P is clipped
+    # P(nu), the criterion minimized over a sigma row [1e-3, 1e3], and its
+    # slope; on 2^-12 x, taken here without the fit's standardization, the
+    # free scale falls below 1e-3 at ``clipped_at``, where P is clipped
     a, lam = _chi2_inputs(SortedSample(law.sample(200, np.random.default_rng(0)) * 2.0 ** -12),
                           model)
+    sigma_box = np.array([1e-3, 1e3])
 
     def profile(nu):
         jac = model.lmoment_jacobian(np.array([1.0, nu]))[..., None]
-        value, slope, sigma = estimator._chi2_profile(a, lam, model.box[0], jac)
-        return value[0], slope[0], sigma[0] == model.box[0, 0]
+        value, slope, sigma = estimator._chi2_profile(a, lam, sigma_box, jac)
+        return value[0], slope[0], sigma[0] == sigma_box[0]
 
     clipped = []
     for nu in shapes:
@@ -721,15 +758,19 @@ def test_weibull_lmoment_method_roundtrip():
 
 def test_weibull_lmoment_start_outside_the_tau3_range():
     # tau_3 = -0.6 is below the Weibull tau_3 at nu = 20 (-0.138): no L-moment
-    # start, and the fit starts at the box centre
+    # start, and the fit starts at the chi-square estimate
     s = SortedSample(np.array([0.0, 9.0, 9.5, 9.8, 10.0]))
     lm = sample_lmoments_v(s, 3)
     assert lm[3] / lm[2] < -0.138
     with pytest.raises(EstimationError, match="tau_3"):
         fit_lmoment_method_weibull(s)
     assert estimator.lmoment_method_start(s, weibull_model()) is None
-    report = fit_divergence(s, weibull_model(), KLM)
-    assert report.diagnostics["start"] == "box_centre"
+    for div, criterion in ((KL, 4.850847776861928), (KLM, 3.35494162145967)):
+        # from the box centre (500, 10.025) the KL search ran to the sigma
+        # edge 1e-21, criterion 10.0, the sample range
+        report = fit_divergence(s, weibull_model(), div)
+        assert report.diagnostics["start"] == "chi2"
+        assert report.criterion == pytest.approx(criterion, rel=1e-9)
 
 
 def test_lmoment_method_known_ratio():
