@@ -45,8 +45,10 @@ def read_column(path: str, col: int = 0) -> np.ndarray:
 
     Blank rows are skipped.  A short row, a non-numeric cell after line 1
     and a non-finite value are bad lines, all reported in one error.  A
-    UTF-8 byte-order mark is not part of the first cell.
+    UTF-8 byte-order mark is not part of the first cell.  ``col`` counts from 0.
     """
+    if col < 0:
+        raise UsageError(f"column {col} is negative: columns count from 0")
     values, lines, bad_lines = [], [], []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -214,11 +216,14 @@ def cmd_simulate(args) -> int:
         for key in ("family", "sigma", "nu", "contamination", "outlier"):
             if key in raw:
                 config = ScenarioConfig(**{**config.__dict__, key: raw[key]})
-        jobs = int(raw.get("jobs", args.jobs))
-        out_dir = raw.get("output_dir", args.output or ".")
-        os.makedirs(out_dir, exist_ok=True)
+        jobs, out_dir = int(raw.get("jobs", 1)), os.fspath(raw.get("output_dir", "."))
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad config {args.config}: {exc}") from None
+    # a flag given on the command line wins over its config key
+    jobs, out_dir = jobs if args.jobs is None else args.jobs, args.output or out_dir
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, not {jobs}")
+    os.makedirs(out_dir, exist_ok=True)
     summary = run_scenario(config, n_jobs=jobs)
 
     csv_path = os.path.join(out_dir, "replicates.csv")
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a Monte Carlo scenario")
     p.add_argument("config")
     p.add_argument("--output")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("dist", help="L1 distance between two densities")

@@ -1,8 +1,8 @@
 """Inner convex solve: the concave dual over multipliers for a fixed target.
 
 ``make_dual_problem`` is the one builder of the constraint rows at the nodes
-i/n and of m_n; the Newton solve and the chi-square dual (Omega factored
-once) both read its ``DualProblem``.  Zero spacings carry no mass, so they
+i/n and of m_n; the Newton solve and the chi-square dual (closed form in
+Omega) both read its ``DualProblem``.  Zero spacings carry no mass, so they
 are excluded from all sums and impose no domain constraint at their nodes.
 
 ``solve_dual`` is damped Newton ascent.  Its line search starts at the
@@ -197,13 +197,14 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             break
         neg_h = -problem.hessian(xi, z)
         require_finite(neg_h, grad)
-        reg = 0.0
+        shifted, reg = neg_h, 0.0
         while True:
             try:
-                step = _cho_solve(np.linalg.cholesky(neg_h + reg * np.eye(c)), grad)
+                step = _cho_solve(np.linalg.cholesky(shifted), grad)
                 break
             except np.linalg.LinAlgError:
                 reg = max(2.0 * reg, 1e-12)
+                shifted = neg_h + reg * np.eye(c)
         dz = problem.kmat @ step
         decrement = float(grad @ step)
         t = _ratio_test(z, dz, domain)
@@ -260,32 +261,21 @@ def cone_witness(problem: DualProblem) -> np.ndarray | None:
     return delta * (res.x[:-1] + res.x[-1])
 
 
-def chi2_solver(omega: np.ndarray, m_n: np.ndarray):
-    """target -> (value, xi) of the chi-square dual, with Omega factored once.
-
-    The conjugate is quadratic, so the maximizer solves Omega xi = target - m_n.
-    """
-    require_finite(omega)
-    try:
-        low = np.linalg.cholesky(omega)
-    except np.linalg.LinAlgError:
-        raise SingularConstraintError("empirical second-moment matrix is singular")
-
-    def solve(target) -> tuple[float, np.ndarray]:
-        resid = np.asarray(target, dtype=float) - m_n
-        require_finite(resid)
-        xi = _cho_solve(low, resid)
-        return 0.5 * float(resid @ xi), xi
-
-    return solve
-
-
 def chi2_value_closed_form(
     sample: SortedSample, constraint_values, target
 ) -> tuple[float, np.ndarray]:
-    """Exact chi-square dual optimum at one target (see ``chi2_solver``)."""
+    """Exact chi-square dual optimum at one target, by its own Cholesky solve.
+
+    The conjugate is quadratic, so the maximizer solves Omega xi = target - m_n.
+    """
     problem = make_dual_problem(sample, constraint_values, CHI2, target)
-    return chi2_solver(omega_empirical(problem), problem.m_n)(problem.target)
+    omega, resid = omega_empirical(problem), problem.target - problem.m_n
+    require_finite(omega, resid)
+    try:
+        xi = _cho_solve(np.linalg.cholesky(omega), resid)
+    except np.linalg.LinAlgError:
+        raise SingularConstraintError("empirical second-moment matrix is singular")
+    return 0.5 * float(resid @ xi), xi
 
 
 def wasserstein_fit_inner(

@@ -8,17 +8,18 @@ for bit.  Every model of the package has the form
 chi-square criterion ``(sigma f - lam)^T Omega^-1 (sigma f - lam) / 2`` of the
 sample L-moments ``lam = -m_n`` is quadratic in sigma.  So the chi-square fit
 is a variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973;
-``_chi2_fit``): Omega is formed and inverted once, and at each shape the
-scale is ``lam^T Omega^-1 f / f^T Omega^-1 f`` clipped to its box, which is
-exact for a convex quadratic in one variable.  A scale-only model
-(``orderstat3``) is then fitted.  Otherwise the slope of the profile P(nu) is
-scanned on a fixed grid per law (``_CHI2_NU``; f and f' are tabulated at the
-law's first fit), and each sign change from - to + is refined on it by
-``bracketed_root`` (``_profile_minimum``, shared with the MLE).  The lowest
-of P at those roots and at the two shape edges is the estimate; its value
-and ``xi`` are the closed-form dual's.  ``diagnostics`` has
-``scan_minima``, the sign changes the scan found, and
-``refine_evaluations``, the profile evaluations of the refines.
+``_chi2_fit``) in least-squares form: Omega = L L^T is factored once, and
+with ``g = L^-1 f`` the profile P(nu) is ``|sigma g - L^-1 lam|^2 / 2`` at
+the scale ``g^T L^-1 lam / g^T g`` clipped to its box, which is exact for a
+convex quadratic in one variable.  A scale-only model (``orderstat3``) is
+then fitted.  Otherwise the slope of P is scanned on a fixed grid per law
+(``_CHI2_NU``; f and f' are tabulated at the law's first fit), and each sign
+change from - to + is refined on it by ``bracketed_root``
+(``_profile_minimum``, shared with the MLE).  The lowest of P at those roots
+and at the two shape edges is the estimate; at its target t, the value
+``|r|^2 / 2`` and ``xi = L^-T r``, with ``r = L^-1 (t - m_n)``, come from
+the same factor.  ``diagnostics`` has ``scan_minima``, the sign changes the
+scan found, and ``refine_evaluations``, the profile evaluations of the refines.
 
 Any other divergence runs the outer search, one projected
 Levenberg-Marquardt run on the parameter box (Nocedal & Wright, Numerical
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -64,7 +66,6 @@ from .dualsolve import (
     SOLVE_STATUSES,
     DualProblem,
     SingularConstraintError,
-    chi2_solver,
     make_dual_problem,
     omega_empirical,
     require_finite,
@@ -310,25 +311,25 @@ def _chi2_table(model: SplqModel) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _chi2_profile(a, lam, sigma_box, jac):
+def _chi2_profile(low, lam_w, sigma_box, jac):
     """(value, slope, sigma) of the chi-square profile P(nu) at k shapes.
 
     ``jac`` (c, d, k) holds k Jacobians of ``lambda = sigma * f(nu)`` at
     sigma = 1, with the columns ``f`` and ``f'`` (``f`` alone for a
-    scale-only model); ``a`` is Omega^-1 and ``lam`` is ``-m_n``.  The scale
-    is the criterion's minimizer ``lam^T a f / f^T a f`` clipped to
-    ``sigma_box``, and the slope ``sigma f'^T a (sigma f - lam)`` is the
-    derivative of P: by the envelope theorem where sigma is free, and as
-    sigma is constant where it is clipped.
+    scale-only model); ``low`` is the Cholesky factor L of Omega and
+    ``lam_w = L^-1 lam``, ``lam = -m_n``.  With ``g = L^-1 f`` and the
+    residual ``r = sigma g - lam_w``, the scale is ``g^T lam_w / g^T g``
+    clipped to ``sigma_box``, the value is ``|r|^2 / 2``, and the slope
+    ``sigma (L^-1 f')^T r`` is the derivative of P: by the envelope theorem
+    where sigma is free, and as sigma is constant where it is clipped.
     """
-    f = jac[:, 0]
-    af = a @ f
-    sigma = np.minimum(np.maximum((lam @ af) / np.einsum("ik,ik->k", f, af), sigma_box[0]),
+    white = np.linalg.solve(low, jac.reshape(low.shape[0], -1)).reshape(jac.shape)
+    g = white[:, 0]
+    sigma = np.minimum(np.maximum((lam_w @ g) / np.einsum("ik,ik->k", g, g), sigma_box[0]),
                        sigma_box[1])
-    resid = sigma * f - lam[:, None]
-    a_resid = a @ resid
-    return (0.5 * np.einsum("ik,ik->k", resid, a_resid),
-            sigma * np.einsum("idk,ik->k", jac[:, 1:], a_resid), sigma)
+    resid = sigma * g - lam_w[:, None]
+    return (0.5 * np.einsum("ik,ik->k", resid, resid),
+            sigma * np.einsum("idk,ik->k", white[:, 1:], resid), sigma)
 
 
 def _profile_minimum(point, grid, scan, edges=()):
@@ -362,20 +363,24 @@ def _profile_minimum(point, grid, scan, edges=()):
 def _chi2_fit(skeleton: DualProblem, model: SplqModel):
     """(theta, value, xi, diagnostics) of the chi-square fit (module docstring)."""
     omega = omega_empirical(skeleton)
-    chi2 = chi2_solver(omega, skeleton.m_n)
-    a, lam, sigma_box = np.linalg.inv(omega), -skeleton.m_n, model.box[0]
+    require_finite(omega)
+    try:
+        low = np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
+        raise SingularConstraintError("empirical second-moment matrix is singular")
+    profile = partial(_chi2_profile, low, np.linalg.solve(low, -skeleton.m_n), model.box[0])
     minima = evaluations = 0
     if model.dim == 1:
-        theta = _chi2_profile(a, lam, sigma_box, model.lmoment_jacobian(np.ones(1))[..., None])[2]
+        theta = profile(model.lmoment_jacobian(np.ones(1))[..., None])[2]
     else:
         grid, table = _chi2_table(model)
         (nu, (_, _, sigma)), minima, evaluations = _profile_minimum(
-            lambda nu: _chi2_profile(
-                a, lam, sigma_box, model.lmoment_jacobian(np.array([1.0, nu]))[..., None]),
-            grid, _chi2_profile(a, lam, sigma_box, table), edges=(0, -1))
+            lambda nu: profile(model.lmoment_jacobian(np.array([1.0, nu]))[..., None]),
+            grid, profile(table), edges=(0, -1))
         theta = np.array([sigma, nu])
-    value, xi = chi2(model.target_map(theta))
-    return theta, value, xi, {"scan_minima": minima, "refine_evaluations": evaluations}
+    r = np.linalg.solve(low, model.target_map(theta) - skeleton.m_n)
+    return theta, 0.5 * float(r @ r), np.linalg.solve(low.T, r), {
+        "scan_minima": minima, "refine_evaluations": evaluations}
 
 
 def fit_divergence(

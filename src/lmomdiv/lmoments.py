@@ -97,9 +97,9 @@ def sample_lmoments_v(sample: SortedSample, max_order: int) -> LmomentVector:
     vals = np.empty(max_order)
     vals[0] = float(np.mean(sample.values))
     if max_order >= 2:
-        interior = np.arange(1, sample.n) / sample.n
+        interior, spacings = np.arange(1, sample.n) / sample.n, sample.spacings
         for r in range(2, max_order + 1):
-            vals[r - 1] = -(integrated_legendre_eval(r, interior) @ sample.spacings)
+            vals[r - 1] = -(integrated_legendre_eval(r, interior) @ spacings)
     return LmomentVector(vals, "v-statistic")
 
 

@@ -373,6 +373,55 @@ def test_simulate_rejects_bad_config_values(tmp_path, capsys, cfg, message):
     assert not (tmp_path / "out").exists()
 
 
+def _capture_jobs(monkeypatch):
+    """The ``n_jobs`` each ``run_scenario`` call gets; the run itself is serial."""
+    import lmomdiv.cli
+
+    seen, run = [], lmomdiv.cli.run_scenario
+    monkeypatch.setattr(lmomdiv.cli, "run_scenario",
+                        lambda config, n_jobs: seen.append(n_jobs) or run(config, n_jobs=1))
+    return seen
+
+
+def test_simulate_flags_win_over_the_config(tmp_path, capsys, monkeypatch):
+    # the config's output_dir and jobs once beat --output and --jobs
+    seen = _capture_jobs(monkeypatch)
+    cfg = {"scenario": 1, "n": 20, "replicates": 1, "estimators": ["lmom"],
+           "output_dir": str(tmp_path / "from_config"), "jobs": 3}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", str(cfg_path)]) == 0
+    assert seen == [3] and (tmp_path / "from_config" / "summary.json").exists()
+    (tmp_path / "from_config" / "summary.json").unlink()
+    assert main(["simulate", str(cfg_path), "--output", str(tmp_path / "from_flag"),
+                 "--jobs", "2"]) == 0
+    assert seen == [3, 2]
+    assert (tmp_path / "from_flag" / "summary.json").exists()
+    assert not (tmp_path / "from_config" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("cfg_jobs,flag", [(0, []), (2, ["--jobs", "0"])],
+                         ids=["config", "flag"])
+def test_simulate_jobs_below_one_is_usage_error(tmp_path, capsys, monkeypatch, cfg_jobs, flag):
+    # "jobs": 0 once ran serially with exit 0
+    seen = _capture_jobs(monkeypatch)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": 1, "n": 20, "replicates": 1, "jobs": cfg_jobs}))
+    assert main(["simulate", str(cfg_path), "--output", str(tmp_path / "out"), *flag]) == 2
+    assert seen == []
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["lmoments", "fit", "test"])
+def test_negative_col_is_usage_error(tmp_path, capsys, command):
+    # row[-1] would take each row's last cell: 10, 2, 30, 40 from this file
+    p = tmp_path / "ragged.csv"
+    p.write_text("x,y\n1,10\n2\n3,30\n4,40\n")
+    assert main([command, str(p), "--col", "-1", "--json"]) == 2
+    assert "column -1 is negative" in capsys.readouterr().err
+
+
 def test_json_full_precision(data_file, capsys):
     # JSON output carries full float precision, the table six significants
     path, x = data_file

@@ -457,14 +457,18 @@ def _chi2_inputs(sample, model):
 def test_chi2_profile_slope_matches_central_differences(model, law, shapes, clipped_at):
     # P(nu), the criterion minimized over a sigma row [1e-3, 1e3], and its
     # slope; on 2^-12 x, taken here without the fit's standardization, the
-    # free scale falls below 1e-3 at ``clipped_at``, where P is clipped
-    a, lam = _chi2_inputs(SortedSample(law.sample(200, np.random.default_rng(0)) * 2.0 ** -12),
-                          model)
+    # free scale falls below 1e-3 at ``clipped_at``, where P is clipped.  The
+    # profile takes the Cholesky factor L of Omega and L^-1 lam
+    sample = SortedSample(law.sample(200, np.random.default_rng(0)) * 2.0 ** -12)
+    skeleton = make_dual_problem(sample, model.constraint_values, CHI2,
+                                 np.zeros(model.n_constraints))
+    low = np.linalg.cholesky(omega_empirical(skeleton))
+    lam_w = np.linalg.solve(low, -skeleton.m_n)
     sigma_box = np.array([1e-3, 1e3])
 
     def profile(nu):
         jac = model.lmoment_jacobian(np.array([1.0, nu]))[..., None]
-        value, slope, sigma = estimator._chi2_profile(a, lam, sigma_box, jac)
+        value, slope, sigma = estimator._chi2_profile(low, lam_w, sigma_box, jac)
         return value[0], slope[0], sigma[0] == sigma_box[0]
 
     clipped = []
@@ -475,6 +479,33 @@ def test_chi2_profile_slope_matches_central_differences(model, law, shapes, clip
         assert slope == pytest.approx(fd, rel=1e-6, abs=0.0), nu
         clipped.append(below)
     assert clipped == [nu == clipped_at for nu in shapes]
+
+
+def test_chi2_profile_matches_the_closed_form_where_omega_is_ill_conditioned():
+    # Weibull(3, 0.05) at n = 1000: Omega has condition number 5e11.  Through
+    # an explicit Omega^-1 the profile missed the closed form by 2e-5 relative
+    # and a dense grid of it showed values below the fit's; whitened by the
+    # Cholesky factor it agrees to 1e-11, and its grid minimum is the fit's
+    x = ParametricFamily("weibull", 3.0, 0.05).sample(1000, np.random.default_rng(2))
+    model, scale = weibull_model(), 2.0 ** 59   # the fit's unit: 2^58 <= lambda_2 < 2^59
+    sample = SortedSample(np.sort(x) / scale)
+    skeleton = make_dual_problem(sample, model.constraint_values, CHI2,
+                                 np.zeros(model.n_constraints))
+    low = np.linalg.cholesky(omega_empirical(skeleton))
+    grid = np.geomspace(0.09, 0.105, 4001)
+    jac = np.stack([model.lmoment_jacobian(np.array([1.0, nu])) for nu in grid], axis=-1)
+    value, _, sigma = estimator._chi2_profile(
+        low, np.linalg.solve(low, -skeleton.m_n), model.box[0], jac)
+    closed = np.array([
+        chi2_value_closed_form(sample, model.constraint_values,
+                               model.target_map(np.array([sg, nu])))[0]
+        for sg, nu in zip(sigma, grid)])
+    assert np.max(np.abs(value - closed) / closed) <= 1e-9
+    report = fit_divergence(SortedSample(np.sort(x)), model, CHI2)
+    best = int(np.argmin(value))
+    assert abs(report.theta[1] - grid[best]) <= grid[best + 1] - grid[best - 1]
+    assert report.criterion / scale <= value[best] * (1.0 + 1e-12)
+    assert report.diagnostics["refine_evaluations"] <= 18    # 16 here, 22 through Omega^-1
 
 
 def test_orderstat3_chi2_fit_is_the_closed_form():
