@@ -1,10 +1,11 @@
 """Power-divergence family: the conjugate psi of the convex integrand and its derivatives.
 
 Each family is one row of ``_FORMS`` (the generic power form is the
-``"power"`` row); one wrapper evaluates any entry on scalars or arrays.
-``psi``, ``psi_prime`` and ``psi_second`` raise ``ConjugateDomainError``
-outside the conjugate's open domain.  The dual solver relies on that signal
-and makes no domain check of its own.
+``"power"`` row).  ``DivergenceSpec.conjugate`` evaluates psi, psi' and
+psi'' together, on scalars or arrays, after one domain check, and raises
+``ConjugateDomainError`` outside the conjugate's open domain; ``psi``,
+``psi_prime`` and ``psi_second`` are its parts.  The dual solver relies on
+that signal and makes no domain check of its own.
 """
 
 from __future__ import annotations
@@ -22,36 +23,32 @@ class ConjugateDomainError(ValueError):
     """Argument outside the domain of the conjugate function."""
 
 
-#: entries of a ``_FORMS`` row: functions of (argument, gamma), except the
-#: conjugate's open domain, a function of gamma alone
-_ENTRIES = ("psi_domain", "psi", "psi_prime", "psi_second")
-_FORMS = {family: dict(zip(_ENTRIES, row)) for family, row in {
-    "chi2": (
-        lambda g: (-np.inf, np.inf),
-        lambda t, g: 0.5 * t * t + t,
-        lambda t, g: t + 1.0,
-        lambda t, g: np.ones_like(t),
-    ),
-    "kl": (
-        # expm1 overflows past log(DBL_MAX): the edge in floating point
-        lambda g: (-np.inf, np.log(np.finfo(float).max)),
-        lambda t, g: np.expm1(t),
-        lambda t, g: np.exp(t),
-        lambda t, g: np.exp(t),
-    ),
-    "klm": (
-        lambda g: (-np.inf, 1.0),
-        lambda t, g: -np.log1p(-t),
-        lambda t, g: 1.0 / (1.0 - t),
-        lambda t, g: 1.0 / (1.0 - t) ** 2,
-    ),
-    "power": (
-        lambda g: (-1.0 / (g - 1.0), np.inf) if g > 1.0 else (-np.inf, 1.0 / (1.0 - g)),
-        lambda t, g: ((1.0 + (g - 1.0) * t) ** (g / (g - 1.0)) - 1.0) / g,
-        lambda t, g: (1.0 + (g - 1.0) * t) ** (1.0 / (g - 1.0)),
-        lambda t, g: (1.0 + (g - 1.0) * t) ** ((2.0 - g) / (g - 1.0)),
-    ),
-}.items()}
+def _kl(t, g):
+    e = np.exp(t)
+    return np.expm1(t), e, e
+
+
+def _klm(t, g):
+    u = 1.0 - t
+    return -np.log1p(-t), 1.0 / u, 1.0 / u ** 2
+
+
+def _power(t, g):
+    base = 1.0 + (g - 1.0) * t
+    return ((base ** (g / (g - 1.0)) - 1.0) / g, base ** (1.0 / (g - 1.0)),
+            base ** ((2.0 - g) / (g - 1.0)))
+
+
+#: each row: the conjugate's open domain, a function of gamma, and
+#: ``(psi, psi', psi'')`` at an array argument, a function of (argument, gamma)
+_FORMS = {
+    "chi2": (lambda g: (-np.inf, np.inf), lambda t, g: (0.5 * t * t + t, t + 1.0, np.ones_like(t))),
+    # expm1 overflows past log(DBL_MAX): the edge in floating point
+    "kl": (lambda g: (-np.inf, np.log(np.finfo(float).max)), _kl),
+    "klm": (lambda g: (-np.inf, 1.0), _klm),
+    "power": (lambda g: (-1.0 / (g - 1.0), np.inf) if g > 1.0 else (-np.inf, 1.0 / (1.0 - g)),
+              _power),
+}
 
 
 @dataclass(frozen=True)
@@ -74,29 +71,30 @@ class DivergenceSpec:
     @property
     def psi_domain(self) -> tuple[float, float]:
         """Open interval on which the conjugate is finite and smooth."""
-        return _FORMS[self.family]["psi_domain"](self.gamma)
+        return _FORMS[self.family][0](self.gamma)
 
-    def _apply(self, entry: str, x):
-        """One entry at x: a float for a scalar, an array of x's shape otherwise."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+    def conjugate(self, z):
+        """``(psi, psi', psi'')`` at z after one domain check of all of z.
+
+        Floats for a scalar z, arrays of z's shape otherwise.
+        """
+        z = np.asarray(z, dtype=float)
         lo, hi = self.psi_domain
-        if np.any(x <= lo) or np.any(x >= hi):
+        if z.min() <= lo or z.max() >= hi:
             raise ConjugateDomainError(
                 f"conjugate argument outside open domain ({lo}, {hi})"
             )
-        out = _FORMS[self.family][entry](x, self.gamma)
-        return float(out[0]) if scalar else out
+        out = _FORMS[self.family][1](np.atleast_1d(z), self.gamma)
+        return tuple(float(v[0]) for v in out) if z.ndim == 0 else out
 
     def psi(self, t) -> np.ndarray | float:
-        return self._apply("psi", t)
+        return self.conjugate(t)[0]
 
     def psi_prime(self, t) -> np.ndarray | float:
-        return self._apply("psi_prime", t)
+        return self.conjugate(t)[1]
 
     def psi_second(self, t) -> np.ndarray | float:
-        return self._apply("psi_second", t)
+        return self.conjugate(t)[2]
 
 
 CHI2 = DivergenceSpec("chi2", 2.0)

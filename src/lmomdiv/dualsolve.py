@@ -82,22 +82,27 @@ class DualProblem:
         return dataclasses.replace(self, target=np.asarray(target, dtype=float))
 
     # -- objective, gradient, Hessian ----------------------------------
-    # the conjugate checks its own domain at the nodes z = kmat @ xi; a
-    # caller that already holds z passes it
+    # all three come from one conjugate evaluation, which checks its own
+    # domain at the nodes z = kmat @ xi; a caller that already holds z passes it
+
+    def evaluate(self, xi, z=None) -> tuple[float, np.ndarray, np.ndarray]:
+        """(objective, psi'(z) delta, psi''(z) delta) at ``xi``."""
+        xi = np.asarray(xi, dtype=float)
+        psi, d1, d2 = self.divergence.conjugate(self.kmat @ xi if z is None else z)
+        return float(xi @ self.target - psi @ self.delta), d1 * self.delta, d2 * self.delta
 
     def objective(self, xi, z=None) -> float:
-        xi = np.asarray(xi, dtype=float)
-        z = self.kmat @ xi if z is None else z
-        return float(xi @ self.target - self.divergence.psi(z) @ self.delta)
+        return self.evaluate(xi, z)[0]
 
     def gradient(self, xi, z=None) -> np.ndarray:
-        z = self.kmat @ np.asarray(xi, dtype=float) if z is None else z
-        return self.target - self.kmat.T @ (self.divergence.psi_prime(z) * self.delta)
+        return self.target - self.kmat.T @ self.evaluate(xi, z)[1]
 
     def hessian(self, xi, z=None) -> np.ndarray:
-        z = self.kmat @ np.asarray(xi, dtype=float) if z is None else z
-        w = self.divergence.psi_second(z) * self.delta
-        return -(self.kmat.T * w) @ self.kmat
+        return -self.curvature(self.evaluate(xi, z)[2])
+
+    def curvature(self, w2) -> np.ndarray:
+        """The negative Hessian ``kmat^T diag(w2) kmat`` from ``w2 = psi''(z) delta``."""
+        return (self.kmat.T * w2) @ self.kmat
 
 
 @dataclass(frozen=True)
@@ -181,21 +186,21 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     domain = problem.divergence.psi_domain
     xi = np.zeros(c) if xi0 is None else np.array(xi0, dtype=float)
     try:
-        value = problem.objective(xi)
+        value, w1, w2 = problem.evaluate(xi)
     except ConjugateDomainError:
         # zero lies inside every conjugate's domain
         xi = np.zeros(c)
-        value = problem.objective(xi)
+        value, w1, w2 = problem.evaluate(xi)
+    z = problem.kmat @ xi           # the nodes of xi: z + t dz drifts from them by rounding
     evaluations = 1
     failure = "maxIter"
     for it in range(_MAX_NEWTON_ITER + 1):
-        z = problem.kmat @ xi       # the nodes of xi: z + t dz drifts from them by rounding
-        grad = problem.gradient(xi, z)
+        grad = problem.target - problem.kmat.T @ w1
         gnorm = float(np.max(np.abs(grad)))
         if value > _UNBOUNDED_VALUE:
             failure = "stalled"
             break
-        neg_h = -problem.hessian(xi, z)
+        neg_h = problem.curvature(w2)
         require_finite(neg_h, grad)
         shifted, reg = neg_h, 0.0
         while True:
@@ -215,8 +220,10 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             break
         while t > 1e-16:
             evaluations += 1
+            cand = xi + t * step
+            cand_z = problem.kmat @ cand
             try:
-                cand_value = problem.objective(xi + t * step)
+                cand_value, cand_w1, cand_w2 = problem.evaluate(cand, cand_z)
             except ConjugateDomainError:
                 # only a node within rounding of the edge gets here
                 cand_value = -np.inf
@@ -226,7 +233,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
         else:
             failure = "stalled"
             break
-        xi, value = xi + t * step, cand_value
+        xi, value, z, w1, w2 = cand, cand_value, cand_z, cand_w1, cand_w2
     status = failure if cone_witness(problem) is not None else "infeasibleDirection"
     return DualSolution(xi, value, gnorm, it, evaluations, status)
 

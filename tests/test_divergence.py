@@ -124,6 +124,24 @@ def test_divergence_by_name():
         divergence_by_name("hellinger")
 
 
+@pytest.mark.parametrize("div", [CHI2, KL, KLM] + [power_divergence(g) for g in (0.5, 1.5, 2.5)],
+                         ids=lambda d: f"{d.family}{d.gamma}")
+def test_conjugate_is_psi_and_its_derivatives(div):
+    # the solver's one evaluation gives the three public entries bit for bit,
+    # on arrays and scalars, and raises outside the domain like each of them
+    lo, hi = div.psi_domain
+    z = np.linspace(max(lo, -3.0), min(hi, 3.0), 41)[1:-1].reshape(3, 13)
+    for pts in (z, float(z[1, 5])):
+        triple = div.conjugate(pts)
+        for got, name in zip(triple, ("psi", "psi_prime", "psi_second")):
+            assert np.array_equal(got, getattr(div, name)(pts)), name
+            assert type(got) is type(getattr(div, name)(pts))
+    edge = hi if np.isfinite(hi) else lo
+    for pts in (edge, np.array([0.0, edge])):
+        with pytest.raises(ConjugateDomainError):
+            div.conjugate(pts)
+
+
 @pytest.mark.parametrize("div", ALL)
 @pytest.mark.parametrize(
     "name", ["phi", "phi_prime", "phi_second", "psi", "psi_prime", "psi_second"])

@@ -180,14 +180,14 @@ def test_non_finite_newton_system_raises(monkeypatch, bad):
     s = random_sample(0)
     target = perturbed_target(s, (2, 3, 4), (1.1, 0.9, 1.0))
     problem = make_dual_problem(s, PolyBasis((2, 3, 4)), KL, target)
-    hessian = DualProblem.hessian
+    evaluate = DualProblem.evaluate
 
     def poisoned(self, xi, z=None):
-        h = hessian(self, xi, z)
-        h[0, 0] = bad
-        return h
+        value, w1, w2 = evaluate(self, xi, z)
+        w2[0] = bad
+        return value, w1, w2
 
-    monkeypatch.setattr(DualProblem, "hessian", poisoned)
+    monkeypatch.setattr(DualProblem, "evaluate", poisoned)
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_dual(problem)
 
@@ -202,16 +202,16 @@ def test_klm_step_past_the_domain_edge_needs_no_domain_error(monkeypatch):
     full = np.linalg.solve(-prob.hessian(zero), prob.gradient(zero))
     assert np.max(prob.kmat @ full) > 1.0
     raised = []
-    psi = DivergenceSpec.psi
+    conjugate = DivergenceSpec.conjugate
 
-    def recording_psi(self, t):
+    def recording_conjugate(self, t):
         try:
-            return psi(self, t)
+            return conjugate(self, t)
         except Exception as exc:
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(DivergenceSpec, "psi", recording_psi)
+    monkeypatch.setattr(DivergenceSpec, "conjugate", recording_conjugate)
     sol = solve_dual(prob)
     assert sol.converged
     assert raised == []
