@@ -111,8 +111,9 @@ class DualSolution:
     value: float
     grad_norm: float
     iterations: int            # Newton steps taken
-    evaluations: int           # objective evaluations, the start's included
+    evaluations: int           # objective evaluations, the starts' included
     status: str                # one of SOLVE_STATUSES
+    neg_hessian: np.ndarray | None = None   # -H last formed: at xi, or one step before it
 
     @property
     def converged(self) -> bool:
@@ -184,16 +185,22 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     """
     c = problem.target.size
     domain = problem.divergence.psi_domain
-    xi = np.zeros(c) if xi0 is None else np.array(xi0, dtype=float)
-    try:
-        value, w1, w2 = problem.evaluate(xi)
-    except ConjugateDomainError:
+    best, evaluations = None, 0
+    for start in () if xi0 is None else np.array(xi0, dtype=float, ndmin=2):
+        evaluations += 1
+        try:
+            point = (start, *problem.evaluate(start))
+        except ConjugateDomainError:
+            continue
+        if best is None or point[1] > best[1]:
+            best = point
+    if best is None:
         # zero lies inside every conjugate's domain
-        xi = np.zeros(c)
-        value, w1, w2 = problem.evaluate(xi)
+        evaluations += 1
+        best = (np.zeros(c), *problem.evaluate(np.zeros(c)))
+    xi, value, w1, w2 = best
     z = problem.kmat @ xi           # the nodes of xi: z + t dz drifts from them by rounding
-    evaluations = 1
-    failure = "maxIter"
+    failure, neg_h = "maxIter", None
     for it in range(_MAX_NEWTON_ITER + 1):
         grad = problem.target - problem.kmat.T @ w1
         gnorm = float(np.max(np.abs(grad)))
@@ -214,8 +221,12 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
         decrement = float(grad @ step)
         t = _ratio_test(z, dz, domain)
         if decrement <= rounding_level(xi, problem.target, value, problem.delta.size):
-            xi = xi + step if t == 1.0 else xi
-            return DualSolution(xi, value, gnorm, it, evaluations, "converged")
+            if t == 1.0:
+                # z + dz carries rounding: the step's own nodes must lie inside
+                nodes = problem.kmat @ (xi + step)
+                if domain[0] < nodes.min() and nodes.max() < domain[1]:
+                    xi = xi + step
+            return DualSolution(xi, value, gnorm, it, evaluations, "converged", neg_h)
         if it == _MAX_NEWTON_ITER:
             break
         while t > 1e-16:
@@ -235,7 +246,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             break
         xi, value, z, w1, w2 = cand, cand_value, cand_z, cand_w1, cand_w2
     status = failure if cone_witness(problem) is not None else "infeasibleDirection"
-    return DualSolution(xi, value, gnorm, it, evaluations, status)
+    return DualSolution(xi, value, gnorm, it, evaluations, status, neg_h)
 
 
 def cone_witness(problem: DualProblem) -> np.ndarray | None:

@@ -73,6 +73,7 @@ from .dualsolve import (
     solve_dual,
 )
 from .lmoments import (
+    LmomentVector,
     SortedSample,
     legendre_rows,
     plugin_second_moments,
@@ -146,23 +147,26 @@ class FitReport:
 
 
 class _Criterion:
-    """theta -> (criterion, xi | None); +inf outside the model domain.
+    """theta -> (criterion, converged ``DualSolution`` | None); +inf outside the model domain.
 
     Each call runs ``solve_dual``, warm-started from the multipliers of the
-    lowest converged solve (a rejected one's can be far off).  A target
-    outside the cone of the rows (``infeasibleDirection``) and an
-    uncertified failure both count +inf, so that no lower bound becomes the
-    criterion.  ``diagnostics`` counts the calls and the Newton solves.
+    lowest converged solve (a rejected one's can be far off) and, once
+    ``hessians`` has given the multipliers' slope at a point, also from
+    their first-order prediction at ``theta``; the solve starts from the
+    one of the two with the higher dual objective.  A target outside the
+    cone of the rows (``infeasibleDirection``) and an uncertified failure
+    both count +inf, so that no lower bound becomes the criterion.
+    ``diagnostics`` counts the calls and the Newton solves.
     """
 
     def __init__(self, skeleton: DualProblem, model: SplqModel):
         self.skeleton, self.model = skeleton, model
-        self.xi0, self.lowest = None, np.inf
+        self.xi0, self.lowest, self.tangent = None, np.inf, None
         self.calls = self.iterations = self.evaluations = 0
         self.status = dict.fromkeys(SOLVE_STATUSES, 0)
 
     def __call__(self, theta):
-        """The criterion at ``theta``, a point of the box."""
+        """The criterion at ``theta``, a point of the box, and its solve."""
         self.calls += 1
         try:
             target = self.model.target_map(theta)
@@ -170,7 +174,11 @@ class _Criterion:
             return np.inf, None
         if not np.all(np.isfinite(target)):
             return np.inf, None
-        sol = solve_dual(self.skeleton.with_target(target), xi0=self.xi0)
+        starts = self.xi0
+        if self.tangent is not None:
+            at, xi, slope = self.tangent
+            starts = [self.xi0, xi + slope @ (theta - at)]
+        sol = solve_dual(self.skeleton.with_target(target), xi0=starts)
         self.iterations += sol.iterations
         self.evaluations += sol.evaluations
         self.status[sol.status] += 1
@@ -178,18 +186,21 @@ class _Criterion:
             return np.inf, None
         if sol.value <= self.lowest:
             self.xi0, self.lowest = sol.xi, sol.value
-        return sol.value, sol.xi
+        return sol.value, sol
 
-    def hessians(self, theta, xi, jac) -> tuple[np.ndarray, np.ndarray]:
-        """(Gauss-Newton, exact) Hessians of the criterion at a converged solve ``xi``.
+    def hessians(self, theta, sol, jac) -> tuple[np.ndarray, np.ndarray]:
+        """(Gauss-Newton, exact) Hessians of the criterion at a converged solve ``sol``.
 
         ``jac`` is ``model_jacobian(model, theta)``.  The multipliers move as
-        ``dxi/dtheta = (-H)^-1 J``, with ``-H`` the dual's negative Hessian at
-        ``xi``, so the envelope gradient ``J^T xi`` has the derivative
-        ``J^T (-H)^-1 J + sum_k xi_k d2 t_k``, and the target is ``t = -lambda``.
+        ``dxi/dtheta = (-H)^-1 J``, with ``-H`` the dual's negative Hessian
+        that the solve formed last, so the envelope gradient ``J^T xi`` has
+        the derivative ``J^T (-H)^-1 J + sum_k xi_k d2 t_k``, and the target
+        is ``t = -lambda``.  The slope is kept to predict the next start.
         """
-        gauss_newton = jac.T @ np.linalg.solve(-self.skeleton.hessian(xi), jac)
-        second = xi @ self.model.lmoment_hessian(theta).reshape(xi.size, -1)
+        slope = np.linalg.solve(sol.neg_hessian, jac)
+        self.tangent = (theta, sol.xi, slope)
+        gauss_newton = jac.T @ slope
+        second = sol.xi @ self.model.lmoment_hessian(theta).reshape(sol.xi.size, -1)
         return gauss_newton, gauss_newton - second.reshape(gauss_newton.shape)
 
     @property
@@ -203,14 +214,17 @@ class _Criterion:
         }
 
 
-def lmoment_method_start(sample: SortedSample, model: SplqModel) -> np.ndarray | None:
-    """Classical L-moment estimate of the model's law (GPD or Weibull), if defined."""
-    fit = {"gpd": fit_lmoment_method_gpd,
-           "weibull": fit_lmoment_method_weibull}.get(model.family)
-    if fit is None:
+def lmoment_method_start(lm: LmomentVector, model: SplqModel) -> np.ndarray | None:
+    """Classical L-moment estimate of the model's law (GPD or Weibull) from ``lm``, if defined.
+
+    ``lm`` holds the sample L-moments up to order 4.
+    """
+    invert = {"gpd": _gpd_lmoment_inverse,
+              "weibull": _weibull_lmoment_inverse}.get(model.family)
+    if invert is None:
         return None
     try:
-        return np.array(fit(sample))
+        return np.array(invert(lm))
     except EstimationError:
         return None
 
@@ -259,16 +273,17 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
     model = evaluate.model
     lo, hi = model.box[:, 0], model.box[:, 1]
     theta = model.clip_to_box(start)
-    value, xi = evaluate(theta)
+    value, sol = evaluate(theta)
     if not np.isfinite(value):
-        return _SearchResult(theta, value, xi, 0, False, 0, 0, None)
+        return _SearchResult(theta, value, None, 0, False, 0, 0, None)
     lam, moved, gauss_newton_steps, rejected_failed = 0.0, True, 0, 0
     for it in range(MAX_OUTER_ITER):
         if moved:
+            xi = sol.xi
             jac = model_jacobian(model, theta)
             grad = envelope_gradient(model, theta, xi, jac)
             free = ~(((theta <= lo) & (grad > 0.0)) | ((theta >= hi) & (grad < 0.0)))
-            gauss_newton, exact = evaluate.hessians(theta, xi, jac)
+            gauss_newton, exact = evaluate.hessians(theta, sol, jac)
             a_free = exact[np.ix_(free, free)]
             newton = _positive_definite(a_free)
             if not newton:
@@ -282,21 +297,21 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
             a_free + lam * np.diag(np.diag(a_free)), -grad[free])
         cand = np.clip(theta + step, lo, hi)
         if np.array_equal(cand, theta):
-            return _SearchResult(theta, value, xi, it, final, gauss_newton_steps,
+            return _SearchResult(theta, value, sol.xi, it, final, gauss_newton_steps,
                                  rejected_failed, decrement)
         gauss_newton_steps += not newton
-        cand_value, cand_xi = evaluate(cand)
+        cand_value, cand_sol = evaluate(cand)
         moved = cand_value <= value if final else cand_value < value
         if moved:
-            theta, value, xi = cand, cand_value, cand_xi
+            theta, value, sol = cand, cand_value, cand_sol
             lam /= 3.0
         else:
             lam = max(3.0 * lam, 1.0)
             rejected_failed += cand_value == np.inf
         if final:
-            return _SearchResult(theta, value, xi, it + 1, True, gauss_newton_steps,
+            return _SearchResult(theta, value, sol.xi, it + 1, True, gauss_newton_steps,
                                  rejected_failed, decrement)
-    return _SearchResult(theta, value, xi, MAX_OUTER_ITER, False, gauss_newton_steps,
+    return _SearchResult(theta, value, sol.xi, MAX_OUTER_ITER, False, gauss_newton_steps,
                          rejected_failed, decrement)
 
 
@@ -403,7 +418,8 @@ def fit_divergence(
     search's last Newton decrement.  The criterion and ``xi`` are the
     search's own at the estimate.
     """
-    scale = math.ldexp(1.0, math.frexp(sample_lmoments_v(sample, 2)[2])[1])
+    lm = sample_lmoments_v(sample, 2 if divergence.family == "chi2" else 4)
+    scale = math.ldexp(1.0, math.frexp(lm[2])[1])
     sample = SortedSample(sample.values / scale)
     try:
         skeleton = make_dual_problem(
@@ -414,7 +430,8 @@ def fit_divergence(
             theta, value, xi, diagnostics = _chi2_fit(skeleton, model)
         else:
             theta, value, xi, diagnostics = _search_fit(
-                skeleton, model, lmoment_method_start(sample, model))
+                skeleton, model,
+                lmoment_method_start(LmomentVector(lm.values / scale, lm.kind), model))
             diagnostics["outer_decrement"] *= scale
     except SingularConstraintError as exc:
         raise EstimationError(str(exc)) from exc
@@ -616,7 +633,10 @@ def fit_lmoment_method_weibull(sample: SortedSample) -> tuple[float, float]:
     follows from ``lambda_2 = sigma (1 - 2^(-1/nu)) Gamma(1 + 1/nu)``, which
     is linear in sigma.
     """
-    lm = sample_lmoments_v(sample, 3)
+    return _weibull_lmoment_inverse(sample_lmoments_v(sample, 3))
+
+
+def _weibull_lmoment_inverse(lm: LmomentVector) -> tuple[float, float]:
     lam2 = lm[2]
     if lam2 <= 0:
         raise EstimationError(f"nonpositive sample L-scale {lam2!r}")
@@ -631,7 +651,10 @@ def fit_lmoment_method_weibull(sample: SortedSample) -> tuple[float, float]:
 
 def fit_lmoment_method_gpd(sample: SortedSample) -> tuple[float, float]:
     """Invert the (lambda_2, tau_4) map of the GPD from plug-in L-moments."""
-    lm = sample_lmoments_v(sample, 4)
+    return _gpd_lmoment_inverse(sample_lmoments_v(sample, 4))
+
+
+def _gpd_lmoment_inverse(lm: LmomentVector) -> tuple[float, float]:
     lam2 = lm[2]
     if lam2 <= 0:
         raise EstimationError(f"nonpositive sample L-scale {lam2!r}")

@@ -11,6 +11,7 @@ quantile measure with minus the L-moment.  User-facing reports always show
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gamma, log
 from typing import Callable
 
@@ -241,7 +242,7 @@ class SplqModel:
     def dim(self) -> int:
         return len(self.param_names)
 
-    @property
+    @cached_property
     def n_constraints(self) -> int:
         return np.shape(self.rows(0.5))[-1]
 

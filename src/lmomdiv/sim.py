@@ -34,6 +34,8 @@ _SCENARIO_DEFAULTS = {
 }
 
 DEFAULT_ESTIMATORS = ("chi2", "klm", "lmom", "moment", "mle")
+#: the model of every divergence fit of a replicate, built once
+_GPD_MODEL = gpd_model()
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ def draw_sample(config: ScenarioConfig, replicate: int) -> SortedSample:
 
 def _fit_one(sample: SortedSample, estimator: str) -> tuple[float, float]:
     if estimator in ("chi2", "klm"):
-        report = fit_divergence(sample, gpd_model(), divergence_by_name(estimator))
+        report = fit_divergence(sample, _GPD_MODEL, divergence_by_name(estimator))
         return float(report.theta[0]), float(report.theta[1])
     if estimator == "lmom":
         return fit_lmoment_method_gpd(sample)

@@ -134,7 +134,8 @@ def _nelder_mead_case(case):
         model = gpd_model()
         sample = SortedSample(np.concatenate(
             [np.zeros(15), np.random.default_rng(0).exponential(size=5)]))
-        return model, [sample], estimator.lmoment_method_start(sample, model)
+        start = estimator.lmoment_method_start(sample_lmoments_v(sample, 4), model)
+        return model, [sample], start
     if case == "weibull":
         model = model_by_name("weibull-l234")
         sample = mc_sample(ParametricFamily("weibull", 2.0, 0.8), 100, seed=4)
@@ -194,7 +195,7 @@ def test_unconverged_solve_during_the_search_counts_as_inf(monkeypatch):
     criterion = estimator._Criterion(
         make_dual_problem(s, model.constraint_values, KLM, np.zeros(3)), model)
     theta = np.array([3.0, 0.3])
-    value, xi = criterion(theta)
+    value, sol = criterion(theta)
     assert np.isfinite(value)
     solve = estimator.solve_dual
     monkeypatch.setattr(estimator, "solve_dual", lambda problem, xi0=None: dataclasses.replace(
@@ -203,7 +204,7 @@ def test_unconverged_solve_during_the_search_counts_as_inf(monkeypatch):
     assert criterion.diagnostics["inner_failures"] == 1
     assert criterion.diagnostics["inner_status"]["maxIter"] == 1
     # the failed solve is not a warm start for the next one
-    assert criterion.xi0 is xi
+    assert criterion.xi0 is sol.xi
 
 
 def test_outer_steps_rejected_for_a_failed_solve_are_counted(monkeypatch):
@@ -283,8 +284,7 @@ def test_envelope_gradient_matches_finite_difference(div):
     criterion = estimator._Criterion(
         make_dual_problem(s, model.constraint_values, div, np.zeros(3)), model)
     theta = np.array([3.5, 0.15])
-    _, xi = criterion(theta)
-    g = envelope_gradient(model, theta, xi)
+    g = envelope_gradient(model, theta, criterion(theta)[1].xi)
     fd = np.empty(2)
     for j, h in enumerate(1e-5 * theta):
         e = np.eye(2)[j] * h
@@ -309,13 +309,13 @@ def test_criterion_hessian_matches_gradient_differences(model, family, div):
 
     fit = fit_divergence(s, model, div)
     for theta in (fit.theta, fit.theta * np.array([1.1, 0.9])):
-        criterion, xi = solved(theta)
-        gauss_newton, exact = criterion.hessians(theta, xi, model_jacobian(model, theta))
+        criterion, sol = solved(theta)
+        gauss_newton, exact = criterion.hessians(theta, sol, model_jacobian(model, theta))
         fd = np.empty((2, 2))
         for j, h in enumerate(1e-4 * theta):
             e = np.eye(2)[j] * h
-            fd[:, j] = (envelope_gradient(model, theta + e, solved(theta + e)[1])
-                        - envelope_gradient(model, theta - e, solved(theta - e)[1])) / (2.0 * h)
+            fd[:, j] = (envelope_gradient(model, theta + e, solved(theta + e)[1].xi)
+                        - envelope_gradient(model, theta - e, solved(theta - e)[1].xi)) / (2.0 * h)
         scale = np.abs(exact).max()
         assert np.abs(exact - fd).max() <= 1e-6 * scale
         assert np.abs(gauss_newton - fd).max() > 1e-3 * scale
@@ -441,6 +441,29 @@ def test_dual_line_search_evaluates_the_nodes_of_its_multipliers():
     x = 3.0 * np.random.default_rng(1).weibull(0.08, 200)
     with pytest.raises(EstimationError, match="inner solve failed"):
         fit_divergence(SortedSample(np.sort(x)), weibull_model(), KLM)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_converged_solve_keeps_its_nodes_inside_the_domain(monkeypatch, seed):
+    # [REGRESSION] a converged KLM solve took its last full step unevaluated,
+    # and rounding put one of its 999 nodes on the edge z = 1; the fit then
+    # raised ConjugateDomainError instead of returning or raising EstimationError
+    x = np.sort(3.0 * np.random.default_rng(seed).weibull(0.08, 1000))
+    solve, solved = estimator.solve_dual, []
+
+    def recording(problem, xi0=None):
+        solved.append((problem, solve(problem, xi0=xi0)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(estimator, "solve_dual", recording)
+    try:
+        fit_divergence(SortedSample(x), weibull_model(), KLM)
+    except EstimationError:
+        pass
+    converged = [(p, sol) for p, sol in solved if sol.converged]
+    assert converged
+    for problem, sol in converged:
+        assert np.max(problem.kmat @ sol.xi) < 1.0
 
 
 def _chi2_inputs(sample, model):
@@ -795,7 +818,7 @@ def test_weibull_lmoment_start_outside_the_tau3_range():
     assert lm[3] / lm[2] < -0.138
     with pytest.raises(EstimationError, match="tau_3"):
         fit_lmoment_method_weibull(s)
-    assert estimator.lmoment_method_start(s, weibull_model()) is None
+    assert estimator.lmoment_method_start(sample_lmoments_v(s, 4), weibull_model()) is None
     for div, criterion in ((KL, 4.850847776861928), (KLM, 3.35494162145967)):
         # from the box centre (500, 10.025) the KL search ran to the sigma
         # edge 1e-21, criterion 10.0, the sample range
