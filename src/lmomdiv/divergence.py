@@ -23,16 +23,6 @@ class ConjugateDomainError(ValueError):
     """Argument outside the domain of the conjugate function."""
 
 
-def _kl(t, g):
-    e = np.exp(t)
-    return np.expm1(t), e, e
-
-
-def _klm(t, g):
-    u = 1.0 - t
-    return -np.log1p(-t), 1.0 / u, 1.0 / u ** 2
-
-
 def _power(t, g):
     base = 1.0 + (g - 1.0) * t
     return ((base ** (g / (g - 1.0)) - 1.0) / g, base ** (1.0 / (g - 1.0)),
@@ -42,10 +32,13 @@ def _power(t, g):
 #: each row: the conjugate's open domain, a function of gamma, and
 #: ``(psi, psi', psi'')`` at an array argument, a function of (argument, gamma)
 _FORMS = {
-    "chi2": (lambda g: (-np.inf, np.inf), lambda t, g: (0.5 * t * t + t, t + 1.0, np.ones_like(t))),
+    "chi2": (lambda g: (-np.inf, np.inf),
+             lambda t, g: (0.5 * t * t + t, t + 1.0, np.ones_like(t))),
     # expm1 overflows past log(DBL_MAX): the edge in floating point
-    "kl": (lambda g: (-np.inf, np.log(np.finfo(float).max)), _kl),
-    "klm": (lambda g: (-np.inf, 1.0), _klm),
+    "kl": (lambda g: (-np.inf, np.log(np.finfo(float).max)),
+           lambda t, g: (np.expm1(t), np.exp(t), np.exp(t))),
+    "klm": (lambda g: (-np.inf, 1.0),
+            lambda t, g: (-np.log1p(-t), 1.0 / (1.0 - t), 1.0 / (1.0 - t) ** 2)),
     "power": (lambda g: (-1.0 / (g - 1.0), np.inf) if g > 1.0 else (-np.inf, 1.0 / (1.0 - g)),
               _power),
 }

@@ -10,9 +10,10 @@ largest step that keeps the nodes ``kmat @ xi`` inside the conjugate's
 domain (a ratio test against the domain edge, Boyd & Vandenberghe, Convex
 Optimization, 9.5-9.6), so a barrier-type conjugate such as the modified
 KL's ``-log(1 - z)`` costs a few evaluations per solve, not a cascade of
-halvings.  The conjugate checks its own domain; the solver makes no domain
-test of its own.  A caller solving a sequence of nearby targets passes the
-last solution as ``xi0``; a start the conjugate rejects falls back to zero.
+halvings.  Each point is one conjugate evaluation (``DualProblem.evaluate``),
+one domain check of its nodes; the solver makes no domain test of its own.
+A caller solving nearby targets passes starts as ``xi0``; the solve takes the
+one with the highest objective, or zero where the conjugate rejects them all.
 The solve stops when its Newton decrement (B&V 9.5.1) reaches ``rounding_level``,
 below which no step can show an ascent; the outer search stops on that level too.
 A solve that stops short of optimality is checked by ``cone_witness``: a
@@ -25,6 +26,7 @@ inner problem.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,12 +83,12 @@ class DualProblem:
     def with_target(self, target) -> "DualProblem":
         return dataclasses.replace(self, target=np.asarray(target, dtype=float))
 
-    # -- objective, gradient, Hessian ----------------------------------
-    # all three come from one conjugate evaluation, which checks its own
-    # domain at the nodes z = kmat @ xi; a caller that already holds z passes it
-
     def evaluate(self, xi, z=None) -> tuple[float, np.ndarray, np.ndarray]:
-        """(objective, psi'(z) delta, psi''(z) delta) at ``xi``."""
+        """(objective, psi'(z) delta, psi''(z) delta) at ``xi`` from one conjugate evaluation.
+
+        The conjugate checks its domain at the nodes ``z = kmat @ xi``, which a caller
+        holding them passes; ``objective``, ``gradient`` and ``hessian`` are its views.
+        """
         xi = np.asarray(xi, dtype=float)
         psi, d1, d2 = self.divergence.conjugate(self.kmat @ xi if z is None else z)
         return float(xi @ self.target - psi @ self.delta), d1 * self.delta, d2 * self.delta
@@ -109,11 +111,10 @@ class DualProblem:
 class DualSolution:
     xi: np.ndarray
     value: float
-    grad_norm: float
     iterations: int            # Newton steps taken
     evaluations: int           # objective evaluations, the starts' included
     status: str                # one of SOLVE_STATUSES
-    neg_hessian: np.ndarray | None = None   # -H last formed: at xi, or one step before it
+    neg_hessian: np.ndarray | None   # -H last formed: at xi, or one step before it
 
     @property
     def converged(self) -> bool:
@@ -149,7 +150,7 @@ def make_dual_problem(
 
 def omega_empirical(problem: DualProblem) -> np.ndarray:
     """Second-moment matrix of the constraint rows under the quantile measure."""
-    return (problem.kmat.T * problem.delta) @ problem.kmat
+    return problem.curvature(problem.delta)
 
 
 def rounding_level(xi, target, value: float, m: int) -> float:
@@ -175,35 +176,31 @@ def _ratio_test(z, dz, domain) -> float:
 def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     """Damped Newton ascent with a ratio-test line search.
 
-    Starts from ``xi0`` when its objective is defined (its nodes inside the
-    conjugate's domain), from zero otherwise, in one evaluation either way.
+    ``xi0`` is one start or an array of them: the solve starts at the one with
+    the highest objective among those with nodes inside the conjugate's domain,
+    or at zero, and each start evaluated counts in ``evaluations``.
     Converged means a Newton decrement ``g (-H)^-1 g`` at most ``rounding_level`` within
     ``_MAX_NEWTON_ITER`` steps; the full step is then taken, unevaluated, if the ratio
-    test allows all of it.  A solve that stops short of that runs ``cone_witness``:
+    test allows all of it and its own nodes lie strictly inside the domain (z + dz
+    carries rounding).  A solve that stops short of that runs ``cone_witness``:
     without a witness the status is ``infeasibleDirection``, with one the solve failed
     (``maxIter`` or ``stalled``) and its value is only a lower bound.
     """
     c = problem.target.size
     domain = problem.divergence.psi_domain
-    best, evaluations = None, 0
-    for start in () if xi0 is None else np.array(xi0, dtype=float, ndmin=2):
-        evaluations += 1
-        try:
-            point = (start, *problem.evaluate(start))
-        except ConjugateDomainError:
-            continue
-        if best is None or point[1] > best[1]:
-            best = point
-    if best is None:
-        # zero lies inside every conjugate's domain
-        evaluations += 1
-        best = (np.zeros(c), *problem.evaluate(np.zeros(c)))
-    xi, value, w1, w2 = best
+    starts = [] if xi0 is None else list(np.array(xi0, dtype=float, ndmin=2))
+    points = []
+    for start in starts:
+        with suppress(ConjugateDomainError):
+            points.append((*problem.evaluate(start), start))
+    # zero lies inside every conjugate's domain; the first of equal starts wins
+    value, w1, w2, xi = max(points, key=lambda p: p[0]) if points else (
+        *problem.evaluate(np.zeros(c)), np.zeros(c))
+    evaluations = len(starts) + (not points)
     z = problem.kmat @ xi           # the nodes of xi: z + t dz drifts from them by rounding
     failure, neg_h = "maxIter", None
     for it in range(_MAX_NEWTON_ITER + 1):
         grad = problem.target - problem.kmat.T @ w1
-        gnorm = float(np.max(np.abs(grad)))
         if value > _UNBOUNDED_VALUE:
             failure = "stalled"
             break
@@ -221,12 +218,10 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
         decrement = float(grad @ step)
         t = _ratio_test(z, dz, domain)
         if decrement <= rounding_level(xi, problem.target, value, problem.delta.size):
-            if t == 1.0:
-                # z + dz carries rounding: the step's own nodes must lie inside
-                nodes = problem.kmat @ (xi + step)
-                if domain[0] < nodes.min() and nodes.max() < domain[1]:
-                    xi = xi + step
-            return DualSolution(xi, value, gnorm, it, evaluations, "converged", neg_h)
+            nodes = problem.kmat @ (xi + step)
+            if t == 1.0 and domain[0] < nodes.min() and nodes.max() < domain[1]:
+                xi = xi + step
+            return DualSolution(xi, value, it, evaluations, "converged", neg_h)
         if it == _MAX_NEWTON_ITER:
             break
         while t > 1e-16:
@@ -246,7 +241,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             break
         xi, value, z, w1, w2 = cand, cand_value, cand_z, cand_w1, cand_w2
     status = failure if cone_witness(problem) is not None else "infeasibleDirection"
-    return DualSolution(xi, value, gnorm, it, evaluations, status, neg_h)
+    return DualSolution(xi, value, it, evaluations, status, neg_h)
 
 
 def cone_witness(problem: DualProblem) -> np.ndarray | None:

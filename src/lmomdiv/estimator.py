@@ -25,7 +25,7 @@ Any other divergence runs the outer search, one projected
 Levenberg-Marquardt run on the parameter box (Nocedal & Wright, Numerical
 Optimization, 10.3).  At a converged inner solve the criterion has the exact
 envelope gradient ``J(theta)^T xi`` and, since ``dxi/dtheta = (-H)^-1 J``
-with ``-H`` the dual's negative Hessian at ``xi``, the exact Hessian
+with ``-H`` the negative Hessian the inner solve formed, the exact Hessian
 ``J^T (-H)^-1 J - sum_k xi_k d2 lambda_k(theta)`` (``SplqModel.lmoment_hessian``
 gives the second derivatives in closed form).  The step is a Newton step on
 that Hessian where its free block is positive definite, and on the
@@ -40,10 +40,10 @@ estimate where that is defined (the GPD's tau_4 inversion and the Weibull's
 tau_3 inversion; the models share their first L-moments with the family, so
 the estimate nearly solves the constraints), and from the chi-square
 estimate where it is not or where its criterion is +inf.  Each criterion
-evaluation is one Newton solve of the dual, warm-started from the search's
-current point (``_Criterion``).  A failed
-inner solve is never the criterion: it counts +inf, which rejects the step,
-and a fit whose search finds no finite point raises ``EstimationError``.
+evaluation is one Newton solve of the dual from the search's multipliers or,
+where its dual objective is higher, their prediction (``_Criterion``).  A
+failed inner solve is never the criterion: it counts +inf, which rejects the
+step, and a fit whose search finds no finite point raises ``EstimationError``.
 The plug-in Omega and Sigma run in quantile space (``asymptotic_covariance``).
 
 The GPD maximum likelihood comparison estimator is a one-dimensional profile
@@ -149,19 +149,18 @@ class FitReport:
 class _Criterion:
     """theta -> (criterion, converged ``DualSolution`` | None); +inf outside the model domain.
 
-    Each call runs ``solve_dual``, warm-started from the multipliers of the
-    lowest converged solve (a rejected one's can be far off) and, once
-    ``hessians`` has given the multipliers' slope at a point, also from
-    their first-order prediction at ``theta``; the solve starts from the
-    one of the two with the higher dual objective.  A target outside the
-    cone of the rows (``infeasibleDirection``) and an uncertified failure
-    both count +inf, so that no lower bound becomes the criterion.
-    ``diagnostics`` counts the calls and the Newton solves.
+    Each call runs ``solve_dual`` from the better of two starts: the
+    multipliers of the lowest converged solve (a rejected one's can be far
+    off) and, once ``hessians`` has given their slope at a point, their
+    first-order prediction at ``theta``.  A target outside the cone of the
+    rows (``infeasibleDirection``) and an uncertified failure both count
+    +inf, so that no lower bound becomes the criterion.  ``diagnostics``
+    counts the calls and the Newton solves.
     """
 
     def __init__(self, skeleton: DualProblem, model: SplqModel):
         self.skeleton, self.model = skeleton, model
-        self.xi0, self.lowest, self.tangent = None, np.inf, None
+        self.xi0, self.lowest, self.predict = None, np.inf, None
         self.calls = self.iterations = self.evaluations = 0
         self.status = dict.fromkeys(SOLVE_STATUSES, 0)
 
@@ -174,10 +173,7 @@ class _Criterion:
             return np.inf, None
         if not np.all(np.isfinite(target)):
             return np.inf, None
-        starts = self.xi0
-        if self.tangent is not None:
-            at, xi, slope = self.tangent
-            starts = [self.xi0, xi + slope @ (theta - at)]
+        starts = self.xi0 if self.predict is None else [self.xi0, self.predict(theta)]
         sol = solve_dual(self.skeleton.with_target(target), xi0=starts)
         self.iterations += sol.iterations
         self.evaluations += sol.evaluations
@@ -198,7 +194,7 @@ class _Criterion:
         is ``t = -lambda``.  The slope is kept to predict the next start.
         """
         slope = np.linalg.solve(sol.neg_hessian, jac)
-        self.tangent = (theta, sol.xi, slope)
+        self.predict = lambda at: sol.xi + slope @ (at - theta)
         gauss_newton = jac.T @ slope
         second = sol.xi @ self.model.lmoment_hessian(theta).reshape(sol.xi.size, -1)
         return gauss_newton, gauss_newton - second.reshape(gauss_newton.shape)
@@ -215,10 +211,7 @@ class _Criterion:
 
 
 def lmoment_method_start(lm: LmomentVector, model: SplqModel) -> np.ndarray | None:
-    """Classical L-moment estimate of the model's law (GPD or Weibull) from ``lm``, if defined.
-
-    ``lm`` holds the sample L-moments up to order 4.
-    """
+    """L-moment-method estimate of the model's law (GPD or Weibull) from ``lm``, if defined."""
     invert = {"gpd": _gpd_lmoment_inverse,
               "weibull": _weibull_lmoment_inverse}.get(model.family)
     if invert is None:
@@ -279,9 +272,8 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
     lam, moved, gauss_newton_steps, rejected_failed = 0.0, True, 0, 0
     for it in range(MAX_OUTER_ITER):
         if moved:
-            xi = sol.xi
             jac = model_jacobian(model, theta)
-            grad = envelope_gradient(model, theta, xi, jac)
+            grad = envelope_gradient(model, theta, sol.xi, jac)
             free = ~(((theta <= lo) & (grad > 0.0)) | ((theta >= hi) & (grad < 0.0)))
             gauss_newton, exact = evaluate.hessians(theta, sol, jac)
             a_free = exact[np.ix_(free, free)]
@@ -291,7 +283,7 @@ def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
             newton_step = np.linalg.solve(a_free, -grad[free])
             decrement = float(-grad[free] @ newton_step)
             final = decrement <= rounding_level(
-                xi, model.target_map(theta), value, evaluate.skeleton.delta.size)
+                sol.xi, model.target_map(theta), value, evaluate.skeleton.delta.size)
         step = np.zeros_like(theta)
         step[free] = newton_step if final else np.linalg.solve(
             a_free + lam * np.diag(np.diag(a_free)), -grad[free])
@@ -429,9 +421,8 @@ def fit_divergence(
         if divergence.family == "chi2":
             theta, value, xi, diagnostics = _chi2_fit(skeleton, model)
         else:
-            theta, value, xi, diagnostics = _search_fit(
-                skeleton, model,
-                lmoment_method_start(LmomentVector(lm.values / scale, lm.kind), model))
+            start = lmoment_method_start(LmomentVector(lm.values / scale, lm.kind), model)
+            theta, value, xi, diagnostics = _search_fit(skeleton, model, start)
             diagnostics["outer_decrement"] *= scale
     except SingularConstraintError as exc:
         raise EstimationError(str(exc)) from exc

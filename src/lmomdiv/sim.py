@@ -34,7 +34,6 @@ _SCENARIO_DEFAULTS = {
 }
 
 DEFAULT_ESTIMATORS = ("chi2", "klm", "lmom", "moment", "mle")
-#: the model of every divergence fit of a replicate, built once
 _GPD_MODEL = gpd_model()
 
 
