@@ -23,12 +23,6 @@ class ConjugateDomainError(ValueError):
     """Argument outside the domain of the conjugate function."""
 
 
-def _power(t, g):
-    base = 1.0 + (g - 1.0) * t
-    return ((base ** (g / (g - 1.0)) - 1.0) / g, base ** (1.0 / (g - 1.0)),
-            base ** ((2.0 - g) / (g - 1.0)))
-
-
 #: each row: the conjugate's open domain, a function of gamma, and
 #: ``(psi, psi', psi'')`` at an array argument, a function of (argument, gamma)
 _FORMS = {
@@ -36,11 +30,12 @@ _FORMS = {
              lambda t, g: (0.5 * t * t + t, t + 1.0, np.ones_like(t))),
     # expm1 overflows past log(DBL_MAX): the edge in floating point
     "kl": (lambda g: (-np.inf, np.log(np.finfo(float).max)),
-           lambda t, g: (np.expm1(t), np.exp(t), np.exp(t))),
+           lambda t, g: (np.expm1(t), (e := np.exp(t)), e)),
     "klm": (lambda g: (-np.inf, 1.0),
-            lambda t, g: (-np.log1p(-t), 1.0 / (1.0 - t), 1.0 / (1.0 - t) ** 2)),
+            lambda t, g: (-np.log1p(-t), 1.0 / (u := 1.0 - t), 1.0 / u ** 2)),
     "power": (lambda g: (-1.0 / (g - 1.0), np.inf) if g > 1.0 else (-np.inf, 1.0 / (1.0 - g)),
-              _power),
+              lambda t, g: (((b := 1.0 + (g - 1.0) * t) ** (g / (g - 1.0)) - 1.0) / g,
+                            b ** (1.0 / (g - 1.0)), b ** ((2.0 - g) / (g - 1.0)))),
 }
 
 
@@ -77,7 +72,7 @@ class DivergenceSpec:
             raise ConjugateDomainError(
                 f"conjugate argument outside open domain ({lo}, {hi})"
             )
-        out = _FORMS[self.family][1](np.atleast_1d(z), self.gamma)
+        out = _FORMS[self.family][1](z if z.ndim else z[None], self.gamma)
         return tuple(float(v[0]) for v in out) if z.ndim == 0 else out
 
     def psi(self, t) -> np.ndarray | float:

@@ -56,7 +56,7 @@ def require_finite(*arrays) -> None:
     ``np.linalg`` carries such entries into NaN factors and solutions without
     raising; every linear system of the package is checked here first.
     """
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("linear system contains infs or NaNs")
 
 
@@ -165,11 +165,11 @@ def rounding_level(xi, target, value: float, m: int) -> float:
 
 def _ratio_test(z, dz, domain) -> float:
     """min(1, 0.99 * the step at which z + t * dz first reaches a domain edge)."""
-    lo, hi = domain
     t = 1.0
-    for edge, heading in ((hi, dz > 0.0), (lo, dz < 0.0)):
-        if np.isfinite(edge) and heading.any():
-            t = min(t, _EDGE_FRACTION * float(np.min((edge - z[heading]) / dz[heading])))
+    for edge, toward in zip(domain, (np.less, np.greater)):
+        heading = toward(dz, 0.0) if abs(edge) < np.inf else None
+        if heading is not None and heading.any():
+            t = min(t, _EDGE_FRACTION * float(((edge - z[heading]) / dz[heading]).min()))
     return t
 
 
