@@ -171,7 +171,7 @@ class _Criterion:
             target = self.model.target_map(theta)
         except (ValueError, FloatingPointError):
             return np.inf, None
-        if not np.all(np.isfinite(target)):
+        if not np.isfinite(target).all():
             return np.inf, None
         starts = self.xi0 if self.predict is None else [self.xi0, self.predict(theta)]
         sol = solve_dual(self.skeleton.with_target(target), xi0=starts)
@@ -237,7 +237,7 @@ class _SearchResult:
 def _positive_definite(a: np.ndarray) -> bool:
     # numpy's Cholesky of a matrix with a NaN returns NaNs instead of raising
     try:
-        return bool(np.all(np.isfinite(np.linalg.cholesky(a))))
+        return bool(np.isfinite(np.linalg.cholesky(a)).all())
     except np.linalg.LinAlgError:
         return False
 
@@ -426,7 +426,7 @@ def fit_divergence(
             diagnostics["outer_decrement"] *= scale
     except SingularConstraintError as exc:
         raise EstimationError(str(exc)) from exc
-    at_boundary = bool(np.any(np.isclose(theta[:, None], model.box, rtol=1e-6, atol=0.0)))
+    at_boundary = bool((np.abs(theta[:, None] - model.box) <= 1e-6 * np.abs(model.box)).any())
     return FitReport(
         theta=np.concatenate([theta[:1] * scale, theta[1:]]),
         xi=xi,

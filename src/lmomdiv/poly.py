@@ -30,7 +30,7 @@ def _check_order(r: int) -> None:
 
 def _check_unit_interval(t) -> None:
     t = np.asarray(t)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if (t < 0.0).any() or (t > 1.0).any():
         raise ValueError("argument must lie in [0, 1]")
 
 
