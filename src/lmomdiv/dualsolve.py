@@ -15,7 +15,8 @@ one domain check of its nodes; the solver makes no domain test of its own.
 A caller solving nearby targets passes starts as ``xi0``; the solve takes the
 one with the highest objective, or zero where the conjugate rejects them all.
 The solve stops when its Newton decrement (B&V 9.5.1) reaches ``rounding_level``,
-below which no step can show an ascent; the outer search stops on that level too.
+below which no step can show an ascent; the outer search stops on that level too,
+and takes its curvature from the negative Hessian the solve returns.
 A solve that stops short of optimality is checked by ``cone_witness``: a
 target that no positive spacing vector reaches makes the dual unbounded and
 is reported as ``infeasibleDirection``; anything else is a failure of the
@@ -167,8 +168,7 @@ def _ratio_test(z, dz, domain) -> float:
     """min(1, 0.99 * the step at which z + t * dz first reaches a domain edge)."""
     t = 1.0
     for edge, toward in zip(domain, (np.less, np.greater)):
-        heading = toward(dz, 0.0) if abs(edge) < np.inf else None
-        if heading is not None and heading.any():
+        if abs(edge) < np.inf and (heading := toward(dz, 0.0)).any():
             t = min(t, _EDGE_FRACTION * float(((edge - z[heading]) / dz[heading]).min()))
     return t
 
