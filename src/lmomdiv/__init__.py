@@ -6,12 +6,8 @@ more generally, expectations of order statistics).  Estimation minimizes a
 convex divergence between the empirical quantile measure and the constrained
 set, computed through its finite-dimensional concave dual.
 
-Importing the package loads numpy and no scipy module, and so do the
-divergence fits, their asymptotics, the model test, the classical GPD fits,
-the L1 density distance and the Monte Carlo replicates, for the GPD and
-the Weibull models alike.  scipy is imported inside the two functions that
-use it: the cone LP after a failed inner solve and the adaptive population
-L-moments.
+numpy is the only runtime dependency.  A failed inner solve is labelled by
+a convex-hull test in L-moment-ratio space, not by a linear program.
 """
 
 from .poly import PolyBasis, shifted_legendre_eval, integrated_legendre_eval
@@ -20,7 +16,6 @@ from .lmoments import (
     LmomentVector,
     sample_lmoments_v,
     sample_lmoments_u,
-    population_lmoments,
     lmoment_ratios,
     discrete_lmoments,
     lambda_covariance,
@@ -71,7 +66,6 @@ __all__ = [
     "LmomentVector",
     "sample_lmoments_v",
     "sample_lmoments_u",
-    "population_lmoments",
     "lmoment_ratios",
     "discrete_lmoments",
     "lambda_covariance",

@@ -17,11 +17,12 @@ one with the highest objective, or zero where the conjugate rejects them all.
 The solve stops when its Newton decrement (B&V 9.5.1) reaches ``rounding_level``,
 below which no step can show an ascent; the outer search stops on that level too,
 and takes its curvature from the negative Hessian the solve returns.
-A solve that stops short of optimality is checked by ``cone_witness``: a
+A solve that stops short of optimality is checked by ``target_in_cone``: a
 target that no positive spacing vector reaches makes the dual unbounded and
 is reported as ``infeasibleDirection``; anything else is a failure of the
-solve.  The transport variant is the optimal-transport counterpart of the
-inner problem.
+solve.  That test is a convex-hull test in L-moment-ratio space; it needs no
+LP and no solve.  The transport variant is the optimal-transport counterpart
+of the inner problem.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ _ARMIJO = 1e-4
 #: fraction of the way to the conjugate's domain edge a line search may go
 _EDGE_FRACTION = 0.99
 #: "converged" is a Newton decrement at the rounding level; "stalled" is no ascent
-#: found above it, or an unbounded value at a target ``cone_witness`` reaches
+#: found above it, or an unbounded value at a target ``target_in_cone`` accepts
 SOLVE_STATUSES = ("converged", "infeasibleDirection", "maxIter", "stalled")
 
 
@@ -182,9 +183,10 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     Converged means a Newton decrement ``g (-H)^-1 g`` at most ``rounding_level`` within
     ``_MAX_NEWTON_ITER`` steps; the full step is then taken, unevaluated, if the ratio
     test allows all of it and its own nodes lie strictly inside the domain (z + dz
-    carries rounding).  A solve that stops short of that runs ``cone_witness``:
-    without a witness the status is ``infeasibleDirection``, with one the solve failed
-    (``maxIter`` or ``stalled``) and its value is only a lower bound.
+    carries rounding).  A solve that stops short of that runs ``target_in_cone``:
+    outside the cone the status is ``infeasibleDirection``, inside it (or for rows
+    that test does not cover) the solve failed (``maxIter`` or ``stalled``) and its
+    value is only a lower bound.
     """
     c = problem.target.size
     domain = problem.divergence.psi_domain
@@ -240,38 +242,35 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             failure = "stalled"
             break
         xi, value, z, w1, w2 = cand, cand_value, cand_z, cand_w1, cand_w2
-    status = failure if cone_witness(problem) is not None else "infeasibleDirection"
+    status = failure if target_in_cone(problem) else "infeasibleDirection"
     return DualSolution(xi, value, it, evaluations, status, neg_h)
 
 
-def cone_witness(problem: DualProblem) -> np.ndarray | None:
-    """Spacings ``s`` with ``kmat.T @ s = target``, or None when there are none.
+def target_in_cone(problem: DualProblem) -> bool:
+    """False when no spacing vector ``s > 0`` has ``kmat.T @ s = target``.
 
-    A witness certifies that the dual is bounded above.  For a divergence
-    that admits negative spacings (chi-square) it is the least-norm
-    correction of the empirical spacings.  Otherwise it must be strictly
-    positive; the margin LP (maximize ``m`` with ``s >= m * delta``) runs
-    when that correction is not, and None means the target lies outside the
-    open cone of the rows, so that the dual is unbounded.
+    Then the target lies outside the open cone of the rows and the dual is
+    unbounded.  chi-square admits negative spacings, so its full-rank rows
+    reach every target.  Otherwise, with a first row negative at every node
+    and at most three rows, ``kmat[i] = k_i0 (1, p_i)`` and the cone test is
+    exact in ratio space (the sample grid's L-moment ratio diagram, Hosking,
+    JRSS-B 52, 1990): the target is inside exactly when ``t_0 < 0`` and
+    ``q = t[1:] / t_0`` lies strictly inside the convex hull of the ``p_i``.
+    For c = 3 that holds when the directions ``p_i - q`` leave no circular gap
+    of pi or more.  Other rows get no certificate, and the answer is True.
     """
-    a, delta, target = problem.kmat, problem.delta, problem.target
-    s0 = delta + a @ np.linalg.solve(a.T @ a, target - problem.m_n)
-    if problem.divergence.a_phi < 0.0 or np.all(s0 > 1e-12 * delta):
-        return s0
-    # s = delta * (v + m) with v >= 0 and m <= 1; kmat.T @ s is then
-    # (a * delta).T @ v + m * m_n
-    from scipy.optimize import linprog   # runs only after a failed solve
-
-    m = delta.size
-    cost = np.zeros(m + 1)
-    cost[-1] = -1.0
-    res = linprog(
-        cost, A_eq=np.hstack([(a * delta[:, None]).T, problem.m_n[:, None]]),
-        b_eq=target, bounds=[(0.0, None)] * m + [(None, 1.0)], method="highs",
-    )
-    if not res.success or res.x[-1] <= 0.0:
-        return None
-    return delta * (res.x[:-1] + res.x[-1])
+    k0, target = problem.kmat[:, 0], problem.target
+    if problem.divergence.a_phi < 0.0 or target.size > 3 or not (k0 < 0.0).all():
+        return True
+    if not target[0] < 0.0:
+        return False
+    q, p = target[1:] / target[0], problem.kmat[:, 1:] / k0[:, None]
+    if target.size < 3:     # the hull is an interval, or for c = 1 a point in R^0
+        return bool(np.all(p.min(axis=0) < q) and np.all(q < p.max(axis=0)))
+    d = p - q
+    d = d[(d != 0.0).any(axis=1)]
+    angles = np.sort(np.arctan2(d[:, 1], d[:, 0]))
+    return bool(np.diff(angles, append=angles[0] + 2.0 * np.pi).max() < np.pi)
 
 
 def chi2_value_closed_form(

@@ -1,9 +1,10 @@
-"""Sample, population and discrete L-moments, plus their asymptotic covariance.
+"""Sample and discrete L-moments, plus their asymptotic covariance.
 
 Sample statistics integrate the piecewise-constant empirical quantile
 function exactly against the polynomial basis; no quadrature ever touches
-observed data.  Quadrature appears only for population quantities; the
-plug-in blocks of the asymptotics share one Gauss rule in ``-log(1 - u)``.
+observed data.  Quadrature appears only in the plug-in blocks of the
+asymptotics, which share one Gauss rule in ``-log(1 - u)``.  The closed-form
+L-moment maps of the parametric laws live in ``models``.
 """
 
 from __future__ import annotations
@@ -20,17 +21,7 @@ from .poly import (
     legendre_coefficients,
     shifted_legendre_eval,
     _check_order,
-    _horner,
 )
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature failed to converge; carries the estimate and error bound."""
-
-    def __init__(self, message: str, estimate: float, error: float):
-        super().__init__(f"{message} (estimate={estimate!r}, error={error!r})")
-        self.estimate = estimate
-        self.error = error
 
 
 @dataclass(frozen=True)
@@ -137,39 +128,6 @@ def sample_lmoments_u(sample: SortedSample, max_order: int) -> LmomentVector:
     for r in range(1, max_order + 1):
         vals[r - 1] = legendre_coefficients(r - 1) @ b[:r]
     return LmomentVector(vals, "u-statistic")
-
-
-#: absolute and relative tolerance of ``population_lmoments``
-_POP_TOL = 1e-9
-#: subinterval limit of ``population_lmoments``
-_POP_LIMIT = 200
-
-
-def population_lmoments(quantile, max_order: int) -> LmomentVector:
-    """Population L-moments of a distribution given by its quantile function.
-
-    Integrates ``quantile(t) * L_{r-1}(t)`` over (0, 1) by adaptive
-    quadrature, which handles the integrable endpoint blow-up of
-    heavy-tailed quantile functions.
-    """
-    # imported on first use, to keep it out of the package import time
-    import scipy.integrate as spi
-
-    _check_max_order(max_order)
-    vals = np.empty(max_order)
-    for r in range(1, max_order + 1):
-        coeffs = legendre_coefficients(r - 1)
-
-        def integrand(t, _c=coeffs):
-            return quantile(t) * _horner(_c, t)
-
-        est, err = spi.quad(integrand, 0.0, 1.0, epsabs=_POP_TOL, epsrel=_POP_TOL,
-                            limit=_POP_LIMIT)
-        if not np.isfinite(est) or err > max(_POP_TOL, 1e-6 * (1 + abs(est))):
-            raise QuadratureError(
-                f"population L-moment of order {r} did not converge", est, err)
-        vals[r - 1] = est
-    return LmomentVector(vals, "population")
 
 
 def lmoment_ratios(lm: LmomentVector) -> dict[str, float]:

@@ -6,12 +6,13 @@ import math
 import numpy as np
 from numpy.polynomial import Legendre, Polynomial
 from scipy.integrate import quad
+from scipy.optimize import linprog
 from scipy.special import gamma, gammainc
 
 from lmomdiv.cli import UsageError
 from lmomdiv.divergence import DivergenceSpec
-from lmomdiv.dualsolve import cone_witness, make_dual_problem
-from lmomdiv.lmoments import SortedSample
+from lmomdiv.dualsolve import DualProblem, make_dual_problem
+from lmomdiv.lmoments import LmomentVector, SortedSample
 from lmomdiv.poly import integrated_legendre_eval
 
 
@@ -71,6 +72,56 @@ def _primal(order: int):
 #: phi(divergence, x) and its first two derivatives; phi_prime is finite
 #: only strictly inside phi's domain
 phi, phi_prime, phi_second = map(_primal, range(3))
+
+
+def cone_witness(problem: DualProblem) -> np.ndarray | None:
+    """Spacings ``s`` with ``kmat.T @ s = target``, or None when there are none.
+
+    For a divergence that admits negative spacings (chi-square) it is the
+    least-norm correction of the empirical spacings.  Otherwise it must be
+    strictly positive; when that correction is not, the margin LP runs on
+    the target scaled to the norm of ``kmat.T @ 1``: maximize ``m <= 1``
+    with ``s_i >= m`` (``s = v + m``, ``v >= 0``).  None means a margin
+    ``m <= 0``: the target lies outside the open cone of the rows.  Weighting
+    the margin by the spacings (``s >= m * delta``) is not equivalent in
+    floating point: with spacings from 1e-35 to 488 HiGHS reports negative
+    margins for targets inside the cone.
+    """
+    a, delta, target = problem.kmat, problem.delta, problem.target
+    s0 = delta + a @ np.linalg.solve(a.T @ a, target - problem.m_n)
+    if problem.divergence.a_phi < 0.0 or np.all(s0 > 1e-12 * delta):
+        return s0
+    ones = a.sum(axis=0)
+    scale = np.linalg.norm(target) / np.linalg.norm(ones)
+    m = delta.size
+    cost = np.zeros(m + 1)
+    cost[-1] = -1.0
+    res = linprog(
+        cost, A_eq=np.hstack([a.T, ones[:, None]]), b_eq=target / scale,
+        bounds=[(0.0, None)] * m + [(None, 1.0)], method="highs",
+    )
+    if not res.success or res.x[-1] <= 0.0:
+        return None
+    return scale * (res.x[:-1] + res.x[-1])
+
+
+def population_lmoments(quantile, max_order: int) -> LmomentVector:
+    """Population L-moments of the law with quantile function ``quantile``.
+
+    Integrates ``quantile(t) * L_{r-1}(t)`` over (0, 1) by adaptive
+    quadrature, which handles the integrable endpoint blow-up of
+    heavy-tailed quantile functions; raises when an order does not converge.
+    """
+    vals = np.empty(max_order)
+    for r in range(1, max_order + 1):
+        poly = Legendre.basis(r - 1, domain=[0.0, 1.0])
+        est, err = quad(lambda t: quantile(t) * poly(t), 0.0, 1.0,
+                        epsabs=1e-9, epsrel=1e-9, limit=200)
+        if not np.isfinite(est) or err > max(1e-9, 1e-6 * (1 + abs(est))):
+            raise RuntimeError(f"order-{r} quadrature did not converge: "
+                               f"estimate {est!r}, error {err!r}")
+        vals[r - 1] = est
+    return LmomentVector(vals, "population")
 
 
 def primal_bruteforce(

@@ -436,8 +436,7 @@ def test_json_full_precision(data_file, capsys):
 
 
 def test_cli_import_skips_scipy_stats_and_integrate():
-    # both are slow to import and the CLI needs neither until an adaptive
-    # population L-moment quadrature runs
+    # both are slow to import, and no command of the CLI needs them
     code = ("import sys, lmomdiv.cli; "
             "print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -523,6 +522,35 @@ def test_simulation_and_dist_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "0 []"
+
+
+def test_failed_inner_solves_are_labelled_without_scipy(tmp_path):
+    # with scipy blocked, a KLM fit whose inner solves fail ends as it does
+    # with scipy: the many-zeros sample exits 3 with both solves outside the
+    # cone, the heavy-tailed Weibull sample exits 0 after one maxIter solve
+    files = {
+        "zeros": np.concatenate([np.zeros(15), np.random.default_rng(0).exponential(1.0, 5)]),
+        "weibull": 3.0 * np.random.default_rng(2).weibull(0.1, 1000),
+    }
+    code = "import sys; sys.modules['scipy'] = None; from lmomdiv.cli import main; sys.exit(main(sys.argv[1:]))"
+    runs = {}
+    for name, x in files.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("x\n" + "\n".join(map(repr, x.tolist())) + "\n")
+        model = "weibull-l234" if name == "weibull" else "gpd-l234"
+        runs[name] = subprocess.run(
+            [sys.executable, "-c", code, "fit", str(path), "--model", model, "--div", "klm", "--json"],
+            capture_output=True, text=True)
+    zeros, weibull = runs["zeros"], runs["weibull"]
+    assert (zeros.returncode, zeros.stdout) == (3, "")
+    assert zeros.stderr == (
+        "error: the inner solve failed at every point of the outer search: inner_status "
+        "{'converged': 0, 'infeasibleDirection': 2, 'maxIter': 0, 'stalled': 0}\n")
+    assert (weibull.returncode, weibull.stderr) == (0, "")
+    report = json.loads(weibull.stdout)
+    assert report["diagnostics"]["inner_status"] == {
+        "converged": 27, "infeasibleDirection": 0, "maxIter": 1, "stalled": 0}
+    assert report["theta"] == {"sigma": 6.549508225057363, "nu": 0.11472480733871415}
 
 
 @pytest.mark.parametrize("poison", ["omega", "jacobian"])

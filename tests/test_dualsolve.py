@@ -12,16 +12,17 @@ from lmomdiv.divergence import (
 from lmomdiv.dualsolve import (
     DualProblem,
     chi2_value_closed_form,
-    cone_witness,
     make_dual_problem,
     omega_empirical,
     solve_dual,
+    target_in_cone,
     wasserstein_fit_inner,
 )
 from lmomdiv.lmoments import SortedSample, sample_lmoments_v
+from lmomdiv.models import model_by_name
 from lmomdiv.poly import PolyBasis
 
-from oracles import primal_bruteforce
+from oracles import cone_witness, primal_bruteforce
 
 DIVS = [CHI2, KL, KLM, power_divergence(0.5), power_divergence(3.0)]
 
@@ -224,6 +225,7 @@ def test_klm_target_outside_the_cone_is_infeasible_every_time():
     s = random_sample(1)
     basis = PolyBasis((2, 3))
     prob = make_dual_problem(s, basis, KLM, np.array([0.5, 0.0]))
+    assert not target_in_cone(prob)
     assert cone_witness(prob) is None
     statuses = {solve_dual(prob).status for _ in range(3)}
     assert statuses == {"infeasibleDirection"}
@@ -234,9 +236,76 @@ def test_cone_witness_reaches_the_target():
     basis = PolyBasis((2, 3))
     target = perturbed_target(s, (2, 3), (1.3, 0.6))
     prob = make_dual_problem(s, basis, KLM, target)
+    assert target_in_cone(prob)
     witness = cone_witness(prob)
     assert np.all(witness > 0.0)
     assert np.allclose(prob.kmat.T @ witness, target, rtol=1e-9, atol=1e-12)
+
+
+def test_cone_test_needs_its_row_conditions():
+    # chi-square admits negative spacings, and four rows are past the ratio
+    # test: neither case certifies a target outside the cone
+    s = random_sample(1)
+    assert target_in_cone(make_dual_problem(s, PolyBasis((2, 3)), CHI2, np.array([0.5, 0.0])))
+    four = make_dual_problem(s, PolyBasis((2, 3, 4, 5)), KLM, np.array([0.5, 0.0, 0.0, 0.0]))
+    assert target_in_cone(four)
+    assert cone_witness(four) is None
+
+
+def _near_boundary_targets(problem, rng, count):
+    """Targets whose ratio point lies within 2 % of the hull of the rows' ratio points.
+
+    Each scales a point ``w`` between the extreme points of two nearby random
+    directions by ``1 +- 0.001..0.02`` about the ratio points' centroid.
+    """
+    p = problem.kmat[:, 1:] / problem.kmat[:, :1]
+    centre = p.mean(axis=0)
+    out = []
+    for _ in range(count):
+        d = rng.standard_normal((2, p.shape[1]))
+        d[1] = d[0] + 0.3 * d[1]
+        w = rng.dirichlet((1.0, 1.0)) @ p[np.argmax(p @ d.T, axis=0)]
+        push = 1.0 + rng.choice((-1.0, 1.0)) * rng.uniform(0.001, 0.02)
+        out.append(problem.m_n[0] * np.concatenate([[1.0], centre + push * (w - centre)]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["gpd-l234", "weibull-l234", "orderstat3"])
+def test_cone_test_matches_the_lp_oracle_near_the_hull_boundary(name):
+    rows = model_by_name(name).constraint_values
+    rng = np.random.default_rng(24)
+    verdicts = []
+    for n in (20, 60, 150, 400):
+        sample = SortedSample(rng.pareto(2.5, n))
+        skeleton = make_dual_problem(sample, rows, KLM, 0.0)
+        for target in _near_boundary_targets(skeleton, rng, 50):
+            prob = skeleton.with_target(target)
+            verdicts.append((target_in_cone(prob), cone_witness(prob) is not None))
+    assert len(verdicts) == 200
+    assert [v for v in verdicts if v[0] != v[1]] == []
+    assert 0 < sum(inside for inside, _ in verdicts) < len(verdicts)
+
+
+#: targets at which a KLM solve of ``3 * default_rng(seed).weibull(nu, 1000)``
+#: (``weibull-l234``) stopped short; a margin LP weighted by the spacings put
+#: each outside the cone
+_HEAVY_TAILED_TARGETS = [
+    (0.05, 1, [-0.5408104928692844, -0.5396931579659714, -0.5380656645242279]),
+    (0.05, 2, [-0.6948913965152761, -0.6934771202711847, -0.6914165779333177]),
+    (0.08, 2, [-3.1178196562068727, 0.4308590758397909, -0.4325023608045042]),
+    (0.1, 2, [-0.768519652373168, 0.10620359857153004, -0.10660865624935865]),
+]
+
+
+@pytest.mark.parametrize("nu, seed, target", _HEAVY_TAILED_TARGETS)
+def test_cone_test_accepts_heavy_tailed_targets_inside_the_cone(nu, seed, target):
+    # only the nodes with positive spacing enter the cone, so the sample's
+    # scale does not matter
+    x = 3.0 * np.random.default_rng(seed).weibull(nu, 1000)
+    prob = make_dual_problem(SortedSample(x), model_by_name("weibull-l234").constraint_values,
+                             KLM, target)
+    assert target_in_cone(prob)
+    assert cone_witness(prob) is not None
 
 
 def test_warm_start():

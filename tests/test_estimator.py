@@ -443,6 +443,17 @@ def test_dual_line_search_evaluates_the_nodes_of_its_multipliers():
         fit_divergence(SortedSample(np.sort(x)), weibull_model(), KLM)
 
 
+def test_failed_solve_inside_the_cone_is_not_labelled_infeasible():
+    # [REGRESSION] the start's solve ends in maxIter at a target inside the
+    # cone of the rows; a margin LP weighted by the spacings (1e-35 to 488
+    # here) once reported it outside, as infeasibleDirection
+    x = 3.0 * np.random.default_rng(2).weibull(0.1, 1000)
+    report = fit_divergence(SortedSample(x), weibull_model(), KLM)
+    assert report.diagnostics["inner_status"] == {
+        "converged": 27, "infeasibleDirection": 0, "maxIter": 1, "stalled": 0}
+    assert report.theta.tolist() == [6.549508225057363, 0.11472480733871415]
+
+
 @pytest.mark.parametrize("seed", [2, 3])
 def test_converged_solve_keeps_its_nodes_inside_the_domain(monkeypatch, seed):
     # [REGRESSION] a converged KLM solve took its last full step unevaluated,

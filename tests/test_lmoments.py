@@ -15,7 +15,6 @@ from lmomdiv.lmoments import (
     legendre_rows,
     lmoment_ratios,
     plugin_second_moments,
-    population_lmoments,
     sample_lmoments_u,
     sample_lmoments_v,
     triangle_covariance,
@@ -25,6 +24,7 @@ from lmomdiv.poly import PolyBasis, integrated_legendre_eval, shifted_legendre_e
 from oracles import (
     gpd_plugin_omega,
     gpd_plugin_sigma,
+    population_lmoments,
     pwm_unbiased_comb,
     vstat_weights,
     weibull_plugin_omega,

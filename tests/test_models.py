@@ -16,7 +16,7 @@ from lmomdiv.models import (
     weibull_model,
 )
 
-from oracles import order_stat_polynomial
+from oracles import order_stat_polynomial, population_lmoments
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +92,6 @@ def test_lmoment_maps_match_quadrature():
     for fam in (ParametricFamily("gpd", 3.0, 0.7),
                 ParametricFamily("gpd", 2.0, -0.5),
                 ParametricFamily("weibull", 3.0, 0.4)):
-        from lmomdiv.lmoments import population_lmoments
-
         lam = population_lmoments(fam.quantile, 4)
         assert np.allclose(lam.values[1:], fam.lmoments(), rtol=1e-6)
 
