@@ -15,8 +15,8 @@ one domain check of its nodes; the solver makes no domain test of its own.
 A caller solving nearby targets passes starts as ``xi0``; the solve takes the
 one with the highest objective, or zero where the conjugate rejects them all.
 The solve stops when its Newton decrement (B&V 9.5.1) reaches ``rounding_level``,
-below which no step can show an ascent; the outer search stops on that level too,
-and takes its curvature from the negative Hessian the solve returns.
+below which no step can show an ascent; the estimator's profile search stops on
+that level too.
 A solve that stops short of optimality is checked by ``target_in_cone``: a
 target that no positive spacing vector reaches makes the dual unbounded and
 is reported as ``infeasibleDirection``; anything else is a failure of the

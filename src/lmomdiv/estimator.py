@@ -21,29 +21,30 @@ and at the two shape edges is the estimate; at its target t, the value
 the same factor.  ``diagnostics`` has ``scan_minima``, the sign changes the
 scan found, and ``refine_evaluations``, the profile evaluations of the refines.
 
-Any other divergence runs the outer search, one projected
-Levenberg-Marquardt run on the parameter box (Nocedal & Wright, Numerical
-Optimization, 10.3).  At a converged inner solve the criterion has the exact
-envelope gradient ``J(theta)^T xi`` and, since ``dxi/dtheta = (-H)^-1 J``
-with ``-H`` the negative Hessian the inner solve formed, the exact Hessian
-``J^T (-H)^-1 J - sum_k xi_k d2 lambda_k(theta)`` (``SplqModel.lmoment_hessian``
-gives the second derivatives in closed form).  The step is a Newton step on
-that Hessian where its free block is positive definite, and on the
-Gauss-Newton part ``J^T (-H)^-1 J`` otherwise; the second term is what a
-large residual adds (Dennis, Gay & Welsch, ACM TOMS 7, 1981).  A coordinate
-on its bound whose gradient points out of the box is held fixed and the step
-is solved in the others, then clipped (projected Newton, Bertsekas, SIAM J.
-Control Optim. 20, 1982).  The search stops, after one last full step, when
-the Newton decrement on the free block reaches ``dualsolve.rounding_level``,
-the inner solve's stopping level.  It starts from the L-moment-method
-estimate where that is defined (the GPD's tau_4 inversion and the Weibull's
-tau_3 inversion; the models share their first L-moments with the family, so
-the estimate nearly solves the constraints), and from the chi-square
-estimate where it is not or where its criterion is +inf.  Each criterion
-evaluation is one Newton solve of the dual from the search's multipliers or,
-where its dual objective is higher, their prediction (``_Criterion``).  A
-failed inner solve is never the criterion: it counts +inf, which rejects the
-step, and a fit whose search finds no finite point raises ``EstimationError``.
+Any other divergence is fitted by the same projection, through the dual
+representation of the criterion (Broniatowski & Keziou, J. Statist. Plann.
+Inference 142, 2012): ``V(t) = max_xi xi.t - sum_i delta_i psi(k_i.xi)`` is
+convex in t, so by Sion's minimax theorem (Pacific J. Math. 8, 1958) the
+minimum over sigma of ``V(sigma t1)``, ``t1 = target_map((1, nu))``, is the
+dual restricted to ``xi.t1 = 0``, one ``solve_dual`` on the rows ``K N`` at
+target 0 with N a Householder basis of the complement of t1, and the scale
+is the constraint's multiplier ``g.t1 / t1.t1``, ``g = K^T psi'(K xi) delta``
+(``_Profile``).  A scale outside the box row is clipped, and the full dual is
+solved there.  With ``A = (-H)^-1`` at xi, the profile P(nu) has the envelope
+slope ``P' = sigma xi.t1'`` and the curvature ``P'' = sigma' xi.t1' +
+sigma (dxi.t1' + xi.t1'')``, ``dxi = sigma' A t1 + sigma A t1'``, where sigma'
+keeps ``xi.t1 = 0`` (0 where sigma is clipped).  ``_shape_search`` minimizes
+P by damped Newton in nu from the L-moment-method shape (the GPD's tau_4 and
+the Weibull's tau_3 inversion), or from the chi-square one where that is
+undefined or its solve fails: a step ``-P' / |P''|`` inside a bracket on the
+box, closed by slope signs and by rejected points, is halved until its solve
+converges and P falls strictly.  The search stops at a zero slope, at a box
+edge the slope points out of, at a decrement ``P'^2 / P''`` within
+``dualsolve.rounding_level``, and, where ``P'' > 0``, at a step that finds no
+lower P in floating point.  A failed inner solve is never the criterion: a
+search that fails at its start or at every halving of a step, whose bracket
+closes in on it, or that does not converge raises ``EstimationError``, and
+so does an estimate whose multipliers fail the full dual's own stopping test.
 The plug-in Omega and Sigma run in quantile space (``asymptotic_covariance``).
 
 The GPD maximum likelihood comparison estimator is a one-dimensional profile
@@ -56,7 +57,8 @@ box edge ``nu = 5`` is part of the profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -71,6 +73,7 @@ from .dualsolve import (
     require_finite,
     rounding_level,
     solve_dual,
+    target_in_cone,
 )
 from .lmoments import (
     LmomentVector,
@@ -89,8 +92,10 @@ from .models import (
 )
 from .roots import bracketed_root
 
-#: iteration cap of the outer search
-MAX_OUTER_ITER = 2000
+#: Newton steps the shape search may take
+_MAX_SHAPE_STEPS = 100
+#: halvings of one shape step before the search gives the step up
+_MAX_HALVINGS = 60
 #: eigenvalues of the multiplier covariance below this times the largest are rank lost
 _RANK_TOL = 1e-10
 #: upper edge of the GPD MLE's shape box [-5, 5]
@@ -146,58 +151,81 @@ class FitReport:
         return out
 
 
-class _Criterion:
-    """theta -> (criterion, converged ``DualSolution`` | None); +inf outside the model domain.
+#: P at one shape, its slope and curvature, scale and multipliers, the full dual's rounding
+#: level and Newton decrement there; a skipped clipped solve leaves a lower bound of P alone
+_Point = namedtuple("_Point", "value slope curvature sigma xi level gap", defaults=(None,) * 6)
 
-    Each call runs ``solve_dual`` from the better of two starts: the
-    multipliers of the lowest converged solve (a rejected one's can be far
-    off) and, once ``hessians`` has given their slope at a point, their
-    first-order prediction at ``theta``.  A target outside the cone of the
-    rows (``infeasibleDirection``) and an uncertified failure both count
-    +inf, so that no lower bound becomes the criterion.  ``diagnostics``
-    counts the calls and the Newton solves.
+
+class _Profile:
+    """nu -> ``_Point`` of the profile P (module docstring), or None where a solve fails.
+
+    The clipped solve is skipped where the reduced value, its lower bound,
+    exceeds ``ceiling``; a singular ``-H`` fails the point.  Each solve starts
+    from the nearest converged point's multipliers and their prediction.
+    ``nu`` is None for a scale-only model, whose one point has no slope.
     """
 
     def __init__(self, skeleton: DualProblem, model: SplqModel):
         self.skeleton, self.model = skeleton, model
-        self.xi0, self.lowest, self.predict = None, np.inf, None
+        self.solved = []            # (nu, xi, dxi/dnu) of each converged point
         self.calls = self.iterations = self.evaluations = 0
         self.status = dict.fromkeys(SOLVE_STATUSES, 0)
 
-    def __call__(self, theta):
-        """The criterion at ``theta``, a point of the box, and its solve."""
-        self.calls += 1
-        try:
-            target = self.model.target_map(theta)
-        except (ValueError, FloatingPointError):
-            return np.inf, None
-        if not np.isfinite(target).all():
-            return np.inf, None
-        starts = self.xi0 if self.predict is None else [self.xi0, self.predict(theta)]
-        sol = solve_dual(self.skeleton.with_target(target), xi0=starts)
+    def _solve(self, problem: DualProblem, starts, t1=None):
+        """``solve_dual``, counted; a failed solve on the rows ``K N`` is labelled by t1."""
+        sol = solve_dual(problem, xi0=starts)
         self.iterations += sol.iterations
         self.evaluations += sol.evaluations
-        self.status[sol.status] += 1
+        # K N meets no condition of the cone test, and with t1 in the open cone of K
+        # no column of K N is negative at every node; the reduced dual is unbounded
+        # exactly when t1 lies outside that cone
+        inside = t1 is None or sol.converged or target_in_cone(self.skeleton.with_target(t1))
+        self.status[sol.status if inside else "infeasibleDirection"] += 1
+        return sol
+
+    def __call__(self, nu, ceiling=math.inf):
+        self.calls += 1
+        sk, unit = self.skeleton, np.array([1.0] if nu is None else [1.0, nu])
+        jac = model_jacobian(self.model, unit)
+        t1, eye = jac[:, 0], np.eye(jac.shape[0])
+        v = t1 + math.copysign(float(np.linalg.norm(t1)), t1[0]) * eye[0]
+        basis = eye[:, 1:] - np.outer(v, v[1:]) * (2.0 / float(v @ v))
+        reduced = replace(sk, kmat=sk.kmat @ basis, target=np.zeros(t1.size - 1),
+                          m_n=basis.T @ sk.m_n)
+        near = min(self.solved, key=lambda p: abs(p[0] - nu), default=None)
+        starts = None if near is None else np.array([near[1], near[1] + (nu - near[0]) * near[2]])
+        sol = self._solve(reduced, None if starts is None else starts @ basis, t1)
         if not sol.converged:
-            return np.inf, None
-        if sol.value <= self.lowest:
-            self.xi0, self.lowest = sol.xi, sol.value
-        return sol.value, sol
-
-    def hessians(self, theta, sol, jac) -> tuple[np.ndarray, np.ndarray]:
-        """(Gauss-Newton, exact) Hessians of the criterion at a converged solve ``sol``.
-
-        ``jac`` is ``model_jacobian(model, theta)``.  The multipliers move as
-        ``dxi/dtheta = (-H)^-1 J``, with ``-H`` the dual's negative Hessian
-        that the solve formed last, so the envelope gradient ``J^T xi`` has
-        the derivative ``J^T (-H)^-1 J + sum_k xi_k d2 t_k``, and the target
-        is ``t = -lambda``.  The slope is kept to predict the next start.
-        """
-        slope = np.linalg.solve(sol.neg_hessian, jac)
-        self.predict = lambda at: sol.xi + slope @ (at - theta)
-        gauss_newton = jac.T @ slope
-        second = sol.xi @ self.model.lmoment_hessian(theta).reshape(sol.xi.size, -1)
-        return gauss_newton, gauss_newton - second.reshape(gauss_newton.shape)
+            return None
+        value, xi, (_, w1, w2) = sol.value, basis @ sol.xi, reduced.evaluate(sol.xi)
+        sigma, (lo, hi) = float(sk.kmat.T @ w1 @ t1) / float(t1 @ t1), self.model.box[0]
+        free = lo <= sigma <= hi
+        if not free:
+            if value > ceiling:
+                return _Point(value)
+            sigma = min(max(sigma, lo), hi)
+            sol = self._solve(sk.with_target(sigma * t1), starts)
+            if not sol.converged:
+                return None
+            value, xi, (_, w1, w2) = sol.value, sol.xi, sk.evaluate(sol.xi)
+        grad = sigma * t1 - sk.kmat.T @ w1      # of the full dual at xi
+        try:
+            a_grad, *a_jac = np.linalg.solve(sk.curvature(w2), np.column_stack([grad, jac])).T
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.isfinite(a_grad).all() and np.isfinite(a_jac).all()):
+            return None
+        point = _Point(value, sigma=sigma, xi=xi, gap=float(grad @ a_grad),
+                       level=rounding_level(xi, sigma * t1, value, sk.delta.size))
+        if nu is None:
+            return point
+        (at1, adt1), dt1 = a_jac, jac[:, 1]
+        xi_dt1, d2t1 = float(xi @ dt1), -self.model.lmoment_hessian(unit)[:, 1, 1]
+        dsigma = -(xi_dt1 + sigma * float(t1 @ adt1)) / float(t1 @ at1) if free else 0.0
+        dxi = dsigma * at1 + sigma * adt1
+        self.solved.append((nu, xi, dxi))
+        return point._replace(slope=sigma * xi_dt1,
+                              curvature=dsigma * xi_dt1 + sigma * float(dxi @ dt1 + xi @ d2t1))
 
     @property
     def diagnostics(self) -> dict:
@@ -222,89 +250,50 @@ def lmoment_method_start(lm: LmomentVector, model: SplqModel) -> np.ndarray | No
         return None
 
 
-@dataclass(frozen=True)
-class _SearchResult:
-    theta: np.ndarray
-    value: float
-    xi: np.ndarray | None
-    iterations: int
-    converged: bool
-    gauss_newton_steps: int
-    rejected_failed: int
-    decrement: float | None     # g^T A^-1 g on the free block, last formed; None at a +inf start
+def _shape_search(profile: _Profile, nu: float, point):
+    """(nu, point, steps tried, last decrement) of the search for min P (module docstring).
 
-
-def _positive_definite(a: np.ndarray) -> bool:
-    # numpy's Cholesky of a matrix with a NaN returns NaNs instead of raising
-    try:
-        return bool(np.isfinite(np.linalg.cholesky(a)).all())
-    except np.linalg.LinAlgError:
-        return False
-
-
-def _outer_search(evaluate: _Criterion, start) -> _SearchResult:
-    """Projected Levenberg-Marquardt on the box, from ``start``.
-
-    Each iteration tries one step: the Newton system
-    ``(A + lam diag A) p = -g`` solved in the free coordinates and clipped
-    to the box.  ``A`` is the free block of the criterion's exact Hessian
-    where that block is positive definite (its Cholesky factorization
-    succeeds), and of the Gauss-Newton matrix otherwise; such steps are
-    counted in ``gauss_newton_steps``.  A step that lowers the criterion is
-    taken and ``lam`` shrinks threefold; any other step, one to a +inf point
-    included, is rejected and ``lam`` grows threefold, to at least 1, which
-    about halves the step; ``rejected_failed`` counts the +inf rejections.
-    Converged means a Newton decrement ``g^T A^-1 g`` on the free block at
-    most ``rounding_level``; the undamped step is then tried once and kept
-    unless the criterion rises.  A damped step that leaves theta unchanged,
-    ``MAX_OUTER_ITER`` steps and a +inf start end the search unconverged.
-    Each point is clipped to the box here, and only here.  The result holds
-    the value and ``xi`` where the search stops, and the decrement last
-    formed: at that point, or, after the final full step, at the point the
-    step started from.
+    Each step is halved at most ``_MAX_HALVINGS`` times; the search raises
+    after ``_MAX_SHAPE_STEPS`` steps.
     """
-    model = evaluate.model
-    lo, hi = model.box[:, 0], model.box[:, 1]
-    theta = model.clip_to_box(start)
-    value, sol = evaluate(theta)
-    if not np.isfinite(value):
-        return _SearchResult(theta, value, None, 0, False, 0, 0, None)
-    lam, moved, gauss_newton_steps, rejected_failed = 0.0, True, 0, 0
-    for it in range(MAX_OUTER_ITER):
-        if moved:
-            jac = model_jacobian(model, theta)
-            grad = envelope_gradient(model, theta, sol.xi, jac)
-            free = ~(((theta <= lo) & (grad > 0.0)) | ((theta >= hi) & (grad < 0.0)))
-            gauss_newton, exact = evaluate.hessians(theta, sol, jac)
-            a_free = exact[np.ix_(free, free)]
-            newton = _positive_definite(a_free)
-            if not newton:
-                a_free = gauss_newton[np.ix_(free, free)]
-            newton_step = np.linalg.solve(a_free, -grad[free])
-            decrement = float(-grad[free] @ newton_step)
-            final = decrement <= rounding_level(
-                sol.xi, model.target_map(theta), value, evaluate.skeleton.delta.size)
-        step = np.zeros_like(theta)
-        step[free] = newton_step if final else np.linalg.solve(
-            a_free + lam * np.diag(np.diag(a_free)), -grad[free])
-        cand = np.clip(theta + step, lo, hi)
-        if np.array_equal(cand, theta):
-            return _SearchResult(theta, value, sol.xi, it, final, gauss_newton_steps,
-                                 rejected_failed, decrement)
-        gauss_newton_steps += not newton
-        cand_value, cand_sol = evaluate(cand)
-        moved = cand_value <= value if final else cand_value < value
-        if moved:
-            theta, value, sol = cand, cand_value, cand_sol
-            lam /= 3.0
-        else:
-            lam = max(3.0 * lam, 1.0)
-            rejected_failed += cand_value == np.inf
-        if final:
-            return _SearchResult(theta, value, sol.xi, it + 1, True, gauss_newton_steps,
-                                 rejected_failed, decrement)
-    return _SearchResult(theta, value, sol.xi, MAX_OUTER_ITER, False, gauss_newton_steps,
-                         rejected_failed, decrement)
+    lo, hi = map(float, profile.model.box[1])
+    a, b, steps = lo, hi, 0
+    for it in range(_MAX_SHAPE_STEPS + 1):
+        slope, curvature = point.slope, point.curvature
+        decrement = slope * slope / curvature if curvature > 0.0 else None
+        a, b = (nu, b) if slope < 0.0 else (a, nu) if slope > 0.0 else (a, b)
+        if (slope == 0.0 or (nu == lo and slope > 0.0) or (nu == hi and slope < 0.0)
+                or (decrement is not None and decrement <= point.level)):
+            return nu, point, steps, decrement
+        if it == _MAX_SHAPE_STEPS:
+            break
+        step = -slope / abs(curvature) if curvature != 0.0 else math.copysign(math.inf, -slope)
+        cand, tried, failed, new = min(max(nu + step, a), b), 0, 0, None
+        if cand == nu != nu + step:
+            raise EstimationError(f"the profile search closed in on nu = {nu!r}, where the slope "
+                                  f"is {slope!r}: inner_status {profile.status}")
+        while tried < _MAX_HALVINGS and cand != nu:
+            tried += 1
+            new = profile(cand, point.value)
+            failed += new is None
+            if new is not None and new.value < point.value:
+                break
+            # the search does not pass a point that failed or did not lower P
+            a, b = (a, cand) if cand > nu else (cand, b)
+            cand, new = nu + 0.5 * (cand - nu), None
+        steps += tried
+        if new is None:
+            if failed and failed == tried:
+                raise EstimationError("the inner solve failed at every halving of the profile "
+                                      f"step from nu = {nu!r}: inner_status {profile.status}")
+            if curvature <= 0.0:
+                raise EstimationError(f"no halving of the profile step from nu = {nu!r} lowered "
+                                      "the criterion, whose curvature there is not positive: "
+                                      f"inner_status {profile.status}")
+            return nu, point, steps, decrement      # no lower P in floating point
+        nu, point = cand, new
+    raise EstimationError(f"the profile search did not converge in {_MAX_SHAPE_STEPS} steps: "
+                          f"inner_status {profile.status}")
 
 
 def _chi2_table(model: SplqModel) -> tuple[np.ndarray, np.ndarray]:
@@ -395,20 +384,18 @@ def fit_divergence(
     model: SplqModel,
     divergence: DivergenceSpec,
 ) -> FitReport:
-    """Minimum-divergence fit: variable projection for chi-square, a projected Newton search else.
+    """Minimum-divergence fit: a variable projection on the scale for every divergence.
 
     The fit runs in units of ``s = 2^e``, ``e`` the binary exponent of the
     plug-in lambda_2: the sample is divided by ``s``, which is exact, and
     the scale ``theta[0]`` (every model is linear in it), the criterion and
     ``outer_decrement`` are multiplied back.  The chi-square fit is
-    ``_chi2_fit``.  Any other divergence runs ``_outer_search``;
-    ``diagnostics["start"]`` names the start used, ``outer_iterations``
-    counts the steps tried, ``gauss_newton_steps`` those of them that fell
-    back to the Gauss-Newton curvature, ``outer_rejected_failed`` those
-    rejected because the candidate's inner solve failed,
-    ``criterion_evaluations`` the criterion calls and ``outer_decrement`` the
-    search's last Newton decrement.  The criterion and ``xi`` are the
-    search's own at the estimate.
+    ``_chi2_fit``; any other divergence runs ``_profile_fit``, and
+    ``diagnostics`` has ``start`` (the start's name), ``outer_iterations``
+    (the shape steps tried), ``criterion_evaluations`` (the profile points),
+    ``outer_decrement`` (the search's last decrement, None where ``P'' <= 0``)
+    and the inner solves' counts.  The criterion and ``xi`` are the profile's
+    own at the estimate.
     """
     lm = sample_lmoments_v(sample, 2 if divergence.family == "chi2" else 4)
     scale = math.ldexp(1.0, math.frexp(lm[2])[1])
@@ -422,8 +409,9 @@ def fit_divergence(
             theta, value, xi, diagnostics = _chi2_fit(skeleton, model)
         else:
             start = lmoment_method_start(LmomentVector(lm.values / scale, lm.kind), model)
-            theta, value, xi, diagnostics = _search_fit(skeleton, model, start)
-            diagnostics["outer_decrement"] *= scale
+            theta, value, xi, diagnostics = _profile_fit(skeleton, model, start)
+            if diagnostics["outer_decrement"] is not None:
+                diagnostics["outer_decrement"] *= scale
     except SingularConstraintError as exc:
         raise EstimationError(str(exc)) from exc
     at_boundary = bool((np.abs(theta[:, None] - model.box) <= 1e-6 * np.abs(model.box)).any())
@@ -437,40 +425,33 @@ def fit_divergence(
     )
 
 
-def _search_fit(skeleton: DualProblem, model: SplqModel, start):
-    """(theta, value, xi, diagnostics) of the outer search from ``start``.
+def _profile_fit(skeleton: DualProblem, model: SplqModel, start):
+    """(theta, value, xi, diagnostics) of the profile search from the shape of ``start``.
 
-    Where ``start`` is None or its criterion is +inf the search starts from
-    the chi-square estimate: the chi-square criterion is finite wherever the
-    target map is, and its estimate puts the target near m_n, inside the
-    cone of the rows, where the inner solve can start.
+    Where ``start`` is None or its solve fails, the search starts from the
+    chi-square shape, whose target lies near m_n, inside the cone of the rows.
     """
-    evaluate, start_name = _Criterion(skeleton, model), "lmoment"
-    res = None if start is None else _outer_search(evaluate, start)
-    if res is None or not np.isfinite(res.value):
-        res, start_name = _outer_search(evaluate, _chi2_fit(skeleton, model)[0]), "chi2"
-    if not np.isfinite(res.value):
-        raise EstimationError("the inner solve failed at every point of the outer search: "
-                              f"inner_status {evaluate.status}")
-    return res.theta, res.value, res.xi, {
-        "outer_iterations": res.iterations,
-        **evaluate.diagnostics,
-        "start": start_name,
-        "outer_converged": res.converged,
-        "outer_decrement": res.decrement,
-        "gauss_newton_steps": res.gauss_newton_steps,
-        "outer_rejected_failed": res.rejected_failed,
-    }
-
-
-def envelope_gradient(model: SplqModel, theta, xi, jac=None) -> np.ndarray:
-    """Gradient ``J(theta)^T xi`` of the outer criterion at a converged inner solve.
-
-    ``jac`` is ``model_jacobian(model, theta)`` when the caller has it already.
-    """
-    if jac is None:
-        jac = model_jacobian(model, theta)
-    return jac.T @ np.asarray(xi, dtype=float)
+    profile, nu, start_name = _Profile(skeleton, model), None, None
+    point = profile(None) if model.dim == 1 else None
+    if model.dim == 2 and start is not None:
+        nu, start_name = float(np.clip(start[1], *model.box[1])), "lmoment"
+        point = profile(nu)
+    if model.dim == 2 and point is None:
+        nu, start_name = float(_chi2_fit(skeleton, model)[0][1]), "chi2"
+        point = profile(nu)
+    if point is None:
+        raise EstimationError("the inner solve failed at the start of the profile search: "
+                              f"inner_status {profile.status}")
+    steps, decrement = 0, None
+    if nu is not None:
+        nu, point, steps, decrement = _shape_search(profile, nu, point)
+    if point.gap > point.level:
+        raise EstimationError("the inner solve at the estimate stopped short of the full dual's "
+                              f"optimum: Newton decrement {point.gap!r} above its rounding level "
+                              f"{point.level!r}; inner_status {profile.status}")
+    theta = np.array([point.sigma] if nu is None else [point.sigma, nu])
+    return theta, point.value, point.xi, {"outer_iterations": steps, **profile.diagnostics,
+                                          "start": start_name, "outer_decrement": decrement}
 
 
 # ---------------------------------------------------------------------------

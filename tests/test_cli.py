@@ -484,7 +484,7 @@ def test_benchmark_commands_load_no_scipy(tmp_path):
 
 def test_weibull_fit_loads_no_scipy(tmp_path):
     # the Weibull L-moment start and derivatives use no scipy.special; the
-    # JSON report counts the Gauss-Newton fallback steps
+    # JSON report counts the profile search's steps
     x = ParametricFamily("weibull", 3.0, 0.5).sample(1000, np.random.default_rng([0, 0]))
     path = tmp_path / "weibull.csv"
     path.write_text("x\n" + "\n".join(map(repr, x.tolist())) + "\n")
@@ -501,8 +501,8 @@ def test_weibull_fit_loads_no_scipy(tmp_path):
     code, loaded, report = json.loads(out)
     assert (code, loaded) == (0, [])
     diag = report["diagnostics"]
-    assert diag["start"] == "lmoment" and diag["outer_converged"] is True
-    assert 0 <= diag["gauss_newton_steps"] <= diag["outer_iterations"]
+    assert diag["start"] == "lmoment"
+    assert 0 < diag["outer_iterations"] < diag["criterion_evaluations"]
 
 
 def test_simulation_and_dist_load_no_scipy():
@@ -527,7 +527,10 @@ def test_simulation_and_dist_load_no_scipy():
 def test_failed_inner_solves_are_labelled_without_scipy(tmp_path):
     # with scipy blocked, a KLM fit whose inner solves fail ends as it does
     # with scipy: the many-zeros sample exits 3 with both solves outside the
-    # cone, the heavy-tailed Weibull sample exits 0 after one maxIter solve
+    # cone, the heavy-tailed Weibull sample exits 3 with both inside it.  The
+    # Weibull sample once exited 0 with the estimate of an unconverged outer
+    # search, at which a multiplier vector with xi.t1 = 0 has a higher dual
+    # objective (2.16e-4 in units of s) than the reported criterion (1.65e-4)
     files = {
         "zeros": np.concatenate([np.zeros(15), np.random.default_rng(0).exponential(1.0, 5)]),
         "weibull": 3.0 * np.random.default_rng(2).weibull(0.1, 1000),
@@ -544,13 +547,12 @@ def test_failed_inner_solves_are_labelled_without_scipy(tmp_path):
     zeros, weibull = runs["zeros"], runs["weibull"]
     assert (zeros.returncode, zeros.stdout) == (3, "")
     assert zeros.stderr == (
-        "error: the inner solve failed at every point of the outer search: inner_status "
+        "error: the inner solve failed at the start of the profile search: inner_status "
         "{'converged': 0, 'infeasibleDirection': 2, 'maxIter': 0, 'stalled': 0}\n")
-    assert (weibull.returncode, weibull.stderr) == (0, "")
-    report = json.loads(weibull.stdout)
-    assert report["diagnostics"]["inner_status"] == {
-        "converged": 27, "infeasibleDirection": 0, "maxIter": 1, "stalled": 0}
-    assert report["theta"] == {"sigma": 6.549508225057363, "nu": 0.11472480733871415}
+    assert (weibull.returncode, weibull.stdout) == (3, "")
+    assert weibull.stderr == (
+        "error: the inner solve failed at the start of the profile search: inner_status "
+        "{'converged': 0, 'infeasibleDirection': 0, 'maxIter': 2, 'stalled': 0}\n")
 
 
 @pytest.mark.parametrize("poison", ["omega", "jacobian"])
