@@ -116,7 +116,6 @@ class DualSolution:
     iterations: int            # Newton steps taken
     evaluations: int           # objective evaluations, the starts' included
     status: str                # one of SOLVE_STATUSES
-    neg_hessian: np.ndarray | None   # -H last formed: at xi, or one step before it
 
     @property
     def converged(self) -> bool:
@@ -200,7 +199,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
         *problem.evaluate(np.zeros(c)), np.zeros(c))
     evaluations = len(starts) + (not points)
     z = problem.kmat @ xi           # the nodes of xi: z + t dz drifts from them by rounding
-    failure, neg_h = "maxIter", None
+    failure = "maxIter"
     for it in range(_MAX_NEWTON_ITER + 1):
         grad = problem.target - problem.kmat.T @ w1
         if value > _UNBOUNDED_VALUE:
@@ -223,7 +222,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             nodes = problem.kmat @ (xi + step)
             if t == 1.0 and domain[0] < nodes.min() and nodes.max() < domain[1]:
                 xi = xi + step
-            return DualSolution(xi, value, it, evaluations, "converged", neg_h)
+            return DualSolution(xi, value, it, evaluations, "converged")
         if it == _MAX_NEWTON_ITER:
             break
         while t > 1e-16:
@@ -243,7 +242,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             break
         xi, value, z, w1, w2 = cand, cand_value, cand_z, cand_w1, cand_w2
     status = failure if target_in_cone(problem) else "infeasibleDirection"
-    return DualSolution(xi, value, it, evaluations, status, neg_h)
+    return DualSolution(xi, value, it, evaluations, status)
 
 
 def target_in_cone(problem: DualProblem) -> bool:

@@ -597,18 +597,14 @@ def _weibull_tau3(log_nu: float) -> float:
     return float(lam[1] / lam[0])
 
 
-def fit_lmoment_method_weibull(sample: SortedSample) -> tuple[float, float]:
-    """Invert the (lambda_2, tau_3) map of the Weibull law from plug-in L-moments.
+def _weibull_lmoment_inverse(lm: LmomentVector) -> tuple[float, float]:
+    """Invert the (lambda_2, tau_3) map of the Weibull law from the L-moments ``lm``.
 
     tau_3 decreases strictly in the shape over the model box [0.05, 20], from
     1.0 to -0.138; ``bracketed_root`` inverts it in log nu, and the scale
     follows from ``lambda_2 = sigma (1 - 2^(-1/nu)) Gamma(1 + 1/nu)``, which
     is linear in sigma.
     """
-    return _weibull_lmoment_inverse(sample_lmoments_v(sample, 3))
-
-
-def _weibull_lmoment_inverse(lm: LmomentVector) -> tuple[float, float]:
     lam2 = lm[2]
     if lam2 <= 0:
         raise EstimationError(f"nonpositive sample L-scale {lam2!r}")

@@ -252,9 +252,6 @@ class SplqModel:
     def target_map(self, theta) -> np.ndarray:
         return -np.asarray(self.lmoment_map(np.asarray(theta, dtype=float)))
 
-    def clip_to_box(self, theta) -> np.ndarray:
-        return np.clip(np.asarray(theta, dtype=float), self.box[:, 0], self.box[:, 1])
-
 
 def model_jacobian(model: SplqModel, theta) -> np.ndarray:
     """Jacobian of the target map -lambda(theta), shape (l-1, d)."""

@@ -28,7 +28,6 @@ from lmomdiv.estimator import (
     confidence_stat,
     fit_divergence,
     fit_lmoment_method_gpd,
-    fit_lmoment_method_weibull,
     fit_mle_gpd,
     fit_moment_method_gpd,
 )
@@ -158,7 +157,7 @@ def test_box_centre_start_does_not_beat_the_fit(scenario):
         report = fit_divergence(sample, model, CHI2)
         ref = scipy.optimize.minimize(
             lambda th: chi2_value_closed_form(
-                sample, model.constraint_values, model.target_map(model.clip_to_box(th)))[0],
+                sample, model.constraint_values, model.target_map(np.clip(th, *model.box.T)))[0],
             start,
             method="Nelder-Mead", options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 2000},
         )
@@ -889,7 +888,8 @@ def test_lmoment_method_roundtrip():
 def test_weibull_lmoment_method_roundtrip():
     for sigma, nu in ((3.0, 0.5), (1.0, 2.0), (0.2, 8.0)):
         s = grid_sample(ParametricFamily("weibull", sigma, nu), 4000)
-        assert np.allclose(fit_lmoment_method_weibull(s), (sigma, nu), rtol=0.02)
+        assert np.allclose(estimator._weibull_lmoment_inverse(sample_lmoments_v(s, 3)),
+                           (sigma, nu), rtol=0.02)
 
 
 def test_weibull_lmoment_start_outside_the_tau3_range():
@@ -899,7 +899,7 @@ def test_weibull_lmoment_start_outside_the_tau3_range():
     lm = sample_lmoments_v(s, 3)
     assert lm[3] / lm[2] < -0.138
     with pytest.raises(EstimationError, match="tau_3"):
-        fit_lmoment_method_weibull(s)
+        estimator._weibull_lmoment_inverse(lm)
     assert estimator.lmoment_method_start(sample_lmoments_v(s, 4), weibull_model()) is None
     for div, criterion in ((KL, 4.850847776861928), (KLM, 3.35494162145967)):
         # from the box centre (500, 10.025) the KL search ran to the sigma

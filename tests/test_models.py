@@ -253,13 +253,6 @@ def test_model_jacobian_analytic_vs_fd():
         assert np.allclose(J, fd, rtol=1e-5, atol=1e-6)
 
 
-def test_clip_to_box():
-    model = gpd_model()
-    clipped = model.clip_to_box(np.array([1e9, 7.0]))
-    assert np.all(clipped >= model.box[:, 0]) and np.all(clipped <= model.box[:, 1])
-    assert clipped[1] <= 0.99
-
-
 def test_model_by_name():
     assert model_by_name("gpd-l234").name == "gpd-l234"
     assert model_by_name("weibull-l234").name == "weibull-l234"
