@@ -45,7 +45,10 @@ lower P in floating point.  A failed inner solve is never the criterion: a
 search that fails at its start or at every halving of a step, whose bracket
 closes in on it, or that does not converge raises ``EstimationError``, and
 so does an estimate whose multipliers fail the full dual's own stopping test.
-The plug-in Omega and Sigma run in quantile space (``asymptotic_covariance``).
+So does, for every divergence, a scale estimate on the edge of its box row,
+which in units of s holds every law of the model; a shape edge is reported
+as ``boundary``.  The plug-in Omega and Sigma run in quantile space
+(``asymptotic_covariance``).
 
 The GPD maximum likelihood comparison estimator is a one-dimensional profile
 search (Grimshaw, Technometrics 35, 1993): for ``theta = nu / sigma`` the
@@ -395,7 +398,8 @@ def fit_divergence(
     (the shape steps tried), ``criterion_evaluations`` (the profile points),
     ``outer_decrement`` (the search's last decrement, None where ``P'' <= 0``)
     and the inner solves' counts.  The criterion and ``xi`` are the profile's
-    own at the estimate.
+    own at the estimate.  A scale on the edge of its box row raises
+    ``EstimationError``; ``boundary`` is then a shape edge.
     """
     lm = sample_lmoments_v(sample, 2 if divergence.family == "chi2" else 4)
     scale = math.ldexp(1.0, math.frexp(lm[2])[1])
@@ -414,14 +418,19 @@ def fit_divergence(
                 diagnostics["outer_decrement"] *= scale
     except SingularConstraintError as exc:
         raise EstimationError(str(exc)) from exc
-    at_boundary = bool((np.abs(theta[:, None] - model.box) <= 1e-6 * np.abs(model.box)).any())
+    on_edge = np.abs(theta[:, None] - model.box) <= 1e-6 * np.abs(model.box)
+    if on_edge[0].any():
+        # in units of s the scale's box holds every law of the model; its edge is none of them
+        raise EstimationError(
+            f"the fit has left the model: {model.param_names[0]} = {float(theta[0]) * scale!r} "
+            f"lies on the edge {float(model.box[0, on_edge[0]][0]) * scale!r} of its box")
     return FitReport(
         theta=np.concatenate([theta[:1] * scale, theta[1:]]),
         xi=xi,
         criterion=float(value) * scale,
         method=f"divergence:{divergence.family}",
         param_names=model.param_names,
-        diagnostics={**diagnostics, "boundary": at_boundary},
+        diagnostics={**diagnostics, "boundary": bool(on_edge.any())},
     )
 
 

@@ -153,6 +153,18 @@ def test_test_command(data_file, capsys):
     assert 0.0 <= out["p_value"] <= 1.0
 
 
+def test_sigma_edge_fit_exits_3(tmp_path, capsys):
+    # 15 zeros and 5 Exp(1) draws: the chi-square minimum lies on the scale
+    # edge 1e-3 s of the box, no law of the model; it once exited 0 there
+    x = np.concatenate([np.zeros(15), np.random.default_rng(0).exponential(size=5)])
+    p = tmp_path / "zeros.csv"
+    p.write_text("\n".join(map(repr, x.tolist())) + "\n")
+    assert main(["fit", str(p), "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "the fit has left the model: sigma = 0.000125 lies on the edge 0.000125" in err
+
+
 @pytest.fixture(scope="module")
 def weibull_file(tmp_path_factory):
     x = ParametricFamily("weibull", 3.0, 0.5).sample(500, np.random.default_rng(4))

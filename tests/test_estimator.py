@@ -154,6 +154,12 @@ def test_box_centre_start_does_not_beat_the_fit(scenario):
     # many-zeros sample, from the fit's own start
     model, samples, start = _nelder_mead_case(scenario)
     for sample in samples:
+        if scenario == "many-zeros":
+            # the chi-square minimum lies on the sigma edge 1e-3 s = 1.25e-4: no law of
+            # the model, so the fit raises instead of reporting a boundary estimate
+            with pytest.raises(EstimationError, match="sigma = 0.000125 lies on the edge"):
+                fit_divergence(sample, model, CHI2)
+            continue
         report = fit_divergence(sample, model, CHI2)
         ref = scipy.optimize.minimize(
             lambda th: chi2_value_closed_form(
