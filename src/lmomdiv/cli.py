@@ -160,7 +160,6 @@ def _fit(args) -> FitReport:
         report.diagnostics["confidence_error"] = str(exc)
         return report
     report.s_n, report.df, report.p_value = stat.s_n, stat.df, stat.p_value
-    report.diagnostics["rank_adjusted_df"] = stat.rank_adjusted
     return report
 
 
@@ -180,8 +179,7 @@ def cmd_test(args) -> int:
     report = _fit(args)
     if report.s_n is None:
         raise EstimationError(report.diagnostics["confidence_error"])
-    payload = {"s_n": report.s_n, "df": report.df, "p_value": report.p_value,
-               "rank_adjusted_df": report.diagnostics["rank_adjusted_df"]}
+    payload = {"s_n": report.s_n, "df": report.df, "p_value": report.p_value}
     return _emit(args, payload, [f"S_n = {_fmt(report.s_n)}  df = {report.df}  "
                                  f"p = {_fmt(report.p_value)}"])
 

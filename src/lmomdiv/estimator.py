@@ -47,8 +47,9 @@ closes in on it, or that does not converge raises ``EstimationError``, and
 so does an estimate whose multipliers fail the full dual's own stopping test.
 So does, for every divergence, a scale estimate on the edge of its box row,
 which in units of s holds every law of the model; a shape edge is reported
-as ``boundary``.  The plug-in Omega and Sigma run in quantile space
-(``asymptotic_covariance``).
+as ``boundary``.  The plug-in Omega and Sigma run in quantile space and are
+used on one Cholesky factor of Omega and one QR of the whitened Jacobian, so
+``confidence_stat`` has ``df = c - d`` by construction (``asymptotic_covariance``).
 
 The GPD maximum likelihood comparison estimator is a one-dimensional profile
 search (Grimshaw, Technometrics 35, 1993): for ``theta = nu / sigma`` the
@@ -99,8 +100,6 @@ from .roots import bracketed_root
 _MAX_SHAPE_STEPS = 100
 #: halvings of one shape step before the search gives the step up
 _MAX_HALVINGS = 60
-#: eigenvalues of the multiplier covariance below this times the largest are rank lost
-_RANK_TOL = 1e-10
 #: upper edge of the GPD MLE's shape box [-5, 5]
 _MLE_NU_MAX = 5.0
 #: grid of log1p(theta * x_max) scanned by the GPD MLE, geometric on both sides of 0
@@ -472,9 +471,8 @@ class CovarianceReport:
     sigma: np.ndarray       # long-run covariance of the constraint moments
     omega: np.ndarray       # second-moment matrix of the constraint rows
     j0: np.ndarray          # Jacobian of the target map at theta_hat
-    m: np.ndarray
-    h: np.ndarray
-    p: np.ndarray
+    h: np.ndarray           # R^-1 Q1^T L^-1: the influence of the moments on theta
+    p: np.ndarray           # L^-T Q2, (c, c - d): the multipliers' projection is p p^T
 
     @property
     def cov_theta(self) -> np.ndarray:
@@ -483,7 +481,7 @@ class CovarianceReport:
 
     @property
     def cov_xi(self) -> np.ndarray:
-        c = self.p @ self.sigma @ self.p.T
+        c = self.p @ (self.p.T @ (self.sigma @ self.p)) @ self.p.T
         return 0.5 * (c + c.T)
 
 
@@ -500,13 +498,17 @@ def asymptotic_covariance(
     model: SplqModel,
     plugin: ParametricFamily,
 ) -> CovarianceReport:
-    """Plug-in asymptotic covariance blocks at ``theta_hat``.
+    """Plug-in asymptotic covariance blocks at ``theta_hat``, on one factor of Omega.
 
     Omega (second moments of the constraint rows) and Sigma (long-run
     covariance of the constraint moments; Hosking, JRSS-B 52, 1990) are
     integrals under the plug-in law over ``F(x) <= 1 - 1e-10``, on one Gauss
     rule in ``s = -log(1 - F)`` with ``dx = plugin.quantile_slope(s) ds``.
     The cut keeps both finite where Sigma does not exist (GPD ``nu >= 1/2``).
+    With ``Omega = L L^T`` and the complete QR ``L^-1 J0 = [Q1 Q2] R``,
+    ``h = (J0^T Omega^-1 J0)^-1 J0^T Omega^-1`` is ``R^-1 Q1^T L^-1`` and the
+    projection ``Omega^-1 - Omega^-1 J0 h`` is ``p p^T`` with ``p = L^-T Q2``,
+    whose c - d columns are the degrees of freedom of ``confidence_stat``.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     omega = plugin_second_moments(plugin, model.constraint_values)
@@ -515,23 +517,18 @@ def asymptotic_covariance(
     j0 = model_jacobian(model, theta_hat)
     require_finite(omega, j0)
     try:
-        omega_inv = np.linalg.inv(omega)
+        low = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
-        raise EstimationError(
-            f"singular second-moment matrix (cond={np.linalg.cond(omega):.3e})"
-        )
-    m_inner = j0.T @ omega_inv @ j0
-    if np.linalg.matrix_rank(j0) < j0.shape[1]:
-        raise EstimationError(
-            f"rank-deficient Jacobian (cond={np.linalg.cond(j0):.3e})"
-        )
-    require_finite(m_inner)
-    m = np.linalg.inv(m_inner)
-    m = 0.5 * (m + m.T)
-    h = m @ j0.T @ omega_inv
-    p = omega_inv - omega_inv @ j0 @ m @ j0.T @ omega_inv
-    return CovarianceReport(sigma=sigma, omega=omega, j0=j0, m=m, h=h,
-                            p=0.5 * (p + p.T))
+        raise EstimationError("plug-in second-moment matrix is not positive definite")
+    d, rank = j0.shape[1], np.linalg.matrix_rank(j0)
+    if rank < d:
+        raise EstimationError(f"rank-deficient Jacobian: rank {rank} < {d} parameters")
+    white = np.linalg.solve(low, j0)
+    require_finite(white)
+    q, r = np.linalg.qr(white, mode="complete")
+    basis = np.linalg.solve(low.T, np.column_stack([np.linalg.solve(r[:d], q[:, :d].T).T,
+                                                    q[:, d:]]))
+    return CovarianceReport(sigma=sigma, omega=omega, j0=j0, h=basis[:, :d].T, p=basis[:, d:])
 
 
 def _chi2_sf(df: int, x: float) -> float:
@@ -565,36 +562,28 @@ class ConfidenceStat:
     s_n: float
     df: int
     p_value: float
-    rank: int
-    rank_adjusted: bool
 
 
 def confidence_stat(xi_hat, p_mat, sigma_mat, n: int) -> ConfidenceStat:
-    """Model-membership statistic from the scaled multiplier estimate.
+    """Model-membership statistic ``n xi^T (P Sigma P)^+ xi`` on the factor ``P = p p^T``.
 
-    The middle matrix is inverted on the span of its eigenvalues above
-    ``_RANK_TOL`` times the largest, and ``df`` is that rank.  It is
-    generically singular, its rank limited by the parameter count; a rank
-    below full is flagged as ``rank_adjusted``.
+    ``p_mat`` is ``CovarianceReport.p`` (c x (c - d), full column rank).  With
+    ``y`` the least-squares coordinates of ``xi_hat`` in its columns and
+    ``C = p^T Sigma p``, the statistic is ``n y^T C^-1 y`` on ``df = c - d``
+    degrees of freedom (Hansen, Econometrica 50, 1982).  A ``C`` that is not
+    positive definite has no such statistic, and the call raises.
     """
     xi_hat = np.asarray(xi_hat, dtype=float)
-    middle = p_mat @ sigma_mat @ p_mat.T
-    middle = 0.5 * (middle + middle.T)
-    evals, evecs = np.linalg.eigh(middle)
-    top = float(np.max(np.abs(evals)))
-    keep = evals > _RANK_TOL * top
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        extreme = float(evals[np.argmax(np.abs(evals))])
-        raise EstimationError(
-            "multiplier covariance has no positive eigenvalue "
-            f"(largest in magnitude: {extreme!r})")
-    inv = (evecs[:, keep] / evals[keep]) @ evecs[:, keep].T
-    s_n = float(n * xi_hat @ inv @ xi_hat)
-    return ConfidenceStat(
-        s_n=s_n, df=rank, p_value=_chi2_sf(rank, s_n),
-        rank=rank, rank_adjusted=rank < middle.shape[0],
-    )
+    y = np.linalg.solve(p_mat.T @ p_mat, p_mat.T @ xi_hat)
+    middle = p_mat.T @ (sigma_mat @ p_mat)
+    try:
+        low = np.linalg.cholesky(middle)
+    except np.linalg.LinAlgError:
+        raise EstimationError("multiplier covariance p^T Sigma p is not positive definite "
+                              f"(diagonal {np.diag(middle).tolist()!r})")
+    a = np.linalg.solve(low, y)
+    s_n, df = float(n * (a @ a)), p_mat.shape[1]
+    return ConfidenceStat(s_n=s_n, df=df, p_value=_chi2_sf(df, s_n))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import Legendre, Polynomial
@@ -289,6 +290,60 @@ def weibull_plugin_sigma(sigma: float, nu: float, orders, eps: float = 1e-10) ->
                           epsabs=1e-14 * sigma * sigma, epsrel=1e-12, limit=200)
             a_mat[a, b] = sigma / nu * val
     return a_mat + a_mat.T
+
+
+# ---------------------------------------------------------------------------
+# the membership statistic in rational arithmetic
+
+
+def _fractions(a) -> list:
+    """The float matrix (or vector, as one column) ``a`` as lists of exact Fractions."""
+    a = np.asarray(a, dtype=float)
+    return [[Fraction(float(v)) for v in np.atleast_1d(row)] for row in a]
+
+
+def _mul(a, b) -> list:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _t(a) -> list:
+    return [list(col) for col in zip(*a)]
+
+
+def _solve(a, b) -> list:
+    """a^-1 b, both lists of Fraction rows, by Gauss-Jordan elimination."""
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    n = len(a)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def s_n_rational(omega, sigma, j0, xi, n: int) -> float:
+    """``n xi^T (P Sigma P)^+ xi`` of the float inputs, exactly, for c - d = 1 conditions.
+
+    With A = Omega^-1, ``P = A - A J (J^T A J)^-1 J^T A`` is formed in
+    Fractions; J^T P = P J = 0 leaves it rank one, so ``G = P Sigma P`` is
+    ``g v v^T`` and its pseudo-inverse ``G / tr(G)^2``.  Only the result is
+    rounded.
+    """
+    omega, sigma, j0, xi = map(_fractions, (omega, sigma, j0, xi))
+    c = len(omega)
+    if c - len(j0[0]) != 1:
+        raise ValueError("the rank-one form needs c - d = 1")
+    a = _solve(omega, [[Fraction(int(i == k)) for k in range(c)] for i in range(c)])
+    aj = _mul(a, j0)
+    p = [[x - y for x, y in zip(ra, rb)]
+         for ra, rb in zip(a, _mul(aj, _solve(_mul(_t(j0), aj), _t(aj))))]
+    g = _mul(_mul(p, sigma), p)
+    trace = sum(g[i][i] for i in range(c))
+    return float(n * _mul(_mul(_t(xi), g), xi)[0][0] / (trace * trace))
 
 
 def pwm_unbiased_comb(values, max_k: int) -> np.ndarray:

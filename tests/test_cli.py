@@ -142,13 +142,15 @@ def test_fit_asymptotics(data_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert "cov_theta" in out
     assert "confidence" in out
-    assert out["confidence"]["df"] >= 1
+    # three constraints, two parameters: df = c - d by construction
+    assert out["confidence"]["df"] == 1
 
 
 def test_test_command(data_file, capsys):
     path, _ = data_file
     assert main(["test", path, "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"s_n", "df", "p_value"}
     assert out["s_n"] >= 0.0
     assert 0.0 <= out["p_value"] <= 1.0
 
@@ -253,21 +255,21 @@ def test_cli_fit_law_sample_has_a_statistic(tmp_path, capsys):
 
 
 def test_multiplier_covariance_without_rank(data_file, capsys, monkeypatch):
-    # when the plug-in multiplier covariance has no positive eigenvalue, S_n
-    # and its p-value do not exist: `test` fails, while `fit --asymptotics`
-    # still reports theta's covariance and says why the statistic is missing
+    # when the plug-in multiplier covariance p^T Sigma p is not positive
+    # definite, S_n and its p-value do not exist: `test` fails, while `fit
+    # --asymptotics` still reports theta's covariance and says why the statistic is missing
     def no_rank(*args):
-        raise EstimationError("multiplier covariance has no positive eigenvalue "
-                              "(largest in magnitude: -1.0)")
+        raise EstimationError("multiplier covariance p^T Sigma p is not positive definite "
+                              "(diagonal [-1.0])")
 
     monkeypatch.setattr("lmomdiv.cli.confidence_stat", no_rank)
     path, _ = data_file
     assert main(["test", path, "--json"]) == 3
-    assert "no positive eigenvalue" in capsys.readouterr().err
+    assert "not positive definite" in capsys.readouterr().err
     assert main(["fit", path, "--asymptotics", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert "confidence" not in out
-    assert "no positive eigenvalue" in out["diagnostics"]["confidence_error"]
+    assert "not positive definite" in out["diagnostics"]["confidence_error"]
     assert np.all(np.diag(out["cov_theta"]) > 0)
 
 

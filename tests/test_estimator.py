@@ -41,7 +41,7 @@ from lmomdiv.models import (
     weibull_model,
 )
 from lmomdiv.sim import ScenarioConfig, draw_sample, run_scenario
-from oracles import gpd_plugin_omega, gpd_plugin_sigma, primal_bruteforce
+from oracles import gpd_plugin_omega, gpd_plugin_sigma, primal_bruteforce, s_n_rational
 
 
 def grid_sample(fam, n):
@@ -774,10 +774,10 @@ def _poisoned_jacobian(model, scale):
         model, lmoment_jacobian=lambda th: scale * model.lmoment_jacobian(th))
 
 
-@pytest.mark.parametrize("poison", ["omega", "jacobian", "m"])
+@pytest.mark.parametrize("poison", ["omega", "jacobian", "whitened"])
 def test_non_finite_covariance_blocks_raise(monkeypatch, poison):
-    # np.linalg.inv returns NaNs here without raising; a non-finite Omega,
-    # Jacobian or M must end the covariance, never give a NaN one
+    # np.linalg returns NaN factors and solutions here without raising; a
+    # non-finite Omega, Jacobian or L^-1 J0 must end the covariance, never give a NaN one
     model, plugin = gpd_model(), ParametricFamily("gpd", 3.0, 0.1)
     if poison == "omega":
         monkeypatch.setattr(estimator, "plugin_second_moments",
@@ -785,8 +785,10 @@ def test_non_finite_covariance_blocks_raise(monkeypatch, poison):
     elif poison == "jacobian":
         model = _poisoned_jacobian(model, np.nan)
     else:
-        # finite entries whose M = J^T Omega^-1 J overflows
-        model = _poisoned_jacobian(model, 1e300)
+        # finite Omega (entries near 1e-301) and J0 (near 1e200) whose L^-1 J0 overflows
+        real = estimator.plugin_second_moments
+        monkeypatch.setattr(estimator, "plugin_second_moments", lambda *a: 1e-300 * real(*a))
+        model = _poisoned_jacobian(model, 1e200)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
         asymptotic_covariance([3.0, 0.1], model, plugin)
 
@@ -811,9 +813,18 @@ def test_plugin_blocks_at_the_cli_fit_law():
 
 
 def test_projection_identities(gpd_cov):
-    # [DERIVED] H J0 = I and P J0 = 0 characterize the two blocks
+    # [DERIVED] H J0 = I, p^T J0 = 0 and p^T Omega p = I characterize the two blocks
     assert np.allclose(gpd_cov.h @ gpd_cov.j0, np.eye(2), atol=1e-10)
-    assert np.allclose(gpd_cov.p @ gpd_cov.j0, 0.0, atol=1e-10)
+    assert gpd_cov.p.shape == (3, 1)
+    assert np.allclose(gpd_cov.p.T @ gpd_cov.j0, 0.0, atol=1e-10)
+    # a heavy-tailed Weibull plug-in: p = L^-T Q2 is orthogonal to J0 to rounding
+    # (the explicit inverses of Omega and J0^T Omega^-1 J0 left 4e-13 here), and
+    # Omega-orthonormal to the conditioning of L
+    cov = asymptotic_covariance(np.array([3.0, 0.1]), weibull_model(),
+                                ParametricFamily("weibull", 3.0, 0.1))
+    p, j0 = cov.p, cov.j0
+    assert np.linalg.norm(p.T @ j0) <= 1e-14 * np.linalg.norm(p) * np.linalg.norm(j0)
+    assert np.allclose(p.T @ cov.omega @ p, np.eye(1), rtol=0.0, atol=1e-10)
 
 
 def test_covariance_matrices_psd(gpd_cov):
@@ -840,28 +851,46 @@ def test_confidence_stat_zero_multiplier(gpd_cov):
 
 
 def test_confidence_stat_rank_adjustment(gpd_cov):
-    # three constraints, two parameters: the multiplier covariance has
-    # rank one and the reduced degrees of freedom are flagged
+    # three constraints, two parameters: p has c - d = 1 column, the multiplier
+    # covariance rank one, and df is that by construction
     stat = confidence_stat(np.array([0.01, -0.02, 0.005]), gpd_cov.p,
                            gpd_cov.sigma, 100)
-    assert stat.rank == 1
     assert stat.df == 1
-    assert stat.rank_adjusted
 
 
 def test_confidence_stat_no_positive_eigenvalue_raises():
-    # P Sigma P^T = diag(-1, 1e-12): nothing survives the rank cut, so no
-    # statistic exists; the error names the offending eigenvalue
-    with pytest.raises(EstimationError, match="-1.0"):
+    # p^T Sigma p = diag(-1, -1e-12) has no Cholesky factor, so no statistic
+    # exists; the error names the offending diagonal
+    with pytest.raises(EstimationError, match=r"not positive definite \(diagonal \[-1.0"):
         confidence_stat(np.array([0.3, -0.1]), np.eye(2),
-                        np.diag([-1.0, 1e-12]), 50)
+                        np.diag([-1.0, -1e-12]), 50)
 
 
 def test_confidence_stat_full_rank_path():
     stat = confidence_stat(np.array([0.3, -0.1]), np.eye(2), np.eye(2), 50)
-    assert not stat.rank_adjusted
     assert stat.df == 2
     assert stat.s_n == pytest.approx(50 * 0.1)
+
+
+@pytest.mark.parametrize("family, nu, rtol", [("gpd", 0.4, 1e-12),
+                                              ("weibull", 0.06, 1e-6),
+                                              ("weibull", 0.08, 1e-6)])
+def test_confidence_stat_matches_the_rational_oracle(family, nu, rtol):
+    # [DERIVED] S_n of the chi-square fit of 10 samples (n = 1000) against
+    # s_n_rational on the same float Omega, Sigma, J0 and xi.  The GPD is the
+    # cli-fit law; for the Weibull laws |p|^T |Sigma| |p| reaches 5e10 times
+    # p^T Sigma p, so the float quadratic form keeps about 6 digits
+    model = model_by_name(f"{family}-l234")
+    for seed in range(10):
+        sample = SortedSample(
+            ParametricFamily(family, 3.0, nu).sample(1000, np.random.default_rng([seed, 3])))
+        report = fit_divergence(sample, model, CHI2)
+        cov = asymptotic_covariance(report.theta, model,
+                                    ParametricFamily(family, *map(float, report.theta)))
+        stat = confidence_stat(report.xi, cov.p, cov.sigma, sample.n)
+        ref = s_n_rational(cov.omega, cov.sigma, cov.j0, report.xi, sample.n)
+        assert stat.df == 1
+        assert stat.s_n == pytest.approx(ref, rel=rtol, abs=0.0), seed
 
 
 @pytest.mark.parametrize("df", range(1, 11))
