@@ -2,7 +2,9 @@
 
 ``make_dual_problem`` is the one builder of the constraint rows at the nodes
 i/n and of m_n; the Newton solve and the chi-square dual (closed form in
-Omega) both read its ``DualProblem``.  Zero spacings carry no mass, so they
+Omega) both read its ``DualProblem``.  A ``PolyBasis`` takes its rows and
+their rank from the cached node table of the sample size, which the sample
+L-moments read too; any other row map is evaluated.  Zero spacings carry no mass, so they
 are excluded from all sums and impose no domain constraint at their nodes.
 
 ``solve_dual`` is damped Newton ascent.  Its line search starts at the
@@ -35,6 +37,7 @@ import numpy as np
 
 from .divergence import CHI2, DivergenceSpec, ConjugateDomainError
 from .lmoments import SortedSample
+from .poly import PolyBasis
 
 _UNBOUNDED_VALUE = 1e12
 #: Newton steps a solve may take
@@ -130,14 +133,21 @@ def make_dual_problem(
 ) -> DualProblem:
     """The rows ``constraint_values(t)`` at the positive-spacing nodes i/n, and m_n.
 
-    Raises ``SingularConstraintError`` when those rows are rank deficient.
+    A ``PolyBasis`` reads its rows and their rank from the cached node table
+    (``PolyBasis.at_nodes``); the rank is recomputed only where a zero spacing
+    masks rows.  Raises ``SingularConstraintError`` when those rows are rank
+    deficient.
     """
-    n = sample.n
-    kmat = np.atleast_2d(constraint_values(np.arange(1, n) / n))
-    delta = sample.spacings
+    n, delta = sample.n, sample.spacings
+    if isinstance(constraint_values, PolyBasis):
+        kmat, rank = constraint_values.at_nodes(n)
+    else:
+        kmat, rank = np.atleast_2d(constraint_values(np.arange(1, n) / n)), None
     mask = delta > 0.0
-    kmat, delta = kmat[mask], delta[mask]
-    rank = np.linalg.matrix_rank(kmat)
+    if not mask.all():
+        kmat, delta, rank = kmat[mask], delta[mask], None
+    if rank is None:
+        rank = np.linalg.matrix_rank(kmat)
     if rank < kmat.shape[1]:
         raise SingularConstraintError(
             f"constraint rows are rank deficient: rank {rank} < {kmat.shape[1]} "

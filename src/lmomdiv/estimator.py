@@ -15,7 +15,9 @@ convex quadratic in one variable.  A scale-only model (``orderstat3``) is
 then fitted.  Otherwise the slope of P is scanned on a fixed grid per law
 (``_CHI2_NU``; f and f' are tabulated at the law's first fit), and each sign
 change from - to + is refined on it by ``bracketed_root``
-(``_profile_minimum``, shared with the MLE).  The lowest of P at those roots
+(``_profile_minimum``, shared with the MLE); a refine point (``_chi2_point``)
+is the scan's one ``np.linalg.solve(L, J(nu))`` and float arithmetic on the
+whitened columns.  The lowest of P at those roots
 and at the two shape edges is the estimate; at its target t, the value
 ``|r|^2 / 2`` and ``xi = L^-T r``, with ``r = L^-1 (t - m_n)``, come from
 the same factor.  ``diagnostics`` has ``scan_minima``, the sign changes the
@@ -55,7 +57,8 @@ The GPD maximum likelihood comparison estimator is a one-dimensional profile
 search (Grimshaw, Technometrics 35, 1993): for ``theta = nu / sigma`` the
 best shape is ``mean(log1p(theta * x))``, so ``-log L`` is a function of
 ``theta`` alone, scanned and refined by the same ``_profile_minimum``; the
-box edge ``nu = 5`` is part of the profile.
+box edge ``nu = 5`` is part of the profile.  A refine point (``_gpd_point``)
+runs the two sums over the data in numpy and the rest in ``math``.
 """
 
 from __future__ import annotations
@@ -330,11 +333,32 @@ def _chi2_profile(low, lam_w, sigma_box, jac):
             sigma * np.einsum("idk,ik->k", white[:, 1:], resid), sigma)
 
 
+def _chi2_point(low, lam_w, sigma_box, jac):
+    """``_chi2_profile`` at the one shape of ``jac`` (c, 2), as floats.
+
+    The whitening ``L^-1 jac`` is the scan's ``np.linalg.solve``; the rest is
+    float arithmetic on its columns, with ``lam_w`` and ``sigma_box`` given as
+    lists of floats.
+    """
+    white = np.linalg.solve(low, jac).tolist()
+    gl = gg = 0.0
+    for (g, _), lam in zip(white, lam_w):
+        gl += lam * g
+        gg += g * g
+    sigma = min(max(gl / gg, sigma_box[0]), sigma_box[1])
+    value = slope = 0.0
+    for (g, dg), lam in zip(white, lam_w):
+        r = sigma * g - lam
+        value += r * r
+        slope += dg * r
+    return 0.5 * value, sigma * slope, sigma
+
+
 def _profile_minimum(point, grid, scan, edges=()):
     """(best, sign changes, refine evaluations) of a one-dimensional profile.
 
     ``scan`` is (value, slope, ...) of the profile on the ascending ``grid``
-    and ``point(x)`` the same arrays at the one point ``x``.  A local
+    and ``point(x)`` the same numbers, as floats, at the one point ``x``.  A local
     minimum lies where the slope turns from negative to nonnegative; each
     such sign change of the scan is refined by ``bracketed_root`` on the
     slope, with every point evaluated once.  ``best`` is ``x`` and its
@@ -345,7 +369,7 @@ def _profile_minimum(point, grid, scan, edges=()):
 
     def at(x):
         if x not in evaluated:
-            evaluated[x] = [float(v[0]) for v in point(x)]
+            evaluated[x] = point(x)
         return evaluated[x]
 
     candidates = [(float(grid[j]), [float(v[j]) for v in scan]) for j in edges]
@@ -366,14 +390,16 @@ def _chi2_fit(skeleton: DualProblem, model: SplqModel):
         low = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
         raise SingularConstraintError("empirical second-moment matrix is singular")
-    profile = partial(_chi2_profile, low, np.linalg.solve(low, -skeleton.m_n), model.box[0])
+    lam_w = np.linalg.solve(low, -skeleton.m_n)
+    profile = partial(_chi2_profile, low, lam_w, model.box[0])
     minima = evaluations = 0
     if model.dim == 1:
         theta = profile(model.lmoment_jacobian(np.ones(1))[..., None])[2]
     else:
         grid, table = _chi2_table(model)
+        point = partial(_chi2_point, low, lam_w.tolist(), model.box[0].tolist())
         (nu, (_, _, sigma)), minima, evaluations = _profile_minimum(
-            lambda nu: profile(model.lmoment_jacobian(np.array([1.0, nu]))[..., None]),
+            lambda nu: point(model.lmoment_jacobian(np.array([1.0, nu]))),
             grid, profile(table), edges=(0, -1))
         theta = np.array([sigma, nu])
     r = np.linalg.solve(low, model.target_map(theta) - skeleton.m_n)
@@ -404,10 +430,7 @@ def fit_divergence(
     scale = math.ldexp(1.0, math.frexp(lm[2])[1])
     sample = SortedSample(sample.values / scale)
     try:
-        skeleton = make_dual_problem(
-            sample, model.constraint_values, divergence,
-            np.zeros(model.n_constraints),
-        )
+        skeleton = make_dual_problem(sample, model.rows, divergence, np.zeros(model.n_constraints))
         if divergence.family == "chi2":
             theta, value, xi, diagnostics = _chi2_fit(skeleton, model)
         else:
@@ -702,6 +725,29 @@ def _gpd_profile(w: np.ndarray, y: np.ndarray):
     return value, slope, sigma, nu
 
 
+def _recip(x: float) -> float:
+    """``1 / x`` as numpy gives it: a signed inf at a signed zero."""
+    return 1.0 / x if x else math.copysign(math.inf, x)
+
+
+def _gpd_point(w: float, y: np.ndarray):
+    """``_gpd_profile`` at the one point ``w``, as floats.
+
+    The two sums over ``y`` run in numpy; the rest is ``math``, guarded to
+    give numpy's infs and NaNs where Python would raise.
+    """
+    t = math.expm1(w)
+    logs = np.log(math.exp(w) * y + (1.0 - y)) if w < -1.0 else np.log1p(t * y)
+    k = float(logs.sum()) / y.size
+    dk = float((y * np.exp(-logs)).sum()) / y.size
+    nu = min(k, _MLE_NU_MAX)
+    sigma = dk if t == 0.0 else nu / t
+    # numpy's log: -inf at 0, NaN below it
+    log_sigma = math.log(sigma) if sigma > 0.0 else -math.inf if sigma == 0.0 else math.nan
+    return (log_sigma + k + max(k / _MLE_NU_MAX, 1.0),
+            dk * (1.0 + _recip(nu)) - _recip(t), sigma, nu)
+
+
 def fit_mle_gpd(sample: SortedSample) -> tuple[float, float]:
     """Maximum likelihood in the GPD family (location 0, sigma > 0, nu in [-5, 5]).
 
@@ -724,8 +770,7 @@ def fit_mle_gpd(sample: SortedSample) -> tuple[float, float]:
     xmax = float(x[-1])
     y = x / xmax
 
-    best = _profile_minimum(lambda w: _gpd_profile(np.array([w]), y), _MLE_W,
-                            _gpd_profile(_MLE_W, y))[0]
+    best = _profile_minimum(partial(_gpd_point, y=y), _MLE_W, _gpd_profile(_MLE_W, y))[0]
     if best is None:
         raise EstimationError("MLE degenerated to the support boundary")
     sigma, nu = best[1][2] * xmax, best[1][3]

@@ -1,8 +1,9 @@
 """Sample and discrete L-moments, plus their asymptotic covariance.
 
 Sample statistics integrate the piecewise-constant empirical quantile
-function exactly against the polynomial basis; no quadrature ever touches
-observed data.  Quadrature appears only in the plug-in blocks of the
+function exactly against the polynomial basis, read at the nodes i/n from
+one cached table per sample size (``poly.node_table``); no quadrature ever
+touches observed data.  Quadrature appears only in the plug-in blocks of the
 asymptotics, which share one Gauss rule in ``-log(1 - u)``.  The closed-form
 L-moment maps of the parametric laws live in ``models``.
 """
@@ -19,6 +20,7 @@ from .poly import (
     MAX_ORDER,
     integrated_legendre_eval,
     legendre_coefficients,
+    node_table,
     shifted_legendre_eval,
     _check_order,
 )
@@ -81,16 +83,18 @@ def _check_max_order(max_order: int) -> None:
 def sample_lmoments_v(sample: SortedSample, max_order: int) -> LmomentVector:
     """Plug-in (V-statistic) sample L-moments up to ``max_order``.
 
-    Orders two and up are accumulated from the spacings, so they are exactly
-    invariant under any translation that leaves the spacings unchanged.
+    Orders two and up are accumulated from the spacings against the rows of
+    ``node_table``, so they are exactly invariant under any translation that
+    leaves the spacings unchanged.
     """
     _check_max_order(max_order)
     vals = np.empty(max_order)
     vals[0] = float(np.mean(sample.values))
     if max_order >= 2:
-        interior, spacings = np.arange(1, sample.n) / sample.n, sample.spacings
+        rows, spacings = node_table(sample.n, max_order)[0], sample.spacings
         for r in range(2, max_order + 1):
-            vals[r - 1] = -(integrated_legendre_eval(r, interior) @ spacings)
+            # a contiguous copy of the column sums in the order of a freshly evaluated row
+            vals[r - 1] = -(np.ascontiguousarray(rows[:, r - 2]) @ spacings)
     return LmomentVector(vals, "v-statistic")
 
 

@@ -7,6 +7,7 @@ are computed exactly in integer arithmetic; evaluation uses Horner's rule.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -15,6 +16,8 @@ import numpy as np
 #: Largest supported polynomial order.  Coefficients grow combinatorially
 #: and double precision degrades past this point.
 MAX_ORDER = 20
+#: a node table holds at least the orders 2-4, which every L-moment fit reads
+_NODE_MIN_ORDER = 4
 
 
 class OrderLimitError(ValueError):
@@ -95,6 +98,26 @@ def integrated_legendre_eval(r: int, t):
     return _eval(integrated_coefficients(r), t)
 
 
+@functools.lru_cache(maxsize=8)
+def _node_table(n: int, top: int) -> tuple[np.ndarray, int]:
+    rows = np.stack([_horner(integrated_coefficients(r), np.arange(1, n) / n)
+                     for r in range(2, top + 1)], axis=-1)
+    rows.setflags(write=False)      # cached: every caller shares it
+    return rows, int(np.linalg.matrix_rank(rows))
+
+
+def node_table(n: int, max_order: int) -> tuple[np.ndarray, int]:
+    """(rows, rank) of the integrated polynomials at the sample nodes i/n, i = 1..n-1.
+
+    ``rows[i - 1, r - 2]`` is ``integrated_legendre_eval(r, i / n)`` for the
+    orders ``r = 2 .. max(max_order, 4)``, bit for bit, and ``rank`` is the
+    numerical rank of ``rows``.  One read-only table per sample size (the
+    last eight are kept) serves the sample L-moments and the dual's rows.
+    """
+    _check_order(max_order)
+    return _node_table(n, max(max_order, _NODE_MIN_ORDER))
+
+
 @dataclass(frozen=True)
 class PolyBasis:
     """A fixed set of constraint orders with cached coefficient tables.
@@ -134,3 +157,13 @@ class PolyBasis:
     def __call__(self, t):
         """The basis as the row map t -> K(t) that the dual problem takes."""
         return self.constraint_vector(t)
+
+    def at_nodes(self, n: int) -> tuple[np.ndarray, int | None]:
+        """(rows, rank) at the nodes i/n from ``node_table``: its columns of these orders.
+
+        The rank is the table's where the orders are all of its columns, else None.
+        """
+        rows, rank = node_table(n, max(self.orders))
+        if self.orders == tuple(range(2, rows.shape[1] + 2)):
+            return rows, rank
+        return np.ascontiguousarray(rows[:, [r - 2 for r in self.orders]]), None

@@ -427,3 +427,28 @@ def order_stat_polynomial(j: int, r: int, u):
     c = math.factorial(r) / (math.factorial(j - 1) * math.factorial(r - j))
     out = c * u ** (j - 1) * (1.0 - u) ** (r - j)
     return out if out.ndim else float(out)
+
+
+def l1_panel_mass(f1, f2, edges) -> float:
+    """The L1 distance summed on given panel edges with numpy's cdfs.
+
+    ``sum |diff F1(edges) - diff F2(edges)|``, capped at 2: the library's
+    sum before it took the cdfs at the edges one point at a time in ``math``.
+    """
+    edges = np.asarray(edges, dtype=float)
+    mass = np.diff(f1.cdf(edges)) - np.diff(f2.cdf(edges))
+    return float(min(np.abs(mass).sum(), 2.0))
+
+
+def sample_lmoments_v_per_order(sample: SortedSample, max_order: int) -> np.ndarray:
+    """Plug-in L-moments with each order's integrated polynomial evaluated afresh.
+
+    ``-integrated_legendre_eval(r, i/n) @ spacings`` for r >= 2, the mean for
+    r = 1: the library's sum before the rows came from one cached node table.
+    """
+    vals = np.empty(max_order)
+    vals[0] = float(np.mean(sample.values))
+    interior = np.arange(1, sample.n) / sample.n
+    for r in range(2, max_order + 1):
+        vals[r - 1] = -(integrated_legendre_eval(r, interior) @ sample.spacings)
+    return vals

@@ -11,6 +11,7 @@ from lmomdiv.divergence import (
 )
 from lmomdiv.dualsolve import (
     DualProblem,
+    SingularConstraintError,
     chi2_value_closed_form,
     make_dual_problem,
     omega_empirical,
@@ -399,3 +400,41 @@ def test_wasserstein_can_break_monotonicity():
     _, y, monotone = wasserstein_fit_inner(s, basis, target)
     assert not monotone
     assert np.any(np.diff(y) < 0)
+
+
+def _same_problem(a: DualProblem, b: DualProblem) -> bool:
+    return (a.divergence == b.divergence and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((a.kmat, b.kmat), (a.delta, b.delta), (a.target, b.target),
+                     (a.m_n, b.m_n))))
+
+
+@pytest.mark.parametrize("model_name", ["gpd-l234", "weibull-l234"])
+def test_make_dual_problem_from_the_node_table_is_the_row_callable(model_name):
+    # a PolyBasis reads its rows from the cached node table; the row callable
+    # model.constraint_values gives the same problem, bit for bit, with all
+    # spacings positive and with ties masking rows
+    model = model_by_name(model_name)
+    target = np.array([-1.0, -0.2, -0.1])
+    for data in (random_sample(3, 40).values, np.round(random_sample(4, 40).values, 1)):
+        sample = SortedSample(data)
+        via_table = make_dual_problem(sample, model.rows, KLM, target)
+        via_callable = make_dual_problem(sample, model.constraint_values, KLM, target)
+        assert _same_problem(via_table, via_callable)
+        assert via_table.kmat.flags.c_contiguous
+        assert via_table.kmat.flags.writeable == bool((sample.spacings == 0.0).any())
+    # orders that are not all of the table's columns: a copy of the columns, its own rank
+    sample, basis = random_sample(5, 20), PolyBasis((2, 4))
+    assert _same_problem(make_dual_problem(sample, basis, CHI2, target[:2]),
+                         make_dual_problem(sample, lambda t: basis(t), CHI2, target[:2]))
+
+
+@pytest.mark.parametrize("rows", ["table", "callable"])
+def test_ties_leaving_fewer_positive_spacings_than_rows_are_singular(rows):
+    # two positive spacings cannot carry three rows: the rank of the masked
+    # rows is computed afresh, not taken from the full table's rank 3
+    sample = SortedSample([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+    model = model_by_name("gpd-l234")
+    values = model.rows if rows == "table" else model.constraint_values
+    with pytest.raises(SingularConstraintError, match="rank 2 < 3 on 2 positive-spacing"):
+        make_dual_problem(sample, values, CHI2, np.zeros(3))

@@ -596,6 +596,82 @@ def test_chi2_profile_slope_matches_central_differences(model, law, shapes, clip
     assert clipped == [nu == clipped_at for nu in shapes]
 
 
+#: a one-point evaluation agrees with its scan to this many eps of the sum of
+#: its terms' magnitudes: the two differ in summation order, in fused
+#: multiply-adds and in numpy's and libm's exp, log and expm1
+_POINT_EPS = 16.0 * 2.0 ** -52
+
+
+@pytest.mark.parametrize("model,law", [
+    (gpd_model(), ParametricFamily("gpd", 3.0, 0.4)),
+    (weibull_model(), ParametricFamily("weibull", 3.0, 0.5)),
+], ids=["gpd", "weibull"])
+@pytest.mark.parametrize("sigma_box,clip", [
+    ((1e-3, 1e3), None), ((1e-3, 1e-2), 1), ((1e2, 1e3), 0)],
+    ids=["free", "upper-edge", "lower-edge"])
+def test_chi2_point_is_the_scan_at_one_shape(model, law, sigma_box, clip):
+    # the refine's one-point profile against _chi2_profile at k = 1, with the
+    # scale free and clipped to either edge of its box
+    sample = SortedSample(law.sample(200, np.random.default_rng(1)))
+    skeleton = make_dual_problem(sample, model.constraint_values, CHI2,
+                                 np.zeros(model.n_constraints))
+    low = np.linalg.cholesky(omega_empirical(skeleton))
+    lam_w = np.linalg.solve(low, -skeleton.m_n)
+    box, edges = np.array(sigma_box), set()
+    for nu in np.linspace(*model.box[1], 17):
+        jac = model.lmoment_jacobian(np.array([1.0, nu]))
+        value, slope, sigma = (float(v[0]) for v in estimator._chi2_profile(
+            low, lam_w, box, jac[..., None]))
+        point = estimator._chi2_point(low, lam_w.tolist(), box.tolist(), jac)
+        assert all(type(v) is float for v in point)
+        white = np.linalg.solve(low, jac)
+        terms = sigma * np.abs(white[:, 0]) + np.abs(lam_w)
+        assert abs(point[0] - value) <= _POINT_EPS * 0.5 * float(terms @ terms), nu
+        assert abs(point[1] - slope) <= _POINT_EPS * sigma * float(np.abs(white[:, 1]) @ terms), nu
+        assert abs(point[2] - sigma) <= _POINT_EPS * sigma, nu
+        if sigma in box:
+            assert point[2] == sigma
+            edges.add(int(sigma == box[1]))
+    assert clip is None or clip in edges
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal bit for bit, a NaN matching a NaN and a zero its sign."""
+    return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1.0, a) ==
+                                                 math.copysign(1.0, b))
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3, 4])
+def test_gpd_point_is_the_scan_at_one_w(scenario):
+    # the MLE refine's one-point profile against _gpd_profile(np.array([w]), y):
+    # the far rows w < -1, the clipped shape nu = 5 (large w), and at w = +-0
+    # (t = +-0, sigma = mean y) and at w so small that nu underflows to +-0,
+    # the inf and NaN slopes numpy gives there, bit for bit
+    sample = draw_sample(ScenarioConfig.preset(scenario, n=100, replicates=1, seed=5), 0)
+    y = sample.values / sample.values[-1]
+    exact = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310)
+    ws = (*np.linspace(-700.0, 700.0, 57), *np.linspace(-3.0, 3.0, 61), -1.0,
+          np.nextafter(-1.0, -2.0), 1e-300, -1e-300, *exact)
+    seen = set()
+    for w in map(float, ws):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            value, slope, sigma, nu = (float(v[0]) for v in estimator._gpd_profile(
+                np.array([w]), y))
+        point = estimator._gpd_point(w, y)
+        assert all(type(v) is float for v in point)
+        if w in exact:
+            assert all(map(_same_float, point, (value, slope, sigma, nu))), w
+        else:
+            t = math.expm1(w)
+            assert abs(point[0] - value) <= _POINT_EPS * (abs(value) + abs(math.log(sigma))), w
+            assert abs(point[1] - slope) <= _POINT_EPS * (abs(slope) + 2.0 / abs(t)), w
+            assert abs(point[2] - sigma) <= _POINT_EPS * sigma, w
+            assert abs(point[3] - nu) <= _POINT_EPS * abs(nu), w
+        seen |= {case for case, hit in (("far", w < -1.0), ("clipped", nu == 5.0),
+                                        ("nan", math.isnan(slope)), ("inf", math.isinf(slope))) if hit}
+    assert seen == {"far", "clipped", "nan", "inf"}
+
+
 def test_chi2_profile_matches_the_closed_form_where_omega_is_ill_conditioned():
     # Weibull(3, 0.05) at n = 1000: Omega has condition number 5e11.  Through
     # an explicit Omega^-1 the profile missed the closed form by 2e-5 relative

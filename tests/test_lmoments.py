@@ -20,12 +20,13 @@ from lmomdiv.lmoments import (
     triangle_covariance,
 )
 from lmomdiv.models import ParametricFamily
-from lmomdiv.poly import PolyBasis, integrated_legendre_eval, shifted_legendre_eval
+from lmomdiv.poly import PolyBasis, integrated_legendre_eval, node_table, shifted_legendre_eval
 from oracles import (
     gpd_plugin_omega,
     gpd_plugin_sigma,
     population_lmoments,
     pwm_unbiased_comb,
+    sample_lmoments_v_per_order,
     vstat_weights,
     weibull_plugin_omega,
     weibull_plugin_sigma,
@@ -286,3 +287,29 @@ def test_shifted_sample():
     assert np.allclose(t.values, [0.0, 1.0, 3.0])
     # spacings are shift invariant
     assert np.allclose(t.spacings, s.spacings)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 100, 1001])
+@pytest.mark.parametrize("max_order", [2, 4, 6, 9])
+def test_sample_lmoments_v_from_the_node_table_bit_for_bit(n, max_order):
+    # the cached node table gives each order's sum exactly as evaluating its
+    # integrated polynomial at i/n afresh; ties give zero spacings
+    values = ParametricFamily("gpd", 3.0, 0.4).sample(n, np.random.default_rng([n, 1]))
+    for data in (values, np.round(values)):
+        sample = SortedSample(data)
+        got = sample_lmoments_v(sample, max_order).values
+        assert got.tobytes() == sample_lmoments_v_per_order(sample, max_order).tobytes()
+
+
+def test_node_table_is_shared_read_only_and_exact():
+    rows, rank = node_table(50, 2)
+    assert node_table(50, 4)[0] is rows             # orders 2-4 share one table per n
+    assert rows.shape == (49, 3) and rank == 3 and rows.flags.c_contiguous
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+    nodes = np.arange(1, 50) / 50
+    for r in (2, 3, 4):
+        assert rows[:, r - 2].tobytes() == integrated_legendre_eval(r, nodes).tobytes()
+    assert node_table(50, 6)[0].shape == (49, 5)
+    assert node_table(3, 4)[1] == 2                 # two nodes hold at most rank 2

@@ -7,6 +7,7 @@ import scipy.integrate
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+from lmomdiv import sim
 from lmomdiv.models import ParametricFamily
 from lmomdiv.sim import (
     ScenarioConfig,
@@ -15,6 +16,7 @@ from lmomdiv.sim import (
     run_scenario,
     summarize,
 )
+from oracles import l1_panel_mass
 
 
 def test_summarize_basic():
@@ -174,6 +176,7 @@ def test_l1_gpd_pairs_symmetric_and_bounded(s1, v1, s2, v2, same_nu):
     d = l1_density_distance(a, b)
     assert l1_density_distance(b, a) == d
     assert 0.0 <= d <= 2.0
+    assert d == pytest.approx(l1_panel_mass(*sim._l1_panels(a, b)), rel=0.0, abs=1e-14)
 
 
 def test_l1_matches_riemann_sum():
@@ -253,3 +256,57 @@ def test_l1_matches_log_space_oracle(f1, f2, approx):
     assert d == pytest.approx(l1_log_space_oracle(f1, f2), abs=1e-9)
     assert d == pytest.approx(approx, abs=1e-7)
     assert l1_density_distance(f2, f1) == d
+
+
+#: the pairs of the L1 tests above: bounded GPDs with nu < 0, the uniform
+#: nu = -1, nu = 0, pairs with a Weibull law, disjoint supports, identical laws
+_L1_PAIRS = [
+    (ParametricFamily("gpd", 17.18, 0.693), ParametricFamily("gpd", 3.0, 0.1)),
+    (ParametricFamily("gpd", 9.7274, -0.30024), ParametricFamily("gpd", 3.0, 0.1)),
+    (ParametricFamily("weibull", 3.0, 0.4), ParametricFamily("gpd", 3.0, 0.7)),
+    (ParametricFamily("gpd", 2.0, -2.0), ParametricFamily("gpd", 0.5, 0.7)),
+    (ParametricFamily("gpd", 4.0, -1.0), ParametricFamily("gpd", 3.0, 0.1)),
+    (ParametricFamily("gpd", 9.7274, -0.30024), ParametricFamily("gpd", 5.0, -0.5)),
+    (ParametricFamily("gpd", 3.229, 1.484), ParametricFamily("gpd", 3.0, 0.7)),
+    (ParametricFamily("gpd", 0.01, -1.0), ParametricFamily("gpd", 100.0, -1.0)),
+    (ParametricFamily("gpd", 3.0, 0.2), ParametricFamily("gpd", 2.5, 0.3)),
+    (ParametricFamily("gpd", 1.0, 0.3), ParametricFamily("gpd", 1.5, 0.3)),
+    (ParametricFamily("gpd", 2.0, 0.0), ParametricFamily("gpd", 3.0, 0.1)),
+    (ParametricFamily("gpd", 2.0, 0.0), ParametricFamily("gpd", 3.0, 0.0)),
+    (ParametricFamily("gpd", 2.0, -2.5), ParametricFamily("gpd", 2.0, -2.5)),
+    (ParametricFamily("weibull", 3.0, 0.4), ParametricFamily("weibull", 2.0, 1.5)),
+    (ParametricFamily("weibull", 3.0, 4.0), ParametricFamily("gpd", 1.0, -1.0)),
+]
+
+
+@pytest.mark.parametrize("f1, f2", _L1_PAIRS)
+def test_l1_edges_in_math_match_the_numpy_cdfs(f1, f2):
+    # the cdfs at the panel edges are taken one point at a time in math; on the
+    # same edges the numpy cdfs give the same distance to 1e-14, and the
+    # distance stays symmetric bit for bit
+    a, b, edges = sim._l1_panels(f1, f2)
+    d = l1_density_distance(f1, f2)
+    assert d == pytest.approx(l1_panel_mass(a, b, edges), rel=0.0, abs=1e-14)
+    assert l1_density_distance(f2, f1) == d
+    assert sim._l1_panels(f2, f1)[2] == edges
+
+
+def test_l1_weibull_cdf_past_the_float_range():
+    # at the GPD's end 1e303 the Weibull's (x / sigma)^nu overflows a float:
+    # its cdf there is 1 (numpy's array cdf warned of the overflow), and the
+    # two laws' masses barely overlap
+    a = ParametricFamily("weibull", 1e-3, 20.0)
+    b = ParametricFamily("gpd", 1e300, -1e-3)
+    assert 1e303 in sim._l1_panels(a, b)[2]
+    assert l1_density_distance(a, b) == l1_density_distance(b, a) == 2.0
+
+
+def test_parallel_run_is_the_serial_run_bit_for_bit():
+    # replicate streams are split from the master seed, so two worker
+    # processes give the serial records and summary to the last bit
+    config = ScenarioConfig.preset(3, n=40, replicates=6, seed=7,
+                                   estimators=("chi2", "lmom", "moment", "mle"))
+    serial, parallel = run_scenario(config, n_jobs=1), run_scenario(config, n_jobs=2)
+    assert repr(parallel.records) == repr(serial.records)
+    assert repr(parallel.to_dict()) == repr(serial.to_dict())
+    assert len(serial.records) == 6 * 4
