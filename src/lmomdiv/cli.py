@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -46,25 +48,83 @@ def read_column(path: str, col: int = 0) -> np.ndarray:
     Blank rows are skipped.  A short row, a non-numeric cell after line 1
     and a non-finite value are bad lines, all reported in one error.  A
     UTF-8 byte-order mark is not part of the first cell.  ``col`` counts from 0.
+    The file is parsed without a Python loop per row (``_parse_plain``); a
+    file with quotes or bare carriage returns, and one that fails that parse,
+    is read again row by row as ``csv`` reads it (``_parse_rows``), which
+    names the bad lines.
     """
     if col < 0:
         raise UsageError(f"column {col} is negative: columns count from 0")
-    values, lines, bad_lines = [], [], []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                try:
-                    value = float(row[col])   # float strips whitespace itself
-                except (ValueError, IndexError) as exc:
-                    # a blank row is skipped and a non-numeric line 1 is a header
-                    if any(c.strip() for c in row) and (
-                            isinstance(exc, IndexError) or lineno > 1):
-                        bad_lines.append(lineno)
-                    continue
-                values.append(value)
-                lines.append(lineno)
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+    data = _parse_plain(text, col)
+    if data is None:
+        data = _parse_rows(text, col, path)
+    if data.size < 2:
+        raise UsageError(f"{path} holds fewer than two usable values")
+    return data
+
+
+def _parse_plain(text: str, col: int) -> np.ndarray | None:
+    """Column ``col`` of ``text`` where every row parses, or None.
+
+    Without quotes or bare carriage returns a csv row is its line split at
+    commas, so the lines are split by ``str`` methods and parsed by
+    ``map(float, ...)``.  Line 1 is dropped where its cell does not parse (a
+    header, or blank); in a text without commas the empty lines are dropped.
+    None where any other cell does not parse (a blank line with spaces
+    included), a value is not finite or a row is short.
+    """
+    if '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()                 # the newline that ends the last row
+    if "," in text:
+        try:
+            cells = list(map(itemgetter(col), map(methodcaller("split", ","), lines)))
+        except IndexError:
+            return None
+    elif col:
+        return None
+    else:
+        cells = lines
+    if not cells:
+        return None
+    try:
+        float(cells[0])
+    except ValueError:
+        del cells[0]
+    if "," not in text:
+        cells = list(filter(None, cells))     # empty lines; other blank ones fail the parse
+    try:
+        data = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+    return data if np.isfinite(data).all() else None
+
+
+def _parse_rows(text: str, col: int, path: str) -> np.ndarray:
+    """Column ``col`` of ``text`` read row by row by ``csv``; raises naming every bad line."""
+    values, lines, bad_lines = [], [], []
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        try:
+            value = float(row[col])   # float strips whitespace itself
+        except (ValueError, IndexError) as exc:
+            # a blank row is skipped and a non-numeric line 1 is a header
+            if any(c.strip() for c in row) and (
+                    isinstance(exc, IndexError) or lineno > 1):
+                bad_lines.append(lineno)
+            continue
+        values.append(value)
+        lines.append(lineno)
     data = np.array(values)
     finite = np.isfinite(data)
     if bad_lines or not finite.all():
@@ -72,8 +132,6 @@ def read_column(path: str, col: int = 0) -> np.ndarray:
         raise UsageError(
             f"non-numeric or non-finite entries on lines {bad_lines} of {path}"
         )
-    if data.size < 2:
-        raise UsageError(f"{path} holds fewer than two usable values")
     return data
 
 

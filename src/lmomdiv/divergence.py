@@ -10,7 +10,8 @@ that signal and makes no domain check of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -23,19 +24,34 @@ class ConjugateDomainError(ValueError):
     """Argument outside the domain of the conjugate function."""
 
 
+def _chi2_form(t, g):
+    return 0.5 * t * t + t, t + 1.0, np.ones_like(t)
+
+
+def _kl_form(t, g):
+    e = np.exp(t)
+    return np.expm1(t), e, e
+
+
+def _klm_form(t, g):
+    u = 1.0 - t
+    return -np.log1p(-t), 1.0 / u, 1.0 / u ** 2
+
+
+def _power_form(t, g):
+    b = 1.0 + (g - 1.0) * t
+    return (b ** (g / (g - 1.0)) - 1.0) / g, b ** (1.0 / (g - 1.0)), b ** ((2.0 - g) / (g - 1.0))
+
+
 #: each row: the conjugate's open domain, a function of gamma, and
 #: ``(psi, psi', psi'')`` at an array argument, a function of (argument, gamma)
 _FORMS = {
-    "chi2": (lambda g: (-np.inf, np.inf),
-             lambda t, g: (0.5 * t * t + t, t + 1.0, np.ones_like(t))),
+    "chi2": (lambda g: (-np.inf, np.inf), _chi2_form),
     # expm1 overflows past log(DBL_MAX): the edge in floating point
-    "kl": (lambda g: (-np.inf, np.log(np.finfo(float).max)),
-           lambda t, g: (np.expm1(t), (e := np.exp(t)), e)),
-    "klm": (lambda g: (-np.inf, 1.0),
-            lambda t, g: (-np.log1p(-t), 1.0 / (u := 1.0 - t), 1.0 / u ** 2)),
+    "kl": (lambda g: (-np.inf, np.log(np.finfo(float).max)), _kl_form),
+    "klm": (lambda g: (-np.inf, 1.0), _klm_form),
     "power": (lambda g: (-1.0 / (g - 1.0), np.inf) if g > 1.0 else (-np.inf, 1.0 / (1.0 - g)),
-              lambda t, g: (((b := 1.0 + (g - 1.0) * t) ** (g / (g - 1.0)) - 1.0) / g,
-                            b ** (1.0 / (g - 1.0)), b ** ((2.0 - g) / (g - 1.0)))),
+              _power_form),
 }
 
 
@@ -46,20 +62,24 @@ class DivergenceSpec:
     ``gamma = 2`` is the chi-square divergence (finite on all of R),
     ``gamma = 1`` the Kullback-Leibler divergence, ``gamma = 0`` its
     modified (reversed) version; other values use the generic power form
-    with domain restricted to positive arguments.
+    with domain restricted to positive arguments.  ``psi_domain``, the open
+    interval on which the conjugate is finite and smooth, and the form of
+    the family are read from ``_FORMS`` once, at construction.
     """
 
     family: str          # "chi2" | "kl" | "klm" | "power"
     gamma: float
+    psi_domain: tuple[float, float] = field(init=False, repr=False, compare=False)
+    _form: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        domain, form = _FORMS[self.family]
+        object.__setattr__(self, "psi_domain", tuple(map(float, domain(self.gamma))))
+        object.__setattr__(self, "_form", form)
 
     @property
     def a_phi(self) -> float:
         return -np.inf if self.family == "chi2" else 0.0
-
-    @property
-    def psi_domain(self) -> tuple[float, float]:
-        """Open interval on which the conjugate is finite and smooth."""
-        return _FORMS[self.family][0](self.gamma)
 
     def conjugate(self, z):
         """``(psi, psi', psi'')`` at z after one domain check of all of z.
@@ -72,7 +92,7 @@ class DivergenceSpec:
             raise ConjugateDomainError(
                 f"conjugate argument outside open domain ({lo}, {hi})"
             )
-        out = _FORMS[self.family][1](z if z.ndim else z[None], self.gamma)
+        out = self._form(z if z.ndim else z[None], self.gamma)
         return tuple(float(v[0]) for v in out) if z.ndim == 0 else out
 
     def psi(self, t) -> np.ndarray | float:

@@ -25,11 +25,19 @@ is reported as ``infeasibleDirection``; anything else is a failure of the
 solve.  That test is a convex-hull test in L-moment-ratio space; it needs no
 LP and no solve.  The transport variant is the optimal-transport counterpart
 of the inner problem.
+
+Every c x c system of the solve layers (c = 3 for the package's laws, at
+most 19) is solved by ``spd_solve``, a Cholesky factorization and two
+triangular substitutions in Python floats: at that size a numpy call costs
+more than its arithmetic.  It returns None where a pivot is not positive, and
+the Newton step then shifts ``-H`` by ``reg I``, ``reg`` doubling from 1e-12.
+Only products over the m nodes run in numpy.  The chi-square closed form
+keeps LAPACK's factor, the one the chi-square fit whitens by.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -59,15 +67,61 @@ def require_finite(*arrays) -> None:
     """Raise ``ValueError`` on a NaN or inf entry.
 
     ``np.linalg`` carries such entries into NaN factors and solutions without
-    raising; every linear system of the package is checked here first.
+    raising; every system the package solves by ``np.linalg`` is checked here
+    first (``spd_solve`` finds no factor of such a matrix instead).
     """
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("linear system contains infs or NaNs")
 
 
-def _cho_solve(low: np.ndarray, b) -> np.ndarray:
-    """``a^-1 b`` from the lower Cholesky factor ``low`` of ``a``."""
-    return np.linalg.solve(low.T, np.linalg.solve(low, b))
+def spd_solve(a, *rhs) -> list[list[float]] | None:
+    """``a^-1 b`` for each ``b`` of ``rhs``, ``a`` symmetric positive definite, in floats.
+
+    ``a`` is c x c and each ``b`` has c entries, as sequences of floats; the
+    lower triangle of ``a`` is read.  One Cholesky factorization ``a = L L^T``
+    and a forward and a back substitution per ``b`` (Golub & Van Loan,
+    Matrix Computations, 4.2), with no array call: the systems of the package
+    are c x c with c at most 19, where numpy's per-call cost exceeds the
+    arithmetic.  None when a pivot is not positive and finite: ``a`` is not
+    positive definite in floating point, or holds an inf or NaN.
+    """
+    low = []
+    for row in a:
+        li = []
+        for lj in low:
+            s = row[len(li)]
+            for u, v in zip(li, lj):
+                s -= u * v
+            li.append(s / lj[-1])
+        s = row[len(li)]
+        for v in li:
+            s -= v * v
+        if not 0.0 < s < math.inf:
+            return None
+        li.append(math.sqrt(s))
+        low.append(li)
+    out = []
+    for b in rhs:
+        x = []
+        for li, s in zip(low, b):
+            for u, v in zip(li, x):
+                s -= u * v
+            x.append(s / li[-1])
+        for i in range(len(x) - 1, -1, -1):
+            li = low[i]
+            xi = x[i] = x[i] / li[i]
+            for k in range(i):
+                x[k] -= li[k] * xi
+        out.append(x)
+    return out
+
+
+def fdot(a, b) -> float:
+    """``a . b`` of two float sequences, summed in order."""
+    s = 0.0
+    for u, v in zip(a, b):
+        s += u * v
+    return s
 
 
 @dataclass(frozen=True)
@@ -86,7 +140,8 @@ class DualProblem:
     m_n: np.ndarray            # empirical constraint moments, length c
 
     def with_target(self, target) -> "DualProblem":
-        return dataclasses.replace(self, target=np.asarray(target, dtype=float))
+        return DualProblem(self.kmat, self.delta, np.asarray(target, dtype=float),
+                           self.divergence, self.m_n)
 
     def evaluate(self, xi, z=None) -> tuple[float, np.ndarray, np.ndarray]:
         """(objective, psi'(z) delta, psi''(z) delta) at ``xi`` from one conjugate evaluation.
@@ -94,9 +149,9 @@ class DualProblem:
         The conjugate checks its domain at the nodes ``z = kmat @ xi``, which a caller
         holding them passes; ``objective``, ``gradient`` and ``hessian`` are its views.
         """
-        xi = np.asarray(xi, dtype=float)
+        delta = self.delta
         psi, d1, d2 = self.divergence.conjugate(self.kmat @ xi if z is None else z)
-        return float(xi @ self.target - psi @ self.delta), d1 * self.delta, d2 * self.delta
+        return float(self.target.dot(xi)) - float(psi.dot(delta)), d1 * delta, d2 * delta
 
     def objective(self, xi, z=None) -> float:
         return self.evaluate(xi, z)[0]
@@ -169,18 +224,43 @@ def rounding_level(xi, target, value: float, m: int) -> float:
 
     ``16 eps sqrt(m)`` (eps = 2^-52) times its sums ``|xi| @ |target|`` and
     ``|xi @ target - value|`` over ``m`` positive spacings; it scales with the data.
+    ``xi`` and ``target`` are float sequences, summed in floats.
     """
-    sums = float(np.abs(xi) @ np.abs(target)) + abs(float(xi @ target) - value)
-    return 16.0 * 2.0 ** -52 * m ** 0.5 * sums
+    sums = abs_sum = 0.0
+    for x, t in zip(xi, target):
+        abs_sum += abs(x) * abs(t)
+        sums += x * t
+    return 16.0 * 2.0 ** -52 * m ** 0.5 * (abs_sum + abs(sums - value))
 
 
-def _ratio_test(z, dz, domain) -> float:
-    """min(1, 0.99 * the step at which z + t * dz first reaches a domain edge)."""
+def _ratio_test(z, dz, lo: float, hi: float) -> float:
+    """min(1, 0.99 * the step at which z + t * dz first reaches a finite domain edge)."""
     t = 1.0
-    for edge, toward in zip(domain, (np.less, np.greater)):
-        if abs(edge) < np.inf and (heading := toward(dz, 0.0)).any():
-            t = min(t, _EDGE_FRACTION * float(((edge - z[heading]) / dz[heading]).min()))
+    if hi < math.inf and (up := dz > 0.0).any():
+        t = min(t, _EDGE_FRACTION * float(((hi - z[up]) / dz[up]).min()))
+    if lo > -math.inf and (down := dz < 0.0).any():
+        t = min(t, _EDGE_FRACTION * float(((lo - z[down]) / dz[down]).min()))
     return t
+
+
+def _newton_step(neg_h: list, grad: list) -> list[float]:
+    """``(-H)^-1 g`` by ``spd_solve``, shifting ``-H`` by ``reg I`` until it factors.
+
+    ``reg`` doubles from 1e-12.  A system holding an inf or NaN raises
+    ``ValueError``; an inf or NaN in ``-H`` always fails the factorization, so
+    ``-H`` is checked only then, before the shifts begin.
+    """
+    if not all(map(math.isfinite, grad)):
+        raise ValueError("linear system contains infs or NaNs")
+    step = spd_solve(neg_h, grad)
+    if step is None and not all(all(map(math.isfinite, row)) for row in neg_h):
+        raise ValueError("linear system contains infs or NaNs")
+    reg = 0.0
+    while step is None:
+        reg = max(2.0 * reg, 1e-12)
+        step = spd_solve([[v + reg if i == j else v for j, v in enumerate(row)]
+                          for i, row in enumerate(neg_h)], grad)
+    return step[0]
 
 
 def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
@@ -195,10 +275,13 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     carries rounding).  A solve that stops short of that runs ``target_in_cone``:
     outside the cone the status is ``infeasibleDirection``, inside it (or for rows
     that test does not cover) the solve failed (``maxIter`` or ``stalled``) and its
-    value is only a lower bound.
+    value is only a lower bound.  The c x c Newton system is solved by
+    ``spd_solve`` and its decrement and rounding level are float sums; only
+    the m-node products run in numpy.
     """
-    c = problem.target.size
-    domain = problem.divergence.psi_domain
+    kmat, target = problem.kmat, problem.target
+    c, m, tgt = target.size, problem.delta.size, target.tolist()
+    lo, hi = problem.divergence.psi_domain
     starts = [] if xi0 is None else list(np.array(xi0, dtype=float, ndmin=2))
     points = []
     for start in starts:
@@ -208,29 +291,21 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     value, w1, w2, xi = max(points, key=lambda p: p[0]) if points else (
         *problem.evaluate(np.zeros(c)), np.zeros(c))
     evaluations = len(starts) + (not points)
-    z = problem.kmat @ xi           # the nodes of xi: z + t dz drifts from them by rounding
+    z = kmat @ xi                   # the nodes of xi: z + t dz drifts from them by rounding
     failure = "maxIter"
     for it in range(_MAX_NEWTON_ITER + 1):
-        grad = problem.target - problem.kmat.T @ w1
         if value > _UNBOUNDED_VALUE:
             failure = "stalled"
             break
-        neg_h = problem.curvature(w2)
-        require_finite(neg_h, grad)
-        shifted, reg = neg_h, 0.0
-        while True:
-            try:
-                step = _cho_solve(np.linalg.cholesky(shifted), grad)
-                break
-            except np.linalg.LinAlgError:
-                reg = max(2.0 * reg, 1e-12)
-                shifted = neg_h + reg * np.eye(c)
-        dz = problem.kmat @ step
-        decrement = float(grad @ step)
-        t = _ratio_test(z, dz, domain)
-        if decrement <= rounding_level(xi, problem.target, value, problem.delta.size):
-            nodes = problem.kmat @ (xi + step)
-            if t == 1.0 and domain[0] < nodes.min() and nodes.max() < domain[1]:
+        grad = (target - kmat.T @ w1).tolist()
+        step = _newton_step(problem.curvature(w2).tolist(), grad)
+        decrement = fdot(grad, step)
+        step = np.array(step)
+        dz = kmat @ step
+        t = _ratio_test(z, dz, lo, hi)
+        if decrement <= rounding_level(xi.tolist(), tgt, value, m):
+            nodes = kmat @ (xi + step)
+            if t == 1.0 and lo < nodes.min() and nodes.max() < hi:
                 xi = xi + step
             return DualSolution(xi, value, it, evaluations, "converged")
         if it == _MAX_NEWTON_ITER:
@@ -238,12 +313,12 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
         while t > 1e-16:
             evaluations += 1
             cand = xi + t * step
-            cand_z = problem.kmat @ cand
+            cand_z = kmat @ cand
             try:
                 cand_value, cand_w1, cand_w2 = problem.evaluate(cand, cand_z)
             except ConjugateDomainError:
                 # only a node within rounding of the edge gets here
-                cand_value = -np.inf
+                cand_value = -math.inf
             if cand_value >= value + _ARMIJO * t * decrement:
                 break
             t *= 0.5
@@ -288,14 +363,18 @@ def chi2_value_closed_form(
     """Exact chi-square dual optimum at one target, by its own Cholesky solve.
 
     The conjugate is quadratic, so the maximizer solves Omega xi = target - m_n.
+    Omega is factored by LAPACK, as in the chi-square fit, not by ``spd_solve``:
+    where Omega is ill-conditioned the value moves with the rounding of the
+    factor (7e-8 relative between the two factors at condition number 5e11).
     """
     problem = make_dual_problem(sample, constraint_values, CHI2, target)
     omega, resid = omega_empirical(problem), problem.target - problem.m_n
     require_finite(omega, resid)
     try:
-        xi = _cho_solve(np.linalg.cholesky(omega), resid)
+        low = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
         raise SingularConstraintError("empirical second-moment matrix is singular")
+    xi = np.linalg.solve(low.T, np.linalg.solve(low, resid))
     return 0.5 * float(resid @ xi), xi
 
 
@@ -320,11 +399,10 @@ def wasserstein_fit_inner(
     gram = b.T @ b                                       # (c, c)
     rhs = b.T @ x - target
     require_finite(gram, rhs)
-    try:
-        mu = _cho_solve(np.linalg.cholesky(gram), rhs)
-    except np.linalg.LinAlgError:
+    mu = spd_solve(gram.tolist(), rhs.tolist())
+    if mu is None:
         raise SingularConstraintError("constraint rows are rank deficient")
-    y = x - b @ mu
+    y = x - b @ mu[0]
     cost = float(np.mean((x - y) ** 2))
     monotone = bool(np.all(np.diff(y) >= -1e-12))
     return cost, y, monotone

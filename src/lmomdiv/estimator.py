@@ -35,18 +35,22 @@ is the constraint's multiplier ``g.t1 / t1.t1``, ``g = K^T psi'(K xi) delta``
 solved there.  With ``A = (-H)^-1`` at xi, the profile P(nu) has the envelope
 slope ``P' = sigma xi.t1'`` and the curvature ``P'' = sigma' xi.t1' +
 sigma (dxi.t1' + xi.t1'')``, ``dxi = sigma' A t1 + sigma A t1'``, where sigma'
-keeps ``xi.t1 = 0`` (0 where sigma is clipped).  ``_shape_search`` minimizes
-P by damped Newton in nu from the L-moment-method shape (the GPD's tau_4 and
-the Weibull's tau_3 inversion), or from the chi-square one where that is
-undefined or its solve fails: a step ``-P' / |P''|`` inside a bracket on the
-box, closed by slope signs and by rejected points, is halved until its solve
-converges and P falls strictly.  The search stops at a zero slope, at a box
-edge the slope points out of, at a decrement ``P'^2 / P''`` within
-``dualsolve.rounding_level``, and, where ``P'' > 0``, at a step that finds no
-lower P in floating point.  A failed inner solve is never the criterion: a
-search that fails at its start or at every halving of a step, whose bracket
-closes in on it, or that does not converge raises ``EstimationError``, and
-so does an estimate whose multipliers fail the full dual's own stopping test.
+keeps ``xi.t1 = 0`` (0 where sigma is clipped).  A point reads ``t1``,
+``t1'`` and ``t1''`` from one ``SplqModel.jet`` call, builds the Householder
+basis in floats and solves ``-H`` for the gradient, ``t1`` and ``t1'`` by
+``dualsolve.spd_solve``; a ``-H`` with no Cholesky factor fails the point.
+``_shape_search`` minimizes P by damped Newton in nu from the L-moment-method
+shape (the GPD's tau_4 and the Weibull's tau_3 inversion), or from the
+chi-square one where that is undefined or its solve fails: a step
+``-P' / |P''|`` inside a bracket on the box, closed by slope signs and by
+rejected points, is halved until its solve converges and P falls strictly.
+The search stops at a zero slope, at a box edge the slope points out of, at
+a decrement ``P'^2 / P''`` within ``dualsolve.rounding_level``, and, where
+``P'' > 0``, at a step that finds no lower P in floating point.  A failed
+inner solve is never the criterion: a search that fails at its start or at
+every halving of a step, whose bracket closes in on it, or that does not
+converge raises ``EstimationError``, and so does an estimate whose
+multipliers fail the full dual's own stopping test.
 So does, for every divergence, a scale estimate on the edge of its box row,
 which in units of s holds every law of the model; a shape edge is reported
 as ``boundary``.  The plug-in Omega and Sigma run in quantile space and are
@@ -65,8 +69,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -75,11 +80,13 @@ from .dualsolve import (
     SOLVE_STATUSES,
     DualProblem,
     SingularConstraintError,
+    fdot,
     make_dual_problem,
     omega_empirical,
     require_finite,
     rounding_level,
     solve_dual,
+    spd_solve,
     target_in_cone,
 )
 from .lmoments import (
@@ -161,13 +168,26 @@ class FitReport:
 _Point = namedtuple("_Point", "value slope curvature sigma xi level gap", defaults=(None,) * 6)
 
 
+def _complement_basis(t1: list) -> list[list[float]]:
+    """Columns 2..c of the Householder reflection taking ``t1`` to a multiple of e_1, in floats.
+
+    They are an orthonormal basis of the complement of ``t1``.
+    """
+    v = list(t1)
+    v[0] += math.copysign(math.sqrt(fdot(t1, t1)), t1[0])
+    scale = 2.0 / fdot(v, v)
+    return [[(i == j) - v[i] * v[j] * scale for j in range(1, len(v))] for i in range(len(v))]
+
+
 class _Profile:
     """nu -> ``_Point`` of the profile P (module docstring), or None where a solve fails.
 
     The clipped solve is skipped where the reduced value, its lower bound,
-    exceeds ``ceiling``; a singular ``-H`` fails the point.  Each solve starts
-    from the nearest converged point's multipliers and their prediction.
-    ``nu`` is None for a scale-only model, whose one point has no slope.
+    exceeds ``ceiling``; a ``-H`` that is not positive definite fails the point.
+    Each solve starts from the nearest converged point's multipliers and their
+    prediction.  ``nu`` is None for a scale-only model, whose one point has no
+    slope.  A point reads ``f, f', f''`` once (``SplqModel.jet``) and does its
+    c x c algebra in floats; only the m-node products run in numpy.
     """
 
     def __init__(self, skeleton: DualProblem, model: SplqModel):
@@ -175,6 +195,8 @@ class _Profile:
         self.solved = []            # (nu, xi, dxi/dnu) of each converged point
         self.calls = self.iterations = self.evaluations = 0
         self.status = dict.fromkeys(SOLVE_STATUSES, 0)
+        self._zero = np.zeros(skeleton.target.size - 1)     # the reduced dual's target
+        self._sigma_box = model.box[0].tolist()
 
     def _solve(self, problem: DualProblem, starts, t1=None):
         """``solve_dual``, counted; a failed solve on the rows ``K N`` is labelled by t1."""
@@ -190,47 +212,51 @@ class _Profile:
 
     def __call__(self, nu, ceiling=math.inf):
         self.calls += 1
-        sk, unit = self.skeleton, np.array([1.0] if nu is None else [1.0, nu])
-        jac = model_jacobian(self.model, unit)
-        t1, eye = jac[:, 0], np.eye(jac.shape[0])
-        v = t1 + math.copysign(float(np.linalg.norm(t1)), t1[0]) * eye[0]
-        basis = eye[:, 1:] - np.outer(v, v[1:]) * (2.0 / float(v @ v))
-        reduced = replace(sk, kmat=sk.kmat @ basis, target=np.zeros(t1.size - 1),
-                          m_n=basis.T @ sk.m_n)
+        sk = self.skeleton
+        if nu is None:
+            f = self.model.lmoment_jacobian(np.ones(1))[:, 0].tolist()
+        else:
+            f, df, d2f = self.model.jet(nu)
+        t1 = [-v for v in f]            # the target at sigma = 1
+        basis = np.array(_complement_basis(t1))
+        reduced = DualProblem(sk.kmat @ basis, sk.delta, self._zero, sk.divergence,
+                              sk.m_n @ basis)
         near = min(self.solved, key=lambda p: abs(p[0] - nu), default=None)
         starts = None if near is None else np.array([near[1], near[1] + (nu - near[0]) * near[2]])
         sol = self._solve(reduced, None if starts is None else starts @ basis, t1)
         if not sol.converged:
             return None
         value, xi, (_, w1, w2) = sol.value, basis @ sol.xi, reduced.evaluate(sol.xi)
-        sigma, (lo, hi) = float(sk.kmat.T @ w1 @ t1) / float(t1 @ t1), self.model.box[0]
+        g = (sk.kmat.T @ w1).tolist()
+        sigma, (lo, hi) = fdot(g, t1) / fdot(t1, t1), self._sigma_box
         free = lo <= sigma <= hi
         if not free:
             if value > ceiling:
                 return _Point(value)
             sigma = min(max(sigma, lo), hi)
-            sol = self._solve(sk.with_target(sigma * t1), starts)
+            sol = self._solve(sk.with_target([sigma * t for t in t1]), starts)
             if not sol.converged:
                 return None
             value, xi, (_, w1, w2) = sol.value, sol.xi, sk.evaluate(sol.xi)
-        grad = sigma * t1 - sk.kmat.T @ w1      # of the full dual at xi
-        try:
-            a_grad, *a_jac = np.linalg.solve(sk.curvature(w2), np.column_stack([grad, jac])).T
-        except np.linalg.LinAlgError:
+            g = (sk.kmat.T @ w1).tolist()
+        target = [sigma * t for t in t1]
+        grad = [t - v for t, v in zip(target, g)]        # of the full dual at xi
+        columns = [grad, t1] if nu is None else [grad, t1, [-v for v in df]]
+        solved = spd_solve(sk.curvature(w2).tolist(), *columns)
+        if solved is None or not all(map(math.isfinite, chain.from_iterable(solved))):
             return None
-        if not (np.isfinite(a_grad).all() and np.isfinite(a_jac).all()):
-            return None
-        point = _Point(value, sigma=sigma, xi=xi, gap=float(grad @ a_grad),
-                       level=rounding_level(xi, sigma * t1, value, sk.delta.size))
+        (a_grad, at1, *_), xl = solved, xi.tolist()
+        point = _Point(value, sigma=sigma, xi=xi, gap=fdot(grad, a_grad),
+                       level=rounding_level(xl, target, value, sk.delta.size))
         if nu is None:
             return point
-        (at1, adt1), dt1 = a_jac, jac[:, 1]
-        xi_dt1, d2t1 = float(xi @ dt1), -self.model.lmoment_hessian(unit)[:, 1, 1]
-        dsigma = -(xi_dt1 + sigma * float(t1 @ adt1)) / float(t1 @ at1) if free else 0.0
-        dxi = dsigma * at1 + sigma * adt1
-        self.solved.append((nu, xi, dxi))
-        return point._replace(slope=sigma * xi_dt1,
-                              curvature=dsigma * xi_dt1 + sigma * float(dxi @ dt1 + xi @ d2t1))
+        dt1, adt1 = columns[2], solved[2]
+        xi_dt1 = fdot(xl, dt1)
+        dsigma = -(xi_dt1 + sigma * fdot(t1, adt1)) / fdot(t1, at1) if free else 0.0
+        dxi = [dsigma * a + sigma * b for a, b in zip(at1, adt1)]
+        self.solved.append((nu, xi, np.array(dxi)))
+        return point._replace(slope=sigma * xi_dt1, curvature=dsigma * xi_dt1 + sigma * (
+            fdot(dxi, dt1) - fdot(xl, d2f)))
 
     @property
     def diagnostics(self) -> dict:
@@ -415,7 +441,8 @@ def fit_divergence(
     """Minimum-divergence fit: a variable projection on the scale for every divergence.
 
     The fit runs in units of ``s = 2^e``, ``e`` the binary exponent of the
-    plug-in lambda_2: the sample is divided by ``s``, which is exact, and
+    plug-in lambda_2: the sample is divided by ``s``, which is exact and
+    keeps its order (``SortedSample.scaled``, no second sort), and
     the scale ``theta[0]`` (every model is linear in it), the criterion and
     ``outer_decrement`` are multiplied back.  The chi-square fit is
     ``_chi2_fit``; any other divergence runs ``_profile_fit``, and
@@ -428,7 +455,7 @@ def fit_divergence(
     """
     lm = sample_lmoments_v(sample, 2 if divergence.family == "chi2" else 4)
     scale = math.ldexp(1.0, math.frexp(lm[2])[1])
-    sample = SortedSample(sample.values / scale)
+    sample = sample.scaled(scale)
     try:
         skeleton = make_dual_problem(sample, model.rows, divergence, np.zeros(model.n_constraints))
         if divergence.family == "chi2":

@@ -56,6 +56,18 @@ class SortedSample:
     def shifted(self, a: float) -> "SortedSample":
         return SortedSample(self.values + a)
 
+    def scaled(self, s: float) -> "SortedSample":
+        """The sample divided by ``s > 0``, with no second sort.
+
+        Rounded division by a positive number is monotone, so the quotients
+        are in order; for ``s`` a power of two it is exact barring underflow.
+        """
+        values = self.values / s
+        values.setflags(write=False)
+        out = object.__new__(SortedSample)
+        object.__setattr__(out, "values", values)
+        return out
+
 
 @dataclass(frozen=True)
 class LmomentVector:

@@ -23,9 +23,6 @@ from .poly import PolyBasis
 # ---------------------------------------------------------------------------
 # closed-form L-moment maps: lambda(sigma, nu) = sigma * f(nu) for each law
 
-#: poles a = 1..4 and residues: f_k = sum_a r_ka / (a - nu) for the GPD
-_GPD_POLES = np.arange(1.0, 5.0)
-_GPD_RESIDUES = np.array([[1.0, -1.0, 0.0, 0.0], [1.0, -3.0, 2.0, 0.0], [1.0, -6.0, 10.0, -5.0]])
 #: f = Gamma(1 + 1/nu) * (W @ c), c_j = 1 - j^(-1/nu) for j = 2, 3, 4, for the Weibull
 _WEIBULL_K = np.array([2.0, 3.0, 4.0])
 _WEIBULL_LOG_K = np.log(_WEIBULL_K)
@@ -34,7 +31,7 @@ _WEIBULL_W = np.array([[1.0, 0.0, 0.0], [3.0, -2.0, 0.0], [6.0, -10.0, 5.0]])
 WEIBULL_SHAPE_BOX = (0.05, 20.0)
 
 
-def _gpd_shape(nu: float) -> np.ndarray:
+def _gpd_shape(nu: float) -> list[float]:
     """``f`` of the GPD, in product form: lambda_3 is exactly 0 at nu = -1 and
     lambda_4 at nu = -1, -2.  Heavy tail for nu > 0; no L-moments for nu >= 1.
     """
@@ -43,21 +40,29 @@ def _gpd_shape(nu: float) -> np.ndarray:
     lam2 = 1.0 / ((1.0 - nu) * (2.0 - nu))
     lam3 = lam2 * (1.0 + nu) / (3.0 - nu)
     lam4 = lam2 * (1.0 + nu) * (2.0 + nu) / ((3.0 - nu) * (4.0 - nu))
-    return np.array([lam2, lam3, lam4])
+    return [lam2, lam3, lam4]
 
 
-def _gpd_slopes(nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(f', f'')`` of the GPD: each is one more power of ``1 / (a - nu)``."""
-    inv = 1.0 / (_GPD_POLES - nu)
-    inv2 = inv * inv
-    return _GPD_RESIDUES @ inv2, 2.0 * (_GPD_RESIDUES @ (inv2 * inv))
+def _gpd_slopes(nu: float) -> tuple[list[float], list[float]]:
+    """``(f', f'')`` of the GPD in floats, from the partial fractions of ``f``.
+
+    With ``p_a = 1 / (a - nu)``, ``f = (p_1 - p_2, p_1 - 3 p_2 + 2 p_3,
+    p_1 - 6 p_2 + 10 p_3 - 5 p_4)``; ``f'`` is the same sums over ``p_a^2``
+    and ``f''`` twice them over ``p_a^3``.
+    """
+    p1, p2, p3, p4 = 1.0 / (1.0 - nu), 1.0 / (2.0 - nu), 1.0 / (3.0 - nu), 1.0 / (4.0 - nu)
+    a, b, c, d = p1 * p1, p2 * p2, p3 * p3, p4 * p4
+    d1 = [a - b, a - 3.0 * b + 2.0 * c, a - 6.0 * b + 10.0 * c - 5.0 * d]
+    a, b, c, d = a * p1, b * p2, c * p3, d * p4
+    d2 = [a - b, a - 3.0 * b + 2.0 * c, a - 6.0 * b + 10.0 * c - 5.0 * d]
+    return d1, [2.0 * v for v in d2]
 
 
-def _weibull_shape(nu: float) -> np.ndarray:
+def _weibull_shape(nu: float) -> list[float]:
     """``f`` of the Weibull law; ``expm1`` keeps the digits of ``c`` at large nu."""
     if nu <= 0:
         raise ValueError("Weibull shape must be positive")
-    return -gamma(1.0 + 1.0 / nu) * (_WEIBULL_W @ np.expm1(_WEIBULL_LOG_K / -nu))
+    return (-gamma(1.0 + 1.0 / nu) * (_WEIBULL_W @ np.expm1(_WEIBULL_LOG_K / -nu))).tolist()
 
 
 def _digamma_trigamma(x: float) -> tuple[float, float]:
@@ -81,7 +86,7 @@ def _digamma_trigamma(x: float) -> tuple[float, float]:
     return psi - psi_shift, tri + tri_shift
 
 
-def _weibull_slopes(nu: float) -> tuple[np.ndarray, np.ndarray]:
+def _weibull_slopes(nu: float) -> tuple[list[float], list[float]]:
     """``(f', f'')`` of the Weibull law: the product rule on ``Gamma(1 + 1/nu) * (W @ c)``."""
     p = _WEIBULL_K ** (-1.0 / nu)
     dc = -p * _WEIBULL_LOG_K / nu ** 2
@@ -91,10 +96,10 @@ def _weibull_slopes(nu: float) -> tuple[np.ndarray, np.ndarray]:
     dg = -g * psi / nu ** 2
     d2g = g * (psi * psi + tri + 2.0 * nu * psi) / nu ** 4
     a, da, d2a = _WEIBULL_W @ (1.0 - p), _WEIBULL_W @ dc, _WEIBULL_W @ d2c
-    return dg * a + g * da, d2g * a + 2.0 * dg * da + g * d2a
+    return (dg * a + g * da).tolist(), (d2g * a + 2.0 * dg * da + g * d2a).tolist()
 
 
-#: each law's ``(f, (f', f''))``, both functions of the shape nu
+#: each law's ``(f, (f', f''))`` as float lists, both functions of the shape nu
 _LAWS = {"gpd": (_gpd_shape, _gpd_slopes), "weibull": (_weibull_shape, _weibull_slopes)}
 
 
@@ -198,7 +203,7 @@ class ParametricFamily:
         return self.quantile(rng.random(n))
 
     def lmoments(self) -> np.ndarray:
-        return self.sigma * _LAWS[self.name][0](self.nu)
+        return self.sigma * np.array(_LAWS[self.name][0](self.nu))
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +215,18 @@ class SplqModel:
     """Parameter box plus the constraint map handed to the dual machinery.
 
     ``lmoment_map`` returns the constraint values lambda(theta) in report
-    convention, ``lmoment_jacobian`` its Jacobian, shape (c, d), and
-    ``lmoment_hessian`` its second derivatives, shape (c, d, d); ``target_map`` returns
-    -lambda(theta), which is what the dual consumes.  ``rows(t)`` evaluates
-    the integrated constraint rows at quantile levels ``t``; by default these
-    are the integrated shifted Legendre polynomials of the configured orders.
+    convention and ``lmoment_jacobian`` its Jacobian, shape (c, d);
+    ``target_map`` returns -lambda(theta), which is what the dual consumes.
+    ``rows(t)`` evaluates the integrated constraint rows at quantile levels
+    ``t``; by default these are the integrated shifted Legendre polynomials
+    of the configured orders.
     ``family`` names the law (a ``ParametricFamily`` name) whose L-moments
     the model shares, the plug-in law of the asymptotics; ``None`` when the
     model has no such law.  Every model is linear in ``theta[0]``, a scale,
-    so ``fit_divergence`` fits in units of the sample's L-scale.
+    so ``fit_divergence`` fits in units of the sample's L-scale.  A model
+    with a shape, ``lambda(theta) = sigma * f(nu)``, has ``jet(nu)``: ``(f,
+    f', f'')`` as float lists, all a profile point of the fit reads of the
+    model, second derivatives included; a scale-only model has ``jet`` None.
     """
 
     name: str
@@ -226,10 +234,10 @@ class SplqModel:
     box: np.ndarray                           # (d, 2) bounds
     lmoment_map: Callable[[np.ndarray], np.ndarray]
     lmoment_jacobian: Callable[[np.ndarray], np.ndarray]
-    lmoment_hessian: Callable[[np.ndarray], np.ndarray]
     family: str | None = None
     orders: tuple[int, ...] | None = (2, 3, 4)
     rows: Callable[[np.ndarray], np.ndarray] | None = None
+    jet: Callable[[float], tuple[list, list, list]] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "box", np.asarray(self.box, dtype=float))
@@ -263,26 +271,17 @@ def _l234_model(family: str, box) -> SplqModel:
     shape, slopes = _LAWS[family]
 
     def jacobian(th):
-        out = np.empty((3, 2))
-        out[:, 0] = shape(th[1])
-        out[:, 1] = th[0] * slopes(th[1])[0]
-        return out
-
-    def hessian(th):
-        d_nu, d_nu2 = slopes(th[1])
-        out = np.zeros((3, 2, 2))
-        out[:, 0, 1] = out[:, 1, 0] = d_nu
-        out[:, 1, 1] = th[0] * d_nu2
-        return out
+        sigma = th[0]
+        return np.array([[f, sigma * df] for f, df in zip(shape(th[1]), slopes(th[1])[0])])
 
     return SplqModel(
         name=f"{family}-l234",
         param_names=("sigma", "nu"),
         box=np.array(box),
-        lmoment_map=lambda th: th[0] * shape(th[1]),
+        lmoment_map=lambda th: th[0] * np.array(shape(th[1])),
         lmoment_jacobian=jacobian,
-        lmoment_hessian=hessian,
         family=family,
+        jet=lambda nu: (shape(nu), *slopes(nu)),
     )
 
 
@@ -326,7 +325,6 @@ def order_stat_model_3() -> SplqModel:
         box=np.array([[1e-9, 1e6]]),
         lmoment_map=lambda th: np.array([th[0], th[0]]),
         lmoment_jacobian=lambda th: np.array([[1.0], [1.0]]),
-        lmoment_hessian=lambda th: np.zeros((2, 1, 1)),
         orders=None,
         rows=_orderstat3_rows,
     )

@@ -359,6 +359,56 @@ def pwm_unbiased_comb(values, max_k: int) -> np.ndarray:
     ])
 
 
+def gpd_slopes_array(nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(f', f'')`` of the GPD's ``lambda = sigma f(nu)`` by the array formula
+    ``lmomdiv.models._gpd_slopes`` once had: residues of the poles a = 1..4
+    against powers of ``1 / (a - nu)``, as two matrix-vector products.
+    """
+    poles = np.arange(1.0, 5.0)
+    residues = np.array([[1.0, -1.0, 0.0, 0.0], [1.0, -3.0, 2.0, 0.0],
+                         [1.0, -6.0, 10.0, -5.0]])
+    inv = 1.0 / (poles - nu)
+    inv2 = inv * inv
+    return residues @ inv2, 2.0 * (residues @ (inv2 * inv))
+
+
+def read_column_csv(path: str, col: int = 0) -> np.ndarray:
+    """``lmomdiv.cli.read_column`` as it was before its one-pass parse: one
+    ``csv`` row and one ``float`` call at a time, every error kept.
+
+    Blank rows are skipped.  A short row, a non-numeric cell after line 1
+    and a non-finite value are bad lines, all reported in one error.  A
+    UTF-8 byte-order mark is not part of the first cell.
+    """
+    if col < 0:
+        raise UsageError(f"column {col} is negative: columns count from 0")
+    values, lines, bad_lines = [], [], []
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                try:
+                    value = float(row[col])
+                except (ValueError, IndexError) as exc:
+                    if any(c.strip() for c in row) and (
+                            isinstance(exc, IndexError) or lineno > 1):
+                        bad_lines.append(lineno)
+                    continue
+                values.append(value)
+                lines.append(lineno)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
+    data = np.array(values)
+    finite = np.isfinite(data)
+    if bad_lines or not finite.all():
+        bad_lines = sorted(bad_lines + [lines[i] for i in np.flatnonzero(~finite)])
+        raise UsageError(
+            f"non-numeric or non-finite entries on lines {bad_lines} of {path}"
+        )
+    if data.size < 2:
+        raise UsageError(f"{path} holds fewer than two usable values")
+    return data
+
+
 def read_column_rowwise(path: str, col: int = 0) -> np.ndarray:
     """Row-by-row CSV column reader, one finiteness test per value.
 

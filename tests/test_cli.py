@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmomdiv import cli
 from lmomdiv.cli import UsageError, main, read_column
 from lmomdiv.divergence import CHI2
 from lmomdiv.estimator import (
@@ -18,7 +19,7 @@ from lmomdiv.estimator import (
 )
 from lmomdiv.lmoments import SortedSample, sample_lmoments_v
 from lmomdiv.models import ParametricFamily, weibull_model
-from oracles import read_column_rowwise
+from oracles import read_column_csv, read_column_rowwise
 
 
 @pytest.fixture
@@ -101,6 +102,83 @@ def test_read_column_rejects_undecodable_bytes(tmp_path):
     p = tmp_path / "latin1.csv"
     p.write_bytes("x\n1.5\n2,5 \u00e9\n".encode("latin-1"))
     assert main(["lmoments", str(p)]) == 2
+
+
+def _both_readers(path: str, col: int):
+    """(read_column's outcome, the csv reader's): the column, or the error text."""
+    outcomes = []
+    for reader in (read_column, read_column_csv):
+        try:
+            outcomes.append(reader(path, col))
+        except UsageError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def _same_outcome(new, ref) -> bool:
+    if isinstance(ref, str) or isinstance(new, str):
+        return new == ref
+    return new.dtype == ref.dtype and np.array_equal(new, ref)
+
+
+#: line endings and text pieces a CSV file can hold: quotes, a lone carriage
+#: return, a byte-order mark, blank and whitespace lines
+_PIECES = st.sampled_from(["\n", "\r\n", "\r", ",", "\"", "\"1.5\"", "\"1,5\"", "\"x\"\"y\"",
+                           " ", "\t", "", "x", "2.5", "-3e2", "nan", "1e400", "7"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_CELLS, max_size=3), max_size=8), col=st.integers(0, 2),
+       ending=st.sampled_from(["\n", "\r\n", "\r"]), bom=st.booleans(),
+       tail=st.booleans())
+def test_read_column_matches_the_csv_reader(tmp_path_factory, rows, col, ending, bom, tail):
+    # every file the one-pass parse reads gives the csv reader's values, and
+    # every other file its error, bad lines included
+    path = tmp_path_factory.mktemp("csv") / "gen.csv"
+    text = ending.join(",".join(row) for row in rows) + (ending if tail else "")
+    path.write_bytes(("\ufeff" * bom + text).encode("utf-8"))
+    assert _same_outcome(*_both_readers(str(path), col))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(_PIECES, max_size=30), col=st.integers(0, 2))
+def test_read_column_matches_the_csv_reader_on_quotes_and_endings(tmp_path_factory, pieces,
+                                                                   col):
+    path = tmp_path_factory.mktemp("csv") / "gen.csv"
+    path.write_bytes("".join(pieces).encode("utf-8"))
+    assert _same_outcome(*_both_readers(str(path), col))
+
+
+@pytest.mark.parametrize("text,col", [
+    ("x\n1.5\n2.5\n", 0),
+    ("\ufeffx\r\n1.5\r\n2.5\r\n", 0),              # BOM and CRLF
+    ("x\n\n1.5\n\n2.5\n\n", 0),                      # empty lines
+    ("x\n  \n1.5\n\t\n2.5\n", 0),                     # whitespace lines
+    ('"x"\n"1.5"\n"2.5"\n', 0),                       # quoted cells
+    ('id,v\n1,"2,5"\n2,"3.5"\n', 1),                  # a quoted comma
+    ("a,b\n1,2\n3\n4,5\n", 1),                       # a short row
+    ("a,b\n1,2\n3,oops\n4,inf\n5,nan\n", 1),         # every bad line named
+    ("1.5\r2.5\r3.5\r", 0),                           # bare carriage returns
+    ("x\n1_000\n2.5\n", 0),                           # float's own grammar
+    ("x\n1.5\n", 0),                                   # one value
+    ("", 0),
+    ("1,2\n3,4\n", 2),                                 # every row short
+])
+def test_read_column_matches_the_csv_reader_on_files(tmp_path, text, col):
+    path = tmp_path / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _same_outcome(*_both_readers(str(path), col))
+
+
+@pytest.mark.parametrize("n,stream", [(1_000, [3, 3]), (10_000, [0, 1]), (100_000, [1, 0])])
+def test_read_column_reads_the_benchmark_files_as_the_csv_reader(tmp_path, n, stream):
+    # the cli-fit inputs: GPD(3, 0.4) draws, a header x and one repr per row
+    values = ParametricFamily("gpd", 3.0, 0.4).sample(n, np.random.default_rng(stream))
+    path = tmp_path / "bench.csv"
+    path.write_text("x\n" + "\n".join(map(repr, values.tolist())) + "\n")
+    new, ref = _both_readers(str(path), 0)
+    assert _same_outcome(new, ref) and np.array_equal(new, values)
+    assert cli._parse_plain(path.read_text(), 0) is not None      # no row-by-row read
 
 
 def test_lmoments_command(data_file, capsys):

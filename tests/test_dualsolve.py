@@ -16,9 +16,11 @@ from lmomdiv.dualsolve import (
     make_dual_problem,
     omega_empirical,
     solve_dual,
+    spd_solve,
     target_in_cone,
     wasserstein_fit_inner,
 )
+from lmomdiv import dualsolve
 from lmomdiv.lmoments import SortedSample, sample_lmoments_v
 from lmomdiv.models import model_by_name
 from lmomdiv.poly import PolyBasis
@@ -438,3 +440,68 @@ def test_ties_leaving_fewer_positive_spacings_than_rows_are_singular(rows):
     values = model.rows if rows == "table" else model.constraint_values
     with pytest.raises(SingularConstraintError, match="rank 2 < 3 on 2 positive-spacing"):
         make_dual_problem(sample, values, CHI2, np.zeros(3))
+
+
+def _spd(rng, c, cond):
+    """A c x c symmetric positive definite matrix with eigenvalues from 1 down to 1 / cond."""
+    q = np.linalg.qr(rng.normal(size=(c, c)))[0]
+    return (q * np.geomspace(1.0, 1.0 / cond, c)) @ q.T
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 19])
+@pytest.mark.parametrize("cond", [1e2, 1e12])
+def test_spd_solve_matches_numpy(c, cond):
+    # forward error within 16 c eps cond(a) of np.linalg.solve's, and a
+    # backward error (residual) of 16 c eps |a| |x|, whatever the condition
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng([c, int(np.log10(cond))])
+    for _ in range(20):
+        a = _spd(rng, c, cond)
+        a = 0.5 * (a + a.T)
+        rhs = rng.normal(size=(3, c))
+        sol = spd_solve(a.tolist(), *rhs.tolist())
+        assert sol is not None and len(sol) == 3
+        assert all(type(v) is float for x in sol for v in x)
+        low = np.linalg.cholesky(a)
+        for x, b in zip(np.array(sol), rhs):
+            ref = np.linalg.solve(low.T, np.linalg.solve(low, b))
+            scale = np.abs(ref).max()
+            assert np.abs(x - ref).max() <= 16.0 * c * eps * np.linalg.cond(a) * scale
+            assert np.abs(a @ x - b).max() <= 16.0 * c * eps * np.abs(a).max() * np.abs(x).max()
+
+
+@pytest.mark.parametrize("a", [
+    [[1.0, 2.0], [2.0, 1.0]],                         # indefinite
+    [[-1.0]],
+    [[1.0, 1.0], [1.0, 1.0]],                         # singular: the second pivot is 0
+    [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [np.inf, 1.0]],
+])
+def test_spd_solve_returns_none_without_a_factor(a):
+    assert spd_solve(a, [1.0] * len(a)) is None
+
+
+def test_singular_newton_system_reaches_the_shift_loop(monkeypatch):
+    # psi'' zeroed at every node makes -H the zero matrix: the kernel finds no
+    # factor, and the step is taken on -H + reg I with reg = 1e-12, not raised
+    s = random_sample(0)
+    problem = make_dual_problem(s, PolyBasis((2, 3, 4)), KL, perturbed_target(s, (2, 3, 4),
+                                                                               (1.1, 0.9, 1.0)))
+    evaluate, calls = DualProblem.evaluate, []
+
+    def flat(self, xi, z=None):
+        value, w1, w2 = evaluate(self, xi, z)
+        return value, w1, np.zeros_like(w2)
+
+    def recording(a, *rhs):
+        calls.append((a, spd_solve(a, *rhs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(DualProblem, "evaluate", flat)
+    monkeypatch.setattr(dualsolve, "spd_solve", recording)
+    sol = solve_dual(problem)
+    assert sol.evaluations > 1
+    assert calls[0][1] is None and calls[0][0] == [[0.0] * 3] * 3
+    assert calls[1][1] is not None and calls[1][0] == (1e-12 * np.eye(3)).tolist()

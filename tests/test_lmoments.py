@@ -53,6 +53,24 @@ def test_sample_immutable():
         s.values[0] = 7.0
 
 
+@pytest.mark.parametrize("s", [2.0 ** 40, 2.0 ** -40, 0.75, 3.0])
+def test_scaled_sample_is_the_sorted_quotient_without_a_sort(monkeypatch, s):
+    # division by s > 0 keeps the order, so scaled() skips the sort the
+    # constructor makes; the values are the constructor's bit for bit and
+    # stay read-only
+    x = np.concatenate([[0.0, 0.0, -0.0], 3.0 * np.random.default_rng(1).weibull(0.1, 200),
+                        -np.random.default_rng(2).exponential(size=50)])
+    sample = SortedSample(x)
+    ref = SortedSample(sample.values / s)
+    monkeypatch.setattr(np, "sort", None)      # scaled() does not sort
+    out = sample.scaled(s)
+    assert type(out) is SortedSample
+    assert out.values.tobytes() == ref.values.tobytes()
+    assert not out.values.flags.writeable
+    with pytest.raises(ValueError):
+        out.values[0] = 7.0
+
+
 def test_v_statistic_example():
     # [DERIVED] worked by hand: {1,2,4} gives l_1 = 7/3, l_2 = 2/3
     s = SortedSample(np.array([1.0, 2.0, 4.0]))

@@ -7,6 +7,7 @@ from scipy.special import digamma, polygamma
 from lmomdiv.models import (
     ParametricFamily,
     _digamma_trigamma,
+    _gpd_slopes,
     gpd_lmoment_map,
     gpd_model,
     model_by_name,
@@ -16,7 +17,7 @@ from lmomdiv.models import (
     weibull_model,
 )
 
-from oracles import order_stat_polynomial, population_lmoments
+from oracles import gpd_slopes_array, order_stat_polynomial, population_lmoments
 
 
 # ---------------------------------------------------------------------------
@@ -209,26 +210,19 @@ def test_weibull_model_target():
     (gpd_model(), np.linspace(-5.0, 0.99, 9)),
     (weibull_model(), np.geomspace(0.05, 20.0, 9)),
 ], ids=lambda v: getattr(v, "name", ""))
-def test_lmoment_hessian_matches_jacobian_differences(model, nus):
-    # central differences of the analytic Jacobian, over the model's box
-    for sigma in (1e-3, 1.0, 1e3):
-        for nu in nus:
-            theta = np.array([sigma, nu])
-            hess = model.lmoment_hessian(theta)
-            fd = np.empty_like(hess)
-            for j, h in enumerate(1e-6 * theta):
-                e = np.eye(2)[j] * h
-                fd[:, :, j] = (model.lmoment_jacobian(theta + e)
-                               - model.lmoment_jacobian(theta - e)) / (2.0 * h)
-            scale = np.abs(hess).max(axis=(1, 2), keepdims=True)
-            assert np.all(np.abs(hess - fd) <= 1e-5 * scale), (sigma, nu)
-            assert np.all(hess[:, 0, 0] == 0.0)
-            assert np.array_equal(hess, hess.transpose(0, 2, 1))
-
-
-def test_orderstat3_lmoment_hessian_is_zero():
-    model = order_stat_model_3()
-    assert np.array_equal(model.lmoment_hessian(np.array([2.5])), np.zeros((2, 1, 1)))
+def test_jet_matches_jacobian_differences(model, nus):
+    # f and f' are the Jacobian's columns at sigma = 1, bit for bit, and f''
+    # the central differences of its f' column, over the model's box
+    for nu in nus:
+        f, df, d2f = model.jet(float(nu))
+        assert all(type(v) is float for v in f + df + d2f)
+        jac = model.lmoment_jacobian(np.array([1.0, nu]))
+        assert f == jac[:, 0].tolist() and df == jac[:, 1].tolist()
+        assert model.lmoment_map(np.array([1.0, nu])).tolist() == f
+        h = 1e-6 * nu
+        fd = (model.lmoment_jacobian(np.array([1.0, nu + h]))[:, 1]
+              - model.lmoment_jacobian(np.array([1.0, nu - h]))[:, 1]) / (2.0 * h)
+        assert np.all(np.abs(np.array(d2f) - fd) <= 1e-5 * np.abs(d2f).max()), nu
 
 
 def test_digamma_trigamma_match_scipy():
@@ -317,3 +311,24 @@ def test_orderstat3_rows_are_integrated_densities(u):
             0.0, u,
         )
         assert rows[k] == pytest.approx(val, abs=1e-9)
+
+
+def test_gpd_slopes_in_floats_match_the_array_formula():
+    # the float sums of _gpd_slopes against the matrix-vector products they
+    # replaced, over the shape box and at the exact zeros nu = -1, -2: within
+    # 4 eps of the sums of the terms' magnitudes
+    eps = np.finfo(float).eps
+    poles = np.arange(1.0, 5.0)
+    residues = np.abs(np.array([[1.0, -1.0, 0.0, 0.0], [1.0, -3.0, 2.0, 0.0],
+                                [1.0, -6.0, 10.0, -5.0]]))
+    for nu in np.concatenate([np.linspace(-5.0, 0.99, 2001), [-2.0, -1.0, 0.0, 0.5]]):
+        d1, d2 = _gpd_slopes(float(nu))
+        assert all(type(v) is float for v in d1 + d2)
+        ref1, ref2 = gpd_slopes_array(float(nu))
+        inv = np.abs(1.0 / (poles - nu))
+        assert np.all(np.abs(np.array(d1) - ref1) <= 4.0 * eps * (residues @ inv ** 2)), nu
+        assert np.all(np.abs(np.array(d2) - ref2) <= 8.0 * eps * (residues @ inv ** 3)), nu
+
+
+def test_scale_only_model_has_no_jet():
+    assert order_stat_model_3().jet is None
