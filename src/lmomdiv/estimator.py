@@ -31,14 +31,14 @@ minimum over sigma of ``V(sigma t1)``, ``t1 = target_map((1, nu))``, is the
 dual restricted to ``xi.t1 = 0``, one ``solve_dual`` on the rows ``K N`` at
 target 0 with N a Householder basis of the complement of t1, and the scale
 is the constraint's multiplier ``g.t1 / t1.t1``, ``g = K^T psi'(K xi) delta``
-(``_Profile``).  A scale outside the box row is clipped, and the full dual is
-solved there.  With ``A = (-H)^-1`` at xi, the profile P(nu) has the envelope
+(``_Profile``).  A scale outside the box row fails the point, as a failed
+solve does.  With ``A = (-H)^-1`` at xi, the profile P(nu) has the envelope
 slope ``P' = sigma xi.t1'`` and the curvature ``P'' = sigma' xi.t1' +
 sigma (dxi.t1' + xi.t1'')``, ``dxi = sigma' A t1 + sigma A t1'``, where sigma'
-keeps ``xi.t1 = 0`` (0 where sigma is clipped).  A point reads ``t1``,
-``t1'`` and ``t1''`` from one ``SplqModel.jet`` call, builds the Householder
-basis in floats and solves ``-H`` for the gradient, ``t1`` and ``t1'`` by
-``dualsolve.spd_solve``; a ``-H`` with no Cholesky factor fails the point.
+keeps ``xi.t1 = 0``.  A point reads ``t1``, ``t1'`` and ``t1''`` from one
+``SplqModel.jet`` call, builds the Householder basis in floats and solves
+``-H`` for the gradient, ``t1`` and ``t1'`` by ``dualsolve.spd_solve``; a
+``-H`` with no Cholesky factor fails the point.
 ``_shape_search`` minimizes P by damped Newton in nu from the L-moment-method
 shape (the GPD's tau_4 and the Weibull's tau_3 inversion), or from the
 chi-square one where that is undefined or its solve fails: a step
@@ -48,9 +48,10 @@ The search stops at a zero slope, at a box edge the slope points out of, at
 a decrement ``P'^2 / P''`` within ``dualsolve.rounding_level``, and, where
 ``P'' > 0``, at a step that finds no lower P in floating point.  A failed
 inner solve is never the criterion: a search that fails at its start or at
-every halving of a step, whose bracket closes in on it, or that does not
-converge raises ``EstimationError``, and so does an estimate whose
-multipliers fail the full dual's own stopping test.
+every halving of a step (its message counts the points whose scale left the
+box), whose bracket closes in on it, or that does not converge raises
+``EstimationError``, and so does an estimate whose multipliers fail the full
+dual's own stopping test.
 So does, for every divergence, a scale estimate on the edge of its box row,
 which in units of s holds every law of the model; a shape edge is reported
 as ``boundary``.  The plug-in Omega and Sigma run in quantile space and are
@@ -101,9 +102,9 @@ from .models import (
     WEIBULL_SHAPE_BOX,
     ParametricFamily,
     SplqModel,
-    model_jacobian,
     weibull_lmoment_map,
 )
+from .poly import PolyBasis
 from .roots import bracketed_root
 
 #: Newton steps the shape search may take
@@ -163,9 +164,9 @@ class FitReport:
         return out
 
 
-#: P at one shape, its slope and curvature, scale and multipliers, the full dual's rounding
-#: level and Newton decrement there; a skipped clipped solve leaves a lower bound of P alone
-_Point = namedtuple("_Point", "value slope curvature sigma xi level gap", defaults=(None,) * 6)
+#: P at one shape, the scale and multipliers there, the full dual's rounding level and Newton
+#: decrement, and P's slope and curvature (None for a scale-only model)
+_Point = namedtuple("_Point", "value sigma xi level gap slope curvature", defaults=(None, None))
 
 
 def _complement_basis(t1: list) -> list[list[float]]:
@@ -180,43 +181,41 @@ def _complement_basis(t1: list) -> list[list[float]]:
 
 
 class _Profile:
-    """nu -> ``_Point`` of the profile P (module docstring), or None where a solve fails.
+    """nu -> ``_Point`` of the profile P (module docstring), or None where the point fails.
 
-    The clipped solve is skipped where the reduced value, its lower bound,
-    exceeds ``ceiling``; a ``-H`` that is not positive definite fails the point.
-    Each solve starts from the nearest converged point's multipliers and their
-    prediction.  ``nu`` is None for a scale-only model, whose one point has no
-    slope.  A point reads ``f, f', f''`` once (``SplqModel.jet``) and does its
-    c x c algebra in floats; only the m-node products run in numpy.
+    A point fails where its solve does not converge, where the scale sigma*
+    leaves its box row (counted in ``outside``), and where ``-H`` is not
+    positive definite.  Each solve starts from the nearest converged point's
+    multipliers and their prediction.  ``nu`` is None for a scale-only model,
+    whose one point has no slope.  A point reads ``f, f', f''`` once
+    (``SplqModel.jet``) and does its c x c algebra in floats; only the
+    m-node products run in numpy.
     """
 
     def __init__(self, skeleton: DualProblem, model: SplqModel):
         self.skeleton, self.model = skeleton, model
         self.solved = []            # (nu, xi, dxi/dnu) of each converged point
-        self.calls = self.iterations = self.evaluations = 0
+        self.calls = self.iterations = self.evaluations = self.outside = 0
         self.status = dict.fromkeys(SOLVE_STATUSES, 0)
         self._zero = np.zeros(skeleton.target.size - 1)     # the reduced dual's target
         self._sigma_box = model.box[0].tolist()
 
-    def _solve(self, problem: DualProblem, starts, t1=None):
-        """``solve_dual``, counted; a failed solve on the rows ``K N`` is labelled by t1."""
+    def _solve(self, problem: DualProblem, starts, t1):
+        """``solve_dual`` on the rows ``K N``, counted; a failed solve is labelled by t1."""
         sol = solve_dual(problem, xi0=starts)
         self.iterations += sol.iterations
         self.evaluations += sol.evaluations
         # K N meets no condition of the cone test, and with t1 in the open cone of K
         # no column of K N is negative at every node; the reduced dual is unbounded
         # exactly when t1 lies outside that cone
-        inside = t1 is None or sol.converged or target_in_cone(self.skeleton.with_target(t1))
+        inside = sol.converged or target_in_cone(self.skeleton.with_target(t1))
         self.status[sol.status if inside else "infeasibleDirection"] += 1
         return sol
 
-    def __call__(self, nu, ceiling=math.inf):
+    def __call__(self, nu):
         self.calls += 1
         sk = self.skeleton
-        if nu is None:
-            f = self.model.lmoment_jacobian(np.ones(1))[:, 0].tolist()
-        else:
-            f, df, d2f = self.model.jet(nu)
+        f, *slopes = self.model.jet(nu)     # slopes: f', f''; none for a scale-only model
         t1 = [-v for v in f]            # the target at sigma = 1
         basis = np.array(_complement_basis(t1))
         reduced = DualProblem(sk.kmat @ basis, sk.delta, self._zero, sk.divergence,
@@ -229,34 +228,36 @@ class _Profile:
         value, xi, (_, w1, w2) = sol.value, basis @ sol.xi, reduced.evaluate(sol.xi)
         g = (sk.kmat.T @ w1).tolist()
         sigma, (lo, hi) = fdot(g, t1) / fdot(t1, t1), self._sigma_box
-        free = lo <= sigma <= hi
-        if not free:
-            if value > ceiling:
-                return _Point(value)
-            sigma = min(max(sigma, lo), hi)
-            sol = self._solve(sk.with_target([sigma * t for t in t1]), starts)
-            if not sol.converged:
-                return None
-            value, xi, (_, w1, w2) = sol.value, sol.xi, sk.evaluate(sol.xi)
-            g = (sk.kmat.T @ w1).tolist()
+        if not lo <= sigma <= hi:
+            self.outside += 1
+            return None
         target = [sigma * t for t in t1]
         grad = [t - v for t, v in zip(target, g)]        # of the full dual at xi
-        columns = [grad, t1] if nu is None else [grad, t1, [-v for v in df]]
+        columns = [grad, t1] if nu is None else [grad, t1, [-v for v in slopes[0]]]
         solved = spd_solve(sk.curvature(w2).tolist(), *columns)
         if solved is None or not all(map(math.isfinite, chain.from_iterable(solved))):
             return None
         (a_grad, at1, *_), xl = solved, xi.tolist()
-        point = _Point(value, sigma=sigma, xi=xi, gap=fdot(grad, a_grad),
+        point = _Point(value, sigma, xi, gap=fdot(grad, a_grad),
                        level=rounding_level(xl, target, value, sk.delta.size))
         if nu is None:
             return point
         dt1, adt1 = columns[2], solved[2]
         xi_dt1 = fdot(xl, dt1)
-        dsigma = -(xi_dt1 + sigma * fdot(t1, adt1)) / fdot(t1, at1) if free else 0.0
+        dsigma = -(xi_dt1 + sigma * fdot(t1, adt1)) / fdot(t1, at1)
         dxi = [dsigma * a + sigma * b for a, b in zip(at1, adt1)]
         self.solved.append((nu, xi, np.array(dxi)))
         return point._replace(slope=sigma * xi_dt1, curvature=dsigma * xi_dt1 + sigma * (
-            fdot(dxi, dt1) - fdot(xl, d2f)))
+            fdot(dxi, dt1) - fdot(xl, slopes[1])))
+
+    def failure(self, where: str) -> EstimationError:
+        """The error of a search whose points failed ``where``, naming any scale that left its box."""
+        left = ""
+        if self.outside:
+            left = (f"; at {self.outside} points the solve converged but put the scale "
+                    f"{self.model.param_names[0]} outside its box {self._sigma_box!r}, in units "
+                    "of s = 2^e, the power of two at the sample's L-scale")
+        return EstimationError(f"the inner solve failed {where}: inner_status {self.status}{left}")
 
     @property
     def diagnostics(self) -> dict:
@@ -266,6 +267,7 @@ class _Profile:
             "inner_evaluations": self.evaluations,
             "inner_status": dict(self.status),
             "inner_failures": self.status["maxIter"] + self.status["stalled"],
+            "scale_outside_box": self.outside,
         }
 
 
@@ -305,7 +307,7 @@ def _shape_search(profile: _Profile, nu: float, point):
                                   f"is {slope!r}: inner_status {profile.status}")
         while tried < _MAX_HALVINGS and cand != nu:
             tried += 1
-            new = profile(cand, point.value)
+            new = profile(cand)
             failed += new is None
             if new is not None and new.value < point.value:
                 break
@@ -315,8 +317,7 @@ def _shape_search(profile: _Profile, nu: float, point):
         steps += tried
         if new is None:
             if failed and failed == tried:
-                raise EstimationError("the inner solve failed at every halving of the profile "
-                                      f"step from nu = {nu!r}: inner_status {profile.status}")
+                raise profile.failure(f"at every halving of the profile step from nu = {nu!r}")
             if curvature <= 0.0:
                 raise EstimationError(f"no halving of the profile step from nu = {nu!r} lowered "
                                       "the criterion, whose curvature there is not positive: "
@@ -448,8 +449,9 @@ def fit_divergence(
     ``_chi2_fit``; any other divergence runs ``_profile_fit``, and
     ``diagnostics`` has ``start`` (the start's name), ``outer_iterations``
     (the shape steps tried), ``criterion_evaluations`` (the profile points),
-    ``outer_decrement`` (the search's last decrement, None where ``P'' <= 0``)
-    and the inner solves' counts.  The criterion and ``xi`` are the profile's
+    ``outer_decrement`` (the search's last decrement, None where ``P'' <= 0``),
+    ``scale_outside_box`` (the points whose scale left its box row) and the
+    inner solves' counts.  The criterion and ``xi`` are the profile's
     own at the estimate.  A scale on the edge of its box row raises
     ``EstimationError``; ``boundary`` is then a shape edge.
     """
@@ -498,8 +500,7 @@ def _profile_fit(skeleton: DualProblem, model: SplqModel, start):
         nu, start_name = float(_chi2_fit(skeleton, model)[0][1]), "chi2"
         point = profile(nu)
     if point is None:
-        raise EstimationError("the inner solve failed at the start of the profile search: "
-                              f"inner_status {profile.status}")
+        raise profile.failure("at the start of the profile search")
     steps, decrement = 0, None
     if nu is not None:
         nu, point, steps, decrement = _shape_search(profile, nu, point)
@@ -535,14 +536,6 @@ class CovarianceReport:
         return 0.5 * (c + c.T)
 
 
-def _rows_deriv(model: SplqModel):
-    """u -> derivative of the integrated constraint rows at quantile levels u."""
-    if model.orders is None:
-        raise ValueError(
-            f"asymptotics need L-moment constraint orders; model {model.name!r} has none")
-    return legendre_rows(model.orders)
-
-
 def asymptotic_covariance(
     theta_hat,
     model: SplqModel,
@@ -560,11 +553,12 @@ def asymptotic_covariance(
     projection ``Omega^-1 - Omega^-1 J0 h`` is ``p p^T`` with ``p = L^-T Q2``,
     whose c - d columns are the degrees of freedom of ``confidence_stat``.
     """
-    theta_hat = np.asarray(theta_hat, dtype=float)
+    if not isinstance(model.rows, PolyBasis):
+        raise ValueError(
+            f"asymptotics need L-moment constraint orders; model {model.name!r} has none")
     omega = plugin_second_moments(plugin, model.constraint_values)
-    sigma = triangle_covariance(plugin, _rows_deriv(model))
-
-    j0 = model_jacobian(model, theta_hat)
+    sigma = triangle_covariance(plugin, legendre_rows(model.rows.orders))
+    j0 = -model.lmoment_jacobian(np.asarray(theta_hat, dtype=float))
     require_finite(omega, j0)
     try:
         low = np.linalg.cholesky(omega)

@@ -212,39 +212,32 @@ class ParametricFamily:
 
 @dataclass(frozen=True)
 class SplqModel:
-    """Parameter box plus the constraint map handed to the dual machinery.
+    """Parameter box, law and constraint rows handed to the dual machinery.
 
-    ``lmoment_map`` returns the constraint values lambda(theta) in report
-    convention and ``lmoment_jacobian`` its Jacobian, shape (c, d);
-    ``target_map`` returns -lambda(theta), which is what the dual consumes.
-    ``rows(t)`` evaluates the integrated constraint rows at quantile levels
-    ``t``; by default these are the integrated shifted Legendre polynomials
-    of the configured orders.
-    ``family`` names the law (a ``ParametricFamily`` name) whose L-moments
-    the model shares, the plug-in law of the asymptotics; ``None`` when the
-    model has no such law.  Every model is linear in ``theta[0]``, a scale,
-    so ``fit_divergence`` fits in units of the sample's L-scale.  A model
-    with a shape, ``lambda(theta) = sigma * f(nu)``, has ``jet(nu)``: ``(f,
-    f', f'')`` as float lists, all a profile point of the fit reads of the
-    model, second derivatives included; a scale-only model has ``jet`` None.
+    Every model is ``lambda(theta) = sigma * f(nu)``, linear in ``theta[0]``, a
+    scale, so ``fit_divergence`` fits in units of the sample's L-scale.
+    ``law`` is the pair ``(f, slopes)`` of float-list functions of the shape
+    nu, ``slopes(nu) = (f', f'')``; a scale-only model has no nu, a constant
+    ``f`` (called with None) and ``slopes`` None.  ``rows(t)`` evaluates the
+    integrated constraint rows at quantile levels ``t`` (a ``PolyBasis`` of
+    the L-moment orders for the GPD and Weibull models).  ``family`` names the
+    law (a ``ParametricFamily`` name) whose L-moments the model shares, the
+    plug-in law of the asymptotics; ``None`` when the model has no such law.
+    ``lmoment_map`` gives lambda(theta) in report convention and
+    ``target_map`` -lambda(theta), which is what the dual consumes.
     """
 
     name: str
     param_names: tuple[str, ...]
     box: np.ndarray                           # (d, 2) bounds
-    lmoment_map: Callable[[np.ndarray], np.ndarray]
-    lmoment_jacobian: Callable[[np.ndarray], np.ndarray]
+    law: tuple[Callable[[float | None], list], Callable[[float], tuple[list, list]] | None]
+    rows: Callable[[np.ndarray], np.ndarray]
     family: str | None = None
-    orders: tuple[int, ...] | None = (2, 3, 4)
-    rows: Callable[[np.ndarray], np.ndarray] | None = None
-    jet: Callable[[float], tuple[list, list, list]] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "box", np.asarray(self.box, dtype=float))
         if self.box.shape != (len(self.param_names), 2):
             raise ValueError("box must have one (lo, hi) row per parameter")
-        if self.rows is None:
-            object.__setattr__(self, "rows", PolyBasis(self.orders))
 
     @property
     def dim(self) -> int:
@@ -257,31 +250,35 @@ class SplqModel:
     def constraint_values(self, t):
         return self.rows(t)
 
+    def jet(self, nu) -> tuple[list[float], ...]:
+        """``(f, f', f'')`` at the shape ``nu`` as float lists; ``(f,)`` for a scale-only model."""
+        shape, slopes = self.law
+        return (shape(nu),) if slopes is None else (shape(nu), *slopes(nu))
+
+    def lmoment_map(self, theta) -> np.ndarray:
+        return theta[0] * np.array(self.law[0](theta[1] if len(theta) > 1 else None))
+
+    def lmoment_jacobian(self, theta) -> np.ndarray:
+        """``[f, sigma f']``, shape (c, d); ``f`` alone for a scale-only model."""
+        shape, slopes = self.law
+        if slopes is None:
+            return np.array(shape(None))[:, None]
+        sigma, nu = theta[0], theta[1]
+        return np.array([[f, sigma * df] for f, df in zip(shape(nu), slopes(nu)[0])])
+
     def target_map(self, theta) -> np.ndarray:
-        return -np.asarray(self.lmoment_map(np.asarray(theta, dtype=float)))
-
-
-def model_jacobian(model: SplqModel, theta) -> np.ndarray:
-    """Jacobian of the target map -lambda(theta), shape (l-1, d)."""
-    return -np.asarray(model.lmoment_jacobian(np.asarray(theta, dtype=float)))
+        return -self.lmoment_map(np.asarray(theta, dtype=float))
 
 
 def _l234_model(family: str, box) -> SplqModel:
     """Laws sharing lambda_2..4 with a member of ``family``, ``lambda = sigma * f(nu)``."""
-    shape, slopes = _LAWS[family]
-
-    def jacobian(th):
-        sigma = th[0]
-        return np.array([[f, sigma * df] for f, df in zip(shape(th[1]), slopes(th[1])[0])])
-
     return SplqModel(
         name=f"{family}-l234",
         param_names=("sigma", "nu"),
         box=np.array(box),
-        lmoment_map=lambda th: th[0] * np.array(shape(th[1])),
-        lmoment_jacobian=jacobian,
+        law=_LAWS[family],
+        rows=PolyBasis((2, 3, 4)),
         family=family,
-        jet=lambda nu: (shape(nu), *slopes(nu)),
     )
 
 
@@ -323,9 +320,7 @@ def order_stat_model_3() -> SplqModel:
         name="orderstat3",
         param_names=("nu",),
         box=np.array([[1e-9, 1e6]]),
-        lmoment_map=lambda th: np.array([th[0], th[0]]),
-        lmoment_jacobian=lambda th: np.array([[1.0], [1.0]]),
-        orders=None,
+        law=(lambda nu: [1.0, 1.0], None),      # both rank gaps equal the scale
         rows=_orderstat3_rows,
     )
 

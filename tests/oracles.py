@@ -293,7 +293,7 @@ def weibull_plugin_sigma(sigma: float, nu: float, orders, eps: float = 1e-10) ->
 
 
 # ---------------------------------------------------------------------------
-# the membership statistic in rational arithmetic
+# the chi-square value and the membership statistic in rational arithmetic
 
 
 def _fractions(a) -> list:
@@ -323,6 +323,12 @@ def _solve(a, b) -> list:
                 f = rows[r][col]
                 rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
     return [row[n:] for row in rows]
+
+
+def chi2_value_rational(omega, resid) -> float:
+    """``r^T Omega^-1 r / 2`` of the float inputs, exactly; only the result is rounded."""
+    r = _fractions(resid)
+    return float(Fraction(1, 2) * sum(a[0] * b[0] for a, b in zip(r, _solve(_fractions(omega), r))))
 
 
 def s_n_rational(omega, sigma, j0, xi, n: int) -> float:

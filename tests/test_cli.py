@@ -660,8 +660,8 @@ def test_non_finite_covariance_exits_3(data_file, monkeypatch, capsys, poison):
         real = estimator.asymptotic_covariance
 
         def nan_jacobian(theta, model, plugin):
-            model = dataclasses.replace(
-                model, lmoment_jacobian=lambda th: np.full((3, 2), np.nan))
+            nan = [np.nan] * 3
+            model = dataclasses.replace(model, law=(lambda nu: nan, lambda nu: (nan, nan)))
             return real(theta, model, plugin)
 
         monkeypatch.setattr(cli, "asymptotic_covariance", nan_jacobian)

@@ -36,12 +36,18 @@ from lmomdiv.models import (
     ParametricFamily,
     gpd_model,
     model_by_name,
-    model_jacobian,
     order_stat_model_3,
     weibull_model,
 )
+from lmomdiv.poly import PolyBasis
 from lmomdiv.sim import ScenarioConfig, draw_sample, run_scenario
-from oracles import gpd_plugin_omega, gpd_plugin_sigma, primal_bruteforce, s_n_rational
+from oracles import (
+    chi2_value_rational,
+    gpd_plugin_omega,
+    gpd_plugin_sigma,
+    primal_bruteforce,
+    s_n_rational,
+)
 
 
 def grid_sample(fam, n):
@@ -280,7 +286,7 @@ def test_envelope_gradient_vanishes_at_optimum():
     for div in (CHI2, KL, KLM):
         report = fit_divergence(s, model, div)
         assert not report.diagnostics["boundary"]
-        g = model_jacobian(model, report.theta).T @ report.xi
+        g = -model.lmoment_jacobian(report.theta).T @ report.xi
         # scale-free comparison against the multiplier magnitude
         assert np.linalg.norm(g) < 1e-7 * (1.0 + np.linalg.norm(report.xi)), div.family
 
@@ -419,9 +425,10 @@ def test_weibull_fit_at_small_shapes_is_inside_the_scale_box(nu, div, fits):
 
 
 def test_rejected_candidate_does_not_warm_start_the_next_solve():
-    # the first damped step of this KLM fit is clipped to the sigma edge,
-    # 1e-21, and rejected; its multipliers (~1e21) used to seed every later
-    # solve, which then stalled, and the search ended unconverged
+    # [REGRESSION] under the outer search that also searched the scale, the
+    # first damped step of this KLM fit was clipped to the sigma edge, 1e-21,
+    # and rejected; its multipliers (~1e21) used to seed every later solve,
+    # which then stalled, and the search ended unconverged
     s = draw_sample(ScenarioConfig.preset(1, n=100, seed=0), 6)
     diag = fit_divergence(s, weibull_model(), KLM).diagnostics
     assert diag["inner_failures"] == 0
@@ -472,16 +479,18 @@ def test_returned_criterion_is_no_lower_than_a_dual_bound():
                                         (17, (0.38052132, 0.26863901))])
 def test_far_profile_steps_raise_no_error_and_no_warning(seed, theta):
     # on these scenario-1 samples a far Newton step of the shape can make -H
-    # singular (a LinAlgError the profile must catch), and a clipped-scale
-    # solve whose reduced value already exceeds the profile can overflow psi
-    # in its line search (RuntimeWarnings); the estimate is the outer
-    # search's
+    # singular (a point with no Cholesky factor fails), and on seed 17 one
+    # puts the free scale outside its box row: that point fails as a failed
+    # solve does, and the search halves past it.  A full-dual solve at the
+    # clipped scale once ran there and overflowed psi in its line search
+    # (RuntimeWarnings); the estimate is the outer search's
     sample = draw_sample(ScenarioConfig.preset(1, n=100, seed=seed), 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = fit_divergence(sample, weibull_model(), KL)
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert np.allclose(report.theta, theta, rtol=0.0, atol=1e-6)
+    assert report.diagnostics["scale_outside_box"] == {14: 0, 17: 1}[seed]
 
 
 def test_profile_step_halvings_are_bounded():
@@ -675,8 +684,13 @@ def test_gpd_point_is_the_scan_at_one_w(scenario):
 def test_chi2_profile_matches_the_closed_form_where_omega_is_ill_conditioned():
     # Weibull(3, 0.05) at n = 1000: Omega has condition number 5e11.  Through
     # an explicit Omega^-1 the profile missed the closed form by 2e-5 relative
-    # and a dense grid of it showed values below the fit's; whitened by the
-    # Cholesky factor it agrees to 1e-11, and its grid minimum is the fit's
+    # and a dense grid of it showed values below the fit's.  Whitened by the
+    # Cholesky factor it agrees with the closed form to 1e-9 only because both
+    # use LAPACK's factor of the same Omega; against the exact r^T Omega^-1 r / 2
+    # of the float Omega and r, in Fractions, the profile's value at the grid
+    # minimum is off by 5.2e-9 (the closed form on the float Cholesky of
+    # spd_solve missed it by 7.7e-8), so the bound there is 1e-8.  The grid
+    # minimum is the fit's
     x = ParametricFamily("weibull", 3.0, 0.05).sample(1000, np.random.default_rng(2))
     model, scale = weibull_model(), 2.0 ** 59   # the fit's unit: 2^58 <= lambda_2 < 2^59
     sample = SortedSample(np.sort(x) / scale)
@@ -692,8 +706,11 @@ def test_chi2_profile_matches_the_closed_form_where_omega_is_ill_conditioned():
                                model.target_map(np.array([sg, nu])))[0]
         for sg, nu in zip(sigma, grid)])
     assert np.max(np.abs(value - closed) / closed) <= 1e-9
-    report = fit_divergence(SortedSample(np.sort(x)), model, CHI2)
     best = int(np.argmin(value))
+    exact = chi2_value_rational(omega_empirical(skeleton), model.target_map(
+        np.array([sigma[best], grid[best]])) - skeleton.m_n)
+    assert abs(value[best] - exact) <= 1e-8 * exact
+    report = fit_divergence(SortedSample(np.sort(x)), model, CHI2)
     assert abs(report.theta[1] - grid[best]) <= grid[best + 1] - grid[best - 1]
     assert report.criterion / scale <= value[best] * (1.0 + 1e-12)
     assert report.diagnostics["refine_evaluations"] <= 18    # 16 here, 22 through Omega^-1
@@ -711,6 +728,50 @@ def test_orderstat3_chi2_fit_is_the_closed_form():
     assert report.theta[0] == pytest.approx(closed, rel=1e-14, abs=0.0)
     assert report.theta[0] == pytest.approx(1.88059195799228, rel=1e-14, abs=0.0)
     assert report.diagnostics == {"scan_minima": 0, "refine_evaluations": 0, "boundary": False}
+
+
+@pytest.mark.parametrize("div", [KL, KLM], ids=lambda d: d.family)
+def test_orderstat3_profile_fit_is_the_dual_at_its_target(div):
+    # a scale-only model's fit is one profile point, nu = None: its criterion
+    # is a cold solve of the full dual at target_map(theta_hat), to that
+    # dual's rounding level, and a shift of the sample, which the
+    # differenced rows do not see, moves nothing but rounding
+    x = ParametricFamily("gpd", 3.0, 0.4).sample(200, np.random.default_rng([0, 0]))
+    sample, model = SortedSample(x), order_stat_model_3()
+    report = fit_divergence(sample, model, div)
+    assert report.diagnostics["criterion_evaluations"] == 1
+    assert report.diagnostics["start"] is None and report.diagnostics["scale_outside_box"] == 0
+    target = model.target_map(report.theta)
+    cold_problem = make_dual_problem(sample, model.constraint_values, div, target)
+    cold = solve_dual(cold_problem)
+    assert cold.converged
+    level = rounding_level(cold.xi, target, cold.value, cold_problem.delta.size)
+    assert abs(report.criterion - cold.value) <= level
+    assert np.allclose(report.xi, cold.xi, rtol=1e-12, atol=1e-12 * np.abs(cold.xi).max())
+    shifted = fit_divergence(SortedSample(x + 10.0), model, div)
+    assert shifted.theta[0] == pytest.approx(report.theta[0], rel=1e-12, abs=0.0)
+    assert shifted.criterion == pytest.approx(report.criterion, rel=1e-12, abs=0.0)
+    assert np.allclose(shifted.xi, report.xi, rtol=1e-12, atol=1e-12 * np.abs(report.xi).max())
+
+
+@pytest.mark.parametrize("div", [KL, KLM], ids=lambda d: d.family)
+@pytest.mark.parametrize("model,box", [
+    (gpd_model(), [[1e-6, 1e-5], [-5.0, 0.99]]),
+    (gpd_model(), [[1e5, 1e6], [-5.0, 0.99]]),
+    (order_stat_model_3(), [[1e-9, 1e-8]]),
+    (order_stat_model_3(), [[1e5, 1e6]]),
+], ids=["gpd-below", "gpd-above", "orderstat3-below", "orderstat3-above"])
+def test_scale_outside_a_narrowed_box_raises(model, box, div):
+    # with the scale row narrowed so that the free scale sigma* lies outside
+    # it at every shape, each profile point fails as a failed solve does
+    # (no solve is clipped to the box), and the fit raises naming the scale
+    # and its box
+    x = ParametricFamily("gpd", 3.0, 0.4).sample(200, np.random.default_rng([0, 0]))
+    narrow = dataclasses.replace(model, box=np.array(box))
+    with pytest.raises(EstimationError, match="failed at the start") as exc:
+        fit_divergence(SortedSample(x), narrow, div)
+    assert (f"the solve converged but put the scale {model.param_names[0]} outside its box "
+            f"{box[0]!r}") in str(exc.value)
 
 
 @pytest.mark.parametrize("model", [gpd_model(), weibull_model(), order_stat_model_3()],
@@ -845,9 +906,10 @@ def gpd_cov():
 
 
 def _poisoned_jacobian(model, scale):
-    """``model`` with every Jacobian entry multiplied by ``scale``."""
-    return dataclasses.replace(
-        model, lmoment_jacobian=lambda th: scale * model.lmoment_jacobian(th))
+    """``model`` with every Jacobian entry multiplied by ``scale``: its law's f, f' and f'' are."""
+    shape, slopes = model.law
+    return dataclasses.replace(model, law=(lambda nu: [scale * v for v in shape(nu)],
+                                           lambda nu: [[scale * v for v in d] for d in slopes(nu)]))
 
 
 @pytest.mark.parametrize("poison", ["omega", "jacobian", "whitened"])
@@ -914,10 +976,26 @@ def test_omega_positive_definite(gpd_cov):
 
 
 def test_asymptotics_need_lmoment_orders():
-    # the order-statistic rows carry no L-moment orders to differentiate
+    # the order-statistic rows carry no L-moment orders to differentiate, and
+    # rows that are not a PolyBasis, even ones that evaluate to it, carry none
     with pytest.raises(ValueError, match="orders"):
         asymptotic_covariance(np.array([1.0]), order_stat_model_3(),
                               ParametricFamily("gpd", 3.0, 0.3))
+    model = dataclasses.replace(gpd_model(), rows=lambda t: PolyBasis((2, 3, 4))(t))
+    with pytest.raises(ValueError, match="orders"):
+        asymptotic_covariance(np.array([3.0, 0.4]), model, ParametricFamily("gpd", 3.0, 0.4))
+
+
+def test_replaced_rows_carry_their_orders_into_sigma():
+    # [REGRESSION] a model's orders were a field of their own, and replacing
+    # its rows by orders 2, 3, 5 left Sigma on orders 2, 3, 4 beside Omega on
+    # 2, 3, 5; both now read the rows' orders
+    model = dataclasses.replace(gpd_model(), rows=PolyBasis((2, 3, 5)))
+    cov = asymptotic_covariance(np.array([3.0, 0.4]), model, ParametricFamily("gpd", 3.0, 0.4))
+    for got, ref in ((cov.omega, gpd_plugin_omega(3.0, 0.4, (2, 3, 5))),
+                     (cov.sigma, gpd_plugin_sigma(3.0, 0.4, (2, 3, 5)))):
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.all(np.abs(got - ref) <= 1e-9 * scale)
 
 
 def test_confidence_stat_zero_multiplier(gpd_cov):

@@ -11,7 +11,6 @@ from lmomdiv.models import (
     gpd_lmoment_map,
     gpd_model,
     model_by_name,
-    model_jacobian,
     order_stat_model_3,
     weibull_lmoment_map,
     weibull_model,
@@ -236,9 +235,10 @@ def test_digamma_trigamma_match_scipy():
 
 
 def test_model_jacobian_analytic_vs_fd():
+    # the target map -lambda(theta) has the Jacobian -[f, sigma f']
     for model in (gpd_model(), weibull_model()):
         theta = np.array([2.0, 0.5])
-        J = model_jacobian(model, theta)
+        J = -model.lmoment_jacobian(theta)
         h = 1e-6
         fd = np.column_stack([
             (model.target_map(theta + h * e) - model.target_map(theta - h * e)) / (2 * h)
@@ -330,5 +330,10 @@ def test_gpd_slopes_in_floats_match_the_array_formula():
         assert np.all(np.abs(np.array(d2) - ref2) <= 8.0 * eps * (residues @ inv ** 3)), nu
 
 
-def test_scale_only_model_has_no_jet():
-    assert order_stat_model_3().jet is None
+def test_scale_only_model_has_no_slopes():
+    # lambda = nu (1, 1): the law is a constant f with no slopes, and the jet is f alone
+    model = order_stat_model_3()
+    assert model.law[1] is None
+    assert model.jet(None) == ([1.0, 1.0],)
+    assert model.lmoment_jacobian(np.array([1.5])).tolist() == [[1.0], [1.0]]
+    assert model.lmoment_map(np.array([1.5])).tolist() == [1.5, 1.5]
