@@ -552,6 +552,8 @@ def asymptotic_covariance(
     ``h = (J0^T Omega^-1 J0)^-1 J0^T Omega^-1`` is ``R^-1 Q1^T L^-1`` and the
     projection ``Omega^-1 - Omega^-1 J0 h`` is ``p p^T`` with ``p = L^-T Q2``,
     whose c - d columns are the degrees of freedom of ``confidence_stat``.
+    Sigma differentiates the rows by their orders, so ``model.rows`` must be
+    a ``PolyBasis``; other rows raise ``ValueError``.
     """
     if not isinstance(model.rows, PolyBasis):
         raise ValueError(
