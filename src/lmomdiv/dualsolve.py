@@ -27,12 +27,13 @@ LP and no solve.  The transport variant is the optimal-transport counterpart
 of the inner problem.
 
 Every c x c system of the solve layers (c = 3 for the package's laws, at
-most 19) is solved by ``spd_solve``, a Cholesky factorization and two
-triangular substitutions in Python floats: at that size a numpy call costs
-more than its arithmetic.  It returns None where a pivot is not positive, and
-the Newton step then shifts ``-H`` by ``reg I``, ``reg`` doubling from 1e-12.
-Only products over the m nodes run in numpy.  The chi-square closed form
-keeps LAPACK's factor, the one the chi-square fit whitens by.
+most 19) is solved by ``spd_solve``, a Cholesky factorization and the two
+triangular substitutions of ``substitute`` in Python floats: at that size a
+numpy call costs more than its arithmetic.  It returns None where a pivot is
+not positive, and the Newton step then shifts ``-H`` by ``reg I``, ``reg``
+doubling from 1e-12.  Only products over the m nodes run in numpy.  The
+chi-square closed form keeps LAPACK's factor of Omega; the chi-square fit
+whitens by the same factor, through ``substitute`` on its rows.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def spd_solve(a, *rhs) -> list[list[float]] | None:
 
     ``a`` is c x c and each ``b`` has c entries, as sequences of floats; the
     lower triangle of ``a`` is read.  One Cholesky factorization ``a = L L^T``
-    and a forward and a back substitution per ``b`` (Golub & Van Loan,
+    and per ``b`` the two substitutions of ``substitute`` (Golub & Van Loan,
     Matrix Computations, 4.2), with no array call: the systems of the package
     are c x c with c at most 19, where numpy's per-call cost exceeds the
     arithmetic.  None when a pivot is not positive and finite: ``a`` is not
@@ -100,24 +101,37 @@ def spd_solve(a, *rhs) -> list[list[float]] | None:
             return None
         li.append(math.sqrt(s))
         low.append(li)
-    out = []
-    for b in rhs:
-        x = []
-        for li, s in zip(low, b):
-            for u, v in zip(li, x):
-                s -= u * v
-            x.append(s / li[-1])
+    return [substitute(low, substitute(low, b), transpose=True) for b in rhs]
+
+
+def substitute(low, b, transpose: bool = False) -> list:
+    """``L^-1 b``, or ``L^-T b`` with ``transpose``, by forward or back substitution.
+
+    ``low`` holds the rows of the lower-triangular L, as float sequences
+    whose entries past the diagonal are not read (``spd_solve``'s, or the
+    ``tolist()`` of LAPACK's factor).  The c entries of ``b`` are floats, or
+    numpy rows that carry k right-hand sides through the same operations, so
+    entry j of each row of the result is bit for bit the float result for
+    the j-th right-hand side.
+    """
+    if transpose:
+        x = list(b)
         for i in range(len(x) - 1, -1, -1):
             li = low[i]
             xi = x[i] = x[i] / li[i]
             for k in range(i):
-                x[k] -= li[k] * xi
-        out.append(x)
-    return out
+                x[k] = x[k] - li[k] * xi
+        return x
+    y = []
+    for li, s in zip(low, b):
+        for u, v in zip(li, y):
+            s = s - u * v
+        y.append(s / li[len(y)])
+    return y
 
 
 def fdot(a, b) -> float:
-    """``a . b`` of two float sequences, summed in order."""
+    """``a . b`` of two float sequences, summed in order from 0.0; numpy rows sum elementwise."""
     s = 0.0
     for u, v in zip(a, b):
         s += u * v

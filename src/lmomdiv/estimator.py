@@ -8,20 +8,22 @@ for bit.  Every model of the package has the form
 chi-square criterion ``(sigma f - lam)^T Omega^-1 (sigma f - lam) / 2`` of the
 sample L-moments ``lam = -m_n`` is quadratic in sigma.  So the chi-square fit
 is a variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973;
-``_chi2_fit``) in least-squares form: Omega = L L^T is factored once, and
-with ``g = L^-1 f`` the profile P(nu) is ``|sigma g - L^-1 lam|^2 / 2`` at
-the scale ``g^T L^-1 lam / g^T g`` clipped to its box, which is exact for a
-convex quadratic in one variable.  A scale-only model (``orderstat3``) is
-then fitted.  Otherwise the slope of P is scanned on a fixed grid per law
-(``_CHI2_NU``; f and f' are tabulated at the law's first fit), and each sign
-change from - to + is refined on it by ``bracketed_root``
-(``_profile_minimum``, shared with the MLE); a refine point (``_chi2_point``)
-is the scan's one ``np.linalg.solve(L, J(nu))`` and float arithmetic on the
-whitened columns.  The lowest of P at those roots
-and at the two shape edges is the estimate; at its target t, the value
-``|r|^2 / 2`` and ``xi = L^-T r``, with ``r = L^-1 (t - m_n)``, come from
-the same factor.  ``diagnostics`` has ``scan_minima``, the sign changes the
-scan found, and ``refine_evaluations``, the profile evaluations of the refines.
+``_chi2_fit``) in least-squares form: Omega = L L^T is factored once by
+LAPACK, and with ``g = L^-1 f`` the profile P(nu) is ``|r|^2 / 2``,
+``r = sigma g - L^-1 lam``, at the scale ``g^T L^-1 lam / g^T g`` clipped to
+its box, which is exact for a convex quadratic in one variable.  Every
+``L^-1`` and ``L^-T`` is ``dualsolve.substitute`` on the rows of that factor.
+A scale-only model (``orderstat3``) is then fitted at one point.  Otherwise
+the slope of P is scanned on a fixed grid per law (``_CHI2_NU``; f and f'
+are tabulated at the law's first fit), and each sign change from - to + is
+refined on it by ``bracketed_root`` (``_profile_minimum``, shared with the
+MLE).  The scan substitutes numpy rows of the table and a point
+(``_chi2_point``) floats, by the same operations, so at a grid shape the two
+agree bit for bit.  The lowest of P at those roots and at the two shape
+edges, each valued by the point, is the estimate; its value is the
+criterion and ``xi = -L^-T r`` solves ``Omega xi = t - m_n`` at its target
+t.  ``diagnostics`` has ``scan_minima``, the sign changes the scan found,
+and ``refine_evaluations``, the profile evaluations of the refines.
 
 Any other divergence is fitted by the same projection, through the dual
 representation of the criterion (Broniatowski & Keziou, J. Statist. Plann.
@@ -62,8 +64,9 @@ The GPD maximum likelihood comparison estimator is a one-dimensional profile
 search (Grimshaw, Technometrics 35, 1993): for ``theta = nu / sigma`` the
 best shape is ``mean(log1p(theta * x))``, so ``-log L`` is a function of
 ``theta`` alone, scanned and refined by the same ``_profile_minimum``; the
-box edge ``nu = 5`` is part of the profile.  A refine point (``_gpd_point``)
-runs the two sums over the data in numpy and the rest in ``math``.
+box edge ``nu = 5`` is part of the profile.  The scan (``_gpd_profile``)
+forms only the slope; a refine point (``_gpd_point``) runs the two sums over
+the data in numpy and the rest in ``math``.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ from .dualsolve import (
     rounding_level,
     solve_dual,
     spd_solve,
+    substitute,
     target_in_cone,
 )
 from .lmoments import (
@@ -339,67 +343,67 @@ def _chi2_table(model: SplqModel) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _chi2_profile(low, lam_w, sigma_box, jac):
-    """(value, slope, sigma) of the chi-square profile P(nu) at k shapes.
+def _chi2_slope(lam_w, sigma_box, g, dg):
+    """(slope, sigma, r) of the chi-square profile P from ``g = L^-1 f`` and ``dg = L^-1 f'``.
 
-    ``jac`` (c, d, k) holds k Jacobians of ``lambda = sigma * f(nu)`` at
-    sigma = 1, with the columns ``f`` and ``f'`` (``f`` alone for a
-    scale-only model); ``low`` is the Cholesky factor L of Omega and
-    ``lam_w = L^-1 lam``, ``lam = -m_n``.  With ``g = L^-1 f`` and the
-    residual ``r = sigma g - lam_w``, the scale is ``g^T lam_w / g^T g``
-    clipped to ``sigma_box``, the value is ``|r|^2 / 2``, and the slope
-    ``sigma (L^-1 f')^T r`` is the derivative of P: by the envelope theorem
-    where sigma is free, and as sigma is constant where it is clipped.
+    ``L`` is the Cholesky factor of Omega and ``lam_w = L^-1 lam``, ``lam =
+    -m_n``, a float list.  ``g`` and ``dg`` hold c floats at one shape, or c
+    numpy rows over k shapes, which give the same numbers bit for bit.  The
+    scale is ``g^T lam_w / g^T g`` clipped to ``sigma_box``, the residual is
+    ``r = sigma g - lam_w`` and ``P = |r|^2 / 2``; the slope ``sigma dg^T r``
+    is the derivative of P: by the envelope theorem where sigma is free, and
+    as sigma is constant where it is clipped.
     """
-    white = np.linalg.solve(low, jac.reshape(low.shape[0], -1)).reshape(jac.shape)
-    g = white[:, 0]
-    sigma = np.minimum(np.maximum((lam_w @ g) / np.einsum("ik,ik->k", g, g), sigma_box[0]),
-                       sigma_box[1])
-    resid = sigma * g - lam_w[:, None]
-    return (0.5 * np.einsum("ik,ik->k", resid, resid),
-            sigma * np.einsum("idk,ik->k", white[:, 1:], resid), sigma)
+    sigma, (lo, hi) = fdot(lam_w, g) / fdot(g, g), sigma_box
+    if type(sigma) is float:
+        sigma = min(max(sigma, lo), hi)
+    else:
+        sigma = np.minimum(np.maximum(sigma, lo), hi)
+    r = [sigma * v - lam for v, lam in zip(g, lam_w)]
+    return sigma * fdot(dg, r), sigma, r
 
 
-def _chi2_point(low, lam_w, sigma_box, jac):
-    """``_chi2_profile`` at the one shape of ``jac`` (c, 2), as floats.
+def _chi2_profile(low, lam_w, sigma_box, table):
+    """The slope of P at the k shapes of the law's ``table`` (c, 2, k) of ``f`` and ``f'``.
 
-    The whitening ``L^-1 jac`` is the scan's ``np.linalg.solve``; the rest is
-    float arithmetic on its columns, with ``lam_w`` and ``sigma_box`` given as
-    lists of floats.
+    One substitution whitens both columns of the table (``_chi2_slope``).
     """
-    white = np.linalg.solve(low, jac).tolist()
-    gl = gg = 0.0
-    for (g, _), lam in zip(white, lam_w):
-        gl += lam * g
-        gg += g * g
-    sigma = min(max(gl / gg, sigma_box[0]), sigma_box[1])
-    value = slope = 0.0
-    for (g, dg), lam in zip(white, lam_w):
-        r = sigma * g - lam
-        value += r * r
-        slope += dg * r
-    return 0.5 * value, sigma * slope, sigma
+    k, white = table.shape[-1], substitute(low, table.reshape(len(low), -1))
+    return _chi2_slope(lam_w, sigma_box, [v[:k] for v in white], [v[k:] for v in white])[0]
 
 
-def _profile_minimum(point, grid, scan, edges=()):
+def _chi2_point(low, lam_w, sigma_box, f, df):
+    """(value, slope, sigma, r) of P at one shape from ``f`` and ``f'`` as float lists.
+
+    The scan's operations on floats (``_chi2_slope``), so at a grid shape the
+    slope and the scale are the scan's bit for bit.  A scale-only model
+    passes ``df`` None and gets no slope.
+    """
+    g = substitute(low, f)
+    slope, sigma, r = _chi2_slope(lam_w, sigma_box, g, g if df is None else substitute(low, df))
+    return 0.5 * fdot(r, r), None if df is None else slope, sigma, r
+
+
+def _profile_minimum(point, grid, slope, edges=()):
     """(best, sign changes, refine evaluations) of a one-dimensional profile.
 
-    ``scan`` is (value, slope, ...) of the profile on the ascending ``grid``
-    and ``point(x)`` the same numbers, as floats, at the one point ``x``.  A local
-    minimum lies where the slope turns from negative to nonnegative; each
-    such sign change of the scan is refined by ``bracketed_root`` on the
-    slope, with every point evaluated once.  ``best`` is ``x`` and its
-    numbers, as floats, with the lowest value among the refined roots and
-    the grid points at the indices ``edges`` (the first on a tie), or None.
+    ``slope`` is the profile's slope on the ascending ``grid`` and
+    ``point(x)`` (value, slope, ...) at the one point ``x``, as floats.  A
+    local minimum lies where the slope turns from negative to nonnegative;
+    each such sign change is refined by ``bracketed_root`` on the slope, with
+    every point evaluated once.  ``best`` is ``x`` and its numbers with the
+    lowest value among the grid points at the indices ``edges``, valued by
+    ``point`` and not counted as refine evaluations, and the refined roots
+    (the first on a tie), or None.
     """
-    slope, evaluated = scan[1], {}
+    evaluated = {}
 
     def at(x):
         if x not in evaluated:
             evaluated[x] = point(x)
         return evaluated[x]
 
-    candidates = [(float(grid[j]), [float(v[j]) for v in scan]) for j in edges]
+    candidates = [(x, point(x)) for x in (float(grid[j]) for j in edges)]
     minima = np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0))
     for i in minima:
         x = bracketed_root(lambda v: at(v)[1], float(grid[i]), float(grid[i + 1]),
@@ -414,23 +418,24 @@ def _chi2_fit(skeleton: DualProblem, model: SplqModel):
     omega = omega_empirical(skeleton)
     require_finite(omega)
     try:
-        low = np.linalg.cholesky(omega)
+        low = np.linalg.cholesky(omega).tolist()
     except np.linalg.LinAlgError:
         raise SingularConstraintError("empirical second-moment matrix is singular")
-    lam_w = np.linalg.solve(low, -skeleton.m_n)
-    profile = partial(_chi2_profile, low, lam_w, model.box[0])
+    lam_w = substitute(low, (-skeleton.m_n).tolist())
+    sigma_box, (shape, slopes) = model.box[0].tolist(), model.law
+    point = partial(_chi2_point, low, lam_w, sigma_box)
     minima = evaluations = 0
-    if model.dim == 1:
-        theta = profile(model.lmoment_jacobian(np.ones(1))[..., None])[2]
+    if slopes is None:
+        value, _, sigma, r = point(shape(None), None)
+        theta = np.array([sigma])
     else:
         grid, table = _chi2_table(model)
-        point = partial(_chi2_point, low, lam_w.tolist(), model.box[0].tolist())
-        (nu, (_, _, sigma)), minima, evaluations = _profile_minimum(
-            lambda nu: point(model.lmoment_jacobian(np.array([1.0, nu]))),
-            grid, profile(table), edges=(0, -1))
+        (nu, (value, _, sigma, r)), minima, evaluations = _profile_minimum(
+            lambda nu: point(shape(nu), slopes(nu)[0]), grid,
+            _chi2_profile(low, lam_w, sigma_box, table), edges=(0, -1))
         theta = np.array([sigma, nu])
-    r = np.linalg.solve(low, model.target_map(theta) - skeleton.m_n)
-    return theta, 0.5 * float(r @ r), np.linalg.solve(low.T, r), {
+    # the multipliers solve Omega xi = t - m_n = -L r
+    return theta, value, -np.array(substitute(low, r, transpose=True)), {
         "scan_minima": minima, "refine_evaluations": evaluations}
 
 
@@ -469,19 +474,20 @@ def fit_divergence(
                 diagnostics["outer_decrement"] *= scale
     except SingularConstraintError as exc:
         raise EstimationError(str(exc)) from exc
-    on_edge = np.abs(theta[:, None] - model.box) <= 1e-6 * np.abs(model.box)
-    if on_edge[0].any():
+    edges = [[b for b in row if abs(t - b) <= 1e-6 * abs(b)]
+             for t, row in zip(theta.tolist(), model.box.tolist())]
+    if edges[0]:
         # in units of s the scale's box holds every law of the model; its edge is none of them
         raise EstimationError(
             f"the fit has left the model: {model.param_names[0]} = {float(theta[0]) * scale!r} "
-            f"lies on the edge {float(model.box[0, on_edge[0]][0]) * scale!r} of its box")
+            f"lies on the edge {edges[0][0] * scale!r} of its box")
     return FitReport(
         theta=np.concatenate([theta[:1] * scale, theta[1:]]),
         xi=xi,
         criterion=float(value) * scale,
         method=f"divergence:{divergence.family}",
         param_names=model.param_names,
-        diagnostics={**diagnostics, "boundary": bool(on_edge.any())},
+        diagnostics={**diagnostics, "boundary": any(edges)},
     )
 
 
@@ -694,8 +700,9 @@ def fit_moment_method_gpd(sample: SortedSample) -> tuple[float, float]:
     (-5, 1/3), and ``bracketed_root`` inverts it there.
     """
     x = sample.values
-    var = float(np.var(x, ddof=1))
-    m3 = float(np.mean((x - x.mean()) ** 3))
+    d = x - x.mean()
+    d2 = d * d
+    var, m3 = float(d2.sum()) / (x.size - 1), float(d2 @ d) / x.size
     if var <= 0:
         raise EstimationError("degenerate sample variance")
     t3 = m3 / var ** 1.5
@@ -704,48 +711,48 @@ def fit_moment_method_gpd(sample: SortedSample) -> tuple[float, float]:
         raise EstimationError(f"sample skewness {t3!r} outside the GPD range")
     nu = bracketed_root(lambda v: _gpd_skewness(v) - t3, lo, hi,
                         _gpd_skewness(lo) - t3, _gpd_skewness(hi) - t3)
-    sigma = float(np.sqrt(var * (1.0 - nu) ** 2 * (1.0 - 2.0 * nu)))
-    return sigma, float(nu)
+    return math.sqrt(var * (1.0 - nu) ** 2 * (1.0 - 2.0 * nu)), nu
 
 
 def _log_terms(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``log(1 + theta * y)`` for ``theta = expm1(w)``: one row per ``w``, ``w`` ascending."""
+    """``log(1 + theta * y)`` for ``theta = expm1(w)``: one row per ``w``, ``w`` ascending.
+
+    One new array, transformed in place, as ``_gpd_profile`` goes on to do:
+    a temporary of the grid's size costs as much as a pass over it.
+    """
     far = int(np.searchsorted(w, -1.0))   # the rows w < -1
-    near = np.log1p(np.multiply.outer(np.expm1(w[far:]), y))
-    if not far:
-        return near
-    # as theta -> -1, (1 - y) + y * exp(w) keeps the digits 1 + theta*y loses
-    return np.concatenate([np.log(np.multiply.outer(np.exp(w[:far]), y) + (1.0 - y)), near])
+    logs = np.multiply.outer(np.concatenate([np.exp(w[:far]), np.expm1(w[far:])]), y)
+    if far:
+        # as theta -> -1, (1 - y) + y * exp(w) keeps the digits 1 + theta*y loses
+        logs[:far] += 1.0 - y
+        np.log(logs[:far], out=logs[:far])
+    np.log1p(logs[far:], out=logs[far:])
+    return logs
 
 
-def _gpd_profile(w: np.ndarray, y: np.ndarray):
-    """Profiled GPD ``-log L / n`` at ascending ``w = log1p(theta)`` for data ``y`` in [0, 1].
+def _gpd_profile(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The slope of the profiled GPD ``-log L / n`` at ascending ``w = log1p(theta)``.
 
-    Returns ``(value, slope, sigma, nu)`` arrays shaped like ``w``; ``slope``
-    has the sign of the value's derivative and ``sigma`` is in units of
-    ``y``.  For ``theta = nu / sigma`` the likelihood is maximized over the
-    shape by ``nu = mean(log1p(theta * y))``, clipped to the box edge
-    ``nu <= 5``.  Where that mean is below -1 both terms of the slope are
-    positive, so no local minimum has ``nu < -1`` and the edge ``nu = -5``
-    never binds at one.  At ``theta = 0`` the terms are 0, and ``dk`` is
-    ``mean(y)``, the limit of ``sigma``.
+    The data ``y`` lie in [0, 1]; the slope has the sign of the derivative
+    of the value (``_gpd_point``).  For ``theta = nu / sigma`` the likelihood
+    is maximized over the shape by ``nu = mean(log1p(theta * y))``, clipped
+    to the box edge ``nu <= 5``.  Where that mean is below -1 both terms of
+    the slope are positive, so no local minimum has ``nu < -1`` and the edge
+    ``nu = -5`` never binds at one.  At ``theta = 0`` the terms are 0, and
+    ``dk`` is ``mean(y)``, the limit of ``sigma``.
     """
     k, dk = np.empty(w.size), np.empty(w.size)
     rows = max(1, _MLE_BLOCK // y.size)
     for i in range(0, w.size, rows):
         logs = _log_terms(w[i:i + rows], y)
         k[i:i + rows] = logs.sum(axis=1)
-        dk[i:i + rows] = (y * np.exp(-logs)).sum(axis=1)
+        logs = np.exp(np.negative(logs, out=logs), out=logs)
+        logs *= y
+        dk[i:i + rows] = logs.sum(axis=1)
     k /= y.size
     dk /= y.size
-    t = np.expm1(w)
-    nu = np.minimum(k, _MLE_NU_MAX)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = np.where(t == 0.0, dk, nu / t)
-        # (1 + 1/nu) * k is k + 1 inside the box and k + k/5 on its edge
-        value = np.log(sigma) + k + np.maximum(k / _MLE_NU_MAX, 1.0)
-        slope = dk * (1.0 + 1.0 / nu) - 1.0 / t
-    return value, slope, sigma, nu
+        return dk * (1.0 + 1.0 / np.minimum(k, _MLE_NU_MAX)) - 1.0 / np.expm1(w)
 
 
 def _recip(x: float) -> float:
@@ -754,10 +761,11 @@ def _recip(x: float) -> float:
 
 
 def _gpd_point(w: float, y: np.ndarray):
-    """``_gpd_profile`` at the one point ``w``, as floats.
+    """(value, slope, sigma, nu) of the profiled GPD ``-log L / n`` at one ``w``, as floats.
 
-    The two sums over ``y`` run in numpy; the rest is ``math``, guarded to
-    give numpy's infs and NaNs where Python would raise.
+    ``sigma`` is in units of ``y`` and the slope is ``_gpd_profile``'s.  The
+    two sums over ``y`` run in numpy; the rest is ``math``, guarded to give
+    numpy's infs and NaNs where Python would raise.
     """
     t = math.expm1(w)
     logs = np.log(math.exp(w) * y + (1.0 - y)) if w < -1.0 else np.log1p(t * y)
@@ -767,6 +775,7 @@ def _gpd_point(w: float, y: np.ndarray):
     sigma = dk if t == 0.0 else nu / t
     # numpy's log: -inf at 0, NaN below it
     log_sigma = math.log(sigma) if sigma > 0.0 else -math.inf if sigma == 0.0 else math.nan
+    # (1 + 1/nu) * k is k + 1 inside the box and k + k/5 on its edge
     return (log_sigma + k + max(k / _MLE_NU_MAX, 1.0),
             dk * (1.0 + _recip(nu)) - _recip(t), sigma, nu)
 

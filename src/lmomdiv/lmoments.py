@@ -37,7 +37,8 @@ class SortedSample:
     values: np.ndarray
 
     def __init__(self, data):
-        values = np.sort(np.asarray(data, dtype=float), kind="stable")
+        # numpy's default kind: for floats a stable sort only fixes the order of -0.0 and 0.0
+        values = np.sort(np.asarray(data, dtype=float))
         if values.ndim != 1 or values.size < 2:
             raise ValueError("a sample needs at least two observations")
         if not np.all(np.isfinite(values)):

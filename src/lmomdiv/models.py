@@ -210,7 +210,7 @@ class ParametricFamily:
 # SPLQ model objects
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplqModel:
     """Parameter box, law and constraint rows handed to the dual machinery.
 
@@ -224,7 +224,9 @@ class SplqModel:
     law (a ``ParametricFamily`` name) whose L-moments the model shares, the
     plug-in law of the asymptotics; ``None`` when the model has no such law.
     ``lmoment_map`` gives lambda(theta) in report convention and
-    ``target_map`` -lambda(theta), which is what the dual consumes.
+    ``target_map`` -lambda(theta), which is what the dual consumes.  Models
+    compare and hash by identity: ``box`` is an array, so field equality
+    has no truth value.
     """
 
     name: str

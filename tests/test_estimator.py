@@ -20,6 +20,7 @@ from lmomdiv.dualsolve import (
     omega_empirical,
     rounding_level,
     solve_dual,
+    substitute,
     target_in_cone,
 )
 from lmomdiv.estimator import (
@@ -73,6 +74,31 @@ def test_fit_recovers_parameters_on_grid_sample():
         assert report.criterion >= -1e-12
         # the truncated tail of the grid sample leaves a small residual
         assert report.criterion < 1e-3
+
+
+def test_signed_zeros_and_ties_fit_the_same_in_any_order():
+    # the sort need not be stable: for floats that only orders -0.0 against
+    # 0.0, and no fit reads it.  Shuffles of a sample holding both signed
+    # zeros and tied values fit as the sample with every zero made +0.0
+    rng = np.random.default_rng(4)
+    x = np.concatenate([[0.0, 0.0, -0.0, -0.0, -0.0], np.repeat(rng.exponential(3.0, 40), 2),
+                        rng.exponential(3.0, 15)])
+    fits = [(gpd_model(), CHI2), (gpd_model(), KLM), (weibull_model(), CHI2)]
+
+    def results(data):
+        sample = SortedSample(data)
+        out = [fit_mle_gpd(sample)]
+        for model, div in fits:
+            report = fit_divergence(sample, model, div)
+            out.append((report.theta.tolist(), report.criterion, report.xi.tolist()))
+        return out
+
+    expected = results(np.abs(x))
+    for seed in range(4):
+        shuffled = np.random.default_rng(seed).permutation(x)
+        sample = SortedSample(shuffled)
+        assert np.array_equal(sample.values, np.sort(shuffled, kind="stable"))
+        assert results(shuffled) == expected, seed
 
 
 def test_fit_report_contents():
@@ -567,6 +593,13 @@ def test_converged_solve_keeps_its_nodes_inside_the_domain(seed):
         fit_divergence(SortedSample(x), model, KLM)
 
 
+def _chi2_factor(sample, model):
+    """(rows of the Cholesky factor L of Omega, L^-1 lam) of a chi-square fit of ``sample``."""
+    skeleton = make_dual_problem(sample, model.rows, CHI2, np.zeros(model.n_constraints))
+    low = np.linalg.cholesky(omega_empirical(skeleton)).tolist()
+    return low, substitute(low, (-skeleton.m_n).tolist())
+
+
 def _chi2_inputs(sample, model):
     """(Omega^-1, the sample L-moments -m_n) of a chi-square fit of ``sample``."""
     skeleton = make_dual_problem(sample, model.constraint_values, CHI2,
@@ -582,18 +615,14 @@ def test_chi2_profile_slope_matches_central_differences(model, law, shapes, clip
     # P(nu), the criterion minimized over a sigma row [1e-3, 1e3], and its
     # slope; on 2^-12 x, taken here without the fit's standardization, the
     # free scale falls below 1e-3 at ``clipped_at``, where P is clipped.  The
-    # profile takes the Cholesky factor L of Omega and L^-1 lam
+    # point takes the rows of the Cholesky factor L of Omega and L^-1 lam
     sample = SortedSample(law.sample(200, np.random.default_rng(0)) * 2.0 ** -12)
-    skeleton = make_dual_problem(sample, model.constraint_values, CHI2,
-                                 np.zeros(model.n_constraints))
-    low = np.linalg.cholesky(omega_empirical(skeleton))
-    lam_w = np.linalg.solve(low, -skeleton.m_n)
-    sigma_box = np.array([1e-3, 1e3])
+    low, lam_w = _chi2_factor(sample, model)
+    sigma_box = [1e-3, 1e3]
 
     def profile(nu):
-        jac = model.lmoment_jacobian(np.array([1.0, nu]))[..., None]
-        value, slope, sigma = estimator._chi2_profile(low, lam_w, sigma_box, jac)
-        return value[0], slope[0], sigma[0] == sigma_box[0]
+        value, slope, sigma, _ = estimator._chi2_point(low, lam_w, sigma_box, *model.jet(nu)[:2])
+        return value, slope, sigma == sigma_box[0]
 
     clipped = []
     for nu in shapes:
@@ -619,28 +648,23 @@ _POINT_EPS = 16.0 * 2.0 ** -52
     ((1e-3, 1e3), None), ((1e-3, 1e-2), 1), ((1e2, 1e3), 0)],
     ids=["free", "upper-edge", "lower-edge"])
 def test_chi2_point_is_the_scan_at_one_shape(model, law, sigma_box, clip):
-    # the refine's one-point profile against _chi2_profile at k = 1, with the
-    # scale free and clipped to either edge of its box
+    # the refine's one-point profile against the scan of the law's table at
+    # every grid shape, with the scale free and clipped to either edge of its
+    # box: one substitution on the same factor, so slope and scale bit for bit
     sample = SortedSample(law.sample(200, np.random.default_rng(1)))
-    skeleton = make_dual_problem(sample, model.constraint_values, CHI2,
-                                 np.zeros(model.n_constraints))
-    low = np.linalg.cholesky(omega_empirical(skeleton))
-    lam_w = np.linalg.solve(low, -skeleton.m_n)
-    box, edges = np.array(sigma_box), set()
-    for nu in np.linspace(*model.box[1], 17):
-        jac = model.lmoment_jacobian(np.array([1.0, nu]))
-        value, slope, sigma = (float(v[0]) for v in estimator._chi2_profile(
-            low, lam_w, box, jac[..., None]))
-        point = estimator._chi2_point(low, lam_w.tolist(), box.tolist(), jac)
-        assert all(type(v) is float for v in point)
-        white = np.linalg.solve(low, jac)
-        terms = sigma * np.abs(white[:, 0]) + np.abs(lam_w)
-        assert abs(point[0] - value) <= _POINT_EPS * 0.5 * float(terms @ terms), nu
-        assert abs(point[1] - slope) <= _POINT_EPS * sigma * float(np.abs(white[:, 1]) @ terms), nu
-        assert abs(point[2] - sigma) <= _POINT_EPS * sigma, nu
-        if sigma in box:
-            assert point[2] == sigma
-            edges.add(int(sigma == box[1]))
+    low, lam_w = _chi2_factor(sample, model)
+    grid, table = estimator._chi2_table(model)
+    slope = estimator._chi2_profile(low, lam_w, sigma_box, table)
+    white = substitute(low, table[:, 0])
+    sigma = estimator._chi2_slope(lam_w, sigma_box, white, white)[1]
+    edges = set()
+    for j, nu in enumerate(grid.tolist()):
+        point = estimator._chi2_point(low, lam_w, sigma_box, *model.jet(nu)[:2])
+        assert all(type(v) is float for v in point[:3])
+        assert _same_float(point[1], float(slope[j])), nu
+        assert _same_float(point[2], float(sigma[j])), nu
+        if point[2] in sigma_box:
+            edges.add(sigma_box.index(point[2]))
     assert clip is None or clip in edges
 
 
@@ -652,7 +676,7 @@ def _same_float(a: float, b: float) -> bool:
 
 @pytest.mark.parametrize("scenario", [1, 2, 3, 4])
 def test_gpd_point_is_the_scan_at_one_w(scenario):
-    # the MLE refine's one-point profile against _gpd_profile(np.array([w]), y):
+    # the MLE refine's one-point slope against _gpd_profile(np.array([w]), y):
     # the far rows w < -1, the clipped shape nu = 5 (large w), and at w = +-0
     # (t = +-0, sigma = mean y) and at w so small that nu underflows to +-0,
     # the inf and NaN slopes numpy gives there, bit for bit
@@ -664,21 +688,35 @@ def test_gpd_point_is_the_scan_at_one_w(scenario):
     seen = set()
     for w in map(float, ws):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            value, slope, sigma, nu = (float(v[0]) for v in estimator._gpd_profile(
-                np.array([w]), y))
+            slope = float(estimator._gpd_profile(np.array([w]), y)[0])
         point = estimator._gpd_point(w, y)
         assert all(type(v) is float for v in point)
         if w in exact:
-            assert all(map(_same_float, point, (value, slope, sigma, nu))), w
+            assert _same_float(point[1], slope), w
         else:
             t = math.expm1(w)
-            assert abs(point[0] - value) <= _POINT_EPS * (abs(value) + abs(math.log(sigma))), w
             assert abs(point[1] - slope) <= _POINT_EPS * (abs(slope) + 2.0 / abs(t)), w
-            assert abs(point[2] - sigma) <= _POINT_EPS * sigma, w
-            assert abs(point[3] - nu) <= _POINT_EPS * abs(nu), w
-        seen |= {case for case, hit in (("far", w < -1.0), ("clipped", nu == 5.0),
+        seen |= {case for case, hit in (("far", w < -1.0), ("clipped", point[3] == 5.0),
                                         ("nan", math.isnan(slope)), ("inf", math.isinf(slope))) if hit}
     assert seen == {"far", "clipped", "nan", "inf"}
+
+
+@pytest.mark.parametrize("x,edge", [
+    (ParametricFamily("gpd", 1.0, -10.0).sample(200, np.random.default_rng(0)), -5.0),
+    (3.0 * np.random.default_rng(2).weibull(0.1, 200), 0.99),
+], ids=["lower", "upper"])
+def test_chi2_fit_on_a_shape_edge_is_the_point_there(x, edge):
+    # a GPD(1, -10) sample lies past the shape box's lower edge, a heavy
+    # Weibull one past its upper edge; the estimate is the edge, valued by
+    # the refine's point function in the fit's unit s = 2^e, bit for bit
+    sample, model = SortedSample(x), gpd_model()
+    report = fit_divergence(sample, model, CHI2)
+    assert report.theta[1] == edge and report.diagnostics["boundary"]
+    scale = math.ldexp(1.0, math.frexp(sample_lmoments_v(sample, 2)[2])[1])
+    low, lam_w = _chi2_factor(sample.scaled(scale), model)
+    value, _, sigma, _ = estimator._chi2_point(low, lam_w, model.box[0].tolist(),
+                                               *model.jet(edge)[:2])
+    assert report.criterion == value * scale and report.theta[0] == sigma * scale
 
 
 def test_chi2_profile_matches_the_closed_form_where_omega_is_ill_conditioned():
@@ -696,11 +734,11 @@ def test_chi2_profile_matches_the_closed_form_where_omega_is_ill_conditioned():
     sample = SortedSample(np.sort(x) / scale)
     skeleton = make_dual_problem(sample, model.constraint_values, CHI2,
                                  np.zeros(model.n_constraints))
-    low = np.linalg.cholesky(omega_empirical(skeleton))
+    low, lam_w = _chi2_factor(sample, model)
     grid = np.geomspace(0.09, 0.105, 4001)
-    jac = np.stack([model.lmoment_jacobian(np.array([1.0, nu])) for nu in grid], axis=-1)
-    value, _, sigma = estimator._chi2_profile(
-        low, np.linalg.solve(low, -skeleton.m_n), model.box[0], jac)
+    value, sigma = np.array([estimator._chi2_point(low, lam_w, model.box[0].tolist(),
+                                                   *model.jet(nu)[:2])[:3:2]
+                             for nu in grid.tolist()]).T
     closed = np.array([
         chi2_value_closed_form(sample, model.constraint_values,
                                model.target_map(np.array([sg, nu])))[0]
@@ -1223,7 +1261,7 @@ def test_mle_profile_slope_vanishes_at_the_estimate(scenario):
     xmax = sample.values[-1]
     w = np.log1p(nu / sigma * xmax)
     around = np.sort(w * np.array([1.0 - 1e-12, 1.0 + 1e-12]))
-    slope = estimator._gpd_profile(around, sample.values / xmax)[1]
+    slope = estimator._gpd_profile(around, sample.values / xmax)
     assert slope[0] < 0.0 < slope[1]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +258,14 @@ def test_model_by_name():
     assert model_by_name("orderstat3").family is None
     with pytest.raises(ValueError):
         model_by_name("gpd-l23456")
+
+
+def test_models_compare_and_hash_by_identity():
+    # field equality would compare the box arrays, which has no truth value
+    model = gpd_model()
+    assert model == model and hash(model) == hash(model)
+    assert gpd_model() != model and dataclasses.replace(model) != model
+    assert {model: 1, gpd_model(): 2, order_stat_model_3(): 3}[model] == 1
 
 
 # ---------------------------------------------------------------------------
