@@ -32,8 +32,6 @@ from .divergence import (
 from .models import (
     SplqModel,
     ParametricFamily,
-    gpd_lmoment_map,
-    weibull_lmoment_map,
     gpd_model,
     weibull_model,
     order_stat_model_3,
@@ -79,8 +77,6 @@ __all__ = [
     "make_dual_problem",
     "SplqModel",
     "ParametricFamily",
-    "gpd_lmoment_map",
-    "weibull_lmoment_map",
     "gpd_model",
     "weibull_model",
     "order_stat_model_3",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from operator import itemgetter, methodcaller
@@ -300,12 +301,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _densities(family: ParametricFamily, x: list) -> list:
+    """The law's density at each point of ``x``: ``exp(log f)`` inside the support, 0 outside."""
+    log_f, (lo, hi) = family.log_density_fn(), family.support
+    return [math.exp(log_f(v)) if lo < v < hi else 0.0 for v in x]
+
+
 def _write_plot_data(summary, out_dir) -> None:
     """Density curves of each estimator's mean fit over the true-law range."""
     truth = summary.config.true_family
-    lo = truth.quantile(0.001)
-    hi = truth.quantile(0.999)
-    x = np.linspace(lo, hi, 400)
+    x = np.linspace(truth.quantile(0.001), truth.quantile(0.999), 400).tolist()
+    true_density = _densities(truth, x)
     for est, block in summary.stats.items():
         if not block:
             continue
@@ -314,8 +320,8 @@ def _write_plot_data(summary, out_dir) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "fitted_density", "true_density"])
-            for xi, fd, td in zip(x, fitted.density(x), truth.density(x)):
-                writer.writerow([repr(float(xi)), repr(float(fd)), repr(float(td))])
+            for row in zip(x, _densities(fitted, x), true_density):
+                writer.writerow(map(repr, row))
 
 
 def _parse_family(text: str) -> ParametricFamily:

@@ -102,12 +102,7 @@ from .lmoments import (
     sample_lmoments_v,
     triangle_covariance,
 )
-from .models import (
-    WEIBULL_SHAPE_BOX,
-    ParametricFamily,
-    SplqModel,
-    weibull_lmoment_map,
-)
+from .models import WEIBULL_SHAPE_BOX, ParametricFamily, SplqModel, _weibull_shape
 from .poly import PolyBasis
 from .roots import bracketed_root
 
@@ -643,8 +638,8 @@ def confidence_stat(xi_hat, p_mat, sigma_mat, n: int) -> ConfidenceStat:
 
 
 def _weibull_tau3(log_nu: float) -> float:
-    lam = weibull_lmoment_map(1.0, math.exp(log_nu))
-    return float(lam[1] / lam[0])
+    lam = _weibull_shape(math.exp(log_nu))
+    return lam[1] / lam[0]
 
 
 def _weibull_lmoment_inverse(lm: LmomentVector) -> tuple[float, float]:
@@ -664,7 +659,7 @@ def _weibull_lmoment_inverse(lm: LmomentVector) -> tuple[float, float]:
     if not f_lo > 0.0 > f_hi:
         raise EstimationError(f"tau_3={tau3!r} outside the Weibull range on the shape box")
     nu = math.exp(bracketed_root(lambda w: _weibull_tau3(w) - tau3, lo, hi, f_lo, f_hi))
-    return float(lam2 / weibull_lmoment_map(1.0, nu)[0]), nu
+    return float(lam2 / _weibull_shape(nu)[0]), nu
 
 
 def fit_lmoment_method_gpd(sample: SortedSample) -> tuple[float, float]:

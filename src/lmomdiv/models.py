@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gamma, log
+from math import exp, expm1, gamma, inf, isfinite, log, log1p
 from typing import Callable
 
 import numpy as np
@@ -103,29 +103,27 @@ def _weibull_slopes(nu: float) -> tuple[list[float], list[float]]:
 _LAWS = {"gpd": (_gpd_shape, _gpd_slopes), "weibull": (_weibull_shape, _weibull_slopes)}
 
 
-def gpd_lmoment_map(sigma: float, nu: float) -> np.ndarray:
-    """(lambda_2, lambda_3, lambda_4) of the generalized Pareto distribution."""
-    return ParametricFamily("gpd", sigma, nu).lmoments()
-
-
-def weibull_lmoment_map(sigma: float, nu: float) -> np.ndarray:
-    """(lambda_2, lambda_3, lambda_4) of the Weibull distribution."""
-    return ParametricFamily("weibull", sigma, nu).lmoments()
-
-
 # ---------------------------------------------------------------------------
-# parametric families (densities, cdfs, quantiles, samplers)
+# parametric families (float log-density and cdf, quantiles, samplers)
 
 
 @dataclass(frozen=True)
 class ParametricFamily:
-    """GPD or Weibull with fixed scale/shape; location fixed at 0."""
+    """GPD or Weibull with fixed scale/shape; location fixed at 0.
+
+    ``log_density_fn()`` and ``cdf_fn()`` build the law's one log-density and
+    cdf, float functions of one point; the caller keeps them for as many
+    points as it needs.  Nothing is cached on the instance, so it stays
+    picklable and compares by its three fields.
+    """
 
     name: str            # "gpd" | "weibull"
     sigma: float
     nu: float
 
     def __post_init__(self):
+        if not (isfinite(self.sigma) and isfinite(self.nu)):
+            raise ValueError("scale and shape must be finite")
         if self.sigma <= 0:
             raise ValueError("scale must be positive")
         if self.name == "weibull" and self.nu <= 0:
@@ -139,39 +137,53 @@ class ParametricFamily:
             return (0.0, -self.sigma / self.nu)
         return (0.0, np.inf)
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        s, v = self.sigma, self.nu
-        lo, hi = self.support
-        out = np.zeros_like(x)
-        inside = (x > lo) & (x < hi)
-        xi = x[inside]
-        if self.name == "gpd":
-            if v == 0.0:
-                out[inside] = np.exp(-xi / s) / s
-            else:
-                out[inside] = (1.0 + v * xi / s) ** (-1.0 - 1.0 / v) / s
-        else:
-            z = (xi / s) ** v
-            out[inside] = (v / s) * (xi / s) ** (v - 1.0) * np.exp(-z)
-        return out if out.ndim else float(out)
+    def log_density_fn(self):
+        """``x -> log f(x)`` in ``math`` inside the support, and its limit at a finite end.
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+        A GPD's is also defined at ``x = 0``.  Built once per law and called per point.
+        """
         s, v = self.sigma, self.nu
-        lo, hi = self.support
-        out = np.zeros_like(x)
-        out[x >= hi] = 1.0
-        inside = (x > lo) & (x < hi)
-        xi = x[inside]
-        if self.name == "gpd":
-            if v == 0.0:
-                out[inside] = -np.expm1(-xi / s)
-            else:
-                out[inside] = 1.0 - (1.0 + v * xi / s) ** (-1.0 / v)
+        log_s = log(s)
+        if self.name == "weibull":
+            log_scale = log(v / s)
+
+            def log_f(x):
+                log_z = log(x / s)
+                # past exp(709) the term overflows a float; its sign is all that counts
+                tail = exp(v * log_z) if v * log_z < 709.0 else inf
+                return log_scale + (v - 1.0) * log_z - tail
+        elif v == 0.0:
+            def log_f(x):
+                return -log_s - x / s
+        elif v == -1.0:                       # uniform on [0, s]
+            def log_f(x):
+                return -log_s
         else:
-            out[inside] = -np.expm1(-((xi / s) ** v))
-        return out if out.ndim else float(out)
+            slope, power = v / s, (v + 1.0) / v
+
+            def log_f(x):
+                z = slope * x
+                return -log_s - power * (log1p(z) if z > -1.0 else -inf)
+        return log_f
+
+    def cdf_fn(self):
+        """``x -> F(x)`` in ``math`` for ``x >= 0``, built once per law and called per point."""
+        s, v = self.sigma, self.nu
+        end = self.support[1]
+
+        def cdf(x):
+            if x >= end:
+                return 1.0
+            if x <= 0.0:
+                return 0.0
+            if self.name == "weibull":
+                z = x / s
+                # past exp(709) the power overflows a float, and 1 - F is 0
+                return 1.0 if v * log(z) > 709.0 else -expm1(-(z ** v))
+            if v == 0.0:
+                return -expm1(-x / s)
+            return 1.0 - (1.0 + v * x / s) ** (-1.0 / v)
+        return cdf
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)

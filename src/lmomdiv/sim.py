@@ -6,7 +6,8 @@ splitting, so identical configs reproduce bit-identical summaries no
 matter how replicates are sharded; only a run on more than one worker
 process imports the process pool.  The L1 distance between two laws sums
 their cdf increments over panels between the crossings of the densities,
-with every scalar step, the cdfs at the panel edges included, in ``math``.
+with every scalar step in ``math``; it reads each law through the float
+log-density and cdf of its ``ParametricFamily``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
         if not all(isinstance(v, (int, float)) for v in (self.sigma, self.nu, self.outlier)):
             raise TypeError("sigma, nu and outlier must be numbers")
+        if not math.isfinite(self.outlier):
+            raise ValueError("outlier must be finite")
         self.true_family  # checks the family and its parameters
 
     @classmethod
@@ -222,56 +225,6 @@ _SCAN_U = -np.expm1(-np.geomspace(1e-12, 34.0, 200))
 _FAR = 1e300
 
 
-def _log_density(fam: ParametricFamily):
-    """``x -> log f(x)`` in ``math`` inside the support, and its limit at a finite end.
-
-    A GPD's is also defined at ``x = 0``.
-    """
-    s, v = fam.sigma, fam.nu
-    log_s = math.log(s)
-    if fam.name == "weibull":
-        log_scale = math.log(v / s)
-
-        def log_f(x):
-            log_z = math.log(x / s)
-            # past exp(709) the term overflows a float; its sign is all that counts
-            tail = math.exp(v * log_z) if v * log_z < 709.0 else math.inf
-            return log_scale + (v - 1.0) * log_z - tail
-    elif v == 0.0:
-        def log_f(x):
-            return -log_s - x / s
-    elif v == -1.0:                       # uniform on [0, s]
-        def log_f(x):
-            return -log_s
-    else:
-        slope, power = v / s, (v + 1.0) / v
-
-        def log_f(x):
-            z = slope * x
-            return -log_s - power * (math.log1p(z) if z > -1.0 else -math.inf)
-    return log_f
-
-
-def _cdf(fam: ParametricFamily):
-    """``x -> F(x)`` in ``math`` for ``x >= 0``: ``ParametricFamily.cdf`` on one point."""
-    s, v = fam.sigma, fam.nu
-    end = fam.support[1]
-
-    def cdf(x):
-        if x >= end:
-            return 1.0
-        if x <= 0.0:
-            return 0.0
-        if fam.name == "weibull":
-            z = x / s
-            # past exp(709) the power overflows a float, and 1 - F is 0
-            return 1.0 if v * math.log(z) > 709.0 else -math.expm1(-(z ** v))
-        if v == 0.0:
-            return -math.expm1(-x / s)
-        return 1.0 - (1.0 + v * x / s) ** (-1.0 / v)
-    return cdf
-
-
 def _end_limit(f1: ParametricFamily, f2: ParametricFamily, end: float, h) -> float:
     """The limit of ``h = log f1 - log f2`` at ``end``, the end of the common support.
 
@@ -339,11 +292,11 @@ def l1_density_distance(f1: ParametricFamily, f2: ParametricFamily) -> float:
 
     The pair is put in a fixed order first (``_l1_panels``), so the result
     is symmetric in its arguments bit for bit, and ``d(f, f)`` is 0.  The
-    cdfs at the panel edges are taken in ``math`` (``_cdf``).  Always lies
-    in [0, 2].
+    cdfs at the panel edges are taken in ``math`` (``ParametricFamily.cdf_fn``).
+    Always lies in [0, 2].
     """
     f1, f2, edges = _l1_panels(f1, f2)
-    cdf1, cdf2 = _cdf(f1), _cdf(f2)
+    cdf1, cdf2 = f1.cdf_fn(), f2.cdf_fn()
     total = below1 = below2 = 0.0          # F(0) = 0 for both laws
     for x in edges[1:]:
         up1, up2 = cdf1(x), cdf2(x)
@@ -360,7 +313,7 @@ def _l1_panels(f1: ParametricFamily, f2: ParametricFamily):
     ends = sorted({f.support[1] for f in (f1, f2)} - {math.inf})
     end = ends[0] if ends else math.inf
 
-    log_f1, log_f2 = _log_density(f1), _log_density(f2)
+    log_f1, log_f2 = f1.log_density_fn(), f2.log_density_fn()
 
     def h(x):
         return log_f1(x) - log_f2(x)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from lmomdiv.estimator import (
 )
 from lmomdiv.lmoments import SortedSample, sample_lmoments_v
 from lmomdiv.models import ParametricFamily, weibull_model
-from oracles import read_column_csv, read_column_rowwise
+from oracles import family_density, read_column_csv, read_column_rowwise
 
 
 @pytest.fixture
@@ -411,6 +412,17 @@ def test_dist_bad_spec(capsys):
     assert main(["dist", "gpd:-1:0.7", "gpd:3:0.7"]) == 2
 
 
+@pytest.mark.parametrize("spec", [
+    "gpd:nan:0.7", "gpd:3:nan", "gpd:inf:0.7", "gpd:3:inf", "gpd:3:-inf", "weibull:3:inf",
+])
+def test_dist_rejects_non_finite_parameters(capsys, spec):
+    # each of these once printed a distance, 0 or 2, and exited 0
+    assert main(["dist", spec, "gpd:3:0.7"]) == 2
+    assert main(["dist", "gpd:3:0.7", spec]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "must be finite" in out.err
+
+
 def test_simulate_command(tmp_path, capsys):
     cfg = {
         "scenario": 3,
@@ -432,6 +444,32 @@ def test_simulate_command(tmp_path, capsys):
     density = (out_dir / "density_chi2.csv").read_text().splitlines()
     assert density[0] == "x,fitted_density,true_density"
     assert len(density) == 401
+    # the densities of the mean fit and of the true law, against the numpy oracle
+    x, fitted, true = np.array([list(map(float, row.split(","))) for row in density[1:]]).T
+    mean = summary["stats"]["chi2"]
+    fam = ParametricFamily("gpd", mean["sigma"]["mean"], mean["nu"]["mean"])
+    assert np.allclose(fitted, family_density(fam, x), rtol=1e-12, atol=0.0)
+    truth = ParametricFamily("gpd", 3.0, 0.1)
+    assert np.allclose(true, family_density(truth, x), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("fam", [
+    ParametricFamily("gpd", 3.0, 0.1),
+    ParametricFamily("gpd", 2.0, 0.0),
+    ParametricFamily("gpd", 2.0, -0.5),
+    ParametricFamily("gpd", 2.0, -1.0),
+    ParametricFamily("gpd", 2.0, -2.0),
+    ParametricFamily("gpd", 3.0, 1.5),
+    ParametricFamily("weibull", 3.0, 0.4),
+    ParametricFamily("weibull", 3.0, 4.0),
+], ids=str)
+def test_plot_densities_match_the_numpy_density(fam):
+    # exp(log f) inside the open support, within 1e-12 of the numpy density,
+    # and exactly 0 at 0, at a finite end and past it, where that density is 0
+    x = np.linspace(0.0, 12.0, 401).tolist()
+    ours, oracle = np.array(cli._densities(fam, x)), family_density(fam, np.array(x))
+    assert np.array_equal(ours == 0.0, oracle == 0.0)
+    assert np.allclose(ours, oracle, rtol=1e-12, atol=0.0)
 
 
 def test_simulate_rejects_unknown_keys(tmp_path, capsys):
@@ -456,6 +494,10 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
     ({"scenario": 1, "output_dir": 5}, "expected str, bytes or os.PathLike object"),
     ([1, 2], "must be a JSON object"),
     ({"scenario": 1, "seed": -1}, "seed must be a non-negative integer"),
+    ({"scenario": 1, "sigma": math.nan}, "scale and shape must be finite"),
+    ({"scenario": 1, "nu": math.inf}, "scale and shape must be finite"),
+    ({"scenario": 2, "outlier": math.nan}, "outlier must be finite"),
+    ({"scenario": 1, "outlier": -math.inf}, "outlier must be finite"),
 ])
 def test_simulate_rejects_bad_config_values(tmp_path, capsys, cfg, message):
     cfg_path = tmp_path / "cfg.json"

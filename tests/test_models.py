@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,15 +12,19 @@ from lmomdiv.models import (
     ParametricFamily,
     _digamma_trigamma,
     _gpd_slopes,
-    gpd_lmoment_map,
     gpd_model,
     model_by_name,
     order_stat_model_3,
-    weibull_lmoment_map,
     weibull_model,
 )
 
-from oracles import gpd_slopes_array, order_stat_polynomial, population_lmoments
+from oracles import (
+    family_cdf,
+    family_density,
+    gpd_slopes_array,
+    order_stat_polynomial,
+    population_lmoments,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +33,7 @@ from oracles import gpd_slopes_array, order_stat_polynomial, population_lmoments
 
 def test_gpd_lmoment_values():
     # [DERIVED] sigma=3, nu=0.7: lambda_2 = 3/(0.3*1.3), ratio recursions
-    l2, l3, l4 = gpd_lmoment_map(3.0, 0.7)
+    l2, l3, l4 = ParametricFamily("gpd", 3.0, 0.7).lmoments()
     assert l2 == pytest.approx(3.0 / (0.3 * 1.3))
     assert l3 == pytest.approx(l2 * 1.7 / 2.3)
     assert l4 == pytest.approx(l3 * 2.7 / 3.3)
@@ -35,7 +41,7 @@ def test_gpd_lmoment_values():
 
 def test_gpd_exponential_limit():
     # [DERIVED] nu -> 0 is the exponential law: tau_3 = 1/3, tau_4 = 1/6
-    l2, l3, l4 = gpd_lmoment_map(1.0, 0.0)
+    l2, l3, l4 = ParametricFamily("gpd", 1.0, 0.0).lmoments()
     assert l2 == pytest.approx(0.5)
     assert l3 / l2 == pytest.approx(1.0 / 3.0)
     assert l4 / l2 == pytest.approx(1.0 / 6.0)
@@ -43,7 +49,7 @@ def test_gpd_exponential_limit():
 
 def test_weibull_exponential_case():
     # [DERIVED] nu=1 is exponential with mean sigma
-    l2, l3, l4 = weibull_lmoment_map(2.0, 1.0)
+    l2, l3, l4 = ParametricFamily("weibull", 2.0, 1.0).lmoments()
     assert l2 == pytest.approx(1.0)
     assert l3 / l2 == pytest.approx(1.0 / 3.0)
     assert l4 / l2 == pytest.approx(1.0 / 6.0)
@@ -51,9 +57,9 @@ def test_weibull_exponential_case():
 
 def test_gpd_lmoment_exact_zeros():
     # [DERIVED] the product form carries the factors 1 + nu and 2 + nu
-    assert gpd_lmoment_map(1.0, -1.0)[1] == 0.0
-    assert gpd_lmoment_map(1.0, -1.0)[2] == 0.0
-    assert gpd_lmoment_map(1.0, -2.0)[2] == 0.0
+    assert ParametricFamily("gpd", 1.0, -1.0).lmoments()[1] == 0.0
+    assert ParametricFamily("gpd", 1.0, -1.0).lmoments()[2] == 0.0
+    assert ParametricFamily("gpd", 1.0, -2.0).lmoments()[2] == 0.0
 
 
 @pytest.mark.parametrize("name,sigma,nu", [
@@ -111,7 +117,7 @@ def test_lmoment_maps_match_quadrature():
 ])
 def test_quantile_inverts_cdf(fam):
     u = np.linspace(0.01, 0.99, 25)
-    assert np.allclose(fam.cdf(fam.quantile(u)), u, atol=1e-9)
+    assert np.allclose(family_cdf(fam, fam.quantile(u)), u, atol=1e-9)
 
 
 @pytest.mark.parametrize("fam", [
@@ -129,7 +135,7 @@ def test_quantile_slope_is_the_derivative_in_log_tail(fam):
     fd = (fam.quantile(-np.expm1(-(s + h))) - fam.quantile(-np.expm1(-(s - h)))) / (2 * h)
     assert np.allclose(fam.quantile_slope(s), fd, rtol=1e-6)
     u = -np.expm1(-s)
-    assert np.allclose(fam.quantile_slope(s), np.exp(-s) / fam.density(fam.quantile(u)),
+    assert np.allclose(fam.quantile_slope(s), np.exp(-s) / family_density(fam, fam.quantile(u)),
                        rtol=1e-9)
 
 
@@ -142,7 +148,7 @@ def test_density_integrates_to_one(fam):
     # piecewise between quantiles so the adaptive rule sees every scale
     cuts = fam.quantile(np.array([0.0, 0.5, 0.9, 0.99, 0.9999, 1.0 - 1e-9]))
     total = sum(
-        quad(fam.density, a, b, limit=200)[0]
+        quad(lambda x: family_density(fam, x), a, b, limit=200)[0]
         for a, b in zip(cuts[:-1], cuts[1:])
     )
     assert total == pytest.approx(1.0, abs=1e-6)
@@ -152,15 +158,15 @@ def test_density_is_cdf_derivative():
     fam = ParametricFamily("gpd", 3.0, 0.7)
     x = np.linspace(0.5, 20.0, 30)
     h = 1e-6
-    fd = (fam.cdf(x + h) - fam.cdf(x - h)) / (2 * h)
-    assert np.allclose(fam.density(x), fd, rtol=1e-5)
+    fd = (family_cdf(fam, x + h) - family_cdf(fam, x - h)) / (2 * h)
+    assert np.allclose(family_density(fam, x), fd, rtol=1e-5)
 
 
 def test_negative_shape_support():
     fam = ParametricFamily("gpd", 2.0, -0.5)
     assert fam.support == (0.0, pytest.approx(4.0))
-    assert fam.cdf(5.0) == 1.0
-    assert fam.density(5.0) == 0.0
+    assert family_cdf(fam, 5.0) == 1.0
+    assert family_density(fam, 5.0) == 0.0
 
 
 def test_sampler_distribution():
@@ -170,7 +176,7 @@ def test_sampler_distribution():
     # Kolmogorov-Smirnov distance against the model cdf
     xs = np.sort(x)
     n = len(xs)
-    u = fam.cdf(xs)
+    u = family_cdf(fam, xs)
     ks = max(np.max(u - np.arange(n) / n), np.max(np.arange(1, n + 1) / n - u))
     assert ks < 0.006
     # mean within 3 standard errors: mean = sigma/(1-nu), var known finite
@@ -188,6 +194,66 @@ def test_family_validation():
         ParametricFamily("cauchy", 1.0, 0.5)
 
 
+@pytest.mark.parametrize("sigma, nu", [
+    (math.nan, 0.7), (3.0, math.nan), (math.inf, 0.7), (3.0, math.inf), (3.0, -math.inf),
+])
+@pytest.mark.parametrize("name", ["gpd", "weibull"])
+def test_family_rejects_non_finite_parameters(name, sigma, nu):
+    # a NaN scale passed every comparison and an infinite one gave a law with no mass
+    with pytest.raises(ValueError, match="finite"):
+        ParametricFamily(name, sigma, nu)
+
+
+#: levels whose quantiles are the interior points of the float-function tests
+_LEVELS = -np.expm1(-np.geomspace(1e-12, 30.0, 60))
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name, sigma, nu", [
+    *(("gpd", 2.0, nu) for nu in (-2.0, -1.0, -0.5, 0.0, 0.4, 1.5)),
+    *(("weibull", 1e-3, nu) for nu in (0.05, 1.0, 20.0)),
+])
+def test_float_cdf_and_log_density_match_the_numpy_oracle(name, sigma, nu):
+    # inside the support: the cdf within 1 ulp of 1 of the numpy cdf, and
+    # the log-density within 8 eps of the log of the numpy density (relative
+    # where it exceeds 1 in size)
+    fam = ParametricFamily(name, sigma, nu)
+    cdf, log_f = fam.cdf_fn(), fam.log_density_fn()
+    x = fam.quantile(_LEVELS)
+    x = x[(x > 0.0) & (x < fam.support[1])]
+    ours = np.array([cdf(v) for v in x.tolist()])
+    assert np.all(np.abs(ours - family_cdf(fam, x)) <= _EPS / 2)
+    log_oracle = np.log(family_density(fam, x))
+    ours = np.array([log_f(v) for v in x.tolist()])
+    assert np.all(np.abs(ours - log_oracle) <= 8 * _EPS * np.maximum(1.0, np.abs(log_oracle)))
+    assert cdf(0.0) == family_cdf(fam, 0.0) == 0.0
+    end = fam.support[1]
+    if name == "gpd":
+        # at 0 the limit 1 / sigma; at a finite end the density's limit: 0 for
+        # -1 < nu < 0, 1 / sigma for the uniform law and a pole for nu < -1;
+        # at the end and past it the cdf is 1
+        assert log_f(0.0) == -math.log(sigma)
+        if end < math.inf:
+            assert log_f(end) == {-2.0: math.inf, -1.0: -math.log(sigma), -0.5: -math.inf}[nu]
+            assert cdf(end) == cdf(2.0 * end) == family_cdf(fam, 2.0 * end) == 1.0
+    elif nu > 0.05:
+        # past exp(709) the power (x / sigma)^nu overflows a float: the cdf is 1
+        # and the log-density -inf, where the numpy density warns of the overflow;
+        # at nu = 0.05 such an x is beyond the float range
+        past = sigma * math.exp(709.5 / nu)
+        assert cdf(past) == 1.0 and log_f(past) == -math.inf
+
+
+def test_family_pickles_and_compares_after_its_functions_are_built():
+    # the functions are built per call and cached nowhere on the frozen instance
+    fam = ParametricFamily("gpd", 3.0, 0.7)
+    cdf, log_f = fam.cdf_fn(), fam.log_density_fn()
+    assert cdf(1.0) > 0.0 and log_f(1.0) < 0.0
+    back = pickle.loads(pickle.dumps(fam))
+    assert back == fam == ParametricFamily("gpd", 3.0, 0.7) and hash(back) == hash(fam)
+    assert back.cdf_fn()(1.0) == cdf(1.0) and back.log_density_fn()(1.0) == log_f(1.0)
+
+
 # ---------------------------------------------------------------------------
 # constraint models
 
@@ -198,13 +264,13 @@ def test_gpd_model_shape():
     assert model.n_constraints == 3
     assert model.param_names == ("sigma", "nu")
     theta = np.array([3.0, 0.7])
-    assert np.allclose(model.target_map(theta), -np.array(gpd_lmoment_map(3.0, 0.7)))
+    assert np.allclose(model.target_map(theta), -ParametricFamily("gpd", 3.0, 0.7).lmoments())
 
 
 def test_weibull_model_target():
     model = weibull_model()
     theta = np.array([3.0, 0.4])
-    assert np.allclose(model.target_map(theta), -np.array(weibull_lmoment_map(3.0, 0.4)))
+    assert np.allclose(model.target_map(theta), -ParametricFamily("weibull", 3.0, 0.4).lmoments())
 
 
 @pytest.mark.parametrize("model,nus", [

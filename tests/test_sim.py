@@ -16,7 +16,7 @@ from lmomdiv.sim import (
     run_scenario,
     summarize,
 )
-from oracles import l1_panel_mass
+from oracles import family_cdf, family_density, l1_panel_mass
 
 
 def test_summarize_basic():
@@ -185,7 +185,7 @@ def test_l1_matches_riemann_sum():
     b = ParametricFamily("gpd", 2.5, 0.3)
     hi = max(a.quantile(1 - 1e-9), b.quantile(1 - 1e-9))
     x = np.linspace(0.0, hi, 2_000_001)
-    oracle = np.trapezoid(np.abs(a.density(x) - b.density(x)), x)
+    oracle = np.trapezoid(np.abs(family_density(a, x) - family_density(b, x)), x)
     assert l1_density_distance(a, b) == pytest.approx(oracle, abs=1e-4)
 
 
@@ -209,7 +209,7 @@ def l1_log_space_oracle(f1, f2, lo=1e-100, hi=1e300):
     """
     def diff_u(u):
         x = np.exp(u)
-        return f1.density(x) - f2.density(x)
+        return family_density(f1, x) - family_density(f2, x)
 
     u = np.linspace(np.log(lo), np.log(hi), 200_001)
     sign = np.sign(diff_u(u))
@@ -281,10 +281,14 @@ _L1_PAIRS = [
 
 @pytest.mark.parametrize("f1, f2", _L1_PAIRS)
 def test_l1_edges_in_math_match_the_numpy_cdfs(f1, f2):
-    # the cdfs at the panel edges are taken one point at a time in math; on the
-    # same edges the numpy cdfs give the same distance to 1e-14, and the
-    # distance stays symmetric bit for bit
+    # the cdfs at the panel edges are taken one point at a time in math, by
+    # each family's cdf_fn, within 1 ulp of 1 of the numpy cdfs; on the same
+    # edges the numpy cdfs give the same distance to 1e-14, and the distance
+    # stays symmetric bit for bit
     a, b, edges = sim._l1_panels(f1, f2)
+    for fam in (a, b):
+        cdf = fam.cdf_fn()
+        assert all(abs(cdf(x) - family_cdf(fam, x)) <= 2.0 ** -53 for x in edges)
     d = l1_density_distance(f1, f2)
     assert d == pytest.approx(l1_panel_mass(a, b, edges), rel=0.0, abs=1e-14)
     assert l1_density_distance(f2, f1) == d
