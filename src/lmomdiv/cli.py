@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import sys
-from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -33,10 +33,11 @@ from .estimator import (
 from .lmoments import SortedSample, lmoment_ratios, sample_lmoments_u, sample_lmoments_v
 from .models import ParametricFamily, model_by_name
 from .poly import OrderLimitError
-from .sim import DEFAULT_ESTIMATORS, ScenarioConfig, run_scenario
+from .sim import DEFAULT_ESTIMATORS, ScenarioConfig, l1_density_distance, run_scenario
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
+_LOG_MAX = math.log(sys.float_info.max)     # exp overflows past it
 
 
 class UsageError(Exception):
@@ -49,91 +50,64 @@ def read_column(path: str, col: int = 0) -> np.ndarray:
     Blank rows are skipped.  A short row, a non-numeric cell after line 1
     and a non-finite value are bad lines, all reported in one error.  A
     UTF-8 byte-order mark is not part of the first cell.  ``col`` counts from 0.
-    The file is parsed without a Python loop per row (``_parse_plain``); a
-    file with quotes or bare carriage returns, and one that fails that parse,
-    is read again row by row as ``csv`` reads it (``_parse_rows``), which
-    names the bad lines.
+    The text is read once and parsed by one ``np.loadtxt`` call
+    (``_parse_columns``); where that gives no column or a non-finite value,
+    ``_parse_rows`` reads it again, as ``csv`` and ``float`` do, and names the bad lines.
     """
     if col < 0:
         raise UsageError(f"column {col} is negative: columns count from 0")
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8-sig") as fh:     # universal newlines, as loadtxt needs
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
-    data = _parse_plain(text, col)
-    if data is None:
+    data = _parse_columns(text, col)
+    if data is None or not np.isfinite(data).all():
         data = _parse_rows(text, col, path)
     if data.size < 2:
         raise UsageError(f"{path} holds fewer than two usable values")
     return data
 
 
-def _parse_plain(text: str, col: int) -> np.ndarray | None:
-    """Column ``col`` of ``text`` where every row parses, or None.
-
-    Without quotes or bare carriage returns a csv row is its line split at
-    commas, so the lines are split by ``str`` methods and parsed by
-    ``map(float, ...)``.  Line 1 is dropped where its cell does not parse (a
-    header, or blank); in a text without commas the empty lines are dropped.
-    None where any other cell does not parse (a blank line with spaces
-    included), a value is not finite or a row is short.
+def _parse_columns(text: str, col: int) -> np.ndarray | None:
+    """Column ``col`` of ``text`` by ``np.loadtxt`` after a header, or None where loadtxt
+    may not read it as ``csv`` and ``float`` do: where it rejects the text (a short row,
+    ``1_000``, a line of spaces, a ``#``), where no line is left (loadtxt warns) and where
+    the text holds a separator U+001C-U+001F, which loadtxt strips and ``float`` does not.
     """
-    if '"' in text:
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()                 # the newline that ends the last row
-    if "," in text:
-        try:
-            cells = list(map(itemgetter(col), map(methodcaller("split", ","), lines)))
-        except IndexError:
-            return None
-    elif col:
-        return None
-    else:
-        cells = lines
-    if not cells:
+    lines = io.StringIO(text)
+    first = next(csv.reader(lines), [])
+    try:
+        float(first[col] if col < len(first) else 0)   # loadtxt rejects a short line 1
+        lines.seek(0)
+    except ValueError:
+        pass                                    # line 1 is a header, or blank
+    if len(text.rstrip()) <= lines.tell() or any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
         return None
     try:
-        float(cells[0])
-    except ValueError:
-        del cells[0]
-    if "," not in text:
-        cells = list(filter(None, cells))     # empty lines; other blank ones fail the parse
-    try:
-        data = np.fromiter(map(float, cells), float, len(cells))
+        return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, usecols=col, ndmin=1)
     except ValueError:
         return None
-    return data if np.isfinite(data).all() else None
 
 
 def _parse_rows(text: str, col: int, path: str) -> np.ndarray:
-    """Column ``col`` of ``text`` read row by row by ``csv``; raises naming every bad line."""
-    values, lines, bad_lines = [], [], []
+    """Column ``col`` of ``text`` row by row, as ``csv`` and ``float`` read it; raises
+    naming every bad line."""
+    values, bad_lines = [], []
     for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
         try:
             value = float(row[col])   # float strips whitespace itself
         except (ValueError, IndexError) as exc:
             # a blank row is skipped and a non-numeric line 1 is a header
-            if any(c.strip() for c in row) and (
-                    isinstance(exc, IndexError) or lineno > 1):
+            if any(c.strip() for c in row) and (isinstance(exc, IndexError) or lineno > 1):
                 bad_lines.append(lineno)
             continue
+        if not math.isfinite(value):
+            bad_lines.append(lineno)
         values.append(value)
-        lines.append(lineno)
-    data = np.array(values)
-    finite = np.isfinite(data)
-    if bad_lines or not finite.all():
-        bad_lines = sorted(bad_lines + [lines[i] for i in np.flatnonzero(~finite)])
-        raise UsageError(
-            f"non-numeric or non-finite entries on lines {bad_lines} of {path}"
-        )
-    return data
+    if bad_lines:
+        raise UsageError(f"non-numeric or non-finite entries on lines {bad_lines} of {path}")
+    return np.array(values)
 
 
 def _fmt(x: float) -> str:
@@ -243,10 +217,7 @@ def cmd_test(args) -> int:
                                  f"p = {_fmt(report.p_value)}"])
 
 
-_SIM_KEYS = {
-    "scenario", "n", "replicates", "seed", "estimators", "family", "sigma",
-    "nu", "contamination", "outlier", "output_dir", "jobs",
-}
+_SIM_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)} | {"jobs", "output_dir"}
 
 
 def cmd_simulate(args) -> int:
@@ -270,9 +241,9 @@ def cmd_simulate(args) -> int:
             seed=int(raw.get("seed", 0)),
             estimators=tuple(raw.get("estimators", DEFAULT_ESTIMATORS)),
         )
-        for key in ("family", "sigma", "nu", "contamination", "outlier"):
-            if key in raw:
-                config = ScenarioConfig(**{**config.__dict__, key: raw[key]})
+        config = dataclasses.replace(config, **{
+            key: raw[key] for key in ("family", "sigma", "nu", "contamination", "outlier")
+            if key in raw})
         jobs, out_dir = int(raw.get("jobs", 1)), os.fspath(raw.get("output_dir", "."))
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad config {args.config}: {exc}") from None
@@ -302,9 +273,11 @@ def cmd_simulate(args) -> int:
 
 
 def _densities(family: ParametricFamily, x: list) -> list:
-    """The law's density at each point of ``x``: ``exp(log f)`` inside the support, 0 outside."""
+    """The law's density at each point of ``x``: ``exp(log f)`` inside the support, 0 outside,
+    and inf where it passes the largest float."""
     log_f, (lo, hi) = family.log_density_fn(), family.support
-    return [math.exp(log_f(v)) if lo < v < hi else 0.0 for v in x]
+    logs = [log_f(v) if lo < v < hi else -math.inf for v in x]
+    return [math.exp(t) if t <= _LOG_MAX else math.inf for t in logs]
 
 
 def _write_plot_data(summary, out_dir) -> None:
@@ -335,8 +308,6 @@ def _parse_family(text: str) -> ParametricFamily:
 
 
 def cmd_dist(args) -> int:
-    from .sim import l1_density_distance
-
     f1 = _parse_family(args.first)
     f2 = _parse_family(args.second)
     value = l1_density_distance(f1, f2)

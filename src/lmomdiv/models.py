@@ -163,6 +163,10 @@ class ParametricFamily:
 
             def log_f(x):
                 z = slope * x
+                if not abs(z) < inf:          # the slope or z overflows: z in x / s
+                    z = v * (x / s)
+                    if z == inf:              # log1p(z) is log z in floats
+                        return -log_s - power * (log(v) - log_s + log(x))
                 return -log_s - power * (log1p(z) if z > -1.0 else -inf)
         return log_f
 

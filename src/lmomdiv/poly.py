@@ -2,7 +2,8 @@
 
 The polynomials are orthogonal on [0, 1] and every L-moment computation in
 this package reduces to evaluating them or their integrals.  Coefficients
-are computed exactly in integer arithmetic; evaluation uses Horner's rule.
+are computed exactly in integer arithmetic; evaluation uses Horner's rule
+(``numpy.polynomial.polynomial.polyval``).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 #: Largest supported polynomial order.  Coefficients grow combinatorially
 #: and double precision degrades past this point.
@@ -69,19 +71,10 @@ def integrated_coefficients(r: int) -> np.ndarray:
     return out
 
 
-def _horner(coeffs: np.ndarray, t):
-    """Evaluate a polynomial given coefficients in increasing degree."""
-    t = np.asarray(t, dtype=float)
-    acc = np.zeros_like(t)
-    for c in coeffs[::-1]:
-        acc = acc * t + c
-    return acc
-
-
 def _eval(coeffs: np.ndarray, t):
     """Polynomial at t in [0, 1]: a float for a scalar, an array otherwise."""
     _check_unit_interval(t)
-    out = _horner(coeffs, t)
+    out = polyval(t, coeffs)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -100,7 +93,7 @@ def integrated_legendre_eval(r: int, t):
 
 @functools.lru_cache(maxsize=8)
 def _node_table(n: int, top: int) -> tuple[np.ndarray, int]:
-    rows = np.stack([_horner(integrated_coefficients(r), np.arange(1, n) / n)
+    rows = np.stack([polyval(np.arange(1, n) / n, integrated_coefficients(r))
                      for r in range(2, top + 1)], axis=-1)
     rows.setflags(write=False)      # cached: every caller shares it
     return rows, int(np.linalg.matrix_rank(rows))
@@ -152,7 +145,7 @@ class PolyBasis:
         ``(m,)`` returns shape ``(m, dim)``.
         """
         _check_unit_interval(t)
-        return np.stack([_horner(tab, t) for tab in self._tables], axis=-1)
+        return np.stack([polyval(t, tab) for tab in self._tables], axis=-1)
 
     def __call__(self, t):
         """The basis as the row map t -> K(t) that the dual problem takes."""

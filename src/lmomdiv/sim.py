@@ -288,7 +288,9 @@ def l1_density_distance(f1: ParametricFamily, f2: ParametricFamily) -> float:
       most two crossings and their brackets are exact;
     * any other pair (``lmomdiv dist`` only): a sign scan of ``h`` at both
       laws' quantiles of the levels ``_SCAN_U``, which ignores a crossing
-      where both laws have less than 2e-15 of their mass left.
+      where both laws have less than 2e-15 of their mass left.  A pair with a
+      scan quantile past the normal floats raises ``ValueError``: Weibull(3, nu)
+      below nu = 0.0390, whose crossings no float scan can find.
 
     The pair is put in a fixed order first (``_l1_panels``), so the result
     is symmetric in its arguments bit for bit, and ``d(f, f)`` is 0.  The
@@ -322,7 +324,12 @@ def _l1_panels(f1: ParametricFamily, f2: ParametricFamily):
     if f1.name == f2.name == "gpd":
         knots = _gpd_knots(f1, f2, end, h, limit)
     else:
-        knots = np.concatenate([f1.quantile(_SCAN_U), f2.quantile(_SCAN_U)])
+        try:
+            with np.errstate(over="raise", under="raise"):
+                knots = np.concatenate([f1.quantile(_SCAN_U), f2.quantile(_SCAN_U)])
+        except FloatingPointError as exc:
+            raise ValueError(f"L1 distance of {f1} and {f2} not resolved in floats: a scan "
+                             f"quantile is beyond the normal floats ({exc})") from None
         knots = np.unique(knots[(knots > 0.0) & (knots < end)]).tolist()
     # an exact zero at a knot is passed over, so the crossing shows as a sign
     # change between its nonzero neighbours

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,11 @@ def test_read_column_matches_the_csv_reader_on_quotes_and_endings(tmp_path_facto
     ("x\n1.5\n", 0),                                   # one value
     ("", 0),
     ("1,2\n3,4\n", 2),                                 # every row short
+    ('"1.5"\n2.5\n', 0),                             # a quoted number on line 1 is data
+    ("1\n2,3\n4,5\n", 1),                            # a short line 1 is a bad line
+    ("x\n1.5\n#\n2.5\n", 0),                         # a # line is a bad line
+    ("x\n1.5\n   \n2.5\n", 0),                       # a line of spaces is blank
+    ("x\n1.5\n\x1c2.5\n", 0),                        # a separator float does not strip
 ])
 def test_read_column_matches_the_csv_reader_on_files(tmp_path, text, col):
     path = tmp_path / "case.csv"
@@ -172,14 +178,30 @@ def test_read_column_matches_the_csv_reader_on_files(tmp_path, text, col):
 
 
 @pytest.mark.parametrize("n,stream", [(1_000, [3, 3]), (10_000, [0, 1]), (100_000, [1, 0])])
-def test_read_column_reads_the_benchmark_files_as_the_csv_reader(tmp_path, n, stream):
+def test_read_column_reads_the_benchmark_files_as_the_csv_reader(tmp_path, monkeypatch, n,
+                                                                 stream):
     # the cli-fit inputs: GPD(3, 0.4) draws, a header x and one repr per row
     values = ParametricFamily("gpd", 3.0, 0.4).sample(n, np.random.default_rng(stream))
     path = tmp_path / "bench.csv"
     path.write_text("x\n" + "\n".join(map(repr, values.tolist())) + "\n")
-    new, ref = _both_readers(str(path), 0)
+    ref = read_column_csv(str(path), 0)
+
+    def no_row_by_row_read(*args):
+        raise AssertionError("the file was read again row by row")
+
+    monkeypatch.setattr(cli, "_parse_rows", no_row_by_row_read)
+    new = read_column(str(path), 0)
     assert _same_outcome(new, ref) and np.array_equal(new, values)
-    assert cli._parse_plain(path.read_text(), 0) is not None      # no row-by-row read
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "\r\n \n\t\n", "x\n", "x\n\n\n"])
+def test_read_column_of_no_data_rows_exits_2_without_a_warning(tmp_path, capsys, text):
+    p = tmp_path / "empty.csv"
+    p.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lmoments", str(p)]) == 2
+    assert "fewer than two usable values" in capsys.readouterr().err
 
 
 def test_lmoments_command(data_file, capsys):
@@ -407,6 +429,18 @@ def test_dist_command(capsys):
     assert out["l1_distance"] == pytest.approx(1.1516216, abs=1e-7)
 
 
+@pytest.mark.parametrize("shape, code", [(0.04, 0), (0.039, 3), (1e-300, 3)])
+def test_dist_of_a_small_weibull_shape(capsys, shape, code):
+    # below a shape of 0.0390 a scan quantile of Weibull(3, shape) leaves the
+    # normal floats; at 1e-300, (x / 3)^shape is 1 at every positive float, and
+    # the distance, about 2, was printed as 0 with numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["dist", f"weibull:3:{shape}", "gpd:3:0.7"]) == code
+    out = capsys.readouterr()
+    assert (out.out == "" and "not resolved in floats" in out.err) if code else out.err == ""
+
+
 def test_dist_bad_spec(capsys):
     assert main(["dist", "gpd:3", "gpd:3:0.7"]) == 2
     assert main(["dist", "gpd:-1:0.7", "gpd:3:0.7"]) == 2
@@ -453,6 +487,23 @@ def test_simulate_command(tmp_path, capsys):
     assert np.allclose(true, family_density(truth, x), rtol=1e-12, atol=0.0)
 
 
+def test_simulate_plots_the_density_of_a_fit_with_a_subnormal_scale(tmp_path):
+    # the MLE's mean fit here is GPD(1.7e-314, 5); its plotted density was 0,
+    # because nu / sigma overflowed in the log-density
+    cfg = {"scenario": 4, "replicates": 2, "estimators": ["lmom", "mle"], "sigma": 1e-300,
+           "nu": 0.05, "output_dir": str(tmp_path)}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["simulate", str(tmp_path / "cfg.json")]) == 0
+    mean = json.loads((tmp_path / "summary.json").read_text())["stats"]["mle"]
+    fam = ParametricFamily("gpd", mean["sigma"]["mean"], mean["nu"]["mean"])
+    assert fam.sigma < 1e-300
+    rows = (tmp_path / "density_mle.csv").read_text().splitlines()[1:]
+    x, fitted, _ = np.array([list(map(float, row.split(","))) for row in rows]).T
+    oracle = family_density(fam, x)
+    assert np.array_equal(fitted == 0.0, oracle == 0.0) and fitted.max() > 0.0
+    assert np.allclose(fitted, oracle, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("fam", [
     ParametricFamily("gpd", 3.0, 0.1),
     ParametricFamily("gpd", 2.0, 0.0),
@@ -470,6 +521,14 @@ def test_plot_densities_match_the_numpy_density(fam):
     ours, oracle = np.array(cli._densities(fam, x)), family_density(fam, np.array(x))
     assert np.array_equal(ours == 0.0, oracle == 0.0)
     assert np.allclose(ours, oracle, rtol=1e-12, atol=0.0)
+
+
+def test_plot_density_past_the_largest_float_is_inf():
+    # GPD(1e-310, 0) has a density near 1e310 at 0+: math.exp of its
+    # log-density raised OverflowError, and simulate exited with a traceback
+    fam = ParametricFamily("gpd", 1e-310, 0.0)
+    assert cli._densities(fam, [0.0, 1e-320, 1e-308]) == [
+        0.0, math.inf, math.exp(fam.log_density_fn()(1e-308))]
 
 
 def test_simulate_rejects_unknown_keys(tmp_path, capsys):

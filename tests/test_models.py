@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,6 +243,27 @@ def test_float_cdf_and_log_density_match_the_numpy_oracle(name, sigma, nu):
         # at nu = 0.05 such an x is beyond the float range
         past = sigma * math.exp(709.5 / nu)
         assert cdf(past) == 1.0 and log_f(past) == -math.inf
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1.7e-314])
+@pytest.mark.parametrize("nu", [-0.5, 0.4, 5.0])
+def test_gpd_log_density_is_finite_where_its_slope_overflows(nu, sigma):
+    # nu / sigma overflowed for a subnormal scale, and nu / sigma * x for a
+    # large x, so log f was -inf inside the support; the oracle takes
+    # z = nu x / sigma exactly and log1p(z) as log z past 2^1000
+    fam = ParametricFamily("gpd", sigma, nu)
+    log_f = fam.log_density_fn()
+    xs = [0.0, 5e-324, 1e-320, sigma / 3, sigma, 1.9 * sigma]
+    if nu > 0.0:
+        xs += [1.0, 1e10, 1e300, 1.7e308]
+    for x in xs:
+        assert x < fam.support[1]
+        z = Fraction(nu) * Fraction(x) / Fraction(sigma)
+        log1p_z = math.log1p(z) if z < 2 ** 1000 else math.log(z.numerator) - math.log(
+            z.denominator)
+        ref = -math.log(sigma) - (1.0 + 1.0 / nu) * log1p_z
+        assert math.isfinite(log_f(x))
+        assert math.isclose(log_f(x), ref, rel_tol=1e-14, abs_tol=1e-12), (x, log_f(x), ref)
 
 
 def test_family_pickles_and_compares_after_its_functions_are_built():

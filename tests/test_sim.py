@@ -258,6 +258,15 @@ def test_l1_matches_log_space_oracle(f1, f2, approx):
     assert l1_density_distance(f2, f1) == d
 
 
+def test_l1_at_the_smallest_scanned_weibull_shape_matches_the_oracle():
+    # Weibull(3, 0.04) is just above the shapes whose scan quantiles leave the
+    # normal floats (``lmomdiv dist`` exits 3 at 0.039); it has 1e-4 of its
+    # mass below the oracle's default cut 1e-100 and 1e-12 below 1e-300
+    f1, f2 = ParametricFamily("weibull", 3.0, 0.04), ParametricFamily("gpd", 3.0, 0.7)
+    assert l1_density_distance(f1, f2) == pytest.approx(
+        l1_log_space_oracle(f1, f2, lo=1e-300), abs=1e-9)
+
+
 #: the pairs of the L1 tests above: bounded GPDs with nu < 0, the uniform
 #: nu = -1, nu = 0, pairs with a Weibull law, disjoint supports, identical laws
 _L1_PAIRS = [
