@@ -103,7 +103,6 @@ from .lmoments import (
     triangle_covariance,
 )
 from .models import WEIBULL_SHAPE_BOX, ParametricFamily, SplqModel, _weibull_shape
-from .poly import PolyBasis
 from .roots import bracketed_root
 
 #: Newton steps the shape search may take
@@ -553,12 +552,8 @@ def asymptotic_covariance(
     ``h = (J0^T Omega^-1 J0)^-1 J0^T Omega^-1`` is ``R^-1 Q1^T L^-1`` and the
     projection ``Omega^-1 - Omega^-1 J0 h`` is ``p p^T`` with ``p = L^-T Q2``,
     whose c - d columns are the degrees of freedom of ``confidence_stat``.
-    Sigma differentiates the rows by their orders, so ``model.rows`` must be
-    a ``PolyBasis``; other rows raise ``ValueError``.
+    Sigma differentiates the rows by their orders, ``model.rows.orders``.
     """
-    if not isinstance(model.rows, PolyBasis):
-        raise ValueError(
-            f"asymptotics need L-moment constraint orders; model {model.name!r} has none")
     omega = plugin_second_moments(plugin, model.constraint_values)
     sigma = triangle_covariance(plugin, legendre_rows(model.rows.orders))
     j0 = -model.lmoment_jacobian(np.asarray(theta_hat, dtype=float))

@@ -1,7 +1,8 @@
 """Model definitions: parametric families and their L-moment constraint maps.
 
-A model maps a parameter vector to the constraint values the dual machinery
-consumes.  Sign convention, fixed once here: the dual always receives
+Every model is a set of conditions on L-moments: it maps a parameter vector
+to the L-moments of the orders of its ``PolyBasis`` rows.  Sign convention,
+fixed once here: the dual always receives
 ``target(theta) = -lambda(theta)``, matching the integration-by-parts
 identity that equates the integral of the constraint rows against the
 quantile measure with minus the L-moment.  User-facing reports always show
@@ -11,7 +12,6 @@ quantile measure with minus the L-moment.  User-facing reports always show
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import exp, expm1, gamma, inf, isfinite, log, log1p
 from typing import Callable
 
@@ -234,36 +234,38 @@ class SplqModel:
     scale, so ``fit_divergence`` fits in units of the sample's L-scale.
     ``law`` is the pair ``(f, slopes)`` of float-list functions of the shape
     nu, ``slopes(nu) = (f', f'')``; a scale-only model has no nu, a constant
-    ``f`` (called with None) and ``slopes`` None.  ``rows(t)`` evaluates the
-    integrated constraint rows at quantile levels ``t`` (a ``PolyBasis`` of
-    the L-moment orders for the GPD and Weibull models).  ``family`` names the
-    law (a ``ParametricFamily`` name) whose L-moments the model shares, the
-    plug-in law of the asymptotics; ``None`` when the model has no such law.
-    ``lmoment_map`` gives lambda(theta) in report convention and
-    ``target_map`` -lambda(theta), which is what the dual consumes.  Models
-    compare and hash by identity: ``box`` is an array, so field equality
-    has no truth value.
+    ``f`` (called with None) and ``slopes`` None.  ``rows`` is the
+    ``PolyBasis`` of the L-moment orders that ``f`` lists, so every model is
+    a set of conditions on L-moments; other rows raise ``ValueError``.
+    ``family`` names the law (a ``ParametricFamily`` name) whose L-moments
+    the model shares, the plug-in law of the asymptotics; ``None`` when the
+    model has no such law.  ``lmoment_map`` gives lambda(theta) in report
+    convention and ``target_map`` -lambda(theta), which is what the dual
+    consumes.  Models compare and hash by identity: ``box`` is an array, so
+    field equality has no truth value.
     """
 
     name: str
     param_names: tuple[str, ...]
     box: np.ndarray                           # (d, 2) bounds
     law: tuple[Callable[[float | None], list], Callable[[float], tuple[list, list]] | None]
-    rows: Callable[[np.ndarray], np.ndarray]
+    rows: PolyBasis
     family: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "box", np.asarray(self.box, dtype=float))
         if self.box.shape != (len(self.param_names), 2):
             raise ValueError("box must have one (lo, hi) row per parameter")
+        if not isinstance(self.rows, PolyBasis):
+            raise ValueError(f"the rows of model {self.name!r} must be a PolyBasis")
 
     @property
     def dim(self) -> int:
         return len(self.param_names)
 
-    @cached_property
+    @property
     def n_constraints(self) -> int:
-        return np.shape(self.rows(0.5))[-1]
+        return self.rows.dim
 
     def constraint_values(self, t):
         return self.rows(t)
@@ -313,33 +315,20 @@ def weibull_model() -> SplqModel:
     return _l234_model("weibull", [[1e-21, 1e3], WEIBULL_SHAPE_BOX])
 
 
-def _orderstat3_rows(t):
-    """Integrated differences of adjacent 3-sample order-stat kernels.
-
-    Row 1 integrates P_{2:3} - P_{1:3}; row 2 integrates P_{3:3} - P_{2:3}.
-    Both vanish at t = 0 and t = 1, making the constraints shift invariant.
-    """
-    t = np.asarray(t, dtype=float)
-    d1 = -3.0 * t + 6.0 * t ** 2 - 3.0 * t ** 3
-    d2 = 3.0 * t ** 3 - 3.0 * t ** 2
-    out = np.stack([d1, d2], axis=-1)
-    return out
-
-
 def order_stat_model_3() -> SplqModel:
-    """Loose-symmetry model: adjacent 3-sample order-stat means differ by nu.
+    """L-symmetric model: adjacent 3-sample order-stat means differ by nu.
 
-    The raw location constraint (the middle order-stat mean equals a
-    location) is not expressible through the quantile measure, so the model
-    is built in differenced, shift-invariant form and leaves the location
-    free.
+    The gaps ``E X_{2:3} - E X_{1:3} = 3 (lambda_2 - lambda_3) / 2`` and
+    ``E X_{3:3} - E X_{2:3} = 3 (lambda_2 + lambda_3) / 2`` both equal nu
+    exactly when ``lambda = nu (2/3, 0)`` on the orders 2 and 3: lambda_3 = 0.
+    The location, the middle order-stat mean, stays free.
     """
     return SplqModel(
         name="orderstat3",
         param_names=("nu",),
         box=np.array([[1e-9, 1e6]]),
-        law=(lambda nu: [1.0, 1.0], None),      # both rank gaps equal the scale
-        rows=_orderstat3_rows,
+        law=(lambda nu: [2.0 / 3.0, 0.0], None),
+        rows=PolyBasis((2, 3)),
     )
 
 

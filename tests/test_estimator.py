@@ -755,16 +755,16 @@ def test_chi2_profile_matches_the_closed_form_where_omega_is_ill_conditioned():
 
 
 def test_orderstat3_chi2_fit_is_the_closed_form():
-    # a scale-only model, lambda = nu (1, 1): the fit is
-    # lam^T Omega^-1 f / f^T Omega^-1 f with f = (1, 1), with no scan
+    # a scale-only model, lambda = nu (2/3, 0) on the orders 2, 3: the fit is
+    # lam^T Omega^-1 f / f^T Omega^-1 f with f = (2/3, 0), with no scan
     x = ParametricFamily("gpd", 3.0, 0.4).sample(1000, np.random.default_rng([0, 0]))
     sample, model = SortedSample(x), order_stat_model_3()
     a, lam = _chi2_inputs(sample, model)
-    f = np.ones(2)
+    f = np.array([2.0 / 3.0, 0.0])
     closed = (lam @ a @ f) / (f @ a @ f)
     report = fit_divergence(sample, model, CHI2)
     assert report.theta[0] == pytest.approx(closed, rel=1e-14, abs=0.0)
-    assert report.theta[0] == pytest.approx(1.88059195799228, rel=1e-14, abs=0.0)
+    assert report.theta[0] == pytest.approx(1.8805919579923356, rel=1e-14, abs=0.0)
     assert report.diagnostics == {"scan_minima": 0, "refine_evaluations": 0, "boundary": False}
 
 
@@ -1014,14 +1014,18 @@ def test_omega_positive_definite(gpd_cov):
 
 
 def test_asymptotics_need_lmoment_orders():
-    # the order-statistic rows carry no L-moment orders to differentiate, and
-    # rows that are not a PolyBasis, even ones that evaluate to it, carry none
-    with pytest.raises(ValueError, match="orders"):
-        asymptotic_covariance(np.array([1.0]), order_stat_model_3(),
-                              ParametricFamily("gpd", 3.0, 0.3))
-    model = dataclasses.replace(gpd_model(), rows=lambda t: PolyBasis((2, 3, 4))(t))
-    with pytest.raises(ValueError, match="orders"):
-        asymptotic_covariance(np.array([3.0, 0.4]), model, ParametricFamily("gpd", 3.0, 0.4))
+    # every model's rows are a PolyBasis, so the orderstat3 plug-in blocks are
+    # the orders-(2, 3) blocks of gpd-l234's under the same law, bit for bit;
+    # rows that are not a PolyBasis, even ones that evaluate to it, carry no
+    # orders to differentiate and are refused when the model is built
+    plugin = ParametricFamily("gpd", 3.0, 0.3)
+    full = asymptotic_covariance(np.array([3.0, 0.3]), gpd_model(), plugin)
+    cov = asymptotic_covariance(np.array([1.0]), order_stat_model_3(), plugin)
+    assert cov.omega.tolist() == full.omega[:2, :2].tolist()
+    assert cov.sigma.tolist() == full.sigma[:2, :2].tolist()
+    assert cov.j0.tolist() == [[-2.0 / 3.0], [0.0]]
+    with pytest.raises(ValueError, match="PolyBasis"):
+        dataclasses.replace(gpd_model(), rows=lambda t: PolyBasis((2, 3, 4))(t))
 
 
 def test_replaced_rows_carry_their_orders_into_sigma():

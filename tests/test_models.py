@@ -381,10 +381,13 @@ def test_orderstat3_rows_boundary():
 
 
 def test_orderstat3_target_consistency():
-    # both adjacent rank gaps are constrained to the single spread parameter
+    # both adjacent rank gaps equal the single spread parameter: with
+    # lambda = nu (2/3, 0) the gaps 3 (lambda_2 -+ lambda_3) / 2 are nu
     model = order_stat_model_3()
     target = model.target_map(np.array([1.5]))
-    assert np.allclose(target, [-1.5, -1.5])
+    assert np.allclose(target, [-1.0, 0.0], rtol=1e-15, atol=0.0)
+    lam2, lam3 = -target
+    assert 1.5 * (lam2 - lam3) == pytest.approx(1.5) and 1.5 * (lam2 + lam3) == pytest.approx(1.5)
     # oracle check that the gaps are what the rows measure: for the uniform
     # quantile, integrating u against the differenced kernels gives 1/4
     for j in (1, 2):
@@ -399,16 +402,16 @@ def test_orderstat3_target_consistency():
 @given(st.floats(min_value=0.05, max_value=0.95))
 @settings(max_examples=50, deadline=None)
 def test_orderstat3_rows_are_integrated_densities(u):
-    # row k integrates the difference of adjacent rank kernels up to u
-    model = order_stat_model_3()
-    rows = model.constraint_values(u)
-    for k, j in enumerate((1, 2)):
+    # the rank-gap rows are (3/2)(K_2 -+ K_3) on the model's Legendre rows:
+    # each integrates the difference of adjacent rank kernels up to u
+    k2, k3 = order_stat_model_3().constraint_values(u)
+    for gap, j in ((1.5 * (k2 - k3), 1), (1.5 * (k2 + k3), 2)):
         val, _ = quad(
             lambda s: order_stat_polynomial(j + 1, 3, s)
             - order_stat_polynomial(j, 3, s),
             0.0, u,
         )
-        assert rows[k] == pytest.approx(val, abs=1e-9)
+        assert gap == pytest.approx(val, abs=1e-9)
 
 
 def test_gpd_slopes_in_floats_match_the_array_formula():
@@ -429,9 +432,9 @@ def test_gpd_slopes_in_floats_match_the_array_formula():
 
 
 def test_scale_only_model_has_no_slopes():
-    # lambda = nu (1, 1): the law is a constant f with no slopes, and the jet is f alone
+    # lambda = nu (2/3, 0): the law is a constant f with no slopes, and the jet is f alone
     model = order_stat_model_3()
     assert model.law[1] is None
-    assert model.jet(None) == ([1.0, 1.0],)
-    assert model.lmoment_jacobian(np.array([1.5])).tolist() == [[1.0], [1.0]]
-    assert model.lmoment_map(np.array([1.5])).tolist() == [1.5, 1.5]
+    assert model.jet(None) == ([2.0 / 3.0, 0.0],)
+    assert model.lmoment_jacobian(np.array([1.5])).tolist() == [[2.0 / 3.0], [0.0]]
+    assert model.lmoment_map(np.array([1.5])).tolist() == [1.5 * (2.0 / 3.0), 0.0]
