@@ -40,7 +40,10 @@ def _klm_form(t, g):
 
 def _power_form(t, g):
     b = 1.0 + (g - 1.0) * t
-    return (b ** (g / (g - 1.0)) - 1.0) / g, b ** (1.0 / (g - 1.0)), b ** ((2.0 - g) / (g - 1.0))
+    if g > 1.0:     # left of the kink b = 0 the mass is 0: psi = -1/g, psi' = psi'' = 0
+        b = np.maximum(b, 0.0)
+    d2 = np.power(b, (2.0 - g) / (g - 1.0), out=np.zeros_like(b), where=b > 0.0)
+    return (b ** (g / (g - 1.0)) - 1.0) / g, b ** (1.0 / (g - 1.0)), d2
 
 
 #: each row: the conjugate's open domain, a function of gamma, and
@@ -50,8 +53,7 @@ _FORMS = {
     # expm1 overflows past log(DBL_MAX): the edge in floating point
     "kl": (lambda g: (-np.inf, np.log(np.finfo(float).max)), _kl_form),
     "klm": (lambda g: (-np.inf, 1.0), _klm_form),
-    "power": (lambda g: (-1.0 / (g - 1.0), np.inf) if g > 1.0 else (-np.inf, 1.0 / (1.0 - g)),
-              _power_form),
+    "power": (lambda g: (-np.inf, np.inf) if g > 1.0 else (-np.inf, 1.0 / (1.0 - g)), _power_form),
 }
 
 

@@ -247,14 +247,11 @@ def rounding_level(xi, target, value: float, m: int) -> float:
     return 16.0 * 2.0 ** -52 * m ** 0.5 * (abs_sum + abs(sums - value))
 
 
-def _ratio_test(z, dz, lo: float, hi: float) -> float:
-    """min(1, 0.99 * the step at which z + t * dz first reaches a finite domain edge)."""
-    t = 1.0
+def _ratio_test(z, dz, hi: float) -> float:
+    """min(1, 0.99 * the step at which z + t * dz first reaches a finite upper domain edge)."""
     if hi < math.inf and (up := dz > 0.0).any():
-        t = min(t, _EDGE_FRACTION * float(((hi - z[up]) / dz[up]).min()))
-    if lo > -math.inf and (down := dz < 0.0).any():
-        t = min(t, _EDGE_FRACTION * float(((lo - z[down]) / dz[down]).min()))
-    return t
+        return min(1.0, _EDGE_FRACTION * float(((hi - z[up]) / dz[up]).min()))
+    return 1.0
 
 
 def _newton_step(neg_h: list, grad: list) -> list[float]:
@@ -316,7 +313,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
         decrement = fdot(grad, step)
         step = np.array(step)
         dz = kmat @ step
-        t = _ratio_test(z, dz, lo, hi)
+        t = _ratio_test(z, dz, hi)
         if decrement <= rounding_level(xi.tolist(), tgt, value, m):
             nodes = kmat @ (xi + step)
             if t == 1.0 and lo < nodes.min() and nodes.max() < hi:
@@ -355,20 +352,26 @@ def target_in_cone(problem: DualProblem) -> bool:
     JRSS-B 52, 1990): the target is inside exactly when ``t_0 < 0`` and
     ``q = t[1:] / t_0`` lies strictly inside the convex hull of the ``p_i``.
     For c = 3 that holds when the directions ``p_i - q`` leave no circular gap
-    of pi or more.  Other rows get no certificate, and the answer is True.
+    of pi or more.  A power divergence with gamma > 1 allows zero spacings,
+    ``s >= 0``: its hull is closed, and a gap of exactly pi is inside.  Other
+    rows get no certificate, and the answer is True.
     """
-    k0, target = problem.kmat[:, 0], problem.target
-    if problem.divergence.a_phi < 0.0 or target.size > 3 or not (k0 < 0.0).all():
+    k0, target, div = problem.kmat[:, 0], problem.target, problem.divergence
+    if div.a_phi < 0.0 or target.size > 3 or not (k0 < 0.0).all():
         return True
     if not target[0] < 0.0:
         return False
+    # a power conjugate with gamma > 1 gives nodes left of its kink zero mass: the cone is closed
+    below = np.less_equal if div.family == "power" and div.gamma > 1.0 else np.less
     q, p = target[1:] / target[0], problem.kmat[:, 1:] / k0[:, None]
     if target.size < 3:     # the hull is an interval, or for c = 1 a point in R^0
-        return bool(np.all(p.min(axis=0) < q) and np.all(q < p.max(axis=0)))
+        return bool(np.all(below(p.min(axis=0), q)) and np.all(below(q, p.max(axis=0))))
     d = p - q
-    d = d[(d != 0.0).any(axis=1)]
-    angles = np.sort(np.arctan2(d[:, 1], d[:, 0]))
-    return bool(np.diff(angles, append=angles[0] + 2.0 * np.pi).max() < np.pi)
+    moved = (d != 0.0).any(axis=1)
+    if below is np.less_equal and not moved.all():     # q is a node's own point
+        return True
+    angles = np.sort(np.arctan2(d[moved, 1], d[moved, 0]))
+    return bool(below(np.diff(angles, append=angles[0] + 2.0 * np.pi).max(), np.pi))
 
 
 def chi2_value_closed_form(

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -53,10 +54,17 @@ def test_extended_real_outside_domain():
 @pytest.mark.parametrize("name", ["psi", "psi_prime", "psi_second"])
 def test_psi_domain_errors(name):
     for div, t in [(KLM, 1.0), (KLM, np.array([0.5, 1.2])),
-                   (power_divergence(0.5), 3.0),   # needs 1 + (gamma-1) t > 0
-                   (power_divergence(3.0), -1.0)]:
+                   (power_divergence(0.5), 3.0)]:   # needs 1 + (gamma-1) t > 0
         with pytest.raises(ConjugateDomainError):
             getattr(div, name)(t)
+    # for gamma > 1 the conjugate has no edge: left of the kink -1/(gamma - 1)
+    # the supremum of z x - phi(x) is at x = 0, so psi = -phi(0) = -1/gamma and
+    # psi' = psi'' = 0, where the negative power of psi'' is not taken
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at = getattr(power_divergence(3.0), name)(np.array([-1.0, -0.5]))
+    assert at.tolist() == {"psi": [-1.0 / 3.0] * 2, "psi_prime": [0.0] * 2,
+                           "psi_second": [0.0] * 2}[name]
 
 
 def test_limit_branch_dispatch():

@@ -24,8 +24,9 @@ from lmomdiv import dualsolve
 from lmomdiv.lmoments import SortedSample, sample_lmoments_v
 from lmomdiv.models import model_by_name
 from lmomdiv.poly import PolyBasis
+from lmomdiv.sim import ScenarioConfig, draw_sample
 
-from oracles import cone_witness, primal_bruteforce
+from oracles import cone_witness, duality_certificate, primal_bruteforce
 
 DIVS = [CHI2, KL, KLM, power_divergence(0.5), power_divergence(3.0)]
 
@@ -253,6 +254,29 @@ def test_cone_test_needs_its_row_conditions():
     four = make_dual_problem(s, PolyBasis((2, 3, 4, 5)), KLM, np.array([0.5, 0.0, 0.0, 0.0]))
     assert target_in_cone(four)
     assert cone_witness(four) is None
+
+
+@pytest.mark.parametrize("name", ["gpd-l234", "orderstat3"])
+def test_power_cone_above_gamma_one_is_closed(name):
+    # the rows of the last node, as a target, are reached by that node's mass
+    # alone: on the boundary of the cone, outside the open cone of KLM's
+    # positive spacings, inside the closed one of a power divergence with
+    # gamma > 1, whose conjugate gives zero mass left of its kink.  The
+    # gamma = 3 solve converges to that one mass; a target outside the closed
+    # cone leaves the dual unbounded, and its solve is infeasibleDirection
+    sample, rows = draw_sample(ScenarioConfig.preset(1, n=100, seed=0), 0), model_by_name(name).rows
+    skeleton = make_dual_problem(sample, rows, power_divergence(3.0), 0.0)
+    prob = skeleton.with_target(skeleton.kmat[-1])
+    assert target_in_cone(prob)
+    assert not target_in_cone(make_dual_problem(sample, rows, KLM, prob.target))
+    sol = solve_dual(prob)
+    assert sol.converged
+    s, _, primal, dual = duality_certificate(prob, sol.xi)
+    assert np.flatnonzero(s).tolist() == [s.size - 1]
+    assert abs(primal - dual) <= 1e-9 * dual
+    outside = skeleton.with_target(np.r_[0.5, np.zeros(rows.dim - 1)])
+    assert not target_in_cone(outside)
+    assert solve_dual(outside).status == "infeasibleDirection"
 
 
 def _near_boundary_targets(problem, rng, count):

@@ -44,6 +44,7 @@ from lmomdiv.poly import PolyBasis
 from lmomdiv.sim import ScenarioConfig, draw_sample, run_scenario
 from oracles import (
     chi2_value_rational,
+    duality_certificate,
     gpd_plugin_omega,
     gpd_plugin_sigma,
     primal_bruteforce,
@@ -538,17 +539,62 @@ def test_negative_curvature_step_is_tested_for_descent():
     assert report.theta.tolist() == pytest.approx([414.286, 0.149514], rel=1e-6, abs=0.0)
 
 
+class _FirstVisitFails:
+    """Stub profile P(nu) = (nu - 2)^2 whose points past nu = 0.5 fail at their first visit.
+
+    A warm-started solve can converge where a cold one failed, so a shape
+    that once failed, and so bounds the search's bracket, can later be
+    accepted, with the bracket closed on it.
+    """
+
+    model = dataclasses.replace(gpd_model(), box=np.array([[1e-3, 1e3], [-5.0, 5.0]]))
+    status = {"converged": 0}
+
+    def __init__(self):
+        self.seen = set()
+
+    def __call__(self, nu):
+        if nu > 0.5 and nu not in self.seen:
+            self.seen.add(nu)
+            return None
+        return estimator._Point((nu - 2.0) ** 2, 1.0, None, level=0.0, gap=0.0,
+                                slope=2.0 * (nu - 2.0), curvature=2.0)
+
+    def failure(self, where):
+        return EstimationError(f"the inner solve failed {where}")
+
+
 def test_profile_search_closing_in_on_failed_solves_raises():
-    # [REGRESSION] this power:2.5 fit falls toward shapes where the inner
-    # solve fails (the power conjugate for gamma > 1 ends at a false domain
-    # edge); halvings from the same far step once crept toward that edge with
-    # ever more failed solves, and the outer search returned an unconverged
-    # estimate.  A rejected point now bounds the search, which raises
+    # from nu = 0 the steps to 2 and 1 fail and 0.5 is accepted; from 0.5 the
+    # step is clipped to the failed 1, which converges now and is accepted,
+    # and the bracket that 1 closed leaves no room for the next step
+    profile = _FirstVisitFails()
+    with pytest.raises(EstimationError, match=r"closed in on nu = 1\.0, where the slope is -2\.0"):
+        estimator._shape_search(profile, 0.0, profile(0.0))
+    # [REGRESSION] this power:2.5 fit once closed in on a false domain edge of
+    # the power conjugate for gamma > 1 and raised; with the exact conjugate it
+    # returns, and no inner solve ends in maxIter
     sample = draw_sample(ScenarioConfig.preset(4, n=100, seed=2), 0)
-    with pytest.raises(EstimationError, match="closed in on") as exc:
-        fit_divergence(sample, gpd_model(), power_divergence(2.5))
-    status = ast.literal_eval(str(exc.value).split("inner_status ")[1])
-    assert status["converged"] > 0 and sum(status.values()) <= 60
+    report = fit_divergence(sample, gpd_model(), power_divergence(2.5))
+    assert report.diagnostics["inner_status"]["maxIter"] == 0
+
+
+@pytest.mark.parametrize("gamma", [2.5, 3.0])
+def test_power_fit_above_gamma_one_passes_the_duality_certificate(gamma):
+    # [REGRESSION] this fit raised "failed at the start": the power conjugate
+    # for gamma > 1 was cut at the kink -1/(gamma - 1), a false domain edge
+    # the solves stalled against.  Left of the kink a node now gets zero mass,
+    # and the estimate's multipliers give spacings s >= 0 that meet the
+    # target to rounding, with a primal value equal to the criterion
+    sample = draw_sample(ScenarioConfig.preset(2, n=100, seed=0), 0)
+    model, div = gpd_model(), power_divergence(gamma)
+    report = fit_divergence(sample, model, div)
+    problem = make_dual_problem(sample, model.rows, div, model.target_map(report.theta))
+    s, residual, primal, dual = duality_certificate(problem, report.xi)
+    assert (s >= 0.0).all() and (s == 0.0).any()
+    assert residual <= 1e-12 * np.abs(problem.target).max()
+    assert abs(primal - dual) <= 1e-11 * dual
+    assert abs(report.criterion - dual) <= 1e-11 * dual
 
 
 def test_failed_solve_inside_the_cone_is_not_labelled_infeasible():
