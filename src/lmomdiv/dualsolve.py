@@ -138,7 +138,7 @@ def fdot(a, b) -> float:
     return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualProblem:
     """Precomputed node data for one sample/divergence pair.
 
@@ -181,7 +181,7 @@ class DualProblem:
         return (self.kmat.T * w2) @ self.kmat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualSolution:
     xi: np.ndarray
     value: float

@@ -125,7 +125,7 @@ class EstimationError(RuntimeError):
     """Estimation failed; the message carries the offending statistic."""
 
 
-@dataclass
+@dataclass(eq=False)
 class FitReport:
     """Everything one fit produces."""
 
@@ -517,7 +517,7 @@ def _profile_fit(skeleton: DualProblem, model: SplqModel, start):
 # asymptotic covariance and the confidence statistic
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceReport:
     sigma: np.ndarray       # long-run covariance of the constraint moments
     omega: np.ndarray       # second-moment matrix of the constraint rows

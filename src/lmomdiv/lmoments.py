@@ -26,7 +26,7 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SortedSample:
     """Ordered observations carrying the empirical quantile measure.
 
@@ -70,7 +70,7 @@ class SortedSample:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LmomentVector:
     """L-moments indexed by order, tagged with how they were computed."""
 

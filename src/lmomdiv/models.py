@@ -145,10 +145,13 @@ class ParametricFamily:
         s, v = self.sigma, self.nu
         log_s = log(s)
         if self.name == "weibull":
-            log_scale = log(v / s)
+            # a quotient that is not a finite nonzero float is taken apart in logs
+            q = v / s
+            log_scale = log(q) if 0.0 < q < inf else log(v) - log_s
 
             def log_f(x):
-                log_z = log(x / s)
+                z = x / s
+                log_z = log(z) if 0.0 < z < inf else log(x) - log_s
                 # past exp(709) the term overflows a float; its sign is all that counts
                 tail = exp(v * log_z) if v * log_z < 709.0 else inf
                 return log_scale + (v - 1.0) * log_z - tail
@@ -190,17 +193,20 @@ class ParametricFamily:
         return cdf
 
     def quantile(self, u):
+        """Q(u) for u in [0, 1); raises ``ValueError`` where Q overflows a float."""
         u = np.asarray(u, dtype=float)
         if np.any(u < 0.0) or np.any(u >= 1.0):
             raise ValueError("quantile argument must lie in [0, 1)")
         s, v = self.sigma, self.nu
-        if self.name == "gpd":
-            if v == 0.0:
+        with np.errstate(over="ignore"):        # reported below, as an error
+            if self.name == "weibull":
+                out = s * (-np.log1p(-u)) ** (1.0 / v)
+            elif v == 0.0:
                 out = -s * np.log1p(-u)
             else:
                 out = s * ((1.0 - u) ** (-v) - 1.0) / v
-        else:
-            out = s * (-np.log1p(-u)) ** (1.0 / v)
+        if not np.isfinite(out).all():          # u < 1, so only an overflow is not finite
+            raise ValueError(f"the quantile of {self} overflows a float")
         return out if out.ndim else float(out)
 
     def quantile_slope(self, s):

@@ -115,11 +115,12 @@ def node_table(n: int, max_order: int) -> tuple[np.ndarray, int]:
 class PolyBasis:
     """A fixed set of constraint orders with cached coefficient tables.
 
-    Immutable after construction; safe for concurrent reads.
+    Immutable after construction; safe for concurrent reads.  Compares and
+    hashes by its orders.
     """
 
     orders: tuple[int, ...]
-    _tables: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _tables: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, orders):
         orders = tuple(int(r) for r in orders)

@@ -324,10 +324,10 @@ def _l1_panels(f1: ParametricFamily, f2: ParametricFamily):
     if f1.name == f2.name == "gpd":
         knots = _gpd_knots(f1, f2, end, h, limit)
     else:
-        try:
-            with np.errstate(over="raise", under="raise"):
+        try:        # a quantile that overflows raises ValueError, one that underflows here
+            with np.errstate(under="raise"):
                 knots = np.concatenate([f1.quantile(_SCAN_U), f2.quantile(_SCAN_U)])
-        except FloatingPointError as exc:
+        except (FloatingPointError, ValueError) as exc:
             raise ValueError(f"L1 distance of {f1} and {f2} not resolved in floats: a scan "
                              f"quantile is beyond the normal floats ({exc})") from None
         knots = np.unique(knots[(knots > 0.0) & (knots < end)]).tolist()

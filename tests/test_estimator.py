@@ -1,4 +1,5 @@
 import ast
+import copy
 import dataclasses
 import math
 import subprocess
@@ -1072,6 +1073,23 @@ def test_asymptotics_need_lmoment_orders():
     assert cov.j0.tolist() == [[-2.0 / 3.0], [0.0]]
     with pytest.raises(ValueError, match="PolyBasis"):
         dataclasses.replace(gpd_model(), rows=lambda t: PolyBasis((2, 3, 4))(t))
+
+
+def test_records_compare_and_hash():
+    # [REGRESSION] field equality compared the records' array fields, which
+    # has no truth value, and hash raised: the records holding data compare
+    # and hash by identity, and a PolyBasis by its orders
+    x = ParametricFamily("gpd", 3.0, 0.4).sample(200, np.random.default_rng([0, 0]))
+    sample, model = SortedSample(x), gpd_model()
+    problem = make_dual_problem(sample, model.rows, KLM, model.target_map([3.0, 0.4]))
+    report = fit_divergence(sample, model, KLM)
+    plugin = ParametricFamily("gpd", *report.theta.tolist())
+    for record in (sample, sample_lmoments_v(sample, 4), problem, solve_dual(problem), report,
+                   asymptotic_covariance(report.theta, model, plugin)):
+        assert record == record and hash(record) == hash(record)
+        assert record != copy.copy(record)
+    assert PolyBasis((2, 3)) == PolyBasis([2, 3]) != PolyBasis((2, 4))
+    assert {PolyBasis((2, 3)): 1}[PolyBasis([2, 3])] == 1
 
 
 def test_replaced_rows_carry_their_orders_into_sigma():

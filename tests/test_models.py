@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -264,6 +265,35 @@ def test_gpd_log_density_is_finite_where_its_slope_overflows(nu, sigma):
         ref = -math.log(sigma) - (1.0 + 1.0 / nu) * log1p_z
         assert math.isfinite(log_f(x))
         assert math.isclose(log_f(x), ref, rel_tol=1e-14, abs_tol=1e-12), (x, log_f(x), ref)
+
+
+@pytest.mark.parametrize("sigma, nu, x, approx", [
+    (1.7e-314, 5.0, 1e-314, 721.8976), (1e-300, 2.0, 1e10, -math.inf),
+    (1e-300, 0.05, 1e10, -3.1623e15), (3.0, 0.5, 2.0, -2.4055)])
+def test_weibull_log_density_where_its_quotients_overflow(sigma, nu, x, approx):
+    # [REGRESSION] log(nu / sigma) was inf for a subnormal scale (log f =
+    # 721.8976 there), and log(x / sigma) inf for a large x: nan where
+    # (x / sigma)^nu is past the floats and -inf is right, -inf where log f is
+    # -3.16e15.  Each term is now taken in logs, as the oracle takes it
+    log_z = math.log(x) - math.log(sigma)
+    tail = math.exp(nu * log_z) if nu * log_z < 709.0 else math.inf
+    ref = math.log(nu) - math.log(sigma) + (nu - 1.0) * log_z - tail
+    got = ParametricFamily("weibull", sigma, nu).log_density_fn()(x)
+    assert got == ref or math.isclose(got, ref, rel_tol=1e-14), (got, ref)
+    assert got == pytest.approx(approx, rel=1e-4)
+
+
+@pytest.mark.parametrize("name, nu", [("weibull", 0.001), ("gpd", 800.0)])
+def test_quantile_overflow_raises(name, nu):
+    # [REGRESSION] the quantile overflowed to inf with numpy's "overflow
+    # encountered in power" warning, and a sample drawn from it was refused
+    # only later, as non-finite; it now raises, naming the law, with no warning
+    fam = ParametricFamily(name, 3.0, nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"quantile of .*{name}.* overflows a float"):
+            fam.sample(100, np.random.default_rng(0))
+        assert math.isfinite(fam.quantile(0.0))
 
 
 def test_family_pickles_and_compares_after_its_functions_are_built():
