@@ -63,10 +63,12 @@ class DivergenceSpec:
 
     ``gamma = 2`` is the chi-square divergence (finite on all of R),
     ``gamma = 1`` the Kullback-Leibler divergence, ``gamma = 0`` its
-    modified (reversed) version; other values use the generic power form
-    with domain restricted to positive arguments.  ``psi_domain``, the open
-    interval on which the conjugate is finite and smooth, and the form of
-    the family are read from ``_FORMS`` once, at construction.
+    modified (reversed) version; other values use the generic power form of
+    phi on x >= 0.  For gamma > 1, phi(0) = 1/gamma is finite: left of the
+    kink z = -1/(gamma - 1) the supremum of zx - phi(x) is at x = 0, so psi =
+    -1/gamma and psi' = psi'' = 0 (Rockafellar, Convex Analysis, 1970, s. 12).
+    ``psi_domain``, the open interval on which the conjugate is finite, and
+    the form of the family are read from ``_FORMS`` once, at construction.
     """
 
     family: str          # "chi2" | "kl" | "klm" | "power"

@@ -353,22 +353,22 @@ def target_in_cone(problem: DualProblem) -> bool:
     ``q = t[1:] / t_0`` lies strictly inside the convex hull of the ``p_i``.
     For c = 3 that holds when the directions ``p_i - q`` leave no circular gap
     of pi or more.  A power divergence with gamma > 1 allows zero spacings,
-    ``s >= 0``: its hull is closed, and a gap of exactly pi is inside.  Other
-    rows get no certificate, and the answer is True.
+    ``s >= 0``: its cone and hull are closed, and a gap of exactly pi is
+    inside.  Other rows get no certificate, and the answer is True.
     """
     k0, target, div = problem.kmat[:, 0], problem.target, problem.divergence
     if div.a_phi < 0.0 or target.size > 3 or not (k0 < 0.0).all():
         return True
     if not target[0] < 0.0:
         return False
-    # a power conjugate with gamma > 1 gives nodes left of its kink zero mass: the cone is closed
-    below = np.less_equal if div.family == "power" and div.gamma > 1.0 else np.less
+    closed = div.family == "power" and div.gamma > 1.0
+    below = np.less_equal if closed else np.less
     q, p = target[1:] / target[0], problem.kmat[:, 1:] / k0[:, None]
     if target.size < 3:     # the hull is an interval, or for c = 1 a point in R^0
         return bool(np.all(below(p.min(axis=0), q)) and np.all(below(q, p.max(axis=0))))
     d = p - q
     moved = (d != 0.0).any(axis=1)
-    if below is np.less_equal and not moved.all():     # q is a node's own point
+    if closed and not moved.all():     # q is a node's own point
         return True
     angles = np.sort(np.arctan2(d[moved, 1], d[moved, 0]))
     return bool(below(np.diff(angles, append=angles[0] + 2.0 * np.pi).max(), np.pi))

@@ -1,8 +1,7 @@
 """Model definitions: parametric families and their L-moment constraint maps.
 
-Every model is a set of conditions on L-moments: it maps a parameter vector
-to the L-moments of the orders of its ``PolyBasis`` rows.  Sign convention,
-fixed once here: the dual always receives
+A model is a set of conditions on L-moments, of the orders of its
+``PolyBasis`` rows.  Sign convention, fixed once here: the dual always receives
 ``target(theta) = -lambda(theta)``, matching the integration-by-parts
 identity that equates the integral of the constraint rows against the
 quantile measure with minus the L-moment.  User-facing reports always show

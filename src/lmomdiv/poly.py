@@ -115,8 +115,7 @@ def node_table(n: int, max_order: int) -> tuple[np.ndarray, int]:
 class PolyBasis:
     """A fixed set of constraint orders with cached coefficient tables.
 
-    Immutable after construction; safe for concurrent reads.  Compares and
-    hashes by its orders.
+    Immutable; safe for concurrent reads; compares and hashes by its orders.
     """
 
     orders: tuple[int, ...]
