@@ -1,4 +1,3 @@
-import ast
 import copy
 import dataclasses
 import math
