@@ -504,6 +504,22 @@ def test_simulate_plots_the_density_of_a_fit_with_a_subnormal_scale(tmp_path):
     assert np.allclose(fitted, oracle, rtol=1e-12, atol=0.0)
 
 
+def test_simulate_whose_plot_quantile_overflows_exits_3(tmp_path, capsys):
+    # [REGRESSION] GPD(3, 110): the samples are finite, but the plot's range
+    # ends at Q(0.999) = 3 (1000^110 - 1) / 110, past the floats; the density
+    # file was written with x = nan, inf, ..., behind numpy's overflow
+    # warning, and the command exited 0
+    cfg = {"scenario": 1, "nu": 110.0, "n": 10, "replicates": 2, "estimators": ["lmom"],
+           "output_dir": str(tmp_path)}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", str(tmp_path / "cfg.json")]) == 3
+    assert "quantile of ParametricFamily(name='gpd', sigma=3.0, nu=110.0) overflows" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "density_lmom.csv").exists()
+
+
 @pytest.mark.parametrize("fam", [
     ParametricFamily("gpd", 3.0, 0.1),
     ParametricFamily("gpd", 2.0, 0.0),
