@@ -3,7 +3,7 @@
 Each family is one row of ``_FORMS`` (the generic power form is the
 ``"power"`` row).  ``DivergenceSpec.conjugate`` evaluates psi, psi' and
 psi'' together, on scalars or arrays, after one domain check, and raises
-``ConjugateDomainError`` outside the conjugate's open domain; ``psi``,
+``ConjugateDomainError`` outside the conjugate's open domain or at a NaN; ``psi``,
 ``psi_prime`` and ``psi_second`` are its parts.  The dual solver relies on
 that signal and makes no domain check of its own.
 """
@@ -86,13 +86,13 @@ class DivergenceSpec:
         return -np.inf if self.family == "chi2" else 0.0
 
     def conjugate(self, z):
-        """``(psi, psi', psi'')`` at z after one domain check of all of z.
+        """``(psi, psi', psi'')`` at z after one domain check of all of z, which a NaN fails.
 
         Floats for a scalar z, arrays of z's shape otherwise.
         """
         z = np.asarray(z, dtype=float)
         lo, hi = self.psi_domain
-        if z.min() <= lo or z.max() >= hi:
+        if not lo < z.min() <= z.max() < hi:
             raise ConjugateDomainError(
                 f"conjugate argument outside open domain ({lo}, {hi})"
             )
@@ -112,6 +112,7 @@ class DivergenceSpec:
 CHI2 = DivergenceSpec("chi2", 2.0)
 KL = DivergenceSpec("kl", 1.0)
 KLM = DivergenceSpec("klm", 0.0)
+_NAMED = {"chi2": CHI2, "kl": KL, "klm": KLM}
 
 
 def power_divergence(gamma: float) -> DivergenceSpec:
@@ -128,12 +129,8 @@ def power_divergence(gamma: float) -> DivergenceSpec:
 def divergence_by_name(name: str) -> DivergenceSpec:
     """Parse a config-file divergence name: chi2, kl, klm or power:<gamma>."""
     name = name.strip().lower()
-    if name == "chi2":
-        return CHI2
-    if name == "kl":
-        return KL
-    if name == "klm":
-        return KLM
     if name.startswith("power:"):
         return power_divergence(float(name.split(":", 1)[1]))
-    raise ValueError(f"unknown divergence {name!r}")
+    if name not in _NAMED:
+        raise ValueError(f"unknown divergence {name!r}")
+    return _NAMED[name]

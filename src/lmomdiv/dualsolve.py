@@ -4,16 +4,19 @@
 i/n and of m_n; the Newton solve and the chi-square dual (closed form in
 Omega) both read its ``DualProblem``.  A ``PolyBasis`` takes its rows and
 their rank from the cached node table of the sample size, which the sample
-L-moments read too; any other row map is evaluated.  Zero spacings carry no mass, so they
-are excluded from all sums and impose no domain constraint at their nodes.
+L-moments and the transport variant read too; any other row map is
+evaluated.  Zero spacings carry no mass, so they are excluded from all sums
+and impose no domain constraint at their nodes.
 
 ``solve_dual`` is damped Newton ascent.  Its line search starts at the
 largest step that keeps the nodes ``kmat @ xi`` inside the conjugate's
 domain (a ratio test against the domain edge, Boyd & Vandenberghe, Convex
 Optimization, 9.5-9.6), so a barrier-type conjugate such as the modified
 KL's ``-log(1 - z)`` costs a few evaluations per solve, not a cascade of
-halvings.  Each point is one conjugate evaluation (``DualProblem.evaluate``),
-one domain check of its nodes; the solver makes no domain test of its own.
+halvings.  Each point, a converged solve's last full step included, is one
+conjugate evaluation (``DualProblem.evaluate``), one domain check of its
+nodes; the solver makes no domain test of its own, and hands back the
+weights ``psi' delta`` and ``psi'' delta`` of the point it returns.
 A caller solving nearby targets passes starts as ``xi0``; the solve takes the
 one with the highest objective, or zero where the conjugate rejects them all.
 The solve stops when its Newton decrement (B&V 9.5.1) reaches ``rounding_level``,
@@ -23,17 +26,11 @@ A solve that stops short of optimality is checked by ``target_in_cone``: a
 target that no positive spacing vector reaches makes the dual unbounded and
 is reported as ``infeasibleDirection``; anything else is a failure of the
 solve.  That test is a convex-hull test in L-moment-ratio space; it needs no
-LP and no solve.  The transport variant is the optimal-transport counterpart
-of the inner problem.
+LP and no solve.
 
-Every c x c system of the solve layers (c = 3 for the package's laws, at
-most 19) is solved by ``spd_solve``, a Cholesky factorization and the two
-triangular substitutions of ``substitute`` in Python floats: at that size a
-numpy call costs more than its arithmetic.  It returns None where a pivot is
-not positive, and the Newton step then shifts ``-H`` by ``reg I``, ``reg``
-doubling from 1e-12.  Only products over the m nodes run in numpy.  The
-chi-square closed form keeps LAPACK's factor of Omega; the chi-square fit
-whitens by the same factor, through ``substitute`` on its rows.
+Every c x c system of the solve layers is solved in Python floats by
+``spd_solve``; only products over the m nodes run in numpy.  The chi-square
+closed form keeps LAPACK's factor of Omega, by which the chi-square fit whitens.
 """
 
 from __future__ import annotations
@@ -184,10 +181,11 @@ class DualProblem:
 @dataclass(frozen=True, eq=False)
 class DualSolution:
     xi: np.ndarray
-    value: float
+    value: float               # the objective before a converged solve's last step
     iterations: int            # Newton steps taken
     evaluations: int           # objective evaluations, the starts' included
     status: str                # one of SOLVE_STATUSES
+    weights: tuple             # (psi'(z) delta, psi''(z) delta) at xi, as ``evaluate`` gives
 
     @property
     def converged(self) -> bool:
@@ -279,11 +277,12 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
 
     ``xi0`` is one start or an array of them: the solve starts at the one with
     the highest objective among those with nodes inside the conjugate's domain,
-    or at zero, and each start evaluated counts in ``evaluations``.
+    or at zero.  ``evaluations`` counts the starts and the line-search candidates.
     Converged means a Newton decrement ``g (-H)^-1 g`` at most ``rounding_level`` within
-    ``_MAX_NEWTON_ITER`` steps; the full step is then taken, unevaluated, if the ratio
-    test allows all of it and its own nodes lie strictly inside the domain (z + dz
-    carries rounding).  A solve that stops short of that runs ``target_in_cone``:
+    ``_MAX_NEWTON_ITER`` steps; the full step is then evaluated, uncounted, if the ratio
+    test allows all of it, and taken if the conjugate accepts its nodes (z + dz carries
+    rounding); ``value`` stays the objective before it.  ``weights`` are always those
+    of the returned ``xi``.  A solve that stops short of that runs ``target_in_cone``:
     outside the cone the status is ``infeasibleDirection``, inside it (or for rows
     that test does not cover) the solve failed (``maxIter`` or ``stalled``) and its
     value is only a lower bound.  The c x c Newton system is solved by
@@ -292,7 +291,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     """
     kmat, target = problem.kmat, problem.target
     c, m, tgt = target.size, problem.delta.size, target.tolist()
-    lo, hi = problem.divergence.psi_domain
+    hi = problem.divergence.psi_domain[1]
     starts = [] if xi0 is None else list(np.array(xi0, dtype=float, ndmin=2))
     points = []
     for start in starts:
@@ -315,10 +314,12 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
         dz = kmat @ step
         t = _ratio_test(z, dz, hi)
         if decrement <= rounding_level(xi.tolist(), tgt, value, m):
-            nodes = kmat @ (xi + step)
-            if t == 1.0 and lo < nodes.min() and nodes.max() < hi:
-                xi = xi + step
-            return DualSolution(xi, value, it, evaluations, "converged")
+            if t == 1.0:
+                cand = xi + step
+                with suppress(ConjugateDomainError):
+                    _, w1, w2 = problem.evaluate(cand)
+                    xi = cand
+            return DualSolution(xi, value, it, evaluations, "converged", (w1, w2))
         if it == _MAX_NEWTON_ITER:
             break
         while t > 1e-16:
@@ -338,7 +339,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             break
         xi, value, z, w1, w2 = cand, cand_value, cand_z, cand_w1, cand_w2
     status = failure if target_in_cone(problem) else "infeasibleDirection"
-    return DualSolution(xi, value, it, evaluations, status)
+    return DualSolution(xi, value, it, evaluations, status, (w1, w2))
 
 
 def target_in_cone(problem: DualProblem) -> bool:
@@ -396,7 +397,7 @@ def chi2_value_closed_form(
 
 
 def wasserstein_fit_inner(
-    sample: SortedSample, constraint_values, target
+    sample: SortedSample, basis: PolyBasis, target
 ) -> tuple[float, np.ndarray, bool]:
     """Constrained least-squares projection of the sample points.
 
@@ -407,10 +408,8 @@ def wasserstein_fit_inner(
     not enforced; the returned flag is True when the solution is monotone.
     """
     target = np.asarray(target, dtype=float)
-    n = sample.n
-    x = sample.values
-    grid = np.arange(n + 1) / n
-    kfull = np.atleast_2d(constraint_values(np.clip(grid, 0.0, 1.0)))  # (n+1, c)
+    x, zero = sample.values, np.zeros((1, basis.dim))      # every row vanishes at 0 and 1
+    kfull = np.concatenate([zero, basis.at_nodes(sample.n)[0], zero])  # (n+1, c)
     # sum_i K(i/n)(y_{i+1}-y_i) = sum_j y_j [K((j-1)/n) - K(j/n)]
     b = kfull[:-1] - kfull[1:]                           # (n, c)
     gram = b.T @ b                                       # (c, c)

@@ -186,8 +186,8 @@ class _Profile:
     positive definite.  Each solve starts from the nearest converged point's
     multipliers and their prediction.  ``nu`` is None for a scale-only model,
     whose one point has no slope.  A point reads ``f, f', f''`` once
-    (``SplqModel.jet``) and does its c x c algebra in floats; only the
-    m-node products run in numpy.
+    (``SplqModel.jet``) and its node weights from the solve, and does its
+    c x c algebra in floats; only the m-node products run in numpy.
     """
 
     def __init__(self, skeleton: DualProblem, model: SplqModel):
@@ -223,7 +223,7 @@ class _Profile:
         sol = self._solve(reduced, None if starts is None else starts @ basis, t1)
         if not sol.converged:
             return None
-        value, xi, (_, w1, w2) = sol.value, basis @ sol.xi, reduced.evaluate(sol.xi)
+        value, xi, (w1, w2) = sol.value, basis @ sol.xi, sol.weights
         g = (sk.kmat.T @ w1).tolist()
         sigma, (lo, hi) = fdot(g, t1) / fdot(t1, t1), self._sigma_box
         if not lo <= sigma <= hi:

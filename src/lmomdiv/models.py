@@ -139,7 +139,8 @@ class ParametricFamily:
     def log_density_fn(self):
         """``x -> log f(x)`` in ``math`` inside the support, and its limit at a finite end.
 
-        A GPD's is also defined at ``x = 0``.  Built once per law and called per point.
+        A GPD's is also defined at ``x = 0``, a Weibull law's at 0 and at inf.
+        Built once per law and called per point.
         """
         s, v = self.sigma, self.nu
         log_s = log(s)
@@ -148,7 +149,11 @@ class ParametricFamily:
             q = v / s
             log_scale = log(q) if 0.0 < q < inf else log(v) - log_s
 
+            at_zero = inf if v < 1.0 else log_scale if v == 1.0 else -inf     # the limit
+
             def log_f(x):
+                if not 0.0 < x < inf:       # -inf at inf and off the support; a NaN stays NaN
+                    return at_zero if x == 0.0 else -inf if x == x else x
                 z = x / s
                 log_z = log(z) if 0.0 < z < inf else log(x) - log_s
                 # past exp(709) the term overflows a float; its sign is all that counts
@@ -224,7 +229,15 @@ class ParametricFamily:
         return self.quantile(rng.random(n))
 
     def lmoments(self) -> np.ndarray:
-        return self.sigma * np.array(_LAWS[self.name][0](self.nu))
+        """(lambda_2, lambda_3, lambda_4); raises ``ValueError`` where they overflow a float."""
+        try:                        # Gamma(1 + 1/nu) raises past 171, sigma * f gives inf
+            with np.errstate(over="ignore"):
+                out = self.sigma * np.array(_LAWS[self.name][0](self.nu))
+        except OverflowError:
+            out = np.inf
+        if not np.isfinite(out).all():
+            raise ValueError(f"the L-moments of {self} overflow a float")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +286,7 @@ class SplqModel:
         return self.rows.dim
 
     def constraint_values(self, t):
-        return self.rows(t)
+        return self.rows.constraint_vector(t)
 
     def jet(self, nu) -> tuple[list[float], ...]:
         """``(f, f', f'')`` at the shape ``nu`` as float lists; ``(f,)`` for a scale-only model."""
@@ -340,10 +353,8 @@ def order_stat_model_3() -> SplqModel:
 def model_by_name(name: str) -> SplqModel:
     """Model lookup for config files and the CLI."""
     name = name.strip().lower()
-    if name == "gpd-l234":
-        return gpd_model()
-    if name == "weibull-l234":
-        return weibull_model()
-    if name == "orderstat3":
-        return order_stat_model_3()
-    raise ValueError(f"unknown model {name!r}")
+    models = {"gpd-l234": gpd_model, "weibull-l234": weibull_model,
+              "orderstat3": order_stat_model_3}
+    if name not in models:
+        raise ValueError(f"unknown model {name!r}")
+    return models[name]()

@@ -147,10 +147,6 @@ class PolyBasis:
         _check_unit_interval(t)
         return np.stack([polyval(t, tab) for tab in self._tables], axis=-1)
 
-    def __call__(self, t):
-        """The basis as the row map t -> K(t) that the dual problem takes."""
-        return self.constraint_vector(t)
-
     def at_nodes(self, n: int) -> tuple[np.ndarray, int | None]:
         """(rows, rank) at the nodes i/n from ``node_table``: its columns of these orders.
 

@@ -96,14 +96,23 @@ class SummaryStats:
 
 
 def summarize(values) -> SummaryStats:
-    """Mean, lower-median and (n-1)-denominator standard deviation."""
+    """Mean, lower-median and (n-1)-denominator standard deviation.
+
+    Where the squares of finite values overflow (past about 1e154), the std
+    is taken in units of the power of two at their largest magnitude, exactly.
+    """
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise ValueError("cannot summarize an empty list")
     median = float(v[(v.size - 1) // 2])
     if v.size == 1:
         return SummaryStats(float(v[0]), median, 0.0, degenerate=True)
-    return SummaryStats(float(v.mean()), median, float(v.std(ddof=1)))
+    with np.errstate(over="ignore"):        # redone below for finite values
+        std = float(v.std(ddof=1))
+    if std == math.inf and np.isfinite(v).all():
+        scale = math.ldexp(1.0, math.frexp(max(-v[0], v[-1]))[1] - 1)
+        std = float((v / scale).std(ddof=1)) * scale
+    return SummaryStats(float(v.mean()), median, std)
 
 
 @dataclass
@@ -176,42 +185,29 @@ def _run_replicate(config: ScenarioConfig, replicate: int) -> list[dict]:
 def run_scenario(config: ScenarioConfig, n_jobs: int = 1) -> SimSummary:
     """Run every replicate of a scenario and aggregate the summary tables."""
     records: list[dict] = []
-    if config.replicates:
-        if n_jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor   # only a parallel run pays its import
+    if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only a parallel run pays its import
 
-            with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                chunks = pool.map(
-                    _run_replicate,
-                    [config] * config.replicates,
-                    range(config.replicates),
-                    chunksize=max(1, config.replicates // (4 * n_jobs)),
-                )
-                for chunk in chunks:
-                    records.extend(chunk)
-        else:
-            for i in range(config.replicates):
-                records.extend(_run_replicate(config, i))
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            for chunk in pool.map(_run_replicate, [config] * config.replicates,
+                                  range(config.replicates),
+                                  chunksize=max(1, config.replicates // (4 * n_jobs))):
+                records.extend(chunk)
+    else:
+        for i in range(config.replicates):
+            records.extend(_run_replicate(config, i))
 
-    stats: dict = {}
-    failures: dict = {}
+    stats, failures = {}, {}
     for est in config.estimators:
         ok = [r for r in records if r["estimator"] == est and not r["error"]]
-        failures[est] = sum(
-            1 for r in records if r["estimator"] == est and r["error"]
-        )
-        if not ok:
-            stats[est] = {}
-            continue
-        block = {
-            "sigma": summarize([r["sigma"] for r in ok]),
-            "nu": summarize([r["nu"] for r in ok]),
-        }
-        l1_vals = [r["l1"] for r in ok if np.isfinite(r["l1"])]
-        block["l1_mean"] = float(np.mean(l1_vals)) if l1_vals else float("nan")
-        stats[est] = block
-    return SimSummary(config=config, records=records, stats=stats,
-                      failures=failures)
+        failures[est] = sum(1 for r in records if r["estimator"] == est and r["error"])
+        stats[est] = {}
+        if ok:
+            l1_vals = [r["l1"] for r in ok if np.isfinite(r["l1"])]
+            stats[est] = {"sigma": summarize([r["sigma"] for r in ok]),
+                          "nu": summarize([r["nu"] for r in ok]),
+                          "l1_mean": float(np.mean(l1_vals)) if l1_vals else float("nan")}
+    return SimSummary(config=config, records=records, stats=stats, failures=failures)
 
 
 # ---------------------------------------------------------------------------

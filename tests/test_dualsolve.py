@@ -352,6 +352,66 @@ def test_warm_start():
     assert np.array_equal(fallback.xi, cold.xi)
 
 
+def _same_bits(a, b) -> bool:
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("div", DIVS, ids=lambda d: f"{d.family}{d.gamma}")
+def test_solution_weights_are_those_of_its_point(div):
+    # the solve hands back psi' delta and psi'' delta of the xi it returns, so
+    # a caller needs no second evaluation: cold, warm at the optimum and warm nearby
+    for seed in range(3):
+        s = random_sample(seed)
+        prob = make_dual_problem(s, PolyBasis((2, 3, 4)), div,
+                                 perturbed_target(s, (2, 3, 4), (1.2, 0.8, 1.1)))
+        cold = solve_dual(prob)
+        for sol in (cold, solve_dual(prob, xi0=cold.xi),
+                    solve_dual(prob.with_target(prob.target * 1.01), xi0=cold.xi)):
+            assert sol.converged
+            assert _same_bits(sol.weights, prob.evaluate(sol.xi)[1:])
+
+
+def test_a_converged_step_the_conjugate_rejects_keeps_the_old_point(monkeypatch):
+    # the last full step of a converged solve is taken exactly where the
+    # conjugate's one domain check passes; here that check is made to fail
+    s = random_sample(3)
+    prob = make_dual_problem(s, PolyBasis((2, 3)), KLM, perturbed_target(s, (2, 3), (1.2, 0.8)))
+    calls, conjugate = [], DivergenceSpec.conjugate
+
+    def counted(self, z):
+        calls.append(np.array(z))
+        return conjugate(self, z)
+
+    monkeypatch.setattr(DivergenceSpec, "conjugate", counted)
+    taken = solve_dual(prob)
+    assert taken.converged and len(calls) == taken.evaluations + 1
+    assert np.array_equal(prob.kmat @ taken.xi, calls[-1])
+    last, calls[:] = len(calls), []
+
+    def rejects_the_last(self, z):
+        calls.append(np.array(z))
+        if len(calls) == last:
+            raise ConjugateDomainError("rejected")
+        return conjugate(self, z)
+
+    monkeypatch.setattr(DivergenceSpec, "conjugate", rejects_the_last)
+    kept = solve_dual(prob)
+    assert kept.converged and kept.value == taken.value
+    assert not np.array_equal(kept.xi, taken.xi)
+    assert np.array_equal(prob.kmat @ kept.xi, calls[-2])
+    monkeypatch.undo()
+    assert _same_bits(kept.weights, prob.evaluate(kept.xi)[1:])
+
+
+def test_conjugate_rejects_a_nan_node():
+    # one domain check decides every step: a NaN node fails it, as a node past the edge does
+    for div in DIVS:
+        with pytest.raises(ConjugateDomainError):
+            div.conjugate(np.array([0.1, np.nan]))
+        with pytest.raises(ConjugateDomainError):
+            div.conjugate(np.nan)
+
+
 @pytest.mark.parametrize("div", [KLM, power_divergence(0.5)], ids=["klm", "power0.5"])
 def test_dual_evaluations_raise_outside_the_domain(div):
     # the objective, gradient and Hessian each check their nodes, also when
@@ -452,7 +512,7 @@ def test_make_dual_problem_from_the_node_table_is_the_row_callable(model_name):
     # orders that are not all of the table's columns: a copy of the columns, its own rank
     sample, basis = random_sample(5, 20), PolyBasis((2, 4))
     assert _same_problem(make_dual_problem(sample, basis, CHI2, target[:2]),
-                         make_dual_problem(sample, lambda t: basis(t), CHI2, target[:2]))
+                         make_dual_problem(sample, basis.constraint_vector, CHI2, target[:2]))
 
 
 @pytest.mark.parametrize("rows", ["table", "callable"])

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import math
@@ -13,7 +14,7 @@ import scipy.optimize
 
 from lmomdiv import estimator
 from lmomdiv.cli import main
-from lmomdiv.divergence import CHI2, KL, KLM, power_divergence
+from lmomdiv.divergence import CHI2, KL, KLM, DivergenceSpec, power_divergence
 from lmomdiv.dualsolve import (
     chi2_value_closed_form,
     make_dual_problem,
@@ -229,6 +230,50 @@ def test_warm_started_fit_matches_cold_starts(monkeypatch):
     monkeypatch.setattr(estimator, "solve_dual", lambda problem, xi0=None: solve(problem))
     cold = [sim_klm_fit(scenario, 0).theta for scenario in (1, 2, 3, 4)]
     assert np.allclose(warm, cold, rtol=1e-6, atol=0.0)
+
+
+def _profile_point_evaluations(monkeypatch, sample, model):
+    """[(conjugate arguments, returned xi's nodes)] of each profile point of a KLM fit."""
+    points, conjugate = [], DivergenceSpec.conjugate
+    solve, call = estimator.solve_dual, estimator._Profile.__call__
+
+    def counted(self, z):
+        points[-1][0].append(np.asarray(z).tobytes())
+        return conjugate(self, z)
+
+    def solved(problem, xi0=None):
+        sol = solve(problem, xi0=xi0)
+        points[-1][1].append((problem.kmat @ sol.xi).tobytes())
+        return sol
+
+    def point(self, nu):
+        points.append(([], []))
+        return call(self, nu)
+
+    monkeypatch.setattr(DivergenceSpec, "conjugate", counted)
+    monkeypatch.setattr(estimator, "solve_dual", solved)
+    monkeypatch.setattr(estimator._Profile, "__call__", point)
+    with contextlib.suppress(EstimationError):
+        fit_divergence(sample, model_by_name(model), KLM)
+    monkeypatch.undo()
+    return points
+
+
+def test_no_profile_point_evaluates_a_multiplier_twice(monkeypatch):
+    # a converged solve hands back the weights of its point, which the profile
+    # reads instead of evaluating the conjugate there again
+    points = _profile_point_evaluations(
+        monkeypatch, draw_sample(ScenarioConfig.preset(1, n=100), 0), "gpd-l234")
+    assert len(points) == 3
+    for calls, _ in points:
+        assert len(calls) == len(set(calls))
+    # a heavy tail whose last full step the ratio test refuses at one point:
+    # there too the point's multipliers are evaluated once
+    x = 3.0 * np.random.default_rng(2).weibull(0.08, 200)
+    points = _profile_point_evaluations(monkeypatch, SortedSample(x), "weibull-l234")
+    assert len(points) > 10
+    for calls, (returned,) in points:
+        assert calls.count(returned) == 1
 
 
 def test_unconverged_solve_during_the_search_counts_as_inf(monkeypatch):
@@ -1071,7 +1116,7 @@ def test_asymptotics_need_lmoment_orders():
     assert cov.sigma.tolist() == full.sigma[:2, :2].tolist()
     assert cov.j0.tolist() == [[-2.0 / 3.0], [0.0]]
     with pytest.raises(ValueError, match="PolyBasis"):
-        dataclasses.replace(gpd_model(), rows=lambda t: PolyBasis((2, 3, 4))(t))
+        dataclasses.replace(gpd_model(), rows=PolyBasis((2, 3, 4)).constraint_vector)
 
 
 def test_records_compare_and_hash():

@@ -296,6 +296,39 @@ def test_quantile_overflow_raises(name, nu):
         assert math.isfinite(fam.quantile(0.0))
 
 
+@pytest.mark.parametrize("name, sigma, nu", [
+    ("weibull", 3.0, 1e-3), ("weibull", 3.0, 1e-300), ("gpd", 1.7e308, 0.5)])
+def test_lmoments_overflow_raises(name, sigma, nu):
+    # [REGRESSION] Gamma(1 + 1/nu) raised math's bare OverflowError for a
+    # small Weibull shape, and sigma * f overflowed to inf with numpy's
+    # "overflow encountered in multiply"; both now raise, naming the law
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"L-moments of .*{name}.* overflow a float"):
+            ParametricFamily(name, sigma, nu).lmoments()
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.5, 1.0, 2.0, 20.0])
+def test_weibull_log_density_at_the_ends_of_its_support(nu):
+    # [REGRESSION] log f raised "math domain error" at x = 0 and was nan at
+    # x = inf for nu >= 1; it is its limit at both ends: at 0 +inf, -log sigma
+    # or -inf for nu <, =, > 1, and -inf at inf
+    sigma = 3.0
+    log_f = ParametricFamily("weibull", sigma, nu).log_density_fn()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_zero, at_inf = log_f(0.0), log_f(math.inf)
+    assert at_inf == -math.inf
+    if nu == 1.0:
+        assert at_zero == pytest.approx(-math.log(sigma), rel=1e-15)
+        assert log_f(5e-324) == at_zero
+    else:
+        assert at_zero == (math.inf if nu < 1.0 else -math.inf)
+        # toward 0, log f heads for that limit
+        assert (log_f(5e-324) > log_f(1e-100)) == (nu < 1.0)
+    assert math.isnan(log_f(math.nan))
+
+
 def test_family_pickles_and_compares_after_its_functions_are_built():
     # the functions are built per call and cached nowhere on the frozen instance
     fam = ParametricFamily("gpd", 3.0, 0.7)

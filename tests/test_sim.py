@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,25 @@ def test_summarize_lower_median():
 def test_summarize_empty_raises():
     with pytest.raises(ValueError):
         summarize(np.array([]))
+
+
+def test_summarize_std_past_1e154_does_not_overflow():
+    # [REGRESSION] the squared deviations overflowed: simulate of scenario 1
+    # with nu = 110 gave two scales about 1e194 and 8e275, a RuntimeWarning
+    # and "std": inf.  The std is taken in units of a power of two, exactly
+    values = np.array([1e194, 8e275])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = summarize(values)
+    scale = 2.0 ** 916
+    assert s.std == float(np.std(values / scale, ddof=1)) * scale
+    assert s.std == pytest.approx(8e275 / math.sqrt(2.0), rel=1e-15)
+    # finite results are the unscaled ones, bit for bit; a std past the floats stays inf
+    small = np.array([1e150, -3e151, 7e149])
+    assert summarize(small).std == float(np.std(small, ddof=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert summarize(np.array([1.7e308, -1.7e308])).std == math.inf
 
 
 def test_preset_scenarios():
