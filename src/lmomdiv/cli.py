@@ -115,10 +115,16 @@ def _fmt(x: float) -> str:
 
 
 def _emit(args, payload: dict, lines) -> int:
-    """``payload`` as JSON under ``--json``, the text ``lines`` otherwise."""
+    """``payload`` as JSON under ``--json``, the text ``lines`` otherwise.
+
+    JSON has no inf or NaN: a payload holding one prints nothing and raises
+    ``ValueError``, a numeric failure.
+    """
     if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        try:
+            print(json.dumps(payload, indent=2, allow_nan=False))
+        except ValueError as exc:
+            raise ValueError(f"--json: the result is not finite ({exc})") from None
     else:
         print("\n".join(lines))
     return 0
@@ -181,6 +187,9 @@ def _fit(args) -> FitReport:
                   "mle": fit_mle_gpd}[args.method]
         report = FitReport(theta=np.array(fitter(sample)), xi=None, criterion=float("nan"),
                            method=args.method, param_names=model.param_names)
+        if not np.isfinite(report.theta).all():
+            raise EstimationError(f"the {args.method} fit overflows a float: "
+                                  f"theta {report.theta.tolist()!r}")
     if not args.asymptotics:
         return report
     plugin = ParametricFamily(model.family, *map(float, report.theta))

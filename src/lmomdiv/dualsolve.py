@@ -181,7 +181,7 @@ class DualProblem:
 @dataclass(frozen=True, eq=False)
 class DualSolution:
     xi: np.ndarray
-    value: float               # the objective before a converged solve's last step
+    value: float               # the objective at xi
     iterations: int            # Newton steps taken
     evaluations: int           # objective evaluations, the starts' included
     status: str                # one of SOLVE_STATUSES
@@ -281,13 +281,12 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     Converged means a Newton decrement ``g (-H)^-1 g`` at most ``rounding_level`` within
     ``_MAX_NEWTON_ITER`` steps; the full step is then evaluated, uncounted, if the ratio
     test allows all of it, and taken if the conjugate accepts its nodes (z + dz carries
-    rounding); ``value`` stays the objective before it.  ``weights`` are always those
-    of the returned ``xi``.  A solve that stops short of that runs ``target_in_cone``:
-    outside the cone the status is ``infeasibleDirection``, inside it (or for rows
-    that test does not cover) the solve failed (``maxIter`` or ``stalled``) and its
-    value is only a lower bound.  The c x c Newton system is solved by
-    ``spd_solve`` and its decrement and rounding level are float sums; only
-    the m-node products run in numpy.
+    rounding).  ``value`` and ``weights`` are always those of the returned ``xi``.  A
+    solve that stops short of that runs ``target_in_cone``: outside the cone the status
+    is ``infeasibleDirection``, inside it (or for rows that test does not cover) the
+    solve failed (``maxIter`` or ``stalled``) and its value is only a lower bound.  The
+    c x c Newton system is solved by ``spd_solve`` and its decrement and rounding level
+    are float sums; only the m-node products run in numpy.
     """
     kmat, target = problem.kmat, problem.target
     c, m, tgt = target.size, problem.delta.size, target.tolist()
@@ -317,7 +316,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             if t == 1.0:
                 cand = xi + step
                 with suppress(ConjugateDomainError):
-                    _, w1, w2 = problem.evaluate(cand)
+                    value, w1, w2 = problem.evaluate(cand)
                     xi = cand
             return DualSolution(xi, value, it, evaluations, "converged", (w1, w2))
         if it == _MAX_NEWTON_ITER:

@@ -14,13 +14,14 @@ LAPACK, and with ``g = L^-1 f`` the profile P(nu) is ``|r|^2 / 2``,
 its box, which is exact for a convex quadratic in one variable.  Every
 ``L^-1`` and ``L^-T`` is ``dualsolve.substitute`` on the rows of that factor.
 A scale-only model (``orderstat3``) is then fitted at one point.  Otherwise
-the slope of P is scanned on a fixed grid per law (``_CHI2_NU``; f and f'
-are tabulated at the law's first fit), and each sign change from - to + is
-refined on it by ``bracketed_root`` (``_profile_minimum``, shared with the
-MLE).  The scan substitutes numpy rows of the table and a point
-(``_chi2_point``) floats, by the same operations, so at a grid shape the two
-agree bit for bit.  The lowest of P at those roots and at the two shape
-edges, each valued by the point, is the estimate; its value is the
+the slope of P is scanned on a fixed grid per law, spanning the model's shape
+box (``_chi2_table``; f and f' are tabulated at the law's first fit), and each
+sign change from - to + is refined on it by ``bracketed_root``
+(``_profile_minimum``, shared with the MLE).  One function (``_chi2_point``)
+gives P, its slope, the scale and r, on the numpy rows of the table for the
+scan and on floats for a refine point, by the same operations, so at a grid
+shape the two agree bit for bit.  The lowest of P at those roots and at the
+two shape edges, read from the scan, is the estimate; its value is the
 criterion and ``xi = -L^-T r`` solves ``Omega xi = t - m_n`` at its target
 t.  ``diagnostics`` has ``scan_minima``, the sign changes the scan found,
 and ``refine_evaluations``, the profile evaluations of the refines.
@@ -98,6 +99,7 @@ from .lmoments import (
     LmomentVector,
     SortedSample,
     legendre_rows,
+    magnitude_unit,
     plugin_second_moments,
     sample_lmoments_v,
     triangle_covariance,
@@ -115,9 +117,7 @@ _MLE_NU_MAX = 5.0
 _MLE_W = np.concatenate([-np.geomspace(700.0, 1e-6, 100), np.geomspace(1e-6, 700.0, 100)])
 #: most grid points x observations the MLE's profile scan holds at once
 _MLE_BLOCK = 1 << 20
-#: shape grid of the chi-square fit's profile scan, per law, over the model's shape box
-_CHI2_NU = {"gpd": np.linspace(-5.0, 0.99, 61), "weibull": np.geomspace(*WEIBULL_SHAPE_BOX, 61)}
-#: law -> (grid, unit-scale Jacobians on it), filled by the law's first chi-square fit
+#: law -> (shape grid, unit-scale Jacobians on it), filled by the law's first chi-square fit
 _CHI2_TABLES: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -327,68 +327,52 @@ def _shape_search(profile: _Profile, nu: float, point):
 
 
 def _chi2_table(model: SplqModel) -> tuple[np.ndarray, np.ndarray]:
-    """(shape grid, unit-scale Jacobians (c, 2, k)) of the model's law, built on first use."""
+    """(shape grid, unit-scale Jacobians (c, 2, k)) of the model's law, built on first use;
+    61 shapes over the model's shape box, geometric where it is positive and linear otherwise."""
     table = _CHI2_TABLES.get(model.family)
     if table is None:
-        grid = _CHI2_NU[model.family]
+        lo, hi = model.box[1].tolist()
+        grid = (np.geomspace if lo > 0.0 else np.linspace)(lo, hi, 61)
         jac = np.stack([model.lmoment_jacobian(np.array([1.0, nu])) for nu in grid], axis=-1)
         jac.setflags(write=False)       # cached: every fit of the law shares it
         table = _CHI2_TABLES[model.family] = (grid, jac)
     return table
 
 
-def _chi2_slope(lam_w, sigma_box, g, dg):
-    """(slope, sigma, r) of the chi-square profile P from ``g = L^-1 f`` and ``dg = L^-1 f'``.
+def _chi2_point(low, lam_w, sigma_box, f, df):
+    """(value, slope, sigma, r) of the chi-square profile P from ``f`` and ``f'``.
 
-    ``L`` is the Cholesky factor of Omega and ``lam_w = L^-1 lam``, ``lam =
-    -m_n``, a float list.  ``g`` and ``dg`` hold c floats at one shape, or c
-    numpy rows over k shapes, which give the same numbers bit for bit.  The
-    scale is ``g^T lam_w / g^T g`` clipped to ``sigma_box``, the residual is
-    ``r = sigma g - lam_w`` and ``P = |r|^2 / 2``; the slope ``sigma dg^T r``
-    is the derivative of P: by the envelope theorem where sigma is free, and
-    as sigma is constant where it is clipped.
+    ``low`` holds the rows of the Cholesky factor L of Omega and ``lam_w =
+    L^-1 lam``, ``lam = -m_n``, a float list.  ``f`` and ``df`` hold c floats
+    at one shape, or c numpy rows over k shapes (the scan), which give the
+    same numbers bit for bit.  With ``g = L^-1 f`` the scale is ``g^T lam_w /
+    g^T g`` clipped to ``sigma_box``, the residual is ``r = sigma g - lam_w``
+    and ``P = |r|^2 / 2``; the slope ``sigma (L^-1 f')^T r`` is the derivative
+    of P: by the envelope theorem where sigma is free, and as sigma is
+    constant where it is clipped.  A scale-only model passes ``df`` None and
+    gets no slope.
     """
+    g = substitute(low, f)
     sigma, (lo, hi) = fdot(lam_w, g) / fdot(g, g), sigma_box
     if type(sigma) is float:
         sigma = min(max(sigma, lo), hi)
     else:
         sigma = np.minimum(np.maximum(sigma, lo), hi)
     r = [sigma * v - lam for v, lam in zip(g, lam_w)]
-    return sigma * fdot(dg, r), sigma, r
+    slope = None if df is None else sigma * fdot(substitute(low, df), r)
+    return 0.5 * fdot(r, r), slope, sigma, r
 
 
-def _chi2_profile(low, lam_w, sigma_box, table):
-    """The slope of P at the k shapes of the law's ``table`` (c, 2, k) of ``f`` and ``f'``.
-
-    One substitution whitens both columns of the table (``_chi2_slope``).
-    """
-    k, white = table.shape[-1], substitute(low, table.reshape(len(low), -1))
-    return _chi2_slope(lam_w, sigma_box, [v[:k] for v in white], [v[k:] for v in white])[0]
-
-
-def _chi2_point(low, lam_w, sigma_box, f, df):
-    """(value, slope, sigma, r) of P at one shape from ``f`` and ``f'`` as float lists.
-
-    The scan's operations on floats (``_chi2_slope``), so at a grid shape the
-    slope and the scale are the scan's bit for bit.  A scale-only model
-    passes ``df`` None and gets no slope.
-    """
-    g = substitute(low, f)
-    slope, sigma, r = _chi2_slope(lam_w, sigma_box, g, g if df is None else substitute(low, df))
-    return 0.5 * fdot(r, r), None if df is None else slope, sigma, r
-
-
-def _profile_minimum(point, grid, slope, edges=()):
+def _profile_minimum(point, grid, slope, candidates=()):
     """(best, sign changes, refine evaluations) of a one-dimensional profile.
 
     ``slope`` is the profile's slope on the ascending ``grid`` and
     ``point(x)`` (value, slope, ...) at the one point ``x``, as floats.  A
     local minimum lies where the slope turns from negative to nonnegative;
     each such sign change is refined by ``bracketed_root`` on the slope, with
-    every point evaluated once.  ``best`` is ``x`` and its numbers with the
-    lowest value among the grid points at the indices ``edges``, valued by
-    ``point`` and not counted as refine evaluations, and the refined roots
-    (the first on a tie), or None.
+    every point evaluated once.  ``best`` is the pair ``(x, point(x))`` with
+    the lowest value among the ``candidates``, pairs of that form the caller
+    already holds, and the refined roots (the first on a tie), or None.
     """
     evaluated = {}
 
@@ -397,7 +381,7 @@ def _profile_minimum(point, grid, slope, edges=()):
             evaluated[x] = point(x)
         return evaluated[x]
 
-    candidates = [(x, point(x)) for x in (float(grid[j]) for j in edges)]
+    candidates = list(candidates)
     minima = np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0))
     for i in minima:
         x = bracketed_root(lambda v: at(v)[1], float(grid[i]), float(grid[i + 1]),
@@ -424,9 +408,12 @@ def _chi2_fit(skeleton: DualProblem, model: SplqModel):
         theta = np.array([sigma])
     else:
         grid, table = _chi2_table(model)
+        scan = point(table[:, 0], table[:, 1])
+        # the two shape edges, read from the scan: the floats a point there gives
+        edges = [(float(grid[j]), (*(float(v[j]) for v in scan[:3]),
+                                   [float(v[j]) for v in scan[3]])) for j in (0, -1)]
         (nu, (value, _, sigma, r)), minima, evaluations = _profile_minimum(
-            lambda nu: point(shape(nu), slopes(nu)[0]), grid,
-            _chi2_profile(low, lam_w, sigma_box, table), edges=(0, -1))
+            lambda nu: point(shape(nu), slopes(nu)[0]), grid, scan[1], edges)
         theta = np.array([sigma, nu])
     # the multipliers solve Omega xi = t - m_n = -L r
     return theta, value, -np.array(substitute(low, r, transpose=True)), {
@@ -475,6 +462,9 @@ def fit_divergence(
         raise EstimationError(
             f"the fit has left the model: {model.param_names[0]} = {float(theta[0]) * scale!r} "
             f"lies on the edge {edges[0][0] * scale!r} of its box")
+    if float(theta[0]) * scale == math.inf:
+        raise EstimationError(f"the fitted {model.param_names[0]}, {float(theta[0])!r} times "
+                              f"2^{math.frexp(scale)[1] - 1}, overflows a float")
     return FitReport(
         theta=np.concatenate([theta[:1] * scale, theta[1:]]),
         xi=xi,
@@ -554,10 +544,11 @@ def asymptotic_covariance(
     whose c - d columns are the degrees of freedom of ``confidence_stat``.
     Sigma differentiates the rows by their orders, ``model.rows.orders``.
     """
-    omega = plugin_second_moments(plugin, model.constraint_values)
-    sigma = triangle_covariance(plugin, legendre_rows(model.rows.orders))
+    with np.errstate(over="ignore", invalid="ignore"):     # reported below, as an error
+        omega = plugin_second_moments(plugin, model.constraint_values)
+        sigma = triangle_covariance(plugin, legendre_rows(model.rows.orders))
     j0 = -model.lmoment_jacobian(np.asarray(theta_hat, dtype=float))
-    require_finite(omega, j0)
+    require_finite(omega, sigma, j0)
     try:
         low = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
@@ -687,12 +678,16 @@ def fit_moment_method_gpd(sample: SortedSample) -> tuple[float, float]:
     """Invert the (variance, skewness) map of the GPD numerically.
 
     The forward formulas require shape < 1/3; the skewness increases on
-    (-5, 1/3), and ``bracketed_root`` inverts it there.
+    (-5, 1/3), and ``bracketed_root`` inverts it there.  Where the moments
+    overflow they are taken in units of the power of two at the sample's
+    largest magnitude (``magnitude_unit``); the skewness is scale-free.
     """
-    x = sample.values
-    d = x - x.mean()
-    d2 = d * d
-    var, m3 = float(d2.sum()) / (x.size - 1), float(d2 @ d) / x.size
+    x, unit = sample.values, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):     # redone below for finite values
+        var, m3 = _central_moments(x)
+    if not math.isfinite(var + m3):
+        unit = magnitude_unit(x)
+        var, m3 = _central_moments(x / unit)
     if var <= 0:
         raise EstimationError("degenerate sample variance")
     t3 = m3 / var ** 1.5
@@ -701,7 +696,14 @@ def fit_moment_method_gpd(sample: SortedSample) -> tuple[float, float]:
         raise EstimationError(f"sample skewness {t3!r} outside the GPD range")
     nu = bracketed_root(lambda v: _gpd_skewness(v) - t3, lo, hi,
                         _gpd_skewness(lo) - t3, _gpd_skewness(hi) - t3)
-    return math.sqrt(var * (1.0 - nu) ** 2 * (1.0 - 2.0 * nu)), nu
+    return math.sqrt(var * (1.0 - nu) ** 2 * (1.0 - 2.0 * nu)) * unit, nu
+
+
+def _central_moments(x: np.ndarray) -> tuple[float, float]:
+    """(variance with denominator n - 1, third central moment) of ``x``."""
+    d = x - x.sum() / x.size        # np.mean's sum and division
+    d2 = d * d
+    return float(d2.sum()) / (x.size - 1), float(d2 @ d) / x.size
 
 
 def _log_terms(w: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ L-moment maps of the parametric laws live in ``models``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,14 @@ class SortedSample:
 
     @property
     def spacings(self) -> np.ndarray:
-        return np.diff(self.values)
+        """The gaps of the sorted values; raises ``ValueError`` where one overflows a float."""
+        if float(self.values[-1]) - float(self.values[0]) < math.inf:
+            return np.diff(self.values)
+        with np.errstate(over="ignore"):        # reported below, as an error
+            gaps = np.diff(self.values)
+        if not np.isfinite(gaps).all():
+            raise ValueError("a spacing of the sample overflows a float")
+        return gaps
 
     def shifted(self, a: float) -> "SortedSample":
         return SortedSample(self.values + a)
@@ -102,7 +110,11 @@ def sample_lmoments_v(sample: SortedSample, max_order: int) -> LmomentVector:
     """
     _check_max_order(max_order)
     vals = np.empty(max_order)
-    vals[0] = float(np.mean(sample.values))
+    with np.errstate(over="ignore"):        # redone below for finite values
+        vals[0] = sample.values.sum() / sample.n      # np.mean's sum and division
+    if math.isinf(vals[0]):
+        unit = magnitude_unit(sample.values)
+        vals[0] = float((sample.values / unit).sum()) / sample.n * unit
     if max_order >= 2:
         rows, spacings = node_table(sample.n, max_order)[0], sample.spacings
         for r in range(2, max_order + 1):
@@ -140,11 +152,23 @@ def sample_lmoments_u(sample: SortedSample, max_order: int) -> LmomentVector:
         raise ValueError(
             f"the order-{max_order} U-statistic is undefined for n={sample.n}"
         )
-    b = _pwm_unbiased(sample, max_order - 1)
-    vals = np.empty(max_order)
-    for r in range(1, max_order + 1):
-        vals[r - 1] = legendre_coefficients(r - 1) @ b[:r]
+    with np.errstate(over="ignore", invalid="ignore"):     # redone below for finite values
+        vals = _lmoments_from_pwm(_pwm_unbiased(sample, max_order - 1))
+        if not np.isfinite(vals).all():
+            unit = magnitude_unit(sample.values)
+            vals = _lmoments_from_pwm(_pwm_unbiased(sample.scaled(unit), max_order - 1)) * unit
     return LmomentVector(vals, "u-statistic")
+
+
+def _lmoments_from_pwm(b: np.ndarray) -> np.ndarray:
+    """lambda_1 .. lambda_r from the probability-weighted moments b_0 .. b_{r-1}."""
+    return np.array([legendre_coefficients(r) @ b[:r + 1] for r in range(b.size)])
+
+
+def magnitude_unit(values) -> float:
+    """``2^(e-1)``, the power of two at the largest magnitude of the sorted finite ``values``:
+    in its units they lie in (-2, 2), and their sums and squares do not overflow."""
+    return math.ldexp(1.0, math.frexp(max(-values[0], values[-1]))[1] - 1)
 
 
 def lmoment_ratios(lm: LmomentVector) -> dict[str, float]:

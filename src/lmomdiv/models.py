@@ -156,10 +156,11 @@ class ParametricFamily:
                     return at_zero if x == 0.0 else -inf if x == x else x
                 z = x / s
                 log_z = log(z) if 0.0 < z < inf else log(x) - log_s
-                # past exp(709) the term overflows a float; its sign is all that counts
-                tail = exp(v * log_z) if v * log_z < 709.0 else inf
-                return log_scale + (v - 1.0) * log_z - tail
-        elif v == 0.0:
+                # past exp(709) the term z^nu overflows a float and outgrows the others
+                if v * log_z >= 709.0:
+                    return -inf
+                return log_scale + (v - 1.0) * log_z - exp(v * log_z)
+        elif v == 0.0 or abs(1.0 / v) == inf:    # nu = 0, or 1 / nu overflows: exponential
             def log_f(x):
                 return -log_s - x / s
         elif v == -1.0:                       # uniform on [0, s]
@@ -174,6 +175,8 @@ class ParametricFamily:
                     z = v * (x / s)
                     if z == inf:              # log1p(z) is log z in floats
                         return -log_s - power * (log(v) - log_s + log(x))
+                if z < -1.0:                  # past the finite end
+                    return -inf
                 return -log_s - power * (log1p(z) if z > -1.0 else -inf)
         return log_f
 
@@ -189,6 +192,8 @@ class ParametricFamily:
                 return 0.0
             if self.name == "weibull":
                 z = x / s
+                if z == 0.0:                # underflows: z^nu is taken in logs
+                    return -expm1(-exp(v * (log(x) - log(s))))
                 # past exp(709) the power overflows a float, and 1 - F is 0
                 return 1.0 if v * log(z) > 709.0 else -expm1(-(z ** v))
             if v == 0.0:
@@ -214,15 +219,22 @@ class ParametricFamily:
         return out if out.ndim else float(out)
 
     def quantile_slope(self, s):
-        """dQ/ds at ``s = -log(1 - u)``, in closed form.
+        """dQ/ds at ``s = -log(1 - u) >= 0``, in closed form.
 
         The plug-in integrals run in ``s``, where ``dx = (dQ/ds) ds``; the
         equivalent ``(1 - u) / density(Q(u))`` is 0/0 at the support ends.
+        Raises ``ValueError`` where the slope is not finite, but for the
+        Weibull's +inf at ``s = 0`` for ``nu > 1``.
         """
         s = np.asarray(s, dtype=float)
-        if self.name == "gpd":
-            return self.sigma * np.exp(self.nu * s)
-        return (self.sigma / self.nu) * s ** (1.0 / self.nu - 1.0)
+        with np.errstate(all="ignore"):         # reported below, as an error
+            if self.name == "gpd":
+                out = self.sigma * np.exp(self.nu * s)
+            else:
+                out = (self.sigma / self.nu) * s ** (1.0 / self.nu - 1.0)
+        if np.isnan(out).any() or (np.isinf(out) & (s > 0.0)).any():
+            raise ValueError(f"the quantile slope of {self} overflows a float")
+        return out
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-cdf sampling from an externally supplied RNG stream."""
@@ -235,6 +247,8 @@ class ParametricFamily:
                 out = self.sigma * np.array(_LAWS[self.name][0](self.nu))
         except OverflowError:
             out = np.inf
+        except ValueError as exc:   # a GPD with nu >= 1
+            raise ValueError(f"{self}: {exc}") from None
         if not np.isfinite(out).all():
             raise ValueError(f"the L-moments of {self} overflow a float")
         return out

@@ -25,7 +25,7 @@ from .estimator import (
     fit_mle_gpd,
     fit_moment_method_gpd,
 )
-from .lmoments import SortedSample
+from .lmoments import SortedSample, magnitude_unit
 from .models import ParametricFamily, gpd_model
 from .roots import bracketed_root
 
@@ -98,8 +98,9 @@ class SummaryStats:
 def summarize(values) -> SummaryStats:
     """Mean, lower-median and (n-1)-denominator standard deviation.
 
-    Where the squares of finite values overflow (past about 1e154), the std
-    is taken in units of the power of two at their largest magnitude, exactly.
+    Where the sum or the squares of finite values overflow (past about 1e154),
+    the mean or the std is taken in units of the power of two at their largest
+    magnitude (``magnitude_unit``), exactly.
     """
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
@@ -108,11 +109,13 @@ def summarize(values) -> SummaryStats:
     if v.size == 1:
         return SummaryStats(float(v[0]), median, 0.0, degenerate=True)
     with np.errstate(over="ignore"):        # redone below for finite values
-        std = float(v.std(ddof=1))
-    if std == math.inf and np.isfinite(v).all():
-        scale = math.ldexp(1.0, math.frexp(max(-v[0], v[-1]))[1] - 1)
-        std = float((v / scale).std(ddof=1)) * scale
-    return SummaryStats(float(v.mean()), median, std)
+        mean, std = float(v.mean()), float(v.std(ddof=1))
+    if not math.isfinite(mean + std) and np.isfinite(v).all():
+        unit = magnitude_unit(v)
+        w = v / unit
+        mean = mean if math.isfinite(mean) else float(w.mean()) * unit
+        std = std if math.isfinite(std) else float(w.std(ddof=1)) * unit
+    return SummaryStats(mean, median, std)
 
 
 @dataclass

@@ -441,6 +441,122 @@ def test_dist_of_a_small_weibull_shape(capsys, shape, code):
     assert (out.out == "" and "not resolved in floats" in out.err) if code else out.err == ""
 
 
+def test_json_of_a_non_finite_result_exits_3(capsys, monkeypatch):
+    # JSON has no inf: --json printed the token Infinity, which no JSON
+    # parser reads, and exited 0; it now prints nothing and exits 3
+    monkeypatch.setattr(cli, "l1_density_distance", lambda f1, f2: math.inf)
+    assert main(["dist", "gpd:3:0.7", "gpd:3:0.1", "--json"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "--json: the result is not finite" in out.err
+
+
+#: the files of values near the largest float: the sums of the first
+#: overflow, and the range of the second
+_HUGE_FILES = {"sum": "x\n1e300\n1e305\n1e307\n1.7e308\n1.0\n",
+               "range": "x\n-1e308\n1e308\n0\n1\n2\n"}
+
+
+def test_lmoments_json_of_values_whose_sums_overflow(tmp_path, capsys):
+    # [REGRESSION] printed Infinity for lambda_1 and +-Infinity for all four
+    # U-statistics, behind numpy's overflow warnings, and exited 0
+    path = tmp_path / "huge.csv"
+    path.write_text(_HUGE_FILES["sum"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lmoments", str(path), "--json"]) == 0
+    out = capsys.readouterr()
+    payload = json.loads(out.out, parse_constant=lambda c: pytest.fail(f"JSON holds {c}"))
+    assert out.err == "" and payload["v_statistic"][0] == payload["u_statistic"][0] > 3e307
+
+
+def test_fit_of_values_whose_mean_overflows_warns_nothing(tmp_path, capsys):
+    # [REGRESSION] the fit exited 0 after numpy's overflow warning from the
+    # sample mean, which it never reads
+    path = tmp_path / "huge.csv"
+    path.write_text(_HUGE_FILES["sum"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_classical_fit_whose_scale_overflows_exits_3(tmp_path, capsys):
+    # [REGRESSION] the moment fit of a range past the largest float printed
+    # "sigma inf" (or Infinity under --json) and exited 0
+    path = tmp_path / "range.csv"
+    path.write_text(_HUGE_FILES["range"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", str(path), "--method", "moment"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "the moment fit overflows a float" in out.err
+
+
+def test_simulate_moment_fits_of_a_scale_near_the_largest_float(tmp_path):
+    # [REGRESSION] scenario 1 with sigma 3 * 2^996 (2e300) failed every moment
+    # fit, "sample skewness nan", after numpy's overflow warning; its samples
+    # are those of sigma 3 times 2^996, and so are its fits
+    runs = {}
+    for label, sigma in (("small", 3.0), ("huge", 3.0 * 2.0 ** 996)):
+        cfg = {"scenario": 1, "sigma": sigma, "n": 30, "replicates": 3, "estimators": ["moment"],
+               "output_dir": str(tmp_path / label)}
+        (tmp_path / f"{label}.json").write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(tmp_path / f"{label}.json")]) == 0
+        runs[label] = json.loads((tmp_path / label / "summary.json").read_text())
+    assert runs["huge"]["failures"] == runs["small"]["failures"] == {"moment": 0}
+    small, huge = runs["small"]["stats"]["moment"], runs["huge"]["stats"]["moment"]
+    assert huge["nu"]["mean"] == pytest.approx(small["nu"]["mean"], rel=1e-14)
+    assert huge["sigma"]["mean"] == pytest.approx(small["sigma"]["mean"] * 2.0 ** 996, rel=1e-14)
+
+
+_EXTREME_LAWS = ["gpd:1e-300:0.5", "gpd:1e300:-0.5", "weibull:1e308:20", "gpd:5e-324:0",
+                 "gpd:1.7e308:800", "gpd:3:-1e300", "weibull:1e-310:1e300", "weibull:3:1e-300",
+                 "gpd:3:1e-310", "weibull:5e-324:1e-5"]
+_EXTREME_CONFIGS = [{"sigma": 1e300}, {"sigma": 1e-300}, {"sigma": 1.7e308}, {"sigma": 5e-324},
+                    {"nu": -4.9}, {"nu": 0.99, "sigma": 1e300}, {"family": "weibull", "nu": 0.05},
+                    {"family": "weibull", "nu": 20.0, "sigma": 1e300},
+                    {"outlier": 1.7e308, "contamination": 0.2},
+                    {"outlier": -1.7e308, "contamination": 0.2}]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["dist", a, b, "--json"] for a, b in zip(_EXTREME_LAWS, _EXTREME_LAWS[1:] + ["gpd:3:0.7"])),
+    *(["simulate", i] for i in range(len(_EXTREME_CONFIGS))),
+    *([command, f, *flags] for f in _HUGE_FILES for command, flags in (
+        ("lmoments", ["--json"]), ("lmoments", ["--max-order", "5"]), ("fit", ["--json"]),
+        ("fit", ["--div", "klm", "--json"]), ("fit", ["--model", "weibull-l234", "--asymptotics"]),
+        ("fit", ["--method", "moment", "--json"]), ("fit", ["--method", "lmom"]),
+        ("fit", ["--method", "mle"]), ("fit", ["--model", "orderstat3", "--json"]),
+        ("test", ["--json"]), ("test", ["--model", "weibull-l234"])))],
+    ids=lambda argv: " ".join(map(str, argv)))
+def test_extreme_inputs_exit_0_2_or_3_without_a_warning(tmp_path, capsys, argv):
+    # the command-line leg of the sweep: extreme laws and files of values near
+    # the largest float end in exit 0, 2 or 3, with no traceback (an exception
+    # out of main) and no warning (an error here); --json output is JSON.
+    # `test` of the range file once exited 3 only after numpy's overflow
+    # warning from the quantile slope
+    command, *rest = argv
+    if command == "simulate":
+        cfg = {"scenario": 1, "n": 20, "replicates": 2, "output_dir": str(tmp_path / "out"),
+               **_EXTREME_CONFIGS[rest[0]]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        rest = [str(tmp_path / "cfg.json")]
+    elif command != "dist":
+        (tmp_path / "x.csv").write_text(_HUGE_FILES[rest[0]])
+        rest = [str(tmp_path / "x.csv"), *rest[1:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, *rest])
+    out = capsys.readouterr()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in out.err and "Warning" not in out.err
+    assert (out.err == "") == (code == 0)
+    if code == 0 and "--json" in rest:
+        json.loads(out.out, parse_constant=lambda c: pytest.fail(f"JSON holds {c}"))
+
+
 def test_dist_bad_spec(capsys):
     assert main(["dist", "gpd:3", "gpd:3:0.7"]) == 2
     assert main(["dist", "gpd:-1:0.7", "gpd:3:0.7"]) == 2

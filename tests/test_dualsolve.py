@@ -371,6 +371,22 @@ def test_solution_weights_are_those_of_its_point(div):
             assert _same_bits(sol.weights, prob.evaluate(sol.xi)[1:])
 
 
+@pytest.mark.parametrize("div", DIVS, ids=lambda d: f"{d.family}{d.gamma}")
+def test_solution_value_is_that_of_its_point(div):
+    # a converged solve takes its last full step and reports the objective
+    # there, so value, xi and weights belong to one point: cold, warm at the
+    # optimum and warm nearby
+    for seed in range(3):
+        s = random_sample(seed)
+        prob = make_dual_problem(s, PolyBasis((2, 3, 4)), div,
+                                 perturbed_target(s, (2, 3, 4), (1.2, 0.8, 1.1)))
+        cold, near = solve_dual(prob), prob.with_target(prob.target * 1.01)
+        for problem, sol in ((prob, cold), (prob, solve_dual(prob, xi0=cold.xi)),
+                             (near, solve_dual(near, xi0=cold.xi))):
+            assert sol.converged
+            assert float(sol.value).hex() == float(problem.evaluate(sol.xi)[0]).hex()
+
+
 def test_a_converged_step_the_conjugate_rejects_keeps_the_old_point(monkeypatch):
     # the last full step of a converged solve is taken exactly where the
     # conjugate's one domain check passes; here that check is made to fail
@@ -400,7 +416,8 @@ def test_a_converged_step_the_conjugate_rejects_keeps_the_old_point(monkeypatch)
     assert not np.array_equal(kept.xi, taken.xi)
     assert np.array_equal(prob.kmat @ kept.xi, calls[-2])
     monkeypatch.undo()
-    assert _same_bits(kept.weights, prob.evaluate(kept.xi)[1:])
+    value, *weights = prob.evaluate(kept.xi)
+    assert float(kept.value).hex() == float(value).hex() and _same_bits(kept.weights, weights)
 
 
 def test_conjugate_rejects_a_nan_node():

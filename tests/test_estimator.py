@@ -739,21 +739,20 @@ _POINT_EPS = 16.0 * 2.0 ** -52
     ((1e-3, 1e3), None), ((1e-3, 1e-2), 1), ((1e2, 1e3), 0)],
     ids=["free", "upper-edge", "lower-edge"])
 def test_chi2_point_is_the_scan_at_one_shape(model, law, sigma_box, clip):
-    # the refine's one-point profile against the scan of the law's table at
-    # every grid shape, with the scale free and clipped to either edge of its
-    # box: one substitution on the same factor, so slope and scale bit for bit
+    # the refine's one-point profile against the scan, the same function on
+    # the rows of the law's table, at every grid shape, with the scale free
+    # and clipped to either edge of its box: value, slope, scale and residual
+    # bit for bit, as the fit reads its shape edges from the scan
     sample = SortedSample(law.sample(200, np.random.default_rng(1)))
     low, lam_w = _chi2_factor(sample, model)
     grid, table = estimator._chi2_table(model)
-    slope = estimator._chi2_profile(low, lam_w, sigma_box, table)
-    white = substitute(low, table[:, 0])
-    sigma = estimator._chi2_slope(lam_w, sigma_box, white, white)[1]
+    scan = estimator._chi2_point(low, lam_w, sigma_box, table[:, 0], table[:, 1])
     edges = set()
     for j, nu in enumerate(grid.tolist()):
         point = estimator._chi2_point(low, lam_w, sigma_box, *model.jet(nu)[:2])
-        assert all(type(v) is float for v in point[:3])
-        assert _same_float(point[1], float(slope[j])), nu
-        assert _same_float(point[2], float(sigma[j])), nu
+        assert all(type(v) is float for v in (*point[:3], *point[3]))
+        for a, b in zip((*point[:3], *point[3]), (*scan[:3], *scan[3])):
+            assert _same_float(a, float(b[j])), nu
         if point[2] in sigma_box:
             edges.add(sigma_box.index(point[2]))
     assert clip is None or clip in edges
@@ -922,6 +921,47 @@ def test_chi2_refine_closes_on_a_converged_end():
     report = fit_divergence(draw_sample(ScenarioConfig.preset(1, n=100, seed=5), 0),
                             gpd_model(), CHI2)
     assert report.diagnostics["refine_evaluations"] <= 10
+
+
+def test_moment_fit_past_the_squares_overflow_is_scale_equivariant():
+    # [REGRESSION] a simulate of scenario 1 with sigma 1e300 failed every
+    # moment fit, "sample skewness nan", after "overflow encountered in
+    # multiply"; where the moments overflow they are taken in units of the
+    # power of two at the largest magnitude, and the skewness is scale-free
+    x = draw_sample(ScenarioConfig.preset(3, n=100, seed=2), 0).values
+    sigma, nu = fit_moment_method_gpd(SortedSample(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big_sigma, big_nu = fit_moment_method_gpd(SortedSample(x * 2.0 ** 1000))
+    assert big_nu == pytest.approx(nu, rel=1e-15)
+    assert big_sigma == pytest.approx(sigma * 2.0 ** 1000, rel=1e-15)
+
+
+def test_fit_whose_scale_overflows_raises():
+    # [REGRESSION] a GPD fitted to values near the largest float has a scale
+    # past it: theta[0] * s overflowed with numpy's warning and the fit
+    # returned sigma = inf
+    sample = SortedSample([1.7e308, 1.7e308, 1.6e308, 1.5e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for div in (CHI2, KLM):
+            with pytest.raises(EstimationError, match=r"the fitted sigma, .* times 2\^1021, "
+                                                      "overflows a float"):
+                fit_divergence(sample, gpd_model(), div)
+
+
+def test_asymptotics_whose_plugin_moments_overflow_raise():
+    # [REGRESSION] the plug-in Sigma of a Weibull fit to values near the
+    # largest float overflowed in its matmul with numpy's warning; the block
+    # is checked as Omega is
+    sample = SortedSample([1e300, 1e305, 1e307, 1.7e308, 1.0])
+    model = weibull_model()
+    report = fit_divergence(sample, model, CHI2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            asymptotic_covariance(report.theta, model,
+                                  ParametricFamily("weibull", *map(float, report.theta)))
 
 
 def test_chi2_table_is_built_once_per_law_on_first_use():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,41 @@ def test_u_statistic_matches_enumeration(seed, r):
     x = rng.standard_gamma(2.0, size=8)
     lm = sample_lmoments_u(SortedSample(x), 4)
     assert lm[r] == pytest.approx(u_stat_bruteforce(x, r), rel=1e-10, abs=1e-12)
+
+
+#: finite values whose sums overflow: lmomdiv lmoments printed Infinity for
+#: lambda_1 and +-Infinity for all four U-statistics
+_HUGE = np.array([1e300, 1e305, 1e307, 1.7e308, 1.0])
+
+
+def test_lmoments_whose_sums_overflow_are_taken_in_units():
+    # [REGRESSION] np.mean and the PWMs' w @ x overflowed with numpy's warning;
+    # where they do, they are taken in units of 2^1023, the power of two at
+    # the largest magnitude, and scaled back
+    sample = SortedSample(_HUGE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, u = sample_lmoments_v(sample, 4), sample_lmoments_u(sample, 4)
+    scaled = np.sort(_HUGE) * 2.0 ** -1023
+    assert v[1] == pytest.approx(float(np.mean(scaled)) * 2.0 ** 1023, rel=1e-15)
+    assert u[1] == v[1]
+    for r in range(2, 5):
+        assert u[r] == pytest.approx(u_stat_bruteforce(scaled, r) * 2.0 ** 1023, rel=1e-12)
+    # finite sums are the plain ones, bit for bit
+    x = np.random.default_rng(0).exponential(size=30)
+    assert sample_lmoments_v(SortedSample(x), 1)[1] == float(np.mean(np.sort(x)))
+
+
+def test_a_spacing_that_overflows_raises():
+    # [REGRESSION] np.diff warned "overflow encountered in subtract" and the
+    # L-moments and fits went on with an infinite spacing; a range past the
+    # floats with finite gaps keeps them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="a spacing of the sample overflows a float"):
+            SortedSample([-1.7e308, 1.7e308]).spacings
+        wide = SortedSample([-1e308, 1e308, 0.0, 1.0, 2.0])
+        assert wide.spacings.tolist() == [1e308, 1.0, 1.0, 1e308 - 2.0]
 
 
 @pytest.mark.parametrize("n", [7, 20, 60])

@@ -329,6 +329,103 @@ def test_weibull_log_density_at_the_ends_of_its_support(nu):
     assert math.isnan(log_f(math.nan))
 
 
+#: log-uniform across the positive floats, 5e-324 to 1.8e308
+_POSITIVE = st.floats(min_value=-744.4, max_value=709.78).map(math.exp).filter(lambda v: v > 0.0)
+_GPD_SHAPES = st.one_of(_POSITIVE, _POSITIVE.map(lambda v: -v),
+                        st.sampled_from([0.0, -1.0, -0.5, 0.5, 1.0]))
+
+
+@given(st.one_of(st.tuples(st.just("gpd"), _POSITIVE, _GPD_SHAPES),
+                 st.tuples(st.just("weibull"), _POSITIVE, _POSITIVE)))
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+def test_extreme_laws_give_values_or_errors_naming_the_law(law):
+    # the sweep over scales and shapes across the floats, with warnings as
+    # errors: every call gives a finite or correctly signed infinite value, or
+    # raises a ValueError that names the law
+    fam = ParametricFamily(*law)
+    lo, hi = fam.support
+
+    def call(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            assert repr(fam) in str(exc)
+            return None
+
+    points = (0.0, 5e-324, 1e-300, 1e-10, 1.0, fam.sigma, 1e10, 1e300, 1.7e308, math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_f, cdf = fam.log_density_fn(), fam.cdf_fn()
+        for x in points:
+            v = log_f(x)
+            # +inf only where the density is unbounded, at an end of the support
+            assert not math.isnan(v) and (v < math.inf or x in (lo, hi)), x
+            assert 0.0 <= cdf(x) <= 1.0, x
+        q = call(fam.quantile, np.array([0.0, 1e-300, 1e-3, 0.5, 0.999, 1.0 - 2.0 ** -53]))
+        assert q is None or (np.isfinite(q).all() and (np.diff(q) >= 0.0).all()
+                             and 0.0 <= q[0] and q[-1] <= hi)
+        s = np.array([0.0, 1e-300, 1e-3, 1.0, 23.0, 700.0])
+        slope = call(fam.quantile_slope, s)
+        # the one infinite slope is the Weibull's at s = 0
+        assert slope is None or ((slope >= 0.0).all() and np.isfinite(slope[1:]).all())
+        lm = call(fam.lmoments)
+        assert lm is None or (np.isfinite(lm).all() and lm[0] >= 0.0)
+        x = call(fam.sample, 5, np.random.default_rng(0))
+        assert x is None or (np.isfinite(x).all() and (x >= 0.0).all())
+
+
+@pytest.mark.parametrize("law, x, want", [
+    # [REGRESSION] x / sigma underflowed to 0 and the Weibull cdf raised math's
+    # "math domain error"; z^nu is taken in logs there: with a tiny shape it
+    # is 1 to 150 digits, and (1e-330)^0.5 is 1e-165
+    (("weibull", 9.4e78, 1.2e-153), 5e-324, -math.expm1(-1.0)),
+    (("weibull", 1e300, 0.5), 1e-30, 1e-165),
+], ids=["tiny-shape", "half"])
+def test_weibull_cdf_where_x_over_sigma_underflows(law, x, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ParametricFamily(*law).cdf_fn()(x) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("law, x, want", [
+    # [REGRESSION] each gave +inf or NaN where the log-density is -inf or finite:
+    # past a GPD's finite end, whose end underflows to 0 here (+inf)
+    (("gpd", 9.6e-315, -1.4e222), 5e-324, -math.inf),
+    (("gpd", 1.0, -2.0), 0.75, -math.inf),
+    # a GPD shape whose 1 / nu overflows is the exponential law in floats (NaN at 0)
+    (("gpd", 3.7e-298, -1.36e-313), 0.0, -math.log(3.7e-298)),
+    (("gpd", 2.0, 1e-310), 3.0, -math.log(2.0) - 1.5),
+    # a Weibull law whose z^nu and (nu - 1) log z both overflow (NaN)
+    (("weibull", 2.8e-43, 9.4e307), 1e-10, -math.inf),
+], ids=["gpd-end-underflows", "gpd-past-end", "gpd-subnormal-shape-at-0",
+        "gpd-subnormal-shape", "weibull-huge-shape"])
+def test_log_density_of_extreme_laws(law, x, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ParametricFamily(*law).log_density_fn()(x) == want
+
+
+def test_quantile_slope_overflow_raises_naming_the_law():
+    # [REGRESSION] a GPD fitted to a sample near the largest float: the plug-in
+    # integrals of `lmomdiv test` met "overflow encountered in multiply" and
+    # then a NaN; the slope now raises, naming the law
+    fam = ParametricFamily("gpd", 4.0e307, 0.09)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fam.quantile_slope(np.array([0.0, 1.0]))[0] == 4.0e307
+        with pytest.raises(ValueError, match=r"quantile slope of .*gpd.* overflows a float"):
+            fam.quantile_slope(np.array([0.0, 23.0]))
+    # the one infinite slope, the Weibull's at s = 0 for nu > 1, is its value
+    assert ParametricFamily("weibull", 3.0, 2.0).quantile_slope(np.array([0.0]))[0] == math.inf
+
+
+def test_gpd_lmoments_past_shape_1_name_the_law():
+    # [REGRESSION] the message named the shape rule but not the law
+    with pytest.raises(ValueError, match=r"ParametricFamily\(name='gpd', sigma=3.0, nu=1.5\): "
+                                         "GPD L-moments do not exist"):
+        ParametricFamily("gpd", 3.0, 1.5).lmoments()
+
+
 def test_family_pickles_and_compares_after_its_functions_are_built():
     # the functions are built per call and cached nowhere on the frozen instance
     fam = ParametricFamily("gpd", 3.0, 0.7)

@@ -58,6 +58,16 @@ def test_summarize_std_past_1e154_does_not_overflow():
         assert summarize(np.array([1.7e308, -1.7e308])).std == math.inf
 
 
+def test_summarize_mean_past_the_floats_does_not_overflow():
+    # [REGRESSION] the sum of two scales near the largest float overflowed, with
+    # numpy's warning and "mean": inf; it is taken in units of a power of two
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = summarize(np.array([1.7e308, 1.6e308]))
+    assert s.mean == pytest.approx(1.65e308, rel=1e-15) and s.median == 1.6e308
+    assert s.std == pytest.approx(1e307 / math.sqrt(2.0), rel=1e-15)
+
+
 def test_preset_scenarios():
     c1 = ScenarioConfig.preset(1)
     assert (c1.family, c1.sigma, c1.nu) == ("gpd", 3.0, 0.7)
