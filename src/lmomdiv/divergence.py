@@ -34,8 +34,12 @@ def _kl_form(t, g):
 
 
 def _klm_form(t, g):
+    # -log1p(-t), 1 / u and 1 / u^2 with u = 1 - t, each written into its own result
+    psi = np.negative(t)
+    np.negative(np.log1p(psi, out=psi), out=psi)
     u = 1.0 - t
-    return -np.log1p(-t), 1.0 / u, 1.0 / u ** 2
+    d1 = np.divide(1.0, u)
+    return psi, d1, np.divide(1.0, np.multiply(u, u, out=u), out=u)
 
 
 def _power_form(t, g):
@@ -92,7 +96,9 @@ class DivergenceSpec:
         """
         z = np.asarray(z, dtype=float)
         lo, hi = self.psi_domain
-        if not lo < z.min() <= z.max() < hi:
+        flat = z.ravel()
+        # the extremes by index, which numpy finds faster than by value; a NaN is both
+        if not lo < flat[flat.argmin()] <= flat[flat.argmax()] < hi:
             raise ConjugateDomainError(
                 f"conjugate argument outside open domain ({lo}, {hi})"
             )

@@ -29,8 +29,13 @@ solve.  That test is a convex-hull test in L-moment-ratio space; it needs no
 LP and no solve.
 
 Every c x c system of the solve layers is solved in Python floats by
-``spd_solve``; only products over the m nodes run in numpy.  The chi-square
-closed form keeps LAPACK's factor of Omega, by which the chi-square fit whitens.
+``spd_solve``; only products over the m nodes run in numpy, and with m in the
+hundreds their number, not their arithmetic, sets a solve's cost.  A solve
+takes one transposed view of the rows, forms matrix-vector products by
+``ndarray.dot`` (the BLAS product of ``@``, with less dispatch) and makes four
+array calls per ratio test, each floating-point operation in the order of the
+earlier forms kept in ``tests/oracles.py``.  The chi-square closed form keeps
+LAPACK's factor of Omega, by which the chi-square fit whitens.
 """
 
 from __future__ import annotations
@@ -78,20 +83,20 @@ def spd_solve(a, *rhs) -> list[list[float]] | None:
     ``a`` is c x c and each ``b`` has c entries, as sequences of floats; the
     lower triangle of ``a`` is read.  One Cholesky factorization ``a = L L^T``
     and per ``b`` the two substitutions of ``substitute`` (Golub & Van Loan,
-    Matrix Computations, 4.2), with no array call: the systems of the package
-    are c x c with c at most 19, where numpy's per-call cost exceeds the
-    arithmetic.  None when a pivot is not positive and finite: ``a`` is not
-    positive definite in floating point, or holds an inf or NaN.
+    Matrix Computations, 4.2), index loops with no array call: the systems of
+    the package are c x c with c at most 19, where numpy's per-call cost
+    exceeds the arithmetic.  None when a pivot is not positive and finite:
+    ``a`` is not positive definite in floating point, or holds an inf or NaN.
     """
     low = []
-    for row in a:
+    for i, row in enumerate(a):
         li = []
-        for lj in low:
-            s = row[len(li)]
-            for u, v in zip(li, lj):
-                s -= u * v
-            li.append(s / lj[-1])
-        s = row[len(li)]
+        for j in range(i):
+            lj, s = low[j], row[j]
+            for k in range(j):
+                s -= li[k] * lj[k]
+            li.append(s / lj[j])
+        s = row[i]
         for v in li:
             s -= v * v
         if not 0.0 < s < math.inf:
@@ -111,20 +116,20 @@ def substitute(low, b, transpose: bool = False) -> list:
     entry j of each row of the result is bit for bit the float result for
     the j-th right-hand side.
     """
+    x = list(b)
     if transpose:
-        x = list(b)
         for i in range(len(x) - 1, -1, -1):
             li = low[i]
             xi = x[i] = x[i] / li[i]
             for k in range(i):
                 x[k] = x[k] - li[k] * xi
         return x
-    y = []
-    for li, s in zip(low, b):
-        for u, v in zip(li, y):
-            s = s - u * v
-        y.append(s / li[len(y)])
-    return y
+    for i in range(len(x)):
+        li, s = low[i], x[i]
+        for k in range(i):
+            s = s - li[k] * x[k]
+        x[i] = s / li[i]
+    return x
 
 
 def fdot(a, b) -> float:
@@ -161,21 +166,21 @@ class DualProblem:
         holding them passes; ``objective``, ``gradient`` and ``hessian`` are its views.
         """
         delta = self.delta
-        psi, d1, d2 = self.divergence.conjugate(self.kmat @ xi if z is None else z)
+        psi, d1, d2 = self.divergence.conjugate(self.kmat.dot(xi) if z is None else z)
         return float(self.target.dot(xi)) - float(psi.dot(delta)), d1 * delta, d2 * delta
 
     def objective(self, xi, z=None) -> float:
         return self.evaluate(xi, z)[0]
 
     def gradient(self, xi, z=None) -> np.ndarray:
-        return self.target - self.kmat.T @ self.evaluate(xi, z)[1]
+        return self.target - self.kmat.T.dot(self.evaluate(xi, z)[1])
 
     def hessian(self, xi, z=None) -> np.ndarray:
         return -self.curvature(self.evaluate(xi, z)[2])
 
     def curvature(self, w2) -> np.ndarray:
         """The negative Hessian ``kmat^T diag(w2) kmat`` from ``w2 = psi''(z) delta``."""
-        return (self.kmat.T * w2) @ self.kmat
+        return (self.kmat.T * w2).dot(self.kmat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,8 +251,25 @@ def rounding_level(xi, target, value: float, m: int) -> float:
 
 
 def _ratio_test(z, dz, hi: float) -> float:
-    """min(1, 0.99 * the step at which z + t * dz first reaches a finite upper domain edge)."""
-    if hi < math.inf and (up := dz > 0.0).any():
+    """min(1, 0.99 * the step at which z + t * dz first reaches a finite upper domain edge).
+
+    The first edge is that of the rising node with the largest ``dz / (hi - z)``:
+    division rounds monotonically, so where that quotient is strictly the largest
+    the node's own ``(hi - z) / dz`` is the smallest over the rising nodes.  Only
+    a tie at the largest quotient, or a NaN, takes the minimum over a mask.
+    """
+    if hi == math.inf:
+        return 1.0
+    q = dz / (hi - z)               # hi - z > 0: z lies inside the domain
+    i = q.argmax()                  # a NaN, if any, is the argmax
+    top = q[i]
+    if top == top:
+        if not top > 0.0:           # no rising node
+            return 1.0
+        q[i] = -math.inf
+        if q[q.argmax()] < top:
+            return min(1.0, _EDGE_FRACTION * ((hi - float(z[i])) / float(dz[i])))
+    if (up := dz > 0.0).any():
         return min(1.0, _EDGE_FRACTION * float(((hi - z[up]) / dz[up]).min()))
     return 1.0
 
@@ -289,6 +311,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     are float sums; only the m-node products run in numpy.
     """
     kmat, target = problem.kmat, problem.target
+    kt = kmat.T                     # one transposed view per solve
     c, m, tgt = target.size, problem.delta.size, target.tolist()
     hi = problem.divergence.psi_domain[1]
     starts = [] if xi0 is None else list(np.array(xi0, dtype=float, ndmin=2))
@@ -300,17 +323,17 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     value, w1, w2, xi = max(points, key=lambda p: p[0]) if points else (
         *problem.evaluate(np.zeros(c)), np.zeros(c))
     evaluations = len(starts) + (not points)
-    z = kmat @ xi                   # the nodes of xi: z + t dz drifts from them by rounding
+    z = kmat.dot(xi)                # the nodes of xi: z + t dz drifts from them by rounding
     failure = "maxIter"
     for it in range(_MAX_NEWTON_ITER + 1):
         if value > _UNBOUNDED_VALUE:
             failure = "stalled"
             break
-        grad = (target - kmat.T @ w1).tolist()
-        step = _newton_step(problem.curvature(w2).tolist(), grad)
+        grad = (target - kt.dot(w1)).tolist()
+        step = _newton_step((kt * w2).dot(kmat).tolist(), grad)       # -H, as ``curvature``
         decrement = fdot(grad, step)
         step = np.array(step)
-        dz = kmat @ step
+        dz = kmat.dot(step)
         t = _ratio_test(z, dz, hi)
         if decrement <= rounding_level(xi.tolist(), tgt, value, m):
             if t == 1.0:
@@ -323,8 +346,8 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             break
         while t > 1e-16:
             evaluations += 1
-            cand = xi + t * step
-            cand_z = kmat @ cand
+            cand = xi + (step if t == 1.0 else t * step)      # 1.0 * step is step
+            cand_z = kmat.dot(cand)
             try:
                 cand_value, cand_w1, cand_w2 = problem.evaluate(cand, cand_z)
             except ConjugateDomainError:

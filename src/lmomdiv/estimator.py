@@ -197,6 +197,7 @@ class _Profile:
         self.status = dict.fromkeys(SOLVE_STATUSES, 0)
         self._zero = np.zeros(skeleton.target.size - 1)     # the reduced dual's target
         self._sigma_box = model.box[0].tolist()
+        self._kt = skeleton.kmat.T
 
     def _solve(self, problem: DualProblem, starts, t1):
         """``solve_dual`` on the rows ``K N``, counted; a failed solve is labelled by t1."""
@@ -223,8 +224,8 @@ class _Profile:
         sol = self._solve(reduced, None if starts is None else starts @ basis, t1)
         if not sol.converged:
             return None
-        value, xi, (w1, w2) = sol.value, basis @ sol.xi, sol.weights
-        g = (sk.kmat.T @ w1).tolist()
+        value, xi, (w1, w2), kt = sol.value, basis @ sol.xi, sol.weights, self._kt
+        g = kt.dot(w1).tolist()
         sigma, (lo, hi) = fdot(g, t1) / fdot(t1, t1), self._sigma_box
         if not lo <= sigma <= hi:
             self.outside += 1
@@ -232,21 +233,20 @@ class _Profile:
         target = [sigma * t for t in t1]
         grad = [t - v for t, v in zip(target, g)]        # of the full dual at xi
         columns = [grad, t1] if nu is None else [grad, t1, [-v for v in slopes[0]]]
-        solved = spd_solve(sk.curvature(w2).tolist(), *columns)
+        solved = spd_solve((kt * w2).dot(sk.kmat).tolist(), *columns)      # -H, as ``curvature``
         if solved is None or not all(map(math.isfinite, chain.from_iterable(solved))):
             return None
         (a_grad, at1, *_), xl = solved, xi.tolist()
-        point = _Point(value, sigma, xi, gap=fdot(grad, a_grad),
-                       level=rounding_level(xl, target, value, sk.delta.size))
+        level, gap = rounding_level(xl, target, value, sk.delta.size), fdot(grad, a_grad)
         if nu is None:
-            return point
+            return _Point(value, sigma, xi, level, gap)
         dt1, adt1 = columns[2], solved[2]
         xi_dt1 = fdot(xl, dt1)
         dsigma = -(xi_dt1 + sigma * fdot(t1, adt1)) / fdot(t1, at1)
         dxi = [dsigma * a + sigma * b for a, b in zip(at1, adt1)]
         self.solved.append((nu, xi, np.array(dxi)))
-        return point._replace(slope=sigma * xi_dt1, curvature=dsigma * xi_dt1 + sigma * (
-            fdot(dxi, dt1) - fdot(xl, slopes[1])))
+        return _Point(value, sigma, xi, level, gap, sigma * xi_dt1,
+                      dsigma * xi_dt1 + sigma * (fdot(dxi, dt1) - fdot(xl, slopes[1])))
 
     def failure(self, where: str) -> EstimationError:
         """The error of a search whose points failed ``where``, naming any scale that left its box."""

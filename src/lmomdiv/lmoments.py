@@ -21,7 +21,7 @@ from .poly import (
     MAX_ORDER,
     integrated_legendre_eval,
     legendre_coefficients,
-    node_table,
+    node_columns,
     shifted_legendre_eval,
     _check_order,
 )
@@ -104,9 +104,9 @@ def _check_max_order(max_order: int) -> None:
 def sample_lmoments_v(sample: SortedSample, max_order: int) -> LmomentVector:
     """Plug-in (V-statistic) sample L-moments up to ``max_order``.
 
-    Orders two and up are accumulated from the spacings against the rows of
-    ``node_table``, so they are exactly invariant under any translation that
-    leaves the spacings unchanged.
+    Orders two and up are accumulated from the spacings against the node
+    table's columns (``node_columns``), so they are exactly invariant under
+    any translation that leaves the spacings unchanged.
     """
     _check_max_order(max_order)
     vals = np.empty(max_order)
@@ -116,10 +116,10 @@ def sample_lmoments_v(sample: SortedSample, max_order: int) -> LmomentVector:
         unit = magnitude_unit(sample.values)
         vals[0] = float((sample.values / unit).sum()) / sample.n * unit
     if max_order >= 2:
-        rows, spacings = node_table(sample.n, max_order)[0], sample.spacings
+        columns, spacings = node_columns(sample.n, max_order), sample.spacings
         for r in range(2, max_order + 1):
-            # a contiguous copy of the column sums in the order of a freshly evaluated row
-            vals[r - 1] = -(np.ascontiguousarray(rows[:, r - 2]) @ spacings)
+            # each order's contiguous row sums in the order of a freshly evaluated row
+            vals[r - 1] = -(columns[r - 2] @ spacings)
     return LmomentVector(vals, "v-statistic")
 
 

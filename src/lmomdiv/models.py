@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, expm1, gamma, inf, isfinite, log, log1p
+from sys import float_info
 from typing import Callable
 
 import numpy as np
@@ -121,6 +122,9 @@ class ParametricFamily:
     nu: float
 
     def __post_init__(self):
+        # Python floats: their arithmetic overflows to inf silently, numpy scalars' warn
+        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "nu", float(self.nu))
         if not (isfinite(self.sigma) and isfinite(self.nu)):
             raise ValueError("scale and shape must be finite")
         if self.sigma <= 0:
@@ -192,13 +196,18 @@ class ParametricFamily:
                 return 0.0
             if self.name == "weibull":
                 z = x / s
-                if z == 0.0:                # underflows: z^nu is taken in logs
-                    return -expm1(-exp(v * (log(x) - log(s))))
                 # past exp(709) the power overflows a float, and 1 - F is 0
+                if not 0.0 < z < inf:       # under- or overflows: z^nu is taken in logs
+                    log_z = log(x) - log(s)
+                    return 1.0 if v * log_z > 709.0 else -expm1(-exp(v * log_z))
                 return 1.0 if v * log(z) > 709.0 else -expm1(-(z ** v))
-            if v == 0.0:
+            z = v * x / s
+            # nu = 0, or z is subnormal (fewer than 53 bits): log1p(z) / nu is x / sigma
+            if abs(z) < float_info.min:
                 return -expm1(-x / s)
-            return 1.0 - (1.0 + v * x / s) ** (-1.0 / v)
+            # F = 1 - (1 + z)^(-1/nu), in log1p and expm1 to keep its digits as nu -> 0;
+            # z rounds to -1 only at the finite end
+            return 1.0 if z <= -1.0 else -expm1(-log1p(z) / v)
         return cdf
 
     def quantile(self, u):

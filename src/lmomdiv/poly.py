@@ -92,11 +92,13 @@ def integrated_legendre_eval(r: int, t):
 
 
 @functools.lru_cache(maxsize=8)
-def _node_table(n: int, top: int) -> tuple[np.ndarray, int]:
+def _node_table(n: int, top: int) -> tuple[np.ndarray, int, np.ndarray]:
     rows = np.stack([polyval(np.arange(1, n) / n, integrated_coefficients(r))
                      for r in range(2, top + 1)], axis=-1)
-    rows.setflags(write=False)      # cached: every caller shares it
-    return rows, int(np.linalg.matrix_rank(rows))
+    columns = np.ascontiguousarray(rows.T)
+    for table in (rows, columns):
+        table.setflags(write=False)     # cached: every caller shares it
+    return rows, int(np.linalg.matrix_rank(rows)), columns
 
 
 def node_table(n: int, max_order: int) -> tuple[np.ndarray, int]:
@@ -108,7 +110,14 @@ def node_table(n: int, max_order: int) -> tuple[np.ndarray, int]:
     last eight are kept) serves the sample L-moments and the dual's rows.
     """
     _check_order(max_order)
-    return _node_table(n, max(max_order, _NODE_MIN_ORDER))
+    return _node_table(n, max(max_order, _NODE_MIN_ORDER))[:2]
+
+
+def node_columns(n: int, max_order: int) -> np.ndarray:
+    """The transpose of ``node_table``'s rows, contiguous and read-only, cached with them:
+    row ``r - 2`` holds order r at every node."""
+    _check_order(max_order)
+    return _node_table(n, max(max_order, _NODE_MIN_ORDER))[2]
 
 
 @dataclass(frozen=True)

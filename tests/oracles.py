@@ -534,10 +534,13 @@ def family_cdf(fam, x):
     inside = (x > lo) & (x < hi)
     xi = x[inside]
     if fam.name == "gpd":
-        if v == 0.0:
-            out[inside] = -np.expm1(-xi / s)
-        else:
-            out[inside] = 1.0 - (1.0 + v * xi / s) ** (-1.0 / v)
+        # 1 - (1 + z)^(-1/nu) in log1p and expm1, z = nu x / sigma; where z is 0 or
+        # subnormal, log1p(z) / nu is x / sigma; z rounds to -1 only at a finite end
+        z = v * xi / s
+        small = np.abs(z) < np.finfo(float).tiny
+        with np.errstate(divide="ignore"):
+            out[inside] = np.where(small, -np.expm1(-xi / s),
+                                   -np.expm1(-np.log1p(np.where(small, 0.0, z)) / (v or 1.0)))
     else:
         out[inside] = -np.expm1(-((xi / s) ** v))
     return out if out.ndim else float(out)
@@ -566,3 +569,59 @@ def sample_lmoments_v_per_order(sample: SortedSample, max_order: int) -> np.ndar
     for r in range(2, max_order + 1):
         vals[r - 1] = -(integrated_legendre_eval(r, interior) @ sample.spacings)
     return vals
+
+
+# ---------------------------------------------------------------------------
+# earlier forms of the dual solver's kernels, the references for their
+# rewrites with fewer array calls and Python call layers, bit for bit
+
+
+def substitute_zip(low, b, transpose: bool = False) -> list:
+    """``L^-1 b``, or ``L^-T b``, with the forward sums over ``zip`` of a row and the result so far."""
+    if transpose:
+        x = list(b)
+        for i in range(len(x) - 1, -1, -1):
+            li = low[i]
+            xi = x[i] = x[i] / li[i]
+            for k in range(i):
+                x[k] = x[k] - li[k] * xi
+        return x
+    y = []
+    for li, s in zip(low, b):
+        for u, v in zip(li, y):
+            s = s - u * v
+        y.append(s / li[len(y)])
+    return y
+
+
+def spd_solve_zip(a, *rhs):
+    """Cholesky by ``zip`` sums, then ``substitute_zip`` twice per right-hand side; None without a factor."""
+    low = []
+    for row in a:
+        li = []
+        for lj in low:
+            s = row[len(li)]
+            for u, v in zip(li, lj):
+                s -= u * v
+            li.append(s / lj[-1])
+        s = row[len(li)]
+        for v in li:
+            s -= v * v
+        if not 0.0 < s < math.inf:
+            return None
+        li.append(math.sqrt(s))
+        low.append(li)
+    return [substitute_zip(low, substitute_zip(low, b), transpose=True) for b in rhs]
+
+
+def ratio_test_masked(z, dz, hi: float) -> float:
+    """min(1, 0.99 * min over the rising nodes of (hi - z) / dz), over a mask of those nodes."""
+    if hi < math.inf and (up := dz > 0.0).any():
+        return min(1.0, 0.99 * float(((hi - z[up]) / dz[up]).min()))
+    return 1.0
+
+
+def klm_form_temporaries(t):
+    """(psi, psi', psi'') of the modified KL conjugate, each operation into a new array."""
+    u = 1.0 - t
+    return -np.log1p(-t), 1.0 / u, 1.0 / u ** 2

@@ -13,6 +13,7 @@ from lmomdiv.divergence import (
     divergence_by_name,
     power_divergence,
 )
+from lmomdiv.dualsolve import DualProblem
 import oracles
 from oracles import phi, phi_prime
 
@@ -164,3 +165,42 @@ def test_psi_array_vectorized(div, name):
     out = fn(pts)
     assert out.shape == pts.shape
     assert np.array_equal(out, [[fn(v) for v in row] for row in pts])
+
+
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("t", [
+    0.3, -2.5, -1e150, 5e-324, _BELOW_ONE,
+    np.linspace(-3.0, 0.999, 25),
+    1.0 - np.arange(1, 9) * 2.0 ** -53,          # the floats just below the edge
+    np.array([[-1e10, 0.5], [1e-17, _BELOW_ONE]]),
+], ids=["0.3", "-2.5", "-1e150", "tiny", "below-edge", "array", "near-edge", "2-d"])
+def test_klm_form_is_the_temporaries_form_bit_for_bit(t):
+    # each result written into its own array makes the operations of the form that
+    # made a temporary per operation; the argument is left unchanged
+    arg = np.array(t, dtype=float)
+    kept = arg.copy()
+    got = KLM.conjugate(arg if arg.ndim else float(arg))
+    want = oracles.klm_form_temporaries(arg if arg.ndim else arg[None])
+    if arg.ndim:
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    else:
+        assert [v.hex() for v in got] == [float(w[0]).hex() for w in want]
+    assert arg.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("div", ALL, ids=lambda d: f"{d.family}{d.gamma}")
+def test_conjugate_leaves_its_argument_and_its_results_apart(div):
+    # no form writes into z, and the dual's weights are taken from the form's results
+    # without writing into them: KL returns one array as both psi' and psi''
+    lo, hi = div.psi_domain
+    z = np.linspace(max(lo, -3.0), min(hi, 3.0), 41)[1:-1]
+    kept = z.copy()
+    psi, d1, d2 = div.conjugate(z)
+    assert z.tobytes() == kept.tobytes()
+    delta = np.linspace(0.5, 1.5, z.size)
+    problem = DualProblem(z[:, None].copy(), delta, np.zeros(1), div, delta.copy())
+    _, w1, w2 = problem.evaluate(np.ones(1))
+    assert w1.tobytes() == (d1 * delta).tobytes() and w2.tobytes() == (d2 * delta).tobytes()
+    assert z.tobytes() == kept.tobytes()

@@ -12,11 +12,13 @@ from lmomdiv.divergence import (
 from lmomdiv.dualsolve import (
     DualProblem,
     SingularConstraintError,
+    _ratio_test,
     chi2_value_closed_form,
     make_dual_problem,
     omega_empirical,
     solve_dual,
     spd_solve,
+    substitute,
     target_in_cone,
     wasserstein_fit_inner,
 )
@@ -26,7 +28,14 @@ from lmomdiv.models import model_by_name
 from lmomdiv.poly import PolyBasis
 from lmomdiv.sim import ScenarioConfig, draw_sample
 
-from oracles import cone_witness, duality_certificate, primal_bruteforce
+from oracles import (
+    cone_witness,
+    duality_certificate,
+    primal_bruteforce,
+    ratio_test_masked,
+    spd_solve_zip,
+    substitute_zip,
+)
 
 DIVS = [CHI2, KL, KLM, power_divergence(0.5), power_divergence(3.0)]
 
@@ -582,6 +591,85 @@ def test_spd_solve_matches_numpy(c, cond):
 ])
 def test_spd_solve_returns_none_without_a_factor(a):
     assert spd_solve(a, [1.0] * len(a)) is None
+    assert spd_solve_zip(a, [1.0] * len(a)) is None
+
+
+def _hex(rows):
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("c", range(1, 20))
+def test_spd_solve_is_the_zip_form_bit_for_bit(c):
+    # the index loops make the float operations of the zip sums, in their order
+    rng = np.random.default_rng([c, 7])
+    for cond in (1e1, 1e6, 1e12, 1e15):
+        a = _spd(rng, c, cond)
+        a = (0.5 * (a + a.T)).tolist()
+        for k in (1, 2, 3):
+            rhs = (rng.normal(size=(k, c)) * 10.0 ** rng.integers(-3, 4, size=(k, c))).tolist()
+            got, want = spd_solve(a, *rhs), spd_solve_zip(a, *rhs)
+            assert got is not None and _hex(got) == _hex(want)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 5, 19])
+def test_substitute_is_the_zip_form_bit_for_bit(c):
+    # on floats, and on numpy rows (the chi-square scan's k right-hand sides),
+    # whose input rows are left unchanged
+    rng = np.random.default_rng([c, 8])
+    low = np.linalg.cholesky(_spd(rng, c, 1e8)).tolist()
+    b, rows = rng.normal(size=c).tolist(), rng.normal(size=(c, 7))
+    kept = rows.copy()
+    for transpose in (False, True):
+        assert _hex([substitute(low, b, transpose)]) == _hex([substitute_zip(low, b, transpose)])
+        got, want = substitute(low, rows, transpose), substitute_zip(low, rows, transpose)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert rows.tobytes() == kept.tobytes()
+
+
+def _tied_rising_nodes():
+    """(z, dz) of two nodes below the edge 1 whose dz / (1 - z) are one float and whose
+    (1 - z) / dz are two, the larger first."""
+    z0, d0 = 0.75, 0.3
+    q0, r0 = d0 / (1.0 - z0), (1.0 - z0) / d0
+    for k in range(1, 200):
+        z1 = z0 + k * 2.0 ** -53
+        for j in range(-200, 200):
+            d1 = d0 + j * 2.0 ** -54
+            if d1 / (1.0 - z1) == q0 and (1.0 - z1) / d1 != r0:
+                pair = sorted([(z0, d0), (z1, d1)], key=lambda p: -(1.0 - p[0]) / p[1])
+                return np.array([p[0] for p in pair]), np.array([p[1] for p in pair])
+    raise AssertionError("no tied pair found")
+
+
+def _ratio_cases():
+    rng = np.random.default_rng(11)
+    edge = np.nextafter(1.0, 0.0)
+    for _ in range(300):       # nodes below the KLM edge 1 and the KL edge
+        m = int(rng.integers(1, 40))
+        for hi in (1.0, KL.psi_domain[1]):
+            z = hi - np.exp(rng.normal(scale=4.0, size=m))
+            yield z, rng.normal(size=m) * np.exp(rng.normal(scale=3.0, size=m)), hi
+    z, dz = _tied_rising_nodes()
+    for order in (slice(None), slice(None, None, -1)):
+        yield np.concatenate([[0.0], z[order], [0.9]]), np.concatenate([[-1.0], dz[order], [0.01]]), 1.0
+    yield np.array([0.2, -3.0]), np.array([-1.0, 0.0]), 1.0                  # no rising node
+    yield np.array([0.2, edge]), np.array([1.0, 1e-300]), 1.0                # a node 1 ulp below the edge
+    yield np.array([0.2, edge, edge]), np.array([1.0, 1e10, 1e10]), 1.0      # tied there
+    yield np.array([0.2, 0.5, 0.1]), np.array([0.5, np.nan, 2.0]), 1.0       # a NaN direction
+    yield np.array([0.2, 0.5]), np.array([0.5, np.inf]), 1.0
+    yield np.array([0.2, 0.5]), np.array([0.5, 3.0]), np.inf                 # no edge
+
+
+def test_ratio_test_is_the_masked_minimum_bit_for_bit():
+    # the largest dz / (hi - z) names the parent's minimum of (hi - z) / dz over
+    # the rising nodes, ties in rounding and NaN directions included
+    z, dz = _tied_rising_nodes()       # the first of the tied nodes is not the minimum
+    assert dz[0] / (1.0 - z[0]) == dz[1] / (1.0 - z[1])
+    assert (1.0 - z[0]) / dz[0] > (1.0 - z[1]) / dz[1] and 0.99 * (1.0 - z[1]) / dz[1] < 1.0
+    for z, dz, hi in _ratio_cases():
+        zk, dzk = z.copy(), dz.copy()
+        assert _ratio_test(z, dz, hi).hex() == ratio_test_masked(z, dz, hi).hex()
+        assert z.tobytes() == zk.tobytes() and dz.tobytes() == dzk.tobytes()
 
 
 def test_singular_newton_system_reaches_the_shift_loop(monkeypatch):

@@ -387,6 +387,37 @@ def test_weibull_cdf_where_x_over_sigma_underflows(law, x, want):
         assert ParametricFamily(*law).cdf_fn()(x) == pytest.approx(want, rel=1e-15)
 
 
+@pytest.mark.parametrize("nu", [1e-20, 1e-12, -1e-12])
+def test_gpd_cdf_keeps_its_digits_at_small_shapes(nu):
+    # [REGRESSION] 1 - (1 + nu x / sigma)^(-1/nu) gave 0.0 at nu = 1e-20 (1 + 1e-20
+    # rounds to 1) and was 5e-5 off at nu = 1e-12 and 1.3e-5 off at -1e-12; at x = sigma
+    # F = 1 - exp(-log1p(nu) / nu), and log1p(nu) / nu = 1 - nu / 2 to 1e-24 here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ParametricFamily("gpd", 3.0, nu).cdf_fn()(3.0)
+    assert got == pytest.approx(-math.expm1(-(1.0 - nu / 2.0)), rel=2 * _EPS, abs=0.0)
+
+
+def test_weibull_cdf_where_x_over_sigma_overflows():
+    # [REGRESSION] x / sigma = 1 / 5e-324 overflows to inf, and the cdf gave 1.0; in
+    # logs z^nu = exp(1e-300 * 744.4) is 1 to 297 digits, so F = 1 - 1/e
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ParametricFamily("weibull", 5e-324, 1e-300).cdf_fn()(1.0)
+    assert got == pytest.approx(-math.expm1(-1.0), rel=_EPS, abs=0.0)
+
+
+def test_family_keeps_its_parameters_as_python_floats():
+    # [REGRESSION] a numpy shape was kept as given, and the support's -sigma / nu
+    # warned "overflow encountered in scalar divide" where a float division gives inf
+    fam = ParametricFamily("gpd", 1e300, np.float64(-1e-10))
+    assert type(fam.sigma) is float and type(fam.nu) is float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fam.support == (0.0, math.inf)
+    assert fam == ParametricFamily("gpd", 1e300, -1e-10)
+
+
 @pytest.mark.parametrize("law, x, want", [
     # [REGRESSION] each gave +inf or NaN where the log-density is -inf or finite:
     # past a GPD's finite end, whose end underflows to 0 here (+inf)
