@@ -24,17 +24,20 @@ class ConjugateDomainError(ValueError):
     """Argument outside the domain of the conjugate function."""
 
 
-def _chi2_form(t, g):
+def _chi2_form(t, g, low):
     return 0.5 * t * t + t, t + 1.0, np.ones_like(t)
 
 
-def _kl_form(t, g):
+def _kl_form(t, g, low):
     e = np.exp(t)
     return np.expm1(t), e, e
 
 
-def _klm_form(t, g):
+def _klm_form(t, g, low):
     # -log1p(-t), 1 / u and 1 / u^2 with u = 1 - t, each written into its own result
+    if low < -1e154:        # u^2 may overflow; 1 / u^2 is then 0, and its value is below 2^-1022
+        with np.errstate(over="ignore"):
+            return _klm_form(t, g, 0.0)
     psi = np.negative(t)
     np.negative(np.log1p(psi, out=psi), out=psi)
     u = 1.0 - t
@@ -42,7 +45,7 @@ def _klm_form(t, g):
     return psi, d1, np.divide(1.0, np.multiply(u, u, out=u), out=u)
 
 
-def _power_form(t, g):
+def _power_form(t, g, low):
     b = 1.0 + (g - 1.0) * t
     if g > 1.0:     # left of the kink b = 0 the mass is 0: psi = -1/g, psi' = psi'' = 0
         b = np.maximum(b, 0.0)
@@ -50,8 +53,8 @@ def _power_form(t, g):
     return (b ** (g / (g - 1.0)) - 1.0) / g, b ** (1.0 / (g - 1.0)), d2
 
 
-#: each row: the conjugate's open domain, a function of gamma, and
-#: ``(psi, psi', psi'')`` at an array argument, a function of (argument, gamma)
+#: each row: the conjugate's open domain, a function of gamma, and ``(psi, psi', psi'')``
+#: at an array argument, a function of (argument, gamma, the argument's smallest value)
 _FORMS = {
     "chi2": (lambda g: (-np.inf, np.inf), _chi2_form),
     # expm1 overflows past log(DBL_MAX): the edge in floating point
@@ -98,11 +101,11 @@ class DivergenceSpec:
         lo, hi = self.psi_domain
         flat = z.ravel()
         # the extremes by index, which numpy finds faster than by value; a NaN is both
-        if not lo < flat[flat.argmin()] <= flat[flat.argmax()] < hi:
+        if not lo < (low := flat[flat.argmin()]) <= flat[flat.argmax()] < hi:
             raise ConjugateDomainError(
                 f"conjugate argument outside open domain ({lo}, {hi})"
             )
-        out = self._form(z if z.ndim else z[None], self.gamma)
+        out = self._form(z if z.ndim else z[None], self.gamma, low)
         return tuple(float(v[0]) for v in out) if z.ndim == 0 else out
 
     def psi(self, t) -> np.ndarray | float:

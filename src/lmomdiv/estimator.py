@@ -14,8 +14,8 @@ LAPACK, and with ``g = L^-1 f`` the profile P(nu) is ``|r|^2 / 2``,
 its box, which is exact for a convex quadratic in one variable.  Every
 ``L^-1`` and ``L^-T`` is ``dualsolve.substitute`` on the rows of that factor.
 A scale-only model (``orderstat3``) is then fitted at one point.  Otherwise
-the slope of P is scanned on a fixed grid per law, spanning the model's shape
-box (``_chi2_table``; f and f' are tabulated at the law's first fit), and each
+the slope of P is scanned on a fixed grid spanning the model's shape box
+(``_chi2_table``; f and f' are tabulated once per law and shape box), and each
 sign change from - to + is refined on it by ``bracketed_root``
 (``_profile_minimum``, shared with the MLE).  One function (``_chi2_point``)
 gives P, its slope, the scale and r, on the numpy rows of the table for the
@@ -75,7 +75,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 
 import numpy as np
@@ -117,8 +117,6 @@ _MLE_NU_MAX = 5.0
 _MLE_W = np.concatenate([-np.geomspace(700.0, 1e-6, 100), np.geomspace(1e-6, 700.0, 100)])
 #: most grid points x observations the MLE's profile scan holds at once
 _MLE_BLOCK = 1 << 20
-#: law -> (shape grid, unit-scale Jacobians on it), filled by the law's first chi-square fit
-_CHI2_TABLES: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
 
 class EstimationError(RuntimeError):
@@ -326,17 +324,16 @@ def _shape_search(profile: _Profile, nu: float, point):
                           f"inner_status {profile.status}")
 
 
-def _chi2_table(model: SplqModel) -> tuple[np.ndarray, np.ndarray]:
-    """(shape grid, unit-scale Jacobians (c, 2, k)) of the model's law, built on first use;
-    61 shapes over the model's shape box, geometric where it is positive and linear otherwise."""
-    table = _CHI2_TABLES.get(model.family)
-    if table is None:
-        lo, hi = model.box[1].tolist()
-        grid = (np.geomspace if lo > 0.0 else np.linspace)(lo, hi, 61)
-        jac = np.stack([model.lmoment_jacobian(np.array([1.0, nu])) for nu in grid], axis=-1)
-        jac.setflags(write=False)       # cached: every fit of the law shares it
-        table = _CHI2_TABLES[model.family] = (grid, jac)
-    return table
+@lru_cache(maxsize=16)
+def _chi2_table(law, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(shape grid, ``[f, f']`` on it (c, 2, k)) of a model's ``law`` on its shape box [lo, hi];
+    61 shapes, geometric where the box is positive and linear otherwise."""
+    shape, slopes = law
+    grid = (np.geomspace if lo > 0.0 else np.linspace)(lo, hi, 61)
+    table = np.stack([np.array([shape(nu), slopes(nu)[0]]).T for nu in grid], axis=-1)
+    for arr in (grid, table):       # cached: every fit of the law on this box shares them
+        arr.setflags(write=False)
+    return grid, table
 
 
 def _chi2_point(low, lam_w, sigma_box, f, df):
@@ -407,7 +404,7 @@ def _chi2_fit(skeleton: DualProblem, model: SplqModel):
         value, _, sigma, r = point(shape(None), None)
         theta = np.array([sigma])
     else:
-        grid, table = _chi2_table(model)
+        grid, table = _chi2_table(model.law, *model.box[1].tolist())
         scan = point(table[:, 0], table[:, 1])
         # the two shape edges, read from the scan: the floats a point there gives
         edges = [(float(grid[j]), (*(float(v[j]) for v in scan[:3]),

@@ -4,8 +4,8 @@ Sample statistics integrate the piecewise-constant empirical quantile
 function exactly against the polynomial basis, read at the nodes i/n from
 one cached table per sample size (``poly.node_table``); no quadrature ever
 touches observed data.  Quadrature appears only in the plug-in blocks of the
-asymptotics, which share one Gauss rule in ``-log(1 - u)``.  The closed-form
-L-moment maps of the parametric laws live in ``models``.
+asymptotics, which share one Gauss rule in ``-log(1 - u)`` and alone load
+``numpy.polynomial``.  The closed-form L-moment maps live in ``models``.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .poly import (
     MAX_ORDER,
     integrated_legendre_eval,
     legendre_coefficients,
-    node_columns,
+    node_table,
     shifted_legendre_eval,
     _check_order,
 )
@@ -105,7 +104,7 @@ def sample_lmoments_v(sample: SortedSample, max_order: int) -> LmomentVector:
     """Plug-in (V-statistic) sample L-moments up to ``max_order``.
 
     Orders two and up are accumulated from the spacings against the node
-    table's columns (``node_columns``), so they are exactly invariant under
+    table's columns (``node_table``), so they are exactly invariant under
     any translation that leaves the spacings unchanged.
     """
     _check_max_order(max_order)
@@ -116,7 +115,7 @@ def sample_lmoments_v(sample: SortedSample, max_order: int) -> LmomentVector:
         unit = magnitude_unit(sample.values)
         vals[0] = float((sample.values / unit).sum()) / sample.n * unit
     if max_order >= 2:
-        columns, spacings = node_columns(sample.n, max_order), sample.spacings
+        columns, spacings = node_table(sample.n, max_order)[2], sample.spacings
         for r in range(2, max_order + 1):
             # each order's contiguous row sums in the order of a freshly evaluated row
             vals[r - 1] = -(columns[r - 2] @ spacings)
@@ -212,6 +211,7 @@ def discrete_lmoments(support, weights) -> LmomentVector:
 
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule on [a, b]."""
+    from numpy.polynomial.legendre import leggauss      # here, off the package's import path
     nodes, weights = leggauss(n)
     half = 0.5 * (b - a)
     return half * (nodes + 1.0) + a, half * weights

@@ -3,7 +3,8 @@
 The polynomials are orthogonal on [0, 1] and every L-moment computation in
 this package reduces to evaluating them or their integrals.  Coefficients
 are computed exactly in integer arithmetic; evaluation uses Horner's rule
-(``numpy.polynomial.polynomial.polyval``).
+(numpy core's ``np.polyval``, on the coefficients highest degree first), so
+importing the package loads no ``numpy.polynomial`` module.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 #: Largest supported polynomial order.  Coefficients grow combinatorially
 #: and double precision degrades past this point.
@@ -72,9 +72,9 @@ def integrated_coefficients(r: int) -> np.ndarray:
 
 
 def _eval(coeffs: np.ndarray, t):
-    """Polynomial at t in [0, 1]: a float for a scalar, an array otherwise."""
+    """Polynomial of increasing-degree ``coeffs`` at t in [0, 1]; a float for a scalar t."""
     _check_unit_interval(t)
-    out = polyval(t, coeffs)
+    out = np.polyval(coeffs[::-1], t)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -93,7 +93,7 @@ def integrated_legendre_eval(r: int, t):
 
 @functools.lru_cache(maxsize=8)
 def _node_table(n: int, top: int) -> tuple[np.ndarray, int, np.ndarray]:
-    rows = np.stack([polyval(np.arange(1, n) / n, integrated_coefficients(r))
+    rows = np.stack([np.polyval(integrated_coefficients(r)[::-1], np.arange(1, n) / n)
                      for r in range(2, top + 1)], axis=-1)
     columns = np.ascontiguousarray(rows.T)
     for table in (rows, columns):
@@ -101,23 +101,18 @@ def _node_table(n: int, top: int) -> tuple[np.ndarray, int, np.ndarray]:
     return rows, int(np.linalg.matrix_rank(rows)), columns
 
 
-def node_table(n: int, max_order: int) -> tuple[np.ndarray, int]:
-    """(rows, rank) of the integrated polynomials at the sample nodes i/n, i = 1..n-1.
+def node_table(n: int, max_order: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """(rows, rank, columns) of the integrated polynomials at the sample nodes i/n, i = 1..n-1.
 
     ``rows[i - 1, r - 2]`` is ``integrated_legendre_eval(r, i / n)`` for the
-    orders ``r = 2 .. max(max_order, 4)``, bit for bit, and ``rank`` is the
-    numerical rank of ``rows``.  One read-only table per sample size (the
-    last eight are kept) serves the sample L-moments and the dual's rows.
+    orders ``r = 2 .. max(max_order, 4)``, bit for bit, ``rank`` is the
+    numerical rank of ``rows`` and ``columns`` their contiguous transpose, row
+    ``r - 2`` holding order r at every node.  Both arrays are read-only and
+    built once per sample size and order range (the last eight are kept); they
+    serve the sample L-moments and the dual's rows.
     """
     _check_order(max_order)
-    return _node_table(n, max(max_order, _NODE_MIN_ORDER))[:2]
-
-
-def node_columns(n: int, max_order: int) -> np.ndarray:
-    """The transpose of ``node_table``'s rows, contiguous and read-only, cached with them:
-    row ``r - 2`` holds order r at every node."""
-    _check_order(max_order)
-    return _node_table(n, max(max_order, _NODE_MIN_ORDER))[2]
+    return _node_table(n, max(max_order, _NODE_MIN_ORDER))
 
 
 @dataclass(frozen=True)
@@ -139,9 +134,8 @@ class PolyBasis:
                 raise ValueError(f"constraint order {r} must be >= 2")
             _check_order(r)
         object.__setattr__(self, "orders", orders)
-        object.__setattr__(
-            self, "_tables", tuple(integrated_coefficients(r) for r in orders)
-        )
+        # highest degree first, as np.polyval reads them
+        object.__setattr__(self, "_tables", tuple(integrated_coefficients(r)[::-1] for r in orders))
 
     @property
     def dim(self) -> int:
@@ -154,14 +148,14 @@ class PolyBasis:
         ``(m,)`` returns shape ``(m, dim)``.
         """
         _check_unit_interval(t)
-        return np.stack([polyval(t, tab) for tab in self._tables], axis=-1)
+        return np.stack([np.polyval(tab, t) for tab in self._tables], axis=-1)
 
     def at_nodes(self, n: int) -> tuple[np.ndarray, int | None]:
         """(rows, rank) at the nodes i/n from ``node_table``: its columns of these orders.
 
         The rank is the table's where the orders are all of its columns, else None.
         """
-        rows, rank = node_table(n, max(self.orders))
+        rows, rank, _ = node_table(n, max(self.orders))
         if self.orders == tuple(range(2, rows.shape[1] + 2)):
             return rows, rank
         return np.ascontiguousarray(rows[:, [r - 2 for r in self.orders]]), None

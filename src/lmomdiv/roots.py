@@ -33,7 +33,8 @@ def bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
     steps.  A point is kept ``tol = 2 eps max(|a|, |b|)`` from
     both ends, so the bracket closes in one step around a converged end.
     The search stops at an exact zero or when the bracket is no wider than
-    ``2 tol``, and returns the end with the smaller ``|f|``.
+    ``2 tol`` (in a subnormal bracket, where tol rounds to 0, at neighbouring
+    floats), and returns the end with the smaller ``|f|``.
     """
     if fa == 0.0:
         return a
@@ -58,8 +59,10 @@ def bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
             x = a + tol
         elif x > b - tol:
             x = b - tol
-        if not a < x < b:                 # a and b are neighbouring floats
-            break
+        if not a < x < b:                 # tol underflowed in a subnormal bracket
+            x = a + 0.5 * width
+            if not a < x < b:             # a and b are neighbouring floats
+                break
         w3, w2, w1 = w2, w1, width
         fx = f(x)
         if fx == 0.0:

@@ -807,6 +807,35 @@ def test_benchmark_commands_load_no_scipy(tmp_path):
     assert json.loads(out) == [[0, []]] * len(commands)
 
 
+def test_only_the_plugin_asymptotics_load_numpy_polynomial(tmp_path):
+    # the import and the fits without asymptotics evaluate their polynomials
+    # on numpy core; the plug-in Gauss rule loads numpy.polynomial when it runs
+    x = ParametricFamily("gpd", 3.0, 0.4).sample(1000, np.random.default_rng([0, 0]))
+    path = tmp_path / "gpd.csv"
+    path.write_text("x\n" + "\n".join(map(repr, x.tolist())) + "\n")
+    commands = [
+        ["fit", str(path), "--json"],
+        ["fit", str(path), "--div", "klm", "--json"],
+        ["lmoments", str(path), "--json"],
+        ["fit", str(path), "--asymptotics", "--json"],
+        ["test", str(path), "--json"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from lmomdiv.cli import main\n"
+        "out = [['import', 'numpy.polynomial' in sys.modules]]\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    out.append([code, 'numpy.polynomial' in sys.modules])\n"
+        "print(json.dumps(out))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == [["import", False], [0, False], [0, False], [0, False],
+                               [0, True], [0, True]]
+
+
 def test_weibull_fit_loads_no_scipy(tmp_path):
     # the Weibull L-moment start and derivatives use no scipy.special; the
     # JSON report counts the profile search's steps

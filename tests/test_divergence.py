@@ -70,8 +70,9 @@ def test_psi_domain_errors(name):
 
 def test_limit_branch_dispatch():
     # near-integer gamma routes to the closed-form limits
-    for g, ref in [(1.0 + 1e-9, KL), (1e-9, KLM)]:
+    for g, ref in [(2.0 - 1e-9, CHI2), (1.0 + 1e-9, KL), (1e-9, KLM)]:
         div = power_divergence(g)
+        assert div is ref
         for x in (0.5, 1.5, 3.0):
             assert phi(div, x) == pytest.approx(phi(ref, x))
         for t in (-0.5, 0.2):
@@ -188,6 +189,29 @@ def test_klm_form_is_the_temporaries_form_bit_for_bit(t):
     else:
         assert [v.hex() for v in got] == [float(w[0]).hex() for w in want]
     assert arg.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("t", [
+    -1e300, -np.finfo(float).max, -1.4e154,
+    np.array([-1e300, -1.34e154, -1e154, -1e150, 0.5]),
+    np.array([[-1e200, 0.0], [1e-17, _BELOW_ONE]]),
+], ids=["-1e300", "-max", "-1.4e154", "array", "2-d"])
+def test_klm_form_past_the_square_overflow_warns_not(t):
+    # 1 / u^2 at u = 1 - t past sqrt(DBL_MAX) is below the smallest normal float: psi''
+    # is 0 there, the value an overflowed square gives, with no overflow warning, and
+    # every node keeps the temporaries form's bits
+    arg = np.array(t, dtype=float)
+    with np.errstate(over="ignore"):
+        want = oracles.klm_form_temporaries(arg if arg.ndim else arg[None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = KLM.conjugate(arg if arg.ndim else float(arg))
+    if arg.ndim:
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert (got[2][arg < -1.35e154] == 0.0).all()
+    else:
+        assert [v.hex() for v in got] == [float(w[0]).hex() for w in want]
+        assert got[2] == 0.0
 
 
 @pytest.mark.parametrize("div", ALL, ids=lambda d: f"{d.family}{d.gamma}")

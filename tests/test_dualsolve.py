@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -656,6 +658,7 @@ def _ratio_cases():
     yield np.array([0.2, edge]), np.array([1.0, 1e-300]), 1.0                # a node 1 ulp below the edge
     yield np.array([0.2, edge, edge]), np.array([1.0, 1e10, 1e10]), 1.0      # tied there
     yield np.array([0.2, 0.5, 0.1]), np.array([0.5, np.nan, 2.0]), 1.0       # a NaN direction
+    yield np.array([0.2, 0.5]), np.array([np.nan, -1.0]), 1.0                # and no rising node
     yield np.array([0.2, 0.5]), np.array([0.5, np.inf]), 1.0
     yield np.array([0.2, 0.5]), np.array([0.5, 3.0]), np.inf                 # no edge
 
@@ -670,6 +673,12 @@ def test_ratio_test_is_the_masked_minimum_bit_for_bit():
         zk, dzk = z.copy(), dz.copy()
         assert _ratio_test(z, dz, hi).hex() == ratio_test_masked(z, dz, hi).hex()
         assert z.tobytes() == zk.tobytes() and dz.tobytes() == dzk.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_newton_step_on_a_non_finite_gradient_raises(bad):
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        dualsolve._newton_step([[2.0, 0.0], [0.0, 1.0]], [1.0, bad])
 
 
 def test_singular_newton_system_reaches_the_shift_loop(monkeypatch):

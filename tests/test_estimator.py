@@ -624,6 +624,21 @@ def test_profile_search_closing_in_on_failed_solves_raises():
     assert report.diagnostics["inner_status"]["maxIter"] == 0
 
 
+def test_shape_search_stops_where_no_step_lowers_the_criterion(monkeypatch):
+    # with no rounding allowance the decrement never stops the search: it ends
+    # at a step no halving of which lowers P in floating point, at the fit's shape
+    sample = draw_sample(ScenarioConfig.preset(3, n=100, seed=0), 0)
+    model = gpd_model()
+    nu_fit = float(fit_divergence(sample, model, KLM).theta[1])
+    monkeypatch.setattr(estimator, "rounding_level", lambda *args: 0.0)
+    profile = estimator._Profile(make_dual_problem(sample, model.rows, KLM, np.zeros(3)), model)
+    start = float(estimator.lmoment_method_start(sample_lmoments_v(sample, 4), model)[1])
+    nu, point, steps, decrement = estimator._shape_search(profile, start, profile(start))
+    assert point.level == 0.0 < decrement and point.slope != 0.0
+    assert steps >= estimator._MAX_HALVINGS and -5.0 < nu < 0.99
+    assert abs(nu - nu_fit) < 1e-9
+
+
 @pytest.mark.parametrize("gamma", [2.5, 3.0])
 def test_power_fit_above_gamma_one_passes_the_duality_certificate(gamma):
     # [REGRESSION] this fit raised "failed at the start": the power conjugate
@@ -745,7 +760,7 @@ def test_chi2_point_is_the_scan_at_one_shape(model, law, sigma_box, clip):
     # bit for bit, as the fit reads its shape edges from the scan
     sample = SortedSample(law.sample(200, np.random.default_rng(1)))
     low, lam_w = _chi2_factor(sample, model)
-    grid, table = estimator._chi2_table(model)
+    grid, table = estimator._chi2_table(model.law, *model.box[1].tolist())
     scan = estimator._chi2_point(low, lam_w, sigma_box, table[:, 0], table[:, 1])
     edges = set()
     for j, nu in enumerate(grid.tolist()):
@@ -971,16 +986,58 @@ def test_chi2_table_is_built_once_per_law_on_first_use():
         "from lmomdiv.divergence import CHI2\n"
         "from lmomdiv.lmoments import SortedSample\n"
         "from lmomdiv.models import gpd_model\n"
-        "assert estimator._CHI2_TABLES == {}\n"
+        "assert estimator._chi2_table.cache_info().currsize == 0\n"
         "s = SortedSample(np.random.default_rng(0).exponential(size=50))\n"
+        "model = gpd_model()\n"
+        "estimator.fit_divergence(s, model, CHI2)\n"
+        "info = estimator._chi2_table.cache_info()\n"
+        "assert (info.misses, info.hits, info.currsize) == (1, 0, 1)\n"
+        "grid, table = estimator._chi2_table(model.law, -5.0, 0.99)\n"
         "estimator.fit_divergence(s, gpd_model(), CHI2)\n"
-        "table = estimator._CHI2_TABLES['gpd']\n"
-        "estimator.fit_divergence(s, gpd_model(), CHI2)\n"
-        "assert list(estimator._CHI2_TABLES) == ['gpd']\n"
-        "assert estimator._CHI2_TABLES['gpd'] is table\n"
-        "assert table[1].shape == (3, 2, 61) and not table[1].flags.writeable\n"
+        "info = estimator._chi2_table.cache_info()\n"
+        "assert (info.misses, info.hits, info.currsize) == (1, 2, 1)\n"
+        "assert estimator._chi2_table(model.law, -5.0, 0.99)[1] is table\n"
+        "assert table.shape == (3, 2, 61) and not table.flags.writeable\n"
+        "assert grid.tolist() == np.linspace(-5.0, 0.99, 61).tolist()\n"
+        "assert not grid.flags.writeable\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_chi2_fit_scans_its_own_models_shape_box():
+    # models of one family with other shape boxes or orders each get their own
+    # table: once the first fit's table served the family, a box of [0, 0.2]
+    # returned nu = 0.37, outside it, and the orders (2, 3) an IndexError
+    code = (
+        "import dataclasses, sys\n"
+        "import numpy as np\n"
+        "from lmomdiv.divergence import CHI2\n"
+        "from lmomdiv.estimator import fit_divergence\n"
+        "from lmomdiv.lmoments import SortedSample\n"
+        "from lmomdiv.models import ParametricFamily, _gpd_shape, _gpd_slopes, gpd_model\n"
+        "from lmomdiv.poly import PolyBasis\n"
+        "models = {'gpd-l234': gpd_model(),\n"
+        "          'narrow': dataclasses.replace(gpd_model(),\n"
+        "                                        box=np.array([[1e-3, 1e3], [0.0, 0.2]])),\n"
+        "          'l23': dataclasses.replace(gpd_model(), rows=PolyBasis((2, 3)), law=(\n"
+        "              lambda nu: _gpd_shape(nu)[:2],\n"
+        "              lambda nu: tuple(v[:2] for v in _gpd_slopes(nu))))}\n"
+        "x = ParametricFamily('gpd', 3.0, 0.4).sample(500, np.random.default_rng([7, 0]))\n"
+        "s = SortedSample(x)\n"
+        "for name in sys.argv[1:]:\n"
+        "    report = fit_divergence(s, models[name], CHI2)\n"
+        "    print(name, *map(float.hex, report.theta.tolist()), report.diagnostics['boundary'])\n"
+    )
+    fits = []
+    for order in (["gpd-l234", "narrow", "l23"], ["l23", "narrow", "gpd-l234"]):
+        out = subprocess.run([sys.executable, "-c", code, *order],
+                             check=True, capture_output=True, text=True).stdout
+        fits.append(dict((line.split()[0], line.split()[1:]) for line in out.splitlines()))
+    assert fits[0] == fits[1]
+    sigma, nu, boundary = fits[0]["narrow"]
+    assert 0.0 <= float.fromhex(nu) <= 0.2 and boundary == "True"
+    assert float.fromhex(fits[0]["gpd-l234"][1]) > 0.2
+    assert 0.0 < float.fromhex(fits[0]["l23"][1]) < 0.99
 
 
 def test_outer_decrement_is_reported_at_the_rounding_level():
@@ -1444,6 +1501,17 @@ def test_mle_scan_in_blocks_matches_one_block(monkeypatch):
 def test_mle_uniform_sample_degenerates():
     # Uniform(0, 1) is GPD(1, -1): the likelihood grows toward the support end
     s = SortedSample(np.random.default_rng(0).uniform(size=50))
+    with pytest.raises(EstimationError, match="support boundary"):
+        fit_mle_gpd(s)
+
+
+def test_mle_minimum_at_the_support_end_degenerates(monkeypatch):
+    # a profile minimum within 1e-9 of the support end theta * x_max = -1 is no
+    # estimate; no sample was seen to give one, so the search is made to return
+    # the profile's own point at log1p(theta * x_max) = -30
+    s = mc_sample(ParametricFamily("gpd", 3.0, 0.4), 300, seed=9)
+    monkeypatch.setattr(estimator, "_profile_minimum",
+                        lambda point, grid, slope: ((-30.0, point(-30.0)), 1, 1))
     with pytest.raises(EstimationError, match="support boundary"):
         fit_mle_gpd(s)
 

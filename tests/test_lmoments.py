@@ -356,12 +356,15 @@ def test_sample_lmoments_v_from_the_node_table_bit_for_bit(n, max_order):
 
 
 def test_node_table_is_shared_read_only_and_exact():
-    rows, rank = node_table(50, 2)
+    rows, rank, columns = node_table(50, 2)
     assert node_table(50, 4)[0] is rows             # orders 2-4 share one table per n
+    assert node_table(50, 4)[2] is columns
     assert rows.shape == (49, 3) and rank == 3 and rows.flags.c_contiguous
-    assert not rows.flags.writeable
-    with pytest.raises(ValueError):
-        rows[0, 0] = 1.0
+    assert columns.tobytes() == rows.T.tobytes() and columns.flags.c_contiguous
+    for table in (rows, columns):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
     nodes = np.arange(1, 50) / 50
     for r in (2, 3, 4):
         assert rows[:, r - 2].tobytes() == integrated_legendre_eval(r, nodes).tobytes()

@@ -6,8 +6,10 @@ from lmomdiv.poly import (
     MAX_ORDER,
     OrderLimitError,
     PolyBasis,
+    integrated_coefficients,
     integrated_legendre_eval,
     legendre_coefficients,
+    node_table,
     shifted_legendre_eval,
 )
 
@@ -120,3 +122,27 @@ def test_pointwise_matches_coefficients(r, t):
     direct = float(sum(Fraction(int(c)) * tf**k for k, c in enumerate(coeffs)))
     tol = 1e-12 * float(np.max(np.abs(coeffs)))
     assert shifted_legendre_eval(r, t) == pytest.approx(direct, abs=max(tol, 1e-10))
+
+
+@pytest.mark.parametrize("r", range(2, MAX_ORDER + 1))
+def test_horner_on_numpy_core_is_numpy_polynomial_bit_for_bit(r):
+    # np.polyval on the coefficients highest degree first runs numpy.polynomial's
+    # Horner recurrence operation for operation: on node grids, arrays and scalars
+    polyval = np.polynomial.polynomial.polyval
+    rng = np.random.default_rng(r)
+    points = [np.arange(1, n) / n for n in (2, 7, 100, 1001, 100_000)]
+    points += [rng.random(500), rng.random((200, 200)), np.array(0.5), 0.0, 1.0, 0.3, 1]
+    basis = PolyBasis(range(2, r + 1))
+    for t in points:
+        for got, coeffs in ((shifted_legendre_eval(r, t), legendre_coefficients(r)),
+                            (integrated_legendre_eval(r, t), integrated_coefficients(r))):
+            want = polyval(t, coeffs)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert type(got) is (float if np.ndim(t) == 0 else np.ndarray)
+        want = np.stack([polyval(t, integrated_coefficients(k)) for k in basis.orders], axis=-1)
+        assert basis.constraint_vector(t).tobytes() == want.tobytes()
+    for n in (2, 7, 1001):
+        rows, _, columns = node_table(n, r)
+        for k in range(2, r + 1):
+            want = polyval(np.arange(1, n) / n, integrated_coefficients(k))
+            assert rows[:, k - 2].tobytes() == columns[k - 2].tobytes() == want.tobytes()

@@ -71,3 +71,16 @@ def test_infinite_end_value_stands_for_its_sign():
 def test_no_sign_change_raises():
     with pytest.raises(ValueError, match="no sign change"):
         bracketed_root(lambda x: x, 1.0, 2.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("f, a, b, root", [
+    (lambda x: x - 1e-310, 0.0, 1.0, 1e-310),
+    (lambda x: -1.0 if x < 5e-324 else 1.0, -1.0, 1.0, 5e-324),
+    (lambda x: -1.0 if x < 0.0 else 1.0, -1.0, 3.0, 0.0),
+])
+def test_subnormal_brackets_close_on_neighbouring_floats(f, a, b, root):
+    # below 2^-1022 / eps the tolerance rounds to 0 and a step can land on an end:
+    # the search bisects on, to the neighbouring floats around the root; the
+    # secant of x - 1e-310 once underflowed there and stopped at 2.4e-322
+    x = solve(f, a, b)
+    assert abs(x - root) <= 5e-324
