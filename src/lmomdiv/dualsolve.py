@@ -250,6 +250,12 @@ def rounding_level(xi, target, value: float, m: int) -> float:
     return 16.0 * 2.0 ** -52 * m ** 0.5 * (abs_sum + abs(sums - value))
 
 
+def residual_within_rounding(kt, w1, target, grad, m: int) -> bool:
+    """``|grad| <= 16 eps sqrt(m) (|kt| @ |w1| + |target|)`` for ``grad = target - kt @ w1``."""
+    bound, unit = np.abs(kt).dot(np.abs(w1)).tolist(), 16.0 * 2.0 ** -52 * m ** 0.5
+    return all(abs(g) <= unit * (b + abs(t)) for g, b, t in zip(grad, bound, target))
+
+
 def _ratio_test(z, dz, hi: float) -> float:
     """min(1, 0.99 * the step at which z + t * dz first reaches a finite upper domain edge).
 

@@ -42,9 +42,22 @@ keeps ``xi.t1 = 0``.  A point reads ``t1``, ``t1'`` and ``t1''`` from one
 ``SplqModel.jet`` call, builds the Householder basis in floats and solves
 ``-H`` for the gradient, ``t1`` and ``t1'`` by ``dualsolve.spd_solve``; a
 ``-H`` with no Cholesky factor fails the point.
-``_shape_search`` minimizes P by damped Newton in nu from the L-moment-method
-shape (the GPD's tau_4 and the Weibull's tau_3 inversion), or from the
-chi-square one where that is undefined or its solve fails: a step
+The fit starts at the profile point at the L-moment-method shape (the GPD's
+tau_4 and the Weibull's tau_3 inversion), or at the chi-square one where that
+is undefined or its solve fails.  From there ``_joint_fit`` takes Newton steps
+on the saddle point (Nocedal & Wright, Numerical Optimization, ch. 18), ``F =
+(sigma t1 - g, xi.t1, sigma xi.t1') = 0`` in (xi, sigma, nu): with dxi
+eliminated by the same three columns of A, (dsigma, dnu) solve a 2 x 2 system
+whose Schur complement is P''.  Each step is cut by the ratio test and the
+shape box, and its point is one conjugate evaluation, with no basis and no
+solve.  A point is the estimate where the full dual's decrement, ``sigma
+|xi.t1|`` and ``P'^2 / P''`` (with ``P'' > 0``) are within the rounding level
+and each mass residual within its own (``dualsolve.residual_within_rounding``).
+Where a step leaves the conjugate's domain or the scale's box row, ``-H`` has
+no factor, ``P'' <= 0``, the shape step points out of its box or
+``_MAX_JOINT_STEPS`` steps pass, the search runs from the start point, whose
+state the path leaves untouched, so its estimate is bit for bit its own.
+``_shape_search`` minimizes P by damped Newton in nu from that point: a step
 ``-P' / |P''|`` inside a bracket on the box, closed by slope signs and by
 rejected points, is halved until its solve converges and P falls strictly.
 The search stops at a zero slope, at a box edge the slope points out of, at
@@ -80,15 +93,17 @@ from itertools import chain
 
 import numpy as np
 
-from .divergence import DivergenceSpec
+from .divergence import ConjugateDomainError, DivergenceSpec
 from .dualsolve import (
     SOLVE_STATUSES,
     DualProblem,
     SingularConstraintError,
+    _ratio_test,
     fdot,
     make_dual_problem,
     omega_empirical,
     require_finite,
+    residual_within_rounding,
     rounding_level,
     solve_dual,
     spd_solve,
@@ -111,6 +126,8 @@ from .roots import bracketed_root
 _MAX_SHAPE_STEPS = 100
 #: halvings of one shape step before the search gives the step up
 _MAX_HALVINGS = 60
+#: Newton steps the joint path may take before the fit falls back to the shape search
+_MAX_JOINT_STEPS = 12
 #: upper edge of the GPD MLE's shape box [-5, 5]
 _MLE_NU_MAX = 5.0
 #: grid of log1p(theta * x_max) scanned by the GPD MLE, geometric on both sides of 0
@@ -161,8 +178,10 @@ class FitReport:
 
 
 #: P at one shape, the scale and multipliers there, the full dual's rounding level and Newton
-#: decrement, and P's slope and curvature (None for a scale-only model)
-_Point = namedtuple("_Point", "value sigma xi level gap slope curvature", defaults=(None, None))
+#: decrement, P's slope and curvature, and the joint step's parts (t1, t1', the target, the
+#: gradient, A times it and t1, psi' delta, sigma', xi'); the last three None without a shape
+_Point = namedtuple("_Point", "value sigma xi level gap slope curvature parts",
+                    defaults=(None, None, None))
 
 
 def _complement_basis(t1: list) -> list[list[float]]:
@@ -174,6 +193,14 @@ def _complement_basis(t1: list) -> list[list[float]]:
     v[0] += math.copysign(math.sqrt(fdot(t1, t1)), t1[0])
     scale = 2.0 / fdot(v, v)
     return [[(i == j) - v[i] * v[j] * scale for j in range(1, len(v))] for i in range(len(v))]
+
+
+def _envelope(xl, sigma, t1, dt1, d2f, at1, adt1):
+    """(sigma', xi', P', P'') at ``xl``, ``sigma`` from ``t1'``, ``f''``, ``A t1``, ``A t1'``."""
+    xi_dt1 = fdot(xl, dt1)
+    dsigma = -(xi_dt1 + sigma * fdot(t1, adt1)) / fdot(t1, at1)
+    dxi = [dsigma * a + sigma * b for a, b in zip(at1, adt1)]
+    return dsigma, dxi, sigma * xi_dt1, dsigma * xi_dt1 + sigma * (fdot(dxi, dt1) - fdot(xl, d2f))
 
 
 class _Profile:
@@ -222,29 +249,34 @@ class _Profile:
         sol = self._solve(reduced, None if starts is None else starts @ basis, t1)
         if not sol.converged:
             return None
-        value, xi, (w1, w2), kt = sol.value, basis @ sol.xi, sol.weights, self._kt
-        g = kt.dot(w1).tolist()
+        value, xi = sol.value, basis @ sol.xi
+        g = self._kt.dot(sol.weights[0]).tolist()
         sigma, (lo, hi) = fdot(g, t1) / fdot(t1, t1), self._sigma_box
         if not lo <= sigma <= hi:
             self.outside += 1
             return None
+        point = self.point(nu, f, slopes, sigma, xi, value, sol.weights, g)
+        if point is not None and nu is not None:
+            self.solved.append((nu, xi, np.array(point.parts[-1])))
+        return point
+
+    def point(self, nu, f, slopes, sigma, xi, value, weights, g):
+        """``_Point`` of the full dual at ``xi``, target ``sigma t1``, from its ``value``,
+        ``weights`` and ``g = K^T w1`` there; None where ``-H`` has no factor."""
+        t1 = [-v for v in f]            # the target at sigma = 1
         target = [sigma * t for t in t1]
         grad = [t - v for t, v in zip(target, g)]        # of the full dual at xi
         columns = [grad, t1] if nu is None else [grad, t1, [-v for v in slopes[0]]]
-        solved = spd_solve((kt * w2).dot(sk.kmat).tolist(), *columns)      # -H, as ``curvature``
+        solved = spd_solve((self._kt * weights[1]).dot(self.skeleton.kmat).tolist(), *columns)  # -H
         if solved is None or not all(map(math.isfinite, chain.from_iterable(solved))):
             return None
         (a_grad, at1, *_), xl = solved, xi.tolist()
-        level, gap = rounding_level(xl, target, value, sk.delta.size), fdot(grad, a_grad)
+        level, gap = rounding_level(xl, target, value, self.skeleton.delta.size), fdot(grad, a_grad)
         if nu is None:
             return _Point(value, sigma, xi, level, gap)
-        dt1, adt1 = columns[2], solved[2]
-        xi_dt1 = fdot(xl, dt1)
-        dsigma = -(xi_dt1 + sigma * fdot(t1, adt1)) / fdot(t1, at1)
-        dxi = [dsigma * a + sigma * b for a, b in zip(at1, adt1)]
-        self.solved.append((nu, xi, np.array(dxi)))
-        return _Point(value, sigma, xi, level, gap, sigma * xi_dt1,
-                      dsigma * xi_dt1 + sigma * (fdot(dxi, dt1) - fdot(xl, slopes[1])))
+        envelope = _envelope(xl, sigma, t1, columns[2], slopes[1], at1, solved[2])
+        return _Point(value, sigma, xi, level, gap, *envelope[2:],
+                      (t1, columns[2], target, grad, a_grad, at1, weights[0], *envelope[:2]))
 
     def failure(self, where: str) -> EstimationError:
         """The error of a search whose points failed ``where``, naming any scale that left its box."""
@@ -322,6 +354,54 @@ def _shape_search(profile: _Profile, nu: float, point):
         nu, point = cand, new
     raise EstimationError(f"the profile search did not converge in {_MAX_SHAPE_STEPS} steps: "
                           f"inner_status {profile.status}")
+
+
+def _joint_fit(profile: _Profile, nu: float, point):
+    """(nu, point, steps, reason) of the joint Newton path from a profile point.
+
+    ``reason`` is None where ``point`` passed the certificate (module docstring), or
+    says why the path fell back.  Each step is one conjugate evaluation at its point.
+    """
+    sk, model, kt = profile.skeleton, profile.model, profile._kt
+    (s_lo, s_hi), (lo, hi) = model.box.tolist()
+    edge, m, z = sk.divergence.psi_domain[1], sk.delta.size, sk.kmat.dot(point.xi)
+    for steps in range(_MAX_JOINT_STEPS + 1):
+        sigma, slope, curvature, level = point.sigma, point.slope, point.curvature, point.level
+        t1, dt1, target, grad, a_grad, at1, w1, dsigma, dxi = point.parts
+        if not curvature > 0.0:
+            return nu, point, steps, "the profile's curvature is not positive"
+        xi_t1 = fdot(point.xi.tolist(), t1)
+        if (point.gap <= level and sigma * abs(xi_t1) <= level
+                and slope * slope / curvature <= level
+                and residual_within_rounding(kt, w1, target, grad, m)):
+            return nu, point, steps, None
+        if steps == _MAX_JOINT_STEPS:
+            break
+        # Newton on F; with dxi eliminated, (dsigma, dnu) solve a 2 x 2 system whose Schur
+        # complement is P'': dnu is the profile's Newton step, corrected for F off its root
+        r1 = -(xi_t1 + fdot(t1, a_grad))
+        dnu = (dsigma * r1 - slope - sigma * fdot(dt1, a_grad)) / curvature
+        ds = r1 / fdot(t1, at1)
+        step = np.array([a + ds * b + dnu * c for a, b, c in zip(a_grad, at1, dxi)])
+        t = _ratio_test(z, sk.kmat.dot(step), edge)
+        if not lo <= nu + t * dnu <= hi:
+            t = ((hi if dnu > 0.0 else lo) - nu) / dnu
+            if not t > 0.0:
+                return nu, point, steps, "the shape step points out of its box"
+        xi = point.xi + (step if t == 1.0 else t * step)
+        sigma, nu = sigma + t * (ds + dsigma * dnu), min(max(nu + t * dnu, lo), hi)
+        if not s_lo <= sigma <= s_hi:
+            return nu, point, steps, "the scale left its box row"
+        f, *slopes = model.jet(nu)
+        z = sk.kmat.dot(xi)
+        try:
+            value, w1, w2 = sk.with_target([-sigma * v for v in f]).evaluate(xi, z)
+        except ConjugateDomainError:
+            return nu, point, steps + 1, "a point left the conjugate's domain"
+        point = profile.point(nu, f, slopes, sigma, xi, value, (w1, w2), kt.dot(w1).tolist())
+        if point is None:
+            return nu, point, steps + 1, "-H has no Cholesky factor"
+    return nu, point, steps, f"no certified point in {_MAX_JOINT_STEPS} steps"
 
 
 @lru_cache(maxsize=16)
@@ -430,13 +510,17 @@ def fit_divergence(
     the scale ``theta[0]`` (every model is linear in it), the criterion and
     ``outer_decrement`` are multiplied back.  The chi-square fit is
     ``_chi2_fit``; any other divergence runs ``_profile_fit``, and
-    ``diagnostics`` has ``start`` (the start's name), ``outer_iterations``
-    (the shape steps tried), ``criterion_evaluations`` (the profile points),
-    ``outer_decrement`` (the search's last decrement, None where ``P'' <= 0``),
+    ``diagnostics`` has ``start`` (the start's name), ``joint_steps`` (the
+    joint path's steps, those of a path that fell back included),
+    ``joint_fallback`` (None where the estimate is the joint path's, else why the
+    search ran), ``outer_iterations`` (the joint steps and the shape steps
+    tried), ``criterion_evaluations`` (the profile points and the joint steps),
+    ``outer_decrement`` (the last ``P'^2 / P''``, None where ``P'' <= 0``),
     ``scale_outside_box`` (the points whose scale left its box row) and the
-    inner solves' counts.  The criterion and ``xi`` are the profile's
-    own at the estimate.  A scale on the edge of its box row raises
-    ``EstimationError``; ``boundary`` is then a shape edge.
+    inner counts: ``inner_status`` of the solves, and ``inner_iterations`` and
+    ``inner_evaluations`` of the solves plus one per joint step.  The criterion
+    and ``xi`` are those of the estimate's point.  A scale on the edge of its
+    box row raises ``EstimationError``; ``boundary`` is then a shape edge.
     """
     lm = sample_lmoments_v(sample, 2 if divergence.family == "chi2" else 4)
     scale = math.ldexp(1.0, math.frexp(lm[2])[1])
@@ -473,10 +557,10 @@ def fit_divergence(
 
 
 def _profile_fit(skeleton: DualProblem, model: SplqModel, start):
-    """(theta, value, xi, diagnostics) of the profile search from the shape of ``start``.
+    """(theta, value, xi, diagnostics) of the joint path or the profile search (module docstring).
 
-    Where ``start`` is None or its solve fails, the search starts from the
-    chi-square shape, whose target lies near m_n, inside the cone of the rows.
+    The chi-square shape, the start where ``start`` is None or its point fails, has
+    its target near m_n, inside the cone of the rows.
     """
     profile, nu, start_name = _Profile(skeleton, model), None, None
     point = profile(None) if model.dim == 1 else None
@@ -488,16 +572,26 @@ def _profile_fit(skeleton: DualProblem, model: SplqModel, start):
         point = profile(nu)
     if point is None:
         raise profile.failure("at the start of the profile search")
-    steps, decrement = 0, None
+    steps, decrement, joint = 0, None, (nu, point, 0, "no shape")
     if nu is not None:
-        nu, point, steps, decrement = _shape_search(profile, nu, point)
+        joint = _joint_fit(profile, nu, point)
+        if joint[-1] is None:
+            nu, point = joint[:2]
+            decrement = point.slope * point.slope / point.curvature
+        else:
+            nu, point, steps, decrement = _shape_search(profile, nu, point)
     if point.gap > point.level:
         raise EstimationError("the inner solve at the estimate stopped short of the full dual's "
                               f"optimum: Newton decrement {point.gap!r} above its rounding level "
                               f"{point.level!r}; inner_status {profile.status}")
     theta = np.array([point.sigma] if nu is None else [point.sigma, nu])
-    return theta, point.value, point.xi, {"outer_iterations": steps, **profile.diagnostics,
-                                          "start": start_name, "outer_decrement": decrement}
+    diagnostics = {"outer_iterations": steps, **profile.diagnostics, "start": start_name,
+                   "outer_decrement": decrement, "joint_steps": joint[2],
+                   "joint_fallback": joint[3]}
+    for key in ("outer_iterations", "criterion_evaluations", "inner_iterations",
+                "inner_evaluations"):
+        diagnostics[key] += joint[2]        # each joint step is one of each
+    return theta, point.value, point.xi, diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ process of its own, and writes one JSON line per record of each named set
 (all sets by default).  A record holds its set, its key, its fields with every
 float as ``float.hex``, the error type and message it raised, if any, and the
 warnings it issued.  ``diff`` prints, per set, how many records are identical,
-the largest relative move of each field that moved, and the records that
-raise, or exist, on one side only; it exits 1 when any record differs.  pytest
-does not collect this file.
+the largest relative move of each field that moved (fields compare by path),
+the fields that one dump alone holds, and the records that raise, or exist, on
+one side only; it exits 1 when any record differs.  pytest does not collect
+this file.
 
 The sets, all on ``gpd-l234`` and ``weibull-l234`` unless named:
 
@@ -28,7 +29,13 @@ The sets, all on ``gpd-l234`` and ``weibull-l234`` unless named:
 - ``lmoments``: the V and U sample L-moments to order 6 of the ``fits-240`` samples
   and the three files;
 - ``run-scenario``: 20 ``run_scenario`` runs, scenarios 1-4 x seeds 0-4, n = 100,
-  5 replicates, the default estimators, with every replicate's record.
+  5 replicates, the default estimators, with every replicate's record;
+- ``fits-2322``: chi-square fits of both models and ``orderstat3`` on scenarios 1-4 x
+  seeds 0-149 (replicate 0, n = 100), on ``3 * default_rng(seed).weibull(nu, n)`` for
+  nu in {0.05, 0.08, 0.1, 0.5}, n in {200, 1000}, seeds 0-3, and on ten GPD(3, 0.4)
+  samples (n = 10^3 from ``default_rng([0, i])``, 10^5 from ``[5, i]``, i = 0-4); KL
+  and KLM fits of both models on scenarios 1-4 x seeds 0-9 and on the ``kl-klm``
+  samples; the ``mc-klm`` and ``heavy`` fits (2,322 in all).
 """
 
 from __future__ import annotations
@@ -157,6 +164,27 @@ def _sets():
                 config = ScenarioConfig.preset(sc, n=100, replicates=5, seed=seed)
                 yield f"sc{sc}/seed{seed}", lambda c=config: {"records": run_scenario(c).records}
 
+    def fits_2322():
+        weibulls = [(f"weibull{nu}/n{n}/seed{seed}",
+                     SortedSample(3 * np.random.default_rng(seed).weibull(nu, n)))
+                    for nu in (0.05, 0.08, 0.1, 0.5) for n in (200, 1000) for seed in range(4)]
+        gpd = ParametricFamily("gpd", 3.0, 0.4)
+        gpds = [(f"gpd/n{n}/{i}", SortedSample(gpd.sample(n, np.random.default_rng([s, i]))))
+                for n, s in ((1000, 0), (100_000, 5)) for i in range(5)]
+        for name in (*MODELS, "orderstat3"):
+            for sc in SCENARIOS:
+                for seed in range(150):
+                    yield (f"chi2/{name}/sc{sc}/seed{seed}",
+                           fit(scenario_sample(sc, seed, 0), name, "chi2"))
+            for key, sample in [*weibulls, *gpds]:
+                yield f"chi2/{name}/{key}", fit(sample, name, "chi2")
+        for key, compute in scenario_fits(("kl", "klm"), range(10), (0,)):
+            yield f"first40/{key}", compute
+        for key, compute in scenario_fits(("kl", "klm"), (0,), range(10)):
+            yield f"kl-klm/{key}", compute
+        for key, compute in [*mc_klm(), *heavy()]:
+            yield key, compute
+
     return {
         "mc-klm": mc_klm,
         "kl-klm": lambda: scenario_fits(("kl", "klm"), (0,), range(10)),
@@ -166,6 +194,7 @@ def _sets():
         "files": file_fits,
         "lmoments": lmoments,
         "run-scenario": scenario_runs,
+        "fits-2322": fits_2322,
     }
 
 
@@ -210,6 +239,14 @@ def _leaves(v, path=""):
         yield path, v
 
 
+def _by_field(fields) -> dict:
+    """Field path -> the leaves under it, in order (``_leaves``)."""
+    out = {}
+    for path, leaf in _leaves(fields):
+        out.setdefault(path, []).append(leaf)
+    return out
+
+
 def _number(v):
     """The number a leaf holds (an int, or a float as ``float.hex``), else None."""
     if isinstance(v, int) and not isinstance(v, bool):
@@ -239,7 +276,7 @@ def diff(old_path: str, new_path: str) -> int:
     differs = 0
     for name in sets:
         keys = list(dict.fromkeys(k for s, k in [*old, *new] if s == name))
-        same, moves, notes = 0, {}, []
+        same, moves, notes, one_sided = 0, {}, [], {}
         for key in keys:
             a, b = old.get((name, key)), new.get((name, key))
             if a is None or b is None:
@@ -252,20 +289,26 @@ def diff(old_path: str, new_path: str) -> int:
                 for part in ("error", "warnings"):
                     if a[part] != b[part]:
                         notes.append(f"{key}: {part} old {a[part]}, new {b[part]}")
-                la, lb = list(_leaves(a["fields"])), list(_leaves(b["fields"]))
-                if [p for p, _ in la] != [p for p, _ in lb]:
-                    notes.append(f"{key}: the fields differ in shape")
-                    continue
-                for (field, x), (_, y) in zip(la, lb):
-                    nx, ny = _number(x), _number(y)
-                    if x != y and (nx is None or ny is None):
-                        notes.append(f"{key}: {field} old {x!r}, new {y!r}")
-                    elif x != y:
-                        moves[field] = max(moves.get(field, 0.0), _relative_move(nx, ny))
+                la, lb = _by_field(a["fields"]), _by_field(b["fields"])
+                for field in dict.fromkeys([*la, *lb]):
+                    xs, ys = la.get(field), lb.get(field)
+                    if xs is None or ys is None:
+                        one_sided[field] = "new" if xs is None else "old"
+                    elif len(xs) != len(ys):
+                        notes.append(f"{key}: {field} differs in shape")
+                    else:
+                        for x, y in zip(xs, ys):
+                            nx, ny = _number(x), _number(y)
+                            if x != y and (nx is None or ny is None):
+                                notes.append(f"{key}: {field} old {x!r}, new {y!r}")
+                            elif x != y:
+                                moves[field] = max(moves.get(field, 0.0), _relative_move(nx, ny))
         differs += len(keys) - same
         print(f"{name}: {same} of {len(keys)} records identical")
         if moves:
             print("  largest relative move: " + ", ".join(f"{f} {m:.3g}" for f, m in moves.items()))
+        for field, side in one_sided.items():
+            print(f"  {field}: only in the {side} dump")
         for note in notes[:10]:
             print(f"  {note}")
         if len(notes) > 10:

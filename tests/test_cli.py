@@ -838,7 +838,7 @@ def test_only_the_plugin_asymptotics_load_numpy_polynomial(tmp_path):
 
 def test_weibull_fit_loads_no_scipy(tmp_path):
     # the Weibull L-moment start and derivatives use no scipy.special; the
-    # JSON report counts the profile search's steps
+    # JSON report counts the fit's steps
     x = ParametricFamily("weibull", 3.0, 0.5).sample(1000, np.random.default_rng([0, 0]))
     path = tmp_path / "weibull.csv"
     path.write_text("x\n" + "\n".join(map(repr, x.tolist())) + "\n")
@@ -856,7 +856,10 @@ def test_weibull_fit_loads_no_scipy(tmp_path):
     assert (code, loaded) == (0, [])
     diag = report["diagnostics"]
     assert diag["start"] == "lmoment"
-    assert 0 < diag["outer_iterations"] < diag["criterion_evaluations"]
+    # the fit returns on the joint path: each of its steps is an outer step and one
+    # criterion evaluation, after the start's one
+    assert diag["joint_fallback"] is None
+    assert 0 < diag["outer_iterations"] == diag["joint_steps"] == diag["criterion_evaluations"] - 1
 
 
 def test_simulation_and_dist_load_no_scipy():

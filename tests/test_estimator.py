@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from lmomdiv import estimator
 from lmomdiv.cli import main
@@ -144,9 +145,15 @@ def test_fit_starts_from_lmoment_method():
 
 def test_outer_convergence_is_reported(monkeypatch):
     # a fit that returns has converged; a search cut after one Newton step
-    # is an error, never an estimate
+    # is an error, never an estimate.  The joint path's steps are outer steps;
+    # with its step cap at 0 the fit falls back to the search at once
     s = mc_sample(ParametricFamily("gpd", 3.0, 0.3), 100, seed=2)
-    assert fit_divergence(s, gpd_model(), KL).diagnostics["outer_iterations"] > 1
+    joint = fit_divergence(s, gpd_model(), KL).diagnostics
+    assert joint["joint_fallback"] is None and joint["outer_iterations"] == joint["joint_steps"] > 1
+    monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
+    search = fit_divergence(s, gpd_model(), KL).diagnostics
+    assert search["joint_fallback"] == "no certified point in 0 steps"
+    assert search["joint_steps"] == 0 and search["outer_iterations"] > 1
     monkeypatch.setattr(estimator, "_MAX_SHAPE_STEPS", 1)
     with pytest.raises(EstimationError, match="did not converge in 1 steps"):
         fit_divergence(s, gpd_model(), KL)
@@ -232,7 +239,7 @@ def test_warm_started_fit_matches_cold_starts(monkeypatch):
     assert np.allclose(warm, cold, rtol=1e-6, atol=0.0)
 
 
-def _profile_point_evaluations(monkeypatch, sample, model):
+def _profile_point_evaluations(sample, model):
     """[(conjugate arguments, returned xi's nodes)] of each profile point of a KLM fit."""
     points, conjugate = [], DivergenceSpec.conjugate
     solve, call = estimator.solve_dual, estimator._Profile.__call__
@@ -250,27 +257,29 @@ def _profile_point_evaluations(monkeypatch, sample, model):
         points.append(([], []))
         return call(self, nu)
 
-    monkeypatch.setattr(DivergenceSpec, "conjugate", counted)
-    monkeypatch.setattr(estimator, "solve_dual", solved)
-    monkeypatch.setattr(estimator._Profile, "__call__", point)
-    with contextlib.suppress(EstimationError):
-        fit_divergence(sample, model_by_name(model), KLM)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DivergenceSpec, "conjugate", counted)
+        patch.setattr(estimator, "solve_dual", solved)
+        patch.setattr(estimator._Profile, "__call__", point)
+        with contextlib.suppress(EstimationError):
+            fit_divergence(sample, model_by_name(model), KLM)
     return points
 
 
 def test_no_profile_point_evaluates_a_multiplier_twice(monkeypatch):
     # a converged solve hands back the weights of its point, which the profile
-    # reads instead of evaluating the conjugate there again
+    # reads instead of evaluating the conjugate there again; the joint path,
+    # capped at 0 steps, leaves the search to the profile
+    monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
     points = _profile_point_evaluations(
-        monkeypatch, draw_sample(ScenarioConfig.preset(1, n=100), 0), "gpd-l234")
+        draw_sample(ScenarioConfig.preset(1, n=100), 0), "gpd-l234")
     assert len(points) == 3
     for calls, _ in points:
         assert len(calls) == len(set(calls))
     # a heavy tail whose last full step the ratio test refuses at one point:
     # there too the point's multipliers are evaluated once
     x = 3.0 * np.random.default_rng(2).weibull(0.08, 200)
-    points = _profile_point_evaluations(monkeypatch, SortedSample(x), "weibull-l234")
+    points = _profile_point_evaluations(SortedSample(x), "weibull-l234")
     assert len(points) > 10
     for calls, (returned,) in points:
         assert calls.count(returned) == 1
@@ -294,8 +303,10 @@ def test_unconverged_solve_during_the_search_counts_as_inf(monkeypatch):
 
 
 def test_outer_steps_rejected_for_a_failed_solve_are_counted(monkeypatch):
-    # the start solves; every later solve ends in maxIter, so each halving of
-    # the first step is rejected, and the fit is an error, not the start
+    # the start solves; every later solve of the search (the joint path, capped
+    # at 0 steps, falls back at once) ends in maxIter, so each halving of the
+    # first step is rejected, and the fit is an error, not the start
+    monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
     s = draw_sample(ScenarioConfig.preset(1, n=100), 0)
     solve, solves = estimator.solve_dual, []
 
@@ -469,6 +480,8 @@ def test_fit_is_scale_equivariant(model, law, div):
         assert np.array_equal(fit_k.theta, [2.0 ** k * fit.theta[0], fit.theta[1]]), k
         assert fit_k.criterion == 2.0 ** k * fit.criterion, k
         assert fit_k.diagnostics["boundary"] is False, k
+        for key in ("joint_steps", "joint_fallback", "criterion_evaluations"):
+            assert fit_k.diagnostics.get(key) == fit.diagnostics.get(key), (k, key)
 
 
 @pytest.mark.parametrize("nu,div,fits", [
@@ -1094,23 +1107,186 @@ def test_weibull_kl_box_centre_fit_needs_no_restart():
 
 
 @pytest.mark.parametrize("model", [gpd_model(), weibull_model()], ids=lambda m: m.name)
-def test_criterion_evaluations_are_the_start_and_the_steps(model):
+def test_criterion_evaluations_are_the_start_and_the_steps(model, monkeypatch):
     # one criterion call at the start and one per step tried: the estimate's
-    # criterion and multipliers are the search's own, with no re-solve
-    for scenario in (1, 2, 3, 4):
-        for seed in range(5):
-            s = draw_sample(ScenarioConfig.preset(scenario, n=100, seed=seed), 0)
-            diag = fit_divergence(s, model, KLM).diagnostics
-            assert diag["start"] == "lmoment"
-            assert (diag["criterion_evaluations"] == diag["outer_iterations"] + 1
-                    == sum(diag["inner_status"].values()))
+    # criterion and multipliers are the search's own, with no re-solve.  The
+    # start is one solve; every joint step is one evaluation, fallen back or not
+    def diagnostics():
+        for scenario in (1, 2, 3, 4):
+            for seed in range(5):
+                s = draw_sample(ScenarioConfig.preset(scenario, n=100, seed=seed), 0)
+                diag = fit_divergence(s, model, KLM).diagnostics
+                assert diag["start"] == "lmoment"
+                assert (diag["criterion_evaluations"] == diag["outer_iterations"] + 1
+                        == sum(diag["inner_status"].values()) + diag["joint_steps"])
+                yield diag
+
+    assert any(d["joint_fallback"] is None for d in list(diagnostics()))
+    # the search alone: the joint path capped at 0 steps falls back at its start
+    monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
+    assert all(d["joint_steps"] == 0 for d in list(diagnostics()))
 
 
-def test_criterion_evaluations_cover_the_inner_solves():
-    report = sim_klm_fit(2, 0)
-    diag = report.diagnostics
-    assert diag["criterion_evaluations"] >= sum(diag["inner_status"].values()) > 0
-    assert diag["outer_iterations"] > 0
+def test_criterion_evaluations_cover_the_inner_solves(monkeypatch):
+    # on the joint path, and on the search alone (the joint path capped at 0 steps)
+    for joint in (True, False):
+        if not joint:
+            monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
+        diag = sim_klm_fit(2, 0).diagnostics
+        assert (diag["joint_fallback"] is None) == joint
+        assert diag["criterion_evaluations"] >= sum(diag["inner_status"].values()) > 0
+        assert diag["outer_iterations"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the joint Newton path
+
+
+def _unit_problem(sample, model, div):
+    """(skeleton in units of s, s) of a KL/KLM fit, as ``fit_divergence`` builds them."""
+    scale = math.ldexp(1.0, math.frexp(sample_lmoments_v(sample, 4)[2])[1])
+    zero = np.zeros(model.n_constraints)
+    return make_dual_problem(sample.scaled(scale), model.rows, div, zero), scale
+
+
+def joint_certificate(sample, model, div, report):
+    """The clauses of the joint path's certificate at a fit's estimate, recomputed in numpy.
+
+    Each is a ratio to its bound, at most 1 where it holds: the full dual's Newton
+    decrement, sigma |xi.t1| and the profile's P'^2 / P'' over the dual's rounding
+    level, and the largest mass residual over its own level; and P'' itself.  The
+    criterion must be the dual's value at the estimate's multipliers.
+    """
+    sk, scale = _unit_problem(sample, model, div)
+    sigma, nu, xi = report.theta[0] / scale, float(report.theta[1]), report.xi
+    f, df, d2f = map(np.array, model.jet(nu))
+    t1, dt1, target = -f, -df, -sigma * f
+    value, w1, w2 = sk.with_target(target).evaluate(xi)
+    assert report.criterion == value * scale
+    grad = target - sk.kmat.T @ w1
+    a_grad, at1, adt1 = np.linalg.solve(sk.curvature(w2), np.column_stack([grad, t1, dt1])).T
+    level = rounding_level(xi.tolist(), target.tolist(), value, sk.delta.size)
+    dsigma = -(xi @ dt1 + sigma * (t1 @ adt1)) / (t1 @ at1)
+    dxi = dsigma * at1 + sigma * adt1
+    slope, curvature = sigma * (xi @ dt1), dsigma * (xi @ dt1) + sigma * (dxi @ dt1 - xi @ d2f)
+    unit = 16.0 * 2.0 ** -52 * math.sqrt(sk.delta.size)
+    residual = np.abs(grad) / (unit * (np.abs(sk.kmat).T @ np.abs(w1) + np.abs(target)))
+    return {"decrement": grad @ a_grad / level, "scale_equation": sigma * abs(xi @ t1) / level,
+            "profile_decrement": slope * slope / curvature / level,
+            "residual": float(residual.max()), "curvature": curvature}
+
+
+def assert_certified(sample, model, div, report):
+    cert = joint_certificate(sample, model, div, report)
+    assert cert["curvature"] > 0.0, cert
+    assert max(v for k, v in cert.items() if k != "curvature") <= 1.0, cert
+
+
+def _mc_klm_samples():
+    """The samples of the 28 KLM fits of the mc-klm workload: scenarios 1-4 x seeds 0-6."""
+    return [draw_sample(ScenarioConfig.preset(scenario, n=100, seed=seed), 0)
+            for seed in range(7) for scenario in (1, 2, 3, 4)]
+
+
+def test_joint_estimates_of_the_mc_klm_fits_pass_the_certificate():
+    # all 28 fits return on the joint path, each at a point whose every clause holds
+    for sample in _mc_klm_samples():
+        report = fit_divergence(sample, gpd_model(), KLM)
+        assert report.diagnostics["joint_fallback"] is None
+        assert_certified(sample, gpd_model(), KLM, report)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(law=st.sampled_from(["gpd", "weibull"]), shape=st.floats(0.0, 1.0),
+       n=st.integers(30, 400), seed=st.integers(0, 2 ** 32 - 1), div=st.sampled_from([KL, KLM]))
+def test_joint_estimates_pass_the_certificate(law, shape, n, seed, div):
+    # GPD shapes -0.4 to 0.45, Weibull shapes 0.3 to 3: a fit that returns on
+    # the joint path passes every clause; one that falls back is the search's
+    nu = -0.4 + 0.85 * shape if law == "gpd" else 0.3 + 2.7 * shape
+    sample = SortedSample(ParametricFamily(law, 3.0, nu).sample(n, np.random.default_rng(seed)))
+    model = model_by_name(f"{law}-l234")
+    try:
+        report = fit_divergence(sample, model, div)
+    except EstimationError:
+        return
+    if report.diagnostics["joint_fallback"] is None:
+        assert_certified(sample, model, div, report)
+
+
+def test_shape_search_from_the_joint_estimate_takes_no_step():
+    # the joint estimate meets the profile search's own stop: a search started
+    # there, on the profile's own solve at that shape, takes no step
+    model = gpd_model()
+    for sample in _mc_klm_samples():
+        nu = float(fit_divergence(sample, model, KLM).theta[1])
+        profile = estimator._Profile(_unit_problem(sample, model, KLM)[0], model)
+        assert estimator._shape_search(profile, nu, profile(nu))[2] == 0
+
+
+#: fits of the profile search alone, as float.hex: model, divergence, scenario, seed,
+#: theta, criterion, xi and the search's counts
+_SEARCH_FITS = [
+    ("gpd-l234", KLM, 1, 0, ["0x1.66a75e18d91bcp+2", "0x1.279978b09823cp-1"],
+     "0x1.428cc9ffbcd2cp-2", ["-0x1.57007d3ecf3e3p-1", "0x1.4e64b58875804p+1",
+                              "-0x1.0d2a769cd565dp+1"], (2, 3, 6, 11)),
+    ("gpd-l234", KL, 2, 1, ["0x1.4e24709bd4b43p+4", "0x1.0056e1147d79cp-1"],
+     "0x1.d2714ea283a76p+4", ["-0x1.e3d9ca9019b3bp+1", "0x1.016869362a63bp+4",
+                              "-0x1.b67ef0255bbaep+3"], (4, 5, 11, 21)),
+    ("weibull-l234", KLM, 3, 2, ["0x1.f60cfe3f57fc6p+1", "0x1.465210f349287p-1"],
+     "0x1.137f72333a5e2p-8", ["-0x1.484b17ea30001p-4", "0x1.c3e9e59aee9c9p-2",
+                              "-0x1.06b1b1bed5a94p-1"], (3, 4, 6, 13)),
+    ("weibull-l234", KL, 4, 0, ["0x1.8dedf65617912p+2", "0x1.d4004874de109p-2"],
+     "0x1.abc3cf4f72dc3p-2", ["-0x1.537559e0941e9p+0", "0x1.1d279bac87410p+2",
+                              "-0x1.ddd4695e24058p+1"], (3, 4, 7, 14)),
+]
+
+
+@pytest.mark.parametrize("model,div,scenario,seed,theta,criterion,xi,counts", _SEARCH_FITS,
+                         ids=lambda v: getattr(v, "family", None))
+def test_forced_fallback_is_the_search_bit_for_bit(model, div, scenario, seed, theta,
+                                                    criterion, xi, counts, monkeypatch):
+    # with the joint path capped at 0 steps the fit is the profile search's, as
+    # that search gave it before the joint path existed, counts included
+    monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
+    sample = draw_sample(ScenarioConfig.preset(scenario, n=100, seed=seed), 0)
+    report = fit_divergence(sample, model_by_name(model), div)
+    d = report.diagnostics
+    assert [float(v).hex() for v in report.theta] == theta
+    assert float(report.criterion).hex() == criterion
+    assert [float(v).hex() for v in report.xi] == xi
+    assert (d["outer_iterations"], d["criterion_evaluations"], d["inner_iterations"],
+            d["inner_evaluations"]) == counts
+    assert (d["joint_steps"], d["joint_fallback"]) == (0, "no certified point in 0 steps")
+
+
+def test_joint_step_out_of_the_scale_box_falls_back(monkeypatch):
+    # the first joint step of this Weibull KL fit takes the scale out of its box
+    # row: the fit does not raise, and is the search's from the start, bit for bit
+    sample = draw_sample(ScenarioConfig.preset(1, n=100, seed=0), 3)
+    report = fit_divergence(sample, weibull_model(), KL)
+    assert report.diagnostics["joint_fallback"] == "the scale left its box row"
+    monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
+    search = fit_divergence(sample, weibull_model(), KL)
+    assert np.array_equal(report.theta, search.theta) and np.array_equal(report.xi, search.xi)
+    assert report.criterion == search.criterion
+    assert ({**report.diagnostics, "joint_fallback": None}
+            == {**search.diagnostics, "joint_fallback": None})
+
+
+def test_joint_fits_evaluate_each_multiplier_once(monkeypatch):
+    # neither the start's solve nor the joint steps evaluate the conjugate twice
+    # at the same nodes (a converged solve's last full step is one uncounted call)
+    calls, conjugate = [], DivergenceSpec.conjugate
+
+    def counted(self, z):
+        calls.append(np.asarray(z).tobytes())
+        return conjugate(self, z)
+
+    monkeypatch.setattr(DivergenceSpec, "conjugate", counted)
+    for sample in _mc_klm_samples():
+        calls.clear()
+        diag = fit_divergence(sample, gpd_model(), KLM).diagnostics
+        assert len(calls) == len(set(calls)) >= diag["inner_evaluations"] > diag["joint_steps"]
 
 
 def test_weibull_model_fit():
