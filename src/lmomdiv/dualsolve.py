@@ -1,12 +1,12 @@
 """Inner convex solve: the concave dual over multipliers for a fixed target.
 
 ``make_dual_problem`` is the one builder of the constraint rows at the nodes
-i/n and of m_n; the Newton solve and the chi-square dual (closed form in
-Omega) both read its ``DualProblem``.  A ``PolyBasis`` takes its rows and
-their rank from the cached node table of the sample size, which the sample
-L-moments and the transport variant read too; any other row map is
-evaluated.  Zero spacings carry no mass, so they are excluded from all sums
-and impose no domain constraint at their nodes.
+i/n and of m_n, and alone decides their rank; the Newton solve and the
+chi-square dual (closed form in Omega) both read its ``DualProblem``.  A
+``PolyBasis`` takes its rows from the cached node table of the sample size,
+which the sample L-moments and the transport variant read too; any other
+row map is evaluated.  Zero spacings carry no mass, so they are excluded
+from all sums and impose no domain constraint at their nodes.
 
 ``solve_dual`` is damped Newton ascent.  Its line search starts at the
 largest step that keeps the nodes ``kmat @ xi`` inside the conjugate's
@@ -205,22 +205,23 @@ def make_dual_problem(
 ) -> DualProblem:
     """The rows ``constraint_values(t)`` at the positive-spacing nodes i/n, and m_n.
 
-    A ``PolyBasis`` reads its rows and their rank from the cached node table
-    (``PolyBasis.at_nodes``); the rank is recomputed only where a zero spacing
-    masks rows.  Raises ``SingularConstraintError`` when those rows are rank
-    deficient.
+    A ``PolyBasis`` reads its rows from the cached node table
+    (``PolyBasis.at_nodes``).  Raises ``SingularConstraintError`` when the rows
+    are rank deficient.
     """
     n, delta = sample.n, sample.spacings
     if isinstance(constraint_values, PolyBasis):
-        kmat, rank = constraint_values.at_nodes(n)
+        kmat = constraint_values.at_nodes(n)
+        # row r is u(1 - u) times a polynomial of degree r - 2, the degrees all distinct
+        # (Hosking, JRSS-B 52, 1990): a nonzero combination of the rows has at most
+        # max(orders) - 2 roots in (0, 1), so n - 1 >= max(orders) - 1 nodes give full rank
+        full_rank = n >= max(constraint_values.orders)
     else:
-        kmat, rank = np.atleast_2d(constraint_values(np.arange(1, n) / n)), None
+        kmat, full_rank = np.atleast_2d(constraint_values(np.arange(1, n) / n)), False
     mask = delta > 0.0
-    if not mask.all():
-        kmat, delta, rank = kmat[mask], delta[mask], None
-    if rank is None:
-        rank = np.linalg.matrix_rank(kmat)
-    if rank < kmat.shape[1]:
+    if not mask.all():      # masked rows, like fewer nodes and callable rows, take the SVD
+        kmat, delta, full_rank = kmat[mask], delta[mask], False
+    if not full_rank and (rank := np.linalg.matrix_rank(kmat)) < kmat.shape[1]:
         raise SingularConstraintError(
             f"constraint rows are rank deficient: rank {rank} < {kmat.shape[1]} "
             f"on {delta.size} positive-spacing nodes"
@@ -305,7 +306,8 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
 
     ``xi0`` is one start or an array of them: the solve starts at the one with
     the highest objective among those with nodes inside the conjugate's domain,
-    or at zero.  ``evaluations`` counts the starts and the line-search candidates.
+    or at zero.  ``evaluations`` counts the distinct starts and the line-search candidates;
+    a line search whose step rounds back to ``xi`` ends there, ``stalled``.
     Converged means a Newton decrement ``g (-H)^-1 g`` at most ``rounding_level`` within
     ``_MAX_NEWTON_ITER`` steps; the full step is then evaluated, uncounted, if the ratio
     test allows all of it, and taken if the conjugate accepts its nodes (z + dz carries
@@ -320,12 +322,12 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     kt = kmat.T                     # one transposed view per solve
     c, m, tgt = target.size, problem.delta.size, target.tolist()
     hi = problem.divergence.psi_domain[1]
-    starts = [] if xi0 is None else list(np.array(xi0, dtype=float, ndmin=2))
+    starts = {} if xi0 is None else {s.tobytes(): s for s in np.array(xi0, dtype=float, ndmin=2)}
     points = []
-    for start in starts:
+    for start in starts.values():       # equal starts: one evaluation
         with suppress(ConjugateDomainError):
             points.append((*problem.evaluate(start), start))
-    # zero lies inside every conjugate's domain; the first of equal starts wins
+    # zero lies inside every conjugate's domain; the first of equal values wins
     value, w1, w2, xi = max(points, key=lambda p: p[0]) if points else (
         *problem.evaluate(np.zeros(c)), np.zeros(c))
     evaluations = len(starts) + (not points)
@@ -336,7 +338,7 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             failure = "stalled"
             break
         grad = (target - kt.dot(w1)).tolist()
-        step = _newton_step((kt * w2).dot(kmat).tolist(), grad)       # -H, as ``curvature``
+        step = _newton_step(problem.curvature(w2).tolist(), grad)
         decrement = fdot(grad, step)
         step = np.array(step)
         dz = kmat.dot(step)
@@ -350,9 +352,9 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             return DualSolution(xi, value, it, evaluations, "converged", (w1, w2))
         if it == _MAX_NEWTON_ITER:
             break
+        cand = xi + (step if t == 1.0 else t * step)      # 1.0 * step is step
         while t > 1e-16:
             evaluations += 1
-            cand = xi + (step if t == 1.0 else t * step)      # 1.0 * step is step
             cand_z = kmat.dot(cand)
             try:
                 cand_value, cand_w1, cand_w2 = problem.evaluate(cand, cand_z)
@@ -362,6 +364,8 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
             if cand_value >= value + _ARMIJO * t * decrement:
                 break
             t *= 0.5
+            if ((cand := xi + t * step) == xi).all():     # and so every shorter step: stalled
+                t = 0.0
         else:
             failure = "stalled"
             break
@@ -437,7 +441,7 @@ def wasserstein_fit_inner(
     """
     target = np.asarray(target, dtype=float)
     x, zero = sample.values, np.zeros((1, basis.dim))      # every row vanishes at 0 and 1
-    kfull = np.concatenate([zero, basis.at_nodes(sample.n)[0], zero])  # (n+1, c)
+    kfull = np.concatenate([zero, basis.at_nodes(sample.n), zero])  # (n+1, c)
     # sum_i K(i/n)(y_{i+1}-y_i) = sum_j y_j [K((j-1)/n) - K(j/n)]
     b = kfull[:-1] - kfull[1:]                           # (n, c)
     gram = b.T @ b                                       # (c, c)

@@ -222,7 +222,6 @@ class _Profile:
         self.status = dict.fromkeys(SOLVE_STATUSES, 0)
         self._zero = np.zeros(skeleton.target.size - 1)     # the reduced dual's target
         self._sigma_box = model.box[0].tolist()
-        self._kt = skeleton.kmat.T
 
     def _solve(self, problem: DualProblem, starts, t1):
         """``solve_dual`` on the rows ``K N``, counted; a failed solve is labelled by t1."""
@@ -250,7 +249,7 @@ class _Profile:
         if not sol.converged:
             return None
         value, xi = sol.value, basis @ sol.xi
-        g = self._kt.dot(sol.weights[0]).tolist()
+        g = sk.kmat.T.dot(sol.weights[0]).tolist()
         sigma, (lo, hi) = fdot(g, t1) / fdot(t1, t1), self._sigma_box
         if not lo <= sigma <= hi:
             self.outside += 1
@@ -267,7 +266,7 @@ class _Profile:
         target = [sigma * t for t in t1]
         grad = [t - v for t, v in zip(target, g)]        # of the full dual at xi
         columns = [grad, t1] if nu is None else [grad, t1, [-v for v in slopes[0]]]
-        solved = spd_solve((self._kt * weights[1]).dot(self.skeleton.kmat).tolist(), *columns)  # -H
+        solved = spd_solve(self.skeleton.curvature(weights[1]).tolist(), *columns)     # -H
         if solved is None or not all(map(math.isfinite, chain.from_iterable(solved))):
             return None
         (a_grad, at1, *_), xl = solved, xi.tolist()
@@ -362,7 +361,7 @@ def _joint_fit(profile: _Profile, nu: float, point):
     ``reason`` is None where ``point`` passed the certificate (module docstring), or
     says why the path fell back.  Each step is one conjugate evaluation at its point.
     """
-    sk, model, kt = profile.skeleton, profile.model, profile._kt
+    sk, model, kt = profile.skeleton, profile.model, profile.skeleton.kmat.T
     (s_lo, s_hi), (lo, hi) = model.box.tolist()
     edge, m, z = sk.divergence.psi_domain[1], sk.delta.size, sk.kmat.dot(point.xi)
     for steps in range(_MAX_JOINT_STEPS + 1):

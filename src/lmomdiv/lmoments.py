@@ -115,7 +115,7 @@ def sample_lmoments_v(sample: SortedSample, max_order: int) -> LmomentVector:
         unit = magnitude_unit(sample.values)
         vals[0] = float((sample.values / unit).sum()) / sample.n * unit
     if max_order >= 2:
-        columns, spacings = node_table(sample.n, max_order)[2], sample.spacings
+        columns, spacings = node_table(sample.n, max_order)[1], sample.spacings
         for r in range(2, max_order + 1):
             # each order's contiguous row sums in the order of a freshly evaluated row
             vals[r - 1] = -(columns[r - 2] @ spacings)

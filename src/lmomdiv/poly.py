@@ -92,24 +92,23 @@ def integrated_legendre_eval(r: int, t):
 
 
 @functools.lru_cache(maxsize=8)
-def _node_table(n: int, top: int) -> tuple[np.ndarray, int, np.ndarray]:
+def _node_table(n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.stack([np.polyval(integrated_coefficients(r)[::-1], np.arange(1, n) / n)
                      for r in range(2, top + 1)], axis=-1)
     columns = np.ascontiguousarray(rows.T)
     for table in (rows, columns):
         table.setflags(write=False)     # cached: every caller shares it
-    return rows, int(np.linalg.matrix_rank(rows)), columns
+    return rows, columns
 
 
-def node_table(n: int, max_order: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """(rows, rank, columns) of the integrated polynomials at the sample nodes i/n, i = 1..n-1.
+def node_table(n: int, max_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of the integrated polynomials at the sample nodes i/n, i = 1..n-1.
 
     ``rows[i - 1, r - 2]`` is ``integrated_legendre_eval(r, i / n)`` for the
-    orders ``r = 2 .. max(max_order, 4)``, bit for bit, ``rank`` is the
-    numerical rank of ``rows`` and ``columns`` their contiguous transpose, row
-    ``r - 2`` holding order r at every node.  Both arrays are read-only and
-    built once per sample size and order range (the last eight are kept); they
-    serve the sample L-moments and the dual's rows.
+    orders ``r = 2 .. max(max_order, 4)``, bit for bit, and ``columns`` their
+    contiguous transpose, row ``r - 2`` holding order r at every node.  Both
+    arrays are read-only and built once per sample size and order range (the
+    last eight are kept); they serve the sample L-moments and the dual's rows.
     """
     _check_order(max_order)
     return _node_table(n, max(max_order, _NODE_MIN_ORDER))
@@ -150,12 +149,9 @@ class PolyBasis:
         _check_unit_interval(t)
         return np.stack([np.polyval(tab, t) for tab in self._tables], axis=-1)
 
-    def at_nodes(self, n: int) -> tuple[np.ndarray, int | None]:
-        """(rows, rank) at the nodes i/n from ``node_table``: its columns of these orders.
-
-        The rank is the table's where the orders are all of its columns, else None.
-        """
-        rows, rank, _ = node_table(n, max(self.orders))
+    def at_nodes(self, n: int) -> np.ndarray:
+        """The rows at the nodes i/n from ``node_table``: its columns of these orders."""
+        rows = node_table(n, max(self.orders))[0]
         if self.orders == tuple(range(2, rows.shape[1] + 2)):
-            return rows, rank
-        return np.ascontiguousarray(rows[:, [r - 2 for r in self.orders]]), None
+            return rows
+        return np.ascontiguousarray(rows[:, [r - 2 for r in self.orders]])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmomdiv.divergence import CHI2
+from lmomdiv.dualsolve import SingularConstraintError, make_dual_problem
 from lmomdiv.lmoments import (
     LmomentVector,
     SortedSample,
@@ -356,10 +358,10 @@ def test_sample_lmoments_v_from_the_node_table_bit_for_bit(n, max_order):
 
 
 def test_node_table_is_shared_read_only_and_exact():
-    rows, rank, columns = node_table(50, 2)
+    rows, columns = node_table(50, 2)
     assert node_table(50, 4)[0] is rows             # orders 2-4 share one table per n
-    assert node_table(50, 4)[2] is columns
-    assert rows.shape == (49, 3) and rank == 3 and rows.flags.c_contiguous
+    assert node_table(50, 4)[1] is columns
+    assert rows.shape == (49, 3) and rows.flags.c_contiguous
     assert columns.tobytes() == rows.T.tobytes() and columns.flags.c_contiguous
     for table in (rows, columns):
         assert not table.flags.writeable
@@ -369,4 +371,9 @@ def test_node_table_is_shared_read_only_and_exact():
     for r in (2, 3, 4):
         assert rows[:, r - 2].tobytes() == integrated_legendre_eval(r, nodes).tobytes()
     assert node_table(50, 6)[0].shape == (49, 5)
-    assert node_table(3, 4)[1] == 2                 # two nodes hold at most rank 2
+    # the dual takes the table's rows as they are: full rank on 49 nodes, and on
+    # two nodes (n = 3 < 4, the top order) the SVD finds rank 2
+    basis = PolyBasis((2, 3, 4))
+    assert make_dual_problem(SortedSample(np.arange(50.0)), basis, CHI2, np.zeros(3)).kmat is rows
+    with pytest.raises(SingularConstraintError, match="rank 2 < 3 on 2 positive-spacing"):
+        make_dual_problem(SortedSample([0.0, 1.0, 3.0]), basis, CHI2, np.zeros(3))

@@ -6,6 +6,7 @@ from lmomdiv.poly import (
     MAX_ORDER,
     OrderLimitError,
     PolyBasis,
+    _node_table,
     integrated_coefficients,
     integrated_legendre_eval,
     legendre_coefficients,
@@ -142,7 +143,19 @@ def test_horner_on_numpy_core_is_numpy_polynomial_bit_for_bit(r):
         want = np.stack([polyval(t, integrated_coefficients(k)) for k in basis.orders], axis=-1)
         assert basis.constraint_vector(t).tobytes() == want.tobytes()
     for n in (2, 7, 1001):
-        rows, _, columns = node_table(n, r)
+        rows, columns = node_table(n, r)
         for k in range(2, r + 1):
             want = polyval(np.arange(1, n) / n, integrated_coefficients(k))
             assert rows[:, k - 2].tobytes() == columns[k - 2].tobytes() == want.tobytes()
+
+
+def test_node_rows_have_full_rank_from_as_many_nodes_as_the_top_order():
+    # the degree argument make_dual_problem trusts instead of an SVD: the rows
+    # of orders 2..d on the n - 1 nodes i/n have full numerical rank for n >= d
+    try:
+        for d in range(2, MAX_ORDER + 1):
+            basis = PolyBasis(range(2, d + 1))
+            for n in [*range(d, d + 40), 1_000, 10_000, 100_000]:
+                assert np.linalg.matrix_rank(basis.at_nodes(n)) == d - 1, (d, n)
+    finally:
+        _node_table.cache_clear()       # the n = 10^5 tables are large
