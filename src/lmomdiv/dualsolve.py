@@ -20,8 +20,8 @@ weights ``psi' delta`` and ``psi'' delta`` of the point it returns.
 A caller solving nearby targets passes starts as ``xi0``; the solve takes the
 one with the highest objective, or zero where the conjugate rejects them all.
 The solve stops when its Newton decrement (B&V 9.5.1) reaches ``rounding_level``,
-below which no step can show an ascent; the estimator's profile search stops on
-that level too.
+below which no step can show an ascent; the estimator's certificate uses that
+level too.
 A solve that stops short of optimality is checked by ``target_in_cone``: a
 target that no positive spacing vector reaches makes the dual unbounded and
 is reported as ``infeasibleDirection``; anything else is a failure of the
@@ -251,10 +251,14 @@ def rounding_level(xi, target, value: float, m: int) -> float:
     return 16.0 * 2.0 ** -52 * m ** 0.5 * (abs_sum + abs(sums - value))
 
 
-def residual_within_rounding(kt, w1, target, grad, m: int) -> bool:
-    """``|grad| <= 16 eps sqrt(m) (|kt| @ |w1| + |target|)`` for ``grad = target - kt @ w1``."""
+def residual_ratio(kt, w1, target, grad, m: int) -> float:
+    """Largest ``|grad| / (16 eps sqrt(m) (|kt| @ |w1| + |target|))``, ``grad = target - kt @ w1``.
+
+    At most 1 where each mass residual is within the rounding of its own sums; a
+    zero bound has a zero residual, as both that entry of ``kt @ w1`` and the target are 0.
+    """
     bound, unit = np.abs(kt).dot(np.abs(w1)).tolist(), 16.0 * 2.0 ** -52 * m ** 0.5
-    return all(abs(g) <= unit * (b + abs(t)) for g, b, t in zip(grad, bound, target))
+    return max(abs(g) / (unit * (b + abs(t))) if g else 0.0 for g, b, t in zip(grad, bound, target))
 
 
 def _ratio_test(z, dz, hi: float) -> float:

@@ -44,30 +44,29 @@ keeps ``xi.t1 = 0``.  A point reads ``t1``, ``t1'`` and ``t1''`` from one
 ``-H`` with no Cholesky factor fails the point.
 The fit starts at the profile point at the L-moment-method shape (the GPD's
 tau_4 and the Weibull's tau_3 inversion), or at the chi-square one where that
-is undefined or its solve fails.  From there ``_joint_fit`` takes Newton steps
-on the saddle point (Nocedal & Wright, Numerical Optimization, ch. 18), ``F =
-(sigma t1 - g, xi.t1, sigma xi.t1') = 0`` in (xi, sigma, nu): with dxi
-eliminated by the same three columns of A, (dsigma, dnu) solve a 2 x 2 system
-whose Schur complement is P''.  Each step is cut by the ratio test and the
-shape box, and its point is one conjugate evaluation, with no basis and no
-solve.  A point is the estimate where the full dual's decrement, ``sigma
-|xi.t1|`` and ``P'^2 / P''`` (with ``P'' > 0``) are within the rounding level
-and each mass residual within its own (``dualsolve.residual_within_rounding``).
-Where a step leaves the conjugate's domain or the scale's box row, ``-H`` has
-no factor, ``P'' <= 0``, the shape step points out of its box or
-``_MAX_JOINT_STEPS`` steps pass, the search runs from the start point, whose
-state the path leaves untouched, so its estimate is bit for bit its own.
-``_shape_search`` minimizes P by damped Newton in nu from that point: a step
-``-P' / |P''|`` inside a bracket on the box, closed by slope signs and by
-rejected points, is halved until its solve converges and P falls strictly.
-The search stops at a zero slope, at a box edge the slope points out of, at
-a decrement ``P'^2 / P''`` within ``dualsolve.rounding_level``, and, where
-``P'' > 0``, at a step that finds no lower P in floating point.  A failed
-inner solve is never the criterion: a search that fails at its start or at
-every halving of a step (its message counts the points whose scale left the
-box), whose bracket closes in on it, or that does not converge raises
-``EstimationError``, and so does an estimate whose multipliers fail the full
-dual's own stopping test.
+is undefined or its solve fails.  From there ``_joint_fit`` searches for the
+saddle point ``F = (sigma t1 - g, xi.t1, sigma xi.t1') = 0`` in (xi, sigma,
+nu) (Nocedal & Wright, Numerical Optimization, ch. 18).  A joint Newton step
+eliminates dxi by the same three columns of A, so (dsigma, dnu) solve a 2 x 2
+system whose Schur complement is P''; its point is one conjugate evaluation,
+with no basis and no solve.  It is taken where P'' > 0, the ratio test does
+not cut it, sigma and nu stay in their box rows, the conjugate accepts its
+point and P'' > 0 there.  Otherwise the search takes a profile step from the
+last profile point nu0 (``_profile_step``): ``nu0 - P' / |P''|``, clipped to
+the shape box and halved until its point exists and P falls below P(nu0); each
+of its solves also starts from the iterate's xi.  The joint steps resume from
+the point it finds.  A point is the estimate where the full dual's decrement,
+``sigma |xi.t1|`` and ``P'^2 / P''`` (with ``P'' > 0``; on a shape edge, a
+slope out of the box instead) are within the rounding level and each mass
+residual within its own (``dualsolve.residual_ratio``).  A failed inner solve
+is never the criterion.  The search raises ``EstimationError`` where the solve
+fails at the start or at every halving of a profile step (its message counts
+the points whose scale left the box), where no halving lowers P, after
+``_MAX_STEPS`` steps, and where a point passes every clause but the mass
+residual and no step lowers that: a profile point whose joint step is not
+taken, or a joint step that does not lower the residual's ratio to its bound.
+A scale-only model's fit is its one profile point, which raises where the
+full dual's decrement there is above the rounding level.
 So does, for every divergence, a scale estimate on the edge of its box row,
 which in units of s holds every law of the model; a shape edge is reported
 as ``boundary``.  The plug-in Omega and Sigma run in quantile space and are
@@ -87,6 +86,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain
@@ -103,7 +103,7 @@ from .dualsolve import (
     make_dual_problem,
     omega_empirical,
     require_finite,
-    residual_within_rounding,
+    residual_ratio,
     rounding_level,
     solve_dual,
     spd_solve,
@@ -122,12 +122,10 @@ from .lmoments import (
 from .models import WEIBULL_SHAPE_BOX, ParametricFamily, SplqModel, _weibull_shape
 from .roots import bracketed_root
 
-#: Newton steps the shape search may take
-_MAX_SHAPE_STEPS = 100
-#: halvings of one shape step before the search gives the step up
+#: steps, joint and profile, the KL/KLM search may take
+_MAX_STEPS = 50
+#: halvings of one profile step before the search gives the step up
 _MAX_HALVINGS = 60
-#: Newton steps the joint path may take before the fit falls back to the shape search
-_MAX_JOINT_STEPS = 12
 #: upper edge of the GPD MLE's shape box [-5, 5]
 _MLE_NU_MAX = 5.0
 #: grid of log1p(theta * x_max) scanned by the GPD MLE, geometric on both sides of 0
@@ -209,10 +207,11 @@ class _Profile:
     A point fails where its solve does not converge, where the scale sigma*
     leaves its box row (counted in ``outside``), and where ``-H`` is not
     positive definite.  Each solve starts from the nearest converged point's
-    multipliers and their prediction.  ``nu`` is None for a scale-only model,
-    whose one point has no slope.  A point reads ``f, f', f''`` once
-    (``SplqModel.jet``) and its node weights from the solve, and does its
-    c x c algebra in floats; only the m-node products run in numpy.
+    multipliers and their prediction, and from the caller's ``xi``.  ``nu`` is
+    None for a scale-only model, whose one point has no slope.  A point reads
+    ``f, f', f''`` once (``SplqModel.jet``) and its node weights from the
+    solve, and does its c x c algebra in floats; only the m-node products run
+    in numpy.
     """
 
     def __init__(self, skeleton: DualProblem, model: SplqModel):
@@ -235,7 +234,7 @@ class _Profile:
         self.status[sol.status if inside else "infeasibleDirection"] += 1
         return sol
 
-    def __call__(self, nu):
+    def __call__(self, nu, xi=None):
         self.calls += 1
         sk = self.skeleton
         f, *slopes = self.model.jet(nu)     # slopes: f', f''; none for a scale-only model
@@ -244,8 +243,9 @@ class _Profile:
         reduced = DualProblem(sk.kmat @ basis, sk.delta, self._zero, sk.divergence,
                               sk.m_n @ basis)
         near = min(self.solved, key=lambda p: abs(p[0] - nu), default=None)
-        starts = None if near is None else np.array([near[1], near[1] + (nu - near[0]) * near[2]])
-        sol = self._solve(reduced, None if starts is None else starts @ basis, t1)
+        starts = [] if near is None else [near[1], near[1] + (nu - near[0]) * near[2]]
+        starts += [] if xi is None else [xi]
+        sol = self._solve(reduced, np.array(starts) @ basis if starts else None, t1)
         if not sol.converged:
             return None
         value, xi = sol.value, basis @ sol.xi
@@ -310,97 +310,94 @@ def lmoment_method_start(lm: LmomentVector, model: SplqModel) -> np.ndarray | No
         return None
 
 
-def _shape_search(profile: _Profile, nu: float, point):
-    """(nu, point, steps tried, last decrement) of the search for min P (module docstring).
+def _profile_step(profile: _Profile, nu: float, point, xi):
+    """(nu, point, points tried) of the damped Newton step in nu from the profile point ``point``.
 
-    Each step is halved at most ``_MAX_HALVINGS`` times; the search raises
-    after ``_MAX_SHAPE_STEPS`` steps.
+    The step ``-P' / |P''|``, clipped to the shape box, is halved, at most
+    ``_MAX_HALVINGS`` times, until its point exists and P falls below P(nu);
+    each point's solve also starts from ``xi``.
     """
-    lo, hi = map(float, profile.model.box[1])
-    a, b, steps = lo, hi, 0
-    for it in range(_MAX_SHAPE_STEPS + 1):
-        slope, curvature = point.slope, point.curvature
-        decrement = slope * slope / curvature if curvature > 0.0 else None
-        a, b = (nu, b) if slope < 0.0 else (a, nu) if slope > 0.0 else (a, b)
-        if (slope == 0.0 or (nu == lo and slope > 0.0) or (nu == hi and slope < 0.0)
-                or (decrement is not None and decrement <= point.level)):
-            return nu, point, steps, decrement
-        if it == _MAX_SHAPE_STEPS:
-            break
-        step = -slope / abs(curvature) if curvature != 0.0 else math.copysign(math.inf, -slope)
-        cand, tried, failed, new = min(max(nu + step, a), b), 0, 0, None
-        if cand == nu != nu + step:
-            raise EstimationError(f"the profile search closed in on nu = {nu!r}, where the slope "
-                                  f"is {slope!r}: inner_status {profile.status}")
-        while tried < _MAX_HALVINGS and cand != nu:
-            tried += 1
-            new = profile(cand)
-            failed += new is None
-            if new is not None and new.value < point.value:
-                break
-            # the search does not pass a point that failed or did not lower P
-            a, b = (a, cand) if cand > nu else (cand, b)
-            cand, new = nu + 0.5 * (cand - nu), None
-        steps += tried
-        if new is None:
-            if failed and failed == tried:
-                raise profile.failure(f"at every halving of the profile step from nu = {nu!r}")
-            if curvature <= 0.0:
-                raise EstimationError(f"no halving of the profile step from nu = {nu!r} lowered "
-                                      "the criterion, whose curvature there is not positive: "
-                                      f"inner_status {profile.status}")
-            return nu, point, steps, decrement      # no lower P in floating point
-        nu, point = cand, new
-    raise EstimationError(f"the profile search did not converge in {_MAX_SHAPE_STEPS} steps: "
-                          f"inner_status {profile.status}")
+    lo, hi = profile.model.box[1].tolist()
+    slope, curvature = point.slope, point.curvature
+    step = -slope / abs(curvature) if curvature else math.copysign(math.inf, -slope)
+    cand, tried, failed = min(max(nu + step, lo), hi), 0, 0
+    while tried < _MAX_HALVINGS and cand != nu:
+        tried += 1
+        new = profile(cand, xi)
+        if new is not None and new.value < point.value:
+            return cand, new, tried
+        failed += new is None
+        cand = nu + 0.5 * (cand - nu)
+    if failed and failed == tried:
+        raise profile.failure(f"at every halving of the profile step from nu = {nu!r}")
+    raise EstimationError(
+        f"no halving of the profile step from nu = {nu!r} lowered the criterion; there the "
+        f"full dual's Newton decrement is {point.gap!r}, P' {slope!r} and P'' {curvature!r}, "
+        f"at the rounding level {point.level!r}: inner_status {profile.status}")
 
 
 def _joint_fit(profile: _Profile, nu: float, point):
-    """(nu, point, steps, reason) of the joint Newton path from a profile point.
+    """(nu, point, joint steps, profile points tried) of the KL/KLM search from a profile point.
 
-    ``reason`` is None where ``point`` passed the certificate (module docstring), or
-    says why the path fell back.  Each step is one conjugate evaluation at its point.
+    The estimate is the first point that passes the certificate (module docstring);
+    the search raises ``EstimationError`` where it finds none.  Each joint step is
+    one conjugate evaluation at its point, each profile point tried one solve.
     """
     sk, model, kt = profile.skeleton, profile.model, profile.skeleton.kmat.T
     (s_lo, s_hi), (lo, hi) = model.box.tolist()
     edge, m, z = sk.divergence.psi_domain[1], sk.delta.size, sk.kmat.dot(point.xi)
-    for steps in range(_MAX_JOINT_STEPS + 1):
+    base, joint, tried = (nu, point), 0, 0          # base: the last profile point
+    last = math.inf         # the residual ratio of the last point that passed every other clause
+    for steps in range(_MAX_STEPS + 1):
         sigma, slope, curvature, level = point.sigma, point.slope, point.curvature, point.level
         t1, dt1, target, grad, a_grad, at1, w1, dsigma, dxi = point.parts
-        if not curvature > 0.0:
-            return nu, point, steps, "the profile's curvature is not positive"
         xi_t1 = fdot(point.xi.tolist(), t1)
+        # on a shape edge a slope out of the box stands for the decrement
+        out = slope > 0.0 if nu == lo else slope < 0.0 if nu == hi else False
+        ratio = None
         if (point.gap <= level and sigma * abs(xi_t1) <= level
-                and slope * slope / curvature <= level
-                and residual_within_rounding(kt, w1, target, grad, m)):
-            return nu, point, steps, None
-        if steps == _MAX_JOINT_STEPS:
+                and (out or curvature > 0.0 and slope * slope / curvature <= level)):
+            ratio = residual_ratio(kt, w1, target, grad, m)
+            if ratio <= 1.0:
+                return nu, point, joint, tried
+            if ratio >= last:       # the joint steps no longer lower it: they step in rounding
+                break
+            last = ratio
+        if steps == _MAX_STEPS:
             break
-        # Newton on F; with dxi eliminated, (dsigma, dnu) solve a 2 x 2 system whose Schur
-        # complement is P'': dnu is the profile's Newton step, corrected for F off its root
-        r1 = -(xi_t1 + fdot(t1, a_grad))
-        dnu = (dsigma * r1 - slope - sigma * fdot(dt1, a_grad)) / curvature
-        ds = r1 / fdot(t1, at1)
-        step = np.array([a + ds * b + dnu * c for a, b, c in zip(a_grad, at1, dxi)])
-        t = _ratio_test(z, sk.kmat.dot(step), edge)
-        if not lo <= nu + t * dnu <= hi:
-            t = ((hi if dnu > 0.0 else lo) - nu) / dnu
-            if not t > 0.0:
-                return nu, point, steps, "the shape step points out of its box"
-        xi = point.xi + (step if t == 1.0 else t * step)
-        sigma, nu = sigma + t * (ds + dsigma * dnu), min(max(nu + t * dnu, lo), hi)
-        if not s_lo <= sigma <= s_hi:
-            return nu, point, steps, "the scale left its box row"
-        f, *slopes = model.jet(nu)
-        z = sk.kmat.dot(xi)
-        try:
-            value, w1, w2 = sk.with_target([-sigma * v for v in f]).evaluate(xi, z)
-        except ConjugateDomainError:
-            return nu, point, steps + 1, "a point left the conjugate's domain"
-        point = profile.point(nu, f, slopes, sigma, xi, value, (w1, w2), kt.dot(w1).tolist())
-        if point is None:
-            return nu, point, steps + 1, "-H has no Cholesky factor"
-    return nu, point, steps, f"no certified point in {_MAX_JOINT_STEPS} steps"
+        if curvature > 0.0:
+            # Newton on F; with dxi eliminated, (dsigma, dnu) solve a 2 x 2 system whose Schur
+            # complement is P'': dnu is the profile's Newton step, corrected for F off its root
+            r1 = -(xi_t1 + fdot(t1, a_grad))
+            dnu = (dsigma * r1 - slope - sigma * fdot(dt1, a_grad)) / curvature
+            ds = r1 / fdot(t1, at1)
+            step = np.array([a + ds * b + dnu * c for a, b, c in zip(a_grad, at1, dxi)])
+            new_nu, new_sigma = nu + dnu, sigma + (ds + dsigma * dnu)
+            new = None
+            if (lo <= new_nu <= hi and s_lo <= new_sigma <= s_hi
+                    and _ratio_test(z, sk.kmat.dot(step), edge) == 1.0):
+                joint += 1
+                xi = point.xi + step
+                new_z = sk.kmat.dot(xi)
+                f, *slopes = model.jet(new_nu)
+                with suppress(ConjugateDomainError):
+                    value, w1, w2 = sk.with_target([-new_sigma * v for v in f]).evaluate(xi, new_z)
+                    new = profile.point(new_nu, f, slopes, new_sigma, xi, value, (w1, w2),
+                                        kt.dot(w1).tolist())
+            if new is not None and new.curvature > 0.0:
+                nu, point, z = new_nu, new, new_z
+                continue
+        if ratio is not None and point is base[1]:
+            break       # no step in nu lowers P: its decrement is within rounding, or P' points out
+        # the joint step is not taken: a profile step from the last profile point
+        nu, point, n = _profile_step(profile, *base, point.xi)
+        base, tried, z = (nu, point), tried + n, sk.kmat.dot(point.xi)
+    if ratio is not None:
+        raise EstimationError(f"the largest mass residual at nu = {nu!r} is {ratio:.3g} times its "
+                              "rounding bound, where every other clause of the certificate holds: "
+                              f"inner_status {profile.status}")
+    raise EstimationError(f"the search did not converge in {_MAX_STEPS} steps: "
+                          f"inner_status {profile.status}")
 
 
 @lru_cache(maxsize=16)
@@ -510,15 +507,16 @@ def fit_divergence(
     ``outer_decrement`` are multiplied back.  The chi-square fit is
     ``_chi2_fit``; any other divergence runs ``_profile_fit``, and
     ``diagnostics`` has ``start`` (the start's name), ``joint_steps`` (the
-    joint path's steps, those of a path that fell back included),
-    ``joint_fallback`` (None where the estimate is the joint path's, else why the
-    search ran), ``outer_iterations`` (the joint steps and the shape steps
-    tried), ``criterion_evaluations`` (the profile points and the joint steps),
-    ``outer_decrement`` (the last ``P'^2 / P''``, None where ``P'' <= 0``),
-    ``scale_outside_box`` (the points whose scale left its box row) and the
-    inner counts: ``inner_status`` of the solves, and ``inner_iterations`` and
-    ``inner_evaluations`` of the solves plus one per joint step.  The criterion
-    and ``xi`` are those of the estimate's point.  A scale on the edge of its
+    joint Newton steps), ``outer_iterations`` (the joint steps and the profile
+    points tried, halvings included), ``criterion_evaluations`` (the profile
+    points and the joint steps), ``outer_decrement`` (the estimate's ``P'^2 /
+    P''``, None where ``P'' <= 0``), ``scale_outside_box`` (the points whose
+    scale left its box row) and the inner counts: ``inner_status`` of the
+    solves, one per profile point, and ``inner_iterations`` and
+    ``inner_evaluations`` of the solves plus one per joint step.  So a fit from
+    the L-moment start has ``criterion_evaluations == outer_iterations + 1 ==
+    sum(inner_status) + joint_steps``.  The criterion and ``xi`` are those of
+    the estimate's point.  A scale on the edge of its
     box row raises ``EstimationError``; ``boundary`` is then a shape edge.
     """
     lm = sample_lmoments_v(sample, 2 if divergence.family == "chi2" else 4)
@@ -556,7 +554,7 @@ def fit_divergence(
 
 
 def _profile_fit(skeleton: DualProblem, model: SplqModel, start):
-    """(theta, value, xi, diagnostics) of the joint path or the profile search (module docstring).
+    """(theta, value, xi, diagnostics) of the KL/KLM search (module docstring).
 
     The chi-square shape, the start where ``start`` is None or its point fails, has
     its target near m_n, inside the cone of the rows.
@@ -571,25 +569,20 @@ def _profile_fit(skeleton: DualProblem, model: SplqModel, start):
         point = profile(nu)
     if point is None:
         raise profile.failure("at the start of the profile search")
-    steps, decrement, joint = 0, None, (nu, point, 0, "no shape")
+    joint = tried = 0
     if nu is not None:
-        joint = _joint_fit(profile, nu, point)
-        if joint[-1] is None:
-            nu, point = joint[:2]
-            decrement = point.slope * point.slope / point.curvature
-        else:
-            nu, point, steps, decrement = _shape_search(profile, nu, point)
-    if point.gap > point.level:
+        nu, point, joint, tried = _joint_fit(profile, nu, point)
+    elif point.gap > point.level:
         raise EstimationError("the inner solve at the estimate stopped short of the full dual's "
                               f"optimum: Newton decrement {point.gap!r} above its rounding level "
                               f"{point.level!r}; inner_status {profile.status}")
+    decrement = None if nu is None or point.curvature <= 0.0 else (
+        point.slope * point.slope / point.curvature)
     theta = np.array([point.sigma] if nu is None else [point.sigma, nu])
-    diagnostics = {"outer_iterations": steps, **profile.diagnostics, "start": start_name,
-                   "outer_decrement": decrement, "joint_steps": joint[2],
-                   "joint_fallback": joint[3]}
-    for key in ("outer_iterations", "criterion_evaluations", "inner_iterations",
-                "inner_evaluations"):
-        diagnostics[key] += joint[2]        # each joint step is one of each
+    diagnostics = {"outer_iterations": joint + tried, **profile.diagnostics,
+                   "start": start_name, "outer_decrement": decrement, "joint_steps": joint}
+    for key in ("criterion_evaluations", "inner_iterations", "inner_evaluations"):
+        diagnostics[key] += joint        # each joint step is one of each
     return theta, point.value, point.xi, diagnostics
 
 

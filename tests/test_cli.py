@@ -856,9 +856,8 @@ def test_weibull_fit_loads_no_scipy(tmp_path):
     assert (code, loaded) == (0, [])
     diag = report["diagnostics"]
     assert diag["start"] == "lmoment"
-    # the fit returns on the joint path: each of its steps is an outer step and one
-    # criterion evaluation, after the start's one
-    assert diag["joint_fallback"] is None
+    # each of the fit's steps is a joint step, an outer step and one criterion
+    # evaluation, after the start's one
     assert 0 < diag["outer_iterations"] == diag["joint_steps"] == diag["criterion_evaluations"] - 1
 
 

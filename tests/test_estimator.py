@@ -144,17 +144,12 @@ def test_fit_starts_from_lmoment_method():
 
 
 def test_outer_convergence_is_reported(monkeypatch):
-    # a fit that returns has converged; a search cut after one Newton step
-    # is an error, never an estimate.  The joint path's steps are outer steps;
-    # with its step cap at 0 the fit falls back to the search at once
+    # a fit that returns has converged; a search cut after one step is an
+    # error, never an estimate.  Every step of this fit is a joint step
     s = mc_sample(ParametricFamily("gpd", 3.0, 0.3), 100, seed=2)
     joint = fit_divergence(s, gpd_model(), KL).diagnostics
-    assert joint["joint_fallback"] is None and joint["outer_iterations"] == joint["joint_steps"] > 1
-    monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
-    search = fit_divergence(s, gpd_model(), KL).diagnostics
-    assert search["joint_fallback"] == "no certified point in 0 steps"
-    assert search["joint_steps"] == 0 and search["outer_iterations"] > 1
-    monkeypatch.setattr(estimator, "_MAX_SHAPE_STEPS", 1)
+    assert joint["outer_iterations"] == joint["joint_steps"] > 1
+    monkeypatch.setattr(estimator, "_MAX_STEPS", 1)
     with pytest.raises(EstimationError, match="did not converge in 1 steps"):
         fit_divergence(s, gpd_model(), KL)
 
@@ -253,9 +248,9 @@ def _profile_point_evaluations(sample, model):
         points[-1][1].append((problem.kmat @ sol.xi).tobytes())
         return sol
 
-    def point(self, nu):
+    def point(self, nu, xi=None):
         points.append(([], []))
-        return call(self, nu)
+        return call(self, nu, xi)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DivergenceSpec, "conjugate", counted)
@@ -266,14 +261,14 @@ def _profile_point_evaluations(sample, model):
     return points
 
 
-def test_no_profile_point_evaluates_a_multiplier_twice(monkeypatch):
+def test_no_profile_point_evaluates_a_multiplier_twice():
     # a converged solve hands back the weights of its point, which the profile
-    # reads instead of evaluating the conjugate there again; the joint path,
-    # capped at 0 steps, leaves the search to the profile
-    monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
+    # reads instead of evaluating the conjugate there again.  This fit's joint
+    # steps are cut by the ratio test three times, so it takes three profile
+    # steps; each point's calls include the joint steps that follow it
     points = _profile_point_evaluations(
-        draw_sample(ScenarioConfig.preset(1, n=100), 0), "gpd-l234")
-    assert len(points) == 3
+        draw_sample(ScenarioConfig.preset(2, n=100), 0), "weibull-l234")
+    assert len(points) == 4
     for calls, _ in points:
         assert len(calls) == len(set(calls))
     # a heavy tail whose last full step the ratio test refuses at one point:
@@ -303,11 +298,10 @@ def test_unconverged_solve_during_the_search_counts_as_inf(monkeypatch):
 
 
 def test_outer_steps_rejected_for_a_failed_solve_are_counted(monkeypatch):
-    # the start solves; every later solve of the search (the joint path, capped
-    # at 0 steps, falls back at once) ends in maxIter, so each halving of the
-    # first step is rejected, and the fit is an error, not the start
-    monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
-    s = draw_sample(ScenarioConfig.preset(1, n=100), 0)
+    # the start solves; every later solve ends in maxIter.  The ratio test cuts
+    # this fit's first joint step, so the search takes a profile step, each
+    # halving of which is rejected, and the fit is an error, not the start
+    s = draw_sample(ScenarioConfig.preset(2, n=100), 0)
     solve, solves = estimator.solve_dual, []
 
     def fail_after_the_start(problem, xi0=None):
@@ -317,7 +311,7 @@ def test_outer_steps_rejected_for_a_failed_solve_are_counted(monkeypatch):
 
     monkeypatch.setattr(estimator, "solve_dual", fail_after_the_start)
     with pytest.raises(EstimationError, match="failed at every halving") as exc:
-        fit_divergence(s, gpd_model(), KLM)
+        fit_divergence(s, weibull_model(), KLM)
     assert len(solves) > 2
     assert f"'converged': 1, 'infeasibleDirection': 0, 'maxIter': {len(solves) - 1}," in str(
         exc.value)
@@ -480,7 +474,7 @@ def test_fit_is_scale_equivariant(model, law, div):
         assert np.array_equal(fit_k.theta, [2.0 ** k * fit.theta[0], fit.theta[1]]), k
         assert fit_k.criterion == 2.0 ** k * fit.criterion, k
         assert fit_k.diagnostics["boundary"] is False, k
-        for key in ("joint_steps", "joint_fallback", "criterion_evaluations"):
+        for key in ("joint_steps", "outer_iterations", "criterion_evaluations"):
             assert fit_k.diagnostics.get(key) == fit.diagnostics.get(key), (k, key)
 
 
@@ -590,30 +584,27 @@ def test_profile_step_halvings_are_bounded():
 
 
 def test_negative_curvature_step_is_tested_for_descent():
-    # a first step where P'' < 0 can reach the shape edge; it is kept only
-    # where P falls, and the estimate is the one the outer search found
+    # the second profile point of this fit has P'' < 0, and the profile step
+    # from it is halved until P falls.  The fit once returned (414.286,
+    # 0.149514), whose largest mass residual is 7.3 times its rounding bound:
+    # at that shape every other clause holds, the joint steps stop lowering
+    # the residual, and the fit raises
     sample = SortedSample(3.0 * np.random.default_rng(0).weibull(0.1, 200))
-    report = fit_divergence(sample, weibull_model(), KLM)
-    assert report.theta.tolist() == pytest.approx([414.286, 0.149514], rel=1e-6, abs=0.0)
+    with pytest.raises(EstimationError, match=r"largest mass residual at nu = 0\.14951395"):
+        fit_divergence(sample, weibull_model(), KLM)
 
 
-class _FirstVisitFails:
-    """Stub profile P(nu) = (nu - 2)^2 whose points past nu = 0.5 fail at their first visit.
-
-    A warm-started solve can converge where a cold one failed, so a shape
-    that once failed, and so bounds the search's bracket, can later be
-    accepted, with the bracket closed on it.
-    """
+class _FailsAbove:
+    """Stub profile P(nu) = (nu - 2)^2 whose points above ``edge`` fail."""
 
     model = dataclasses.replace(gpd_model(), box=np.array([[1e-3, 1e3], [-5.0, 5.0]]))
     status = {"converged": 0}
 
-    def __init__(self):
-        self.seen = set()
+    def __init__(self, edge):
+        self.edge = edge
 
-    def __call__(self, nu):
-        if nu > 0.5 and nu not in self.seen:
-            self.seen.add(nu)
+    def __call__(self, nu, xi=None):
+        if nu > self.edge:
             return None
         return estimator._Point((nu - 2.0) ** 2, 1.0, None, level=0.0, gap=0.0,
                                 slope=2.0 * (nu - 2.0), curvature=2.0)
@@ -623,33 +614,21 @@ class _FirstVisitFails:
 
 
 def test_profile_search_closing_in_on_failed_solves_raises():
-    # from nu = 0 the steps to 2 and 1 fail and 0.5 is accepted; from 0.5 the
-    # step is clipped to the failed 1, which converges now and is accepted,
-    # and the bracket that 1 closed leaves no room for the next step
-    profile = _FirstVisitFails()
-    with pytest.raises(EstimationError, match=r"closed in on nu = 1\.0, where the slope is -2\.0"):
-        estimator._shape_search(profile, 0.0, profile(0.0))
+    # from nu = 0 the profile step to 2 and its halving to 1 fail, and 0.5 is
+    # taken; where every halving fails the step closes in on its start and raises
+    profile = _FailsAbove(0.5)
+    nu, point, tried = estimator._profile_step(profile, 0.0, profile(0.0), None)
+    assert (nu, point.value, tried) == (0.5, 2.25, 3)
+    profile = _FailsAbove(0.0)
+    with pytest.raises(EstimationError, match=r"failed at every halving of the profile step "
+                                              r"from nu = 0\.0"):
+        estimator._profile_step(profile, 0.0, profile(0.0), None)
     # [REGRESSION] this power:2.5 fit once closed in on a false domain edge of
     # the power conjugate for gamma > 1 and raised; with the exact conjugate it
     # returns, and no inner solve ends in maxIter
     sample = draw_sample(ScenarioConfig.preset(4, n=100, seed=2), 0)
     report = fit_divergence(sample, gpd_model(), power_divergence(2.5))
     assert report.diagnostics["inner_status"]["maxIter"] == 0
-
-
-def test_shape_search_stops_where_no_step_lowers_the_criterion(monkeypatch):
-    # with no rounding allowance the decrement never stops the search: it ends
-    # at a step no halving of which lowers P in floating point, at the fit's shape
-    sample = draw_sample(ScenarioConfig.preset(3, n=100, seed=0), 0)
-    model = gpd_model()
-    nu_fit = float(fit_divergence(sample, model, KLM).theta[1])
-    monkeypatch.setattr(estimator, "rounding_level", lambda *args: 0.0)
-    profile = estimator._Profile(make_dual_problem(sample, model.rows, KLM, np.zeros(3)), model)
-    start = float(estimator.lmoment_method_start(sample_lmoments_v(sample, 4), model)[1])
-    nu, point, steps, decrement = estimator._shape_search(profile, start, profile(start))
-    assert point.level == 0.0 < decrement and point.slope != 0.0
-    assert steps >= estimator._MAX_HALVINGS and -5.0 < nu < 0.99
-    assert abs(nu - nu_fit) < 1e-9
 
 
 @pytest.mark.parametrize("gamma", [2.5, 3.0])
@@ -1107,35 +1086,32 @@ def test_weibull_kl_box_centre_fit_needs_no_restart():
 
 
 @pytest.mark.parametrize("model", [gpd_model(), weibull_model()], ids=lambda m: m.name)
-def test_criterion_evaluations_are_the_start_and_the_steps(model, monkeypatch):
+def test_criterion_evaluations_are_the_start_and_the_steps(model):
     # one criterion call at the start and one per step tried: the estimate's
     # criterion and multipliers are the search's own, with no re-solve.  The
-    # start is one solve; every joint step is one evaluation, fallen back or not
-    def diagnostics():
-        for scenario in (1, 2, 3, 4):
-            for seed in range(5):
-                s = draw_sample(ScenarioConfig.preset(scenario, n=100, seed=seed), 0)
-                diag = fit_divergence(s, model, KLM).diagnostics
-                assert diag["start"] == "lmoment"
-                assert (diag["criterion_evaluations"] == diag["outer_iterations"] + 1
-                        == sum(diag["inner_status"].values()) + diag["joint_steps"])
-                yield diag
-
-    assert any(d["joint_fallback"] is None for d in list(diagnostics()))
-    # the search alone: the joint path capped at 0 steps falls back at its start
-    monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
-    assert all(d["joint_steps"] == 0 for d in list(diagnostics()))
+    # start and each profile point tried are one solve, each joint step one
+    # evaluation; some of these fits take profile steps, and all take joint steps
+    profile_steps = []
+    for scenario in (1, 2, 3, 4):
+        for seed in range(5):
+            s = draw_sample(ScenarioConfig.preset(scenario, n=100, seed=seed), 0)
+            diag = fit_divergence(s, model, KLM).diagnostics
+            assert diag["start"] == "lmoment"
+            assert (diag["criterion_evaluations"] == diag["outer_iterations"] + 1
+                    == sum(diag["inner_status"].values()) + diag["joint_steps"])
+            assert diag["joint_steps"] > 0
+            profile_steps.append(diag["outer_iterations"] - diag["joint_steps"])
+    assert max(profile_steps) > 0
 
 
-def test_criterion_evaluations_cover_the_inner_solves(monkeypatch):
-    # on the joint path, and on the search alone (the joint path capped at 0 steps)
-    for joint in (True, False):
-        if not joint:
-            monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
-        diag = sim_klm_fit(2, 0).diagnostics
-        assert (diag["joint_fallback"] is None) == joint
+def test_criterion_evaluations_cover_the_inner_solves():
+    # the gpd-l234 fit takes joint steps alone, the weibull-l234 fit profile steps too
+    sample = draw_sample(ScenarioConfig.preset(2, n=100), 0)
+    for model, profile_steps in ((gpd_model(), False), (weibull_model(), True)):
+        diag = fit_divergence(sample, model, KLM).diagnostics
         assert diag["criterion_evaluations"] >= sum(diag["inner_status"].values()) > 0
-        assert diag["outer_iterations"] > 0
+        assert diag["joint_steps"] > 0
+        assert (diag["outer_iterations"] > diag["joint_steps"]) == profile_steps
 
 
 # ---------------------------------------------------------------------------
@@ -1150,12 +1126,12 @@ def _unit_problem(sample, model, div):
 
 
 def joint_certificate(sample, model, div, report):
-    """The clauses of the joint path's certificate at a fit's estimate, recomputed in numpy.
+    """The clauses of the search's certificate at a fit's estimate, recomputed in numpy.
 
     Each is a ratio to its bound, at most 1 where it holds: the full dual's Newton
     decrement, sigma |xi.t1| and the profile's P'^2 / P'' over the dual's rounding
-    level, and the largest mass residual over its own level; and P'' itself.  The
-    criterion must be the dual's value at the estimate's multipliers.
+    level, and the largest mass residual over its own level; and P' and P'' themselves.
+    The criterion must be the dual's value at the estimate's multipliers.
     """
     sk, scale = _unit_problem(sample, model, div)
     sigma, nu, xi = report.theta[0] / scale, float(report.theta[1]), report.xi
@@ -1173,13 +1149,19 @@ def joint_certificate(sample, model, div, report):
     residual = np.abs(grad) / (unit * (np.abs(sk.kmat).T @ np.abs(w1) + np.abs(target)))
     return {"decrement": grad @ a_grad / level, "scale_equation": sigma * abs(xi @ t1) / level,
             "profile_decrement": slope * slope / curvature / level,
-            "residual": float(residual.max()), "curvature": curvature}
+            "residual": float(residual.max()), "slope": slope, "curvature": curvature}
 
 
 def assert_certified(sample, model, div, report):
+    """Every clause holds; on a shape edge a slope out of the box stands for P'^2 / P''."""
     cert = joint_certificate(sample, model, div, report)
-    assert cert["curvature"] > 0.0, cert
-    assert max(v for k, v in cert.items() if k != "curvature") <= 1.0, cert
+    slope, curvature = cert.pop("slope"), cert.pop("curvature")
+    lo, hi = model.box[1]
+    if (slope > 0.0 and report.theta[1] == lo) or (slope < 0.0 and report.theta[1] == hi):
+        del cert["profile_decrement"]
+    else:
+        assert curvature > 0.0, (curvature, cert)
+    assert max(cert.values()) <= 1.0, cert
 
 
 def _mc_klm_samples():
@@ -1189,10 +1171,9 @@ def _mc_klm_samples():
 
 
 def test_joint_estimates_of_the_mc_klm_fits_pass_the_certificate():
-    # all 28 fits return on the joint path, each at a point whose every clause holds
+    # all 28 fits return, each at a point whose every clause holds
     for sample in _mc_klm_samples():
         report = fit_divergence(sample, gpd_model(), KLM)
-        assert report.diagnostics["joint_fallback"] is None
         assert_certified(sample, gpd_model(), KLM, report)
 
 
@@ -1200,8 +1181,8 @@ def test_joint_estimates_of_the_mc_klm_fits_pass_the_certificate():
 @given(law=st.sampled_from(["gpd", "weibull"]), shape=st.floats(0.0, 1.0),
        n=st.integers(30, 400), seed=st.integers(0, 2 ** 32 - 1), div=st.sampled_from([KL, KLM]))
 def test_joint_estimates_pass_the_certificate(law, shape, n, seed, div):
-    # GPD shapes -0.4 to 0.45, Weibull shapes 0.3 to 3: a fit that returns on
-    # the joint path passes every clause; one that falls back is the search's
+    # GPD shapes -0.4 to 0.45, Weibull shapes 0.3 to 3: a fit that returns
+    # passes every clause
     nu = -0.4 + 0.85 * shape if law == "gpd" else 0.3 + 2.7 * shape
     sample = SortedSample(ParametricFamily(law, 3.0, nu).sample(n, np.random.default_rng(seed)))
     model = model_by_name(f"{law}-l234")
@@ -1209,68 +1190,45 @@ def test_joint_estimates_pass_the_certificate(law, shape, n, seed, div):
         report = fit_divergence(sample, model, div)
     except EstimationError:
         return
-    if report.diagnostics["joint_fallback"] is None:
-        assert_certified(sample, model, div, report)
+    assert_certified(sample, model, div, report)
 
 
 def test_shape_search_from_the_joint_estimate_takes_no_step():
-    # the joint estimate meets the profile search's own stop: a search started
-    # there, on the profile's own solve at that shape, takes no step
+    # the profile point at the estimate's shape, the profile's own solve there,
+    # meets every clause but, at one of the 28, the mass residual (1.13 times its
+    # bound): a search started from it takes no profile step and one joint step at most
     model = gpd_model()
+    steps = []
     for sample in _mc_klm_samples():
         nu = float(fit_divergence(sample, model, KLM).theta[1])
         profile = estimator._Profile(_unit_problem(sample, model, KLM)[0], model)
-        assert estimator._shape_search(profile, nu, profile(nu))[2] == 0
+        steps.append(estimator._joint_fit(profile, nu, profile(nu))[2:])
+    assert {tried for _, tried in steps} == {0} and sum(joint for joint, _ in steps) <= 1
 
 
-#: fits of the profile search alone, as float.hex: model, divergence, scenario, seed,
-#: theta, criterion, xi and the search's counts
-_SEARCH_FITS = [
-    ("gpd-l234", KLM, 1, 0, ["0x1.66a75e18d91bcp+2", "0x1.279978b09823cp-1"],
-     "0x1.428cc9ffbcd2cp-2", ["-0x1.57007d3ecf3e3p-1", "0x1.4e64b58875804p+1",
-                              "-0x1.0d2a769cd565dp+1"], (2, 3, 6, 11)),
-    ("gpd-l234", KL, 2, 1, ["0x1.4e24709bd4b43p+4", "0x1.0056e1147d79cp-1"],
-     "0x1.d2714ea283a76p+4", ["-0x1.e3d9ca9019b3bp+1", "0x1.016869362a63bp+4",
-                              "-0x1.b67ef0255bbaep+3"], (4, 5, 11, 21)),
-    ("weibull-l234", KLM, 3, 2, ["0x1.f60cfe3f57fc6p+1", "0x1.465210f349287p-1"],
-     "0x1.137f72333a5e2p-8", ["-0x1.484b17ea30001p-4", "0x1.c3e9e59aee9c9p-2",
-                              "-0x1.06b1b1bed5a94p-1"], (3, 4, 6, 13)),
-    ("weibull-l234", KL, 4, 0, ["0x1.8dedf65617912p+2", "0x1.d4004874de109p-2"],
-     "0x1.abc3cf4f72dc3p-2", ["-0x1.537559e0941e9p+0", "0x1.1d279bac87410p+2",
-                              "-0x1.ddd4695e24058p+1"], (3, 4, 7, 14)),
-]
-
-
-@pytest.mark.parametrize("model,div,scenario,seed,theta,criterion,xi,counts", _SEARCH_FITS,
-                         ids=lambda v: getattr(v, "family", None))
-def test_forced_fallback_is_the_search_bit_for_bit(model, div, scenario, seed, theta,
-                                                    criterion, xi, counts, monkeypatch):
-    # with the joint path capped at 0 steps the fit is the profile search's, as
-    # that search gave it before the joint path existed, counts included
-    monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
-    sample = draw_sample(ScenarioConfig.preset(scenario, n=100, seed=seed), 0)
-    report = fit_divergence(sample, model_by_name(model), div)
-    d = report.diagnostics
-    assert [float(v).hex() for v in report.theta] == theta
-    assert float(report.criterion).hex() == criterion
-    assert [float(v).hex() for v in report.xi] == xi
-    assert (d["outer_iterations"], d["criterion_evaluations"], d["inner_iterations"],
-            d["inner_evaluations"]) == counts
-    assert (d["joint_steps"], d["joint_fallback"]) == (0, "no certified point in 0 steps")
-
-
-def test_joint_step_out_of_the_scale_box_falls_back(monkeypatch):
+def test_joint_step_out_of_the_scale_box_falls_back():
     # the first joint step of this Weibull KL fit takes the scale out of its box
-    # row: the fit does not raise, and is the search's from the start, bit for bit
+    # row: the fit takes a profile step instead, and returns certified
     sample = draw_sample(ScenarioConfig.preset(1, n=100, seed=0), 3)
     report = fit_divergence(sample, weibull_model(), KL)
-    assert report.diagnostics["joint_fallback"] == "the scale left its box row"
-    monkeypatch.setattr(estimator, "_MAX_JOINT_STEPS", 0)
-    search = fit_divergence(sample, weibull_model(), KL)
-    assert np.array_equal(report.theta, search.theta) and np.array_equal(report.xi, search.xi)
-    assert report.criterion == search.criterion
-    assert ({**report.diagnostics, "joint_fallback": None}
-            == {**search.diagnostics, "joint_fallback": None})
+    assert report.diagnostics["outer_iterations"] > report.diagnostics["joint_steps"]
+    assert_certified(sample, weibull_model(), KL, report)
+
+
+@pytest.mark.parametrize("model,div,scenario,seed,stream", [
+    ("weibull-l234", KLM, 2, 0, 0),       # P'' <= 0 at a joint point after two cut steps
+    ("gpd-l234", KLM, 2, 0, 2),           # 12 uncertified joint steps
+    ("weibull-l234", KL, 1, 555, 9),      # returns only with the step from the profile point
+], ids=["curvature", "step-cap", "from-the-profile-point"])
+def test_fits_that_left_the_joint_path_return_certified(model, div, scenario, seed, stream):
+    # these fits once left the joint path for a second search from the start
+    # point, each for the reason noted (the scale's box row is the test above);
+    # now each profile step starts from the last profile point, and the joint
+    # steps resume from the point it finds
+    sample = draw_sample(ScenarioConfig.preset(scenario, n=100, seed=seed), stream)
+    report = fit_divergence(sample, model_by_name(model), div)
+    assert report.diagnostics["outer_iterations"] > report.diagnostics["joint_steps"] > 0
+    assert_certified(sample, model_by_name(model), div, report)
 
 
 def test_joint_fits_evaluate_each_multiplier_once(monkeypatch):
