@@ -17,8 +17,8 @@ halvings.  Each point, a converged solve's last full step included, is one
 conjugate evaluation (``DualProblem.evaluate``), one domain check of its
 nodes; the solver makes no domain test of its own, and hands back the
 weights ``psi' delta`` and ``psi'' delta`` of the point it returns.
-A caller solving nearby targets passes starts as ``xi0``; the solve takes the
-one with the highest objective, or zero where the conjugate rejects them all.
+A caller solving a nearby target passes its multipliers as the one start
+``xi0``; the solve starts from zero where there is none or the conjugate rejects it.
 The solve stops when its Newton decrement (B&V 9.5.1) reaches ``rounding_level``,
 below which no step can show an ascent; the estimator's certificate uses that
 level too.
@@ -188,7 +188,7 @@ class DualSolution:
     xi: np.ndarray
     value: float               # the objective at xi
     iterations: int            # Newton steps taken
-    evaluations: int           # objective evaluations, the starts' included
+    evaluations: int           # objective evaluations, the start's included
     status: str                # one of SOLVE_STATUSES
     weights: tuple             # (psi'(z) delta, psi''(z) delta) at xi, as ``evaluate`` gives
 
@@ -308,10 +308,10 @@ def _newton_step(neg_h: list, grad: list) -> list[float]:
 def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     """Damped Newton ascent with a ratio-test line search.
 
-    ``xi0`` is one start or an array of them: the solve starts at the one with
-    the highest objective among those with nodes inside the conjugate's domain,
-    or at zero.  ``evaluations`` counts the distinct starts and the line-search candidates;
-    a line search whose step rounds back to ``xi`` ends there, ``stalled``.
+    The solve starts at ``xi0``, or at zero where it is None or has a node outside
+    the conjugate's domain.  ``evaluations`` counts the start, zero after a rejected
+    ``xi0``, and the line-search candidates; a line search whose step rounds back
+    to ``xi`` ends there, ``stalled``.
     Converged means a Newton decrement ``g (-H)^-1 g`` at most ``rounding_level`` within
     ``_MAX_NEWTON_ITER`` steps; the full step is then evaluated, uncounted, if the ratio
     test allows all of it, and taken if the conjugate accepts its nodes (z + dz carries
@@ -326,15 +326,12 @@ def solve_dual(problem: DualProblem, xi0=None) -> DualSolution:
     kt = kmat.T                     # one transposed view per solve
     c, m, tgt = target.size, problem.delta.size, target.tolist()
     hi = problem.divergence.psi_domain[1]
-    starts = {} if xi0 is None else {s.tobytes(): s for s in np.array(xi0, dtype=float, ndmin=2)}
-    points = []
-    for start in starts.values():       # equal starts: one evaluation
-        with suppress(ConjugateDomainError):
-            points.append((*problem.evaluate(start), start))
-    # zero lies inside every conjugate's domain; the first of equal values wins
-    value, w1, w2, xi = max(points, key=lambda p: p[0]) if points else (
-        *problem.evaluate(np.zeros(c)), np.zeros(c))
-    evaluations = len(starts) + (not points)
+    xi, evaluations = np.zeros(c) if xi0 is None else np.array(xi0, dtype=float), 1
+    try:
+        value, w1, w2 = problem.evaluate(xi)
+    except ConjugateDomainError:    # zero lies inside every conjugate's domain
+        xi, evaluations = np.zeros(c), 2
+        value, w1, w2 = problem.evaluate(xi)
     z = kmat.dot(xi)                # the nodes of xi: z + t dz drifts from them by rounding
     failure = "maxIter"
     for it in range(_MAX_NEWTON_ITER + 1):

@@ -54,7 +54,7 @@ not cut it, sigma and nu stay in their box rows, the conjugate accepts its
 point and P'' > 0 there.  Otherwise the search takes a profile step from the
 last profile point nu0 (``_profile_step``): ``nu0 - P' / |P''|``, clipped to
 the shape box and halved until its point exists and P falls below P(nu0); each
-of its solves also starts from the iterate's xi.  The joint steps resume from
+of its solves starts from the iterate's xi alone.  The joint steps resume from
 the point it finds.  A point is the estimate where the full dual's decrement,
 ``sigma |xi.t1|`` and ``P'^2 / P''`` (with ``P'' > 0``; on a shape edge, a
 slope out of the box instead) are within the rounding level and each mass
@@ -206,25 +206,26 @@ class _Profile:
 
     A point fails where its solve does not converge, where the scale sigma*
     leaves its box row (counted in ``outside``), and where ``-H`` is not
-    positive definite.  Each solve starts from the nearest converged point's
-    multipliers and their prediction, and from the caller's ``xi``.  ``nu`` is
-    None for a scale-only model, whose one point has no slope.  A point reads
-    ``f, f', f''`` once (``SplqModel.jet``) and its node weights from the
-    solve, and does its c x c algebra in floats; only the m-node products run
-    in numpy.
+    positive definite.  Its solve starts from the caller's ``xi``, projected
+    by N^T, or from zero where there is none.  ``nu`` is None for a
+    scale-only model, whose one point has no slope.  A point reads ``f, f',
+    f''`` once (``SplqModel.jet``) and its node weights from the solve, and
+    does its c x c algebra in floats; only the m-node products run in numpy.
+    The search counts its joint steps in ``joint`` and its profile points
+    tried in ``tried`` (``diagnostics``).
     """
 
     def __init__(self, skeleton: DualProblem, model: SplqModel):
         self.skeleton, self.model = skeleton, model
-        self.solved = []            # (nu, xi, dxi/dnu) of each converged point
         self.calls = self.iterations = self.evaluations = self.outside = 0
+        self.joint = self.tried = 0
         self.status = dict.fromkeys(SOLVE_STATUSES, 0)
         self._zero = np.zeros(skeleton.target.size - 1)     # the reduced dual's target
         self._sigma_box = model.box[0].tolist()
 
-    def _solve(self, problem: DualProblem, starts, t1):
+    def _solve(self, problem: DualProblem, xi0, t1):
         """``solve_dual`` on the rows ``K N``, counted; a failed solve is labelled by t1."""
-        sol = solve_dual(problem, xi0=starts)
+        sol = solve_dual(problem, xi0=xi0)
         self.iterations += sol.iterations
         self.evaluations += sol.evaluations
         # K N meets no condition of the cone test, and with t1 in the open cone of K
@@ -242,10 +243,7 @@ class _Profile:
         basis = np.array(_complement_basis(t1))
         reduced = DualProblem(sk.kmat @ basis, sk.delta, self._zero, sk.divergence,
                               sk.m_n @ basis)
-        near = min(self.solved, key=lambda p: abs(p[0] - nu), default=None)
-        starts = [] if near is None else [near[1], near[1] + (nu - near[0]) * near[2]]
-        starts += [] if xi is None else [xi]
-        sol = self._solve(reduced, np.array(starts) @ basis if starts else None, t1)
+        sol = self._solve(reduced, None if xi is None else xi @ basis, t1)
         if not sol.converged:
             return None
         value, xi = sol.value, basis @ sol.xi
@@ -254,10 +252,7 @@ class _Profile:
         if not lo <= sigma <= hi:
             self.outside += 1
             return None
-        point = self.point(nu, f, slopes, sigma, xi, value, sol.weights, g)
-        if point is not None and nu is not None:
-            self.solved.append((nu, xi, np.array(point.parts[-1])))
-        return point
+        return self.point(nu, f, slopes, sigma, xi, value, sol.weights, g)
 
     def point(self, nu, f, slopes, sigma, xi, value, weights, g):
         """``_Point`` of the full dual at ``xi``, target ``sigma t1``, from its ``value``,
@@ -288,13 +283,26 @@ class _Profile:
 
     @property
     def diagnostics(self) -> dict:
+        """The counts of the search.
+
+        ``criterion_evaluations`` are the profile points, one solve each (counted
+        in ``inner_status``), and the joint steps; ``outer_iterations`` the joint
+        steps and the profile points tried, halvings included; ``scale_outside_box``
+        the points whose scale left its box row.  A joint step is one Newton
+        step in xi and one conjugate evaluation, so ``inner_iterations`` and
+        ``inner_evaluations`` count every one of the fit.
+        A search from the L-moment start has ``criterion_evaluations ==
+        outer_iterations + 1 == sum(inner_status) + joint_steps``.
+        """
         return {
-            "criterion_evaluations": self.calls,
-            "inner_iterations": self.iterations,
-            "inner_evaluations": self.evaluations,
+            "criterion_evaluations": self.calls + self.joint,
+            "inner_iterations": self.iterations + self.joint,
+            "inner_evaluations": self.evaluations + self.joint,
             "inner_status": dict(self.status),
             "inner_failures": self.status["maxIter"] + self.status["stalled"],
             "scale_outside_box": self.outside,
+            "joint_steps": self.joint,
+            "outer_iterations": self.joint + self.tried,
         }
 
 
@@ -311,11 +319,12 @@ def lmoment_method_start(lm: LmomentVector, model: SplqModel) -> np.ndarray | No
 
 
 def _profile_step(profile: _Profile, nu: float, point, xi):
-    """(nu, point, points tried) of the damped Newton step in nu from the profile point ``point``.
+    """(nu, point) of the damped Newton step in nu from the profile point ``point``.
 
     The step ``-P' / |P''|``, clipped to the shape box, is halved, at most
     ``_MAX_HALVINGS`` times, until its point exists and P falls below P(nu);
-    each point's solve also starts from ``xi``.
+    each point's solve starts from ``xi``, the joint iterate's multipliers, and
+    is counted in ``profile.tried``.
     """
     lo, hi = profile.model.box[1].tolist()
     slope, curvature = point.slope, point.curvature
@@ -323,9 +332,10 @@ def _profile_step(profile: _Profile, nu: float, point, xi):
     cand, tried, failed = min(max(nu + step, lo), hi), 0, 0
     while tried < _MAX_HALVINGS and cand != nu:
         tried += 1
+        profile.tried += 1
         new = profile(cand, xi)
         if new is not None and new.value < point.value:
-            return cand, new, tried
+            return cand, new
         failed += new is None
         cand = nu + 0.5 * (cand - nu)
     if failed and failed == tried:
@@ -337,16 +347,17 @@ def _profile_step(profile: _Profile, nu: float, point, xi):
 
 
 def _joint_fit(profile: _Profile, nu: float, point):
-    """(nu, point, joint steps, profile points tried) of the KL/KLM search from a profile point.
+    """(nu, point) of the KL/KLM search from a profile point.
 
     The estimate is the first point that passes the certificate (module docstring);
     the search raises ``EstimationError`` where it finds none.  Each joint step is
-    one conjugate evaluation at its point, each profile point tried one solve.
+    one conjugate evaluation at its point, counted in ``profile.joint``; each
+    profile point tried is one solve (``_profile_step``).
     """
     sk, model, kt = profile.skeleton, profile.model, profile.skeleton.kmat.T
     (s_lo, s_hi), (lo, hi) = model.box.tolist()
     edge, m, z = sk.divergence.psi_domain[1], sk.delta.size, sk.kmat.dot(point.xi)
-    base, joint, tried = (nu, point), 0, 0          # base: the last profile point
+    base = (nu, point)          # the last profile point
     last = math.inf         # the residual ratio of the last point that passed every other clause
     for steps in range(_MAX_STEPS + 1):
         sigma, slope, curvature, level = point.sigma, point.slope, point.curvature, point.level
@@ -359,7 +370,7 @@ def _joint_fit(profile: _Profile, nu: float, point):
                 and (out or curvature > 0.0 and slope * slope / curvature <= level)):
             ratio = residual_ratio(kt, w1, target, grad, m)
             if ratio <= 1.0:
-                return nu, point, joint, tried
+                return nu, point
             if ratio >= last:       # the joint steps no longer lower it: they step in rounding
                 break
             last = ratio
@@ -376,7 +387,7 @@ def _joint_fit(profile: _Profile, nu: float, point):
             new = None
             if (lo <= new_nu <= hi and s_lo <= new_sigma <= s_hi
                     and _ratio_test(z, sk.kmat.dot(step), edge) == 1.0):
-                joint += 1
+                profile.joint += 1
                 xi = point.xi + step
                 new_z = sk.kmat.dot(xi)
                 f, *slopes = model.jet(new_nu)
@@ -390,8 +401,8 @@ def _joint_fit(profile: _Profile, nu: float, point):
         if ratio is not None and point is base[1]:
             break       # no step in nu lowers P: its decrement is within rounding, or P' points out
         # the joint step is not taken: a profile step from the last profile point
-        nu, point, n = _profile_step(profile, *base, point.xi)
-        base, tried, z = (nu, point), tried + n, sk.kmat.dot(point.xi)
+        nu, point = _profile_step(profile, *base, point.xi)
+        base, z = (nu, point), sk.kmat.dot(point.xi)
     if ratio is not None:
         raise EstimationError(f"the largest mass residual at nu = {nu!r} is {ratio:.3g} times its "
                               "rounding bound, where every other clause of the certificate holds: "
@@ -506,18 +517,11 @@ def fit_divergence(
     the scale ``theta[0]`` (every model is linear in it), the criterion and
     ``outer_decrement`` are multiplied back.  The chi-square fit is
     ``_chi2_fit``; any other divergence runs ``_profile_fit``, and
-    ``diagnostics`` has ``start`` (the start's name), ``joint_steps`` (the
-    joint Newton steps), ``outer_iterations`` (the joint steps and the profile
-    points tried, halvings included), ``criterion_evaluations`` (the profile
-    points and the joint steps), ``outer_decrement`` (the estimate's ``P'^2 /
-    P''``, None where ``P'' <= 0``), ``scale_outside_box`` (the points whose
-    scale left its box row) and the inner counts: ``inner_status`` of the
-    solves, one per profile point, and ``inner_iterations`` and
-    ``inner_evaluations`` of the solves plus one per joint step.  So a fit from
-    the L-moment start has ``criterion_evaluations == outer_iterations + 1 ==
-    sum(inner_status) + joint_steps``.  The criterion and ``xi`` are those of
-    the estimate's point.  A scale on the edge of its
-    box row raises ``EstimationError``; ``boundary`` is then a shape edge.
+    ``diagnostics`` has ``start`` (the start's name), ``outer_decrement`` (the
+    estimate's ``P'^2 / P''``, None where ``P'' <= 0``) and the counts of the
+    search (``_Profile.diagnostics``).  The criterion and ``xi`` are those of
+    the estimate's point.  A scale on the edge of its box row raises
+    ``EstimationError``; ``boundary`` is then a shape edge.
     """
     lm = sample_lmoments_v(sample, 2 if divergence.family == "chi2" else 4)
     scale = math.ldexp(1.0, math.frexp(lm[2])[1])
@@ -569,9 +573,8 @@ def _profile_fit(skeleton: DualProblem, model: SplqModel, start):
         point = profile(nu)
     if point is None:
         raise profile.failure("at the start of the profile search")
-    joint = tried = 0
     if nu is not None:
-        nu, point, joint, tried = _joint_fit(profile, nu, point)
+        nu, point = _joint_fit(profile, nu, point)
     elif point.gap > point.level:
         raise EstimationError("the inner solve at the estimate stopped short of the full dual's "
                               f"optimum: Newton decrement {point.gap!r} above its rounding level "
@@ -579,11 +582,8 @@ def _profile_fit(skeleton: DualProblem, model: SplqModel, start):
     decrement = None if nu is None or point.curvature <= 0.0 else (
         point.slope * point.slope / point.curvature)
     theta = np.array([point.sigma] if nu is None else [point.sigma, nu])
-    diagnostics = {"outer_iterations": joint + tried, **profile.diagnostics,
-                   "start": start_name, "outer_decrement": decrement, "joint_steps": joint}
-    for key in ("criterion_evaluations", "inner_iterations", "inner_evaluations"):
-        diagnostics[key] += joint        # each joint step is one of each
-    return theta, point.value, point.xi, diagnostics
+    return theta, point.value, point.xi, {**profile.diagnostics, "start": start_name,
+                                          "outer_decrement": decrement}
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,13 @@ The sets, all on ``gpd-l234`` and ``weibull-l234`` unless named:
   nu in {0.05, 0.08, 0.1, 0.5}, n in {200, 1000}, seeds 0-3, and on ten GPD(3, 0.4)
   samples (n = 10^3 from ``default_rng([0, i])``, 10^5 from ``[5, i]``, i = 0-4); KL
   and KLM fits of both models on scenarios 1-4 x seeds 0-9 and on the ``kl-klm``
-  samples; the ``mc-klm`` and ``heavy`` fits (2,322 in all).
+  samples; the ``mc-klm`` and ``heavy`` fits (2,322 in all);
+- ``orderstat3``: KL and KLM fits of the scale-only ``orderstat3`` on scenarios 1-4 x
+  seeds 0-149, replicate 0, n = 100 (1,200).
+
+``diff`` also prints, per set, the work of its returning KL/KLM fits in each dump:
+the summed ``inner_evaluations``, ``inner_iterations``, ``joint_steps`` and profile
+steps (``outer_iterations - joint_steps``).
 """
 
 from __future__ import annotations
@@ -185,6 +191,13 @@ def _sets():
         for key, compute in [*mc_klm(), *heavy()]:
             yield key, compute
 
+    def orderstat3():
+        for div in ("kl", "klm"):
+            for sc in SCENARIOS:
+                for seed in range(150):
+                    yield f"{div}/sc{sc}/seed{seed}", fit(scenario_sample(sc, seed, 0),
+                                                          "orderstat3", div)
+
     return {
         "mc-klm": mc_klm,
         "kl-klm": lambda: scenario_fits(("kl", "klm"), (0,), range(10)),
@@ -195,6 +208,7 @@ def _sets():
         "lmoments": lmoments,
         "run-scenario": scenario_runs,
         "fits-2322": fits_2322,
+        "orderstat3": orderstat3,
     }
 
 
@@ -270,6 +284,20 @@ def _read(path: str) -> dict:
     return {(r["set"], r["key"]): r for r in records}
 
 
+#: the work counts ``diff`` sums over the returning KL/KLM fits of a set
+_WORK = ("inner_evaluations", "inner_iterations", "joint_steps", "profile steps")
+
+
+def _work(records) -> list[int]:
+    """The ``_WORK`` sums of the records that are returning KL/KLM fits; [] where none is."""
+    diags = [r["fields"]["diagnostics"] for r in records
+             if r["error"] is None and "joint_steps" in r["fields"].get("diagnostics", {})]
+    if not diags:
+        return []
+    return [sum(d[k] for d in diags) for k in _WORK[:3]] + [
+        sum(d["outer_iterations"] - d["joint_steps"] for d in diags)]
+
+
 def diff(old_path: str, new_path: str) -> int:
     old, new = _read(old_path), _read(new_path)
     sets = list(dict.fromkeys(s for s, _ in [*old, *new]))
@@ -309,6 +337,11 @@ def diff(old_path: str, new_path: str) -> int:
             print("  largest relative move: " + ", ".join(f"{f} {m:.3g}" for f, m in moves.items()))
         for field, side in one_sided.items():
             print(f"  {field}: only in the {side} dump")
+        work = [_work(r for (s, _), r in side.items() if s == name) for side in (old, new)]
+        if any(work):
+            pairs = zip(_WORK, *(w or [0] * len(_WORK) for w in work))
+            print("  work of the returning KL/KLM fits, old -> new: "
+                  + ", ".join(f"{k} {a} -> {b}" for k, a, b in pairs))
         for note in notes[:10]:
             print(f"  {note}")
         if len(notes) > 10:

@@ -360,6 +360,7 @@ def test_warm_start():
     assert np.max(prob.kmat @ outside) >= 1.0
     fallback = solve_dual(prob, xi0=outside)
     assert fallback.iterations == cold.iterations
+    assert fallback.evaluations == cold.evaluations + 1
     assert np.array_equal(fallback.xi, cold.xi)
 
 

@@ -293,8 +293,17 @@ def test_unconverged_solve_during_the_search_counts_as_inf(monkeypatch):
     assert profile(0.3) is None
     assert profile.diagnostics["inner_failures"] == 1
     assert profile.diagnostics["inner_status"]["maxIter"] == 1
-    # the failed solve is not a warm start for the next one
-    assert len(profile.solved) == 1 and profile.solved[0][1] is point.xi
+    # the failed solve seeds nothing: the next solve starts from zero, as the first did
+    starts = []
+
+    def recorded(problem, xi0=None):
+        starts.append(xi0)
+        return solve(problem, xi0=xi0)
+
+    monkeypatch.setattr(estimator, "solve_dual", recorded)
+    again = profile(0.3)
+    assert len(starts) == 1 and starts[0] is None
+    assert again.xi.tobytes() == point.xi.tobytes()
 
 
 def test_outer_steps_rejected_for_a_failed_solve_are_counted(monkeypatch):
@@ -601,7 +610,7 @@ class _FailsAbove:
     status = {"converged": 0}
 
     def __init__(self, edge):
-        self.edge = edge
+        self.edge, self.tried = edge, 0
 
     def __call__(self, nu, xi=None):
         if nu > self.edge:
@@ -617,8 +626,8 @@ def test_profile_search_closing_in_on_failed_solves_raises():
     # from nu = 0 the profile step to 2 and its halving to 1 fail, and 0.5 is
     # taken; where every halving fails the step closes in on its start and raises
     profile = _FailsAbove(0.5)
-    nu, point, tried = estimator._profile_step(profile, 0.0, profile(0.0), None)
-    assert (nu, point.value, tried) == (0.5, 2.25, 3)
+    nu, point = estimator._profile_step(profile, 0.0, profile(0.0), None)
+    assert (nu, point.value, profile.tried) == (0.5, 2.25, 3)
     profile = _FailsAbove(0.0)
     with pytest.raises(EstimationError, match=r"failed at every halving of the profile step "
                                               r"from nu = 0\.0"):
@@ -1202,8 +1211,42 @@ def test_shape_search_from_the_joint_estimate_takes_no_step():
     for sample in _mc_klm_samples():
         nu = float(fit_divergence(sample, model, KLM).theta[1])
         profile = estimator._Profile(_unit_problem(sample, model, KLM)[0], model)
-        steps.append(estimator._joint_fit(profile, nu, profile(nu))[2:])
+        estimator._joint_fit(profile, nu, profile(nu))
+        steps.append((profile.joint, profile.tried))
     assert {tried for _, tried in steps} == {0} and sum(joint for joint, _ in steps) <= 1
+
+
+def test_profile_solves_start_from_the_joint_iterate_alone(monkeypatch):
+    # a start point's solve starts from zero, and each solve of a profile step from
+    # the one vector N^T xi of the joint iterate that the step leaves; no start is
+    # kept from an earlier point.  This fit takes three profile steps
+    model, calls, steps = weibull_model(), [], []
+    call, profile_step, solve = (estimator._Profile.__call__, estimator._profile_step,
+                                 estimator.solve_dual)
+
+    def point(self, nu, xi=None):
+        calls.append((nu, xi, len(steps), []))
+        return call(self, nu, xi)
+
+    def step(profile, nu, point, xi):
+        steps.append(xi)
+        return profile_step(profile, nu, point, xi)
+
+    def solved(problem, xi0=None):
+        calls[-1][3].append(xi0)
+        return solve(problem, xi0=xi0)
+
+    monkeypatch.setattr(estimator._Profile, "__call__", point)
+    monkeypatch.setattr(estimator, "_profile_step", step)
+    monkeypatch.setattr(estimator, "solve_dual", solved)
+    report = fit_divergence(draw_sample(ScenarioConfig.preset(2, n=100), 0), model, KLM)
+    assert len(steps) == 3 and report.diagnostics["outer_iterations"] == (
+        report.diagnostics["joint_steps"] + len(calls) - 1)
+    assert calls[0][1:] == (None, 0, [None])
+    for nu, xi, k, starts in calls[1:]:
+        basis = np.array(estimator._complement_basis([-v for v in model.jet(nu)[0]]))
+        assert k > 0 and xi is steps[k - 1] and len(starts) == 1
+        assert starts[0].tobytes() == (xi @ basis).tobytes()
 
 
 def test_joint_step_out_of_the_scale_box_falls_back():
